@@ -7,7 +7,8 @@ verify-cor23, verify-cor24, verify-cor51, verify-axioms, catalog, run.
 Reports are deterministic byte-for-byte: checks are produced in sorted key
 order, JSON is dumped with sorted keys, and scheduling parameters (--jobs,
 --out, --format) are not echoed.  Exit codes: 0 all PASS, 1 input error,
-2 verification failure.  MINEXP_LAB_JOBS overrides --jobs.
+2 verification failure.  --jobs sets the worker count; MINEXP_LAB_JOBS is
+only the default when --jobs is not given.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from .divisors import SncDivisor, jump_candidates, lct_from_resolution
-from .rationals import InputError, format_rational, parse_rational
+from .rationals import Infinity, InputError, format_rational, parse_rational
 from .vfilt import (
     TruncationBox,
     check_v_axioms,
@@ -72,22 +73,38 @@ def _model_from_config(config):
     return MonomialModel.from_json(obj)
 
 
+def _int_param(config, key, default):
+    value = config.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{key} must be an integer, got {value!r}") from exc
+
+
+def _rational_param(value, key):
+    """A finite rational config value; no parameter accepts "inf"."""
+    x = parse_rational(str(value))
+    if isinstance(x, Infinity):
+        raise InputError(f"{key} must be a finite rational, got {value!r}")
+    return x
+
+
 def _alphas_from_config(config, model, open_interval=False):
     """Resolve the 'alpha' entry: a rational, a list, or "all-jumps"."""
     spec = config.get("alpha", "all-jumps")
     if spec in (None, "all-jumps"):
         cands = jump_candidates(model.divisor(), 0, 1)
     elif isinstance(spec, list):
-        cands = [parse_rational(str(s)) for s in spec]
+        cands = [_rational_param(s, "alpha") for s in spec]
     else:
-        cands = [parse_rational(str(spec))]
+        cands = [_rational_param(spec, "alpha")]
     if open_interval:
         cands = [a for a in cands if 0 < a < 1]
     return cands
 
 
 def _box_from_config(config, model, pmax):
-    radius = int(config.get("box", DEFAULT_BOX))
+    radius = _int_param(config, "box", DEFAULT_BOX)
     notes = []
     if radius < pmax + max(model.a):
         notes.append(
@@ -211,7 +228,7 @@ def _cmd_lct(config, jobs):
 
 def _cmd_minexp(config, jobs):
     model = _model_from_config(config)
-    pmax = int(config.get("pmax", 4))
+    pmax = _int_param(config, "pmax", 4)
     result = minexp.minexp_monomial(model, pmax)
     consistency = minexp.lct_consistency(model, pmax)
     return {
@@ -231,8 +248,8 @@ def _cmd_jumps(config, jobs):
         params = {"coeffs": list(D.coeffs)}
     else:
         raise InputError("jumps requires 'model' or 'coeffs'")
-    lo = parse_rational(str(config.get("lo", "0")))
-    hi = parse_rational(str(config.get("hi", "1")))
+    lo = _rational_param(config.get("lo", "0"), "lo")
+    hi = _rational_param(config.get("hi", "1"), "hi")
     vals = jump_candidates(D, lo, hi)
     params.update({"lo": format_rational(lo), "hi": format_rational(hi)})
     return {
@@ -257,11 +274,11 @@ def _cmd_vfilt(config, jobs):
         "checks": [],
     }
     if "alpha" in config and config["alpha"] not in (None, "all-jumps"):
-        alpha = parse_rational(str(config["alpha"]))
+        alpha = _rational_param(config["alpha"], "alpha")
         payload["member"] = v_member(u, alpha, model)
         payload["params"]["alpha"] = format_rational(alpha)
     else:
-        cap = parse_rational(str(config.get("cap", "1")))
+        cap = _rational_param(config.get("cap", "1"), "cap")
         payload["v_order"] = format_rational(v_order(u, model, cap))
         payload["params"]["cap"] = format_rational(cap)
         payload["members"] = {
@@ -273,11 +290,11 @@ def _cmd_vfilt(config, jobs):
 
 def _cmd_psi_dims(config, jobs):
     model = _model_from_config(config)
-    pmax = int(config.get("pmax", DEFAULT_PMAX))
+    pmax = _int_param(config, "pmax", DEFAULT_PMAX)
     box, notes = _box_from_config(config, model, pmax)
     alphas = _alphas_from_config(config, model)
     if "p" in config and config["p"] is not None:
-        ps = [int(config["p"])]
+        ps = [_int_param(config, "p", None)]
     else:
         ps = list(range(0, pmax + 2))
     tables = []
@@ -290,7 +307,7 @@ def _cmd_psi_dims(config, jobs):
             "model": model.to_json(),
             "alpha": [format_rational(a) for a in alphas],
             "p": ps,
-            "box": int(config.get("box", DEFAULT_BOX)),
+            "box": _int_param(config, "box", DEFAULT_BOX),
         },
         "checks": notes,
     }
@@ -298,8 +315,8 @@ def _cmd_psi_dims(config, jobs):
 
 def _sweep_command(config, jobs, worker, extra, open_interval=False):
     model = _model_from_config(config)
-    pmax = int(config.get("pmax", DEFAULT_PMAX))
-    radius = int(config.get("box", DEFAULT_BOX))
+    pmax = _int_param(config, "pmax", DEFAULT_PMAX)
+    radius = _int_param(config, "box", DEFAULT_BOX)
     _, notes = _box_from_config(config, model, pmax)
     alphas = _alphas_from_config(config, model, open_interval)
     mj = json.dumps(model.to_json())
@@ -317,7 +334,7 @@ def _sweep_command(config, jobs, worker, extra, open_interval=False):
 
 
 def _cmd_verify_thm42(config, jobs):
-    samples = int(config.get("samples", 20))
+    samples = _int_param(config, "samples", 20)
     return _sweep_command(
         config, jobs, _thm42_worker, lambda pmax, radius: (pmax, radius, samples)
     )
@@ -348,10 +365,12 @@ def _cmd_verify_cor23(config, jobs):
 def _cmd_verify_cor24(config, jobs):
     model = _model_from_config(config)
     value = minexp.minexp_value(model)
-    p_spec = config.get("p")
-    ps = [int(p_spec)] if p_spec is not None else [p for p in (0, 1) if value >= p]
-    pmax = int(config.get("pmax", DEFAULT_PMAX))
-    radius = int(config.get("box", DEFAULT_BOX))
+    if config.get("p") is not None:
+        ps = [_int_param(config, "p", None)]
+    else:
+        ps = [p for p in (0, 1) if value >= p]
+    pmax = _int_param(config, "pmax", DEFAULT_PMAX)
+    radius = _int_param(config, "box", DEFAULT_BOX)
     _, notes = _box_from_config(config, model, pmax)
     alphas = _alphas_from_config(config, model, open_interval=True)
     mj = json.dumps(model.to_json())
@@ -519,10 +538,10 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
+        jobs = args.jobs or _int_param(os.environ, "MINEXP_LAB_JOBS", 1)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    jobs = args.jobs if args.jobs else int(os.environ.get("MINEXP_LAB_JOBS", "1"))
     report, code = run(config, jobs=jobs)
     text = report_to_csv(report) if args.format == "csv" else report_to_json(report)
     if args.out:

@@ -11,7 +11,8 @@ differential on graded pieces is O-linear: dy_K (x) [u] goes to
 sum_k (dy_k ^ dy_K) (x) [du/dy_k], the left action being the negated right
 action in the B_g^r encoding.  Per multidegree every graded piece of psi is
 0- or 1-dimensional with an explicit leading-coefficient coordinate, so the
-matrices assemble directly from right-action expansions.
+matrices assemble directly from the right-action kernel _orders_dy applied
+to the class representatives.
 
 The comparison target: the multidegree-graded dimensions of
 (O(-D_alpha)/O(-D_{>alpha})) (x) Omega^{n-1-i}_{rel}(log E), whose basis is
@@ -26,17 +27,15 @@ import itertools
 from fractions import Fraction
 
 from .divisors import round_gt, round_up
-from .rationals import InputError, format_rational
+from .rationals import InputError, exact_rank, format_rational
 from .vfilt import (
     GradedDimTable,
     TruncationBox,
-    _element_from_orders,
-    _orders_of_component,
     count_grF_grV,
     gr_class_rep,
     gr_coordinate,
 )
-from .weyl import MonomialModel, WeylOperator, act_right
+from .weyl import MonomialModel, _orders_dy
 
 
 # -- relative log forms -------------------------------------------------------
@@ -83,34 +82,6 @@ def _wedge_map(images, src_symbols, dst_symbols, q):
             col[dst_index[T]] = col.get(dst_index[T], Fraction(0)) + coeff
         cols.append({k: v for k, v in col.items() if v})
     return cols, len(dst)
-
-
-def _rank_cols(cols):
-    """Rank of a matrix given as a list of sparse columns."""
-    rows = [dict(c) for c in cols if c]
-    rank = 0
-    while rows:
-        row = rows.pop()
-        if not row:
-            continue
-        key = min(row)
-        piv = row[key]
-        rank += 1
-        nxt = []
-        for other in rows:
-            c = other.get(key)
-            if c:
-                f = c / piv
-                for k, v in row.items():
-                    s = other.get(k, 0) - f * v
-                    if s:
-                        other[k] = s
-                    else:
-                        other.pop(k, None)
-            if other:
-                nxt.append(other)
-        rows = nxt
-    return rank
 
 
 def relative_sequence_check(model: MonomialModel, q):
@@ -163,8 +134,8 @@ def relative_sequence_check(model: MonomialModel, q):
             proj[s] = {("D", s[1]): Fraction(1)}
     m_proj, n_rel_q = _wedge_map(proj, abs_syms, rel_syms, q)
 
-    rank_in = _rank_cols(wedge_cols)
-    rank_out = _rank_cols(m_proj)
+    rank_in = exact_rank(wedge_cols)
+    rank_out = exact_rank(m_proj)
     n_rel_qm1 = len(list(itertools.combinations(rel_syms, q - 1))) if q >= 1 else 0
     n_abs = len(abs_q)
 
@@ -293,7 +264,6 @@ def _dr_complex(model: MonomialModel, alpha, i, D):
         for K in bases[qf]:
             dsrc = tuple(D[t] - (1 if t in K else 0) for t in range(n))
             rep = gr_class_rep(model, alpha, p_right(qf), dsrc)
-            rep_el = _element_from_orders(model, dsrc, rep)
             col = {}
             for k in range(n):
                 if k in K:
@@ -302,16 +272,14 @@ def _dr_complex(model: MonomialModel, alpha, i, D):
                 if T not in tgt_index:
                     continue
                 sign = (-1) ** sum(1 for kk in K if kk < k)
-                # left d/dy_k is the negated right action in this encoding
-                img = act_right(rep_el, WeylOperator.dy(n, k), model).scale(-1)
-                if img.is_zero():
+                img = _orders_dy(rep, model, dsrc, k)
+                if not img:
                     continue
                 dtgt = tuple(dsrc[t] - (1 if t == k else 0) for t in range(n))
-                coord = gr_coordinate(
-                    _orders_of_component(img), model, alpha, p_right(qf + 1), dtgt
-                )
+                coord = gr_coordinate(img, model, alpha, p_right(qf + 1), dtgt)
                 if coord:
-                    col[tgt_index[T]] = Fraction(sign) * coord
+                    # left d/dy_k is the negated right action in this encoding
+                    col[tgt_index[T]] = -sign * coord
             cols.append(col)
         mats.append(cols)
     return bases, mats
@@ -340,7 +308,7 @@ def gr_dr_psi(model: MonomialModel, alpha, i, box: TruncationBox) -> GradedDimTa
     table = GradedDimTable(alpha=alpha)
     for D in sorted(support):
         bases, mats = _dr_complex(model, alpha, i, D)
-        ranks = [_rank_cols(cols) for cols in mats]
+        ranks = [exact_rank(cols) for cols in mats]
         for qf in range(n + 1):
             h = len(bases[qf]) - (ranks[qf] if qf < n else 0) - (
                 ranks[qf - 1] if qf > 0 else 0

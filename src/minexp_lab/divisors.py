@@ -29,7 +29,11 @@ class SncDivisor:
     coeffs: tuple
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        try:
+            coeffs = tuple(int(c) for c in coeffs)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"divisor coefficients must be integers, got {coeffs!r}") from exc
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __len__(self):
         return len(self.coeffs)
@@ -69,7 +73,12 @@ class ResolutionNumerics:
     pairs: tuple
 
     def __init__(self, pairs):
-        pairs = tuple((int(a), int(k)) for a, k in pairs)
+        try:
+            pairs = tuple((int(a), int(k)) for a, k in pairs)
+        except (TypeError, ValueError) as exc:
+            raise InputError(
+                f"resolution numerics must be integer pairs [[a_i, k_i], ...], got {pairs!r}"
+            ) from exc
         if not pairs:
             raise InputError("resolution numerics must be nonempty")
         for a, k in pairs:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .divisors import SncDivisor, round_gt, round_up
-from .rationals import InputError, format_rational
+from .rationals import InputError, exact_rank, format_rational
 from .vfilt import (
     GradedDimTable,
     TruncationBox,
@@ -296,44 +296,6 @@ def _compositions(total, k):
             yield (first,) + rest
 
 
-def _int_rank(rows):
-    """Exact rank of a sparse integer matrix given as row dicts."""
-    rows = [dict(r) for r in rows if r]
-    rank = 0
-    while rows:
-        row = rows.pop()
-        if not row:
-            continue
-        g = 0
-        for v in row.values():
-            g = math.gcd(g, v)
-        if g > 1:
-            row = {c: v // g for c, v in row.items()}
-        col = min(row)
-        piv = row[col]
-        rank += 1
-        nxt = []
-        for other in rows:
-            v = other.get(col)
-            if v:
-                other = {c: piv * x for c, x in other.items()}
-                for c, rv in row.items():
-                    s = other.get(c, 0) - v * rv
-                    if s:
-                        other[c] = s
-                    else:
-                        other.pop(c, None)
-                g = 0
-                for x in other.values():
-                    g = math.gcd(g, x)
-                if g > 1:
-                    other = {c: x // g for c, x in other.items()}
-            if other:
-                nxt.append(other)
-        rows = nxt
-    return rank
-
-
 class CoreCohomology:
     """Cohomology of the multidegree pieces of the symbol Koszul complex on
     the coupled variables y_1..y_r, z_1..z_r, cached by truncation signature.
@@ -398,7 +360,7 @@ class CoreCohomology:
                         if col is not None:
                             row[col] = row.get(col, 0) + coeff
                 rows.append({c: v for c, v in row.items() if v})
-            ranks[W] = _int_rank(rows)
+            ranks[W] = exact_rank(rows)
         dims = {}
         for W in range(r):
             h = len(bases[W]) - ranks[W] - (ranks[W - 1] if W > 0 else 0)
@@ -532,7 +494,7 @@ def _naive_graded_cohomology(model: MonomialModel, G, p, d, G_deeper=None):
                     if col is not None:
                         row[col] = row.get(col, 0) + coeff
             rows.append({c: v for c, v in row.items() if v})
-        ranks[s] = _int_rank(rows)
+        ranks[s] = exact_rank(rows)
     dims = {}
     for s in range(n):
         h = len(bases[s]) - ranks[s] - (ranks[s - 1] if s > 0 else 0)

@@ -12,8 +12,11 @@ multidegree d the admissible (v, w) is unique, so the piece is spanned by the
 expansions E_j = y^{b+v} dy delta . dy^w theta^j for 0 <= j <= p+n-|w|, and
 these are triangular in the top dt-order (top(E_j) = |w| + j with nonzero
 leading coefficient).  Since a multidegree-d element has exactly one possible
-monomial per dt-order, membership and graded-piece coordinates reduce to a
-back-substitution along dt-orders; no general linear algebra is needed.
+monomial per dt-order, it is handled as its dict {dt-order: coefficient},
+and membership and graded-piece coordinates reduce to a back-substitution
+along dt-orders; no general linear algebra is needed.  The expansions are
+integer order dicts built straight from the right-action kernels of weyl.py
+(_orders_dy, then _theta_orders), with no Fraction in the loop.
 
 Graded dimensions also come in a second closed form (the "theta-eliminated"
 one): Gr^F_p V_{-alpha} has a basis of classes of y^b dy delta . y^v dy^w
@@ -39,8 +42,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .divisors import jump_candidates, next_candidate
-from .rationals import InputError, format_rational
-from .weyl import BgElement, MonomialModel, WeylOperator, act_right, multidegree
+from .rationals import InputError, exact_rank, format_rational, integer_row
+from .weyl import (
+    BgElement,
+    MonomialModel,
+    _orders_dt,
+    _orders_dy,
+    _orders_t,
+    _orders_theta_plus,
+    _theta_orders,
+    multidegree,
+)
 
 
 # -- boxes and dimension tables ---------------------------------------------
@@ -86,23 +98,6 @@ def _fmt_deg(d):
     return "(" + ",".join(str(x) for x in d) + ")"
 
 
-@dataclass(frozen=True)
-class FiltrationIndex:
-    """A Hodge index paired with a V-index (right-module conventions)."""
-
-    p: int
-    alpha: Fraction
-
-
-@dataclass(frozen=True)
-class GrBasisLabel:
-    """Label (v, w) of a graded basis class; the implicit twist exponent is
-    b_i = ceil(alpha a_i) - 1 on the divisor coordinates."""
-
-    v: tuple
-    w: tuple
-
-
 @dataclass
 class GradedDimTable:
     """Nonnegative dimensions keyed by multidegree, optionally refined by a
@@ -126,9 +121,6 @@ class GradedDimTable:
 
     def total(self):
         return sum(self.dims.values())
-
-    def has_q(self):
-        return any(isinstance(k[0], tuple) for k in self.dims)
 
     def __eq__(self, other):
         return isinstance(other, GradedDimTable) and self.dims == other.dims
@@ -157,21 +149,6 @@ class GradedDimTable:
                 dims[_fmt_deg(k)] = self.dims[k]
         obj["dims"] = dims
         return obj
-
-    def csv_rows(self):
-        rows = []
-        for k in sorted(self.dims, key=lambda k: (k[0], k[1]) if isinstance(k[0], tuple) else k):
-            deg, q = (k[0], k[1]) if isinstance(k[0], tuple) else (k, "")
-            rows.append(
-                {
-                    "degree": _fmt_deg(deg),
-                    "p": "" if self.p is None else self.p,
-                    "alpha": "" if self.alpha is None else format_rational(self.alpha),
-                    "q": q,
-                    "dim": self.dims[k],
-                }
-            )
-        return rows
 
 
 # -- filtration labels ------------------------------------------------------
@@ -261,12 +238,6 @@ def count_gr(model: MonomialModel, alpha, p, d) -> int:
     return 0 if gr_label(model, alpha, p, d) is None else 1
 
 
-def gr_basis_label(model: MonomialModel, alpha, p, d):
-    """Public view of the graded basis label at a (p, alpha, multidegree)."""
-    lbl = gr_label(model, alpha, p, d)
-    return None if lbl is None else GrBasisLabel(*lbl)
-
-
 def count_grF_grV(model: MonomialModel, alpha, p, d) -> int:
     """dim Gr^F_p Gr^V_{-alpha} at multidegree d (0 or 1)."""
     here = count_gr(model, alpha, p, d)
@@ -285,19 +256,6 @@ def count_grF_grV(model: MonomialModel, alpha, p, d) -> int:
 _EXP_CACHE = {}
 
 
-def _theta_orders(orders):
-    """Order-coefficient dict of u.theta given the one of u."""
-    out = {}
-    for m, c in orders.items():
-        out[m + 1] = out.get(m + 1, 0) - c
-        s = out.get(m, 0) + m * c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return {m: c for m, c in out.items() if c}
-
-
 def _expansion_orders(model: MonomialModel, u0, w, jmax):
     """Order dicts of y^{u0} dy delta . dy^w theta^j for j = 0..jmax.
 
@@ -307,21 +265,12 @@ def _expansion_orders(model: MonomialModel, u0, w, jmax):
     key = (model.n, model.a, u0, w)
     lst = _EXP_CACHE.get(key)
     if lst is None:
-        base = BgElement(model.n, {(u0, 0): Fraction(1)})
-        P = WeylOperator(
-            model.n, {((0,) * model.n, 0, w, 0): Fraction(1)}
-        )
-        e0 = act_right(base, P, model)
-        a = model.a_ext
-        orders = {}
-        for (v, m), c in e0.terms.items():
-            assert c.denominator == 1
-            assert tuple(v[i] - m * a[i] for i in range(model.n)) == tuple(
-                u0[i] - w[i] for i in range(model.n)
-            )
-            orders[m] = int(c)
-        lst = [orders]
-        _EXP_CACHE[key] = lst
+        orders, d = {0: 1}, list(u0)
+        for i, wi in enumerate(w):
+            for _ in range(wi):
+                orders = _orders_dy(orders, model, d, i)
+                d[i] -= 1
+        lst = _EXP_CACHE[key] = [orders]
     while len(lst) <= jmax:
         lst.append(_theta_orders(lst[-1]))
     return lst[: jmax + 1]
@@ -340,13 +289,8 @@ def _element_from_orders(model, d, orders):
     return BgElement(model.n, terms)
 
 
-def spanning_set(p, alpha, d, model: MonomialModel):
-    """The expansions of y^b dy delta . y^v dy^w theta^j spanning the
-    multidegree-d piece of F_p V_{-alpha} (triangular in top dt-order)."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise InputError(f"alpha must be > 0, got {alpha}")
-    d = tuple(d)
+def _spanning_orders(model, alpha, p, d):
+    """Order dicts of the spanning expansions at (p, alpha, multidegree d)."""
     lbl = theta_label(model, alpha, d)
     if lbl is None:
         return []
@@ -356,9 +300,19 @@ def spanning_set(p, alpha, d, model: MonomialModel):
         return []
     b = b_vector(model, alpha)
     u0 = tuple(b[i] + v[i] for i in range(model.n))
+    return _expansion_orders(model, u0, w, jmax)
+
+
+def spanning_set(p, alpha, d, model: MonomialModel):
+    """The expansions of y^b dy delta . y^v dy^w theta^j spanning the
+    multidegree-d piece of F_p V_{-alpha} (triangular in top dt-order)."""
+    alpha = Fraction(alpha)
+    if alpha <= 0:
+        raise InputError(f"alpha must be > 0, got {alpha}")
+    d = tuple(d)
     return [
         _element_from_orders(model, d, o)
-        for o in _expansion_orders(model, u0, w, jmax)
+        for o in _spanning_orders(model, alpha, p, d)
     ]
 
 
@@ -384,15 +338,7 @@ def _component_member(model, alpha, d, orders) -> bool:
     b = b_vector(model, alpha)
     u0 = tuple(b[i] + v[i] for i in range(model.n))
     exps = _expansion_orders(model, u0, w, jmax)
-    den = 1
-    for c in orders.values():
-        if isinstance(c, Fraction):
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    work = {}
-    for m, c in orders.items():
-        s = c * den
-        if s:
-            work[m] = int(s)
+    work = integer_row(orders)
     for m in range(top, -1, -1):
         c = work.get(m)
         if not c:
@@ -409,9 +355,7 @@ def _component_member(model, alpha, d, orders) -> bool:
                 work[mm] = s
             else:
                 work.pop(mm, None)
-        g = 0
-        for cc in work.values():
-            g = math.gcd(g, cc)
+        g = math.gcd(*work.values())
         if g > 1:
             work = {mm: cc // g for mm, cc in work.items()}
     return not work
@@ -507,73 +451,6 @@ def _ok(report, name, **info):
     report["checks"].append({"name": name, "status": "PASS", **info})
 
 
-def _spanning_orders(model, alpha, p, d):
-    """Order dicts of the spanning expansions at (p, alpha, multidegree d)."""
-    lbl = theta_label(model, alpha, d)
-    if lbl is None:
-        return []
-    v, w = lbl
-    jmax = p + model.n - sum(w)
-    if jmax < 0:
-        return []
-    b = b_vector(model, alpha)
-    u0 = tuple(b[i] + v[i] for i in range(model.n))
-    return _expansion_orders(model, u0, w, jmax)
-
-
-def _orders_dy(orders, model, d, i):
-    """Order dict of u.d_{y_i} for u the multidegree-d order dict; the
-    result sits at multidegree d - e_i."""
-    a = model.a_ext
-    out = {}
-    for m, c in orders.items():
-        vi = d[i] + m * a[i]
-        if vi:
-            s = out.get(m, 0) - vi * c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        if i < model.r:
-            s = out.get(m + 1, 0) + a[i] * c
-            if s:
-                out[m + 1] = s
-            else:
-                out.pop(m + 1, None)
-    return out
-
-
-def _orders_t(orders):
-    """u.t at multidegree d + a."""
-    out = {}
-    for m, c in orders.items():
-        out[m] = out.get(m, 0) + c
-        if m:
-            s = out.get(m - 1, 0) - m * c
-            if s:
-                out[m - 1] = s
-            else:
-                out.pop(m - 1, None)
-    return {m: c for m, c in out.items() if c}
-
-
-def _orders_dt(orders):
-    """u.dt at multidegree d - a."""
-    return {m + 1: -c for m, c in orders.items()}
-
-
-def _orders_theta_plus(orders, alpha):
-    """u.(theta + alpha), same multidegree."""
-    out = _theta_orders(orders)
-    for m, c in orders.items():
-        s = out.get(m, 0) + alpha * c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
-
-
 def _shift(d, i, step):
     return d[:i] + (d[i] + step,) + d[i + 1 :]
 
@@ -635,34 +512,6 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
     return report
 
 
-def _rank_of_order_vectors(vectors):
-    """Exact rank of a family of dt-order coefficient dicts."""
-    rows = [dict(v) for v in vectors if v]
-    rank = 0
-    while rows:
-        row = rows.pop()
-        if not row:
-            continue
-        m = max(row)
-        piv = row[m]
-        rank += 1
-        nxt = []
-        for other in rows:
-            c = other.get(m)
-            if c:
-                f = c / piv
-                for mm, rc in row.items():
-                    s = other.get(mm, 0) - f * rc
-                    if s:
-                        other[mm] = s
-                    else:
-                        other.pop(mm, None)
-            if other:
-                nxt.append(other)
-        rows = nxt
-    return rank
-
-
 def t_shift_check(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
     """Multiplication by t maps the spanning set of V_{-alpha} into
     V_{-alpha-1} and is injective per multidegree."""
@@ -681,7 +530,7 @@ def t_shift_check(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
             if not _component_member(model, alpha + 1, d_plus_a, im):
                 _fail(report, "t-image-level", degree=list(d))
                 return report
-        if _rank_of_order_vectors(images) != len(elems):
+        if exact_rank(images) != len(elems):
             _fail(report, "t-injectivity", degree=list(d))
             return report
     _ok(report, "t-shift", alpha=format_rational(alpha))

@@ -25,7 +25,12 @@ tests/test_weyl.py):
              = -y^v dy dt^{m+1} delta
 
 Multidegrees: deg(y_i) = e_i, deg(t) = sum a_i e_i = -deg(d_t),
-deg(dy delta) = 0, so y^v dy dt^m delta sits in degree v - m*a.  With these
+deg(dy delta) = 0, so y^v dy dt^m delta sits in degree v - m*a.  A
+multidegree-d element is therefore just its dict {dt-order m: coefficient},
+and the rules above are implemented once, as the order-dict kernels
+_orders_dy, _orders_t, _orders_dt and _theta_orders; act_right splits an
+element by multidegree and applies them factor by factor, and the
+V-filtration and de Rham code call them directly on integer dicts.  With these
 conventions theta - beta (theta = t d_t, acting on the right) is nilpotent on
 Gr^V_beta B_g^r for beta = -alpha; the sign is confirmed by
 tests/test_vfilt.py, not assumed.
@@ -51,8 +56,13 @@ class MonomialModel:
     a: tuple
 
     def __init__(self, n, a):
-        a = tuple(int(x) for x in a)
-        n = int(n)
+        try:
+            n = int(n)
+            a = tuple(int(x) for x in a)
+        except (TypeError, ValueError) as exc:
+            raise InputError(
+                f"model needs an integer n and integer exponents, got n={n!r}, exponents={a!r}"
+            ) from exc
         if n < 1:
             raise InputError(f"ambient dimension must be >= 1, got {n}")
         if not 1 <= len(a) <= n:
@@ -94,14 +104,6 @@ class MonomialModel:
         return "g = " + "".join(
             f"y{i+1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(self.a)
         )
-
-
-def _vadd(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def _vsub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
 
 
 class BgElement:
@@ -197,61 +199,77 @@ def multidegree(u: BgElement, model: MonomialModel) -> dict:
     return out
 
 
-# -- right action -----------------------------------------------------------
+# -- right action, one multidegree at a time ----------------------------------
+#
+# A multidegree-d element has exactly one possible monomial per dt-order m,
+# namely y^{d + m a} dy dt^m delta, so it is the dict {m: coefficient}.  The
+# kernels below are the generator rules of the module docstring in that form
+# and the only implementation of the right action; .y_i moves d to d + e_i
+# and leaves the dict unchanged.  Coefficients may be ints or Fractions.
 
-def _act_y(u, i):
-    n = u.n
-    t = {}
-    for (v, m), c in u.terms.items():
-        w = list(v)
-        w[i] += 1
-        t[(tuple(w), m)] = c
-    out = BgElement.__new__(BgElement)
-    out.n, out.terms = n, t
-    return out
-
-
-def _acc(t, key, c):
-    s = t.get(key, 0) + c
-    if s:
-        t[key] = s
-    else:
-        t.pop(key, None)
-
-
-def _act_dy(u, i, model):
+def _orders_dy(orders, model, d, i):
+    """Order dict of u.d_{y_i} for u the multidegree-d order dict; the
+    result sits at multidegree d - e_i."""
     a = model.a_ext
-    t = {}
-    for (v, m), c in u.terms.items():
-        if v[i]:
-            w = list(v)
-            w[i] -= 1
-            _acc(t, (tuple(w), m), -v[i] * c)
+    out = {}
+    for m, c in orders.items():
+        vi = d[i] + m * a[i]
+        if vi:
+            s = out.get(m, 0) - vi * c
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
         if i < model.r:
-            w = [v[k] + a[k] for k in range(u.n)]
-            w[i] -= 1
-            _acc(t, (tuple(w), m + 1), model.a[i] * c)
-    out = BgElement.__new__(BgElement)
-    out.n, out.terms = u.n, t
+            s = out.get(m + 1, 0) + a[i] * c
+            if s:
+                out[m + 1] = s
+            else:
+                out.pop(m + 1, None)
     return out
 
 
-def _act_t(u, model):
-    a = model.a_ext
-    t = {}
-    for (v, m), c in u.terms.items():
-        _acc(t, (_vadd(v, a), m), c)
+def _orders_t(orders):
+    """u.t, at multidegree d + a."""
+    out = {}
+    for m, c in orders.items():
+        out[m] = out.get(m, 0) + c
         if m:
-            _acc(t, (v, m - 1), -m * c)
-    out = BgElement.__new__(BgElement)
-    out.n, out.terms = u.n, t
-    return out
+            s = out.get(m - 1, 0) - m * c
+            if s:
+                out[m - 1] = s
+            else:
+                out.pop(m - 1, None)
+    return {m: c for m, c in out.items() if c}
 
 
-def _act_dt(u):
-    t = {(v, m + 1): -c for (v, m), c in u.terms.items()}
-    out = BgElement.__new__(BgElement)
-    out.n, out.terms = u.n, t
+def _orders_dt(orders):
+    """u.d_t, at multidegree d - a."""
+    return {m + 1: -c for m, c in orders.items()}
+
+
+def _theta_orders(orders):
+    """u.theta (theta = t d_t), same multidegree."""
+    out = {}
+    for m, c in orders.items():
+        out[m + 1] = out.get(m + 1, 0) - c
+        s = out.get(m, 0) + m * c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return {m: c for m, c in out.items() if c}
+
+
+def _orders_theta_plus(orders, alpha):
+    """u.(theta + alpha), same multidegree."""
+    out = _theta_orders(orders)
+    for m, c in orders.items():
+        s = out.get(m, 0) + alpha * c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
     return out
 
 
@@ -423,25 +441,30 @@ def op_multidegree(P: WeylOperator, model: MonomialModel):
 
 
 def act_right(u: BgElement, P: WeylOperator, model: MonomialModel) -> BgElement:
-    """Normal form of u.P; operator factors apply left-to-right in the
-    normal order y, t, dy, dt."""
+    """Normal form of u.P: per multidegree component of u and per term of P,
+    the order-dict kernels apply factor by factor in the normal order
+    y, t, dy, dt."""
     if u.n != model.n or P.n != model.n:
         raise InputError("dimension mismatch")
-    total = BgElement(model.n)
-    for (ay, st, bdy, et), c in P.terms.items():
-        w = u
-        for i in range(model.n):
-            for _ in range(ay[i]):
-                w = _act_y(w, i)
-        for _ in range(st):
-            w = _act_t(w, model)
-        for i in range(model.n):
-            for _ in range(bdy[i]):
-                w = _act_dy(w, i, model)
-        for _ in range(et):
-            w = _act_dt(w)
-        total = total + w.scale(c)
-    return total
+    n, a = model.n, model.a_ext
+    terms = []
+    for d0, comp in multidegree(u, model).items():
+        base = {m: c for (_, m), c in comp.terms.items()}
+        for (ay, st, bdy, et), c in P.terms.items():
+            d = [d0[i] + ay[i] + st * a[i] for i in range(n)]
+            orders = base
+            for _ in range(st):
+                orders = _orders_t(orders)
+            for i in range(n):
+                for _ in range(bdy[i]):
+                    orders = _orders_dy(orders, model, d, i)
+                    d[i] -= 1
+            for _ in range(et):
+                orders = _orders_dt(orders)
+            for m, x in orders.items():
+                v = tuple(d[i] + (m - et) * a[i] for i in range(n))
+                terms.append(((v, m), c * x))
+    return BgElement(n, terms)
 
 
 # -- textual syntax ---------------------------------------------------------

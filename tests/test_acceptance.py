@@ -22,11 +22,10 @@ from minexp_lab.koszul import (
 )
 from minexp_lab.derham import verify_cor51
 from minexp_lab.minexp import cor23_check, cor24_check, minexp_monomial
-from minexp_lab.rationals import INF, Infinity
+from minexp_lab.rationals import INF, Infinity, exact_rank
 from minexp_lab.vfilt import (
     TruncationBox,
     _orders_of_component,
-    _rank_of_order_vectors,
     check_v_axioms,
     count_gr_theta,
     count_gr,
@@ -240,7 +239,7 @@ def test_criterion_9_formula_cross_validation():
         span_p1 = [
             _orders_of_component(s) for s in spanning_set(p - 1, alpha, d, model)
         ]
-        rank = _rank_of_order_vectors([dict(v) for v in span_p]) - _rank_of_order_vectors(
+        rank = exact_rank([dict(v) for v in span_p]) - exact_rank(
             [dict(v) for v in span_p1]
         )
         assert c44 == c45 == rank, (model, alpha, p, d, c44, c45, rank)

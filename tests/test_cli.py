@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from minexp_lab.cli import (
     catalog,
     main,
@@ -93,6 +95,61 @@ def test_input_errors_exit_1():
     ]:
         report, code = run(config)
         assert code == 1 and "error" in report
+
+
+Y2_MODEL = {"n": 1, "exponents": [2]}
+
+
+@pytest.mark.parametrize(
+    "config, env_jobs",
+    [
+        ({"command": "verify-axioms", "model": Y2_MODEL, "box": "x"}, None),
+        ({"command": "minexp", "model": {"n": 1, "exponents": ["a"]}}, None),
+        ({"command": "minexp", "model": {"n": 1, "exponents": 3}}, None),
+        ({"command": "verify-cor51", "model": Y2_MODEL, "alpha": "inf"}, None),
+        ({"command": "vfilt", "model": Y2_MODEL, "element": "dy delta", "cap": "inf"}, None),
+        ({"command": "jumps", "coeffs": ["a"]}, None),
+        ({"command": "verify-thm42", "model": Y2_MODEL, "samples": "x"}, None),
+        ({"command": "lct", "pairs": [[1]]}, None),
+        ({"command": "lct", "pairs": [[1, 0]]}, "two"),
+    ],
+    ids=[
+        "box", "exponents", "exponents-not-list", "alpha-inf", "cap-inf",
+        "coeffs", "samples", "pairs", "jobs-env",
+    ],
+)
+def test_malformed_values_exit_1(config, env_jobs, monkeypatch, capsys):
+    if env_jobs is None:
+        monkeypatch.delenv("MINEXP_LAB_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("MINEXP_LAB_JOBS", env_jobs)
+    assert main(["run", "--config", json.dumps(config)]) == 1
+    err = capsys.readouterr().err
+    assert "input error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, env_jobs, want",
+    [(["--jobs", "3"], "2", 3), ([], "2", 2), ([], None, 1)],
+    ids=["flag-and-env", "env-only", "neither"],
+)
+def test_jobs_flag_wins_over_env(flag, env_jobs, want, monkeypatch, capsys):
+    from minexp_lab import cli
+
+    seen = []
+
+    def fake_run(config, jobs=1):
+        seen.append(jobs)
+        return {"command": config["command"], "checks": []}, 0
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    if env_jobs is None:
+        monkeypatch.delenv("MINEXP_LAB_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("MINEXP_LAB_JOBS", env_jobs)
+    assert cli.main(["lct", "--pairs", "[[1,0]]"] + flag) == 0
+    assert seen == [want]
 
 
 def test_failure_exit_2(monkeypatch):

@@ -8,14 +8,13 @@ import pytest
 
 from minexp_lab.derham import (
     _dr_complex,
-    _rank_cols,
     gr_dr_psi,
     quotient_dims,
     relative_sequence_check,
     verify_cor51,
 )
 from minexp_lab.divisors import jump_candidates
-from minexp_lab.rationals import InputError
+from minexp_lab.rationals import InputError, exact_rank
 from minexp_lab.vfilt import TruncationBox
 from minexp_lab.weyl import MonomialModel
 
@@ -94,7 +93,7 @@ def test_gr_dr_euler_characteristic():
                 for _ in range(12):
                     D = tuple(rng.randint(-3, 4) for _ in range(n))
                     bases, mats = _dr_complex(model, alpha, i, D)
-                    ranks = [_rank_cols(cols) for cols in mats]
+                    ranks = [exact_rank(cols) for cols in mats]
                     euler_terms = sum(
                         (-1) ** qf * len(bases[qf]) for qf in range(n + 1)
                     )

@@ -6,8 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minexp_lab.rationals import InputError
-from minexp_lab.vfilt import _rank_of_order_vectors
+from minexp_lab.rationals import InputError, exact_rank
 from minexp_lab.weyl import (
     BgElement,
     MonomialModel,
@@ -47,6 +46,62 @@ def test_act_right_examples():
     m2 = MonomialModel(2, [1, 1])
     got = act_right(BgElement.dy_delta(2), WeylOperator.dy(2, 0), m2)
     assert got == BgElement.term(2, 1, (0, 1), 1)
+
+
+def _rule_terms(model, v, m, gen, i):
+    """The generator rules of the weyl docstring on one symbol
+    y^v dy dt^m delta, as a list of ((v', m'), coefficient)."""
+    a = model.a_ext
+    e = tuple(1 if k == i else 0 for k in range(model.n))
+    if gen == "y":
+        return [((tuple(x + y for x, y in zip(v, e)), m), 1)]
+    if gen == "dy":
+        out = []
+        if v[i]:
+            out.append(((tuple(x - y for x, y in zip(v, e)), m), -v[i]))
+        if i < model.r:
+            w = tuple(x + ak - y for x, ak, y in zip(v, a, e))
+            out.append(((w, m + 1), a[i]))
+        return out
+    if gen == "t":
+        out = [((tuple(x + ak for x, ak in zip(v, a)), m), 1)]
+        if m:
+            out.append(((v, m - 1), -m))
+        return out
+    return [((v, m + 1), -1)]  # dt
+
+
+def test_act_right_matches_generator_rules():
+    # term by term on elements spread over several multidegrees, for .y_i,
+    # .d_{y_i} on and off the divisor coordinates, .t and .dt
+    rng = random.Random(42)
+    spread = checked = 0
+    for model in [
+        MonomialModel(1, [2]),
+        MonomialModel(2, [2, 3]),
+        MonomialModel(3, [1, 2]),
+        MonomialModel(3, [3]),
+    ]:
+        n = model.n
+        gens = [("y", i, WeylOperator.y(n, i)) for i in range(n)]
+        gens += [("dy", i, WeylOperator.dy(n, i)) for i in range(n)]
+        gens += [("t", None, WeylOperator.t(n)), ("dt", None, WeylOperator.dt(n))]
+        for _ in range(25):
+            u = _rand_el(rng, n, max_terms=5)
+            spread += len(multidegree(u, model)) > 1
+            c = F(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+            for gen, i, op in gens:
+                want = BgElement(
+                    n,
+                    [
+                        (key, c * coeff * k)
+                        for (v, m), coeff in u.terms.items()
+                        for key, k in _rule_terms(model, v, m, gen, i)
+                    ],
+                )
+                assert act_right(u, op.scale(c), model) == want, (model, u, gen, i)
+                checked += 1
+    assert spread > 50 and checked == 25 * (4 + 6 + 8 + 8)
 
 
 def test_compose_examples():
@@ -191,7 +246,7 @@ def test_theta_powers_independent():
                 chain.append(act_right(chain[-1], th, model))
             # all powers stay in one multidegree, so order vectors suffice
             vecs = [{m: c for (_, m), c in x.terms.items()} for x in chain]
-            assert _rank_of_order_vectors(vecs) == 5
+            assert exact_rank(vecs) == 5
 
 
 def test_multidegree_examples():
