@@ -4,6 +4,14 @@ Subcommands: lct, minexp, jumps, vfilt, psi-dims, verify-thm42,
 verify-cor23, verify-cor24, verify-cor51, verify-axioms, catalog, run.
 `run` takes a JSON config (path or literal) with the same keys as the flags.
 
+Every config value is validated and coerced in one place, `_parse`; a
+malformed value is an input error.  A report's `params` lists exactly the
+values the run used, after defaults and parsing: a key a command does not
+read is neither validated nor echoed.  The five verify commands are one
+sweep over alphas (`_SWEEPS`); each alpha is one work item, and `--jobs`
+workers share them, at most one per item and per CPU.  A box radius R in
+n variables is refused when its volume (2R+1)^n exceeds MAX_BOX_VOLUME.
+
 Reports are deterministic byte-for-byte: checks are produced in sorted key
 order, JSON is dumped with sorted keys, and scheduling parameters (--jobs,
 --out, --format) are not echoed.  Exit codes: 0 all PASS, 1 input error,
@@ -15,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -22,35 +31,19 @@ import multiprocessing
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from .divisors import SncDivisor, jump_candidates, lct_from_resolution
+from .divisors import ResolutionNumerics, SncDivisor, jump_candidates, lct_from_resolution
 from .rationals import Infinity, InputError, format_rational, parse_rational
-from .vfilt import (
-    TruncationBox,
-    check_v_axioms,
-    t_shift_check,
-    v_member,
-    v_order,
-)
+from .vfilt import TruncationBox, check_v_axioms, t_shift_check, v_member, v_order
 from .weyl import MonomialModel, multidegree, parse_element
 from . import derham, koszul, minexp
 
-COMMANDS = (
-    "lct",
-    "minexp",
-    "jumps",
-    "vfilt",
-    "psi-dims",
-    "verify-thm42",
-    "verify-cor23",
-    "verify-cor24",
-    "verify-cor51",
-    "verify-axioms",
-    "catalog",
-)
-
 DEFAULT_BOX = 6
 DEFAULT_PMAX = 3
+# Largest box volume (2R+1)^n a command accepts.  Work grows with the volume;
+# the acceptance sweeps use 13^3 = 2197, while n = 40 at radius 1 never ends.
+MAX_BOX_VOLUME = 10**6
 
 
 def catalog():
@@ -64,61 +57,133 @@ def catalog():
     return models
 
 
-def _model_from_config(config):
-    obj = config.get("model")
-    if obj is None:
-        raise InputError("config requires a 'model'")
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    return MonomialModel.from_json(obj)
+# -- config parsing -------------------------------------------------------------
+#
+# A parser takes (key, value, parsed so far) and returns the coerced value or
+# raises InputError; parsers that need the model read it from the keys parsed
+# before them.
+
+def _int(key, value, got):
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError(f"{key} must be an integer, got {value!r}")
 
 
-def _int_param(config, key, default):
-    value = config.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{key} must be an integer, got {value!r}") from exc
-
-
-def _rational_param(value, key):
-    """A finite rational config value; no parameter accepts "inf"."""
+def _rational(key, value, got):
+    """A finite rational; no parameter accepts "inf"."""
     x = parse_rational(str(value))
     if isinstance(x, Infinity):
         raise InputError(f"{key} must be a finite rational, got {value!r}")
     return x
 
 
-def _alphas_from_config(config, model, open_interval=False):
-    """Resolve the 'alpha' entry: a rational, a list, or "all-jumps"."""
-    spec = config.get("alpha", "all-jumps")
-    if spec in (None, "all-jumps"):
-        cands = jump_candidates(model.divisor(), 0, 1)
-    elif isinstance(spec, list):
-        cands = [_rational_param(s, "alpha") for s in spec]
-    else:
-        cands = [_rational_param(spec, "alpha")]
-    if open_interval:
-        cands = [a for a in cands if 0 < a < 1]
-    return cands
+def _alphas(key, value, got):
+    """A rational or a nonempty list of them; None for "all-jumps"."""
+    if value == "all-jumps":
+        return None
+    values = value if isinstance(value, list) else [value]
+    if not values:
+        raise InputError("alpha list is empty")
+    return [_rational(key, v, got) for v in values]
 
 
-def _box_from_config(config, model, pmax):
-    radius = _int_param(config, "box", DEFAULT_BOX)
-    notes = []
-    if radius < pmax + max(model.a):
-        notes.append(
-            {
-                "name": "box-radius-note",
-                "status": "PASS",
-                "note": (
-                    f"box radius {radius} is below p_max + max(a_i) = "
-                    f"{pmax + max(model.a)}; truncation is still exact, but "
-                    "deep filtration levels have little room in the window"
-                ),
-            }
+def _json(value, key):
+    """A JSON-valued key may also be given as JSON text (as its flag is)."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return json.loads(value)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"bad {key} JSON: {exc}") from exc
+
+
+def _box(key, value, got):
+    radius, n = _int(key, value, got), got["model"].n
+    if radius < 0:
+        raise InputError(f"box radius must be >= 0, got {radius}")
+    if (2 * radius + 1) ** n > MAX_BOX_VOLUME:
+        raise InputError(
+            f"box radius {radius} in {n} variables exceeds the volume limit {MAX_BOX_VOLUME}"
         )
-    return TruncationBox.radius(model.n, radius), notes
+    return radius
+
+
+def _element(key, value, got):
+    """(text, element): the text is echoed, the element is used."""
+    if not isinstance(value, str):
+        raise InputError(f"element must be text, got {value!r}")
+    u = parse_element(value, got["model"].n)
+    if u.is_zero():
+        raise InputError("vfilt element must be nonzero")
+    return value, u
+
+
+_PARSERS = {
+    "model": lambda key, value, got: MonomialModel.from_json(_json(value, key)),
+    "alpha": _alphas,
+    "box": _box,
+    "pmax": _int,
+    "p": _int,
+    "samples": _int,
+    "lo": _rational,
+    "hi": _rational,
+    "cap": _rational,
+    "element": _element,
+    "pairs": lambda key, value, got: ResolutionNumerics(_json(value, key)),
+    "coeffs": lambda key, value, got: SncDivisor(_json(value, key)),
+}
+
+# A key without a default is required; "p" defaults to None (per command).
+_DEFAULTS = {
+    "alpha": "all-jumps",
+    "box": DEFAULT_BOX,
+    "pmax": DEFAULT_PMAX,
+    "p": None,
+    "samples": 20,
+    "lo": "0",
+    "hi": "1",
+    "cap": "1",
+}
+
+
+def _parse(config, keys, **defaults):
+    """{key: parsed value} for `keys`, in order; a missing or null key takes
+    its default.  The only place a config value is read and coerced: handlers
+    check only how values combine (vfilt takes one alpha), the library what
+    its functions require (0 <= lo < hi, cor24's p at most the minexp)."""
+    defaults = {**_DEFAULTS, **defaults}
+    got = {}
+    for key in keys:
+        value = config.get(key)
+        if value is None:
+            if key not in defaults:
+                raise InputError(f"{config.get('command')} requires {key!r}")
+            value = defaults[key]
+        got[key] = None if value is None else _PARSERS[key](key, value, got)
+    return got
+
+
+def _or_jumps(alphas, model):
+    return jump_candidates(model.divisor(), 0, 1) if alphas is None else alphas
+
+
+def _box_note(model, radius, pmax):
+    if radius >= pmax + max(model.a):
+        return []
+    return [
+        {
+            "name": "box-radius-note",
+            "status": "PASS",
+            "note": (
+                f"box radius {radius} is below p_max + max(a_i) = "
+                f"{pmax + max(model.a)}; truncation is still exact, but "
+                "deep filtration levels have little room in the window"
+            ),
+        }
+    ]
 
 
 def _summarize(checks):
@@ -128,107 +193,117 @@ def _summarize(checks):
     }
 
 
-# -- per-alpha workers (top level so multiprocessing can pick them up) --------
+# -- verification sweeps ----------------------------------------------------------
+#
+# The checks functions reach the library at call time (module attributes or
+# this module's imported names), never through references stored at import.
 
-def _thm42_worker(args):
-    model_json, alpha_s, pmax, radius, samples = args
-    model = MonomialModel.from_json(json.loads(model_json))
-    alpha = Fraction(alpha_s)
-    box = TruncationBox.radius(model.n, radius)
+def _thm42_checks(model, alpha, box, pmax, samples):
     p_range = range(-model.n, pmax + 1)
-    checks = []
-    for rep in (
+    reps = (
         koszul.verify_thm42_i(model, alpha, p_range, box),
         koszul.verify_thm42_ii(model, alpha, p_range, box),
         koszul.verify_thm42_iii(model, alpha, samples=samples),
         koszul.augmentation_zero_check(model, alpha),
-    ):
-        for c in rep["checks"]:
-            checks.append({"alpha": alpha_s, **c})
-    return alpha_s, checks
+    )
+    return [c for rep in reps for c in rep["checks"]]
 
 
-def _axioms_worker(args):
-    model_json, alpha_s, radius = args
-    model = MonomialModel.from_json(json.loads(model_json))
-    alpha = Fraction(alpha_s)
-    box = TruncationBox.radius(model.n, radius)
-    checks = []
-    for rep in (
-        check_v_axioms(model, alpha, box),
-        t_shift_check(model, alpha, box),
-    ):
-        for c in rep["checks"]:
-            checks.append({"alpha": alpha_s, **c})
-    return alpha_s, checks
+def _axioms_checks(model, alpha, box):
+    reps = (check_v_axioms(model, alpha, box), t_shift_check(model, alpha, box))
+    return [c for rep in reps for c in rep["checks"]]
 
 
-def _cor51_worker(args):
-    model_json, alpha_s, radius = args
-    model = MonomialModel.from_json(json.loads(model_json))
-    alpha = Fraction(alpha_s)
-    box = TruncationBox.radius(model.n, radius)
-    rep = derham.verify_cor51(model, alpha, range(0, model.n), box)
-    return alpha_s, [{"alpha": alpha_s, **c} for c in rep["checks"]]
+def _cor51_checks(model, alpha, box):
+    return derham.verify_cor51(model, alpha, range(0, model.n), box)["checks"]
 
 
-def _cor23_worker(args):
-    model_json, alpha_s, radius, pmax = args
-    model = MonomialModel.from_json(json.loads(model_json))
-    alpha = Fraction(alpha_s)
-    box = TruncationBox.radius(model.n, radius)
+def _cor23_checks(model, alpha, box):
     value = minexp.minexp_value(model)
     checks = []
     for p in (0, 1):
-        rep = minexp.cor23_check(model, p, alpha, box)
-        for c in rep["checks"]:
-            checks.append({"alpha": alpha_s, "p": p, **c})
+        reps = [minexp.cor23_check(model, p, alpha, box)]
         if value >= p:
-            rep = minexp.cor24_check(model, p, alpha, box)
-            for c in rep["checks"]:
-                checks.append({"alpha": alpha_s, "p": p, **c})
-    return alpha_s, checks
-
-
-def _cor24_worker(args):
-    model_json, alpha_s, radius, p = args
-    model = MonomialModel.from_json(json.loads(model_json))
-    alpha = Fraction(alpha_s)
-    box = TruncationBox.radius(model.n, radius)
-    rep = minexp.cor24_check(model, p, alpha, box)
-    return alpha_s, [{"alpha": alpha_s, "p": p, **c} for c in rep["checks"]]
-
-
-def _fanout(worker, items, jobs):
-    if jobs > 1 and len(items) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(worker, items)
-    else:
-        results = [worker(it) for it in items]
-    results.sort(key=lambda kv: Fraction(kv[0]))
-    checks = []
-    for _, cs in results:
-        checks.extend(cs)
+            reps.append(minexp.cor24_check(model, p, alpha, box))
+        checks += [{"p": p, **c} for rep in reps for c in rep["checks"]]
     return checks
+
+
+def _cor24_checks(model, alpha, box, ps):
+    return [
+        {"p": p, **c} for p in ps for c in minexp.cor24_check(model, p, alpha, box)["checks"]
+    ]
+
+
+class _Sweep(NamedTuple):
+    keys: tuple            # config keys read besides model, alpha and box
+    open_interval: bool    # alphas limited to (0, 1)
+    checks: Callable       # (model, alpha, box, *values of keys) -> checks
+
+
+_SWEEPS = {
+    "verify-thm42": _Sweep(("pmax", "samples"), False, _thm42_checks),
+    "verify-cor23": _Sweep((), True, _cor23_checks),
+    "verify-cor24": _Sweep(("p",), True, _cor24_checks),
+    "verify-cor51": _Sweep((), False, _cor51_checks),
+    "verify-axioms": _Sweep((), False, _axioms_checks),
+}
+
+
+def _sweep_worker(item):
+    """All checks of one (command, alpha); top level for multiprocessing."""
+    command, model_json, alpha_s, radius, extra = item
+    model = MonomialModel.from_json(json.loads(model_json))
+    box = TruncationBox.radius(model.n, radius)
+    checks = _SWEEPS[command].checks(model, Fraction(alpha_s), box, *extra)
+    return [{"alpha": alpha_s, **c} for c in checks]
+
+
+def _cmd_sweep(command, config, jobs):
+    sweep = _SWEEPS[command]
+    got = _parse(config, ("model", "box", "alpha") + sweep.keys)
+    model, radius = got["model"], got["box"]
+    alphas = _or_jumps(got["alpha"], model)
+    if sweep.open_interval:
+        alphas = [a for a in alphas if 0 < a < 1]
+    if "p" in got:
+        # by default, every p in {0, 1} the minimal exponent reaches
+        value = minexp.minexp_value(model)
+        got["p"] = [p for p in (0, 1) if value >= p] if got["p"] is None else [got["p"]]
+    extra = tuple(got[k] for k in sweep.keys)
+    mj = json.dumps(model.to_json())
+    items = [(command, mj, format_rational(a), radius, extra) for a in sorted(alphas)]
+    size = min(jobs, len(items), os.cpu_count() or 1)
+    if size > 1:
+        with multiprocessing.Pool(size) as pool:
+            results = pool.map(_sweep_worker, items)
+    else:
+        results = [_sweep_worker(it) for it in items]
+    notes = _box_note(model, radius, got.get("pmax", DEFAULT_PMAX))
+    return {
+        "params": {
+            **got,
+            "model": model.to_json(),
+            "alpha": [format_rational(a) for a in alphas],
+        },
+        "checks": notes + [c for cs in results for c in cs],
+    }
 
 
 # -- command handlers ----------------------------------------------------------
 
 def _cmd_lct(config, jobs):
-    pairs = config.get("pairs")
-    if pairs is None:
-        raise InputError("lct requires 'pairs': [[a_i, k_i], ...]")
-    value = lct_from_resolution(pairs)
+    res = _parse(config, ("pairs",))["pairs"]
     return {
-        "lct": format_rational(value),
-        "params": {"pairs": [[int(a), int(k)] for a, k in pairs]},
+        "lct": format_rational(lct_from_resolution(res)),
+        "params": {"pairs": [list(pair) for pair in res.pairs]},
         "checks": [],
     }
 
 
 def _cmd_minexp(config, jobs):
-    model = _model_from_config(config)
-    pmax = _int_param(config, "pmax", 4)
+    got = _parse(config, ("model", "pmax"), pmax=4)
+    model, pmax = got["model"], got["pmax"]
     result = minexp.minexp_monomial(model, pmax)
     consistency = minexp.lct_consistency(model, pmax)
     return {
@@ -240,18 +315,14 @@ def _cmd_minexp(config, jobs):
 
 
 def _cmd_jumps(config, jobs):
-    if "model" in config:
-        D = _model_from_config(config).divisor()
-        params = {"model": json.loads(json.dumps(config["model"]))}
-    elif "coeffs" in config:
-        D = SncDivisor(config["coeffs"])
-        params = {"coeffs": list(D.coeffs)}
+    source = "model" if "model" in config else "coeffs"
+    got = _parse(config, (source, "lo", "hi"))
+    if source == "model":
+        D, params = got["model"].divisor(), {"model": got["model"].to_json()}
     else:
-        raise InputError("jumps requires 'model' or 'coeffs'")
-    lo = _rational_param(config.get("lo", "0"), "lo")
-    hi = _rational_param(config.get("hi", "1"), "hi")
-    vals = jump_candidates(D, lo, hi)
-    params.update({"lo": format_rational(lo), "hi": format_rational(hi)})
+        D, params = got["coeffs"], {"coeffs": list(got["coeffs"].coeffs)}
+    vals = jump_candidates(D, got["lo"], got["hi"])
+    params.update({"lo": format_rational(got["lo"]), "hi": format_rational(got["hi"])})
     return {
         "jumps": [format_rational(v) for v in vals],
         "params": params,
@@ -260,25 +331,21 @@ def _cmd_jumps(config, jobs):
 
 
 def _cmd_vfilt(config, jobs):
-    model = _model_from_config(config)
-    text = config.get("element")
-    if not text:
-        raise InputError("vfilt requires 'element'")
-    u = parse_element(text, model.n)
-    if u.is_zero():
-        raise InputError("vfilt element must be nonzero")
+    got = _parse(config, ("model", "element", "alpha"))
+    model, (text, u), alphas = got["model"], got["element"], got["alpha"]
     degs = sorted(multidegree(u, model))
     payload = {
         "params": {"model": model.to_json(), "element": text},
         "multidegrees": [list(d) for d in degs],
         "checks": [],
     }
-    if "alpha" in config and config["alpha"] not in (None, "all-jumps"):
-        alpha = _rational_param(config["alpha"], "alpha")
-        payload["member"] = v_member(u, alpha, model)
-        payload["params"]["alpha"] = format_rational(alpha)
+    if alphas is not None:
+        if len(alphas) > 1:
+            raise InputError("vfilt takes a single alpha")
+        payload["member"] = v_member(u, alphas[0], model)
+        payload["params"]["alpha"] = format_rational(alphas[0])
     else:
-        cap = _rational_param(config.get("cap", "1"), "cap")
+        cap = _parse(config, ("cap",))["cap"]
         payload["v_order"] = format_rational(v_order(u, model, cap))
         payload["params"]["cap"] = format_rational(cap)
         payload["members"] = {
@@ -289,14 +356,11 @@ def _cmd_vfilt(config, jobs):
 
 
 def _cmd_psi_dims(config, jobs):
-    model = _model_from_config(config)
-    pmax = _int_param(config, "pmax", DEFAULT_PMAX)
-    box, notes = _box_from_config(config, model, pmax)
-    alphas = _alphas_from_config(config, model)
-    if "p" in config and config["p"] is not None:
-        ps = [_int_param(config, "p", None)]
-    else:
-        ps = list(range(0, pmax + 2))
+    got = _parse(config, ("model", "pmax", "box", "alpha", "p"))
+    model, pmax, radius = got["model"], got["pmax"], got["box"]
+    box = TruncationBox.radius(model.n, radius)
+    alphas = _or_jumps(got["alpha"], model)
+    ps = list(range(0, pmax + 2)) if got["p"] is None else [got["p"]]
     tables = []
     for alpha in alphas:
         for p in ps:
@@ -307,97 +371,14 @@ def _cmd_psi_dims(config, jobs):
             "model": model.to_json(),
             "alpha": [format_rational(a) for a in alphas],
             "p": ps,
-            "box": _int_param(config, "box", DEFAULT_BOX),
-        },
-        "checks": notes,
-    }
-
-
-def _sweep_command(config, jobs, worker, extra, open_interval=False):
-    model = _model_from_config(config)
-    pmax = _int_param(config, "pmax", DEFAULT_PMAX)
-    radius = _int_param(config, "box", DEFAULT_BOX)
-    _, notes = _box_from_config(config, model, pmax)
-    alphas = _alphas_from_config(config, model, open_interval)
-    mj = json.dumps(model.to_json())
-    items = [(mj, format_rational(a)) + extra(pmax, radius) for a in alphas]
-    checks = notes + _fanout(worker, items, jobs)
-    return {
-        "params": {
-            "model": model.to_json(),
-            "alpha": [format_rational(a) for a in alphas],
-            "pmax": pmax,
             "box": radius,
         },
-        "checks": checks,
-    }
-
-
-def _cmd_verify_thm42(config, jobs):
-    samples = _int_param(config, "samples", 20)
-    return _sweep_command(
-        config, jobs, _thm42_worker, lambda pmax, radius: (pmax, radius, samples)
-    )
-
-
-def _cmd_verify_axioms(config, jobs):
-    return _sweep_command(
-        config, jobs, _axioms_worker, lambda pmax, radius: (radius,)
-    )
-
-
-def _cmd_verify_cor51(config, jobs):
-    return _sweep_command(
-        config, jobs, _cor51_worker, lambda pmax, radius: (radius,)
-    )
-
-
-def _cmd_verify_cor23(config, jobs):
-    return _sweep_command(
-        config,
-        jobs,
-        _cor23_worker,
-        lambda pmax, radius: (radius, pmax),
-        open_interval=True,
-    )
-
-
-def _cmd_verify_cor24(config, jobs):
-    model = _model_from_config(config)
-    value = minexp.minexp_value(model)
-    if config.get("p") is not None:
-        ps = [_int_param(config, "p", None)]
-    else:
-        ps = [p for p in (0, 1) if value >= p]
-    pmax = _int_param(config, "pmax", DEFAULT_PMAX)
-    radius = _int_param(config, "box", DEFAULT_BOX)
-    _, notes = _box_from_config(config, model, pmax)
-    alphas = _alphas_from_config(config, model, open_interval=True)
-    mj = json.dumps(model.to_json())
-    items = [
-        (mj, format_rational(a), radius, p)
-        for a in alphas
-        for p in ps
-        if value >= p
-    ]
-    checks = notes + _fanout(_cor24_worker, items, jobs)
-    return {
-        "params": {
-            "model": model.to_json(),
-            "alpha": [format_rational(a) for a in alphas],
-            "p": ps,
-            "box": radius,
-        },
-        "checks": checks,
+        "checks": _box_note(model, radius, pmax),
     }
 
 
 def _cmd_catalog(config, jobs):
-    return {
-        "models": [m.to_json() for m in catalog()],
-        "params": {},
-        "checks": [],
-    }
+    return {"models": [m.to_json() for m in catalog()], "params": {}, "checks": []}
 
 
 _HANDLERS = {
@@ -406,13 +387,10 @@ _HANDLERS = {
     "jumps": _cmd_jumps,
     "vfilt": _cmd_vfilt,
     "psi-dims": _cmd_psi_dims,
-    "verify-thm42": _cmd_verify_thm42,
-    "verify-cor23": _cmd_verify_cor23,
-    "verify-cor24": _cmd_verify_cor24,
-    "verify-cor51": _cmd_verify_cor51,
-    "verify-axioms": _cmd_verify_axioms,
+    **{command: functools.partial(_cmd_sweep, command) for command in _SWEEPS},
     "catalog": _cmd_catalog,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run(config, jobs=1):
@@ -423,7 +401,7 @@ def run(config, jobs=1):
     """
     try:
         command = config.get("command")
-        if command not in _HANDLERS:
+        if command not in COMMANDS:
             raise InputError(
                 f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}"
             )
@@ -515,22 +493,10 @@ def _config_from_args(args):
             raise InputError("config must be a JSON object")
         return config
     config = {"command": args.command}
-    for key in ("alpha", "pmax", "box", "p", "cap", "lo", "hi", "element", "samples"):
+    for key in _PARSERS:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
-    if getattr(args, "model", None):
-        try:
-            config["model"] = json.loads(args.model)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad model JSON: {exc}") from exc
-    for key in ("pairs", "coeffs"):
-        value = getattr(args, key, None)
-        if value is not None:
-            try:
-                config[key] = json.loads(value)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"bad {key} JSON: {exc}") from exc
     return config
 
 
@@ -538,7 +504,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        jobs = args.jobs or _int_param(os.environ, "MINEXP_LAB_JOBS", 1)
+        jobs = args.jobs or _int("MINEXP_LAB_JOBS", os.environ.get("MINEXP_LAB_JOBS", 1), {})
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

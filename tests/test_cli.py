@@ -6,8 +6,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minexp_lab.cli import (
+    COMMANDS,
     catalog,
     main,
     report_to_csv,
@@ -112,10 +114,20 @@ Y2_MODEL = {"n": 1, "exponents": [2]}
         ({"command": "verify-thm42", "model": Y2_MODEL, "samples": "x"}, None),
         ({"command": "lct", "pairs": [[1]]}, None),
         ({"command": "lct", "pairs": [[1, 0]]}, "two"),
+        ({"command": "minexp", "model": "xx"}, None),
+        ({"command": "vfilt", "model": Y2_MODEL, "element": 5}, None),
+        ({"command": ["x"]}, None),
+        ({"command": "verify-axioms", "model": Y2_MODEL, "box": 2.9}, None),
+        ({"command": "verify-axioms", "model": Y2_MODEL, "box": True}, None),
+        ({"command": "verify-axioms", "model": Y2_MODEL, "alpha": []}, None),
+        ({"command": "verify-cor24", "model": Y2_MODEL, "p": 1}, None),
+        ({"command": "verify-axioms", "model": {"n": 40, "exponents": [1]}, "box": 1}, None),
     ],
     ids=[
         "box", "exponents", "exponents-not-list", "alpha-inf", "cap-inf",
-        "coeffs", "samples", "pairs", "jobs-env",
+        "coeffs", "samples", "pairs", "jobs-env", "model-not-json",
+        "element-not-text", "command-unhashable", "box-float", "box-bool",
+        "alpha-empty", "cor24-p-above-minexp", "box-volume",
     ],
 )
 def test_malformed_values_exit_1(config, env_jobs, monkeypatch, capsys):
@@ -284,3 +296,91 @@ def test_box_radius_note_recorded():
     )
     assert code == 0
     assert any(c["name"] == "box-radius-note" for c in report["checks"])
+
+
+def test_pool_size_clamped(monkeypatch):
+    """Workers: at most --jobs, one per alpha and one per CPU; no process starts."""
+    from minexp_lab import cli
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(it) for it in items]
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+    four_jumps = {"command": "verify-axioms", "model": {"n": 1, "exponents": [4]}, "box": 1}
+    two_alphas = dict(four_jumps, alpha=["1/4", "1/2"])
+    for config, jobs, cpus, want in [
+        (four_jumps, 500, 3, [3]),
+        (four_jumps, 2, 3, [2]),
+        (four_jumps, 1, 3, []),
+        (four_jumps, 500, None, []),
+        (two_alphas, 500, 8, [2]),
+    ]:
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        report, code = run(dict(config), jobs=jobs)
+        assert code == 0 and report["summary"]["pass"] > 0
+        assert sizes == want
+
+
+FUZZ_KEYS = (
+    "command", "model", "alpha", "box", "pmax", "p", "samples",
+    "lo", "hi", "cap", "element", "pairs", "coeffs",
+)
+
+
+def _fuzz_base(command):
+    base = {"command": command, "model": Y2_MODEL, "box": 1, "alpha": "1/2"}
+    if command == "lct":
+        base["pairs"] = [[2, 0]]
+    if command == "vfilt":
+        base["element"] = "dy delta"
+    return base
+
+
+_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([0.5, 2.9, -1.0, float("nan"), float("inf"), float("-inf")]),
+    st.floats(-4, 4),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-2, 3), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 3), max_size=2),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(COMMANDS), st.sampled_from(FUZZ_KEYS), _junk)
+def test_run_fuzz_never_raises(command, key, junk):
+    config = dict(_fuzz_base(command), **{key: junk})
+    report, code = run(config)
+    assert code in (0, 1, 2)
+    assert ("error" in report) == (code == 1)
+    report_to_json(report)
+
+
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        ("verify-thm42", {"model", "alpha", "box", "pmax", "samples"}),
+        ("verify-axioms", {"model", "alpha", "box"}),
+        ("verify-cor51", {"model", "alpha", "box"}),
+        ("verify-cor23", {"model", "alpha", "box"}),
+        ("verify-cor24", {"model", "alpha", "box", "p"}),
+    ],
+)
+def test_params_echo_exactly_what_ran(command, keys):
+    report, code = run(_fuzz_base(command))
+    assert code == 0 and set(report["params"]) == keys
