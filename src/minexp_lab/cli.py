@@ -9,8 +9,11 @@ malformed value is an input error.  A report's `params` lists exactly the
 values the run used, after defaults and parsing: a key a command does not
 read is neither validated nor echoed.  The five verify commands are one
 sweep over alphas (`_SWEEPS`); each alpha is one work item, and `--jobs`
-workers share them, at most one per item and per CPU.  A box radius R in
-n variables is refused when its volume (2R+1)^n exceeds MAX_BOX_VOLUME.
+workers share them, at most one per item and per CPU.  verify-cor23 and
+verify-cor24 take alphas in (0, 1): an explicit alpha outside is an input
+error, while the default all-jumps list just leaves out alpha = 1.  A box
+radius R in n variables is refused when its volume (2R+1)^n exceeds
+MAX_BOX_VOLUME.
 
 Reports are deterministic byte-for-byte: checks are produced in sorted key
 order, JSON is dumped with sorted keys, and scheduling parameters (--jobs,
@@ -265,6 +268,12 @@ def _cmd_sweep(command, config, jobs):
     model, radius = got["model"], got["box"]
     alphas = _or_jumps(got["alpha"], model)
     if sweep.open_interval:
+        # the default all-jumps list ends at 1; an explicit alpha must fit
+        outside = [a for a in alphas if not 0 < a < 1]
+        if got["alpha"] is not None and outside:
+            raise InputError(
+                f"{command} takes alphas in (0, 1), got {format_rational(outside[0])}"
+            )
         alphas = [a for a in alphas if 0 < a < 1]
     if "p" in got:
         # by default, every p in {0, 1} the minimal exponent reaches

@@ -26,11 +26,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .divisors import round_gt, round_up
 from .rationals import InputError, exact_rank, format_rational
 from .vfilt import (
     GradedDimTable,
+    Level,
     TruncationBox,
+    _fail,
     count_grF_grV,
     gr_class_rep,
     gr_coordinate,
@@ -182,36 +183,21 @@ def relative_sequence_check(model: MonomialModel, q):
 def quotient_dims(model: MonomialModel, alpha, q, relative, box: TruncationBox) -> GradedDimTable:
     """Multidegree dimensions of (O(-D_alpha)/O(-D_{>alpha})) (x) Omega^q of
     the chosen flavor (relative or absolute log forms)."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise InputError(f"alpha must be > 0, got {alpha}")
-    D = model.divisor()
-    c_lo = round_up(D, alpha).coeffs
-    c_hi = round_gt(D, alpha).coeffs
-    n, r = model.n, model.r
+    lvl = Level(model, alpha)
+    c_lo, c_hi = lvl.twist, lvl.deeper.twist
     syms = _rel_symbols(model) if relative else _abs_symbols(model)
-    table = GradedDimTable(alpha=alpha)
-    if q < 0 or q > len(syms):
-        return table
-    for S in itertools.combinations(syms, q):
-        fdeg = [0] * n
-        for s in S:
-            if s[0] == "D":
-                fdeg[s[1] - 1] = 1
-        for d in box:
-            v = tuple(d[i] - fdeg[i] for i in range(n))
-            if any(x < 0 for x in v):
-                continue
-            if any(v[i] < c_lo[i] for i in range(r)):
-                continue
-            if all(v[i] >= c_hi[i] for i in range(r)):
-                continue
-            table.dims[d] = table.dims.get(d, 0) + 1
+    table = GradedDimTable(alpha=lvl.alpha)
+    for d in box:
+        table.set(d, _quotient_count(model, c_lo, c_hi, syms, q, d))
     return table
 
 
 def _quotient_count(model, c_lo, c_hi, syms, q, d):
-    n, r = model.n, model.r
+    """Basis size at multidegree d of the q-forms twisted by
+    O(-D_alpha)/O(-D_{>alpha}): wedges S of q symbols times y^v with
+    v = d - deg S >= 0, c_lo <= v and not c_hi <= v on the divisor
+    coordinates (c_lo = D_alpha, c_hi = D_{>alpha})."""
+    r = model.r
     if q < 0 or q > len(syms):
         return 0
     count = 0
@@ -232,7 +218,7 @@ def _quotient_count(model, c_lo, c_hi, syms, q, d):
 
 # -- graded de Rham of nearby cycles ------------------------------------------
 
-def _dr_complex(model: MonomialModel, alpha, i, D):
+def _dr_complex(lvl: Level, i, D):
     """Terms and differential matrices of the multidegree-D piece of the
     level-(i-n+1) graded de Rham complex of psi_{g,alpha}.
 
@@ -240,8 +226,8 @@ def _dr_complex(model: MonomialModel, alpha, i, D):
     contributing the 1-dimensional graded psi class at D - deg K), mats[qf]
     the sparse columns of d: term qf -> term qf+1.
     """
+    model = lvl.model
     n = model.n
-    alpha = Fraction(alpha)
 
     def p_right(qf):
         return i + qf - 2 * n
@@ -254,7 +240,7 @@ def _dr_complex(model: MonomialModel, alpha, i, D):
             for k in K:
                 d[k] -= 1
             d = tuple(d)
-            if count_grF_grV(model, alpha, p_right(qf), d):
+            if count_grF_grV(lvl, p_right(qf), d):
                 basis.append(K)
         bases.append(basis)
     mats = []
@@ -263,7 +249,7 @@ def _dr_complex(model: MonomialModel, alpha, i, D):
         cols = []
         for K in bases[qf]:
             dsrc = tuple(D[t] - (1 if t in K else 0) for t in range(n))
-            rep = gr_class_rep(model, alpha, p_right(qf), dsrc)
+            rep = gr_class_rep(lvl, p_right(qf), dsrc)
             col = {}
             for k in range(n):
                 if k in K:
@@ -276,7 +262,7 @@ def _dr_complex(model: MonomialModel, alpha, i, D):
                 if not img:
                     continue
                 dtgt = tuple(dsrc[t] - (1 if t == k else 0) for t in range(n))
-                coord = gr_coordinate(img, model, alpha, p_right(qf + 1), dtgt)
+                coord = gr_coordinate(img, lvl, p_right(qf + 1), dtgt)
                 if coord:
                     # left d/dy_k is the negated right action in this encoding
                     col[tgt_index[T]] = -sign * coord
@@ -292,6 +278,7 @@ def gr_dr_psi(model: MonomialModel, alpha, i, box: TruncationBox) -> GradedDimTa
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
         raise InputError(f"alpha must be in (0,1], got {alpha}")
+    lvl = Level(model, alpha)
     n = model.n
     support = set()
     scan = TruncationBox(
@@ -300,14 +287,14 @@ def gr_dr_psi(model: MonomialModel, alpha, i, box: TruncationBox) -> GradedDimTa
     for qf in range(n + 1):
         p = i + qf - 2 * n
         for d in scan:
-            if count_grF_grV(model, alpha, p, d):
+            if count_grF_grV(lvl, p, d):
                 for K in itertools.combinations(range(n), qf):
                     D = tuple(d[t] + (1 if t in K else 0) for t in range(n))
                     if D in box:
                         support.add(D)
     table = GradedDimTable(alpha=alpha)
     for D in sorted(support):
-        bases, mats = _dr_complex(model, alpha, i, D)
+        bases, mats = _dr_complex(lvl, i, D)
         ranks = [exact_rank(cols) for cols in mats]
         for qf in range(n + 1):
             h = len(bases[qf]) - (ranks[qf] if qf < n else 0) - (
@@ -326,10 +313,9 @@ def verify_cor51(model: MonomialModel, alpha, i_range, box: TruncationBox):
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
         raise InputError(f"alpha must be in (0,1], got {alpha}")
-    n, r = model.n, model.r
-    D = model.divisor()
-    c_lo = round_up(D, alpha).coeffs
-    c_hi = round_gt(D, alpha).coeffs
+    lvl = Level(model, alpha)
+    n = model.n
+    c_lo, c_hi = lvl.twist, lvl.deeper.twist
     syms = _rel_symbols(model)
     report = {"status": "PASS", "checks": []}
     for i in i_range:
@@ -337,49 +323,23 @@ def verify_cor51(model: MonomialModel, alpha, i_range, box: TruncationBox):
         total = 0
         for (Dd, q), dim in sorted(t.dims.items()):
             if q != -i:
-                report["status"] = "FAIL"
-                report["checks"].append(
-                    {
-                        "name": "cor51-concentration",
-                        "status": "FAIL",
-                        "i": i,
-                        "degree": list(Dd),
-                        "cohdeg": q,
-                        "dim": dim,
-                    }
+                return _fail(
+                    report, "cor51-concentration", i=i, degree=list(Dd), cohdeg=q, dim=dim
                 )
-                return report
             want = _quotient_count(model, c_lo, c_hi, syms, n - 1 - i, Dd)
             if dim != want:
-                report["status"] = "FAIL"
-                report["checks"].append(
-                    {
-                        "name": "cor51-dims",
-                        "status": "FAIL",
-                        "i": i,
-                        "degree": list(Dd),
-                        "deRham": dim,
-                        "quotient_forms": want,
-                    }
+                return _fail(
+                    report, "cor51-dims", i=i, degree=list(Dd), deRham=dim, quotient_forms=want
                 )
-                return report
             total += dim
         # the other containment: every quotient-forms locus shows up
         for d in box:
             want = _quotient_count(model, c_lo, c_hi, syms, n - 1 - i, d)
             if want != t.get((d, -i)):
-                report["status"] = "FAIL"
-                report["checks"].append(
-                    {
-                        "name": "cor51-dims",
-                        "status": "FAIL",
-                        "i": i,
-                        "degree": list(d),
-                        "deRham": t.get((d, -i)),
-                        "quotient_forms": want,
-                    }
+                return _fail(
+                    report, "cor51-dims", i=i, degree=list(d), deRham=t.get((d, -i)),
+                    quotient_forms=want,
                 )
-                return report
         report["checks"].append(
             {
                 "name": "cor51",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .rationals import InputError
+from .rationals import InputError, int_tuple
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,7 @@ class SncDivisor:
     coeffs: tuple
 
     def __init__(self, coeffs):
-        try:
-            coeffs = tuple(int(c) for c in coeffs)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"divisor coefficients must be integers, got {coeffs!r}") from exc
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", int_tuple(coeffs, "divisor coefficients"))
 
     def __len__(self):
         return len(self.coeffs)
@@ -73,12 +69,15 @@ class ResolutionNumerics:
     pairs: tuple
 
     def __init__(self, pairs):
+        bad = InputError(
+            f"resolution numerics must be integer pairs [[a_i, k_i], ...], got {pairs!r}"
+        )
         try:
-            pairs = tuple((int(a), int(k)) for a, k in pairs)
-        except (TypeError, ValueError) as exc:
-            raise InputError(
-                f"resolution numerics must be integer pairs [[a_i, k_i], ...], got {pairs!r}"
-            ) from exc
+            pairs = tuple(int_tuple(pair, "a resolution pair") for pair in pairs)
+        except TypeError as exc:
+            raise bad from exc
+        if any(len(pair) != 2 for pair in pairs):
+            raise bad
         if not pairs:
             raise InputError("resolution numerics must be nonempty")
         for a, k in pairs:

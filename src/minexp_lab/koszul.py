@@ -39,11 +39,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .divisors import SncDivisor, round_gt, round_up
+from .divisors import SncDivisor
 from .rationals import InputError, exact_rank, format_rational
 from .vfilt import (
     GradedDimTable,
+    Level,
     TruncationBox,
+    _fail,
     b_vector,
     count_gr,
     count_grF_grV,
@@ -157,12 +159,11 @@ def sigma_alpha(model: MonomialModel, alpha, x=None) -> BgElement:
     """The augmentation on degree-0 cochains: e_full (x) Q |-> base . Q,
     extended operator-linearly; x may be an operator, a cochain dict, or
     None for the canonical generator."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise InputError(f"alpha must be > 0, got {alpha}")
-    base = sigma_generator(model, alpha)
-    if x is None:
-        return base
+    base = sigma_generator(model, Level(model, alpha).alpha)
+    return base if x is None else _augment(model, base, x)
+
+
+def _augment(model, base, x):
     if isinstance(x, WeylOperator):
         return act_right(base, x, model)
     full = tuple(range(2, model.n + 1))
@@ -177,9 +178,8 @@ def sigma_alpha(model: MonomialModel, alpha, x=None) -> BgElement:
 def N_operator(model: MonomialModel, alpha) -> WeylOperator:
     """The operator realizing the monodromy endomorphism on H^0 of
     C-bar_{D_alpha}: (ceil(alpha a_1) + y_1 d_1)/a_1."""
-    alpha = Fraction(alpha)
     n, a1 = model.n, model.a[0]
-    c1 = math.ceil(alpha * a1)
+    c1 = Level(model, alpha).twist[0]
     return (
         compose(WeylOperator.y(n, 0), WeylOperator.dy(n, 0)) + WeylOperator.scalar(n, c1)
     ).scale(Fraction(1, a1))
@@ -202,9 +202,7 @@ def verify_thm42_iii(model: MonomialModel, alpha, samples=20, seed=0):
     """sigma(N(x)) = sigma(x) . (-theta) on the canonical generator and on
     random operator multiples x = generator . Q with Q in the y-variables
     Weyl algebra."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise InputError(f"alpha must be > 0, got {alpha}")
+    alpha = Level(model, alpha).alpha
     n = model.n
     base = sigma_generator(model, alpha)
     n_op = N_operator(model, alpha)
@@ -229,11 +227,7 @@ def verify_thm42_iii(model: MonomialModel, alpha, samples=20, seed=0):
         left = act_right(lhs, Q, model)
         right = act_right(act_right(base, Q, model), minus_theta, model)
         if left != right:
-            report["status"] = "FAIL"
-            report["checks"].append(
-                {"name": "monodromy-multiple", "status": "FAIL", "sample": idx}
-            )
-            return report
+            return _fail(report, "monodromy-multiple", sample=idx)
     report["checks"].append(
         {"name": "monodromy-multiples", "status": "PASS", "samples": samples}
     )
@@ -243,11 +237,10 @@ def verify_thm42_iii(model: MonomialModel, alpha, samples=20, seed=0):
 def augmentation_zero_check(model: MonomialModel, alpha, samples=10, seed=0):
     """The composite C-bar^{-1} -> C-bar^0 -> V_{-alpha} B^r vanishes, on all
     basis cochains and on random operator cochains."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise InputError(f"alpha must be > 0, got {alpha}")
+    lvl = Level(model, alpha)
     n = model.n
-    fkc = build_cbar(model, round_up(model.divisor(), alpha))
+    base = sigma_generator(model, lvl.alpha)
+    fkc = build_cbar(model, lvl.twist)
     report = {"status": "PASS", "checks": []}
     if n == 1:
         report["checks"].append(
@@ -263,16 +256,11 @@ def augmentation_zero_check(model: MonomialModel, alpha, samples=10, seed=0):
         S = tuple(sorted(rng.sample(syms, n - 2)))
         inputs.append({S: _random_yd_operator(rng, n)})
     for x in inputs:
-        if not sigma_alpha(model, alpha, fkc.differential(x)).is_zero():
-            report["status"] = "FAIL"
-            report["checks"].append(
-                {
-                    "name": "augmentation-zero",
-                    "status": "FAIL",
-                    "cochain": {str(k): repr(v) for k, v in x.items()},
-                }
+        if not _augment(model, base, fkc.differential(x)).is_zero():
+            return _fail(
+                report, "augmentation-zero",
+                cochain={str(k): repr(v) for k, v in x.items()},
             )
-            return report
     report["checks"].append(
         {"name": "augmentation-zero", "status": "PASS", "inputs": len(inputs)}
     )
@@ -508,62 +496,35 @@ def _naive_graded_cohomology(model: MonomialModel, G, p, d, G_deeper=None):
 def verify_thm42_i(model: MonomialModel, alpha, p_range, box: TruncationBox):
     """Graded acyclicity off degree 0 and the sigma-bar match of H^0 with the
     Gr^F_{p-1} V_{-alpha} count, per multidegree in the box."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise InputError(f"alpha must be > 0, got {alpha}")
-    gc = GradedCbar(model, round_up(model.divisor(), alpha))
+    lvl = Level(model, alpha)
+    gc = GradedCbar(model, lvl.twist)
     report = {"status": "PASS", "checks": []}
     for p in p_range:
         loci = 0
         for d in box:
             h = gc.cohomology(p, d)
             if any(q < 0 and dim for q, dim in h.items()):
-                report["status"] = "FAIL"
-                report["checks"].append(
-                    {
-                        "name": "thm42i-acyclicity",
-                        "status": "FAIL",
-                        "p": p,
-                        "degree": list(d),
-                        "cohomology": {str(q): v for q, v in sorted(h.items())},
-                    }
+                return _fail(
+                    report, "thm42i-acyclicity", p=p, degree=list(d),
+                    cohomology={str(q): v for q, v in sorted(h.items())},
                 )
-                return report
             h0 = h.get(0, 0)
-            want = count_gr(model, alpha, p - 1, d)
+            want = count_gr(lvl, p - 1, d)
             if h0 != want:
-                report["status"] = "FAIL"
-                report["checks"].append(
-                    {
-                        "name": "thm42i-H0-dims",
-                        "status": "FAIL",
-                        "p": p,
-                        "degree": list(d),
-                        "H0": h0,
-                        "count45": want,
-                    }
+                return _fail(
+                    report, "thm42i-H0-dims", p=p, degree=list(d), H0=h0, count45=want
                 )
-                return report
             if h0:
-                rep = gr_class_rep(model, alpha, p - 1, d)
+                rep = gr_class_rep(lvl, p - 1, d)
                 if rep is None or not rep.get(p - 1 + model.n):
-                    report["status"] = "FAIL"
-                    report["checks"].append(
-                        {
-                            "name": "thm42i-sigma-injective",
-                            "status": "FAIL",
-                            "p": p,
-                            "degree": list(d),
-                        }
-                    )
-                    return report
+                    return _fail(report, "thm42i-sigma-injective", p=p, degree=list(d))
                 loci += 1
         report["checks"].append(
             {
                 "name": "thm42i",
                 "status": "PASS",
                 "p": p,
-                "alpha": format_rational(alpha),
+                "alpha": format_rational(lvl.alpha),
                 "nonzero_H0_loci": loci,
             }
         )
@@ -573,50 +534,31 @@ def verify_thm42_i(model: MonomialModel, alpha, p_range, box: TruncationBox):
 def verify_thm42_ii(model: MonomialModel, alpha, p_range, box: TruncationBox):
     """The quotient complex is concentrated in degree 0 with H^0 matching
     Gr^F_{p-1} Gr^V_{-alpha} per multidegree."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise InputError(f"alpha must be > 0, got {alpha}")
-    D = model.divisor()
-    gq = GradedCbar(model, round_up(D, alpha), round_gt(D, alpha))
+    lvl = Level(model, alpha)
+    gq = GradedCbar(model, lvl.twist, lvl.deeper.twist)
     report = {"status": "PASS", "checks": []}
     for p in p_range:
         total = 0
         for d in box:
             h = gq.cohomology(p, d)
             if any(q != 0 and dim for q, dim in h.items()):
-                report["status"] = "FAIL"
-                report["checks"].append(
-                    {
-                        "name": "thm42ii-concentration",
-                        "status": "FAIL",
-                        "p": p,
-                        "degree": list(d),
-                        "cohomology": {str(q): v for q, v in sorted(h.items())},
-                    }
+                return _fail(
+                    report, "thm42ii-concentration", p=p, degree=list(d),
+                    cohomology={str(q): v for q, v in sorted(h.items())},
                 )
-                return report
             h0 = h.get(0, 0)
-            want = count_grF_grV(model, alpha, p - 1, d)
+            want = count_grF_grV(lvl, p - 1, d)
             if h0 != want:
-                report["status"] = "FAIL"
-                report["checks"].append(
-                    {
-                        "name": "thm42ii-H0-dims",
-                        "status": "FAIL",
-                        "p": p,
-                        "degree": list(d),
-                        "H0": h0,
-                        "grV_count": want,
-                    }
+                return _fail(
+                    report, "thm42ii-H0-dims", p=p, degree=list(d), H0=h0, grV_count=want
                 )
-                return report
             total += h0
         report["checks"].append(
             {
                 "name": "thm42ii",
                 "status": "PASS",
                 "p": p,
-                "alpha": format_rational(alpha),
+                "alpha": format_rational(lvl.alpha),
                 "total_H0": total,
             }
         )

@@ -17,9 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .divisors import jump_candidates, lct_from_resolution, next_candidate
+from .divisors import jump_candidates, lct_from_resolution
 from .rationals import INF, Infinity, InputError, VerificationError, format_rational
-from .vfilt import GradedDimTable, TruncationBox, gr_dim, v_member
+from .vfilt import (
+    GradedDimTable,
+    Level,
+    TruncationBox,
+    _component_member,
+    count_grF_grV,
+    gr_dim,
+    v_member,
+)
 from .weyl import BgElement, MonomialModel
 from . import derham
 
@@ -96,10 +104,8 @@ def psi_hodge_dim(p_left, alpha, box: TruncationBox, model: MonomialModel) -> Gr
     return table
 
 
-def _psi_count(model, alpha, p_left, d):
-    from .vfilt import count_grF_grV
-
-    return count_grF_grV(model, alpha, p_left - model.n - 1, d)
+def _psi_count(lvl: Level, p_left, d):
+    return count_grF_grV(lvl, p_left - lvl.model.n - 1, d)
 
 
 def minexp_value(model: MonomialModel, p_max=4):
@@ -153,19 +159,18 @@ def cor23_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4):
             strict=strictly,
         )
 
-        # Gr^F_{p+1} psi ~= O/J, J the V_{<-alpha} colon ideal of dy dt^p delta
-        deeper = next_candidate(model.divisor(), alpha)
+        # Gr^F_{p+1} psi ~= O/J, J the V_{<-alpha} colon ideal of dy dt^p delta:
+        # h = y^(d + p a) sits at multidegree d, as the dt-order-p term
+        lvl = Level(model, alpha)
         a_ext = model.a_ext
         ok = True
         locus = None
         for d in box:
-            u = tuple(d[i] + p * a_ext[i] for i in range(model.n))
-            if all(x >= 0 for x in u):
-                el = BgElement(model.n, {(u, p): Fraction(1)})
-                expected = 0 if v_member(el, deeper, model) else 1
+            if all(d[i] + p * a_ext[i] >= 0 for i in range(model.n)):
+                expected = 0 if _component_member(lvl.deeper, d, {p: 1}) else 1
             else:
                 expected = 0
-            got = _psi_count(model, alpha, p + 1, d)
+            got = _psi_count(lvl, p + 1, d)
             if got != expected:
                 ok = False
                 locus = {"degree": list(d), "expected": expected, "got": got}
@@ -223,13 +228,11 @@ def cor24_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4):
     )
 
     # iii) H^0 == omega (x) Gr^F_{p+1} psi, i.e. the psi table shifted by 1s
-    ones = (1,) * model.n
+    lvl = Level(model, alpha)
     ok = True
     locus = None
     for d in box:
-        want = _psi_count(
-            model, alpha, p + 1, tuple(d[i] - ones[i] for i in range(model.n))
-        )
+        want = _psi_count(lvl, p + 1, tuple(x - 1 for x in d))
         got = tab.get((d, 0))
         if got != want:
             ok = False

@@ -60,6 +60,21 @@ class VerificationError(AssertionError):
     """An exact identity the artifact is supposed to certify failed."""
 
 
+def int_tuple(values, what):
+    """values as a tuple of plain ints; text, a bool, a float or a
+    non-iterable is an InputError, never coerced."""
+    if not isinstance(values, str):
+        try:
+            out = tuple(values)
+        except TypeError:
+            out = None
+        if out is not None and all(
+            isinstance(x, int) and not isinstance(x, bool) for x in out
+        ):
+            return out
+    raise InputError(f"{what}: expected integers, got {values!r}")
+
+
 def parse_rational(text):
     """Parse "p/q", an integer string, or "inf"."""
     s = text.strip()

@@ -18,6 +18,15 @@ along dt-orders; no general linear algebra is needed.  The expansions are
 integer order dicts built straight from the right-action kernels of weyl.py
 (_orders_dy, then _theta_orders), with no Fraction in the loop.
 
+One level is one `Level`, built once per (model, alpha) by an entry point
+(the only place alpha > 0 is checked): it holds b and, computed at most once,
+the Level at the next jump candidate, which is V_{<-alpha}.  On the divisor
+coordinates the twists are D_alpha = ceil(alpha D) = b + 1 and
+D_{>alpha} = floor(alpha D) + E, which is D at the next candidate, so it is
+the deeper Level's b + 1.  The per-multidegree functions (labels, counts,
+membership, class representatives) take the Level, never (model, alpha), so
+no rounding or Fraction hashing happens per multidegree.
+
 Graded dimensions also come in a second closed form (the "theta-eliminated"
 one): Gr^F_p V_{-alpha} has a basis of classes of y^b dy delta . y^v dy^w
 with |w| = p + n, w_i = 0 for i > r, v_i w_i = 0 for 2 <= i <= r (the first
@@ -39,7 +48,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .divisors import jump_candidates, next_candidate
 from .rationals import InputError, exact_rank, format_rational, integer_row
@@ -162,16 +171,44 @@ def hodge_level(u: BgElement) -> int:
 
 @lru_cache(maxsize=None)
 def b_vector(model: MonomialModel, alpha) -> tuple:
+    """b = ceil(alpha a) - 1 on the divisor coordinates, 0 past r."""
     alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise InputError(f"alpha must be > 0, got {alpha}")
     return tuple(math.ceil(alpha * a) - 1 for a in model.a) + (0,) * (model.n - model.r)
 
 
-def theta_label(model: MonomialModel, alpha, d):
+@dataclass(frozen=True)
+class Level:
+    """One level alpha > 0 of one model's V-filtration (see the module
+    docstring): b, D_alpha = b + 1 on the divisor coordinates (`twist`), and
+    the Level at the next jump candidate (`deeper`), whose twist is
+    D_{>alpha}."""
+
+    model: MonomialModel
+    alpha: Fraction
+    b: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        alpha = Fraction(self.alpha)
+        if alpha <= 0:
+            raise InputError(f"alpha must be > 0, got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "b", b_vector(self.model, alpha))
+
+    @cached_property
+    def deeper(self) -> Level:
+        """The level at the next jump candidate above alpha."""
+        return Level(self.model, next_candidate(self.model.divisor(), self.alpha))
+
+    @property
+    def twist(self) -> tuple:
+        """D_alpha = ceil(alpha D) = b + 1 on the divisor components."""
+        return tuple(x + 1 for x in self.b[: self.model.r])
+
+
+def theta_label(lvl: Level, d):
     """The unique (v, w) admissible at multidegree d for the theta-graded
     description (v_i w_i = 0 for i <= r, w_i = 0 past r), or None."""
-    b = b_vector(model, alpha)
+    model, b = lvl.model, lvl.b
     v = []
     w = []
     for i in range(model.n):
@@ -191,27 +228,27 @@ def theta_label(model: MonomialModel, alpha, d):
     return tuple(v), tuple(w)
 
 
-def dim_F_V(model: MonomialModel, alpha, p, d) -> int:
+def dim_F_V(lvl: Level, p, d) -> int:
     """dim of the multidegree-d piece of F_p V_{-alpha} B_g^r."""
-    lbl = theta_label(model, alpha, d)
+    lbl = theta_label(lvl, d)
     if lbl is None:
         return 0
-    return max(0, p + model.n - sum(lbl[1]) + 1)
+    return max(0, p + lvl.model.n - sum(lbl[1]) + 1)
 
 
-def count_gr_theta(model: MonomialModel, alpha, p, d) -> int:
-    lbl = theta_label(model, alpha, d)
+def count_gr_theta(lvl: Level, p, d) -> int:
+    lbl = theta_label(lvl, d)
     if lbl is None:
         return 0
-    return 1 if sum(lbl[1]) <= p + model.n else 0
+    return 1 if sum(lbl[1]) <= p + lvl.model.n else 0
 
 
-def gr_label(model: MonomialModel, alpha, p, d):
+def gr_label(lvl: Level, p, d):
     """The unique (v, w) with |w| = p+n, w_i = 0 past r, v_i w_i = 0 for
     2 <= i <= r at multidegree d, or None; its class spans
     Gr^F_p V_{-alpha} there."""
-    b = b_vector(model, alpha)
-    n, r = model.n, model.r
+    b = lvl.b
+    n, r = lvl.model.n, lvl.model.r
     v = [0] * n
     w = [0] * n
     for i in range(1, n):
@@ -234,17 +271,16 @@ def gr_label(model: MonomialModel, alpha, p, d):
     return tuple(v), tuple(w)
 
 
-def count_gr(model: MonomialModel, alpha, p, d) -> int:
-    return 0 if gr_label(model, alpha, p, d) is None else 1
+def count_gr(lvl: Level, p, d) -> int:
+    return 0 if gr_label(lvl, p, d) is None else 1
 
 
-def count_grF_grV(model: MonomialModel, alpha, p, d) -> int:
+def count_grF_grV(lvl: Level, p, d) -> int:
     """dim Gr^F_p Gr^V_{-alpha} at multidegree d (0 or 1)."""
-    here = count_gr(model, alpha, p, d)
+    here = count_gr(lvl, p, d)
     if not here:
         return 0
-    deeper = next_candidate(model.divisor(), alpha)
-    return here - count_gr(model, deeper, p, d)
+    return here - count_gr(lvl.deeper, p, d)
 
 
 # -- expansions and triangular elimination ----------------------------------
@@ -289,16 +325,16 @@ def _element_from_orders(model, d, orders):
     return BgElement(model.n, terms)
 
 
-def _spanning_orders(model, alpha, p, d):
+def _spanning_orders(lvl: Level, p, d):
     """Order dicts of the spanning expansions at (p, alpha, multidegree d)."""
-    lbl = theta_label(model, alpha, d)
+    lbl = theta_label(lvl, d)
     if lbl is None:
         return []
     v, w = lbl
+    model, b = lvl.model, lvl.b
     jmax = p + model.n - sum(w)
     if jmax < 0:
         return []
-    b = b_vector(model, alpha)
     u0 = tuple(b[i] + v[i] for i in range(model.n))
     return _expansion_orders(model, u0, w, jmax)
 
@@ -306,17 +342,12 @@ def _spanning_orders(model, alpha, p, d):
 def spanning_set(p, alpha, d, model: MonomialModel):
     """The expansions of y^b dy delta . y^v dy^w theta^j spanning the
     multidegree-d piece of F_p V_{-alpha} (triangular in top dt-order)."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise InputError(f"alpha must be > 0, got {alpha}")
+    lvl = Level(model, alpha)
     d = tuple(d)
-    return [
-        _element_from_orders(model, d, o)
-        for o in _spanning_orders(model, alpha, p, d)
-    ]
+    return [_element_from_orders(model, d, o) for o in _spanning_orders(lvl, p, d)]
 
 
-def _component_member(model, alpha, d, orders) -> bool:
+def _component_member(lvl: Level, d, orders) -> bool:
     """Triangular membership of the multidegree-d order vector in V_{-alpha},
     at the component's own Hodge level.
 
@@ -326,7 +357,7 @@ def _component_member(model, alpha, d, orders) -> bool:
     """
     if not orders:
         return True
-    lbl = theta_label(model, alpha, d)
+    lbl = theta_label(lvl, d)
     if lbl is None:
         return False
     v, w = lbl
@@ -335,7 +366,7 @@ def _component_member(model, alpha, d, orders) -> bool:
     jmax = top - wsum  # p + n - |w| with p = top - n
     if jmax < 0:
         return False
-    b = b_vector(model, alpha)
+    model, b = lvl.model, lvl.b
     u0 = tuple(b[i] + v[i] for i in range(model.n))
     exps = _expansion_orders(model, u0, w, jmax)
     work = integer_row(orders)
@@ -364,13 +395,11 @@ def _component_member(model, alpha, d, orders) -> bool:
 def v_member(u: BgElement, alpha, model: MonomialModel) -> bool:
     """Is u in V_{-alpha} B_g^r?  Decided per multidegree at the component's
     Hodge level, by back-substitution against the spanning expansions."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise InputError(f"alpha must be > 0, got {alpha}")
+    lvl = Level(model, alpha)
     if u.is_zero():
         return True
     for d, comp in multidegree(u, model).items():
-        if not _component_member(model, alpha, d, _orders_of_component(comp)):
+        if not _component_member(lvl, d, _orders_of_component(comp)):
             return False
     return True
 
@@ -394,17 +423,13 @@ def v_order(u: BgElement, model: MonomialModel, cap):
 def gr_dim(p, alpha, box: TruncationBox, model: MonomialModel, mode="V") -> GradedDimTable:
     """Dimension table of Gr^F_p V_{-alpha} (mode "V") or
     Gr^F_p Gr^V_{-alpha} (mode "GrV") per multidegree in the box."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise InputError(f"alpha must be > 0, got {alpha}")
+    lvl = Level(model, alpha)
     if mode not in ("V", "GrV"):
         raise InputError(f"mode must be 'V' or 'GrV', got {mode!r}")
-    table = GradedDimTable(p=p, alpha=alpha)
-    deeper = next_candidate(model.divisor(), alpha) if mode == "GrV" else None
+    count = count_grF_grV if mode == "GrV" else count_gr
+    table = GradedDimTable(p=p, alpha=lvl.alpha)
     for d in box:
-        c = count_gr(model, alpha, p, d)
-        if mode == "GrV" and c:
-            c -= count_gr(model, deeper, p, d)
+        c = count(lvl, p, d)
         if c:
             table.dims[d] = c
     return table
@@ -412,15 +437,15 @@ def gr_dim(p, alpha, box: TruncationBox, model: MonomialModel, mode="V") -> Grad
 
 # -- graded-piece representatives and coordinates ---------------------------
 
-def gr_class_rep(model: MonomialModel, alpha, p, d):
+def gr_class_rep(lvl: Level, p, d):
     """A representative of the basis class of Gr^F_p V_{-alpha} at
     multidegree d (order dict), with its leading coefficient at dt-order
     p + n, or None when the piece is 0."""
-    lbl = gr_label(model, alpha, p, d)
+    lbl = gr_label(lvl, p, d)
     if lbl is None:
         return None
     v, w = lbl
-    b = b_vector(model, alpha)
+    model, b = lvl.model, lvl.b
     u0 = tuple(b[i] + v[i] for i in range(model.n))
     orders = _expansion_orders(model, u0, w, 0)[0]
     top = p + model.n
@@ -428,23 +453,25 @@ def gr_class_rep(model: MonomialModel, alpha, p, d):
     return orders
 
 
-def gr_coordinate(orders, model: MonomialModel, alpha, p, d):
+def gr_coordinate(orders, lvl: Level, p, d):
     """Coordinate of a multidegree-d element of F_p V_{-alpha} in the
     one-dimensional Gr^F_p Gr^V_{-alpha}; the quotient only sees the
     dt-order-(p+n) coefficient because the deeper piece vanishes whenever
     the class space is nonzero."""
-    rep = gr_class_rep(model, alpha, p, d)
+    rep = gr_class_rep(lvl, p, d)
     if rep is None:
         raise InputError("graded piece is zero here")
-    top = p + model.n
+    top = p + lvl.model.n
     return Fraction(orders.get(top, 0)) / rep[top]
 
 
 # -- axiom checks ------------------------------------------------------------
 
 def _fail(report, name, **info):
+    """Record a failed check; returns the report, which the caller returns."""
     report["checks"].append({"name": name, "status": "FAIL", **info})
     report["status"] = "FAIL"
+    return report
 
 
 def _ok(report, name, **info):
@@ -463,50 +490,42 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
     V_{-alpha}.dt <= V_{-alpha+1} is additionally checked when alpha > 1),
     and nilpotency of theta + alpha on Gr^V_{-alpha} with index <= r.
     """
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise InputError(f"alpha must be > 0, got {alpha}")
+    lvl = Level(model, alpha)
+    alpha = lvl.alpha
+    plus1, deeper = Level(model, alpha + 1), lvl.deeper
+    minus1 = Level(model, alpha - 1) if alpha > 1 else None
     n = model.n
     a_ext = model.a_ext
-    deeper = next_candidate(model.divisor(), alpha)
     report = {"status": "PASS", "checks": [], "nilpotency_index": 0}
     worst_index = 0
     for d in box:
         d_plus_a = tuple(d[i] + a_ext[i] for i in range(n))
         d_minus_a = tuple(d[i] - a_ext[i] for i in range(n))
-        for u in _spanning_orders(model, alpha, p_cap, d):
+        for u in _spanning_orders(lvl, p_cap, d):
             for i in range(n):
-                if not _component_member(model, alpha, _shift(d, i, 1), u):
-                    _fail(report, "stable-y", degree=list(d), i=i + 1)
-                    return report
+                if not _component_member(lvl, _shift(d, i, 1), u):
+                    return _fail(report, "stable-y", degree=list(d), i=i + 1)
                 du = _orders_dy(u, model, d, i)
-                if not _component_member(model, alpha, _shift(d, i, -1), du):
-                    _fail(report, "stable-dy", degree=list(d), i=i + 1)
-                    return report
-            if not _component_member(model, alpha + 1, d_plus_a, _orders_t(u)):
-                _fail(report, "t-shift", degree=list(d))
-                return report
-            if alpha > 1 and not _component_member(
-                model, alpha - 1, d_minus_a, _orders_dt(u)
-            ):
-                _fail(report, "dt-shift-direct", degree=list(d))
-                return report
+                if not _component_member(lvl, _shift(d, i, -1), du):
+                    return _fail(report, "stable-dy", degree=list(d), i=i + 1)
+            if not _component_member(plus1, d_plus_a, _orders_t(u)):
+                return _fail(report, "t-shift", degree=list(d))
+            if minus1 and not _component_member(minus1, d_minus_a, _orders_dt(u)):
+                return _fail(report, "dt-shift-direct", degree=list(d))
             # nilpotency of theta + alpha on the Gr^V class of u
             x = u
             k = 0
             while k <= model.r:
-                if _component_member(model, deeper, d, x):
+                if _component_member(deeper, d, x):
                     break
                 x = _orders_theta_plus(x, alpha)
                 k += 1
             else:
-                _fail(report, "nilpotency", degree=list(d))
-                return report
+                return _fail(report, "nilpotency", degree=list(d))
             worst_index = max(worst_index, k)
-        for u in _spanning_orders(model, alpha + 1, p_cap, d):
-            if not _component_member(model, alpha, d_minus_a, _orders_dt(u)):
-                _fail(report, "dt-shift", degree=list(d))
-                return report
+        for u in _spanning_orders(plus1, p_cap, d):
+            if not _component_member(lvl, d_minus_a, _orders_dt(u)):
+                return _fail(report, "dt-shift", degree=list(d))
     report["nilpotency_index"] = worst_index
     _ok(report, "v-axioms", alpha=format_rational(alpha), nilpotency_index=worst_index)
     return report
@@ -515,23 +534,20 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
 def t_shift_check(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
     """Multiplication by t maps the spanning set of V_{-alpha} into
     V_{-alpha-1} and is injective per multidegree."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise InputError(f"alpha must be > 0, got {alpha}")
+    lvl = Level(model, alpha)
+    plus1 = Level(model, lvl.alpha + 1)
     report = {"status": "PASS", "checks": []}
     a_ext = model.a_ext
     for d in box:
-        elems = _spanning_orders(model, alpha, p_cap, d)
+        elems = _spanning_orders(lvl, p_cap, d)
         if not elems:
             continue
         d_plus_a = tuple(d[i] + a_ext[i] for i in range(model.n))
         images = [_orders_t(u) for u in elems]
         for im in images:
-            if not _component_member(model, alpha + 1, d_plus_a, im):
-                _fail(report, "t-image-level", degree=list(d))
-                return report
+            if not _component_member(plus1, d_plus_a, im):
+                return _fail(report, "t-image-level", degree=list(d))
         if exact_rank(images) != len(elems):
-            _fail(report, "t-injectivity", degree=list(d))
-            return report
-    _ok(report, "t-shift", alpha=format_rational(alpha))
+            return _fail(report, "t-injectivity", degree=list(d))
+    _ok(report, "t-shift", alpha=format_rational(lvl.alpha))
     return report

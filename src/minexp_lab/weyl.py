@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .divisors import SncDivisor
-from .rationals import InputError
+from .rationals import InputError, int_tuple
 
 
 @dataclass(frozen=True)
@@ -56,13 +56,8 @@ class MonomialModel:
     a: tuple
 
     def __init__(self, n, a):
-        try:
-            n = int(n)
-            a = tuple(int(x) for x in a)
-        except (TypeError, ValueError) as exc:
-            raise InputError(
-                f"model needs an integer n and integer exponents, got n={n!r}, exponents={a!r}"
-            ) from exc
+        (n,) = int_tuple((n,), "model n")
+        a = int_tuple(a, "model exponents")
         if n < 1:
             raise InputError(f"ambient dimension must be >= 1, got {n}")
         if not 1 <= len(a) <= n:

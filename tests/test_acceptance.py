@@ -24,6 +24,7 @@ from minexp_lab.derham import verify_cor51
 from minexp_lab.minexp import cor23_check, cor24_check, minexp_monomial
 from minexp_lab.rationals import INF, Infinity, exact_rank
 from minexp_lab.vfilt import (
+    Level,
     TruncationBox,
     _orders_of_component,
     check_v_axioms,
@@ -36,6 +37,8 @@ from minexp_lab.weyl import BgElement, MonomialModel, WeylOperator, act_right
 
 BOX_RADIUS = 6
 MODELS = catalog()
+# (model, alpha) pairs with alpha a jump candidate in (0, 1], over the catalog
+SWEEPS = 172
 
 
 def _jumps(model, lo=0, hi=1):
@@ -101,13 +104,15 @@ def test_criterion_2_minimal_exponents():
 
 def test_criterion_3_thm42_i():
     t0 = time.time()
-    combos = 0
+    combos = loci = 0
     for model in MODELS:
         box = _box(model)
         for alpha in _jumps(model):
             rep = verify_thm42_i(model, alpha, range(-model.n, 4), box)
             assert rep["status"] == "PASS", (model, alpha, rep)
+            loci += sum(c["nonzero_H0_loci"] for c in rep["checks"])
             combos += 1
+    assert (combos, loci) == (SWEEPS, 407455)
     _report(
         3,
         "thm42-i resolution sweep",
@@ -118,13 +123,15 @@ def test_criterion_3_thm42_i():
 
 def test_criterion_4_thm42_ii():
     t0 = time.time()
-    combos = 0
+    combos = total = 0
     for model in MODELS:
         box = _box(model)
         for alpha in _jumps(model):
             rep = verify_thm42_ii(model, alpha, range(-model.n, 4), box)
             assert rep["status"] == "PASS", (model, alpha, rep)
+            total += sum(c["total_H0"] for c in rep["checks"])
             combos += 1
+    assert (combos, total) == (SWEEPS, 80945)
     _report(
         4,
         "thm42-ii quotient sweep",
@@ -148,6 +155,7 @@ def test_criterion_5_thm42_iii():
             assert rep["status"] == "PASS", (model, alpha, rep)
             assert augmentation_zero_check(model, alpha)["status"] == "PASS"
             combos += 1
+    assert combos == SWEEPS
     _report(
         5,
         "thm42-iii monodromy identity",
@@ -158,7 +166,7 @@ def test_criterion_5_thm42_iii():
 
 def test_criterion_6_v_axioms():
     t0 = time.time()
-    combos = 0
+    combos = worst = 0
     for model in MODELS:
         box = _box(model)
         for alpha in _jumps(model):
@@ -166,7 +174,9 @@ def test_criterion_6_v_axioms():
             assert rep["status"] == "PASS", (model, alpha, rep)
             assert rep["nilpotency_index"] <= model.r
             assert t_shift_check(model, alpha, box)["status"] == "PASS"
+            worst = max(worst, rep["nilpotency_index"])
             combos += 1
+    assert (combos, worst) == (SWEEPS, 3)
     _report(
         6,
         "V-filtration axioms",
@@ -196,7 +206,7 @@ def test_criterion_7_cor23_cor24():
                 rep = cor24_check(model, p, alpha, box)
                 assert rep["status"] == "PASS", (model, p, alpha, rep)
                 pairs += 1
-    assert pairs > 0
+    assert (pairs, vacuous) == (46, 194)
     _report(
         7,
         "cor23/cor24 vanishing and structure",
@@ -207,13 +217,15 @@ def test_criterion_7_cor23_cor24():
 
 def test_criterion_8_cor51():
     t0 = time.time()
-    combos = 0
+    combos = total = 0
     for model in MODELS:
         box = _box(model)
         for alpha in _jumps(model):
             rep = verify_cor51(model, alpha, range(0, model.n), box)
             assert rep["status"] == "PASS", (model, alpha, rep)
+            total += sum(c["total_dim"] for c in rep["checks"])
             combos += 1
+    assert (combos, total) == (SWEEPS, 22050)
     _report(
         8,
         "cor51 identity-resolution comparison",
@@ -231,8 +243,8 @@ def test_criterion_9_formula_cross_validation():
         alpha = rng.choice(_jumps(model))
         p = rng.randint(1 - model.n, 3)
         d = tuple(rng.randint(-BOX_RADIUS, BOX_RADIUS) for _ in range(model.n))
-        c44 = count_gr_theta(model, alpha, p, d)
-        c45 = count_gr(model, alpha, p, d)
+        c44 = count_gr_theta(Level(model, alpha), p, d)
+        c45 = count_gr(Level(model, alpha), p, d)
         span_p = [
             _orders_of_component(s) for s in spanning_set(p, alpha, d, model)
         ]

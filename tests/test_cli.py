@@ -16,6 +16,9 @@ from minexp_lab.cli import (
     report_to_json,
     run,
 )
+import minexp_lab
+from minexp_lab import derham, koszul, vfilt, weyl
+from minexp_lab.rationals import exact_rank
 from minexp_lab.weyl import MonomialModel
 
 
@@ -122,12 +125,21 @@ Y2_MODEL = {"n": 1, "exponents": [2]}
         ({"command": "verify-axioms", "model": Y2_MODEL, "alpha": []}, None),
         ({"command": "verify-cor24", "model": Y2_MODEL, "p": 1}, None),
         ({"command": "verify-axioms", "model": {"n": 40, "exponents": [1]}, "box": 1}, None),
+        ({"command": "minexp", "model": {"n": 2.9, "exponents": [1, 2]}}, None),
+        ({"command": "minexp", "model": {"n": 2, "exponents": "12"}}, None),
+        ({"command": "minexp", "model": {"n": 1, "exponents": [True]}}, None),
+        ({"command": "lct", "pairs": [[2.5, 0]]}, None),
+        ({"command": "jumps", "coeffs": [2.9]}, None),
+        ({"command": "verify-cor23", "model": Y2_MODEL, "alpha": ["2"]}, None),
+        ({"command": "verify-cor24", "model": Y2_MODEL, "alpha": ["2"]}, None),
     ],
     ids=[
         "box", "exponents", "exponents-not-list", "alpha-inf", "cap-inf",
         "coeffs", "samples", "pairs", "jobs-env", "model-not-json",
         "element-not-text", "command-unhashable", "box-float", "box-bool",
-        "alpha-empty", "cor24-p-above-minexp", "box-volume",
+        "alpha-empty", "cor24-p-above-minexp", "box-volume", "n-float",
+        "exponents-text", "exponents-bool", "pairs-float", "coeffs-float",
+        "cor23-alpha-outside", "cor24-alpha-outside",
     ],
 )
 def test_malformed_values_exit_1(config, env_jobs, monkeypatch, capsys):
@@ -162,6 +174,61 @@ def test_jobs_flag_wins_over_env(flag, env_jobs, want, monkeypatch, capsys):
         monkeypatch.setenv("MINEXP_LAB_JOBS", env_jobs)
     assert cli.main(["lct", "--pairs", "[[1,0]]"] + flag) == 0
     assert seen == [want]
+
+
+N2_MODEL = {"n": 2, "exponents": [1, 2]}
+
+
+def _b_shifted(step, b_vector=vfilt.b_vector):
+    """b_vector with every entry moved by step (bound to the unplanted one)."""
+    return lambda model, alpha: tuple(x + step for x in b_vector(model, alpha))
+
+
+def _theta_minus_alpha(orders, alpha):
+    """The monodromy sign flipped: theta - alpha in place of theta + alpha."""
+    return weyl._orders_theta_plus(orders, -alpha)
+
+
+@pytest.mark.parametrize(
+    "config, plant",
+    [
+        (
+            {"command": "verify-thm42", "model": N2_MODEL, "pmax": 1, "samples": 3},
+            lambda mp: mp.setattr(koszul, "b_vector", _b_shifted(1)),
+        ),
+        (
+            {"command": "verify-axioms", "model": Y2_MODEL},
+            lambda mp: mp.setattr(vfilt, "_orders_theta_plus", _theta_minus_alpha),
+        ),
+        (
+            {"command": "verify-cor51", "model": N2_MODEL},
+            lambda mp: mp.setattr(derham, "exact_rank", lambda cols: exact_rank(cols[:-1])),
+        ),
+        (
+            {"command": "verify-cor23", "model": Y2_MODEL},
+            lambda mp: mp.setattr(vfilt, "b_vector", _b_shifted(-1)),
+        ),
+        (
+            {"command": "verify-cor24", "model": Y2_MODEL},
+            lambda mp: mp.setattr(vfilt, "b_vector", _b_shifted(-1)),
+        ),
+    ],
+    ids=[
+        "thm42-sigma-b-plus-1", "axioms-theta-minus-alpha", "cor51-drop-dr-column",
+        "cor23-b-minus-1", "cor24-b-minus-1",
+    ],
+)
+def test_planted_error_exits_2(config, plant, monkeypatch):
+    """Each verify command catches a planted error: exit 0 before, 2 after."""
+    monkeypatch.setattr(vfilt, "_EXP_CACHE", {})
+    monkeypatch.setattr(koszul, "_CORE_CACHE", {})
+    config = dict(config, box=3)
+    report, code = run(dict(config), jobs=1)
+    assert code == 0, report
+    plant(monkeypatch)
+    report, code = run(dict(config), jobs=1)
+    assert code == 2
+    assert any(c["status"] == "FAIL" for c in report["checks"])
 
 
 def test_failure_exit_2(monkeypatch):
@@ -257,7 +324,10 @@ def test_run_subcommand_with_config(tmp_path):
 
 
 def test_console_script_and_jobs_env(tmp_path):
-    env = dict(os.environ, MINEXP_LAB_JOBS="2")
+    # the child imports the same minexp_lab as this process, installed or not
+    src = os.path.dirname(os.path.dirname(minexp_lab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, MINEXP_LAB_JOBS="2", PYTHONPATH=path)
     proc = subprocess.run(
         [
             sys.executable,

@@ -15,7 +15,7 @@ from minexp_lab.derham import (
 )
 from minexp_lab.divisors import jump_candidates
 from minexp_lab.rationals import InputError, exact_rank
-from minexp_lab.vfilt import TruncationBox
+from minexp_lab.vfilt import Level, TruncationBox
 from minexp_lab.weyl import MonomialModel
 
 Y2 = MonomialModel(1, [2])
@@ -92,7 +92,7 @@ def test_gr_dr_euler_characteristic():
             for i in range(0, n):
                 for _ in range(12):
                     D = tuple(rng.randint(-3, 4) for _ in range(n))
-                    bases, mats = _dr_complex(model, alpha, i, D)
+                    bases, mats = _dr_complex(Level(model, alpha), i, D)
                     ranks = [exact_rank(cols) for cols in mats]
                     euler_terms = sum(
                         (-1) ** qf * len(bases[qf]) for qf in range(n + 1)

@@ -24,7 +24,7 @@ from minexp_lab.koszul import (
     verify_thm42_iii,
 )
 from minexp_lab.rationals import InputError
-from minexp_lab.vfilt import TruncationBox, count_gr, spanning_set, v_member, v_order
+from minexp_lab.vfilt import Level, TruncationBox, count_gr, spanning_set, v_member, v_order
 from minexp_lab.weyl import (
     BgElement,
     MonomialModel,
@@ -201,8 +201,8 @@ def test_inclusion_functoriality():
         for alpha, alpha2 in zip(cands, cands[1:]):
             for p in range(0, 3):
                 for d in box:
-                    assert count_gr(model, alpha2, p, d) <= count_gr(
-                        model, alpha, p, d
+                    assert count_gr(Level(model, alpha2), p, d) <= count_gr(
+                        Level(model, alpha), p, d
                     )
             for d in box:
                 for u in spanning_set(1, alpha2, d, model):
@@ -219,8 +219,8 @@ def test_t_multiplication_corresponds_to_g_twist():
             for p in range(0, 2):
                 for d in [(0, 0), (1, 0), (0, 2)]:
                     shifted = tuple(d[i] + a[i] for i in range(2))
-                    assert count_gr(model, alpha, p, d) == count_gr(
-                        model, alpha + 1, p, shifted
+                    assert count_gr(Level(model, alpha), p, d) == count_gr(
+                        Level(model, alpha + 1), p, shifted
                     )
             u = sigma_alpha(model, alpha)
             ut = act_right(u, t_op, model)

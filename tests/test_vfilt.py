@@ -5,10 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from minexp_lab.divisors import jump_candidates, next_candidate
+from minexp_lab.cli import catalog
+from minexp_lab.divisors import jump_candidates, next_candidate, round_gt, round_up
 from minexp_lab.rationals import InputError, exact_rank
 from minexp_lab.vfilt import (
     GradedDimTable,
+    Level,
     TruncationBox,
     _orders_of_component,
     check_v_axioms,
@@ -163,8 +165,8 @@ def test_theta_vs_top_count_consistency_sweep():
         for alpha in jump_candidates(model.divisor(), 0, 1):
             for p in range(-model.n, 4):
                 for d in box:
-                    assert count_gr_theta(model, alpha, p, d) == count_gr(
-                        model, alpha, p, d
+                    assert count_gr_theta(Level(model, alpha), p, d) == count_gr(
+                        Level(model, alpha), p, d
                     )
 
 
@@ -178,7 +180,7 @@ def test_spanning_sets_are_triangular_bases():
         p = rng.randint(1 - model.n, 3)
         d = tuple(rng.randint(-4, 4) for _ in range(model.n))
         span = spanning_set(p, alpha, d, model)
-        assert len(span) == dim_F_V(model, alpha, p, d)
+        assert len(span) == dim_F_V(Level(model, alpha), p, d)
         vecs = [_orders_of_component(s) for s in span]
         assert exact_rank([dict(v) for v in vecs]) == len(span)
         tops = [max(v) for v in vecs]
@@ -193,7 +195,7 @@ def test_exhaustion_at_nonnegative_degrees():
         for p in range(-model.n, 3):
             for d in TruncationBox((0,) * model.n, (3,) * model.n):
                 full = sum(1 for m in range(0, p + model.n + 1))
-                assert dim_F_V(model, small, p, d) == max(0, full)
+                assert dim_F_V(Level(model, small), p, d) == max(0, full)
 
 
 def test_exhaustion_fails_at_negative_degrees():
@@ -206,10 +208,10 @@ def test_exhaustion_fails_at_negative_degrees():
     p = 0  # Hodge level of dy dt delta is 1 - n = 0
     full = sum(1 for m in range(0, p + 1 + 1) if -2 + 2 * m >= 0)
     assert full == 1
-    assert dim_F_V(model, small, p, d) == 0
+    assert dim_F_V(Level(model, small), p, d) == 0
     assert not v_member(BgElement.term(1, 1, (0,), 1), small, model)
     # and one level up the defect persists: dim p+1 vs full p+2 - 1
-    assert dim_F_V(model, small, 1, d) == 1 < 2
+    assert dim_F_V(Level(model, small), 1, d) == 1 < 2
 
 
 def test_saito_section_criterion():
@@ -239,17 +241,35 @@ def test_saito_section_criterion():
                     assert v_member(lead + tail, alpha, model)
 
 
+def test_level_twists_are_the_round_ups():
+    # D_alpha = b + 1, and D_{>alpha} is D at the next candidate, on every
+    # catalog level in (0, 3]
+    levels = 0
+    for model in catalog():
+        D = model.divisor()
+        for alpha in jump_candidates(D, 0, 3):
+            lvl = Level(model, alpha)
+            assert lvl.twist == round_up(D, alpha).coeffs
+            assert lvl.deeper.alpha == next_candidate(D, alpha)
+            assert lvl.deeper.twist == round_gt(D, alpha).coeffs
+            levels += 1
+    assert levels == 3 * 172  # three periods of the 172 levels in (0, 1]
+    for bad in (0, F(-1, 2)):
+        with pytest.raises(InputError):
+            Level(Y2, bad)
+
+
 def test_gr_class_rep_and_coordinate():
     # rep has coordinate 1; scalar multiples scale; deeper elements read 0
     model = Y23
     alpha = F(1, 3)
     for p, d in [(-1, (0, 0)), (0, (1, 0)), (0, (-1, 1))]:
-        rep = gr_class_rep(model, alpha, p, d)
+        rep = gr_class_rep(Level(model, alpha), p, d)
         if rep is None:
             continue
-        assert gr_coordinate(rep, model, alpha, p, d) == 1
+        assert gr_coordinate(rep, Level(model, alpha), p, d) == 1
         scaled = {m: 7 * c for m, c in rep.items()}
-        assert gr_coordinate(scaled, model, alpha, p, d) == 7
+        assert gr_coordinate(scaled, Level(model, alpha), p, d) == 7
 
 
 def test_v_axioms_examples():
