@@ -225,16 +225,19 @@ def _cor23_checks(model, alpha, box):
     value = minexp.minexp_value(model)
     checks = []
     for p in (0, 1):
-        reps = [minexp.cor23_check(model, p, alpha, box)]
+        reps = [minexp.cor23_check(model, p, alpha, box, value=value)]
         if value >= p:
-            reps.append(minexp.cor24_check(model, p, alpha, box))
+            reps.append(minexp.cor24_check(model, p, alpha, box, value=value))
         checks += [{"p": p, **c} for rep in reps for c in rep["checks"]]
     return checks
 
 
 def _cor24_checks(model, alpha, box, ps):
+    value = minexp.minexp_value(model)
     return [
-        {"p": p, **c} for p in ps for c in minexp.cor24_check(model, p, alpha, box)["checks"]
+        {"p": p, **c}
+        for p in ps
+        for c in minexp.cor24_check(model, p, alpha, box, value=value)["checks"]
     ]
 
 

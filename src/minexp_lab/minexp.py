@@ -24,8 +24,8 @@ from .vfilt import (
     Level,
     TruncationBox,
     _component_member,
-    count_grF_grV,
     gr_dim,
+    grF_grV_grid,
     v_member,
 )
 from .weyl import BgElement, MonomialModel
@@ -104,28 +104,32 @@ def psi_hodge_dim(p_left, alpha, box: TruncationBox, model: MonomialModel) -> Gr
     return table
 
 
-def _psi_count(lvl: Level, p_left, d):
-    return count_grF_grV(lvl, p_left - lvl.model.n - 1, d)
+def _psi_grid(lvl: Level, p_left, box: TruncationBox):
+    """Gr^F_{p_left} psi_{g,alpha} dimensions in box order."""
+    return grF_grV_grid(lvl, p_left - lvl.model.n - 1, box)
 
 
 def minexp_value(model: MonomialModel, p_max=4):
     return minexp_monomial(model, p_max).value
 
 
-def cor23_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4):
+def cor23_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4, value=None):
     """Vanishing and structure of Gr^F psi at a non-integral shift:
     i) alpha-tilde >= p forces Gr^F_i psi_alpha = 0 for i <= p;
     ii) under alpha-tilde >= p+alpha, vanishing of Gr^F_{p+1} psi_alpha is
         equivalent to alpha-tilde > p+alpha;
     iii) Gr^F_{p+1} psi_alpha is O/J for the monomial ideal
         J = {h : h dy dt^p delta in V_{< -alpha}}, compared basiswise.
+    `value` is the model's minimal exponent when the caller already has it
+    (minexp_value(model, p_max)); None computes it.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise InputError(f"alpha must be in (0,1), got {alpha}")
     if p < 0:
         raise InputError(f"p must be >= 0, got {p}")
-    value = minexp_value(model, p_max)
+    if value is None:
+        value = minexp_value(model, p_max)
     report = {"status": "PASS", "checks": []}
 
     def add(name, ok, **info):
@@ -165,12 +169,11 @@ def cor23_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4):
         a_ext = model.a_ext
         ok = True
         locus = None
-        for d in box:
+        for d, got in zip(box, _psi_grid(lvl, p + 1, box)):
             if all(d[i] + p * a_ext[i] >= 0 for i in range(model.n)):
                 expected = 0 if _component_member(lvl.deeper, d, {p: 1}) else 1
             else:
                 expected = 0
-            got = _psi_count(lvl, p + 1, d)
             if got != expected:
                 ok = False
                 locus = {"degree": list(d), "expected": expected, "got": got}
@@ -186,15 +189,17 @@ def cor23_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4):
     return report
 
 
-def cor24_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4):
+def cor24_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4, value=None):
     """Graded de Rham shape of the nearby cycles when alpha-tilde >= p:
     the complexes at levels <= p vanish, the level-(p+1) complex is
     concentrated in degree 0, and its H^0 is the omega-twist of
-    Gr^F_{p+1} psi (a literal table translation by (1,...,1))."""
+    Gr^F_{p+1} psi (a literal table translation by (1,...,1)).  `value` as
+    in cor23_check."""
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise InputError(f"alpha must be in (0,1), got {alpha}")
-    value = minexp_value(model, p_max)
+    if value is None:
+        value = minexp_value(model, p_max)
     if not value >= p:
         raise InputError(
             f"cor24_check requires minexp >= p; got {format_rational(value)} < {p}"
@@ -231,8 +236,8 @@ def cor24_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4):
     lvl = Level(model, alpha)
     ok = True
     locus = None
-    for d in box:
-        want = _psi_count(lvl, p + 1, tuple(x - 1 for x in d))
+    omega_box = TruncationBox(tuple(x - 1 for x in box.lo), tuple(x - 1 for x in box.hi))
+    for d, want in zip(box, _psi_grid(lvl, p + 1, omega_box)):
         got = tab.get((d, 0))
         if got != want:
             ok = False

@@ -25,7 +25,10 @@ coordinates the twists are D_alpha = ceil(alpha D) = b + 1 and
 D_{>alpha} = floor(alpha D) + E, which is D at the next candidate, so it is
 the deeper Level's b + 1.  The per-multidegree functions (labels, counts,
 membership, class representatives) take the Level, never (model, alpha), so
-no rounding or Fraction hashing happens per multidegree.
+no rounding or Fraction hashing happens per multidegree.  A sweep over a
+whole TruncationBox uses the box kernels gr_count_grid and grF_grV_grid:
+the same closed forms, tabulated per coordinate and evaluated in one
+itertools.product pass, as a list in box order.
 
 Graded dimensions also come in a second closed form (the "theta-eliminated"
 one): Gr^F_p V_{-alpha} has a basis of classes of y^b dy delta . y^v dy^w
@@ -283,6 +286,34 @@ def count_grF_grV(lvl: Level, p, d) -> int:
     return here - count_gr(lvl.deeper, p, d)
 
 
+def gr_count_grid(lvl: Level, p, box: TruncationBox) -> list:
+    """[count_gr(lvl, p, d) for d in box], from per-coordinate tables.
+
+    gr_label exists iff every free coordinate is >= 0 and the dy-weight
+    s = sum of max(b_i - d_i, 0) over 1 <= i < r satisfies
+    s <= p + n + min(d_0 - b_0, 0); s is tabulated once over the
+    coordinates past the first, then compared per value of d_0.
+    """
+    b, n, r = lvl.b, lvl.model.n, lvl.model.r
+    axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
+    # any weight above p + n fails, so a negative free coordinate weighs that
+    fail = max(p + n, 0) + 1
+    tables = [[max(b[i] - x, 0) for x in axes[i]] for i in range(1, r)]
+    tables += [[0 if x >= 0 else fail for x in axes[j]] for j in range(r, n)]
+    weights = [sum(c) for c in itertools.product(*tables)]
+    out = []
+    for x in axes[0]:
+        limit = p + n + min(x - b[0], 0)
+        out += [1 if s <= limit else 0 for s in weights]
+    return out
+
+
+def grF_grV_grid(lvl: Level, p, box: TruncationBox) -> list:
+    """[count_grF_grV(lvl, p, d) for d in box]."""
+    deeper = gr_count_grid(lvl.deeper, p, box)
+    return [h - g if h else 0 for h, g in zip(gr_count_grid(lvl, p, box), deeper)]
+
+
 # -- expansions and triangular elimination ----------------------------------
 #
 # Per multidegree d an element is the vector of its dt-order coefficients
@@ -426,10 +457,9 @@ def gr_dim(p, alpha, box: TruncationBox, model: MonomialModel, mode="V") -> Grad
     lvl = Level(model, alpha)
     if mode not in ("V", "GrV"):
         raise InputError(f"mode must be 'V' or 'GrV', got {mode!r}")
-    count = count_grF_grV if mode == "GrV" else count_gr
+    grid = grF_grV_grid if mode == "GrV" else gr_count_grid
     table = GradedDimTable(p=p, alpha=lvl.alpha)
-    for d in box:
-        c = count(lvl, p, d)
+    for d, c in zip(box, grid(lvl, p, box)):
         if c:
             table.dims[d] = c
     return table

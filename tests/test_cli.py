@@ -17,7 +17,7 @@ from minexp_lab.cli import (
     run,
 )
 import minexp_lab
-from minexp_lab import derham, koszul, vfilt, weyl
+from minexp_lab import derham, koszul, minexp, vfilt, weyl
 from minexp_lab.rationals import exact_rank
 from minexp_lab.weyl import MonomialModel
 
@@ -229,6 +229,42 @@ def test_planted_error_exits_2(config, plant, monkeypatch):
     report, code = run(dict(config), jobs=1)
     assert code == 2
     assert any(c["status"] == "FAIL" for c in report["checks"])
+
+
+@pytest.mark.parametrize("target", [(-3, -3), (1, -2), (3, 3)])
+def test_planted_locus_error_names_its_degree(target, monkeypatch):
+    """The box kernels still compare every locus in box order: one flipped
+    entry of the Gr^F V count grid is the only FAIL, at that multidegree."""
+    grid = koszul.gr_count_grid
+
+    def flipped(lvl, p, box):
+        out = grid(lvl, p, box)
+        k = list(box).index(target)
+        out[k] = 1 - out[k]
+        return out
+
+    monkeypatch.setattr(koszul, "gr_count_grid", flipped)
+    config = {"command": "verify-thm42", "model": N2_MODEL, "box": 3, "pmax": 1, "samples": 3}
+    report, code = run(config, jobs=1)
+    assert code == 2
+    fails = [c for c in report["checks"] if c["status"] == "FAIL"]
+    assert fails and all(c["name"] == "thm42i-H0-dims" for c in fails)
+    assert all(c["degree"] == list(target) for c in fails)
+
+
+def test_minexp_computed_once_per_item(monkeypatch):
+    calls = []
+    inner = minexp.minexp_monomial
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(minexp, "minexp_monomial", counted)
+    config = {"command": "verify-cor23", "model": {"n": 1, "exponents": [3]}, "box": 2}
+    report, code = run(config, jobs=1)
+    assert code == 0 and report["params"]["alpha"] == ["1/3", "2/3"]
+    assert len(calls) == 2  # one per alpha
 
 
 def test_failure_exit_2(monkeypatch):

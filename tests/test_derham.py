@@ -1,13 +1,18 @@
 """Relative log-form sequences, quotient-twist dimensions, and the graded
 de Rham complexes of nearby cycles at the identity resolution."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from minexp_lab.cli import catalog
 from minexp_lab.derham import (
+    _abs_symbols,
     _dr_complex,
+    _quotient_count_grid,
+    _rel_symbols,
     gr_dr_psi,
     quotient_dims,
     relative_sequence_check,
@@ -58,6 +63,42 @@ def test_quotient_dims_examples():
     assert t.get((1, 2)) == 0 and t.get((0, 1)) == 0
     with pytest.raises(InputError):
         quotient_dims(Y2, 0, 0, True, BOX1)
+
+
+def _direct_quotient_count(lvl, syms, q, d):
+    """Count the wedges S of q symbols with v = d - deg S >= 0, D_alpha <= v
+    and not D_{>alpha} <= v on the divisor coordinates, one by one."""
+    r, c_lo, c_hi = lvl.model.r, lvl.twist, lvl.deeper.twist
+    if q < 0:
+        return 0
+    count = 0
+    for S in itertools.combinations(syms, q):
+        v = list(d)
+        for s in S:
+            if s[0] == "D":
+                v[s[1] - 1] -= 1
+        if any(x < 0 for x in v) or any(v[i] < c_lo[i] for i in range(r)):
+            continue
+        if all(v[i] >= c_hi[i] for i in range(r)):
+            continue
+        count += 1
+    return count
+
+
+def test_quotient_count_grid_matches_direct_count():
+    # every catalog level in (0, 1], both symbol flavours and every q, on a
+    # radius-2 box and on the support-scan box of gr_dr_psi
+    levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
+    assert len(levels) == 172
+    for lvl in levels:
+        box = TruncationBox.radius(lvl.model.n, 2)
+        scan = TruncationBox(tuple(x - 1 for x in box.lo), box.hi)
+        for syms in (_rel_symbols(lvl.model), _abs_symbols(lvl.model)):
+            for q in range(-1, len(syms) + 2):
+                for b in (box, scan):
+                    assert _quotient_count_grid(lvl, syms, q, b) == [
+                        _direct_quotient_count(lvl, syms, q, d) for d in b
+                    ]
 
 
 def test_quotient_dims_form_rank_caps():

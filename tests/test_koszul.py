@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from minexp_lab.cli import catalog
 from minexp_lab.divisors import jump_candidates, round_gt, round_up
 from minexp_lab.koszul import (
     GradedCbar,
@@ -64,6 +65,10 @@ def test_build_cbar_examples():
         build_cbar(Y23, [1, 2, 3])
     with pytest.raises(InputError):
         build_cbar(Y23, [-1, 0])
+    # a twist is read as plain ints, never coerced
+    for bad in ([1.9], [True]):
+        with pytest.raises(InputError):
+            GradedCbar(Y2, bad)
 
 
 def test_generators_commute():
@@ -166,6 +171,23 @@ def test_graded_cohomology_matches_naive():
                     assert gc.cohomology(p, d) == _naive_graded_cohomology(
                         model, G, p, d, Gd
                     )
+
+
+def test_cohomology_grid_matches_naive():
+    # every catalog level in (0, 1] with p in -n-1..3 on a radius-2 box, for
+    # C-bar_{D_alpha} and for the quotient by C-bar_{D_{>alpha}}; the two
+    # lowest p have cap = p + n - 1 < 0
+    levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
+    assert len(levels) == 172
+    for lvl in levels:
+        model, G = lvl.model, lvl.twist
+        box = TruncationBox.radius(model.n, 2)
+        for p in range(-model.n - 1, 4):
+            for Gd in (None, lvl.deeper.twist):
+                grid = GradedCbar(model, G, Gd).cohomology_grid(p, box)
+                assert grid == [
+                    _naive_graded_cohomology(model, G, p, d, Gd) for d in box
+                ], (model, lvl.alpha, p, Gd)
 
 
 def test_thm42_i_examples():

@@ -16,10 +16,13 @@ from minexp_lab.vfilt import (
     check_v_axioms,
     count_gr_theta,
     count_gr,
+    count_grF_grV,
     dim_F_V,
     gr_class_rep,
     gr_coordinate,
+    gr_count_grid,
     gr_dim,
+    grF_grV_grid,
     hodge_level,
     spanning_set,
     t_shift_check,
@@ -257,6 +260,20 @@ def test_level_twists_are_the_round_ups():
     for bad in (0, F(-1, 2)):
         with pytest.raises(InputError):
             Level(Y2, bad)
+
+
+def test_count_grids_match_the_per_locus_counts():
+    # every catalog level in (0, 1] with p in -n-1..3, on a radius-2 box and
+    # on the support-scan box of gr_dr_psi (lo shifted by -1)
+    levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
+    assert len(levels) == 172
+    for lvl in levels:
+        box = TruncationBox.radius(lvl.model.n, 2)
+        scan = TruncationBox(tuple(x - 1 for x in box.lo), box.hi)
+        for p in range(-lvl.model.n - 1, 4):
+            for b in (box, scan):
+                assert gr_count_grid(lvl, p, b) == [count_gr(lvl, p, d) for d in b]
+                assert grF_grV_grid(lvl, p, b) == [count_grF_grV(lvl, p, d) for d in b]
 
 
 def test_gr_class_rep_and_coordinate():
