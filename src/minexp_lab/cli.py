@@ -18,8 +18,9 @@ MAX_BOX_VOLUME.
 Reports are deterministic byte-for-byte: checks are produced in sorted key
 order, JSON is dumped with sorted keys, and scheduling parameters (--jobs,
 --out, --format) are not echoed.  Exit codes: 0 all PASS, 1 input error,
-2 verification failure.  --jobs sets the worker count; MINEXP_LAB_JOBS is
-only the default when --jobs is not given.
+2 verification failure (a VerificationError is one FAIL check).  --jobs
+sets the worker count; MINEXP_LAB_JOBS is only the default when --jobs is
+not given.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .divisors import ResolutionNumerics, SncDivisor, jump_candidates, lct_from_resolution
-from .rationals import Infinity, InputError, format_rational, parse_rational
+from .rationals import Infinity, InputError, VerificationError, format_rational, parse_rational
 from .vfilt import TruncationBox, check_v_axioms, t_shift_check, v_member, v_order
 from .weyl import MonomialModel, multidegree, parse_element
 from . import derham, koszul, minexp
@@ -232,8 +233,9 @@ def _cor23_checks(model, alpha, box):
     return checks
 
 
-def _cor24_checks(model, alpha, box, ps):
-    value = minexp.minexp_value(model)
+def _cor24_checks(model, alpha, box, ps, value):
+    """`value` is the minimal exponent as text, computed once per run."""
+    value = parse_rational(value)
     return [
         {"p": p, **c}
         for p in ps
@@ -244,7 +246,7 @@ def _cor24_checks(model, alpha, box, ps):
 class _Sweep(NamedTuple):
     keys: tuple            # config keys read besides model, alpha and box
     open_interval: bool    # alphas limited to (0, 1)
-    checks: Callable       # (model, alpha, box, *values of keys) -> checks
+    checks: Callable       # (model, alpha, box, *values of keys[, minexp text]) -> checks
 
 
 _SWEEPS = {
@@ -278,11 +280,14 @@ def _cmd_sweep(command, config, jobs):
                 f"{command} takes alphas in (0, 1), got {format_rational(outside[0])}"
             )
         alphas = [a for a in alphas if 0 < a < 1]
+    value_text = ()
     if "p" in got:
-        # by default, every p in {0, 1} the minimal exponent reaches
+        # by default, every p in {0, 1} the minimal exponent reaches; the
+        # items reuse the value instead of computing it again
         value = minexp.minexp_value(model)
         got["p"] = [p for p in (0, 1) if value >= p] if got["p"] is None else [got["p"]]
-    extra = tuple(got[k] for k in sweep.keys)
+        value_text = (format_rational(value),)
+    extra = tuple(got[k] for k in sweep.keys) + value_text
     mj = json.dumps(model.to_json())
     items = [(command, mj, format_rational(a), radius, extra) for a in sorted(alphas)]
     size = min(jobs, len(items), os.cpu_count() or 1)
@@ -409,7 +414,9 @@ def run(config, jobs=1):
     """Dispatch a JSON config to its command handler.
 
     Returns (report, exit_code): 0 all PASS, 1 input error, 2 verification
-    failure.  Reports are identical regardless of the job count.
+    failure, a VerificationError included (reported as one FAIL check
+    naming the invariant).  Reports are identical regardless of the job
+    count.
     """
     try:
         command = config.get("command")
@@ -421,6 +428,10 @@ def run(config, jobs=1):
     except InputError as exc:
         report = {"command": config.get("command"), "error": str(exc)}
         return report, 1
+    except VerificationError as exc:
+        # an identity the library asserts on its own broke: a FAIL, not a crash
+        failed = {"name": "verification-error", "status": "FAIL", "invariant": str(exc)}
+        payload = {"checks": [failed]}
     report = {"command": command, **payload}
     report["summary"] = _summarize(payload.get("checks", []))
     report["status"] = "FAIL" if report["summary"]["fail"] else "PASS"

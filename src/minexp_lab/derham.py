@@ -14,19 +14,28 @@ action in the B_g^r encoding.  Per multidegree every graded piece of psi is
 matrices assemble directly from the right-action kernel _orders_dy applied
 to the class representatives.
 
+The complexes of one level over one box share their pieces: the term at
+(D, K) is the class at D - deg K, and a matrix entry depends only on its
+source class and the variable k.  So one _LevelComplexes per gr_dr_psi or
+verify_cor51 call holds three memos: the support of Gr^F_p Gr^V per Hodge
+index p (read once from vfilt.grF_grV_grid), the class representative per
+(p, d) and the differential coordinate per (p, d, k).  verify_cor51 keeps
+it for every i, as their Hodge indices overlap.  Each complex is still
+assembled, and its ranks taken, per multidegree D of the support.
+
 The comparison target: the multidegree-graded dimensions of
 (O(-D_alpha)/O(-D_{>alpha})) (x) Omega^{n-1-i}_{rel}(log E), whose basis is
 counted monomially (the window c_alpha <= v, v not >= c_{>alpha} on the
 divisor coordinates, wedge symbols a_i dlog y_i of degree 0 and dy_j of
-degree e_j).  It is evaluated over a whole box at once (_quotient_count_grid),
-as is the support scan of gr_dr_psi (vfilt.grF_grV_grid); the de Rham
-complex itself is still assembled per multidegree of the support.
+degree e_j).  It is evaluated over a whole box at once, from per-coordinate
+tables (_quotient_count_grid).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .rationals import InputError, exact_rank, format_rational
@@ -35,9 +44,7 @@ from .vfilt import (
     Level,
     TruncationBox,
     _fail,
-    count_grF_grV,
     gr_class_rep,
-    gr_coordinate,
     grF_grV_grid,
 )
 from .weyl import MonomialModel, _orders_dy
@@ -204,81 +211,152 @@ def _quotient_count_grid(lvl: Level, syms, q, box: TruncationBox) -> list:
     Only the dy_j symbols have a degree, and only in the free coordinates
     j > r, so the count at d is the window test on the divisor part of d
     (c_lo >= 1 there, so it also gives v >= 0) times the number of wedges S
-    with free(d) - deg S >= 0: one pass over the free coordinates of the box
-    per wedge.
+    with free(d) - deg S >= 0.  Each test is a conjunction of per-coordinate
+    comparisons, so it is tabulated per coordinate (_all_grid).
     """
     r = lvl.model.r
     if q < 0 or q > len(syms):
         return [0] * box.volume()
-    c_lo, c_hi = lvl.twist, lvl.deeper.twist
     axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
-    window = [
-        all(x >= c for x, c in zip(v, c_lo)) and not all(x >= c for x, c in zip(v, c_hi))
-        for v in itertools.product(*axes[:r])
-    ]
+    above_lo, above_hi = (
+        _all_grid([[x >= c for x in ax] for ax, c in zip(axes, twist)])
+        for twist in (lvl.twist, lvl.deeper.twist)
+    )
     wedges = [0] * math.prod(len(ax) for ax in axes[r:])
     for S in itertools.combinations(syms, q):
         shift = [sum(1 for s in S if s == ("D", j + 1)) for j in range(r, len(axes))]
-        fits = itertools.product(*([x >= k for x in ax] for ax, k in zip(axes[r:], shift)))
-        for idx, ok in enumerate(fits):
-            if all(ok):
-                wedges[idx] += 1
+        fits = _all_grid([[x >= k for x in ax] for ax, k in zip(axes[r:], shift)])
+        wedges = [count + fit for count, fit in zip(wedges, fits)]
+    window = [lo and not hi for lo, hi in zip(above_lo, above_hi)]
     return [count if inside else 0 for inside in window for count in wedges]
+
+
+def _all_grid(tables) -> list:
+    """For one table of booleans per coordinate, whether every coordinate's
+    entry holds, at each point of their product, in box order."""
+    grid = [True]
+    for table in tables:
+        grid = [g and t for g in grid for t in table]
+    return grid
 
 
 # -- graded de Rham of nearby cycles ------------------------------------------
 
-def _dr_complex(lvl: Level, i, D):
-    """Terms and differential matrices of the multidegree-D piece of the
-    level-(i-n+1) graded de Rham complex of psi_{g,alpha}.
+class _LevelComplexes:
+    """The graded de Rham complexes of one Level over one box, read from the
+    three memos of the module docstring; it lives for one gr_dr_psi or
+    verify_cor51 call.  The supports cover the scan box box.lo - 1 ..
+    box.hi, which holds every D - deg K with D in the box."""
 
-    Returns (bases, mats): bases[qf] is the list of form subsets K (each
-    contributing the 1-dimensional graded psi class at D - deg K), mats[qf]
-    the sparse columns of d: term qf -> term qf+1.
-    """
-    model = lvl.model
-    n = model.n
+    def __init__(self, lvl: Level, box: TruncationBox):
+        self.lvl = lvl
+        self.box = box
+        self.scan = TruncationBox(tuple(x - 1 for x in box.lo), box.hi)
+        n = lvl.model.n
+        # per form degree q: (K, deg K, [(k, K + k, sign of dy_k ^ dy_K)])
+        self.subsets = [
+            [
+                (
+                    K,
+                    tuple(1 if t in K else 0 for t in range(n)),
+                    [
+                        (k, tuple(sorted(K + (k,))), (-1) ** sum(1 for kk in K if kk < k))
+                        for k in range(n)
+                        if k not in K
+                    ],
+                )
+                for K in itertools.combinations(range(n), q)
+            ]
+            for q in range(n + 1)
+        ]
+        self._support = {}
+        self._reps = {}
+        self._coords = {}
 
-    def p_right(qf):
-        return i + qf - 2 * n
+    def support(self, p) -> set:
+        got = self._support.get(p)
+        if got is None:
+            grid = grF_grV_grid(self.lvl, p, self.scan)
+            got = self._support[p] = set(itertools.compress(self.scan, grid))
+        return got
 
-    bases = []
-    for qf in range(n + 1):
-        basis = []
-        for K in itertools.combinations(range(n), qf):
-            d = list(D)
-            for k in K:
-                d[k] -= 1
-            d = tuple(d)
-            if count_grF_grV(lvl, p_right(qf), d):
-                basis.append(K)
-        bases.append(basis)
-    mats = []
-    for qf in range(n):
-        tgt_index = {K: idx for idx, K in enumerate(bases[qf + 1])}
-        cols = []
-        for K in bases[qf]:
-            dsrc = tuple(D[t] - (1 if t in K else 0) for t in range(n))
-            rep = gr_class_rep(lvl, p_right(qf), dsrc)
-            col = {}
-            for k in range(n):
-                if k in K:
-                    continue
-                T = tuple(sorted(K + (k,)))
-                if T not in tgt_index:
-                    continue
-                sign = (-1) ** sum(1 for kk in K if kk < k)
-                img = _orders_dy(rep, model, dsrc, k)
-                if not img:
-                    continue
-                dtgt = tuple(dsrc[t] - (1 if t == k else 0) for t in range(n))
-                coord = gr_coordinate(img, lvl, p_right(qf + 1), dtgt)
-                if coord:
-                    # left d/dy_k is the negated right action in this encoding
-                    col[tgt_index[T]] = -sign * coord
-            cols.append(col)
-        mats.append(cols)
-    return bases, mats
+    def rep(self, p, d):
+        key = (p, d)
+        got = self._reps.get(key)
+        if got is None:
+            got = self._reps[key] = gr_class_rep(self.lvl, p, d)
+        return got
+
+    def coordinate(self, p, d, k):
+        """Coordinate of rep(p, d) . dy_k in Gr^F_{p+1} Gr^V at d - e_k, a
+        nonzero piece: its top dt-order coefficient over the class
+        representative's (as in vfilt.gr_coordinate)."""
+        key = (p, d, k)
+        got = self._coords.get(key)
+        if got is None:
+            img = _orders_dy(self.rep(p, d), self.lvl.model, d, k)
+            top = p + 1 + self.lvl.model.n
+            target = d[:k] + (d[k] - 1,) + d[k + 1 :]
+            got = Fraction(img.get(top, 0)) / self.rep(p + 1, target)[top]
+            self._coords[key] = got
+        return got
+
+    def complex_at(self, i, D):
+        """Terms and differential matrices of the multidegree-D piece of the
+        level-(i-n+1) complex: bases[q] lists the q-subsets K of the term of
+        form degree q, mats[q] the sparse columns of d: term q -> term q+1."""
+        n = self.lvl.model.n
+        bases, sources = [], []
+        for q, subsets in enumerate(self.subsets):
+            support = self.support(i + q - 2 * n)
+            basis, source = [], []
+            for K, deg, wedges in subsets:
+                d = tuple(map(operator.sub, D, deg))
+                if d in support:
+                    basis.append(K)
+                    source.append((d, wedges))
+            bases.append(basis)
+            sources.append(source)
+        mats = []
+        for q in range(n):
+            p = i + q - 2 * n
+            tgt_index = {K: idx for idx, K in enumerate(bases[q + 1])}
+            cols = []
+            for d, wedges in sources[q]:
+                col = {}
+                for k, T, sign in wedges:
+                    idx = tgt_index.get(T)
+                    if idx is not None:
+                        coord = self.coordinate(p, d, k)
+                        if coord:
+                            # left d/dy_k is the negated right action here
+                            col[idx] = -sign * coord
+                cols.append(col)
+            mats.append(cols)
+        return bases, mats
+
+    def table(self, i) -> GradedDimTable:
+        """Cohomology dimensions of the level-(i-n+1) complexes at every
+        multidegree of the box where some term is nonzero."""
+        n = self.lvl.model.n
+        loci = set()
+        for q, subsets in enumerate(self.subsets):
+            for d in self.support(i + q - 2 * n):
+                for _, deg, _ in subsets:
+                    D = tuple(map(operator.add, d, deg))
+                    if D in self.box:
+                        loci.add(D)
+        table = GradedDimTable(alpha=self.lvl.alpha)
+        for D in sorted(loci):
+            bases, mats = self.complex_at(i, D)
+            ranks = [exact_rank(cols) for cols in mats]
+            for q in range(n + 1):
+                h = len(bases[q]) - (ranks[q] if q < n else 0) - (
+                    ranks[q - 1] if q > 0 else 0
+                )
+                if h:
+                    table.dims[(D, q - n)] = h
+        return table
 
 
 def gr_dr_psi(model: MonomialModel, alpha, i, box: TruncationBox) -> GradedDimTable:
@@ -288,47 +366,24 @@ def gr_dr_psi(model: MonomialModel, alpha, i, box: TruncationBox) -> GradedDimTa
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
         raise InputError(f"alpha must be in (0,1], got {alpha}")
-    lvl = Level(model, alpha)
-    n = model.n
-    support = set()
-    scan = TruncationBox(
-        tuple(x - 1 for x in box.lo), box.hi
-    )
-    for qf in range(n + 1):
-        p = i + qf - 2 * n
-        for d, count in zip(scan, grF_grV_grid(lvl, p, scan)):
-            if count:
-                for K in itertools.combinations(range(n), qf):
-                    D = tuple(d[t] + (1 if t in K else 0) for t in range(n))
-                    if D in box:
-                        support.add(D)
-    table = GradedDimTable(alpha=alpha)
-    for D in sorted(support):
-        bases, mats = _dr_complex(lvl, i, D)
-        ranks = [exact_rank(cols) for cols in mats]
-        for qf in range(n + 1):
-            h = len(bases[qf]) - (ranks[qf] if qf < n else 0) - (
-                ranks[qf - 1] if qf > 0 else 0
-            )
-            if h:
-                table.dims[(D, qf - n)] = h
-    return table
+    return _LevelComplexes(Level(model, alpha), box).table(i)
 
 
 def verify_cor51(model: MonomialModel, alpha, i_range, box: TruncationBox):
     """At the identity resolution: the level-(i-n+1) graded de Rham complex
     of psi_{g,alpha} is concentrated in cohomological degree -i, with
     dimensions equal to the quotient-twisted relative (n-1-i)-forms, per
-    multidegree in the box."""
+    multidegree in the box.  The complexes of every i share one memo."""
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
         raise InputError(f"alpha must be in (0,1], got {alpha}")
     lvl = Level(model, alpha)
     n = model.n
     syms = _rel_symbols(model)
+    complexes = _LevelComplexes(lvl, box)
     report = {"status": "PASS", "checks": []}
     for i in i_range:
-        t = gr_dr_psi(model, alpha, i, box)
+        t = complexes.table(i)
         wants = _quotient_count_grid(lvl, syms, n - 1 - i, box)
         at = dict(zip(box, wants))
         total = 0
@@ -342,9 +397,10 @@ def verify_cor51(model: MonomialModel, alpha, i_range, box: TruncationBox):
                     report, "cor51-dims", i=i, degree=list(Dd), deRham=dim, quotient_forms=at[Dd]
                 )
             total += dim
-        # the other containment: every quotient-forms locus shows up
+        # the other containment: every quotient-forms locus shows up (a
+        # locus where want is 0 holds no entry of t, by the loop above)
         for d, want in zip(box, wants):
-            if want != t.get((d, -i)):
+            if want and want != t.get((d, -i)):
                 return _fail(
                     report, "cor51-dims", i=i, degree=list(d), deRham=t.get((d, -i)),
                     quotient_forms=want,

@@ -265,6 +265,29 @@ def test_minexp_computed_once_per_item(monkeypatch):
     report, code = run(config, jobs=1)
     assert code == 0 and report["params"]["alpha"] == ["1/3", "2/3"]
     assert len(calls) == 2  # one per alpha
+    # verify-cor24 needs the value for its default p list, and its items
+    # reuse it
+    calls.clear()
+    report, code = run(dict(config, command="verify-cor24"), jobs=1)
+    assert code == 0 and report["params"]["alpha"] == ["1/3", "2/3"]
+    assert len(calls) == 1
+
+
+def test_verification_error_is_a_fail(monkeypatch):
+    """A VerificationError raised inside a command is a FAIL check naming
+    the invariant, with exit code 2, not a traceback."""
+    monkeypatch.setattr(vfilt, "b_vector", _b_shifted(1))
+    config = {"command": "verify-cor24", "model": {"n": 1, "exponents": [1]}, "box": 3}
+    report, code = run(config, jobs=1)
+    assert code == 2 and report["status"] == "FAIL"
+    assert report["checks"] == [
+        {
+            "name": "verification-error",
+            "status": "FAIL",
+            "invariant": "smooth model failed a membership that must hold at alpha = 1",
+        }
+    ]
+    assert report["summary"] == {"pass": 0, "fail": 1}
 
 
 def test_failure_exit_2(monkeypatch):

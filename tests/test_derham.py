@@ -7,10 +7,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from minexp_lab.cli import catalog
+from minexp_lab import derham
+from minexp_lab.cli import catalog, run
 from minexp_lab.derham import (
     _abs_symbols,
-    _dr_complex,
+    _LevelComplexes,
     _quotient_count_grid,
     _rel_symbols,
     gr_dr_psi,
@@ -20,7 +21,14 @@ from minexp_lab.derham import (
 )
 from minexp_lab.divisors import jump_candidates
 from minexp_lab.rationals import InputError, exact_rank
-from minexp_lab.vfilt import Level, TruncationBox
+from minexp_lab.vfilt import (
+    GradedDimTable,
+    Level,
+    TruncationBox,
+    count_grF_grV,
+    gr_class_rep,
+    gr_coordinate,
+)
 from minexp_lab.weyl import MonomialModel
 
 Y2 = MonomialModel(1, [2])
@@ -123,17 +131,88 @@ def test_gr_dr_psi_examples():
         gr_dr_psi(Y2, F(3, 2), 0, BOX1)
 
 
+def _reference_complex(lvl: Level, i, D):
+    """The de Rham complex at multidegree D assembled on its own: a
+    count_grF_grV call per term and a gr_class_rep and gr_coordinate call
+    per matrix entry, nothing shared with any other locus.  Same shape as
+    _LevelComplexes.complex_at; reaches _orders_dy through the derham
+    module, so a plant there reaches both paths."""
+    model = lvl.model
+    n = model.n
+
+    def p_right(qf):
+        return i + qf - 2 * n
+
+    bases = []
+    for qf in range(n + 1):
+        basis = []
+        for K in itertools.combinations(range(n), qf):
+            d = tuple(D[t] - (1 if t in K else 0) for t in range(n))
+            if count_grF_grV(lvl, p_right(qf), d):
+                basis.append(K)
+        bases.append(basis)
+    mats = []
+    for qf in range(n):
+        tgt_index = {K: idx for idx, K in enumerate(bases[qf + 1])}
+        cols = []
+        for K in bases[qf]:
+            dsrc = tuple(D[t] - (1 if t in K else 0) for t in range(n))
+            rep = gr_class_rep(lvl, p_right(qf), dsrc)
+            col = {}
+            for k in range(n):
+                if k in K:
+                    continue
+                T = tuple(sorted(K + (k,)))
+                if T not in tgt_index:
+                    continue
+                sign = (-1) ** sum(1 for kk in K if kk < k)
+                img = derham._orders_dy(rep, model, dsrc, k)
+                if not img:
+                    continue
+                dtgt = tuple(dsrc[t] - (1 if t == k else 0) for t in range(n))
+                coord = gr_coordinate(img, lvl, p_right(qf + 1), dtgt)
+                if coord:
+                    col[tgt_index[T]] = -sign * coord
+            cols.append(col)
+        mats.append(cols)
+    return bases, mats
+
+
+class _ReferenceComplexes:
+    """_LevelComplexes' interface on the per-locus path: every multidegree
+    of the box, each with its own _reference_complex."""
+
+    def __init__(self, lvl, box):
+        self.lvl, self.box = lvl, box
+
+    def table(self, i):
+        n = self.lvl.model.n
+        table = GradedDimTable(alpha=self.lvl.alpha)
+        for D in self.box:
+            bases, mats = _reference_complex(self.lvl, i, D)
+            ranks = [exact_rank(cols) for cols in mats]
+            for qf in range(n + 1):
+                h = len(bases[qf]) - (ranks[qf] if qf < n else 0) - (
+                    ranks[qf - 1] if qf > 0 else 0
+                )
+                if h:
+                    table.dims[(D, qf - n)] = h
+        return table
+
+
 def test_gr_dr_euler_characteristic():
     # per multidegree, the alternating sum of term dimensions equals the
     # alternating sum of cohomology dimensions
     rng = random.Random(2)
     for model in [Y2, Y23, Y11, MonomialModel(3, [1, 2, 2])]:
         n = model.n
+        box = TruncationBox.radius(n, 4)
         for alpha in jump_candidates(model.divisor(), 0, 1):
+            complexes = _LevelComplexes(Level(model, alpha), box)
             for i in range(0, n):
                 for _ in range(12):
                     D = tuple(rng.randint(-3, 4) for _ in range(n))
-                    bases, mats = _dr_complex(Level(model, alpha), i, D)
+                    bases, mats = complexes.complex_at(i, D)
                     ranks = [exact_rank(cols) for cols in mats]
                     euler_terms = sum(
                         (-1) ** qf * len(bases[qf]) for qf in range(n + 1)
@@ -148,6 +227,83 @@ def test_gr_dr_euler_characteristic():
                         for qf in range(n + 1)
                     )
                     assert euler_terms == euler_h
+
+
+def test_dr_differential_squares_to_zero():
+    # the Euler identity above holds for any ranks; d o d = 0 does not.  Every
+    # n >= 2 catalog level, every i, every locus of the radius-2 box; only
+    # n = 3 has three-term complexes with nonzero consecutive entries
+    levels = [Level(m, a) for m in catalog() if m.n >= 2 for a in jump_candidates(m.divisor(), 0, 1)]
+    composites = 0
+    for lvl in levels:
+        n = lvl.model.n
+        box = TruncationBox.radius(n, 2)
+        complexes = _LevelComplexes(lvl, box)
+        for i in range(n):
+            for D in box:
+                _, mats = complexes.complex_at(i, D)
+                for qf in range(n - 1):
+                    for col in mats[qf]:
+                        image = {}
+                        for mid, c in col.items():
+                            for tgt, c2 in mats[qf + 1][mid].items():
+                                image[tgt] = image.get(tgt, 0) + c * c2
+                                composites += 1
+                        assert not any(image.values()), (lvl, i, D)
+    assert composites > 0
+
+
+def test_complex_at_matches_reference_complex():
+    # the same terms and the same matrices, locus by locus, at loci in and
+    # off the support
+    rng = random.Random(3)
+    for model in [Y2, Y23, MonomialModel(3, [1, 2, 2]), MonomialModel(3, [2, 3])]:
+        n = model.n
+        box = TruncationBox.radius(n, 3)
+        for alpha in jump_candidates(model.divisor(), 0, 1):
+            lvl = Level(model, alpha)
+            complexes = _LevelComplexes(lvl, box)
+            for i in range(0, n):
+                for _ in range(10):
+                    D = tuple(rng.randint(-3, 3) for _ in range(n))
+                    assert complexes.complex_at(i, D) == _reference_complex(lvl, i, D)
+
+
+def test_memoised_tables_match_reference():
+    # every catalog level, every i, on the radius-2 box; one memo serves all
+    # the i of a level, as in verify_cor51
+    levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
+    assert len(levels) == 172
+    tables = 0
+    for lvl in levels:
+        box = TruncationBox.radius(lvl.model.n, 2)
+        complexes = _LevelComplexes(lvl, box)
+        reference = _ReferenceComplexes(lvl, box)
+        for i in range(lvl.model.n):
+            assert complexes.table(i).dims == reference.table(i).dims, (lvl, i)
+            tables += 1
+    assert tables == 453
+
+
+@pytest.mark.parametrize("target", [((0, 0), 0), ((0, 1), 1), ((2, 1), 1)])
+def test_planted_orders_dy_fails_like_reference(target, monkeypatch):
+    """One differential entry dropped (_orders_dy returns {} at one (d, k)):
+    verify-cor51 fails, and at the same first check as the per-locus path."""
+    inner = derham._orders_dy
+
+    def planted(orders, model, d, k):
+        return {} if (tuple(d), k) == target else inner(orders, model, d, k)
+
+    config = {"command": "verify-cor51", "model": {"n": 2, "exponents": [1, 2]}, "box": 3}
+    assert run(dict(config))[1] == 0
+    monkeypatch.setattr(derham, "_orders_dy", planted)
+    memo_report, memo_code = run(dict(config))
+    monkeypatch.setattr(derham, "_LevelComplexes", _ReferenceComplexes)
+    ref_report, ref_code = run(dict(config))
+    assert memo_code == ref_code == 2
+    fails = [c for c in memo_report["checks"] if c["status"] == "FAIL"]
+    assert len(fails) == 1 and fails[0]["name"] == "cor51-dims"
+    assert memo_report == ref_report
 
 
 def test_cor51_examples():

@@ -2,6 +2,7 @@
 checks of the resolution, quotient, and monodromy identifications."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -12,7 +13,8 @@ from minexp_lab.divisors import jump_candidates, round_gt, round_up
 from minexp_lab.koszul import (
     GradedCbar,
     N_operator,
-    _naive_graded_cohomology,
+    _check_twist,
+    _compositions,
     annihilator_generators,
     augmentation_zero_check,
     build_cbar,
@@ -24,7 +26,7 @@ from minexp_lab.koszul import (
     verify_thm42_ii,
     verify_thm42_iii,
 )
-from minexp_lab.rationals import InputError
+from minexp_lab.rationals import InputError, exact_rank
 from minexp_lab.vfilt import Level, TruncationBox, count_gr, spanning_set, v_member, v_order
 from minexp_lab.weyl import (
     BgElement,
@@ -154,6 +156,79 @@ def test_graded_cohomology_examples():
     # n = r = 3 reduced: Koszul acyclicity in negative degrees
     t = graded_cohomology(Y111, [1, 1, 1], 0, TruncationBox.radius(3, 2))
     assert all(q == 0 for (_, q) in t.dims)
+
+
+def _naive_graded_cohomology(model: MonomialModel, G, p, d, G_deeper=None):
+    """Reference for GradedCbar: assemble the full per-multidegree complex in
+    all n variables and take ranks, with none of the factoring or caching
+    of the core computation; quadratically slower."""
+    n, r = model.n, model.r
+    c_lo = _check_twist(model, G) + (0,) * (n - r)
+    c_hi = (
+        _check_twist(model, G_deeper) + (0,) * (n - r)
+        if G_deeper is not None
+        else None
+    )
+    syms = tuple(range(2, n + 1))
+
+    def formdeg(S):
+        return tuple(1 if (j + 1 in S and j + 1 > r) else 0 for j in range(n))
+
+    def basis(s):
+        out = []
+        for S in itertools.combinations(syms, s):
+            fd = formdeg(S)
+            for w in _compositions(p + s, n):
+                v = tuple(
+                    d[i] + 1 - fd[i] - c_lo[i] + w[i] for i in range(n)
+                )
+                if any(x < 0 for x in v):
+                    continue
+                if c_hi is not None and all(
+                    v[i] >= c_hi[i] - c_lo[i] for i in range(r)
+                ):
+                    continue
+                out.append((S, w))
+        return out
+
+    a_ext = model.a_ext
+    bases = [basis(s) for s in range(n)]
+    index = [{lbl: k for k, lbl in enumerate(b)} for b in bases]
+    lcm = 1
+    for x in model.a:
+        lcm = lcm * x // math.gcd(lcm, x)
+    ranks = [0] * n
+    for s in range(n - 1):
+        rows = []
+        tgt = index[s + 1]
+        for S, w in bases[s]:
+            row = {}
+            for k in syms:
+                if k in S:
+                    continue
+                sign = (-1) ** sum(1 for x in S if x < k)
+                T = tuple(sorted(S + (k,)))
+                if k <= r:
+                    pairs = (
+                        (k - 1, sign * lcm // a_ext[k - 1]),
+                        (0, -sign * lcm // a_ext[0]),
+                    )
+                else:
+                    pairs = ((k - 1, sign * lcm),)
+                for coord, coeff in pairs:
+                    wk = list(w)
+                    wk[coord] += 1
+                    col = tgt.get((T, tuple(wk)))
+                    if col is not None:
+                        row[col] = row.get(col, 0) + coeff
+            rows.append({c: v for c, v in row.items() if v})
+        ranks[s] = exact_rank(rows)
+    dims = {}
+    for s in range(n):
+        h = len(bases[s]) - ranks[s] - (ranks[s - 1] if s > 0 else 0)
+        if h:
+            dims[s - (n - 1)] = h
+    return dims
 
 
 def test_graded_cohomology_matches_naive():
