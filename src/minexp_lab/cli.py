@@ -11,7 +11,8 @@ read is neither validated nor echoed.  The five verify commands are one
 sweep over alphas (`_SWEEPS`); each alpha is one work item, and `--jobs`
 workers share them, at most one per item and per CPU.  verify-cor23 and
 verify-cor24 take alphas in (0, 1): an explicit alpha outside is an input
-error, while the default all-jumps list just leaves out alpha = 1.  A box
+error, while the default all-jumps list just leaves out alpha = 1.  Both
+compute the minimal exponent once per run and hand it to every item.  A box
 radius R in n variables is refused when its volume (2R+1)^n exceeds
 MAX_BOX_VOLUME.
 
@@ -222,8 +223,9 @@ def _cor51_checks(model, alpha, box):
     return derham.verify_cor51(model, alpha, range(0, model.n), box)["checks"]
 
 
-def _cor23_checks(model, alpha, box):
-    value = minexp.minexp_value(model)
+def _cor23_checks(model, alpha, box, value):
+    """`value` is the minimal exponent as text, computed once per run."""
+    value = parse_rational(value)
     checks = []
     for p in (0, 1):
         reps = [minexp.cor23_check(model, p, alpha, box, value=value)]
@@ -245,7 +247,8 @@ def _cor24_checks(model, alpha, box, ps, value):
 
 class _Sweep(NamedTuple):
     keys: tuple            # config keys read besides model, alpha and box
-    open_interval: bool    # alphas limited to (0, 1)
+    open_interval: bool    # alphas limited to (0, 1); the checks also get the
+                           # minimal exponent as text, computed once per run
     checks: Callable       # (model, alpha, box, *values of keys[, minexp text]) -> checks
 
 
@@ -281,12 +284,13 @@ def _cmd_sweep(command, config, jobs):
             )
         alphas = [a for a in alphas if 0 < a < 1]
     value_text = ()
-    if "p" in got:
-        # by default, every p in {0, 1} the minimal exponent reaches; the
-        # items reuse the value instead of computing it again
+    if sweep.open_interval:
+        # the items reuse the value instead of computing it again; by
+        # default, verify-cor24 runs every p in {0, 1} the value reaches
         value = minexp.minexp_value(model)
-        got["p"] = [p for p in (0, 1) if value >= p] if got["p"] is None else [got["p"]]
         value_text = (format_rational(value),)
+        if "p" in got:
+            got["p"] = [p for p in (0, 1) if value >= p] if got["p"] is None else [got["p"]]
     extra = tuple(got[k] for k in sweep.keys) + value_text
     mj = json.dumps(model.to_json())
     items = [(command, mj, format_rational(a), radius, extra) for a in sorted(alphas)]

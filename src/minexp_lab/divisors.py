@@ -133,7 +133,7 @@ def jump_candidates(D: SncDivisor, lo, hi) -> list:
     return sorted(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def next_candidate(D: SncDivisor, alpha) -> Fraction:
     """Smallest jump candidate strictly above alpha."""
     alpha = Fraction(alpha)

@@ -30,10 +30,21 @@ the j > r factors contribute the gate [d_j >= 0].  The normalized grading
 used everywhere is the one of B_g^r, i.e. the top wedge generator of the
 G = D_alpha complex sits at multidegree b = ceil(alpha a) - 1.
 
-GradedCbar.cohomology_grid evaluates a whole box at once from per-coordinate
-tables of the truncation signature and the gates, still looking the core up
-per locus; the resolution sweeps compare its list, in box order, with the
-count grids of vfilt.
+GradedCbar.point_grid evaluates a whole box at once: per-coordinate tables
+of the truncation signature give one core lookup per point of the divisor
+coordinates, and the gates d_j >= 0 of the free coordinates spread it over
+the box (cohomology_grid is that list in box order).  The resolution sweeps
+compare whole lists.  The H^0 list meets the count grid of vfilt in one list
+==; the off-degree check (acyclicity in i, concentration in ii) runs once per
+distinct core result; and the sigma-injective check of i runs once per locus
+where vfilt.gr_label_grid lists a class and H^0 != 0: the full expansion of
+the class representative must lead with dt-order p - 1 + n.  A locus with
+H^0 != 0 and no class fails that check too.  Only when a check fails are the
+loci scanned in box order, with the checks in their per-locus order
+(acyclicity or concentration, then H0-dims, then sigma-injective), so a FAIL
+names the same first locus and fields as a per-locus loop would.
+tests/test_koszul.py keeps that loop, with every check at every locus, as the
+reference.
 """
 
 from __future__ import annotations
@@ -50,10 +61,11 @@ from .vfilt import (
     GradedDimTable,
     Level,
     TruncationBox,
+    _expansion_orders,
     _fail,
     b_vector,
-    gr_class_rep,
     gr_count_grid,
+    gr_label_grid,
     grF_grV_grid,
 )
 from .weyl import BgElement, MonomialModel, WeylOperator, act_right, compose
@@ -363,14 +375,24 @@ class CoreCohomology:
         return dims
 
 
+# One model at a time, keyed by (n, a): a GradedCbar of another model
+# empties it first.
 _CORE_CACHE = {}
 
 
-def _core_for(a):
-    core = _CORE_CACHE.get(a)
+def _core_for(model: MonomialModel):
+    key = (model.n, model.a)
+    core = _CORE_CACHE.get(key)
     if core is None:
-        core = _CORE_CACHE[a] = CoreCohomology(a)
+        _CORE_CACHE.clear()
+        core = _CORE_CACHE[key] = CoreCohomology(model.a)
     return core
+
+
+def _spread(values, gates, off):
+    """Each value repeated over the free-coordinate gates, off where a gate
+    is closed: per-point values become a list in box order."""
+    return [v if g else off for v in values for g in gates]
 
 
 class GradedCbar:
@@ -385,7 +407,7 @@ class GradedCbar:
             h < l for l, h in zip(self.c_lo, self.c_hi)
         ):
             raise InputError("quotient twist must be deeper (componentwise >=)")
-        self.core = _core_for(model.a)
+        self.core = _core_for(model)
 
     def cohomology(self, p, d) -> dict:
         """{cohomological degree: dim} of the multidegree-d piece at Hodge
@@ -394,35 +416,40 @@ class GradedCbar:
         return self.cohomology_grid(p, TruncationBox(d, d))[0]
 
     def cohomology_grid(self, p, box: TruncationBox) -> list:
-        """[self.cohomology(p, d) for d in box].
+        """[self.cohomology(p, d) for d in box]."""
+        return _spread(*self.point_grid(p, box), {})
 
-        A multidegree d enters only through the clamped truncation bounds
-        min(max(c_i - 1 - d_i, 0), cap + 1) of each divisor coordinate i and
-        the gates d_j >= 0 of the free coordinates j, so those are tabulated
-        per coordinate; the core cohomology is still looked up per locus.
+    def point_grid(self, p, box: TruncationBox):
+        """(points, gates): the cohomology at each point of the divisor
+        coordinates of the box, and the gates d_j >= 0 of the free
+        coordinates, both in box order; the locus (point, gate) has the
+        point's cohomology where its gate holds and none elsewhere.
+
+        A point enters only through the clamped truncation bounds
+        min(max(c_i - 1 - d_i, 0), cap + 1) of each divisor coordinate i,
+        so those are tabulated per coordinate, and the core cohomology is
+        looked up once per point.
         """
         n, r = self.model.n, self.model.r
         omega = p + n - r
         cap = omega + r - 1
-        if cap < 0:
-            return [{}] * box.volume()
         axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
+        gates = [all(g) for g in itertools.product(*([x >= 0 for x in axes[j]] for j in range(r, n)))]
+        if cap < 0 or not any(gates):
+            return [{}] * (box.volume() // len(gates)), gates
 
         def bounds(c):
             return itertools.product(
                 *([min(max(c[i] - 1 - x, 0), cap + 1) for x in axes[i]] for i in range(r))
             )
 
-        free = [all(g) for g in itertools.product(*([x >= 0 for x in axes[j]] for j in range(r, n)))]
         his = bounds(self.c_hi) if self.c_hi is not None else itertools.repeat(None)
-        dims = self.core.dims
-        out = []
-        for tlo, thi in zip(bounds(self.c_lo), his):
-            if thi == tlo:
-                out += [{}] * len(free)
-            else:
-                out += [dims(omega, tlo, thi) if ok else {} for ok in free]
-        return out
+        dims, empty = self.core.dims, {}
+        points = [
+            empty if thi == tlo else dims(omega, tlo, thi)
+            for tlo, thi in zip(bounds(self.c_lo), his)
+        ]
+        return points, gates
 
 
 def graded_cohomology(model: MonomialModel, G, p, box: TruncationBox,
@@ -438,39 +465,77 @@ def graded_cohomology(model: MonomialModel, G, p, box: TruncationBox,
 
 
 # -- resolution sweeps --------------------------------------------------------
+#
+# A sweep compares whole box-order lists: the H^0 list against the count
+# grid with one list ==, the off-degree check once per distinct core result.
+# Only when something fails does it scan the loci in box order (_scan).
+
+def _acyclic(h):
+    return not any(q < 0 and dim for q, dim in h.items())
+
+
+def _concentrated(h):
+    return not any(q != 0 and dim for q, dim in h.items())
+
+
+def _scan(report, p, box, points, gates, want, ok, names, leads=None):
+    """Fail the report at the first locus in box order that fails, checking
+    at each locus, in this order: `ok` on its cohomology, its H^0 against
+    `want`, and, given `leads` ({flat index: lead ok} at loci with a class),
+    that a locus with H^0 != 0 has a class with a good lead.  `names` are
+    the check names and the name of the count field."""
+    off, dims, count, sigma = names
+    for k, (d, h, x) in enumerate(zip(box, _spread(points, gates, {}), want)):
+        if not ok(h):
+            return _fail(
+                report, off, p=p, degree=list(d),
+                cohomology={str(q): v for q, v in sorted(h.items())},
+            )
+        h0 = h.get(0, 0)
+        if h0 != x:
+            return _fail(report, dims, p=p, degree=list(d), H0=h0, **{count: x})
+        if leads is not None and h0 and not leads.get(k):
+            return _fail(report, sigma, p=p, degree=list(d))
+
+
+_THM42I = ("thm42i-acyclicity", "thm42i-H0-dims", "count45", "thm42i-sigma-injective")
+_THM42II = ("thm42ii-concentration", "thm42ii-H0-dims", "grV_count", None)
+
 
 def verify_thm42_i(model: MonomialModel, alpha, p_range, box: TruncationBox):
     """Graded acyclicity off degree 0 and the sigma-bar match of H^0 with the
-    Gr^F_{p-1} V_{-alpha} count, per multidegree in the box."""
+    Gr^F_{p-1} V_{-alpha} count, per multidegree in the box; where H^0 is
+    nonzero the class representative must lead with dt-order p - 1 + n."""
     lvl = Level(model, alpha)
     gc = GradedCbar(model, lvl.twist)
     report = {"status": "PASS", "checks": []}
+    pos = {d: k for k, d in enumerate(box)}
     for p in p_range:
-        loci = 0
-        grid = zip(box, gc.cohomology_grid(p, box), gr_count_grid(lvl, p - 1, box))
-        for d, h, want in grid:
-            if any(q < 0 and dim for q, dim in h.items()):
-                return _fail(
-                    report, "thm42i-acyclicity", p=p, degree=list(d),
-                    cohomology={str(q): v for q, v in sorted(h.items())},
-                )
-            h0 = h.get(0, 0)
-            if h0 != want:
-                return _fail(
-                    report, "thm42i-H0-dims", p=p, degree=list(d), H0=h0, count45=want
-                )
-            if h0:
-                rep = gr_class_rep(lvl, p - 1, d)
-                if rep is None or not rep.get(p - 1 + model.n):
-                    return _fail(report, "thm42i-sigma-injective", p=p, degree=list(d))
-                loci += 1
+        points, gates = gc.point_grid(p, box)
+        h0 = _spread([h.get(0, 0) for h in points], gates, 0)
+        want = gr_count_grid(lvl, p - 1, box)
+        top = p - 1 + model.n
+        leads = {}  # at loci with H^0 != 0 and a class, up to the first bad lead
+        for d, u0, w in gr_label_grid(lvl, p - 1, box):
+            k = pos[d]
+            if h0[k]:
+                orders = _expansion_orders(model, u0, w, 0)[0]
+                leads[k] = max(orders) == top and bool(orders[top])
+                if not leads[k]:
+                    break
+        distinct = {id(h): h for h in points}.values()
+        if (
+            not all(map(_acyclic, distinct)) or h0 != want
+            or not all(leads.values()) or len(leads) != len(h0) - h0.count(0)
+        ):
+            return _scan(report, p, box, points, gates, want, _acyclic, _THM42I, leads)
         report["checks"].append(
             {
                 "name": "thm42i",
                 "status": "PASS",
                 "p": p,
                 "alpha": format_rational(lvl.alpha),
-                "nonzero_H0_loci": loci,
+                "nonzero_H0_loci": len(leads),
             }
         )
     return report
@@ -483,27 +548,19 @@ def verify_thm42_ii(model: MonomialModel, alpha, p_range, box: TruncationBox):
     gq = GradedCbar(model, lvl.twist, lvl.deeper.twist)
     report = {"status": "PASS", "checks": []}
     for p in p_range:
-        total = 0
-        grid = zip(box, gq.cohomology_grid(p, box), grF_grV_grid(lvl, p - 1, box))
-        for d, h, want in grid:
-            if any(q != 0 and dim for q, dim in h.items()):
-                return _fail(
-                    report, "thm42ii-concentration", p=p, degree=list(d),
-                    cohomology={str(q): v for q, v in sorted(h.items())},
-                )
-            h0 = h.get(0, 0)
-            if h0 != want:
-                return _fail(
-                    report, "thm42ii-H0-dims", p=p, degree=list(d), H0=h0, grV_count=want
-                )
-            total += h0
+        points, gates = gq.point_grid(p, box)
+        h0 = _spread([h.get(0, 0) for h in points], gates, 0)
+        want = grF_grV_grid(lvl, p - 1, box)
+        distinct = {id(h): h for h in points}.values()
+        if not all(map(_concentrated, distinct)) or h0 != want:
+            return _scan(report, p, box, points, gates, want, _concentrated, _THM42II)
         report["checks"].append(
             {
                 "name": "thm42ii",
                 "status": "PASS",
                 "p": p,
                 "alpha": format_rational(lvl.alpha),
-                "total_H0": total,
+                "total_H0": sum(h0),
             }
         )
     return report

@@ -28,7 +28,13 @@ membership, class representatives) take the Level, never (model, alpha), so
 no rounding or Fraction hashing happens per multidegree.  A sweep over a
 whole TruncationBox uses the box kernels gr_count_grid and grF_grV_grid:
 the same closed forms, tabulated per coordinate and evaluated in one
-itertools.product pass, as a list in box order.
+itertools.product pass, as a list in box order.  The label kernel
+gr_label_grid is built the same way from gr_label's rule and yields, in box
+order, (d, u0, w) for each locus where the class of Gr^F_p V_{-alpha}
+exists, u0 = b + v being the exponent its representative starts from;
+gr_class_rep, the one-point entry, builds the same u0 from gr_label, and the
+tests hold the two equal at every locus of every catalog level.  The
+expansion cache holds one model at a time.
 
 Graded dimensions also come in a second closed form (the "theta-eliminated"
 one): Gr^F_p V_{-alpha} has a basis of classes of y^b dy delta . y^v dy^w
@@ -172,7 +178,7 @@ def hodge_level(u: BgElement) -> int:
     return u.max_dt_order() - u.n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def b_vector(model: MonomialModel, alpha) -> tuple:
     """b = ceil(alpha a) - 1 on the divisor coordinates, 0 past r."""
     alpha = Fraction(alpha)
@@ -308,6 +314,33 @@ def gr_count_grid(lvl: Level, p, box: TruncationBox) -> list:
     return out
 
 
+def gr_label_grid(lvl: Level, p, box: TruncationBox):
+    """Yield (d, u0, w), in box order, for each d in the box where the class
+    of Gr^F_p V_{-alpha} exists: (v, w) = gr_label(lvl, p, d) and
+    u0 = b + v, the exponent gr_class_rep expands from.
+
+    gr_label's rule, tabulated per coordinate as in gr_count_grid:
+    coordinate i of 1..r-1 gives u0_i = max(d_i, b_i) and
+    w_i = max(b_i - d_i, 0), a free coordinate u0_i = d_i (only d_i >= 0 is
+    listed); coordinate 0 takes the remaining weight w_0 = p + n - s and
+    u0_0 = d_0 + w_0.
+    """
+    b, n, r = lvl.b, lvl.model.n, lvl.model.r
+    axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
+    tables = [[(x, max(x, b[i]), max(b[i] - x, 0)) for x in axes[i]] for i in range(1, r)]
+    tables += [[(x, x, 0) for x in axes[j] if x >= 0] for j in range(r, n)]
+    rest = []
+    for cols in itertools.product(*tables):
+        d, u, w = zip(*cols) if cols else ((), (), ())
+        rest.append((sum(w), d, u, w))
+    top = p + n
+    for x in axes[0]:
+        limit = top + min(x - b[0], 0)
+        for s, d, u, w in rest:
+            if s <= limit:
+                yield (x,) + d, (x + top - s,) + u, (top - s,) + w
+
+
 def grF_grV_grid(lvl: Level, p, box: TruncationBox) -> list:
     """[count_grF_grV(lvl, p, d) for d in box]."""
     deeper = gr_count_grid(lvl.deeper, p, box)
@@ -319,6 +352,8 @@ def grF_grV_grid(lvl: Level, p, box: TruncationBox) -> list:
 # Per multidegree d an element is the vector of its dt-order coefficients
 # (the monomial exponent is pinned by the order).  Expansions are cached by
 # (n, a, starting exponent, dy-multi-exponent) and extended in theta lazily.
+# The cache holds one model at a time: a miss for another (n, a) empties it
+# first, so it cannot grow past what one model's sweeps use.
 
 _EXP_CACHE = {}
 
@@ -332,6 +367,8 @@ def _expansion_orders(model: MonomialModel, u0, w, jmax):
     key = (model.n, model.a, u0, w)
     lst = _EXP_CACHE.get(key)
     if lst is None:
+        if _EXP_CACHE and next(iter(_EXP_CACHE))[:2] != key[:2]:
+            _EXP_CACHE.clear()
         orders, d = {0: 1}, list(u0)
         for i, wi in enumerate(w):
             for _ in range(wi):
@@ -470,7 +507,8 @@ def gr_dim(p, alpha, box: TruncationBox, model: MonomialModel, mode="V") -> Grad
 def gr_class_rep(lvl: Level, p, d):
     """A representative of the basis class of Gr^F_p V_{-alpha} at
     multidegree d (order dict), with its leading coefficient at dt-order
-    p + n, or None when the piece is 0."""
+    p + n, or None when the piece is 0.  The one-point entry: a sweep reads
+    the same (u0, w) from gr_label_grid."""
     lbl = gr_label(lvl, p, d)
     if lbl is None:
         return None

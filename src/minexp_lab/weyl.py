@@ -205,18 +205,20 @@ def multidegree(u: BgElement, model: MonomialModel) -> dict:
 def _orders_dy(orders, model, d, i):
     """Order dict of u.d_{y_i} for u the multidegree-d order dict; the
     result sits at multidegree d - e_i."""
-    a = model.a_ext
+    lifts = i < model.r  # d_{y_i} raises the dt-order only on the divisor
+    ai = model.a[i] if lifts else 0
+    di = d[i]
     out = {}
     for m, c in orders.items():
-        vi = d[i] + m * a[i]
+        vi = di + m * ai
         if vi:
             s = out.get(m, 0) - vi * c
             if s:
                 out[m] = s
             else:
                 out.pop(m, None)
-        if i < model.r:
-            s = out.get(m + 1, 0) + a[i] * c
+        if lifts:
+            s = out.get(m + 1, 0) + ai * c
             if s:
                 out[m + 1] = s
             else:

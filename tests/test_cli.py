@@ -264,9 +264,8 @@ def test_minexp_computed_once_per_item(monkeypatch):
     config = {"command": "verify-cor23", "model": {"n": 1, "exponents": [3]}, "box": 2}
     report, code = run(config, jobs=1)
     assert code == 0 and report["params"]["alpha"] == ["1/3", "2/3"]
-    assert len(calls) == 2  # one per alpha
-    # verify-cor24 needs the value for its default p list, and its items
-    # reuse it
+    assert len(calls) == 1  # once per run, not once per alpha
+    # verify-cor24 also needs the value for its default p list
     calls.clear()
     report, code = run(dict(config, command="verify-cor24"), jobs=1)
     assert code == 0 and report["params"]["alpha"] == ["1/3", "2/3"]

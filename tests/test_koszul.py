@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from minexp_lab import koszul, vfilt
 from minexp_lab.cli import catalog
 from minexp_lab.divisors import jump_candidates, round_gt, round_up
 from minexp_lab.koszul import (
@@ -26,8 +27,17 @@ from minexp_lab.koszul import (
     verify_thm42_ii,
     verify_thm42_iii,
 )
-from minexp_lab.rationals import InputError, exact_rank
-from minexp_lab.vfilt import Level, TruncationBox, count_gr, spanning_set, v_member, v_order
+from minexp_lab.rationals import InputError, exact_rank, format_rational
+from minexp_lab.vfilt import (
+    Level,
+    TruncationBox,
+    _fail,
+    count_gr,
+    gr_label_grid,
+    spanning_set,
+    v_member,
+    v_order,
+)
 from minexp_lab.weyl import (
     BgElement,
     MonomialModel,
@@ -252,9 +262,7 @@ def test_cohomology_grid_matches_naive():
     # every catalog level in (0, 1] with p in -n-1..3 on a radius-2 box, for
     # C-bar_{D_alpha} and for the quotient by C-bar_{D_{>alpha}}; the two
     # lowest p have cap = p + n - 1 < 0
-    levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
-    assert len(levels) == 172
-    for lvl in levels:
+    for lvl in _catalog_levels():
         model, G = lvl.model, lvl.twist
         box = TruncationBox.radius(model.n, 2)
         for p in range(-model.n - 1, 4):
@@ -263,6 +271,244 @@ def test_cohomology_grid_matches_naive():
                 assert grid == [
                     _naive_graded_cohomology(model, G, p, d, Gd) for d in box
                 ], (model, lvl.alpha, p, Gd)
+
+
+def _catalog_levels():
+    levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
+    assert len(levels) == 172
+    return levels
+
+
+def _reference_thm42_i(model, alpha, p_range, box):
+    """The per-locus form of verify_thm42_i: every check at every locus, in
+    box order, with the class representative from gr_class_rep."""
+    lvl = Level(model, alpha)
+    gc = GradedCbar(model, lvl.twist)
+    report = {"status": "PASS", "checks": []}
+    for p in p_range:
+        loci = 0
+        grid = zip(box, gc.cohomology_grid(p, box), koszul.gr_count_grid(lvl, p - 1, box))
+        for d, h, want in grid:
+            if any(q < 0 and dim for q, dim in h.items()):
+                return _fail(
+                    report, "thm42i-acyclicity", p=p, degree=list(d),
+                    cohomology={str(q): v for q, v in sorted(h.items())},
+                )
+            h0 = h.get(0, 0)
+            if h0 != want:
+                return _fail(
+                    report, "thm42i-H0-dims", p=p, degree=list(d), H0=h0, count45=want
+                )
+            if h0:
+                rep = vfilt.gr_class_rep(lvl, p - 1, d)
+                if rep is None or not rep.get(p - 1 + model.n):
+                    return _fail(report, "thm42i-sigma-injective", p=p, degree=list(d))
+                loci += 1
+        report["checks"].append(
+            {
+                "name": "thm42i",
+                "status": "PASS",
+                "p": p,
+                "alpha": format_rational(lvl.alpha),
+                "nonzero_H0_loci": loci,
+            }
+        )
+    return report
+
+
+def _reference_thm42_ii(model, alpha, p_range, box):
+    """The per-locus form of verify_thm42_ii."""
+    lvl = Level(model, alpha)
+    gq = GradedCbar(model, lvl.twist, lvl.deeper.twist)
+    report = {"status": "PASS", "checks": []}
+    for p in p_range:
+        total = 0
+        grid = zip(box, gq.cohomology_grid(p, box), koszul.grF_grV_grid(lvl, p - 1, box))
+        for d, h, want in grid:
+            if any(q != 0 and dim for q, dim in h.items()):
+                return _fail(
+                    report, "thm42ii-concentration", p=p, degree=list(d),
+                    cohomology={str(q): v for q, v in sorted(h.items())},
+                )
+            h0 = h.get(0, 0)
+            if h0 != want:
+                return _fail(
+                    report, "thm42ii-H0-dims", p=p, degree=list(d), H0=h0, grV_count=want
+                )
+            total += h0
+        report["checks"].append(
+            {
+                "name": "thm42ii",
+                "status": "PASS",
+                "p": p,
+                "alpha": format_rational(lvl.alpha),
+                "total_H0": total,
+            }
+        )
+    return report
+
+
+def test_thm42_sweeps_match_reference():
+    # every catalog level in (0, 1], radius 2, p in -n..3: the list-level
+    # comparison reports exactly what the per-locus loops report
+    for lvl in _catalog_levels():
+        model = lvl.model
+        box = TruncationBox.radius(model.n, 2)
+        p_range = range(-model.n, 4)
+        for new, ref in ((verify_thm42_i, _reference_thm42_i), (verify_thm42_ii, _reference_thm42_ii)):
+            rep = new(model, lvl.alpha, p_range, box)
+            assert rep["status"] == "PASS"
+            assert rep == ref(model, lvl.alpha, p_range, box), (model, lvl.alpha)
+
+
+# Planted errors: each FAIL check must equal the per-locus reference's, so it
+# names the same first (check, p, degree) and the same fields.
+
+# one free coordinate, so that a planted core point covers several loci
+PLANT_MODEL, PLANT_ALPHA = MonomialModel(3, [2, 3]), F(1, 2)
+PLANT_BOX = TruncationBox.radius(3, 2)
+PLANT_P = range(-3, 4)
+
+
+def _planted_fail(sweep, name):
+    new = sweep(PLANT_MODEL, PLANT_ALPHA, PLANT_P, PLANT_BOX)
+    reference = {verify_thm42_i: _reference_thm42_i, verify_thm42_ii: _reference_thm42_ii}[sweep]
+    assert new["status"] == "FAIL"
+    assert new == reference(PLANT_MODEL, PLANT_ALPHA, PLANT_P, PLANT_BOX)
+    fail = new["checks"][-1]
+    assert fail["name"] == name
+    return fail
+
+
+def _plant_points(monkeypatch, quotient, extra, target):
+    """The core cohomology of the complex (or of the quotient) at the point
+    of `target` gains the degrees in `extra`."""
+    inner = GradedCbar.point_grid
+
+    def planted(self, p, box):
+        points, gates = inner(self, p, box)
+        if (self.c_hi is not None) == quotient:
+            k = list(box).index(target) // len(gates)
+            points = list(points)
+            points[k] = {**points[k], **extra}
+        return points, gates
+
+    monkeypatch.setattr(GradedCbar, "point_grid", planted)
+
+
+def _flip(monkeypatch, name, target, p_at=None):
+    """One entry of koszul's count grid `name` flipped at `target` (at the
+    Hodge index p_at only, when given)."""
+    inner = getattr(koszul, name)
+
+    def flipped(lvl, p, box):
+        out = inner(lvl, p, box)
+        if p_at is None or p == p_at:
+            k = list(box).index(target)
+            out[k] = 1 - out[k]
+        return out
+
+    monkeypatch.setattr(koszul, name, flipped)
+
+
+def _drop_label(monkeypatch, target):
+    """The Gr^F class at `target` goes missing: from gr_label, which the
+    reference's gr_class_rep reads, and from the sweep's label kernel."""
+    grid, label = koszul.gr_label_grid, vfilt.gr_label
+
+    def dropped_grid(lvl, p, box):
+        return ((d, u0, w) for d, u0, w in grid(lvl, p, box) if d != target)
+
+    def dropped_label(lvl, p, d):
+        return None if tuple(d) == target else label(lvl, p, d)
+
+    monkeypatch.setattr(koszul, "gr_label_grid", dropped_grid)
+    monkeypatch.setattr(vfilt, "gr_label", dropped_label)
+
+
+def test_planted_thm42i_acyclicity(monkeypatch):
+    _plant_points(monkeypatch, False, {-1: 1}, (1, -2, 2))
+    fail = _planted_fail(verify_thm42_i, "thm42i-acyclicity")
+    assert fail["degree"] == [1, -2, 0]  # the first locus of the point with d_3 >= 0
+    assert fail["cohomology"]["-1"] == 1
+
+
+def test_acyclicity_before_H0_at_one_locus(monkeypatch):
+    _plant_points(monkeypatch, False, {-1: 1}, (1, -2, 0))
+    _flip(monkeypatch, "gr_count_grid", (1, -2, 0))
+    assert _planted_fail(verify_thm42_i, "thm42i-acyclicity")["degree"] == [1, -2, 0]
+
+
+def test_planted_thm42i_H0_dims(monkeypatch):
+    _flip(monkeypatch, "gr_count_grid", (0, 2, 1))
+    assert _planted_fail(verify_thm42_i, "thm42i-H0-dims")["degree"] == [0, 2, 1]
+
+
+def test_planted_thm42i_sigma_injective(monkeypatch):
+    _drop_label(monkeypatch, (1, 1, 1))
+    assert _planted_fail(verify_thm42_i, "thm42i-sigma-injective")["degree"] == [1, 1, 1]
+
+
+def test_planted_thm42ii_concentration(monkeypatch):
+    _plant_points(monkeypatch, True, {-1: 2}, (-1, 0, 1))
+    fail = _planted_fail(verify_thm42_ii, "thm42ii-concentration")
+    assert fail["degree"] == [-1, 0, 0] and fail["cohomology"]["-1"] == 2
+
+
+def test_planted_thm42ii_H0_dims(monkeypatch):
+    _flip(monkeypatch, "grF_grV_grid", (2, -1, 1))
+    assert _planted_fail(verify_thm42_ii, "thm42ii-H0-dims")["degree"] == [2, -1, 1]
+
+
+def test_sigma_failure_before_H0_mismatch(monkeypatch):
+    # at one p, a missing class at an earlier locus wins over a count
+    # mismatch at a later one
+    p_at = None
+    for p in PLANT_P:
+        labels = [d for d, _, _ in gr_label_grid(Level(PLANT_MODEL, PLANT_ALPHA), p - 1, PLANT_BOX)]
+        if len(labels) >= 2:
+            p_at, first, later = p, labels[0], labels[-1]
+            break
+    _drop_label(monkeypatch, first)
+    _flip(monkeypatch, "gr_count_grid", later, p_at - 1)
+    fail = _planted_fail(verify_thm42_i, "thm42i-sigma-injective")
+    assert fail["p"] == p_at and fail["degree"] == list(first)
+
+
+def test_sigma_checks_the_lead_of_each_class(monkeypatch):
+    # a class representative whose dt-order p - 1 + n coefficient vanished
+    # fails thm42i-sigma-injective at its locus
+    inner = koszul._expansion_orders
+    target = []
+
+    def zeroed(model, u0, w, jmax):
+        out = inner(model, u0, w, jmax)
+        if not target:
+            target.append((u0, w))
+        if (u0, w) == target[0]:
+            top = max(out[0])
+            out = [{**out[0], top: 0}] + out[1:]
+        return out
+
+    monkeypatch.setattr(koszul, "_expansion_orders", zeroed)
+    rep = verify_thm42_i(PLANT_MODEL, PLANT_ALPHA, PLANT_P, PLANT_BOX)
+    fail = rep["checks"][-1]
+    u0, w = target[0]
+    assert fail["name"] == "thm42i-sigma-injective"
+    assert tuple(fail["degree"]) == tuple(x - y for x, y in zip(u0, w))
+
+
+def test_caches_hold_one_model():
+    # a sweep of a second model leaves no expansion or core entry of the first
+    box = TruncationBox.radius(3, 2)
+    first, second = MonomialModel(3, [2, 3]), MonomialModel(3, [1, 2])
+    verify_thm42_i(first, F(1, 2), range(-3, 2), box)
+    assert any(k[:2] == (3, (2, 3)) for k in vfilt._EXP_CACHE)
+    assert list(koszul._CORE_CACHE) == [(3, (2, 3))]
+    verify_thm42_i(second, F(1, 2), range(-3, 2), box)
+    assert vfilt._EXP_CACHE and all(k[:2] == (3, (1, 2)) for k in vfilt._EXP_CACHE)
+    assert list(koszul._CORE_CACHE) == [(3, (1, 2))]
+    assert koszul._CORE_CACHE[(3, (1, 2))]._cache
 
 
 def test_thm42_i_examples():

@@ -12,6 +12,7 @@ from minexp_lab.vfilt import (
     GradedDimTable,
     Level,
     TruncationBox,
+    _expansion_orders,
     _orders_of_component,
     check_v_axioms,
     count_gr_theta,
@@ -22,6 +23,8 @@ from minexp_lab.vfilt import (
     gr_coordinate,
     gr_count_grid,
     gr_dim,
+    gr_label,
+    gr_label_grid,
     grF_grV_grid,
     hodge_level,
     spanning_set,
@@ -274,6 +277,30 @@ def test_count_grids_match_the_per_locus_counts():
             for b in (box, scan):
                 assert gr_count_grid(lvl, p, b) == [count_gr(lvl, p, d) for d in b]
                 assert grF_grV_grid(lvl, p, b) == [count_grF_grV(lvl, p, d) for d in b]
+
+
+def test_label_grid_matches_gr_label():
+    # every catalog level in (0, 1] with p in -n-1..3 over an off-centre box:
+    # the kernel lists, in box order, exactly the loci where gr_label exists,
+    # with u0 = b + v and its w, and gr_class_rep expands that same (u0, w)
+    levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
+    assert len(levels) == 172
+    for lvl in levels:
+        model, b = lvl.model, lvl.b
+        box = TruncationBox(tuple(range(-3, model.n - 3)), tuple(range(2, model.n + 2)))
+        for p in range(-model.n - 1, 4):
+            want = []
+            for d in box:
+                lbl = gr_label(lvl, p, d)
+                rep = gr_class_rep(lvl, p, d)
+                if lbl is None:
+                    assert rep is None
+                    continue
+                v, w = lbl
+                u0 = tuple(x + y for x, y in zip(b, v))
+                assert rep == _expansion_orders(model, u0, w, 0)[0]
+                want.append((d, u0, w))
+            assert list(gr_label_grid(lvl, p, box)) == want, (model, lvl.alpha, p)
 
 
 def test_gr_class_rep_and_coordinate():
