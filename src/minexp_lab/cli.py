@@ -14,7 +14,9 @@ verify-cor24 take alphas in (0, 1): an explicit alpha outside is an input
 error, while the default all-jumps list just leaves out alpha = 1.  Both
 compute the minimal exponent once per run and hand it to every item.  A box
 radius R in n variables is refused when its volume (2R+1)^n exceeds
-MAX_BOX_VOLUME.
+MAX_BOX_VOLUME.  A sweep whose radius leaves deep levels little room says
+so in a top-level `notes` list; notes are not checks and are not counted in
+`summary`.
 
 Reports are deterministic byte-for-byte: checks are produced in sorted key
 order, JSON is dumped with sorted keys, and scheduling parameters (--jobs,
@@ -181,7 +183,6 @@ def _box_note(model, radius, pmax):
     return [
         {
             "name": "box-radius-note",
-            "status": "PASS",
             "note": (
                 f"box radius {radius} is below p_max + max(a_i) = "
                 f"{pmax + max(model.a)}; truncation is still exact, but "
@@ -307,7 +308,8 @@ def _cmd_sweep(command, config, jobs):
             "model": model.to_json(),
             "alpha": [format_rational(a) for a in alphas],
         },
-        "checks": notes + [c for cs in results for c in cs],
+        "checks": [c for cs in results for c in cs],
+        **({"notes": notes} if notes else {}),
     }
 
 
@@ -465,7 +467,8 @@ def report_to_csv(report) -> str:
     else:
         writer = csv.writer(buf)
         writer.writerow(["name", "status", "info"])
-        for c in report.get("checks", []):
+        # a note has no status: its row leaves that column empty
+        for c in report.get("checks", []) + report.get("notes", []):
             rest = {k: v for k, v in sorted(c.items()) if k not in ("name", "status")}
             writer.writerow(
                 [c.get("name", ""), c.get("status", ""), json.dumps(rest, sort_keys=True)]

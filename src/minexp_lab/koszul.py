@@ -31,18 +31,21 @@ used everywhere is the one of B_g^r, i.e. the top wedge generator of the
 G = D_alpha complex sits at multidegree b = ceil(alpha a) - 1.
 
 GradedCbar.point_grid evaluates a whole box at once: per-coordinate tables
-of the truncation signature give one core lookup per point of the divisor
-coordinates, and the gates d_j >= 0 of the free coordinates spread it over
-the box (cohomology_grid is that list in box order).  The resolution sweeps
-compare whole lists.  The H^0 list meets the count grid of vfilt in one list
-==; the off-degree check (acyclicity in i, concentration in ii) runs once per
-distinct core result; and the sigma-injective check of i runs once per locus
-where vfilt.gr_label_grid lists a class and H^0 != 0: the full expansion of
-the class representative must lead with dt-order p - 1 + n.  A locus with
-H^0 != 0 and no class fails that check too.  Only when a check fails are the
-loci scanned in box order, with the checks in their per-locus order
-(acyclicity or concentration, then H0-dims, then sigma-injective), so a FAIL
-names the same first locus and fields as a per-locus loop would.
+of the truncation signature give one core lookup per combination of the
+distinct bounds of the divisor coordinates, index tables spread the results
+to the points, and the gates d_j >= 0 of the free coordinates spread those
+over the box (cohomology_grid is that list in box order).  The resolution
+sweeps compare whole lists.  The H^0 list meets the count grid of vfilt in
+one list ==; the off-degree check (acyclicity in i, concentration in ii) runs
+once per distinct core result; and the sigma-injective check of i covers each
+locus where vfilt.gr_label_grid lists a class and H^0 != 0: the full
+expansion of the class representative must lead with dt-order p - 1 + n.
+Loci whose expansions share a vfilt.expansion_key share the orders, so the
+lead is checked once per key.  A locus with H^0 != 0 and no class fails that
+check too.  Only when a check fails are the loci scanned in box order, with
+the checks in their per-locus order (acyclicity or concentration, then
+H0-dims, then sigma-injective), so a FAIL names the same first locus and
+fields as a per-locus loop would.
 tests/test_koszul.py keeps that loop, with every check at every locus, as the
 reference.
 """
@@ -64,6 +67,7 @@ from .vfilt import (
     _expansion_orders,
     _fail,
     b_vector,
+    expansion_key,
     gr_count_grid,
     gr_label_grid,
     grF_grV_grid,
@@ -427,8 +431,12 @@ class GradedCbar:
 
         A point enters only through the clamped truncation bounds
         min(max(c_i - 1 - d_i, 0), cap + 1) of each divisor coordinate i,
-        so those are tabulated per coordinate, and the core cohomology is
-        looked up once per point.
+        tlo_i for c the twist and thi_i for c the deeper one.  Each bound
+        takes at most cap + 2 values, so a coordinate's column of
+        (tlo_i, thi_i) has few distinct entries: the core cohomology is
+        looked up once per combination of distinct entries, and
+        per-coordinate index tables spread the results to the points in box
+        order.
         """
         n, r = self.model.n, self.model.r
         omega = p + n - r
@@ -438,18 +446,22 @@ class GradedCbar:
         if cap < 0 or not any(gates):
             return [{}] * (box.volume() // len(gates)), gates
 
-        def bounds(c):
-            return itertools.product(
-                *([min(max(c[i] - 1 - x, 0), cap + 1) for x in axes[i]] for i in range(r))
-            )
+        def bound(c, i, x):
+            return None if c is None else min(max(c[i] - 1 - x, 0), cap + 1)
 
-        his = bounds(self.c_hi) if self.c_hi is not None else itertools.repeat(None)
+        flat, distinct = [0], []
+        for i in range(r):
+            column = [(bound(self.c_lo, i, x), bound(self.c_hi, i, x)) for x in axes[i]]
+            index = {b: k for k, b in enumerate(dict.fromkeys(column))}
+            flat = [f * len(index) + index[b] for f in flat for b in column]
+            distinct.append(index)
         dims, empty = self.core.dims, {}
-        points = [
-            empty if thi == tlo else dims(omega, tlo, thi)
-            for tlo, thi in zip(bounds(self.c_lo), his)
-        ]
-        return points, gates
+        table = []
+        for combo in itertools.product(*distinct):
+            tlo, thi = zip(*combo)
+            thi = None if self.c_hi is None else thi
+            table.append(empty if thi == tlo else dims(omega, tlo, thi))
+        return [table[f] for f in flat], gates
 
 
 def graded_cohomology(model: MonomialModel, G, p, box: TruncationBox,
@@ -516,12 +528,17 @@ def verify_thm42_i(model: MonomialModel, alpha, p_range, box: TruncationBox):
         want = gr_count_grid(lvl, p - 1, box)
         top = p - 1 + model.n
         leads = {}  # at loci with H^0 != 0 and a class, up to the first bad lead
+        seen = {}  # expansion_key -> lead ok: loci sharing a key share the orders
         for d, u0, w in gr_label_grid(lvl, p - 1, box):
             k = pos[d]
             if h0[k]:
-                orders = _expansion_orders(model, u0, w, 0)[0]
-                leads[k] = max(orders) == top and bool(orders[top])
-                if not leads[k]:
+                key = expansion_key(u0, w)
+                ok = seen.get(key)
+                if ok is None:
+                    orders = _expansion_orders(model, u0, w, 0)[0]
+                    ok = seen[key] = max(orders) == top and bool(orders[top])
+                leads[k] = ok
+                if not ok:
                     break
         distinct = {id(h): h for h in points}.values()
         if (

@@ -351,11 +351,19 @@ def grF_grV_grid(lvl: Level, p, box: TruncationBox) -> list:
 #
 # Per multidegree d an element is the vector of its dt-order coefficients
 # (the monomial exponent is pinned by the order).  Expansions are cached by
-# (n, a, starting exponent, dy-multi-exponent) and extended in theta lazily.
-# The cache holds one model at a time: a miss for another (n, a) empties it
-# first, so it cannot grow past what one model's sweeps use.
+# (n, a, expansion_key(u0, w)) and extended in theta lazily: starting
+# exponents that differ only where w_i = 0 share one entry.  The cache holds
+# one model at a time: a miss for another (n, a) empties it first, so it
+# cannot grow past what one model's sweeps use.
 
 _EXP_CACHE = {}
+
+
+def expansion_key(u0, w):
+    """(u0, w) with u0 zeroed where w_i = 0: _orders_dy reads only d[i], and
+    the expansion applies it only where w_i > 0, so the orders depend on u0
+    only there."""
+    return tuple([x if k else 0 for x, k in zip(u0, w)]), w
 
 
 def _expansion_orders(model: MonomialModel, u0, w, jmax):
@@ -364,7 +372,7 @@ def _expansion_orders(model: MonomialModel, u0, w, jmax):
     The multidegree is u0 - w throughout; top order of the j-th entry is
     |w| + j.
     """
-    key = (model.n, model.a, u0, w)
+    key = (model.n, model.a, *expansion_key(u0, w))
     lst = _EXP_CACHE.get(key)
     if lst is None:
         if _EXP_CACHE and next(iter(_EXP_CACHE))[:2] != key[:2]:

@@ -423,7 +423,21 @@ def test_box_radius_note_recorded():
         }
     )
     assert code == 0
-    assert any(c["name"] == "box-radius-note" for c in report["checks"])
+    assert any(c["name"] == "box-radius-note" for c in report["notes"])
+
+
+def test_notes_are_not_counted_as_checks():
+    # verify-axioms makes the same checks at any radius; only radius 3 is
+    # below p_max + max(a_i) = 3 + 4 and carries a note
+    config = {"command": "verify-axioms", "model": {"n": 1, "exponents": [4]}, "alpha": "1/4"}
+    noted, code = run({**config, "box": 3})
+    plain, _ = run({**config, "box": 7})
+    assert code == 0 and noted["notes"] and "notes" not in plain
+    assert noted["summary"] == plain["summary"]
+    passed = sum(1 for c in noted["checks"] if c["status"] == "PASS")
+    assert noted["summary"] == {"pass": passed, "fail": 0}
+    assert all(c["name"] != "box-radius-note" for c in noted["checks"])
+    assert report_to_csv(noted).splitlines()[-1].startswith("box-radius-note,,")
 
 
 def test_pool_size_clamped(monkeypatch):

@@ -498,6 +498,100 @@ def test_sigma_checks_the_lead_of_each_class(monkeypatch):
     assert tuple(fail["degree"]) == tuple(x - y for x, y in zip(u0, w))
 
 
+def test_planted_bad_lead_shared_by_loci(monkeypatch):
+    # the expansion of one key that several loci share, not the first key
+    # the sweep looks up, gets a zero lead: the sweep checks that lead once,
+    # and fails at the first locus in box order with the key, as the
+    # per-locus reference does
+    lvl = Level(PLANT_MODEL, PLANT_ALPHA)
+    for p in PLANT_P:
+        loci = {}
+        for d, u0, w in gr_label_grid(lvl, p - 1, PLANT_BOX):
+            loci.setdefault(vfilt.expansion_key(u0, w), []).append(d)
+        shared = [k for k, ds in list(loci.items())[1:] if len(ds) >= 2]
+        if shared:
+            p_at, target = p, shared[0]
+            break
+    looked_up = []
+    inner, inner_rep = vfilt._expansion_orders, vfilt.gr_class_rep
+
+    def zeroed(model, u0, w, jmax):
+        out = inner(model, u0, w, jmax)
+        if vfilt.expansion_key(u0, w) == target:
+            looked_up.append(u0)
+            top = max(out[0])
+            out = [{**out[0], top: 0}] + out[1:]
+        return out
+
+    def rep(lvl, p, d):
+        try:
+            return inner_rep(lvl, p, d)
+        except AssertionError:  # gr_class_rep asserts against the planted lead
+            return {}
+
+    monkeypatch.setattr(koszul, "_expansion_orders", zeroed)
+    monkeypatch.setattr(vfilt, "_expansion_orders", zeroed)
+    monkeypatch.setattr(vfilt, "gr_class_rep", rep)
+    new = verify_thm42_i(PLANT_MODEL, PLANT_ALPHA, PLANT_P, PLANT_BOX)
+    assert len(looked_up) == 1
+    assert new == _reference_thm42_i(PLANT_MODEL, PLANT_ALPHA, PLANT_P, PLANT_BOX)
+    fail = new["checks"][-1]
+    assert fail["name"] == "thm42i-sigma-injective"
+    assert fail["p"] == p_at and tuple(fail["degree"]) == loci[target][0]
+
+
+def test_one_lead_per_expansion_key(monkeypatch):
+    # loci whose expansions share a key share one lookup
+    inner = koszul._expansion_orders
+    keys = []
+
+    def recorded(model, u0, w, jmax):
+        keys.append(vfilt.expansion_key(u0, w))
+        return inner(model, u0, w, jmax)
+
+    monkeypatch.setattr(koszul, "_expansion_orders", recorded)
+    box = TruncationBox.radius(3, 6)
+    rep = verify_thm42_i(PLANT_MODEL, PLANT_ALPHA, PLANT_P, box)
+    assert rep["status"] == "PASS"
+    loci = sum(c["nonzero_H0_loci"] for c in rep["checks"])
+    # keys of different p differ in |w|, so no key repeats in the whole sweep
+    assert len(set(keys)) == len(keys) < loci
+
+
+def test_core_looked_up_once_per_distinct_signature(monkeypatch):
+    # per point_grid, at most one CoreCohomology.dims call per combination
+    # of the distinct clamped bounds (tlo_i, thi_i) of the divisor coordinates
+    model = MonomialModel(3, [2, 3])
+    box = TruncationBox.radius(3, 6)
+    inner_grid, inner_dims = GradedCbar.point_grid, koszul.CoreCohomology.dims
+    calls = []
+
+    def counted_dims(self, *args):
+        calls[-1] += 1
+        return inner_dims(self, *args)
+
+    def checked_grid(self, p, box):
+        calls.append(0)
+        out = inner_grid(self, p, box)
+        cap = p + model.n - 1
+
+        def clamp(c, i, x):
+            return None if c is None else min(max(c[i] - 1 - x, 0), cap + 1)
+
+        bound = 1
+        for i in range(model.r):
+            axis = range(box.lo[i], box.hi[i] + 1)
+            bound *= len({(clamp(self.c_lo, i, x), clamp(self.c_hi, i, x)) for x in axis})
+        assert calls[-1] <= bound, (p, calls[-1], bound)
+        return out
+
+    monkeypatch.setattr(koszul.CoreCohomology, "dims", counted_dims)
+    monkeypatch.setattr(GradedCbar, "point_grid", checked_grid)
+    for alpha in jump_candidates(model.divisor(), 0, 1):
+        assert verify_thm42_ii(model, alpha, range(-3, 4), box)["status"] == "PASS"
+    assert sum(calls) > 0
+
+
 def test_caches_hold_one_model():
     # a sweep of a second model leaves no expansion or core entry of the first
     box = TruncationBox.radius(3, 2)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from minexp_lab import vfilt
 from minexp_lab.cli import catalog
 from minexp_lab.divisors import jump_candidates, next_candidate, round_gt, round_up
 from minexp_lab.rationals import InputError, exact_rank
@@ -32,7 +33,15 @@ from minexp_lab.vfilt import (
     v_member,
     v_order,
 )
-from minexp_lab.weyl import BgElement, MonomialModel, WeylOperator, act_right, multidegree
+from minexp_lab.weyl import (
+    BgElement,
+    MonomialModel,
+    WeylOperator,
+    _orders_dy,
+    _theta_orders,
+    act_right,
+    multidegree,
+)
 
 Y2 = MonomialModel(1, [2])
 Y1 = MonomialModel(1, [1])
@@ -301,6 +310,39 @@ def test_label_grid_matches_gr_label():
                 assert rep == _expansion_orders(model, u0, w, 0)[0]
                 want.append((d, u0, w))
             assert list(gr_label_grid(lvl, p, box)) == want, (model, lvl.alpha, p)
+
+
+def _uncached_orders(model, u0, w, jmax):
+    """The expansion y^{u0} dy delta . dy^w theta^j, j <= jmax, step by step."""
+    orders, d = {0: 1}, list(u0)
+    for i, wi in enumerate(w):
+        for _ in range(wi):
+            orders = _orders_dy(orders, model, d, i)
+            d[i] -= 1
+    out = [orders]
+    while len(out) <= jmax:
+        out.append(_theta_orders(out[-1]))
+    return out
+
+
+def test_expansion_cache_keys_only_what_the_expansion_reads():
+    # every catalog level in (0, 1] with p in -n-1..3 over an off-centre box:
+    # an entry warmed from a u0 that differs where w_i = 0 serves the label's
+    # own (u0, w), and no cache key keeps u0 where w_i = 0
+    levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
+    assert len(levels) == 172
+    for lvl in levels:
+        model = lvl.model
+        box = TruncationBox(tuple(range(-3, model.n - 3)), tuple(range(2, model.n + 2)))
+        for p in range(-model.n - 1, 4):
+            for _, u0, w in gr_label_grid(lvl, p, box):
+                other = tuple(x if k else x + 5 for x, k in zip(u0, w))
+                _expansion_orders(model, other, w, 0)
+                assert _expansion_orders(model, u0, w, 2) == _uncached_orders(model, u0, w, 2)
+        assert vfilt._EXP_CACHE
+        for key in vfilt._EXP_CACHE:
+            u0, w = key[2:]
+            assert all(x == 0 for x, k in zip(u0, w) if not k), (model, lvl.alpha, key)
 
 
 def test_gr_class_rep_and_coordinate():
