@@ -18,10 +18,18 @@ The complexes of one level over one box share their pieces: the term at
 (D, K) is the class at D - deg K, and a matrix entry depends only on its
 source class and the variable k.  So one _LevelComplexes per gr_dr_psi or
 verify_cor51 call holds three memos: the support of Gr^F_p Gr^V per Hodge
-index p (read once from vfilt.grF_grV_grid), the class representative per
+index p (read once from vfilt.grF_grV_support), the class representative per
 (p, d) and the differential coordinate per (p, d, k).  verify_cor51 keeps
-it for every i, as their Hodge indices overlap.  Each complex is still
-assembled, and its ranks taken, per multidegree D of the support.
+it for every i, as their Hodge indices overlap.
+
+Most complexes of one level repeat an earlier one.  So a table is built in
+two passes: each term (K, d) is scattered onto its locus D = d + deg K, and
+each locus gets a key, the set of its terms and the coordinate of every
+edge dy_K -> dy_{K+k} whose target term is present.  The key determines the
+bases and the matrices entry for entry (a sign follows from (K, k)), so the
+cohomology is assembled by complex_at and ranked once per distinct key and
+read from a fourth memo after that.  Every locus still reads its own
+coordinates, each computed once by _orders_dy.
 
 The comparison target: the multidegree-graded dimensions of
 (O(-D_alpha)/O(-D_{>alpha})) (x) Omega^{n-1-i}_{rel}(log E), whose basis is
@@ -45,7 +53,7 @@ from .vfilt import (
     TruncationBox,
     _fail,
     gr_class_rep,
-    grF_grV_grid,
+    grF_grV_support,
 )
 from .weyl import MonomialModel, _orders_dy
 
@@ -244,40 +252,39 @@ def _all_grid(tables) -> list:
 
 class _LevelComplexes:
     """The graded de Rham complexes of one Level over one box, read from the
-    three memos of the module docstring; it lives for one gr_dr_psi or
+    memos of the module docstring; it lives for one gr_dr_psi or
     verify_cor51 call.  The supports cover the scan box box.lo - 1 ..
     box.hi, which holds every D - deg K with D in the box."""
 
     def __init__(self, lvl: Level, box: TruncationBox):
         self.lvl = lvl
-        self.box = box
+        self.points = set(box)
         self.scan = TruncationBox(tuple(x - 1 for x in box.lo), box.hi)
         n = lvl.model.n
-        # per form degree q: (K, deg K, [(k, K + k, sign of dy_k ^ dy_K)])
-        self.subsets = [
-            [
-                (
-                    K,
-                    tuple(1 if t in K else 0 for t in range(n)),
-                    [
-                        (k, tuple(sorted(K + (k,))), (-1) ** sum(1 for kk in K if kk < k))
-                        for k in range(n)
-                        if k not in K
-                    ],
-                )
-                for K in itertools.combinations(range(n), q)
-            ]
-            for q in range(n + 1)
-        ]
+        # per form degree q: (K, bit(K), deg K, [(k, K + k, bit(K + k), sign
+        # of dy_k ^ dy_K)]), where bit(K) = 1 << (K as a mask over range(n))
+        self.subsets = []
+        for q in range(n + 1):
+            subsets = []
+            for K in itertools.combinations(range(n), q):
+                wedges = []
+                for k in range(n):
+                    if k not in K:
+                        T = tuple(sorted(K + (k,)))
+                        sign = (-1) ** sum(1 for kk in K if kk < k)
+                        wedges.append((k, T, 1 << sum(1 << t for t in T), sign))
+                deg = tuple(1 if t in K else 0 for t in range(n))
+                subsets.append((K, 1 << sum(1 << t for t in K), deg, wedges))
+            self.subsets.append(subsets)
         self._support = {}
         self._reps = {}
         self._coords = {}
+        self._cohom = {}
 
     def support(self, p) -> set:
         got = self._support.get(p)
         if got is None:
-            grid = grF_grV_grid(self.lvl, p, self.scan)
-            got = self._support[p] = set(itertools.compress(self.scan, grid))
+            got = self._support[p] = set(grF_grV_support(self.lvl, p, self.scan))
         return got
 
     def rep(self, p, d):
@@ -310,7 +317,7 @@ class _LevelComplexes:
         for q, subsets in enumerate(self.subsets):
             support = self.support(i + q - 2 * n)
             basis, source = [], []
-            for K, deg, wedges in subsets:
+            for K, _, deg, wedges in subsets:
                 d = tuple(map(operator.sub, D, deg))
                 if d in support:
                     basis.append(K)
@@ -324,7 +331,7 @@ class _LevelComplexes:
             cols = []
             for d, wedges in sources[q]:
                 col = {}
-                for k, T, sign in wedges:
+                for k, T, _, sign in wedges:
                     idx = tgt_index.get(T)
                     if idx is not None:
                         coord = self.coordinate(p, d, k)
@@ -335,27 +342,61 @@ class _LevelComplexes:
             mats.append(cols)
         return bases, mats
 
+    def keys(self, i) -> dict:
+        """The key of the level-(i-n+1) complex at every multidegree D of the
+        box where some term is nonzero: the bits of its terms, OR-ed, and
+        the coordinate of every edge whose target term is present, in
+        complex_at's order.  Each term (K, d) of the supports is scattered
+        onto D = d + deg K first, so the bits are complete when the edges
+        are read."""
+        n = self.lvl.model.n
+        points = self.points
+        loci = {}
+        for q, subsets in enumerate(self.subsets):
+            p = i + q - 2 * n
+            support = self.support(p)
+            for _, bit, deg, wedges in subsets:
+                for d in support:
+                    D = tuple(map(operator.add, d, deg))
+                    if D in points:
+                        got = loci.get(D)
+                        if got is None:
+                            loci[D] = [bit, [(p, d, wedges)]]
+                        else:
+                            got[0] |= bit
+                            got[1].append((p, d, wedges))
+        coordinate = self.coordinate
+        return {
+            D: (
+                mask,
+                tuple(
+                    coordinate(p, d, k)
+                    for p, d, wedges in terms
+                    for k, _, tbit, _ in wedges
+                    if mask & tbit
+                ),
+            )
+            for D, (mask, terms) in loci.items()
+        }
+
     def table(self, i) -> GradedDimTable:
         """Cohomology dimensions of the level-(i-n+1) complexes at every
-        multidegree of the box where some term is nonzero."""
+        multidegree of the box where some term is nonzero.  Loci with equal
+        keys have equal complexes, so only the first locus of a key, over
+        every i of this memo, is assembled and ranked."""
         n = self.lvl.model.n
-        loci = set()
-        for q, subsets in enumerate(self.subsets):
-            for d in self.support(i + q - 2 * n):
-                for _, deg, _ in subsets:
-                    D = tuple(map(operator.add, d, deg))
-                    if D in self.box:
-                        loci.add(D)
         table = GradedDimTable(alpha=self.lvl.alpha)
-        for D in sorted(loci):
-            bases, mats = self.complex_at(i, D)
-            ranks = [exact_rank(cols) for cols in mats]
-            for q in range(n + 1):
-                h = len(bases[q]) - (ranks[q] if q < n else 0) - (
-                    ranks[q - 1] if q > 0 else 0
-                )
-                if h:
-                    table.dims[(D, q - n)] = h
+        dims = table.dims
+        for D, key in self.keys(i).items():
+            cohom = self._cohom.get(key)
+            if cohom is None:
+                bases, mats = self.complex_at(i, D)
+                # padded: the maps into and out of term q have ranks[q], ranks[q + 1]
+                ranks = [0] + [exact_rank(cols) for cols in mats] + [0]
+                h = [len(basis) - ranks[q] - ranks[q + 1] for q, basis in enumerate(bases)]
+                cohom = self._cohom[key] = [(q - n, dim) for q, dim in enumerate(h) if dim]
+            for q, dim in cohom:
+                dims[(D, q)] = dim
         return table
 
 
@@ -385,33 +426,53 @@ def verify_cor51(model: MonomialModel, alpha, i_range, box: TruncationBox):
     for i in i_range:
         t = complexes.table(i)
         wants = _quotient_count_grid(lvl, syms, n - 1 - i, box)
-        at = dict(zip(box, wants))
-        total = 0
-        for (Dd, q), dim in sorted(t.dims.items()):
-            if q != -i:
-                return _fail(
-                    report, "cor51-concentration", i=i, degree=list(Dd), cohdeg=q, dim=dim
-                )
-            if dim != at[Dd]:
-                return _fail(
-                    report, "cor51-dims", i=i, degree=list(Dd), deRham=dim, quotient_forms=at[Dd]
-                )
-            total += dim
-        # the other containment: every quotient-forms locus shows up (a
-        # locus where want is 0 holds no entry of t, by the loop above)
-        for d, want in zip(box, wants):
-            if want and want != t.get((d, -i)):
-                return _fail(
-                    report, "cor51-dims", i=i, degree=list(d), deRham=t.get((d, -i)),
-                    quotient_forms=want,
-                )
+        if not (all(q == -i for _, q in t.dims) and _box_list(t.dims, box) == wants):
+            return _cor51_failure(report, i, t, box, wants)
         report["checks"].append(
             {
                 "name": "cor51",
                 "status": "PASS",
                 "i": i,
                 "alpha": format_rational(alpha),
-                "total_dim": total,
+                "total_dim": sum(t.dims.values()),
             }
         )
     return report
+
+
+def _box_list(dims, box: TruncationBox) -> list:
+    """The dims {(D, q): dim}, every D in the box, spread by the box's
+    strides into a list in box order, 0 where no entry is."""
+    strides, step = [], 1
+    for lo, hi in zip(reversed(box.lo), reversed(box.hi)):
+        strides.append(step)
+        step *= hi - lo + 1
+    strides.reverse()
+    base = sum(map(operator.mul, box.lo, strides))
+    out = [0] * step
+    for (D, _), dim in dims.items():
+        out[sum(map(operator.mul, D, strides)) - base] = dim
+    return out
+
+
+def _cor51_failure(report, i, t: GradedDimTable, box: TruncationBox, wants):
+    """The first failure of one i, scanning locus by locus: the table in
+    sorted order against the quotient counts, then every quotient-forms
+    locus against the table."""
+    at = dict(zip(box, wants))
+    for (Dd, q), dim in sorted(t.dims.items()):
+        if q != -i:
+            return _fail(report, "cor51-concentration", i=i, degree=list(Dd), cohdeg=q, dim=dim)
+        if dim != at[Dd]:
+            return _fail(
+                report, "cor51-dims", i=i, degree=list(Dd), deRham=dim, quotient_forms=at[Dd]
+            )
+    # the other containment: every quotient-forms locus shows up (a locus
+    # where want is 0 holds no entry of t, by the loop above)
+    for d, want in zip(box, wants):
+        if want and want != t.get((d, -i)):
+            return _fail(
+                report, "cor51-dims", i=i, degree=list(d), deRham=t.get((d, -i)),
+                quotient_forms=want,
+            )
+    raise AssertionError("the list compare failed where the scan finds no failure")

@@ -33,8 +33,10 @@ gr_label_grid is built the same way from gr_label's rule and yields, in box
 order, (d, u0, w) for each locus where the class of Gr^F_p V_{-alpha}
 exists, u0 = b + v being the exponent its representative starts from;
 gr_class_rep, the one-point entry, builds the same u0 from gr_label, and the
-tests hold the two equal at every locus of every catalog level.  The
-expansion cache holds one model at a time.
+tests hold the two equal at every locus of every catalog level.
+grF_grV_support lists the points of the box where Gr^F_p Gr^V_{-alpha} is
+nonzero, from one table of both levels' weights.  The expansion cache holds
+one model at a time.
 
 Graded dimensions also come in a second closed form (the "theta-eliminated"
 one): Gr^F_p V_{-alpha} has a basis of classes of y^b dy delta . y^v dy^w
@@ -345,6 +347,34 @@ def grF_grV_grid(lvl: Level, p, box: TruncationBox) -> list:
     """[count_grF_grV(lvl, p, d) for d in box]."""
     deeper = gr_count_grid(lvl.deeper, p, box)
     return [h - g if h else 0 for h, g in zip(gr_count_grid(lvl, p, box), deeper)]
+
+
+def grF_grV_support(lvl: Level, p, box: TruncationBox) -> list:
+    """The d of the box, in box order, where count_grF_grV(lvl, p, d) == 1:
+    gr_count_grid's rule holds for lvl and fails for lvl.deeper.  One table
+    over the coordinates past the first holds both levels' weights; the
+    points it keeps depend on d_0 only through the two limits, and a tuple
+    is built only for a support point."""
+    b, c, n, r = lvl.b, lvl.deeper.b, lvl.model.n, lvl.model.r
+    axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
+    fail = max(p + n, 0) + 1
+    free = [[0 if x >= 0 else fail for x in axes[j]] for j in range(r, n)]
+
+    def weights(e):
+        tables = [[max(e[i] - x, 0) for x in axes[i]] for i in range(1, r)] + free
+        return map(sum, itertools.product(*tables))
+
+    rest = list(zip(weights(b), weights(c), itertools.product(*axes[1:])))
+    top = p + n
+    kept, out = {}, []
+    for x in axes[0]:
+        limits = (top + min(x - b[0], 0), top + min(x - c[0], 0))
+        ds = kept.get(limits)
+        if ds is None:
+            here, deep = limits
+            ds = kept[limits] = [d for s, t, d in rest if s <= here and t > deep]
+        out += [(x,) + d for d in ds]
+    return out
 
 
 # -- expansions and triangular elimination ----------------------------------

@@ -285,25 +285,141 @@ def test_memoised_tables_match_reference():
     assert tables == 453
 
 
-@pytest.mark.parametrize("target", [((0, 0), 0), ((0, 1), 1), ((2, 1), 1)])
+class _SignatureComplexes(_LevelComplexes):
+    """A memo keyed by the terms alone, blind to the coordinates: it reuses
+    the cohomology of the first locus with the same terms."""
+
+    def keys(self, i):
+        return {D: key[0] for D, key in super().keys(i).items()}
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        ([1, 2], ((0, 0), 0), False),
+        ([1, 2], ((0, 1), 1), False),
+        ([1, 2], ((2, 1), 1), True),
+        # n = 3: each planted locus's complex, unplanted, repeats an earlier one
+        ([1, 2, 2], ((0, -1, 0), 1), True),
+        ([1, 2, 2], ((1, 0, 1), 1), True),
+        ([1, 2, 2], ((2, 1, 1), 2), True),
+    ],
+)
 def test_planted_orders_dy_fails_like_reference(target, monkeypatch):
     """One differential entry dropped (_orders_dy returns {} at one (d, k)):
-    verify-cor51 fails, and at the same first check as the per-locus path."""
+    verify-cor51 fails, and at the same first check as the per-locus path.
+    Where the planted complex repeats an earlier one, a memo keyed by the
+    terms alone passes; the coordinates in the key are what catch it."""
+    exponents, point, repeated = target
     inner = derham._orders_dy
 
     def planted(orders, model, d, k):
-        return {} if (tuple(d), k) == target else inner(orders, model, d, k)
+        return {} if (tuple(d), k) == point else inner(orders, model, d, k)
 
-    config = {"command": "verify-cor51", "model": {"n": 2, "exponents": [1, 2]}, "box": 3}
+    model = {"n": len(exponents), "exponents": exponents}
+    config = {"command": "verify-cor51", "model": model, "box": 3}
     assert run(dict(config))[1] == 0
     monkeypatch.setattr(derham, "_orders_dy", planted)
     memo_report, memo_code = run(dict(config))
+    if repeated:
+        monkeypatch.setattr(derham, "_LevelComplexes", _SignatureComplexes)
+        assert run(dict(config))[1] == 0
     monkeypatch.setattr(derham, "_LevelComplexes", _ReferenceComplexes)
     ref_report, ref_code = run(dict(config))
     assert memo_code == ref_code == 2
     fails = [c for c in memo_report["checks"] if c["status"] == "FAIL"]
-    assert len(fails) == 1 and fails[0]["name"] == "cor51-dims"
+    assert fails and fails[0]["name"] in ("cor51-dims", "cor51-concentration")
     assert memo_report == ref_report
+
+
+def test_equal_keys_have_equal_complexes():
+    # every catalog level, every i, on the radius-2 box: the key of a locus
+    # determines its bases and matrices entry for entry
+    levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
+    assert len(levels) == 172
+    repeats = 0
+    for lvl in levels:
+        box = TruncationBox.radius(lvl.model.n, 2)
+        complexes = _LevelComplexes(lvl, box)
+        for i in range(lvl.model.n):
+            first = {}
+            for D, key in complexes.keys(i).items():
+                if key in first:
+                    assert complexes.complex_at(i, D) == first[key], (lvl, i, D)
+                    repeats += 1
+                else:
+                    first[key] = complexes.complex_at(i, D)
+    assert repeats > 0
+
+
+def test_one_rank_per_distinct_complex(monkeypatch):
+    # (3, [1, 2, 2]) at radius 6 over both jumps: every (p, d, k) reaches
+    # _orders_dy once, as when each locus was assembled and ranked, and the
+    # complexes are ranked once per distinct key
+    counts = {"orders_dy": 0, "rank": 0}
+    orders_dy, rank = derham._orders_dy, derham.exact_rank
+
+    def counted_orders_dy(*args):
+        counts["orders_dy"] += 1
+        return orders_dy(*args)
+
+    def counted_rank(rows):
+        counts["rank"] += 1
+        return rank(rows)
+
+    memos = []
+
+    class Recorded(_LevelComplexes):
+        def __init__(self, lvl, box):
+            super().__init__(lvl, box)
+            memos.append(self)
+
+    monkeypatch.setattr(derham, "_orders_dy", counted_orders_dy)
+    monkeypatch.setattr(derham, "exact_rank", counted_rank)
+    monkeypatch.setattr(derham, "_LevelComplexes", Recorded)
+    model = MonomialModel(3, [1, 2, 2])
+    alphas = jump_candidates(model.divisor(), 0, 1)
+    assert alphas == [F(1, 2), F(1)]
+    for alpha in alphas:
+        rep = verify_cor51(model, alpha, range(3), TruncationBox.radius(3, 6))
+        assert rep["status"] == "PASS", rep
+    assert counts["orders_dy"] == 659
+    distinct = sum(len({key for i in range(3) for key in m.keys(i).values()}) for m in memos)
+    assert counts["rank"] <= 3 * distinct
+    assert counts["orders_dy"] == 659  # reading the keys again reads the memo
+
+
+@pytest.mark.parametrize("target", [((-3, -3), 0, 1), ((1, 2), 1, 0), ((3, 3), 0, 1)])
+def test_planted_quotient_count_names_its_degree(target, monkeypatch):
+    """One flipped entry of the quotient-forms counts, for i = 0 at alpha 1:
+    the list compare fails and the locus scan reports that degree, the only
+    FAIL, with both sides' values."""
+    degree, de_rham, flipped_to = target
+    grid = derham._quotient_count_grid
+
+    def flipped(lvl, syms, q, box):
+        out = grid(lvl, syms, q, box)
+        if lvl.alpha == 1 and q == lvl.model.n - 1:
+            k = list(box).index(degree)
+            out[k] = 0 if out[k] else 1
+        return out
+
+    monkeypatch.setattr(derham, "_quotient_count_grid", flipped)
+    config = {"command": "verify-cor51", "model": {"n": 2, "exponents": [1, 2]}, "box": 3}
+    report, code = run(config)
+    assert code == 2
+    fails = [c for c in report["checks"] if c["status"] == "FAIL"]
+    assert fails == [
+        {
+            "alpha": "1",
+            "name": "cor51-dims",
+            "status": "FAIL",
+            "i": 0,
+            "degree": list(degree),
+            "deRham": de_rham,
+            "quotient_forms": flipped_to,
+        }
+    ]
 
 
 def test_cor51_examples():

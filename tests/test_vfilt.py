@@ -1,5 +1,6 @@
 """V-filtration membership, orders, graded dimensions, and the axioms."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -27,6 +28,7 @@ from minexp_lab.vfilt import (
     gr_label,
     gr_label_grid,
     grF_grV_grid,
+    grF_grV_support,
     hodge_level,
     spanning_set,
     t_shift_check,
@@ -286,6 +288,23 @@ def test_count_grids_match_the_per_locus_counts():
             for b in (box, scan):
                 assert gr_count_grid(lvl, p, b) == [count_gr(lvl, p, d) for d in b]
                 assert grF_grV_grid(lvl, p, b) == [count_grF_grV(lvl, p, d) for d in b]
+
+
+def test_grF_grV_support_lists_the_grid_support():
+    # every catalog level in (0, 1] with p in -2n-1..3 (the de Rham terms
+    # reach p = -2n) over an off-centre box: the sparse support is the
+    # grid's support, in box order
+    levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
+    assert len(levels) == 172
+    cases = 0
+    for lvl in levels:
+        n = lvl.model.n
+        box = TruncationBox((-3,) * n, (4,) * n)
+        for p in range(-2 * n - 1, 4):
+            want = list(itertools.compress(box, grF_grV_grid(lvl, p, box)))
+            assert grF_grV_support(lvl, p, box) == want, (lvl.model, lvl.alpha, p)
+            cases += 1
+    assert cases == 1766
 
 
 def test_label_grid_matches_gr_label():
