@@ -104,9 +104,6 @@ class TruncationBox:
     def __iter__(self):
         return itertools.product(*(range(l, h + 1) for l, h in zip(self.lo, self.hi)))
 
-    def __contains__(self, d):
-        return all(l <= x <= h for l, x, h in zip(self.lo, d, self.hi))
-
     def volume(self):
         out = 1
         for l, h in zip(self.lo, self.hi):

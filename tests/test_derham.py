@@ -296,21 +296,22 @@ class _SignatureComplexes(_LevelComplexes):
 @pytest.mark.parametrize(
     "target",
     [
-        ([1, 2], ((0, 0), 0), False),
-        ([1, 2], ((0, 1), 1), False),
-        ([1, 2], ((2, 1), 1), True),
+        ([1, 2], ((0, 0), 0), ["cor51-dims"], False),
+        ([1, 2], ((0, 1), 1), ["cor51-dims"], False),
+        ([1, 2], ((2, 1), 1), ["cor51-dims"], True),
         # n = 3: each planted locus's complex, unplanted, repeats an earlier one
-        ([1, 2, 2], ((0, -1, 0), 1), True),
-        ([1, 2, 2], ((1, 0, 1), 1), True),
-        ([1, 2, 2], ((2, 1, 1), 2), True),
+        ([1, 2, 2], ((0, -1, 0), 1), ["cor51-concentration"], True),
+        ([1, 2, 2], ((1, 0, 1), 1), ["cor51-dims", "cor51-concentration"], True),
+        ([1, 2, 2], ((2, 1, 1), 2), ["cor51-dims"], True),
     ],
 )
 def test_planted_orders_dy_fails_like_reference(target, monkeypatch):
     """One differential entry dropped (_orders_dy returns {} at one (d, k)):
-    verify-cor51 fails, and at the same first check as the per-locus path.
-    Where the planted complex repeats an earlier one, a memo keyed by the
-    terms alone passes; the coordinates in the key are what catch it."""
-    exponents, point, repeated = target
+    verify-cor51 fails, one FAIL per alpha the plant reaches, and at the same
+    first check as the per-locus path.  Where the planted complex repeats an
+    earlier one, a memo keyed by the terms alone passes; the coordinates in
+    the key are what catch it."""
+    exponents, point, names, repeated = target
     inner = derham._orders_dy
 
     def planted(orders, model, d, k):
@@ -328,7 +329,7 @@ def test_planted_orders_dy_fails_like_reference(target, monkeypatch):
     ref_report, ref_code = run(dict(config))
     assert memo_code == ref_code == 2
     fails = [c for c in memo_report["checks"] if c["status"] == "FAIL"]
-    assert fails and fails[0]["name"] in ("cor51-dims", "cor51-concentration")
+    assert [c["name"] for c in fails] == names
     assert memo_report == ref_report
 
 
