@@ -79,6 +79,14 @@ def _int(key, value, got):
     raise InputError(f"{key} must be an integer, got {value!r}")
 
 
+def _count(key, value, got):
+    """A nonnegative integer: a negative bound would run nothing and pass."""
+    x = _int(key, value, got)
+    if x < 0:
+        raise InputError(f"{key} must be >= 0, got {x}")
+    return x
+
+
 def _rational(key, value, got):
     """A finite rational; no parameter accepts "inf"."""
     x = parse_rational(str(value))
@@ -108,9 +116,7 @@ def _json(value, key):
 
 
 def _box(key, value, got):
-    radius, n = _int(key, value, got), got["model"].n
-    if radius < 0:
-        raise InputError(f"box radius must be >= 0, got {radius}")
+    radius, n = _count(key, value, got), got["model"].n
     if (2 * radius + 1) ** n > MAX_BOX_VOLUME:
         raise InputError(
             f"box radius {radius} in {n} variables exceeds the volume limit {MAX_BOX_VOLUME}"
@@ -132,9 +138,9 @@ _PARSERS = {
     "model": lambda key, value, got: MonomialModel.from_json(_json(value, key)),
     "alpha": _alphas,
     "box": _box,
-    "pmax": _int,
+    "pmax": _count,
     "p": _int,
-    "samples": _int,
+    "samples": _count,
     "lo": _rational,
     "hi": _rational,
     "cap": _rational,

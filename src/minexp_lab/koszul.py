@@ -25,8 +25,9 @@ At the graded (symbol) level the complex splits, per multidegree, into a
 "core" on the coupled variables y_1..r, z_1..r (relations
 Q_i = y_i z_i / a_i - y_1 z_1 / a_1) tensored with exact one-variable factors
 for j > r; cohomology is computed by exact integer Gaussian elimination on
-the core, cached by the truncation signature that a multidegree induces, and
-the j > r factors contribute the gate [d_j >= 0].  The normalized grading
+the core, cached by the translation class of the truncation signature that a
+multidegree induces (each class is assembled and ranked once), and the j > r
+factors contribute the gate [d_j >= 0].  The normalized grading
 used everywhere is the one of B_g^r, i.e. the top wedge generator of the
 G = D_alpha complex sits at multidegree b = ceil(alpha a) - 1.
 
@@ -307,13 +308,20 @@ def _compositions(total, k):
 
 class CoreCohomology:
     """Cohomology of the multidegree pieces of the symbol Koszul complex on
-    the coupled variables y_1..y_r, z_1..z_r, cached by truncation signature.
+    the coupled variables y_1..y_r, z_1..z_r, cached by the translation class
+    of the truncation signature.
 
-    A signature is (tlo, thi): basis labels at wedge set S (subset of the
-    generator ids 1..r-1) and weight w in Z^r_{>=0} with |w| = omega + |S|
-    require w >= tlo componentwise, minus the sub-basis with w >= thi
-    (componentwise, all coordinates) when thi is not None (the quotient by a
-    deeper twist).
+    A signature is (omega, tlo, thi): basis labels at wedge set S (subset of
+    the generator ids 1..r-1) and weight w in Z^r_{>=0} with
+    |w| = omega + |S| require w >= tlo componentwise, minus the sub-basis
+    with w >= thi (componentwise, all coordinates) when thi is not None (the
+    quotient by a deeper twist).
+
+    The map w -> w - tlo carries the bases of (omega, tlo, thi) onto those of
+    (omega - |tlo|, 0, thi - tlo) in the same order, and the matrices entry
+    for entry: the coefficients lcm/a_k do not read w, and w >= thi becomes
+    w - tlo >= thi - tlo.  So the cache is keyed by (omega - |tlo|,
+    thi - tlo), and each class is assembled at tlo = 0 and ranked once.
     """
 
     def __init__(self, a_core):
@@ -325,28 +333,27 @@ class CoreCohomology:
         self.lcm = lcm
         self._cache = {}
 
-    def _basis(self, wedge, omega, tlo, thi):
+    def _basis(self, wedge, omega, thi):
         r = self.r
         total = omega + wedge
         out = []
         for S in itertools.combinations(range(1, r), wedge):
-            rem = total - sum(tlo)
-            if rem < 0:
-                continue
-            for u in _compositions(rem, r):
-                w = tuple(tlo[i] + u[i] for i in range(r))
+            for w in _compositions(total, r):
                 if thi is not None and all(w[i] >= thi[i] for i in range(r)):
                     continue
                 out.append((S, w))
         return out
 
     def dims(self, omega, tlo, thi=None):
-        key = (omega, tlo, thi)
+        if thi is not None:
+            thi = tuple(h - l for l, h in zip(tlo, thi))
+        omega -= sum(tlo)
+        key = (omega, thi)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         r = self.r
-        bases = [self._basis(W, omega, tlo, thi) for W in range(r)]
+        bases = [self._basis(W, omega, thi) for W in range(r)]
         index = [{lbl: k for k, lbl in enumerate(b)} for b in bases]
         ranks = [0] * r  # rank of d: wedge W -> W+1, stored at W
         for W in range(r - 1):

@@ -103,6 +103,7 @@ def test_input_errors_exit_1():
 
 
 Y2_MODEL = {"n": 1, "exponents": [2]}
+N2_MODEL = {"n": 2, "exponents": [1, 2]}
 
 
 @pytest.mark.parametrize(
@@ -132,6 +133,9 @@ Y2_MODEL = {"n": 1, "exponents": [2]}
         ({"command": "jumps", "coeffs": [2.9]}, None),
         ({"command": "verify-cor23", "model": Y2_MODEL, "alpha": ["2"]}, None),
         ({"command": "verify-cor24", "model": Y2_MODEL, "alpha": ["2"]}, None),
+        ({"command": "verify-thm42", "model": N2_MODEL, "pmax": -5}, None),
+        ({"command": "verify-thm42", "model": N2_MODEL, "samples": -1}, None),
+        ({"command": "psi-dims", "model": N2_MODEL, "pmax": -3}, None),
     ],
     ids=[
         "box", "exponents", "exponents-not-list", "alpha-inf", "cap-inf",
@@ -140,6 +144,7 @@ Y2_MODEL = {"n": 1, "exponents": [2]}
         "alpha-empty", "cor24-p-above-minexp", "box-volume", "n-float",
         "exponents-text", "exponents-bool", "pairs-float", "coeffs-float",
         "cor23-alpha-outside", "cor24-alpha-outside",
+        "thm42-pmax-negative", "thm42-samples-negative", "psi-dims-pmax-negative",
     ],
 )
 def test_malformed_values_exit_1(config, env_jobs, monkeypatch, capsys):
@@ -174,9 +179,6 @@ def test_jobs_flag_wins_over_env(flag, env_jobs, want, monkeypatch, capsys):
         monkeypatch.setenv("MINEXP_LAB_JOBS", env_jobs)
     assert cli.main(["lct", "--pairs", "[[1,0]]"] + flag) == 0
     assert seen == [want]
-
-
-N2_MODEL = {"n": 2, "exponents": [1, 2]}
 
 
 def _b_shifted(step, b_vector=vfilt.b_vector):

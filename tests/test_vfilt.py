@@ -16,6 +16,7 @@ from minexp_lab.vfilt import (
     TruncationBox,
     _expansion_orders,
     _orders_of_component,
+    _spanning_orders,
     check_v_axioms,
     count_gr_theta,
     count_gr,
@@ -40,6 +41,7 @@ from minexp_lab.weyl import (
     MonomialModel,
     WeylOperator,
     _orders_dy,
+    _orders_theta_plus,
     _theta_orders,
     act_right,
     multidegree,
@@ -387,6 +389,65 @@ def test_v_axioms_examples():
     # alpha > 1 exercises the direct dt-shift branch
     rep = check_v_axioms(Y23, F(4, 3), TruncationBox.radius(2, 3))
     assert rep["status"] == "PASS"
+
+
+# Planted errors in check_v_axioms: each fault sits where only one check reads
+# it, so exactly that check fails, at the first degree in box order where the
+# level it iterates over has a nonempty spanning set.
+AXIOMS_BOX = TruncationBox.radius(2, 2)
+
+
+def _first_spanned(alpha):
+    return next(d for d in AXIOMS_BOX if _spanning_orders(Level(Y23, alpha), 1, d))
+
+
+def _identity(orders):
+    return dict(orders)
+
+
+def _axioms_fails(alpha):
+    rep = check_v_axioms(Y23, alpha, AXIOMS_BOX)
+    assert rep["status"] == "FAIL"
+    return [c for c in rep["checks"] if c["status"] == "FAIL"]
+
+
+@pytest.mark.parametrize(
+    "name, alpha, spanned, kernel, fault, degree",
+    [
+        ("t-shift", F(1, 2), F(1, 2), "_orders_t", _identity, (-2, 0)),
+        ("dt-shift", F(1, 2), F(3, 2), "_orders_dt", _identity, (1, 2)),
+        ("dt-shift-direct", F(4, 3), F(4, 3), "_orders_dt", _identity, (0, 2)),
+        (
+            "nilpotency", F(1, 2), F(1, 2), "_orders_theta_plus",
+            lambda orders, alpha: _orders_theta_plus(orders, -alpha), (-2, 0),
+        ),
+    ],
+    ids=["t-shift", "dt-shift", "dt-shift-direct", "nilpotency"],
+)
+def test_planted_kernel_fails_one_axiom(name, alpha, spanned, kernel, fault, degree, monkeypatch):
+    # dt-shift iterates over the spanning set of V_{-alpha-1}, the others
+    # over that of V_{-alpha}
+    assert _first_spanned(spanned) == degree
+    assert check_v_axioms(Y23, alpha, AXIOMS_BOX)["status"] == "PASS"
+    monkeypatch.setattr(vfilt, kernel, fault)
+    assert _axioms_fails(alpha) == [{"name": name, "status": "FAIL", "degree": list(degree)}]
+
+
+@pytest.mark.parametrize("name, step", [("stable-y", 1), ("stable-dy", -1)])
+def test_planted_membership_fails_one_axiom(name, step, monkeypatch):
+    # V_{-1/2} loses the multidegree next to its first spanned degree along
+    # y_1: above it for .y_1, below it for .d_{y_1}
+    alpha = F(1, 2)
+    first = _first_spanned(alpha)
+    assert first == (-2, 0)
+    target = (first[0] + step,) + first[1:]
+    inner = vfilt._component_member
+
+    def planted(lvl, d, orders):
+        return not (lvl.alpha == alpha and d == target) and inner(lvl, d, orders)
+
+    monkeypatch.setattr(vfilt, "_component_member", planted)
+    assert _axioms_fails(alpha) == [{"name": name, "status": "FAIL", "degree": list(first), "i": 1}]
 
 
 def test_t_shift_examples():
