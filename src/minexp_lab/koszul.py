@@ -31,22 +31,28 @@ factors contribute the gate [d_j >= 0].  The normalized grading
 used everywhere is the one of B_g^r, i.e. the top wedge generator of the
 G = D_alpha complex sits at multidegree b = ceil(alpha a) - 1.
 
-GradedCbar.point_grid evaluates a whole box at once: per-coordinate tables
-of the truncation signature give one core lookup per combination of the
-distinct bounds of the divisor coordinates, index tables spread the results
-to the points, and the gates d_j >= 0 of the free coordinates spread those
-over the box (cohomology_grid is that list in box order).  The resolution
-sweeps compare whole lists.  The H^0 list meets the count grid of vfilt in
-one list ==; the off-degree check (acyclicity in i, concentration in ii) runs
-once per distinct core result; and the sigma-injective check of i covers each
-locus where vfilt.gr_label_grid lists a class and H^0 != 0: the full
-expansion of the class representative must lead with dt-order p - 1 + n.
-Loci whose expansions share a vfilt.expansion_key share the orders, so the
-lead is checked once per key.  A locus with H^0 != 0 and no class fails that
-check too.  Only when a check fails are the loci scanned in box order, with
-the checks in their per-locus order (acyclicity or concentration, then
-H0-dims, then sigma-injective), so a FAIL names the same first locus and
-fields as a per-locus loop would.
+GradedCbar.point_grid evaluates a whole box at once and returns
+(table, flat, gates): per-coordinate tables of the truncation signature give
+one core lookup per combination of the distinct bounds of the divisor
+coordinates, the table holds each distinct result once, flat holds one index
+into the table per point of the divisor coordinates (built from each
+column's indices, looked up once per column), and gates holds the gates
+d_j >= 0 of the free coordinates.  cohomology_grid spreads table[f] over
+the gates into a list in box order.  The resolution sweeps compare whole
+lists, and read each table entry once: H^0 and the off-degree check
+(acyclicity in i, concentration in ii) are taken per entry, and the H^0
+list is one indexed spread that meets the count grid of vfilt in one
+list ==.  The sigma-injective check of i covers each locus where
+vfilt.gr_label_grid lists a class and H^0 != 0: the full expansion of the
+class representative must lead with dt-order p - 1 + n.  Within one
+(level, p), loci whose expansions share a vfilt.expansion_key share the
+orders, and that key is fixed by the lead key (u0_0 where w_0 > 0, w), since
+u0_i = b_i wherever w_i > 0 for i >= 1; so the lead is checked once per key,
+and the other loci of a key cost one dict hit.  A locus with H^0 != 0 and
+no class fails that check too.  Only when a check fails are the loci
+scanned in box order, with the checks in their per-locus order (acyclicity
+or concentration, then H0-dims, then sigma-injective), so a FAIL names the
+same first locus and fields as a per-locus loop would.
 tests/test_koszul.py keeps that loop, with every check at every locus, as the
 reference.
 """
@@ -68,7 +74,6 @@ from .vfilt import (
     _expansion_orders,
     _fail,
     b_vector,
-    expansion_key,
     gr_count_grid,
     gr_label_grid,
     grF_grV_grid,
@@ -400,10 +405,12 @@ def _core_for(model: MonomialModel):
     return core
 
 
-def _spread(values, gates, off):
-    """Each value repeated over the free-coordinate gates, off where a gate
-    is closed: per-point values become a list in box order."""
-    return [v if g else off for v in values for g in gates]
+def _spread(table, flat, gates, off):
+    """table[f] for the index f of each point, repeated over the
+    free-coordinate gates, off where a gate is closed: a list in box order.
+    Each table entry's row over the gates is built once."""
+    rows = [[v if g else off for g in gates] for v in table]
+    return list(itertools.chain.from_iterable(map(rows.__getitem__, flat)))
 
 
 class GradedCbar:
@@ -431,19 +438,22 @@ class GradedCbar:
         return _spread(*self.point_grid(p, box), {})
 
     def point_grid(self, p, box: TruncationBox):
-        """(points, gates): the cohomology at each point of the divisor
-        coordinates of the box, and the gates d_j >= 0 of the free
-        coordinates, both in box order; the locus (point, gate) has the
-        point's cohomology where its gate holds and none elsewhere.
+        """(table, flat, gates): the distinct core results, each once; for
+        each point of the divisor coordinates of the box, in box order, the
+        index of its result in table; and the gates d_j >= 0 of the free
+        coordinates, in box order.  The locus (point, gate) has
+        table[flat[point]] where its gate holds and no cohomology elsewhere.
 
         A point enters only through the clamped truncation bounds
         min(max(c_i - 1 - d_i, 0), cap + 1) of each divisor coordinate i,
         tlo_i for c the twist and thi_i for c the deeper one.  Each bound
         takes at most cap + 2 values, so a coordinate's column of
         (tlo_i, thi_i) has few distinct entries: the core cohomology is
-        looked up once per combination of distinct entries, and
-        per-coordinate index tables spread the results to the points in box
-        order.
+        looked up once per combination of distinct entries, and the index
+        of each column entry, looked up once per column, builds flat.
+        Combinations whose lookups return the same result object (one
+        translation class, or thi = tlo, where the quotient is 0) share one
+        table entry.
         """
         n, r = self.model.n, self.model.r
         omega = p + n - r
@@ -451,7 +461,7 @@ class GradedCbar:
         axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
         gates = [all(g) for g in itertools.product(*([x >= 0 for x in axes[j]] for j in range(r, n)))]
         if cap < 0 or not any(gates):
-            return [{}] * (box.volume() // len(gates)), gates
+            return [{}], [0] * (box.volume() // len(gates)), gates
 
         def bound(c, i, x):
             return None if c is None else min(max(c[i] - 1 - x, 0), cap + 1)
@@ -460,15 +470,20 @@ class GradedCbar:
         for i in range(r):
             column = [(bound(self.c_lo, i, x), bound(self.c_hi, i, x)) for x in axes[i]]
             index = {b: k for k, b in enumerate(dict.fromkeys(column))}
-            flat = [f * len(index) + index[b] for f in flat for b in column]
+            ks, m = [index[b] for b in column], len(index)
+            flat = [f * m + k for f in flat for k in ks]
             distinct.append(index)
         dims, empty = self.core.dims, {}
-        table = []
+        table, slot, at = [], {}, []  # at: combination -> index in table
         for combo in itertools.product(*distinct):
             tlo, thi = zip(*combo)
             thi = None if self.c_hi is None else thi
-            table.append(empty if thi == tlo else dims(omega, tlo, thi))
-        return [table[f] for f in flat], gates
+            h = empty if thi == tlo else dims(omega, tlo, thi)
+            k = slot.setdefault(id(h), len(table))
+            if k == len(table):
+                table.append(h)
+            at.append(k)
+        return table, [at[f] for f in flat], gates
 
 
 def graded_cohomology(model: MonomialModel, G, p, box: TruncationBox,
@@ -497,14 +512,28 @@ def _concentrated(h):
     return not any(q != 0 and dim for q, dim in h.items())
 
 
-def _scan(report, p, box, points, gates, want, ok, names, leads=None):
+def _h0_list(table, flat, gates):
+    """The H^0 dims in box order: h.get(0, 0) once per table entry."""
+    return _spread([h.get(0, 0) for h in table], flat, gates, 0)
+
+
+def _lead_key(u0, w):
+    """Within one (level, p), the key of the loci whose class
+    representatives have the same expansion as (u0, w).  By gr_label's rule
+    v_i w_i = 0 for i >= 1, so u0_i = b_i wherever w_i > 0 there: only the
+    first coordinate of u0 can vary where vfilt.expansion_key reads it."""
+    return (u0[0] if w[0] else 0), w
+
+
+def _scan(report, p, box, grid, want, ok, names, leads=None):
     """Fail the report at the first locus in box order that fails, checking
     at each locus, in this order: `ok` on its cohomology, its H^0 against
     `want`, and, given `leads` ({flat index: lead ok} at loci with a class),
-    that a locus with H^0 != 0 has a class with a good lead.  `names` are
-    the check names and the name of the count field."""
+    that a locus with H^0 != 0 has a class with a good lead.  `grid` is
+    point_grid's (table, flat, gates); `names` are the check names and the
+    name of the count field."""
     off, dims, count, sigma = names
-    for k, (d, h, x) in enumerate(zip(box, _spread(points, gates, {}), want)):
+    for k, (d, h, x) in enumerate(zip(box, _spread(*grid, {}), want)):
         if not ok(h):
             return _fail(
                 report, off, p=p, degree=list(d),
@@ -530,16 +559,16 @@ def verify_thm42_i(model: MonomialModel, alpha, p_range, box: TruncationBox):
     report = {"status": "PASS", "checks": []}
     pos = {d: k for k, d in enumerate(box)}
     for p in p_range:
-        points, gates = gc.point_grid(p, box)
-        h0 = _spread([h.get(0, 0) for h in points], gates, 0)
+        grid = gc.point_grid(p, box)
+        h0 = _h0_list(*grid)
         want = gr_count_grid(lvl, p - 1, box)
         top = p - 1 + model.n
         leads = {}  # at loci with H^0 != 0 and a class, up to the first bad lead
-        seen = {}  # expansion_key -> lead ok: loci sharing a key share the orders
+        seen = {}  # _lead_key -> lead ok: loci sharing a key share the orders
         for d, u0, w in gr_label_grid(lvl, p - 1, box):
             k = pos[d]
             if h0[k]:
-                key = expansion_key(u0, w)
+                key = _lead_key(u0, w)
                 ok = seen.get(key)
                 if ok is None:
                     orders = _expansion_orders(model, u0, w, 0)[0]
@@ -547,12 +576,11 @@ def verify_thm42_i(model: MonomialModel, alpha, p_range, box: TruncationBox):
                 leads[k] = ok
                 if not ok:
                     break
-        distinct = {id(h): h for h in points}.values()
         if (
-            not all(map(_acyclic, distinct)) or h0 != want
+            not all(map(_acyclic, grid[0])) or h0 != want
             or not all(leads.values()) or len(leads) != len(h0) - h0.count(0)
         ):
-            return _scan(report, p, box, points, gates, want, _acyclic, _THM42I, leads)
+            return _scan(report, p, box, grid, want, _acyclic, _THM42I, leads)
         report["checks"].append(
             {
                 "name": "thm42i",
@@ -572,12 +600,11 @@ def verify_thm42_ii(model: MonomialModel, alpha, p_range, box: TruncationBox):
     gq = GradedCbar(model, lvl.twist, lvl.deeper.twist)
     report = {"status": "PASS", "checks": []}
     for p in p_range:
-        points, gates = gq.point_grid(p, box)
-        h0 = _spread([h.get(0, 0) for h in points], gates, 0)
+        grid = gq.point_grid(p, box)
+        h0 = _h0_list(*grid)
         want = grF_grV_grid(lvl, p - 1, box)
-        distinct = {id(h): h for h in points}.values()
-        if not all(map(_concentrated, distinct)) or h0 != want:
-            return _scan(report, p, box, points, gates, want, _concentrated, _THM42II)
+        if not all(map(_concentrated, grid[0])) or h0 != want:
+            return _scan(report, p, box, grid, want, _concentrated, _THM42II)
         report["checks"].append(
             {
                 "name": "thm42ii",

@@ -28,15 +28,19 @@ membership, class representatives) take the Level, never (model, alpha), so
 no rounding or Fraction hashing happens per multidegree.  A sweep over a
 whole TruncationBox uses the box kernels gr_count_grid and grF_grV_grid:
 the same closed forms, tabulated per coordinate and evaluated in one
-itertools.product pass, as a list in box order.  The label kernel
-gr_label_grid is built the same way from gr_label's rule and yields, in box
-order, (d, u0, w) for each locus where the class of Gr^F_p V_{-alpha}
-exists, u0 = b + v being the exponent its representative starts from;
-gr_class_rep, the one-point entry, builds the same u0 from gr_label, and the
-tests hold the two equal at every locus of every catalog level.
+itertools.product pass, as a list in box order.  Count grids are cached per
+(level, p, box), as bytes, so a sweep over the alphas of one model builds
+each grid once: grF_grV_grid reuses the grid of its own level, and the
+deeper level's grid is the next alpha's.  Each call returns a fresh list.
+The label kernel gr_label_grid is built the same way from gr_label's rule
+and yields, in box order, (d, u0, w) for each locus where the class of
+Gr^F_p V_{-alpha} exists, u0 = b + v being the exponent its representative
+starts from; gr_class_rep, the one-point entry, builds the same u0 from
+gr_label, and the tests hold the two equal at every locus of every catalog
+level.
 grF_grV_support lists the points of the box where Gr^F_p Gr^V_{-alpha} is
-nonzero, from one table of both levels' weights.  The expansion cache holds
-one model at a time.
+nonzero, from one table of both levels' weights.  The expansion and grid
+caches hold one model at a time.
 
 Graded dimensions also come in a second closed form (the "theta-eliminated"
 one): Gr^F_p V_{-alpha} has a basis of classes of y^b dy delta . y^v dy^w
@@ -291,8 +295,34 @@ def count_grF_grV(lvl: Level, p, d) -> int:
     return here - count_gr(lvl.deeper, p, d)
 
 
+# Count grids, keyed by (n, a, b, p, box.lo, box.hi) and stored as bytes.  A
+# grid reads alpha only through b, and the jump candidates of one model have
+# distinct b, so this is one entry per (alpha, p, box).  A resolution sweep
+# asks for the grid of one (level, p) in verify_thm42_i, again in
+# grF_grV_grid, and as the deeper grid of the previous alpha.  The cache holds
+# one model at a time, like _EXP_CACHE.
+_GRID_CACHE = {}
+
+
+def _count_bytes(lvl: Level, p, box: TruncationBox) -> bytes:
+    model = lvl.model
+    key = (model.n, model.a, lvl.b, p, box.lo, box.hi)
+    grid = _GRID_CACHE.get(key)
+    if grid is None:
+        if _GRID_CACHE and next(iter(_GRID_CACHE))[:2] != key[:2]:
+            _GRID_CACHE.clear()
+        grid = _GRID_CACHE[key] = bytes(_count_grid(lvl, p, box))
+    return grid
+
+
 def gr_count_grid(lvl: Level, p, box: TruncationBox) -> list:
-    """[count_gr(lvl, p, d) for d in box], from per-coordinate tables.
+    """[count_gr(lvl, p, d) for d in box], built once per (level, p, box);
+    each call returns a fresh list."""
+    return list(_count_bytes(lvl, p, box))
+
+
+def _count_grid(lvl: Level, p, box: TruncationBox) -> list:
+    """gr_count_grid, uncached, from per-coordinate tables.
 
     gr_label exists iff every free coordinate is >= 0 and the dy-weight
     s = sum of max(b_i - d_i, 0) over 1 <= i < r satisfies
@@ -328,22 +358,24 @@ def gr_label_grid(lvl: Level, p, box: TruncationBox):
     axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
     tables = [[(x, max(x, b[i]), max(b[i] - x, 0)) for x in axes[i]] for i in range(1, r)]
     tables += [[(x, x, 0) for x in axes[j] if x >= 0] for j in range(r, n)]
+    top = p + n
     rest = []
     for cols in itertools.product(*tables):
         d, u, w = zip(*cols) if cols else ((), (), ())
-        rest.append((sum(w), d, u, w))
-    top = p + n
+        s = sum(w)
+        rest.append((s, d, u, (top - s,) + w))
     for x in axes[0]:
         limit = top + min(x - b[0], 0)
         for s, d, u, w in rest:
             if s <= limit:
-                yield (x,) + d, (x + top - s,) + u, (top - s,) + w
+                yield (x,) + d, (x + w[0],) + u, w
 
 
 def grF_grV_grid(lvl: Level, p, box: TruncationBox) -> list:
-    """[count_grF_grV(lvl, p, d) for d in box]."""
-    deeper = gr_count_grid(lvl.deeper, p, box)
-    return [h - g if h else 0 for h, g in zip(gr_count_grid(lvl, p, box), deeper)]
+    """[count_grF_grV(lvl, p, d) for d in box], from the two levels' cached
+    count grids."""
+    deeper = _count_bytes(lvl.deeper, p, box)
+    return [h - g if h else 0 for h, g in zip(_count_bytes(lvl, p, box), deeper)]
 
 
 def grF_grV_support(lvl: Level, p, box: TruncationBox) -> list:

@@ -382,16 +382,19 @@ def _planted_fail(sweep, name):
 
 def _plant_points(monkeypatch, quotient, extra, target):
     """The core cohomology of the complex (or of the quotient) at the point
-    of `target` gains the degrees in `extra`."""
+    of `target` gains the degrees in `extra`: a planted copy of the point's
+    table entry, at which only that point's index points, so the plant
+    reaches no other point that shares the entry."""
     inner = GradedCbar.point_grid
 
     def planted(self, p, box):
-        points, gates = inner(self, p, box)
+        table, flat, gates = inner(self, p, box)
         if (self.c_hi is not None) == quotient:
             k = list(box).index(target) // len(gates)
-            points = list(points)
-            points[k] = {**points[k], **extra}
-        return points, gates
+            table = table + [{**table[flat[k]], **extra}]
+            flat = list(flat)
+            flat[k] = len(table) - 1
+        return table, flat, gates
 
     monkeypatch.setattr(GradedCbar, "point_grid", planted)
 
@@ -558,6 +561,52 @@ def test_one_lead_per_expansion_key(monkeypatch):
     assert len(set(keys)) == len(keys) < loci
 
 
+def test_lead_key_is_exact():
+    # on every catalog level in (0, 1] at radius 2 with p in -n-1..3, the
+    # sweep's lead key and vfilt.expansion_key split gr_label_grid's loci
+    # into the same classes; a key of w alone would give 35,509 loci the
+    # lead of another expansion (all loci of a w but its largest class)
+    merged = 0
+    for lvl in _catalog_levels():
+        box = TruncationBox.radius(lvl.model.n, 2)
+        for p in range(-lvl.model.n - 1, 4):
+            pairs, by_w = set(), {}
+            for d, u0, w in gr_label_grid(lvl, p, box):
+                key = vfilt.expansion_key(u0, w)
+                pairs.add((koszul._lead_key(u0, w), key))
+                by_w.setdefault(w, {}).setdefault(key, 0)
+                by_w[w][key] += 1
+            assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs}), (
+                lvl.model, lvl.alpha, p,
+            )
+            merged += sum(sum(c.values()) - max(c.values()) for c in by_w.values())
+    assert merged == 35509
+
+
+def test_expansion_key_once_per_distinct_key(monkeypatch):
+    # the sweep keys its leads without vfilt.expansion_key: the expansion
+    # cache reads it once per distinct key, not once per labelled locus
+    box = TruncationBox.radius(3, 6)
+    lvl = Level(PLANT_MODEL, PLANT_ALPHA)
+    distinct = {
+        vfilt.expansion_key(u0, w)
+        for p in PLANT_P
+        for _, u0, w in gr_label_grid(lvl, p - 1, box)
+    }
+    inner, calls = vfilt.expansion_key, []
+
+    def counted(u0, w):
+        calls.append(1)
+        return inner(u0, w)
+
+    monkeypatch.setattr(vfilt, "expansion_key", counted)
+    monkeypatch.setattr(koszul, "expansion_key", counted, raising=False)
+    rep = verify_thm42_i(PLANT_MODEL, PLANT_ALPHA, PLANT_P, box)
+    assert rep["status"] == "PASS"
+    loci = sum(c["nonzero_H0_loci"] for c in rep["checks"])
+    assert 0 < len(calls) <= len(distinct) < loci
+
+
 def test_core_looked_up_once_per_distinct_signature(monkeypatch):
     # per point_grid, at most one CoreCohomology.dims call per combination
     # of the distinct clamped bounds (tlo_i, thi_i) of the divisor coordinates
@@ -583,6 +632,7 @@ def test_core_looked_up_once_per_distinct_signature(monkeypatch):
             axis = range(box.lo[i], box.hi[i] + 1)
             bound *= len({(clamp(self.c_lo, i, x), clamp(self.c_hi, i, x)) for x in axis})
         assert calls[-1] <= bound, (p, calls[-1], bound)
+        assert len(out[0]) <= bound, (p, len(out[0]), bound)
         return out
 
     monkeypatch.setattr(koszul.CoreCohomology, "dims", counted_dims)
@@ -699,10 +749,44 @@ def test_caches_hold_one_model():
     verify_thm42_i(first, F(1, 2), range(-3, 2), box)
     assert any(k[:2] == (3, (2, 3)) for k in vfilt._EXP_CACHE)
     assert list(koszul._CORE_CACHE) == [(3, (2, 3))]
+    assert vfilt._GRID_CACHE and all(k[:2] == (3, (2, 3)) for k in vfilt._GRID_CACHE)
     verify_thm42_i(second, F(1, 2), range(-3, 2), box)
     assert vfilt._EXP_CACHE and all(k[:2] == (3, (1, 2)) for k in vfilt._EXP_CACHE)
     assert list(koszul._CORE_CACHE) == [(3, (1, 2))]
     assert koszul._CORE_CACHE[(3, (1, 2))]._cache
+    assert vfilt._GRID_CACHE and all(k[:2] == (3, (1, 2)) for k in vfilt._GRID_CACHE)
+
+
+def test_count_grid_built_once_per_level_p_box(monkeypatch):
+    # one model's sweep in the benchmark's order (per alpha, i then ii)
+    # builds each count grid once: the grid of (alpha, p) in i is reused by
+    # ii and as the deeper grid of the alpha before; a caller that mutates a
+    # grid, as _flip does, gets a copy
+    box = TruncationBox.radius(3, 3)
+    p_range = range(-3, 4)
+    alphas = jump_candidates(PLANT_MODEL.divisor(), 0, 1)
+    built = []
+    inner = vfilt._count_grid
+
+    def counted(lvl, p, box):
+        built.append((lvl.alpha, p, box))
+        return inner(lvl, p, box)
+
+    monkeypatch.setattr(vfilt, "_GRID_CACHE", {})
+    monkeypatch.setattr(vfilt, "_count_grid", counted)
+    for alpha in alphas:
+        assert verify_thm42_i(PLANT_MODEL, alpha, p_range, box)["status"] == "PASS"
+        assert verify_thm42_ii(PLANT_MODEL, alpha, p_range, box)["status"] == "PASS"
+    levels = list(alphas) + [Level(PLANT_MODEL, alphas[-1]).deeper.alpha]
+    assert len(built) == len(set(built))
+    assert set(built) == {(a, p - 1, box) for a in levels for p in p_range}
+    lvl = Level(PLANT_MODEL, alphas[0])
+    grid = vfilt.gr_count_grid(lvl, 0, box)
+    kept = list(grid)
+    grid[0] = 1 - grid[0]
+    assert vfilt.gr_count_grid(lvl, 0, box) == kept
+    assert vfilt.gr_count_grid(lvl, 0, box) is not vfilt.gr_count_grid(lvl, 0, box)
+    assert len(built) == len(set(built))
 
 
 def test_thm42_i_examples():
