@@ -20,16 +20,21 @@ source class and the variable k.  So one _LevelComplexes per gr_dr_psi or
 verify_cor51 call holds three memos: the support of Gr^F_p Gr^V per Hodge
 index p (read once from vfilt.grF_grV_support), the class representative per
 (p, d) and the differential coordinate per (p, d, k).  verify_cor51 keeps
-it for every i, as their Hodge indices overlap.
+it for every i, as their Hodge indices overlap.  A coordinate is a quotient
+of two integer coefficients; it is kept in integers, as the reduced pair
+(num, den) with den > 0, interned as a small id (0 is the zero
+coordinate), in a row per support point.
 
 Most complexes of one level repeat an earlier one.  So a table is built in
 two passes: each term (K, d) is scattered onto its locus D = d + deg K, and
-each locus gets a key, the set of its terms and the coordinate of every
-edge dy_K -> dy_{K+k} whose target term is present.  The key determines the
-bases and the matrices entry for entry (a sign follows from (K, k)), so the
-cohomology is assembled by complex_at and ranked once per distinct key and
-read from a fourth memo after that.  Every locus still reads its own
-coordinates, each computed once by _orders_dy.
+each locus gets a key, the bits of its terms and the coordinate id of every
+edge dy_K -> dy_{K+k} whose target term is present.  Equal ids are equal
+coordinates, so the key determines the bases and the matrices entry for
+entry (a sign follows from (K, k)); the cohomology is assembled by
+complex_at and ranked once per distinct key and read from a fourth memo
+after that.  Every locus still reads its own coordinates, each computed
+once by _orders_dy, and a Fraction is built only when complex_at assembles
+a complex, on a key miss.
 
 The comparison target: the multidegree-graded dimensions of
 (O(-D_alpha)/O(-D_{>alpha})) (x) Omega^{n-1-i}_{rel}(log E), whose basis is
@@ -278,13 +283,24 @@ class _LevelComplexes:
             self.subsets.append(subsets)
         self._support = {}
         self._reps = {}
-        self._coords = {}
+        # the coordinates as reduced (num, den) pairs, den > 0, interned as
+        # small ids; id 0 is the zero coordinate
+        self._ids = {(0, 1): 0}
+        self._pairs = [(0, 1)]
         self._cohom = {}
 
-    def support(self, p) -> set:
+    def support(self, p) -> dict:
+        """The support of Gr^F_p Gr^V on the scan box, each point d mapped
+        to its row of coordinate ids per k (None until computed).  The
+        points are listed in the order of a set of them: keys() meets the
+        loci in that order, and a memo keyed more coarsely than by the
+        complex (a planted fault in the tests) reuses the complex of the
+        first locus it meets."""
         got = self._support.get(p)
         if got is None:
-            got = self._support[p] = set(grF_grV_support(self.lvl, p, self.scan))
+            n = self.lvl.model.n
+            points = set(grF_grV_support(self.lvl, p, self.scan))
+            got = self._support[p] = {d: [None] * n for d in points}
         return got
 
     def rep(self, p, d):
@@ -294,18 +310,25 @@ class _LevelComplexes:
             got = self._reps[key] = gr_class_rep(self.lvl, p, d)
         return got
 
-    def coordinate(self, p, d, k):
-        """Coordinate of rep(p, d) . dy_k in Gr^F_{p+1} Gr^V at d - e_k, a
-        nonzero piece: its top dt-order coefficient over the class
-        representative's (as in vfilt.gr_coordinate)."""
-        key = (p, d, k)
-        got = self._coords.get(key)
+    def coordinate(self, p, d, k) -> int:
+        """The id of the coordinate of rep(p, d) . dy_k in Gr^F_{p+1} Gr^V
+        at d - e_k, a nonzero piece: its top dt-order coefficient over the
+        class representative's (as in vfilt.gr_coordinate), reduced in
+        integers.  d lies in support(p); the id is kept in d's row."""
+        row = self.support(p)[d]
+        got = row[k]
         if got is None:
             img = _orders_dy(self.rep(p, d), self.lvl.model, d, k)
             top = p + 1 + self.lvl.model.n
             target = d[:k] + (d[k] - 1,) + d[k + 1 :]
-            got = Fraction(img.get(top, 0)) / self.rep(p + 1, target)[top]
-            self._coords[key] = got
+            num, den = img.get(top, 0), self.rep(p + 1, target)[top]
+            g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+            pair = (num // g, den // g)
+            got = self._ids.get(pair)
+            if got is None:
+                got = self._ids[pair] = len(self._pairs)
+                self._pairs.append(pair)
+            row[k] = got
         return got
 
     def complex_at(self, i, D):
@@ -337,47 +360,46 @@ class _LevelComplexes:
                         coord = self.coordinate(p, d, k)
                         if coord:
                             # left d/dy_k is the negated right action here
-                            col[idx] = -sign * coord
+                            col[idx] = -sign * Fraction(*self._pairs[coord])
                 cols.append(col)
             mats.append(cols)
         return bases, mats
 
     def keys(self, i) -> dict:
         """The key of the level-(i-n+1) complex at every multidegree D of the
-        box where some term is nonzero: the bits of its terms, OR-ed, and
-        the coordinate of every edge whose target term is present, in
+        box where some term is nonzero: the bits of its terms, OR-ed, then
+        the coordinate id of every edge whose target term is present, in
         complex_at's order.  Each term (K, d) of the supports is scattered
         onto D = d + deg K first, so the bits are complete when the edges
-        are read."""
+        are read; an edge reads its id from the row of d, and computes it
+        only on the first read."""
         n = self.lvl.model.n
         points = self.points
         loci = {}
         for q, subsets in enumerate(self.subsets):
             p = i + q - 2 * n
-            support = self.support(p)
+            support = self.support(p).items()
             for _, bit, deg, wedges in subsets:
-                for d in support:
+                for d, row in support:
                     D = tuple(map(operator.add, d, deg))
                     if D in points:
                         got = loci.get(D)
                         if got is None:
-                            loci[D] = [bit, [(p, d, wedges)]]
+                            loci[D] = [bit, [(p, d, row, wedges)]]
                         else:
                             got[0] |= bit
-                            got[1].append((p, d, wedges))
+                            got[1].append((p, d, row, wedges))
         coordinate = self.coordinate
-        return {
-            D: (
-                mask,
-                tuple(
-                    coordinate(p, d, k)
-                    for p, d, wedges in terms
-                    for k, _, tbit, _ in wedges
-                    if mask & tbit
-                ),
-            )
-            for D, (mask, terms) in loci.items()
-        }
+        keys = {}
+        for D, (mask, terms) in loci.items():
+            key = [mask]
+            for p, d, row, wedges in terms:
+                for k, _, tbit, _ in wedges:
+                    if mask & tbit:
+                        got = row[k]
+                        key.append(coordinate(p, d, k) if got is None else got)
+            keys[D] = tuple(key)
+        return keys
 
     def table(self, i) -> GradedDimTable:
         """Cohomology dimensions of the level-(i-n+1) complexes at every

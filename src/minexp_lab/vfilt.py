@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -383,8 +384,11 @@ def grF_grV_support(lvl: Level, p, box: TruncationBox) -> list:
     gr_count_grid's rule holds for lvl and fails for lvl.deeper.  One table
     over the coordinates past the first holds both levels' weights; the
     points it keeps depend on d_0 only through the two limits, and a tuple
-    is built only for a support point."""
+    is built only for a support point.  For p + n < 0 both limits are
+    negative and no weight is, so the support is empty at once."""
     b, c, n, r = lvl.b, lvl.deeper.b, lvl.model.n, lvl.model.r
+    if p + n < 0:
+        return []
     axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
     fail = max(p + n, 0) + 1
     free = [[0 if x >= 0 else fail for x in axes[j]] for j in range(r, n)]
@@ -482,9 +486,21 @@ def spanning_set(p, alpha, d, model: MonomialModel):
     return [_element_from_orders(model, d, o) for o in _spanning_orders(lvl, p, d)]
 
 
+def member_key(lvl: Level, d):
+    """All that _component_member(lvl, d, orders) reads of d: the
+    expansion_key of theta_label's (b + v, w), or None where there is no
+    label (no nonzero vector at d is a member then)."""
+    lbl = theta_label(lvl, d)
+    if lbl is None:
+        return None
+    v, w = lbl
+    return expansion_key(tuple(map(operator.add, lvl.b, v)), w)
+
+
 def _component_member(lvl: Level, d, orders) -> bool:
     """Triangular membership of the multidegree-d order vector in V_{-alpha},
-    at the component's own Hodge level.
+    at the component's own Hodge level.  The answer reads d only through
+    member_key(lvl, d).
 
     Fraction-free: the vector is scaled to integers once, and each
     elimination step replaces work by ref[m]*work - work[m]*ref, which
@@ -492,18 +508,16 @@ def _component_member(lvl: Level, d, orders) -> bool:
     """
     if not orders:
         return True
-    lbl = theta_label(lvl, d)
-    if lbl is None:
+    key = member_key(lvl, d)
+    if key is None:
         return False
-    v, w = lbl
+    u0, w = key
     wsum = sum(w)
     top = max(orders)
     jmax = top - wsum  # p + n - |w| with p = top - n
     if jmax < 0:
         return False
-    model, b = lvl.model, lvl.b
-    u0 = tuple(b[i] + v[i] for i in range(model.n))
-    exps = _expansion_orders(model, u0, w, jmax)
+    exps = _expansion_orders(lvl.model, u0, w, jmax)
     work = integer_row(orders)
     for m in range(top, -1, -1):
         c = work.get(m)

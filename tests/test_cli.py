@@ -1,5 +1,6 @@
 """The harness: dispatch, exit codes, serialization, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -136,6 +137,7 @@ N2_MODEL = {"n": 2, "exponents": [1, 2]}
         ({"command": "verify-thm42", "model": N2_MODEL, "pmax": -5}, None),
         ({"command": "verify-thm42", "model": N2_MODEL, "samples": -1}, None),
         ({"command": "psi-dims", "model": N2_MODEL, "pmax": -3}, None),
+        ({"command": "verify-cor24", "model": {"n": 2, "exponents": [2, 3]}, "box": 2, "p": -1}, None),
     ],
     ids=[
         "box", "exponents", "exponents-not-list", "alpha-inf", "cap-inf",
@@ -145,6 +147,7 @@ N2_MODEL = {"n": 2, "exponents": [1, 2]}
         "exponents-text", "exponents-bool", "pairs-float", "coeffs-float",
         "cor23-alpha-outside", "cor24-alpha-outside",
         "thm42-pmax-negative", "thm42-samples-negative", "psi-dims-pmax-negative",
+        "cor24-p-negative",
     ],
 )
 def test_malformed_values_exit_1(config, env_jobs, monkeypatch, capsys):
@@ -300,6 +303,48 @@ def test_failure_exit_2(monkeypatch):
     monkeypatch.setitem(cli._HANDLERS, "lct", broken)
     report, code = run({"command": "lct"})
     assert code == 2 and report["summary"]["fail"] == 1
+
+
+# sha256 of report_to_json at box 4 with all jumps, recorded before the
+# nearby-cycles checks computed their de Rham keys in integers and asked one
+# membership per key; a faster path must keep these reports byte for byte
+NEARBY_CYCLES_REPORTS = {
+    "verify-cor51": {
+        (1, (2,)): "45d34997c57d2fd1f786badfdbc0dd4bbe5532a4a9c56f4db1b68d5049041988",
+        (2, (2, 3)): "7c76c7384a2de86740159960416c7e54a5a204b06a01a51754988e8f8d82c661",
+        (2, (3, 4)): "9c71dd77d3869ee46ca2f86cf9b5df907ca71546ee6ff1b48009861fe222fe7a",
+        (3, (1, 2, 2)): "002d2d3e2fa9ffabe536565f4d4d2c58e3d14d1b16223c1b509229b9b2c65ac4",
+        (3, (2, 3)): "a29a8e7dbea05a924ea0af5a905167f56fc4d485257945d92126a1286b374335",
+        (3, (2, 2, 3)): "0188982a8008a33088711f4d20fd953a163bb6ff1e12e0d8cd28689a9d04cba7",
+    },
+    "verify-cor23": {
+        (1, (2,)): "2d03f1146bb87a7cf6d503a678d7c2f5ce128be02203e092866d571102d7dd8c",
+        (2, (2, 3)): "743b7ad00a857cc27a7bc5dd7c4604f83aa9b9a9549eb38b7fa4e79e826fa62c",
+        (2, (3, 4)): "7a48611587b73809450748e143548e13ebb758cca706f093124cc79abde9eb7a",
+        (3, (1, 2, 2)): "49d1737d6d74479cb78ec935bae28b7edc42772ea3d417bbac9efea9c0bb2fc0",
+        (3, (2, 3)): "bdc8fb9d362cd62650a888afbd2ef21d3454a22a14ecf84fd6dc70c7f0da4f12",
+        (3, (2, 2, 3)): "ccc3465a65fbe680ad148b5e751877bcd30649b66009d8197ac2b0d8568893bb",
+    },
+    "verify-cor24": {
+        (1, (2,)): "4b2e2534a0319592702b95158c6d1e38502574b5047597008858b98785ee105f",
+        (2, (2, 3)): "a6682ecd723e3af23d178ae898f0cce8b5cc96cfdf0e01bae3201f3fd814d28f",
+        (2, (3, 4)): "1fbb06fbf64578b20e3da4920b6eab64bf145cac23a8522977e7492f02356a5d",
+        (3, (1, 2, 2)): "5a74eee70b63ca7252ec320218dd792e6e1ff4cba3fd14a81f5a0a6a063e9e4e",
+        (3, (2, 3)): "acba902b33d3d5750de0d47c6b72ca6d13a083a1f94e92811bf635681b46a6de",
+        (3, (2, 2, 3)): "9cb08c69d865b0f68f9883d833b27a49e43bf709fffcfdbc92773887fa6fb01a",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEARBY_CYCLES_REPORTS))
+def test_nearby_cycles_report_bytes_pinned(command):
+    got = {}
+    for n, exponents in NEARBY_CYCLES_REPORTS[command]:
+        config = {"command": command, "model": {"n": n, "exponents": list(exponents)}, "box": 4}
+        report, code = run(config)
+        assert code == 0, report
+        got[n, exponents] = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+    assert got == NEARBY_CYCLES_REPORTS[command]
 
 
 def test_determinism_across_job_counts():

@@ -28,6 +28,7 @@ from minexp_lab.vfilt import (
     count_grF_grV,
     gr_class_rep,
     gr_coordinate,
+    grF_grV_support,
 )
 from minexp_lab.weyl import MonomialModel
 
@@ -351,6 +352,64 @@ def test_equal_keys_have_equal_complexes():
                 else:
                     first[key] = complexes.complex_at(i, D)
     assert repeats > 0
+
+
+def _fraction_keys(complexes, i):
+    """keys(i) with each coordinate a Fraction: per locus, the bits of its
+    terms and gr_coordinate of every edge whose target term is present, in
+    complex_at's order; the support of each p read from a set of its
+    points, nothing taken from the memo's coordinates."""
+    lvl = complexes.lvl
+    n = lvl.model.n
+    loci = {}
+    for q, subsets in enumerate(complexes.subsets):
+        p = i + q - 2 * n
+        support = set(grF_grV_support(lvl, p, complexes.scan))
+        for _, bit, deg, wedges in subsets:
+            for d in support:
+                D = tuple(x + e for x, e in zip(d, deg))
+                if D in complexes.points:
+                    got = loci.setdefault(D, [0, []])
+                    got[0] |= bit
+                    got[1].append((p, d, wedges))
+    keys = {}
+    for D, (mask, terms) in loci.items():
+        coords = []
+        for p, d, wedges in terms:
+            for k, _, tbit, _ in wedges:
+                if mask & tbit:
+                    img = derham._orders_dy(gr_class_rep(lvl, p, d), lvl.model, d, k)
+                    target = tuple(x - (t == k) for t, x in enumerate(d))
+                    coords.append(gr_coordinate(img, lvl, p + 1, target))
+        keys[D] = (mask, tuple(coords))
+    return keys
+
+
+def _classes(keys):
+    """The partition of the loci into classes of equal keys."""
+    classes = {}
+    for D, key in keys.items():
+        classes.setdefault(key, set()).add(D)
+    return {frozenset(c) for c in classes.values()}
+
+
+def test_integer_keys_split_loci_like_fraction_keys():
+    # every catalog level, every i, on the radius-2 box: the interned integer
+    # keys and the Fraction-valued keys partition the loci into the same
+    # classes, so the memo ranks the same complexes
+    levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
+    assert len(levels) == 172
+    merged = 0
+    for lvl in levels:
+        box = TruncationBox.radius(lvl.model.n, 2)
+        complexes = _LevelComplexes(lvl, box)
+        for i in range(lvl.model.n):
+            keys, reference = complexes.keys(i), _fraction_keys(complexes, i)
+            assert keys.keys() == reference.keys(), (lvl, i)
+            assert _classes(keys) == _classes(reference), (lvl, i)
+            assert all(key[0] == reference[D][0] for D, key in keys.items())
+            merged += len(keys) - len(set(keys.values()))
+    assert merged > 0
 
 
 def test_one_rank_per_distinct_complex(monkeypatch):
