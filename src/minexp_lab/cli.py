@@ -281,6 +281,10 @@ def _cmd_sweep(command, config, jobs):
     sweep = _SWEEPS[command]
     got = _parse(config, ("model", "box", "alpha") + sweep.keys)
     model, radius = got["model"], got["box"]
+    if got.get("p") is not None and got["p"] < 0:
+        # cor24_check refuses it too, but the alpha filter below may leave
+        # no item to reach it
+        raise InputError(f"p must be >= 0, got {got['p']}")
     alphas = _or_jumps(got["alpha"], model)
     if sweep.open_interval:
         # the default all-jumps list ends at 1; an explicit alpha must fit

@@ -33,26 +33,33 @@ G = D_alpha complex sits at multidegree b = ceil(alpha a) - 1.
 
 GradedCbar.point_grid evaluates a whole box at once and returns
 (table, flat, gates): per-coordinate tables of the truncation signature give
-one core lookup per combination of the distinct bounds of the divisor
-coordinates, the table holds each distinct result once, flat holds one index
-into the table per point of the divisor coordinates (built from each
+the combinations of the distinct bounds of the divisor coordinates, each
+with its translation class, built one column at a time; the core is looked
+up once per class, the table holds each distinct result once, flat holds one
+index into the table per point of the divisor coordinates (built from each
 column's indices, looked up once per column), and gates holds the gates
 d_j >= 0 of the free coordinates.  cohomology_grid spreads table[f] over
 the gates into a list in box order.  The resolution sweeps compare whole
 lists, and read each table entry once: H^0 and the off-degree check
 (acyclicity in i, concentration in ii) are taken per entry, and the H^0
 list is one indexed spread that meets the count grid of vfilt in one
-list ==.  The sigma-injective check of i covers each locus where
-vfilt.gr_label_grid lists a class and H^0 != 0: the full expansion of the
+list ==.  The sigma-injective check of i covers each locus where a class
+of Gr^F_{p-1} V_{-alpha} exists and H^0 != 0: the full expansion of the
 class representative must lead with dt-order p - 1 + n.  Within one
 (level, p), loci whose expansions share a vfilt.expansion_key share the
 orders, and that key is fixed by the lead key (u0_0 where w_0 > 0, w), since
-u0_i = b_i wherever w_i > 0 for i >= 1; so the lead is checked once per key,
-and the other loci of a key cost one dict hit.  A locus with H^0 != 0 and
-no class fails that check too.  Only when a check fails are the loci
-scanned in box order, with the checks in their per-locus order (acyclicity
-or concentration, then H0-dims, then sigma-injective), so a FAIL names the
-same first locus and fields as a per-locus loop would.
+u0_i = b_i wherever w_i > 0 for i >= 1; so the lead is checked once per key.
+A passing sweep visits no locus for it: vfilt.gr_label_leads gives the
+box-order class list and the first (u0, w) of each lead key from its
+per-coordinate tables, and the check passes when the class list equals the
+count grid (which equals the H^0 list), so the loci with a class are exactly
+those with H^0 != 0, and every key leads right.  Otherwise the loci of
+vfilt.gr_label_grid are walked in box order, reusing the leads already
+checked; a locus with H^0 != 0 and no class fails there, while a class where
+H^0 = 0 is not read, so the walk may still pass.  Only when a check fails
+are the loci scanned in box order, with the checks in their per-locus order
+(acyclicity or concentration, then H0-dims, then sigma-injective), so a
+FAIL names the same first locus and fields as a per-locus loop would.
 tests/test_koszul.py keeps that loop, with every check at every locus, as the
 reference.
 """
@@ -76,6 +83,7 @@ from .vfilt import (
     b_vector,
     gr_count_grid,
     gr_label_grid,
+    gr_label_leads,
     grF_grV_grid,
 )
 from .weyl import BgElement, MonomialModel, WeylOperator, act_right, compose
@@ -448,12 +456,14 @@ class GradedCbar:
         min(max(c_i - 1 - d_i, 0), cap + 1) of each divisor coordinate i,
         tlo_i for c the twist and thi_i for c the deeper one.  Each bound
         takes at most cap + 2 values, so a coordinate's column of
-        (tlo_i, thi_i) has few distinct entries: the core cohomology is
-        looked up once per combination of distinct entries, and the index
-        of each column entry, looked up once per column, builds flat.
-        Combinations whose lookups return the same result object (one
-        translation class, or thi = tlo, where the quotient is 0) share one
-        table entry.
+        (tlo_i, thi_i) has few distinct entries, and the index of each
+        column entry, looked up once per column, builds flat.  Column by
+        column, each combination of distinct entries also gets its
+        translation class (omega - |tlo|, thi - tlo), which is what
+        CoreCohomology.dims keys its cache by: the core is looked up once
+        per class, with the untranslated signature of the class's first
+        combination.  Classes whose lookups return the same result object
+        (thi = tlo, where the quotient is 0) share one table entry.
         """
         n, r = self.model.n, self.model.r
         omega = p + n - r
@@ -466,23 +476,25 @@ class GradedCbar:
         def bound(c, i, x):
             return None if c is None else min(max(c[i] - 1 - x, 0), cap + 1)
 
-        flat, distinct = [0], []
+        flat, keys, sigs = [0], [(omega, ())], [((), ())]
         for i in range(r):
             column = [(bound(self.c_lo, i, x), bound(self.c_hi, i, x)) for x in axes[i]]
             index = {b: k for k, b in enumerate(dict.fromkeys(column))}
             ks, m = [index[b] for b in column], len(index)
             flat = [f * m + k for f in flat for k in ks]
-            distinct.append(index)
+            shifts = [(lo, None if hi is None else hi - lo) for lo, hi in index]
+            keys = [(o - lo, t + (dh,)) for o, t in keys for lo, dh in shifts]
+            sigs = [(tl + (lo,), th + (hi,)) for tl, th in sigs for lo, hi in index]
         dims, empty = self.core.dims, {}
-        table, slot, at = [], {}, []  # at: combination -> index in table
-        for combo in itertools.product(*distinct):
-            tlo, thi = zip(*combo)
-            thi = None if self.c_hi is None else thi
-            h = empty if thi == tlo else dims(omega, tlo, thi)
-            k = slot.setdefault(id(h), len(table))
-            if k == len(table):
-                table.append(h)
-            at.append(k)
+        table, slot, of_class = [], {}, {}  # of_class: class -> index in table
+        for key, (tlo, thi) in zip(keys, sigs):
+            if key not in of_class:
+                thi = None if self.c_hi is None else thi
+                h = empty if thi == tlo else dims(omega, tlo, thi)
+                k = of_class[key] = slot.setdefault(id(h), len(table))
+                if k == len(table):
+                    table.append(h)
+        at = [of_class[key] for key in keys]  # combination -> index in table
         return table, [at[f] for f in flat], gates
 
 
@@ -557,37 +569,50 @@ def verify_thm42_i(model: MonomialModel, alpha, p_range, box: TruncationBox):
     lvl = Level(model, alpha)
     gc = GradedCbar(model, lvl.twist)
     report = {"status": "PASS", "checks": []}
-    pos = {d: k for k, d in enumerate(box)}
     for p in p_range:
         grid = gc.point_grid(p, box)
         h0 = _h0_list(*grid)
         want = gr_count_grid(lvl, p - 1, box)
         top = p - 1 + model.n
-        leads = {}  # at loci with H^0 != 0 and a class, up to the first bad lead
-        seen = {}  # _lead_key -> lead ok: loci sharing a key share the orders
-        for d, u0, w in gr_label_grid(lvl, p - 1, box):
-            k = pos[d]
-            if h0[k]:
-                key = _lead_key(u0, w)
-                ok = seen.get(key)
-                if ok is None:
-                    orders = _expansion_orders(model, u0, w, 0)[0]
-                    ok = seen[key] = max(orders) == top and bool(orders[top])
-                leads[k] = ok
-                if not ok:
-                    break
-        if (
-            not all(map(_acyclic, grid[0])) or h0 != want
-            or not all(leads.values()) or len(leads) != len(h0) - h0.count(0)
-        ):
-            return _scan(report, p, box, grid, want, _acyclic, _THM42I, leads)
+        seen = {}  # lead key -> lead ok: loci sharing a key share the orders
+
+        def lead_ok(key, u0, w):
+            ok = seen.get(key)
+            if ok is None:
+                orders = _expansion_orders(model, u0, w, 0)[0]
+                ok = seen[key] = max(orders) == top and bool(orders[top])
+            return ok
+
+        passed = all(map(_acyclic, grid[0])) and h0 == want
+        if passed:
+            classes, firsts = gr_label_leads(lvl, p - 1, box)
+            passed = classes == want and all(
+                lead_ok(key, *lead) for key, lead in firsts.items()
+            )
+        loci = len(h0) - h0.count(0)
+        if not passed:
+            # the per-locus walk decides; it can still pass, e.g. with an
+            # extra class where H^0 = 0, which it does not read
+            pos = {d: k for k, d in enumerate(box)}
+            leads = {}  # at loci with H^0 != 0 and a class, up to the first bad lead
+            for d, u0, w in gr_label_grid(lvl, p - 1, box):
+                k = pos[d]
+                if h0[k]:
+                    ok = leads[k] = lead_ok(_lead_key(u0, w), u0, w)
+                    if not ok:
+                        break
+            if (
+                not all(map(_acyclic, grid[0])) or h0 != want
+                or not all(leads.values()) or len(leads) != loci
+            ):
+                return _scan(report, p, box, grid, want, _acyclic, _THM42I, leads)
         report["checks"].append(
             {
                 "name": "thm42i",
                 "status": "PASS",
                 "p": p,
                 "alpha": format_rational(lvl.alpha),
-                "nonzero_H0_loci": len(leads),
+                "nonzero_H0_loci": loci,
             }
         )
     return report

@@ -37,7 +37,11 @@ and yields, in box order, (d, u0, w) for each locus where the class of
 Gr^F_p V_{-alpha} exists, u0 = b + v being the exponent its representative
 starts from; gr_class_rep, the one-point entry, builds the same u0 from
 gr_label, and the tests hold the two equal at every locus of every catalog
-level.
+level.  gr_label_leads reads the same rule without visiting the loci: the
+points past the first coordinate group by their w, and sorted by weight,
+the groups with a class at one d_0 are a prefix, so it returns the class
+list in box order and the first (u0, w) of each distinct lead key
+(u0_0 if w_0 else 0, w) at about one step per key.
 grF_grV_support lists the points of the box where Gr^F_p Gr^V_{-alpha} is
 nonzero, from one table of both levels' weights.  The expansion and grid
 caches hold one model at a time.
@@ -59,6 +63,7 @@ beta = -alpha, i.e. theta + alpha kills Gr^V_{-alpha} after at most r steps.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -370,6 +375,62 @@ def gr_label_grid(lvl: Level, p, box: TruncationBox):
         for s, d, u, w in rest:
             if s <= limit:
                 yield (x,) + d, (x + w[0],) + u, w
+
+
+def gr_label_leads(lvl: Level, p, box: TruncationBox):
+    """(classes, leads) for the loci gr_label_grid lists, without visiting
+    them: classes is the box-order list with 1 where the class exists, and
+    leads maps each distinct lead key (u0_0 if w_0 else 0, w) to the
+    (u0, w) of its first locus in box order.
+
+    The points of the rest coordinates (all but the first) fall into groups
+    of equal w, one per combination of the distinct w_i of each coordinate;
+    the first x of each w_i fixes the group's first point and its u0 there.
+    A negative free coordinate weighs more than p + n, so its groups never
+    pass.  A group of weight s passes at d_0 = x iff
+    s <= p + n + min(x - b_0, 0); sorted by weight, the groups that pass at
+    one x are a prefix, each giving one key, so the keys cost a step per
+    (x, group), not one per locus.  classes marks the points whose group is
+    in that prefix, with one row per distinct prefix.
+    """
+    b, n, r = lvl.b, lvl.model.n, lvl.model.r
+    axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
+    top = p + n
+    fail = max(top, 0) + 1
+    cols, flat = [], [0]  # flat: the group of each rest point, in box order
+    for i in range(1, n):
+        ws = [max(b[i] - x, 0) if i < r else 0 if x >= 0 else fail for x in axes[i]]
+        first = {}  # w_i -> u0_i = max(x, b_i) at the first x with that w_i
+        for w, x in zip(ws, axes[i]):
+            first.setdefault(w, max(x, b[i]))
+        index = {w: k for k, w in enumerate(first)}
+        ks, m = [index[w] for w in ws], len(index)
+        flat = [f * m + k for f in flat for k in ks]
+        cols.append(first.items())
+    groups = []  # (weight, group, w, u0 past the first coordinate), by weight
+    for g, combo in enumerate(itertools.product(*cols)):
+        w, u = zip(*combo) if combo else ((), ())
+        s = sum(w)
+        groups.append((s, g, (top - s,) + w, u))
+    groups.sort()
+    rank = [0] * len(groups)
+    for k, group in enumerate(groups):
+        rank[group[1]] = k
+    ranks = [rank[f] for f in flat]
+    cut = [group[0] for group in groups]
+    classes, rows, leads = [], {}, {}
+    for x in axes[0]:
+        passing = bisect.bisect_right(cut, top + min(x - b[0], 0))
+        row = rows.get(passing)
+        if row is None:
+            row = rows[passing] = [1 if k < passing else 0 for k in ranks]
+        classes += row
+        for _, _, w, u in groups[:passing]:
+            u00 = x + w[0]
+            key = (u00 if w[0] else 0), w
+            if key not in leads:
+                leads[key] = (u00,) + u, w
+    return classes, leads
 
 
 def grF_grV_grid(lvl: Level, p, box: TruncationBox) -> list:

@@ -138,6 +138,7 @@ N2_MODEL = {"n": 2, "exponents": [1, 2]}
         ({"command": "verify-thm42", "model": N2_MODEL, "samples": -1}, None),
         ({"command": "psi-dims", "model": N2_MODEL, "pmax": -3}, None),
         ({"command": "verify-cor24", "model": {"n": 2, "exponents": [2, 3]}, "box": 2, "p": -1}, None),
+        ({"command": "verify-cor24", "model": {"n": 1, "exponents": [1]}, "box": 2, "p": -1}, None),
     ],
     ids=[
         "box", "exponents", "exponents-not-list", "alpha-inf", "cap-inf",
@@ -147,7 +148,7 @@ N2_MODEL = {"n": 2, "exponents": [1, 2]}
         "exponents-text", "exponents-bool", "pairs-float", "coeffs-float",
         "cor23-alpha-outside", "cor24-alpha-outside",
         "thm42-pmax-negative", "thm42-samples-negative", "psi-dims-pmax-negative",
-        "cor24-p-negative",
+        "cor24-p-negative", "cor24-p-negative-no-alpha",
     ],
 )
 def test_malformed_values_exit_1(config, env_jobs, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """The twisted Koszul complexes, their graded cohomology, and the machine
 checks of the resolution, quotient, and monodromy identifications."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -9,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from minexp_lab import koszul, vfilt
-from minexp_lab.cli import catalog
+from minexp_lab.cli import catalog, report_to_json, run
 from minexp_lab.divisors import jump_candidates, round_gt, round_up
 from minexp_lab.koszul import (
     GradedCbar,
@@ -414,18 +415,33 @@ def _flip(monkeypatch, name, target, p_at=None):
     monkeypatch.setattr(koszul, name, flipped)
 
 
+def _leads_of(listing, box):
+    """gr_label_leads' (classes, leads), read off a per-locus listing of
+    (d, u0, w) in box order."""
+    labelled, firsts = set(), {}
+    for d, u0, w in listing:
+        labelled.add(d)
+        firsts.setdefault(koszul._lead_key(u0, w), (u0, w))
+    return [int(d in labelled) for d in box], firsts
+
+
 def _drop_label(monkeypatch, target):
     """The Gr^F class at `target` goes missing: from gr_label, which the
-    reference's gr_class_rep reads, and from the sweep's label kernel."""
+    reference's gr_class_rep reads, and from the sweep's label kernels (the
+    per-locus listing and the class list and first loci of the keys)."""
     grid, label = koszul.gr_label_grid, vfilt.gr_label
 
     def dropped_grid(lvl, p, box):
         return ((d, u0, w) for d, u0, w in grid(lvl, p, box) if d != target)
 
+    def dropped_leads(lvl, p, box):
+        return _leads_of(dropped_grid(lvl, p, box), box)
+
     def dropped_label(lvl, p, d):
         return None if tuple(d) == target else label(lvl, p, d)
 
     monkeypatch.setattr(koszul, "gr_label_grid", dropped_grid)
+    monkeypatch.setattr(koszul, "gr_label_leads", dropped_leads)
     monkeypatch.setattr(vfilt, "gr_label", dropped_label)
 
 
@@ -461,6 +477,79 @@ def test_planted_thm42ii_concentration(monkeypatch):
 def test_planted_thm42ii_H0_dims(monkeypatch):
     _flip(monkeypatch, "grF_grV_grid", (2, -1, 1))
     assert _planted_fail(verify_thm42_ii, "thm42ii-H0-dims")["degree"] == [2, -1, 1]
+
+
+def _zero_leads_with_dy_weight(monkeypatch):
+    """Every class representative with w_2 > 0 loses its lead; the first
+    such locus in box order with H^0 != 0 fails thm42i-sigma-injective."""
+    inner = koszul._expansion_orders
+
+    def zeroed(model, u0, w, jmax):
+        out = inner(model, u0, w, jmax)
+        if w[1] > 0:
+            out = [{**out[0], max(out[0]): 0}] + out[1:]
+        return out
+
+    monkeypatch.setattr(koszul, "_expansion_orders", zeroed)
+
+
+# sha256 of report_to_json for verify-thm42 at box 4 with all jumps (jobs 1),
+# recorded before the sweep checked one lead per key from the label tables
+# and looked the core up once per translation class: unplanted, and under
+# one plant per kind of FAIL, which every report must keep byte for byte
+THM42_PLANTS = {
+    "none": lambda mp: None,
+    "acyclicity": lambda mp: _plant_points(mp, False, {-1: 1}, (1, -2, 2)),
+    "H0-dims": lambda mp: _flip(mp, "gr_count_grid", (0, 2, 1)),
+    "sigma-injective": _zero_leads_with_dy_weight,
+    "grV-dims": lambda mp: _flip(mp, "grF_grV_grid", (2, -1, 1)),
+}
+THM42_REPORTS = {
+    "none": {
+        (1, (2,)): "cf4d4bf7a7c14ccdc3693724076db8d4515e64aa354f103594527f3a6b78480b",
+        (2, (2, 3)): "8ce5e0afd0c5af5fdf335212986fbf3693119d06803588f59107b07ce6024849",
+        (2, (3, 4)): "51db402d20b4217e2d73116952f7c84d44304a91b637e7bb88b05f7f585afd20",
+        (3, (1, 2, 2)): "fb8007a65f18a90a1feeae161e547ecf69c7bdd7231966d30bdd53d57e100f16",
+        (3, (2, 3)): "0911d2f788626e504e3afdec99da7fad127fd70527636c868cb22680a8583ae9",
+        (3, (2, 2, 3)): "49675792ff7f44d4ca77c151fb176fd13ef6ad13925795ad4048fcb07bd87f51",
+    },
+    "acyclicity": {
+        (3, (1, 2, 2)): "6399fb9684588ffecc932c39df63743fff2993d4e4638f39927fb1363a758202",
+        (3, (2, 3)): "46a11ad52cc9bb77cf0b4eb22b8f8bc8b65a83ae97f4c6a15f1c452e501fa67a",
+        (3, (2, 2, 3)): "12601a4ad07d14563492fdbb6b3f143d4a8c9652683b9841dcd9cfaf15dbe617",
+    },
+    "H0-dims": {
+        (3, (1, 2, 2)): "3ced3fc6f771a502bcc54ea781c57448f6420a9dca87bac92dcc346bbd5b5981",
+        (3, (2, 3)): "d0263533d34cedea49fe2dc620a170bd6f34ed2a1a18e9ec63e2f9c25cc05b03",
+        (3, (2, 2, 3)): "0ecf2b9278ce51cc5700fe089598009075b8b53c7e4682984a99cb72418715fe",
+    },
+    "sigma-injective": {
+        (3, (1, 2, 2)): "3b928f96683707a32d52181e34305b3ba4fc0cce3ad700643daa19ebbd4090d4",
+        (3, (2, 3)): "222e6a49bf5cb0f2cccd6215636fc25eeba516732b047b0579978929f43427ee",
+        (3, (2, 2, 3)): "c616a71d32e53958dcd17a6ba22a7da718f024e6aafc3647ff3793c8939aac64",
+    },
+    "grV-dims": {
+        (3, (1, 2, 2)): "75e59e8534fe9591768e413a8a761a658f248ed892bc4789d285f07586bc8408",
+        (3, (2, 3)): "69fd5e5e72736adf7d3d5b2c2fb236a4e0512b8e128238e5e0923508263e173a",
+        (3, (2, 2, 3)): "7a095c75f3559e5db5018dcd1766a6a1372f006887c21a8195ccdc8662f91bd0",
+    },
+}
+
+
+def _thm42_report_hashes(plant, monkeypatch):
+    THM42_PLANTS[plant](monkeypatch)
+    got = {}
+    for n, exponents in THM42_REPORTS[plant]:
+        config = {"command": "verify-thm42", "model": {"n": n, "exponents": list(exponents)}, "box": 4}
+        report, code = run(config)
+        assert code == (0 if plant == "none" else 2), (plant, n, exponents)
+        got[n, exponents] = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+    return got
+
+
+@pytest.mark.parametrize("plant", sorted(THM42_REPORTS))
+def test_thm42_report_bytes_pinned(plant, monkeypatch):
+    assert _thm42_report_hashes(plant, monkeypatch) == THM42_REPORTS[plant]
 
 
 def test_sigma_failure_before_H0_mismatch(monkeypatch):
@@ -605,6 +694,122 @@ def test_expansion_key_once_per_distinct_key(monkeypatch):
     assert rep["status"] == "PASS"
     loci = sum(c["nonzero_H0_loci"] for c in rep["checks"])
     assert 0 < len(calls) <= len(distinct) < loci
+
+
+def test_passing_thm42i_never_walks_the_loci(monkeypatch):
+    # every catalog level in (0, 1] at radius 2 with p in -n..3: the sweep
+    # passes from the class list and one lead per key, never lists the loci,
+    # and reports what the per-locus reference reports
+    def walked(lvl, p, box):
+        raise AssertionError("a passing sweep listed the loci")
+
+    monkeypatch.setattr(koszul, "gr_label_grid", walked)
+    for lvl in _catalog_levels():
+        model = lvl.model
+        box = TruncationBox.radius(model.n, 2)
+        p_range = range(-model.n, 4)
+        rep = verify_thm42_i(model, lvl.alpha, p_range, box)
+        assert rep["status"] == "PASS"
+        assert rep == _reference_thm42_i(model, lvl.alpha, p_range, box), (model, lvl.alpha)
+
+
+def test_extra_class_where_H0_vanishes_still_passes(monkeypatch):
+    # the label kernels list one more class, at a locus whose free
+    # coordinate is negative, so H^0 = 0 there at every p: the class list no
+    # longer matches the count grid, the sweep falls back to the per-locus
+    # walk at every p, and that walk, like the reference, reads leads only
+    # where H^0 != 0, so the sweep still passes with the same report
+    target = (0, 0, -1)
+    grid = koszul.gr_label_grid
+    walks = []
+
+    def extra_grid(lvl, p, box):
+        top = max(p + lvl.model.n, 0)
+        listed = {d: (u0, w) for d, u0, w in grid(lvl, p, box)}
+        listed[target] = (target[0] + top, max(target[1], lvl.b[1]), target[2]), (top, 0, 0)
+        return ((d, *listed[d]) for d in box if d in listed)
+
+    def extra_leads(lvl, p, box):
+        return _leads_of(extra_grid(lvl, p, box), box)
+
+    def walked(lvl, p, box):
+        walks.append(p + 1)
+        return extra_grid(lvl, p, box)
+
+    monkeypatch.setattr(koszul, "gr_label_grid", walked)
+    monkeypatch.setattr(koszul, "gr_label_leads", extra_leads)
+    new = verify_thm42_i(PLANT_MODEL, PLANT_ALPHA, PLANT_P, PLANT_BOX)
+    assert new["status"] == "PASS"
+    assert new == _reference_thm42_i(PLANT_MODEL, PLANT_ALPHA, PLANT_P, PLANT_BOX)
+    assert walks == list(PLANT_P)
+
+
+def test_passing_sweep_work_per_key_and_class(monkeypatch):
+    # a passing sweep of PLANT_MODEL at radius 6 never lists the loci, asks
+    # for one expansion per distinct lead key, and per point_grid looks the
+    # core up once per translation class (omega - |tlo|, thi - tlo) of the
+    # combinations of clamped bounds, leaving out thi = tlo (the quotient is
+    # 0 there)
+    box = TruncationBox.radius(3, 6)
+    n, r = PLANT_MODEL.n, PLANT_MODEL.r
+    alphas = jump_candidates(PLANT_MODEL.divisor(), 0, 1)
+    keys = {
+        alpha: sum(
+            len({koszul._lead_key(u0, w) for _, u0, w in gr_label_grid(Level(PLANT_MODEL, alpha), p - 1, box)})
+            for p in PLANT_P
+        )
+        for alpha in alphas
+    }
+    inner_orders, inner_grid, inner_dims = (
+        koszul._expansion_orders, GradedCbar.point_grid, koszul.CoreCohomology.dims,
+    )
+    orders, dims = [], []
+
+    def walked(lvl, p, box):
+        raise AssertionError("a passing sweep listed the loci")
+
+    def counted_orders(model, u0, w, jmax):
+        orders.append(koszul._lead_key(u0, w))
+        return inner_orders(model, u0, w, jmax)
+
+    def counted_dims(self, *args):
+        dims[-1] += 1
+        return inner_dims(self, *args)
+
+    def checked_grid(self, p, box):
+        dims.append(0)
+        out = inner_grid(self, p, box)
+        omega = p + n - r
+        cap = omega + r - 1
+
+        def clamp(c, i, x):
+            return None if c is None else min(max(c[i] - 1 - x, 0), cap + 1)
+
+        columns = [
+            {(clamp(self.c_lo, i, x), clamp(self.c_hi, i, x)) for x in range(box.lo[i], box.hi[i] + 1)}
+            for i in range(r)
+        ]
+        classes = set()
+        for combo in itertools.product(*columns):
+            tlo, thi = zip(*combo)
+            if self.c_hi is None:
+                classes.add(omega - sum(tlo))
+            elif thi != tlo:
+                classes.add((omega - sum(tlo), tuple(h - l for l, h in combo)))
+        assert dims[-1] == (len(classes) if cap >= 0 else 0), (p, dims[-1], len(classes))
+        return out
+
+    monkeypatch.setattr(koszul, "gr_label_grid", walked)
+    monkeypatch.setattr(koszul, "_expansion_orders", counted_orders)
+    monkeypatch.setattr(koszul.CoreCohomology, "dims", counted_dims)
+    monkeypatch.setattr(GradedCbar, "point_grid", checked_grid)
+    for alpha in alphas:
+        orders.clear()
+        rep = verify_thm42_i(PLANT_MODEL, alpha, PLANT_P, box)
+        assert rep["status"] == "PASS"
+        assert len(orders) == len(set(orders)) == keys[alpha], alpha
+        assert verify_thm42_ii(PLANT_MODEL, alpha, PLANT_P, box)["status"] == "PASS"
+    assert len(dims) == 2 * len(alphas) * len(PLANT_P) and sum(dims) > 0
 
 
 def test_core_looked_up_once_per_distinct_signature(monkeypatch):

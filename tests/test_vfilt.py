@@ -28,6 +28,7 @@ from minexp_lab.vfilt import (
     gr_dim,
     gr_label,
     gr_label_grid,
+    gr_label_leads,
     grF_grV_grid,
     grF_grV_support,
     hodge_level,
@@ -331,6 +332,35 @@ def test_label_grid_matches_gr_label():
                 assert rep == _expansion_orders(model, u0, w, 0)[0]
                 want.append((d, u0, w))
             assert list(gr_label_grid(lvl, p, box)) == want, (model, lvl.alpha, p)
+
+
+def test_label_leads_match_the_label_grid():
+    # every catalog level in (0, 1] with p in -n-1..3, over the radius-2 box,
+    # an off-centre box and a box whose last coordinate is negative
+    # throughout: the class list marks exactly the loci gr_label_grid lists,
+    # and each lead key (u0_0 if w_0 else 0, w) maps to the (u0, w) of its
+    # first locus in box order
+    levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
+    assert len(levels) == 172
+    keys = 0
+    for lvl in levels:
+        n = lvl.model.n
+        boxes = (
+            TruncationBox.radius(n, 2),
+            TruncationBox(tuple(range(-3, n - 3)), tuple(range(2, n + 2))),
+            TruncationBox((-2,) * n, (2,) * (n - 1) + (-1,)),
+        )
+        for box in boxes:
+            for p in range(-n - 1, 4):
+                labelled, firsts = set(), {}
+                for d, u0, w in gr_label_grid(lvl, p, box):
+                    labelled.add(d)
+                    firsts.setdefault(((u0[0] if w[0] else 0), w), (u0, w))
+                classes, leads = gr_label_leads(lvl, p, box)
+                assert classes == [int(d in labelled) for d in box], (lvl.model, lvl.alpha, p, box)
+                assert leads == firsts, (lvl.model, lvl.alpha, p, box)
+                keys += len(leads)
+    assert keys == 47726
 
 
 def _uncached_orders(model, u0, w, jmax):
