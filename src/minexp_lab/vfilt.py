@@ -63,7 +63,6 @@ beta = -alpha, i.e. theta + alpha kills Gr^V_{-alpha} after at most r steps.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -390,8 +389,8 @@ def gr_label_leads(lvl: Level, p, box: TruncationBox):
     pass.  A group of weight s passes at d_0 = x iff
     s <= p + n + min(x - b_0, 0); sorted by weight, the groups that pass at
     one x are a prefix, each giving one key, so the keys cost a step per
-    (x, group), not one per locus.  classes marks the points whose group is
-    in that prefix, with one row per distinct prefix.
+    (x, group), not one per locus.  classes marks the points whose group
+    passes, with one row per distinct limit.
     """
     b, n, r = lvl.b, lvl.model.n, lvl.model.r
     axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
@@ -407,25 +406,23 @@ def gr_label_leads(lvl: Level, p, box: TruncationBox):
         ks, m = [index[w] for w in ws], len(index)
         flat = [f * m + k for f in flat for k in ks]
         cols.append(first.items())
-    groups = []  # (weight, group, w, u0 past the first coordinate), by weight
-    for g, combo in enumerate(itertools.product(*cols)):
+    groups = []  # (weight, w, u0 past the first coordinate), in product order
+    for combo in itertools.product(*cols):
         w, u = zip(*combo) if combo else ((), ())
         s = sum(w)
-        groups.append((s, g, (top - s,) + w, u))
-    groups.sort()
-    rank = [0] * len(groups)
-    for k, group in enumerate(groups):
-        rank[group[1]] = k
-    ranks = [rank[f] for f in flat]
-    cut = [group[0] for group in groups]
+        groups.append((s, (top - s,) + w, u))
+    weights = [groups[f][0] for f in flat]
+    groups.sort(key=operator.itemgetter(0))
     classes, rows, leads = [], {}, {}
     for x in axes[0]:
-        passing = bisect.bisect_right(cut, top + min(x - b[0], 0))
-        row = rows.get(passing)
+        limit = top + min(x - b[0], 0)
+        row = rows.get(limit)
         if row is None:
-            row = rows[passing] = [1 if k < passing else 0 for k in ranks]
+            row = rows[limit] = [1 if s <= limit else 0 for s in weights]
         classes += row
-        for _, _, w, u in groups[:passing]:
+        for s, w, u in groups:
+            if s > limit:
+                break
             u00 = x + w[0]
             key = (u00 if w[0] else 0), w
             if key not in leads:
