@@ -21,7 +21,9 @@ so in a top-level `notes` list; notes are not checks and are not counted in
 Reports are deterministic byte-for-byte: checks are produced in sorted key
 order, JSON is dumped with sorted keys, and scheduling parameters (--jobs,
 --out, --format) are not echoed.  Exit codes: 0 all PASS, 1 input error,
-2 verification failure (a VerificationError is one FAIL check).  --jobs
+2 verification failure (a VerificationError is one FAIL check).  A config
+path that cannot be read or is not UTF-8, and an --out path that cannot be
+written, are input errors too; --out is checked before any work.  --jobs
 sets the worker count; MINEXP_LAB_JOBS is only the default when --jobs is
 not given.
 """
@@ -523,8 +525,13 @@ def _config_from_args(args):
     if args.command == "run":
         text = args.config
         if not text.lstrip().startswith("{"):
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(text, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise InputError(f"cannot read config {text}: {exc.strerror or exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise InputError(f"config {text} is not UTF-8: {exc.reason}") from exc
         try:
             config = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -540,19 +547,36 @@ def _config_from_args(args):
     return config
 
 
+def _check_out(path):
+    """Refuse an --out path whose folder is missing or that is a folder,
+    before any work is done."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise InputError(f"cannot write report to {path}: no folder {folder}")
+    if os.path.isdir(path):
+        raise InputError(f"cannot write report to {path}: it is a folder")
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
         jobs = args.jobs or _int("MINEXP_LAB_JOBS", os.environ.get("MINEXP_LAB_JOBS", 1), {})
+        if args.out:
+            _check_out(args.out)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     report, code = run(config, jobs=jobs)
     text = report_to_csv(report) if args.format == "csv" else report_to_json(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"input error: cannot write report to {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     if code == 1 and "error" in report:

@@ -32,27 +32,32 @@ used everywhere is the one of B_g^r, i.e. the top wedge generator of the
 G = D_alpha complex sits at multidegree b = ceil(alpha a) - 1.
 
 GradedCbar.point_grid evaluates a whole box at once and returns
-(table, flat, gates): per-coordinate tables of the truncation signature give
-the combinations of the distinct bounds of the divisor coordinates, each
-with its translation class, built one column at a time; the core is looked
-up once per class, the table holds each distinct result once, flat holds one
-index into the table per point of the divisor coordinates (built from each
-column's indices, looked up once per column), and gates holds the gates
-d_j >= 0 of the free coordinates.  cohomology_grid spreads table[f] over
-the gates into a list in box order.  The resolution sweeps compare whole
-lists, and read each table entry once: H^0 and the off-degree check
-(acyclicity in i, concentration in ii) are taken per entry, and the H^0
-list is one indexed spread that meets the count grid of vfilt in one
-list ==.  The sigma-injective check of i covers each locus where a class
+(table, at, columns, gates), with nothing per point: per-coordinate tables
+of the truncation signature give the combinations of the distinct bounds of
+the divisor coordinates, each with its translation class, built one column
+at a time; the core is looked up once per class, the table holds each
+distinct result once, `at` maps each combination to its table entry,
+columns[i] gives the index of each x of divisor coordinate i among that
+coordinate's distinct bounds, and gates holds the gates d_j >= 0 of the
+free coordinates.  The resolution sweeps compare whole box-order bytes and
+read each table entry once: H^0 and the off-degree check (acyclicity in i,
+concentration in ii) are taken per entry, and the H^0 bytes are built by
+C-level gathers and joins, one join per combination of the leading
+columns, to meet the count bytes of vfilt in one bytes ==.  Each H^0 is
+stored as min(H^0, 2), which keeps that == exact because every count grid
+is 0/1; a failing sweep reads the true dims from the table.  Only that
+failure path (_scan) and cohomology_grid, which spreads the table into a
+list of dicts in box order, index the table point by point.  The
+sigma-injective check of i covers each locus where a class
 of Gr^F_{p-1} V_{-alpha} exists and H^0 != 0: the full expansion of the
 class representative must lead with dt-order p - 1 + n.  Within one
 (level, p), loci whose expansions share a vfilt.expansion_key share the
 orders, and that key is fixed by the lead key (u0_0 where w_0 > 0, w), since
 u0_i = b_i wherever w_i > 0 for i >= 1; so the lead is checked once per key.
 A passing sweep visits no locus for it: vfilt.gr_label_leads gives the
-box-order class list and the first (u0, w) of each lead key from its
-per-coordinate tables, and the check passes when the class list equals the
-count grid (which equals the H^0 list), so the loci with a class are exactly
+box-order class bytes and the first (u0, w) of each lead key from its
+per-coordinate tables, and the check passes when the class bytes equal the
+count grid (which equals the H^0 bytes), so the loci with a class are exactly
 those with H^0 != 0, and every key leads right.  Otherwise the loci of
 vfilt.gr_label_grid are walked in box order, reusing the leads already
 checked; a locus with H^0 != 0 and no class fails there, while a class where
@@ -413,12 +418,23 @@ def _core_for(model: MonomialModel):
     return core
 
 
-def _spread(table, flat, gates, off):
+def _point_index(at, columns):
+    """The table index of each point of the divisor coordinates, in box
+    order, from point_grid's map `at` and its index columns (a point's
+    combination is its columns' indices in mixed radix)."""
+    flat = [0]
+    for ks in columns:
+        m = max(ks) + 1
+        flat = [f * m + k for f in flat for k in ks]
+    return [at[f] for f in flat]
+
+
+def _spread(table, index, gates, off):
     """table[f] for the index f of each point, repeated over the
     free-coordinate gates, off where a gate is closed: a list in box order.
     Each table entry's row over the gates is built once."""
     rows = [[v if g else off for g in gates] for v in table]
-    return list(itertools.chain.from_iterable(map(rows.__getitem__, flat)))
+    return list(itertools.chain.from_iterable(map(rows.__getitem__, index)))
 
 
 class GradedCbar:
@@ -443,27 +459,31 @@ class GradedCbar:
 
     def cohomology_grid(self, p, box: TruncationBox) -> list:
         """[self.cohomology(p, d) for d in box]."""
-        return _spread(*self.point_grid(p, box), {})
+        table, at, columns, gates = self.point_grid(p, box)
+        return _spread(table, _point_index(at, columns), gates, {})
 
     def point_grid(self, p, box: TruncationBox):
-        """(table, flat, gates): the distinct core results, each once; for
-        each point of the divisor coordinates of the box, in box order, the
-        index of its result in table; and the gates d_j >= 0 of the free
-        coordinates, in box order.  The locus (point, gate) has
-        table[flat[point]] where its gate holds and no cohomology elsewhere.
+        """(table, at, columns, gates): the distinct core results, each
+        once; for each combination of the distinct bounds of the divisor
+        coordinates, the index of its result in table (`at`); per divisor
+        coordinate i, the index of each x of the box's axis among the
+        distinct bounds of i (`columns[i]`); and the gates d_j >= 0 of the
+        free coordinates, in box order.  A point's combination is its
+        columns' indices in mixed radix, in product order, so the locus
+        (point, gate) has table[at[combination]] where its gate holds and no
+        cohomology elsewhere; nothing here is per point.
 
         A point enters only through the clamped truncation bounds
         min(max(c_i - 1 - d_i, 0), cap + 1) of each divisor coordinate i,
         tlo_i for c the twist and thi_i for c the deeper one.  Each bound
         takes at most cap + 2 values, so a coordinate's column of
-        (tlo_i, thi_i) has few distinct entries, and the index of each
-        column entry, looked up once per column, builds flat.  Column by
-        column, each combination of distinct entries also gets its
-        translation class (omega - |tlo|, thi - tlo), which is what
-        CoreCohomology.dims keys its cache by: the core is looked up once
-        per class, with the untranslated signature of the class's first
-        combination.  Classes whose lookups return the same result object
-        (thi = tlo, where the quotient is 0) share one table entry.
+        (tlo_i, thi_i) has few distinct entries.  Column by column, each
+        combination of distinct entries also gets its translation class
+        (omega - |tlo|, thi - tlo), which is what CoreCohomology.dims keys
+        its cache by: the core is looked up once per class, with the
+        untranslated signature of the class's first combination.  Classes
+        whose lookups return the same result object (thi = tlo, where the
+        quotient is 0) share one table entry.
         """
         n, r = self.model.n, self.model.r
         omega = p + n - r
@@ -471,17 +491,16 @@ class GradedCbar:
         axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
         gates = [all(g) for g in itertools.product(*([x >= 0 for x in axes[j]] for j in range(r, n)))]
         if cap < 0 or not any(gates):
-            return [{}], [0] * (box.volume() // len(gates)), gates
+            return [{}], [0], [[0] * len(axes[i]) for i in range(r)], gates
 
         def bound(c, i, x):
             return None if c is None else min(max(c[i] - 1 - x, 0), cap + 1)
 
-        flat, keys, sigs = [0], [(omega, ())], [((), ())]
+        columns, keys, sigs = [], [(omega, ())], [((), ())]
         for i in range(r):
             column = [(bound(self.c_lo, i, x), bound(self.c_hi, i, x)) for x in axes[i]]
             index = {b: k for k, b in enumerate(dict.fromkeys(column))}
-            ks, m = [index[b] for b in column], len(index)
-            flat = [f * m + k for f in flat for k in ks]
+            columns.append([index[b] for b in column])
             shifts = [(lo, None if hi is None else hi - lo) for lo, hi in index]
             keys = [(o - lo, t + (dh,)) for o, t in keys for lo, dh in shifts]
             sigs = [(tl + (lo,), th + (hi,)) for tl, th in sigs for lo, hi in index]
@@ -495,7 +514,7 @@ class GradedCbar:
                 if k == len(table):
                     table.append(h)
         at = [of_class[key] for key in keys]  # combination -> index in table
-        return table, [at[f] for f in flat], gates
+        return table, at, columns, gates
 
 
 def graded_cohomology(model: MonomialModel, G, p, box: TruncationBox,
@@ -512,8 +531,8 @@ def graded_cohomology(model: MonomialModel, G, p, box: TruncationBox,
 
 # -- resolution sweeps --------------------------------------------------------
 #
-# A sweep compares whole box-order lists: the H^0 list against the count
-# grid with one list ==, the off-degree check once per distinct core result.
+# A sweep compares whole box-order bytes: the H^0 bytes against the count
+# grid with one bytes ==, the off-degree check once per distinct core result.
 # Only when something fails does it scan the loci in box order (_scan).
 
 def _acyclic(h):
@@ -524,9 +543,20 @@ def _concentrated(h):
     return not any(q != 0 and dim for q, dim in h.items())
 
 
-def _h0_list(table, flat, gates):
-    """The H^0 dims in box order: h.get(0, 0) once per table entry."""
-    return _spread([h.get(0, 0) for h in table], flat, gates, 0)
+def _h0_bytes(table, at, columns, gates):
+    """The H^0 dims in box order as bytes, each clamped to min(H^0, 2):
+    every grid it is compared with is 0/1, so the clamp keeps each
+    comparison exact, and a failing sweep reads the true dims from the
+    table.  Each table entry's row over the gates is built once, gathered
+    per combination, then joined column by column from the last, one join
+    per combination of the columns before it."""
+    rows = [bytes(v if g else 0 for g in gates) for v in range(3)]
+    rows = [rows[min(h.get(0, 0), 2)] for h in table]
+    blocks = list(map(rows.__getitem__, at))
+    for ks in reversed(columns):
+        m = max(ks) + 1
+        blocks = [b"".join(map(blocks[k:k + m].__getitem__, ks)) for k in range(0, len(blocks), m)]
+    return blocks[0]
 
 
 def _lead_key(u0, w):
@@ -540,12 +570,14 @@ def _lead_key(u0, w):
 def _scan(report, p, box, grid, want, ok, names, leads=None):
     """Fail the report at the first locus in box order that fails, checking
     at each locus, in this order: `ok` on its cohomology, its H^0 against
-    `want`, and, given `leads` ({flat index: lead ok} at loci with a class),
+    `want`, and, given `leads` ({box index: lead ok} at loci with a class),
     that a locus with H^0 != 0 has a class with a good lead.  `grid` is
-    point_grid's (table, flat, gates); `names` are the check names and the
-    name of the count field."""
+    point_grid's (table, at, columns, gates); `names` are the check names
+    and the name of the count field."""
     off, dims, count, sigma = names
-    for k, (d, h, x) in enumerate(zip(box, _spread(*grid, {}), want)):
+    table, at, columns, gates = grid
+    cohomology = _spread(table, _point_index(at, columns), gates, {})
+    for k, (d, h, x) in enumerate(zip(box, cohomology, want)):
         if not ok(h):
             return _fail(
                 report, off, p=p, degree=list(d),
@@ -571,7 +603,7 @@ def verify_thm42_i(model: MonomialModel, alpha, p_range, box: TruncationBox):
     report = {"status": "PASS", "checks": []}
     for p in p_range:
         grid = gc.point_grid(p, box)
-        h0 = _h0_list(*grid)
+        h0 = _h0_bytes(*grid)
         want = gr_count_grid(lvl, p - 1, box)
         top = p - 1 + model.n
         seen = {}  # lead key -> lead ok: loci sharing a key share the orders
@@ -626,7 +658,7 @@ def verify_thm42_ii(model: MonomialModel, alpha, p_range, box: TruncationBox):
     report = {"status": "PASS", "checks": []}
     for p in p_range:
         grid = gq.point_grid(p, box)
-        h0 = _h0_list(*grid)
+        h0 = _h0_bytes(*grid)
         want = grF_grV_grid(lvl, p - 1, box)
         if not all(map(_concentrated, grid[0])) or h0 != want:
             return _scan(report, p, box, grid, want, _concentrated, _THM42II)

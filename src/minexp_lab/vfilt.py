@@ -27,11 +27,13 @@ the deeper Level's b + 1.  The per-multidegree functions (labels, counts,
 membership, class representatives) take the Level, never (model, alpha), so
 no rounding or Fraction hashing happens per multidegree.  A sweep over a
 whole TruncationBox uses the box kernels gr_count_grid and grF_grV_grid:
-the same closed forms, tabulated per coordinate and evaluated in one
-itertools.product pass, as a list in box order.  Count grids are cached per
-(level, p, box), as bytes, so a sweep over the alphas of one model builds
-each grid once: grF_grV_grid reuses the grid of its own level, and the
-deeper level's grid is the next alpha's.  Each call returns a fresh list.
+the same closed forms, tabulated per coordinate (one itertools.product pass
+over the coordinates past the first) and joined, one 0/1 byte row per
+distinct limit of d_0, into bytes in box order.  Count grids are cached per
+(level, p, box), so a sweep over the alphas of one model builds each grid
+once: grF_grV_grid is the bytewise h & ~g of its own level's grid and the
+deeper level's, which is the next alpha's.  Each call returns a fresh
+bytearray.
 The label kernel gr_label_grid is built the same way from gr_label's rule
 and yields, in box order, (d, u0, w) for each locus where the class of
 Gr^F_p V_{-alpha} exists, u0 = b + v being the exponent its representative
@@ -40,7 +42,7 @@ gr_label, and the tests hold the two equal at every locus of every catalog
 level.  gr_label_leads reads the same rule without visiting the loci: the
 points past the first coordinate group by their w, and sorted by weight,
 the groups with a class at one d_0 are a prefix, so it returns the class
-list in box order and the first (u0, w) of each distinct lead key
+bytes in box order and the first (u0, w) of each distinct lead key
 (u0_0 if w_0 else 0, w) at about one step per key.
 grF_grV_support lists the points of the box where Gr^F_p Gr^V_{-alpha} is
 nonzero, from one table of both levels' weights.  The expansion and grid
@@ -316,23 +318,34 @@ def _count_bytes(lvl: Level, p, box: TruncationBox) -> bytes:
     if grid is None:
         if _GRID_CACHE and next(iter(_GRID_CACHE))[:2] != key[:2]:
             _GRID_CACHE.clear()
-        grid = _GRID_CACHE[key] = bytes(_count_grid(lvl, p, box))
+        grid = _GRID_CACHE[key] = _count_grid(lvl, p, box)
     return grid
 
 
-def gr_count_grid(lvl: Level, p, box: TruncationBox) -> list:
-    """[count_gr(lvl, p, d) for d in box], built once per (level, p, box);
-    each call returns a fresh list."""
-    return list(_count_bytes(lvl, p, box))
+def gr_count_grid(lvl: Level, p, box: TruncationBox) -> bytearray:
+    """[count_gr(lvl, p, d) for d in box] as bytes, built once per (level,
+    p, box); each call returns a fresh bytearray."""
+    return bytearray(_count_bytes(lvl, p, box))
 
 
-def _count_grid(lvl: Level, p, box: TruncationBox) -> list:
+def _rows_by_limit(weights, limits) -> bytes:
+    """The box-order 0/1 bytes of `weight <= limit`, one row over `weights`
+    per entry of `limits` (one per d_0), each distinct limit's row built
+    once."""
+    rows = {}
+    for limit in limits:
+        if limit not in rows:
+            rows[limit] = bytes(map(limit.__ge__, weights))
+    return b"".join(map(rows.__getitem__, limits))
+
+
+def _count_grid(lvl: Level, p, box: TruncationBox) -> bytes:
     """gr_count_grid, uncached, from per-coordinate tables.
 
     gr_label exists iff every free coordinate is >= 0 and the dy-weight
     s = sum of max(b_i - d_i, 0) over 1 <= i < r satisfies
     s <= p + n + min(d_0 - b_0, 0); s is tabulated once over the
-    coordinates past the first, then compared per value of d_0.
+    coordinates past the first, then compared once per distinct limit.
     """
     b, n, r = lvl.b, lvl.model.n, lvl.model.r
     axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
@@ -341,11 +354,7 @@ def _count_grid(lvl: Level, p, box: TruncationBox) -> list:
     tables = [[max(b[i] - x, 0) for x in axes[i]] for i in range(1, r)]
     tables += [[0 if x >= 0 else fail for x in axes[j]] for j in range(r, n)]
     weights = [sum(c) for c in itertools.product(*tables)]
-    out = []
-    for x in axes[0]:
-        limit = p + n + min(x - b[0], 0)
-        out += [1 if s <= limit else 0 for s in weights]
-    return out
+    return _rows_by_limit(weights, [p + n + min(x - b[0], 0) for x in axes[0]])
 
 
 def gr_label_grid(lvl: Level, p, box: TruncationBox):
@@ -378,7 +387,7 @@ def gr_label_grid(lvl: Level, p, box: TruncationBox):
 
 def gr_label_leads(lvl: Level, p, box: TruncationBox):
     """(classes, leads) for the loci gr_label_grid lists, without visiting
-    them: classes is the box-order list with 1 where the class exists, and
+    them: classes is the box-order bytes with 1 where the class exists, and
     leads maps each distinct lead key (u0_0 if w_0 else 0, w) to the
     (u0, w) of its first locus in box order.
 
@@ -390,7 +399,7 @@ def gr_label_leads(lvl: Level, p, box: TruncationBox):
     s <= p + n + min(x - b_0, 0); sorted by weight, the groups that pass at
     one x are a prefix, each giving one key, so the keys cost a step per
     (x, group), not one per locus.  classes marks the points whose group
-    passes, with one row per distinct limit.
+    passes, with one byte row per distinct limit.
     """
     b, n, r = lvl.b, lvl.model.n, lvl.model.r
     axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
@@ -413,13 +422,9 @@ def gr_label_leads(lvl: Level, p, box: TruncationBox):
         groups.append((s, (top - s,) + w, u))
     weights = [groups[f][0] for f in flat]
     groups.sort(key=operator.itemgetter(0))
-    classes, rows, leads = [], {}, {}
-    for x in axes[0]:
-        limit = top + min(x - b[0], 0)
-        row = rows.get(limit)
-        if row is None:
-            row = rows[limit] = [1 if s <= limit else 0 for s in weights]
-        classes += row
+    limits = [top + min(x - b[0], 0) for x in axes[0]]
+    leads = {}
+    for x, limit in zip(axes[0], limits):
         for s, w, u in groups:
             if s > limit:
                 break
@@ -427,14 +432,15 @@ def gr_label_leads(lvl: Level, p, box: TruncationBox):
             key = (u00 if w[0] else 0), w
             if key not in leads:
                 leads[key] = (u00,) + u, w
-    return classes, leads
+    return _rows_by_limit(weights, limits), leads
 
 
-def grF_grV_grid(lvl: Level, p, box: TruncationBox) -> list:
-    """[count_grF_grV(lvl, p, d) for d in box], from the two levels' cached
-    count grids."""
-    deeper = _count_bytes(lvl.deeper, p, box)
-    return [h - g if h else 0 for h, g in zip(_count_bytes(lvl, p, box), deeper)]
+def grF_grV_grid(lvl: Level, p, box: TruncationBox) -> bytearray:
+    """[count_grF_grV(lvl, p, d) for d in box] as a fresh bytearray: the
+    bytewise h & ~g of the two levels' cached 0/1 count grids."""
+    here, deeper = _count_bytes(lvl, p, box), _count_bytes(lvl.deeper, p, box)
+    h, g = int.from_bytes(here, "big"), int.from_bytes(deeper, "big")
+    return bytearray((h & ~g).to_bytes(len(here), "big"))
 
 
 def grF_grV_support(lvl: Level, p, box: TruncationBox) -> list:

@@ -418,6 +418,51 @@ def test_main_and_out_file(tmp_path):
     assert main(["minexp", "--model", "not json"]) == 1
 
 
+@pytest.mark.parametrize("case", ["missing", "folder", "not-utf8", "out-folder-missing", "out-is-folder"])
+def test_unreadable_config_or_unwritable_out_exits_1(case, tmp_path, monkeypatch, capsys):
+    # a config path that cannot be read and an --out that cannot be written
+    # are input errors, never a traceback; a bad --out is refused before
+    # the command runs
+    ran = []
+    monkeypatch.setattr("minexp_lab.cli.run", lambda config, jobs=1: ran.append(config))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "lct", "pairs": [[3, 0]]}))
+    out = tmp_path / "o.json"
+    if case == "missing":
+        cfg = tmp_path / "absent.json"
+    elif case == "folder":
+        cfg = tmp_path
+    elif case == "not-utf8":
+        cfg.write_bytes(b'{"command": "lct", "pairs": [[3, 0]]} \xff\xfe')
+    elif case == "out-folder-missing":
+        out = tmp_path / "absent" / "o.json"
+    else:
+        out = tmp_path
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "input error:" in err
+    assert "Traceback" not in err
+    assert ran == []
+
+
+def test_report_write_failure_exits_1(tmp_path, monkeypatch, capsys):
+    # --out passes the folder check but the write itself fails
+    import builtins
+
+    out = tmp_path / "o.json"
+    real_open = builtins.open
+
+    def refusing(path, *args, **kwargs):
+        if str(path) == str(out):
+            raise PermissionError(13, "Permission denied")
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", refusing)
+    assert main(["run", "--config", '{"command":"lct","pairs":[[1,0]]}', "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "input error: cannot write report" in err and "Permission denied" in err
+
+
 def test_run_subcommand_with_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "lct", "pairs": [[3, 0]]}))

@@ -384,18 +384,35 @@ def _planted_fail(sweep, name):
 def _plant_points(monkeypatch, quotient, extra, target):
     """The core cohomology of the complex (or of the quotient) at the point
     of `target` gains the degrees in `extra`: a planted copy of the point's
-    table entry, at which only that point's index points, so the plant
-    reaches no other point that shares the entry."""
+    table entry, reached only by that point, so the plant reaches no other
+    point that shares the entry.  Each divisor coordinate's column gives
+    the target's x a new index of its own; `at` maps the combination of all
+    the new indices to the copy and every other combination to the entry
+    of the old indices it stands for."""
     inner = GradedCbar.point_grid
 
     def planted(self, p, box):
-        table, flat, gates = inner(self, p, box)
+        table, at, columns, gates = inner(self, p, box)
         if (self.c_hi is not None) == quotient:
-            k = list(box).index(target) // len(gates)
-            table = table + [{**table[flat[k]], **extra}]
-            flat = list(flat)
-            flat[k] = len(table) - 1
-        return table, flat, gates
+            ms = [max(ks) + 1 for ks in columns]
+            spots = [x - lo for x, lo in zip(target, box.lo)]
+            old = [ks[k] for ks, k in zip(columns, spots)]
+
+            def combination(indices):
+                c = 0
+                for k, m in zip(indices, ms):
+                    c = c * m + k
+                return c
+
+            entry = at[combination(old)]
+            at = [
+                len(table) if combo == tuple(ms)
+                else at[combination([o if k == m else k for k, o, m in zip(combo, old, ms)])]
+                for combo in itertools.product(*(range(m + 1) for m in ms))
+            ]
+            columns = [ks[:k] + [m] + ks[k + 1:] for ks, k, m in zip(columns, spots, ms)]
+            table = table + [{**table[entry], **extra}]
+        return table, at, columns, gates
 
     monkeypatch.setattr(GradedCbar, "point_grid", planted)
 
@@ -422,7 +439,7 @@ def _leads_of(listing, box):
     for d, u0, w in listing:
         labelled.add(d)
         firsts.setdefault(koszul._lead_key(u0, w), (u0, w))
-    return [int(d in labelled) for d in box], firsts
+    return bytes(d in labelled for d in box), firsts
 
 
 def _drop_label(monkeypatch, target):
@@ -477,6 +494,20 @@ def test_planted_thm42ii_concentration(monkeypatch):
 def test_planted_thm42ii_H0_dims(monkeypatch):
     _flip(monkeypatch, "grF_grV_grid", (2, -1, 1))
     assert _planted_fail(verify_thm42_ii, "thm42ii-H0-dims")["degree"] == [2, -1, 1]
+
+
+@pytest.mark.parametrize(
+    "sweep, quotient, name",
+    [(verify_thm42_i, False, "thm42i-H0-dims"), (verify_thm42_ii, True, "thm42ii-H0-dims")],
+)
+def test_planted_H0_past_one_byte(sweep, quotient, name, monkeypatch):
+    # an H^0 of 256 at a locus where every count grid of the first p is 0:
+    # a byte of 256 mod 256 would read 0 there and pass, so the sweep must
+    # clamp, and the FAIL reads the true dimension from the table
+    _plant_points(monkeypatch, quotient, {0: 256}, (1, -2, 0))
+    fail = _planted_fail(sweep, name)
+    assert fail["p"] == PLANT_P[0] and fail["degree"] == [1, -2, 0]
+    assert fail["H0"] == 256
 
 
 def _zero_leads_with_dy_weight(monkeypatch):
@@ -550,6 +581,18 @@ def _thm42_report_hashes(plant, monkeypatch):
 @pytest.mark.parametrize("plant", sorted(THM42_REPORTS))
 def test_thm42_report_bytes_pinned(plant, monkeypatch):
     assert _thm42_report_hashes(plant, monkeypatch) == THM42_REPORTS[plant]
+
+
+def test_thm42_report_bytes_pinned_with_large_tables():
+    # sha256 of report_to_json for verify-thm42 on (3, [4, 4, 4]) at box 6
+    # with pmax 8, recorded before the sweeps compared byte grids: its core
+    # tables reach 185 distinct results per point_grid
+    config = {"command": "verify-thm42", "model": {"n": 3, "exponents": [4, 4, 4]}, "box": 6, "pmax": 8}
+    report, code = run(config)
+    assert code == 0
+    assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == (
+        "527f11f80e966221d0bf5a849b77e92e1dcfd6e1ba7d860f7eb22727996606f9"
+    )
 
 
 def test_sigma_failure_before_H0_mismatch(monkeypatch):
@@ -711,6 +754,20 @@ def test_passing_thm42i_never_walks_the_loci(monkeypatch):
         rep = verify_thm42_i(model, lvl.alpha, p_range, box)
         assert rep["status"] == "PASS"
         assert rep == _reference_thm42_i(model, lvl.alpha, p_range, box), (model, lvl.alpha)
+
+
+def test_passing_sweeps_never_build_the_point_index(monkeypatch):
+    # a passing sweep of every alpha of PLANT_MODEL at radius 6 compares
+    # box-order bytes joined per combination of the divisor columns; only a
+    # failing sweep (and cohomology_grid) index the table point by point
+    def built(at, columns):
+        raise AssertionError("a passing sweep built the per-point table index")
+
+    monkeypatch.setattr(koszul, "_point_index", built)
+    box = TruncationBox.radius(3, 6)
+    for alpha in jump_candidates(PLANT_MODEL.divisor(), 0, 1):
+        assert verify_thm42_i(PLANT_MODEL, alpha, PLANT_P, box)["status"] == "PASS"
+        assert verify_thm42_ii(PLANT_MODEL, alpha, PLANT_P, box)["status"] == "PASS"
 
 
 def test_extra_class_where_H0_vanishes_still_passes(monkeypatch):
@@ -989,7 +1046,7 @@ def test_count_grid_built_once_per_level_p_box(monkeypatch):
     grid = vfilt.gr_count_grid(lvl, 0, box)
     kept = list(grid)
     grid[0] = 1 - grid[0]
-    assert vfilt.gr_count_grid(lvl, 0, box) == kept
+    assert list(vfilt.gr_count_grid(lvl, 0, box)) == kept
     assert vfilt.gr_count_grid(lvl, 0, box) is not vfilt.gr_count_grid(lvl, 0, box)
     assert len(built) == len(set(built))
 

@@ -289,8 +289,8 @@ def test_count_grids_match_the_per_locus_counts():
         scan = TruncationBox(tuple(x - 1 for x in box.lo), box.hi)
         for p in range(-lvl.model.n - 1, 4):
             for b in (box, scan):
-                assert gr_count_grid(lvl, p, b) == [count_gr(lvl, p, d) for d in b]
-                assert grF_grV_grid(lvl, p, b) == [count_grF_grV(lvl, p, d) for d in b]
+                assert list(gr_count_grid(lvl, p, b)) == [count_gr(lvl, p, d) for d in b]
+                assert list(grF_grV_grid(lvl, p, b)) == [count_grF_grV(lvl, p, d) for d in b]
 
 
 def test_grF_grV_support_lists_the_grid_support():
@@ -357,7 +357,7 @@ def test_label_leads_match_the_label_grid():
                     labelled.add(d)
                     firsts.setdefault(((u0[0] if w[0] else 0), w), (u0, w))
                 classes, leads = gr_label_leads(lvl, p, box)
-                assert classes == [int(d in labelled) for d in box], (lvl.model, lvl.alpha, p, box)
+                assert list(classes) == [int(d in labelled) for d in box], (lvl.model, lvl.alpha, p, box)
                 assert leads == firsts, (lvl.model, lvl.alpha, p, box)
                 keys += len(leads)
     assert keys == 47726
