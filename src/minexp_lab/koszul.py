@@ -429,12 +429,12 @@ def _point_index(at, columns):
     return [at[f] for f in flat]
 
 
-def _spread(table, index, gates, off):
+def _spread(table, at, columns, gates, off):
     """table[f] for the index f of each point, repeated over the
     free-coordinate gates, off where a gate is closed: a list in box order.
     Each table entry's row over the gates is built once."""
     rows = [[v if g else off for g in gates] for v in table]
-    return list(itertools.chain.from_iterable(map(rows.__getitem__, index)))
+    return list(itertools.chain.from_iterable(map(rows.__getitem__, _point_index(at, columns))))
 
 
 class GradedCbar:
@@ -459,8 +459,7 @@ class GradedCbar:
 
     def cohomology_grid(self, p, box: TruncationBox) -> list:
         """[self.cohomology(p, d) for d in box]."""
-        table, at, columns, gates = self.point_grid(p, box)
-        return _spread(table, _point_index(at, columns), gates, {})
+        return _spread(*self.point_grid(p, box), {})
 
     def point_grid(self, p, box: TruncationBox):
         """(table, at, columns, gates): the distinct core results, each
@@ -547,9 +546,9 @@ def _h0_bytes(table, at, columns, gates):
     """The H^0 dims in box order as bytes, each clamped to min(H^0, 2):
     every grid it is compared with is 0/1, so the clamp keeps each
     comparison exact, and a failing sweep reads the true dims from the
-    table.  Each table entry's row over the gates is built once, gathered
-    per combination, then joined column by column from the last, one join
-    per combination of the columns before it."""
+    table.  One row over the gates per clamped value, gathered per
+    combination, then joined column by column from the last, one join per
+    combination of the columns before it."""
     rows = [bytes(v if g else 0 for g in gates) for v in range(3)]
     rows = [rows[min(h.get(0, 0), 2)] for h in table]
     blocks = list(map(rows.__getitem__, at))
@@ -575,9 +574,7 @@ def _scan(report, p, box, grid, want, ok, names, leads=None):
     point_grid's (table, at, columns, gates); `names` are the check names
     and the name of the count field."""
     off, dims, count, sigma = names
-    table, at, columns, gates = grid
-    cohomology = _spread(table, _point_index(at, columns), gates, {})
-    for k, (d, h, x) in enumerate(zip(box, cohomology, want)):
+    for k, (d, h, x) in enumerate(zip(box, _spread(*grid, {}), want)):
         if not ok(h):
             return _fail(
                 report, off, p=p, degree=list(d),
