@@ -185,19 +185,16 @@ def _or_jumps(alphas, model):
     return jump_candidates(model.divisor(), 0, 1) if alphas is None else alphas
 
 
-def _box_note(model, radius, pmax):
+def _box_notes(model, radius, pmax):
+    """A report's top-level notes: {} or {"notes": [the box-radius-note]}."""
     if radius >= pmax + max(model.a):
-        return []
-    return [
-        {
-            "name": "box-radius-note",
-            "note": (
-                f"box radius {radius} is below p_max + max(a_i) = "
-                f"{pmax + max(model.a)}; truncation is still exact, but "
-                "deep filtration levels have little room in the window"
-            ),
-        }
-    ]
+        return {}
+    note = (
+        f"box radius {radius} is below p_max + max(a_i) = "
+        f"{pmax + max(model.a)}; truncation is still exact, but "
+        "deep filtration levels have little room in the window"
+    )
+    return {"notes": [{"name": "box-radius-note", "note": note}]}
 
 
 def _summarize(checks):
@@ -313,7 +310,6 @@ def _cmd_sweep(command, config, jobs):
             results = pool.map(_sweep_worker, items)
     else:
         results = [_sweep_worker(it) for it in items]
-    notes = _box_note(model, radius, got.get("pmax", DEFAULT_PMAX))
     return {
         "params": {
             **got,
@@ -321,7 +317,7 @@ def _cmd_sweep(command, config, jobs):
             "alpha": [format_rational(a) for a in alphas],
         },
         "checks": [c for cs in results for c in cs],
-        **({"notes": notes} if notes else {}),
+        **_box_notes(model, radius, got.get("pmax", DEFAULT_PMAX)),
     }
 
 
@@ -408,7 +404,8 @@ def _cmd_psi_dims(config, jobs):
             "p": ps,
             "box": radius,
         },
-        "checks": _box_note(model, radius, pmax),
+        "checks": [],
+        **_box_notes(model, radius, pmax),
     }
 
 

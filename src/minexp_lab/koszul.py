@@ -45,28 +45,27 @@ concentration in ii) are taken per entry, and the H^0 bytes are built by
 C-level gathers and joins, one join per combination of the leading
 columns, to meet the count bytes of vfilt in one bytes ==.  Each H^0 is
 stored as min(H^0, 2), which keeps that == exact because every count grid
-is 0/1; a failing sweep reads the true dims from the table.  Only that
-failure path (_scan) and cohomology_grid, which spreads the table into a
-list of dicts in box order, index the table point by point.  The
-sigma-injective check of i covers each locus where a class
-of Gr^F_{p-1} V_{-alpha} exists and H^0 != 0: the full expansion of the
-class representative must lead with dt-order p - 1 + n.  Within one
-(level, p), loci whose expansions share a vfilt.expansion_key share the
-orders, and that key is fixed by the lead key (u0_0 where w_0 > 0, w), since
-u0_i = b_i wherever w_i > 0 for i >= 1; so the lead is checked once per key.
-A passing sweep visits no locus for it: vfilt.gr_label_leads gives the
-box-order class bytes and the first (u0, w) of each lead key from its
-per-coordinate tables, and the check passes when the class bytes equal the
-count grid (which equals the H^0 bytes), so the loci with a class are exactly
-those with H^0 != 0, and every key leads right.  Otherwise the loci of
-vfilt.gr_label_grid are walked in box order, reusing the leads already
-checked; a locus with H^0 != 0 and no class fails there, while a class where
-H^0 = 0 is not read, so the walk may still pass.  Only when a check fails
-are the loci scanned in box order, with the checks in their per-locus order
-(acyclicity or concentration, then H0-dims, then sigma-injective), so a
-FAIL names the same first locus and fields as a per-locus loop would.
-tests/test_koszul.py keeps that loop, with every check at every locus, as the
-reference.
+is 0/1; a failing sweep reads the true dims from the table.  The
+sigma-injective check of i covers each locus where H^0 != 0: the class of
+Gr^F_{p-1} V_{-alpha} must exist there, and the full expansion of its
+representative must lead with dt-order p - 1 + n.  Within one (level, p),
+loci whose expansions share a vfilt.expansion_key share the orders, and
+that key is fixed by vfilt.lead_key, so the lead is checked once per key.
+
+A (level, p) is decided in one of two ways.  The bytes pass it: the H^0
+bytes equal the count grid, every table entry passes the off-degree check,
+and, in i, vfilt.gr_label_leads' class bytes equal the count grid too (so
+the loci with a class are exactly those with H^0 != 0) and the first locus
+of each lead key leads right; no locus is visited.  Otherwise _scan decides:
+it walks the loci in box order with the checks in their per-locus order
+(acyclicity or concentration, then H0-dims, then sigma-injective, which
+reads gr_label only where H^0 != 0 and shares the per-key memo), and fails
+the first locus that fails, naming the same locus and fields as a per-locus
+loop would; when every locus passes (say, an extra class where H^0 = 0,
+which no check reads), the (level, p) passes.  Only _scan and
+cohomology_grid, which spreads the table into a list of dicts in box order,
+index the table point by point.  tests/test_koszul.py keeps the per-locus
+loop, with every check at every locus, as the reference.
 """
 
 from __future__ import annotations
@@ -87,9 +86,10 @@ from .vfilt import (
     _fail,
     b_vector,
     gr_count_grid,
-    gr_label_grid,
+    gr_label,
     gr_label_leads,
     grF_grV_grid,
+    lead_key,
 )
 from .weyl import BgElement, MonomialModel, WeylOperator, act_right, compose
 
@@ -338,8 +338,9 @@ class CoreCohomology:
     The map w -> w - tlo carries the bases of (omega, tlo, thi) onto those of
     (omega - |tlo|, 0, thi - tlo) in the same order, and the matrices entry
     for entry: the coefficients lcm/a_k do not read w, and w >= thi becomes
-    w - tlo >= thi - tlo.  So the cache is keyed by (omega - |tlo|,
-    thi - tlo), and each class is assembled at tlo = 0 and ranked once.
+    w - tlo >= thi - tlo.  So dims takes the translation class
+    (omega - |tlo|, thi - tlo), which GradedCbar.point_grid builds, and
+    caches by it: each class is assembled at tlo = 0 and ranked once.
     """
 
     def __init__(self, a_core):
@@ -362,10 +363,11 @@ class CoreCohomology:
                 out.append((S, w))
         return out
 
-    def dims(self, omega, tlo, thi=None):
-        if thi is not None:
-            thi = tuple(h - l for l, h in zip(tlo, thi))
-        omega -= sum(tlo)
+    def dims(self, omega, thi=None):
+        """{cohomological degree: dim} of the translation class
+        (omega, thi), assembled at tlo = 0 (thi is None without a quotient);
+        a signature (omega', tlo, thi') has the class
+        (omega' - |tlo|, thi' - tlo)."""
         key = (omega, thi)
         hit = self._cache.get(key)
         if hit is not None:
@@ -478,11 +480,10 @@ class GradedCbar:
         takes at most cap + 2 values, so a coordinate's column of
         (tlo_i, thi_i) has few distinct entries.  Column by column, each
         combination of distinct entries also gets its translation class
-        (omega - |tlo|, thi - tlo), which is what CoreCohomology.dims keys
-        its cache by: the core is looked up once per class, with the
-        untranslated signature of the class's first combination.  Classes
-        whose lookups return the same result object (thi = tlo, where the
-        quotient is 0) share one table entry.
+        (omega - |tlo|, thi - tlo), which is what CoreCohomology.dims takes:
+        the core is looked up once per class.  Classes whose lookups return
+        the same result object (every thi_i - tlo_i = 0, where the quotient
+        is 0) share one table entry.
         """
         n, r = self.model.n, self.model.r
         omega = p + n - r
@@ -495,20 +496,22 @@ class GradedCbar:
         def bound(c, i, x):
             return None if c is None else min(max(c[i] - 1 - x, 0), cap + 1)
 
-        columns, keys, sigs = [], [(omega, ())], [((), ())]
+        columns, keys = [], [(omega, ())]
         for i in range(r):
             column = [(bound(self.c_lo, i, x), bound(self.c_hi, i, x)) for x in axes[i]]
             index = {b: k for k, b in enumerate(dict.fromkeys(column))}
             columns.append([index[b] for b in column])
             shifts = [(lo, None if hi is None else hi - lo) for lo, hi in index]
             keys = [(o - lo, t + (dh,)) for o, t in keys for lo, dh in shifts]
-            sigs = [(tl + (lo,), th + (hi,)) for tl, th in sigs for lo, hi in index]
         dims, empty = self.core.dims, {}
         table, slot, of_class = [], {}, {}  # of_class: class -> index in table
-        for key, (tlo, thi) in zip(keys, sigs):
+        for key in keys:
             if key not in of_class:
-                thi = None if self.c_hi is None else thi
-                h = empty if thi == tlo else dims(omega, tlo, thi)
+                o, thi = key
+                if self.c_hi is None:
+                    h = dims(o)
+                else:
+                    h = dims(o, thi) if any(thi) else empty
                 k = of_class[key] = slot.setdefault(id(h), len(table))
                 if k == len(table):
                     table.append(h)
@@ -532,7 +535,7 @@ def graded_cohomology(model: MonomialModel, G, p, box: TruncationBox,
 #
 # A sweep compares whole box-order bytes: the H^0 bytes against the count
 # grid with one bytes ==, the off-degree check once per distinct core result.
-# Only when something fails does it scan the loci in box order (_scan).
+# When the bytes do not pass a (level, p), the box-order scan (_scan) decides.
 
 def _acyclic(h):
     return not any(q < 0 and dim for q, dim in h.items())
@@ -558,23 +561,15 @@ def _h0_bytes(table, at, columns, gates):
     return blocks[0]
 
 
-def _lead_key(u0, w):
-    """Within one (level, p), the key of the loci whose class
-    representatives have the same expansion as (u0, w).  By gr_label's rule
-    v_i w_i = 0 for i >= 1, so u0_i = b_i wherever w_i > 0 there: only the
-    first coordinate of u0 can vary where vfilt.expansion_key reads it."""
-    return (u0[0] if w[0] else 0), w
-
-
-def _scan(report, p, box, grid, want, ok, names, leads=None):
-    """Fail the report at the first locus in box order that fails, checking
-    at each locus, in this order: `ok` on its cohomology, its H^0 against
-    `want`, and, given `leads` ({box index: lead ok} at loci with a class),
-    that a locus with H^0 != 0 has a class with a good lead.  `grid` is
-    point_grid's (table, at, columns, gates); `names` are the check names
-    and the name of the count field."""
+def _scan(report, p, box, grid, want, ok, names, lead=None):
+    """Fail the report at the first locus in box order that fails, or
+    return None when every locus passes, checking at each locus, in this
+    order: `ok` on its cohomology, its H^0 against `want`, and, given
+    `lead`, that lead(d) holds where H^0 != 0 (the class exists and leads
+    right).  `grid` is point_grid's (table, at, columns, gates); `names` are
+    the check names and the name of the count field."""
     off, dims, count, sigma = names
-    for k, (d, h, x) in enumerate(zip(box, _spread(*grid, {}), want)):
+    for d, h, x in zip(box, _spread(*grid, {}), want):
         if not ok(h):
             return _fail(
                 report, off, p=p, degree=list(d),
@@ -583,8 +578,9 @@ def _scan(report, p, box, grid, want, ok, names, leads=None):
         h0 = h.get(0, 0)
         if h0 != x:
             return _fail(report, dims, p=p, degree=list(d), H0=h0, **{count: x})
-        if leads is not None and h0 and not leads.get(k):
+        if lead is not None and h0 and not lead(d):
             return _fail(report, sigma, p=p, degree=list(d))
+    return None
 
 
 _THM42I = ("thm42i-acyclicity", "thm42i-H0-dims", "count45", "thm42i-sigma-injective")
@@ -612,36 +608,30 @@ def verify_thm42_i(model: MonomialModel, alpha, p_range, box: TruncationBox):
                 ok = seen[key] = max(orders) == top and bool(orders[top])
             return ok
 
+        def lead(d):
+            label = gr_label(lvl, p - 1, d)
+            if label is None:
+                return False
+            u0, w = tuple(x + y for x, y in zip(lvl.b, label[0])), label[1]
+            return lead_ok(lead_key(u0, w), u0, w)
+
         passed = all(map(_acyclic, grid[0])) and h0 == want
         if passed:
             classes, firsts = gr_label_leads(lvl, p - 1, box)
             passed = classes == want and all(
-                lead_ok(key, *lead) for key, lead in firsts.items()
+                lead_ok(key, *first) for key, first in firsts.items()
             )
-        loci = len(h0) - h0.count(0)
-        if not passed:
-            # the per-locus walk decides; it can still pass, e.g. with an
-            # extra class where H^0 = 0, which it does not read
-            pos = {d: k for k, d in enumerate(box)}
-            leads = {}  # at loci with H^0 != 0 and a class, up to the first bad lead
-            for d, u0, w in gr_label_grid(lvl, p - 1, box):
-                k = pos[d]
-                if h0[k]:
-                    ok = leads[k] = lead_ok(_lead_key(u0, w), u0, w)
-                    if not ok:
-                        break
-            if (
-                not all(map(_acyclic, grid[0])) or h0 != want
-                or not all(leads.values()) or len(leads) != loci
-            ):
-                return _scan(report, p, box, grid, want, _acyclic, _THM42I, leads)
+        # the scan can still pass, e.g. with an extra class where H^0 = 0,
+        # which it does not read
+        if not passed and _scan(report, p, box, grid, want, _acyclic, _THM42I, lead):
+            return report
         report["checks"].append(
             {
                 "name": "thm42i",
                 "status": "PASS",
                 "p": p,
                 "alpha": format_rational(lvl.alpha),
-                "nonzero_H0_loci": loci,
+                "nonzero_H0_loci": len(h0) - h0.count(0),
             }
         )
     return report
@@ -657,8 +647,9 @@ def verify_thm42_ii(model: MonomialModel, alpha, p_range, box: TruncationBox):
         grid = gq.point_grid(p, box)
         h0 = _h0_bytes(*grid)
         want = grF_grV_grid(lvl, p - 1, box)
-        if not all(map(_concentrated, grid[0])) or h0 != want:
-            return _scan(report, p, box, grid, want, _concentrated, _THM42II)
+        passed = all(map(_concentrated, grid[0])) and h0 == want
+        if not passed and _scan(report, p, box, grid, want, _concentrated, _THM42II):
+            return report
         report["checks"].append(
             {
                 "name": "thm42ii",

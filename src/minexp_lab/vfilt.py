@@ -34,16 +34,17 @@ distinct limit of d_0, into bytes in box order.  Count grids are cached per
 once: grF_grV_grid is the bytewise h & ~g of its own level's grid and the
 deeper level's, which is the next alpha's.  Each call returns a fresh
 bytearray.
-The label kernel gr_label_grid is built the same way from gr_label's rule
-and yields, in box order, (d, u0, w) for each locus where the class of
-Gr^F_p V_{-alpha} exists, u0 = b + v being the exponent its representative
-starts from; gr_class_rep, the one-point entry, builds the same u0 from
-gr_label, and the tests hold the two equal at every locus of every catalog
-level.  gr_label_leads reads the same rule without visiting the loci: the
-points past the first coordinate group by their w, and sorted by weight,
-the groups with a class at one d_0 are a prefix, so it returns the class
-bytes in box order and the first (u0, w) of each distinct lead key
-(u0_0 if w_0 else 0, w) at about one step per key.
+gr_label_grid, built the same way from gr_label's rule, is the reference
+listing: it yields, in box order, (d, u0, w) for each locus where the class
+of Gr^F_p V_{-alpha} exists, u0 = b + v being the exponent its
+representative starts from.  No sweep calls it; the tests hold it equal to
+gr_label (from which gr_class_rep, the one-point entry, builds the same u0)
+at every locus of every catalog level, and to gr_label_leads.
+gr_label_leads reads the same rule without visiting the loci: the points
+past the first coordinate group by their w, and sorted by weight, the
+groups with a class at one d_0 are a prefix, so it returns the class bytes
+in box order and the first (u0, w) of each distinct lead_key at about one
+step per key.
 grF_grV_support lists the points of the box where Gr^F_p Gr^V_{-alpha} is
 nonzero, from one table of both levels' weights.  The expansion and grid
 caches hold one model at a time.
@@ -360,7 +361,8 @@ def _count_grid(lvl: Level, p, box: TruncationBox) -> bytes:
 def gr_label_grid(lvl: Level, p, box: TruncationBox):
     """Yield (d, u0, w), in box order, for each d in the box where the class
     of Gr^F_p V_{-alpha} exists: (v, w) = gr_label(lvl, p, d) and
-    u0 = b + v, the exponent gr_class_rep expands from.
+    u0 = b + v, the exponent gr_class_rep expands from.  The reference
+    listing of the label kernels, for the tests.
 
     gr_label's rule, tabulated per coordinate as in gr_count_grid:
     coordinate i of 1..r-1 gives u0_i = max(d_i, b_i) and
@@ -388,8 +390,8 @@ def gr_label_grid(lvl: Level, p, box: TruncationBox):
 def gr_label_leads(lvl: Level, p, box: TruncationBox):
     """(classes, leads) for the loci gr_label_grid lists, without visiting
     them: classes is the box-order bytes with 1 where the class exists, and
-    leads maps each distinct lead key (u0_0 if w_0 else 0, w) to the
-    (u0, w) of its first locus in box order.
+    leads maps each distinct lead_key to the (u0, w) of its first locus in
+    box order.
 
     The points of the rest coordinates (all but the first) fall into groups
     of equal w, one per combination of the distinct w_i of each coordinate;
@@ -428,10 +430,10 @@ def gr_label_leads(lvl: Level, p, box: TruncationBox):
         for s, w, u in groups:
             if s > limit:
                 break
-            u00 = x + w[0]
-            key = (u00 if w[0] else 0), w
+            u0 = (x + w[0],) + u
+            key = lead_key(u0, w)
             if key not in leads:
-                leads[key] = (u00,) + u, w
+                leads[key] = u0, w
     return _rows_by_limit(weights, limits), leads
 
 
@@ -491,6 +493,14 @@ def expansion_key(u0, w):
     the expansion applies it only where w_i > 0, so the orders depend on u0
     only there."""
     return tuple([x if k else 0 for x, k in zip(u0, w)]), w
+
+
+def lead_key(u0, w):
+    """Within one (level, p), the key of the loci whose class
+    representatives have the same expansion as (u0, w).  By gr_label's rule
+    v_i w_i = 0 for i >= 1, so u0_i = b_i wherever w_i > 0 there: only the
+    first coordinate of u0 can vary where expansion_key reads it."""
+    return (u0[0] if w[0] else 0), w
 
 
 def _expansion_orders(model: MonomialModel, u0, w, jmax):
@@ -653,7 +663,7 @@ def gr_class_rep(lvl: Level, p, d):
     """A representative of the basis class of Gr^F_p V_{-alpha} at
     multidegree d (order dict), with its leading coefficient at dt-order
     p + n, or None when the piece is 0.  The one-point entry: a sweep reads
-    the same (u0, w) from gr_label_grid."""
+    the same (u0, w) from gr_label_leads, or from gr_label in its scan."""
     lbl = gr_label(lvl, p, d)
     if lbl is None:
         return None

@@ -531,6 +531,13 @@ def test_notes_are_not_counted_as_checks():
     assert noted["summary"] == {"pass": passed, "fail": 0}
     assert all(c["name"] != "box-radius-note" for c in noted["checks"])
     assert report_to_csv(noted).splitlines()[-1].startswith("box-radius-note,,")
+    # psi-dims makes no checks, and its note sits at the top level too
+    config = {"command": "psi-dims", "model": {"n": 2, "exponents": [2, 4]}, "p": 1, "alpha": "1/2"}
+    noted, code = run({**config, "box": 2})
+    plain, _ = run({**config, "box": 7})
+    assert code == 0 and [c["name"] for c in noted["notes"]] == ["box-radius-note"]
+    assert "notes" not in plain and noted["checks"] == plain["checks"] == []
+    assert noted["summary"] == plain["summary"] == {"pass": 0, "fail": 0}
 
 
 def test_pool_size_clamped(monkeypatch):

@@ -438,27 +438,25 @@ def _leads_of(listing, box):
     labelled, firsts = set(), {}
     for d, u0, w in listing:
         labelled.add(d)
-        firsts.setdefault(koszul._lead_key(u0, w), (u0, w))
+        firsts.setdefault(vfilt.lead_key(u0, w), (u0, w))
     return bytes(d in labelled for d in box), firsts
 
 
 def _drop_label(monkeypatch, target):
     """The Gr^F class at `target` goes missing: from gr_label, which the
-    reference's gr_class_rep reads, and from the sweep's label kernels (the
-    per-locus listing and the class list and first loci of the keys)."""
-    grid, label = koszul.gr_label_grid, vfilt.gr_label
-
-    def dropped_grid(lvl, p, box):
-        return ((d, u0, w) for d, u0, w in grid(lvl, p, box) if d != target)
+    reference's gr_class_rep and the sweep's scan read, and from the class
+    list and first loci of the keys (gr_label_leads)."""
+    label = vfilt.gr_label
 
     def dropped_leads(lvl, p, box):
-        return _leads_of(dropped_grid(lvl, p, box), box)
+        listing = ((d, u0, w) for d, u0, w in gr_label_grid(lvl, p, box) if d != target)
+        return _leads_of(listing, box)
 
     def dropped_label(lvl, p, d):
         return None if tuple(d) == target else label(lvl, p, d)
 
-    monkeypatch.setattr(koszul, "gr_label_grid", dropped_grid)
     monkeypatch.setattr(koszul, "gr_label_leads", dropped_leads)
+    monkeypatch.setattr(koszul, "gr_label", dropped_label)
     monkeypatch.setattr(vfilt, "gr_label", dropped_label)
 
 
@@ -705,7 +703,7 @@ def test_lead_key_is_exact():
             pairs, by_w = set(), {}
             for d, u0, w in gr_label_grid(lvl, p, box):
                 key = vfilt.expansion_key(u0, w)
-                pairs.add((koszul._lead_key(u0, w), key))
+                pairs.add((vfilt.lead_key(u0, w), key))
                 by_w.setdefault(w, {}).setdefault(key, 0)
                 by_w[w][key] += 1
             assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs}), (
@@ -739,14 +737,17 @@ def test_expansion_key_once_per_distinct_key(monkeypatch):
     assert 0 < len(calls) <= len(distinct) < loci
 
 
+def _walked(*args):
+    raise AssertionError("a passing sweep visited the loci")
+
+
 def test_passing_thm42i_never_walks_the_loci(monkeypatch):
     # every catalog level in (0, 1] at radius 2 with p in -n..3: the sweep
-    # passes from the class list and one lead per key, never lists the loci,
-    # and reports what the per-locus reference reports
-    def walked(lvl, p, box):
-        raise AssertionError("a passing sweep listed the loci")
-
-    monkeypatch.setattr(koszul, "gr_label_grid", walked)
+    # passes from the class list and one lead per key, never scans the loci
+    # or reads a per-locus label, and reports what the per-locus reference
+    # reports
+    monkeypatch.setattr(koszul, "_scan", _walked)
+    monkeypatch.setattr(koszul, "gr_label", _walked)
     for lvl in _catalog_levels():
         model = lvl.model
         box = TruncationBox.radius(model.n, 2)
@@ -773,27 +774,34 @@ def test_passing_sweeps_never_build_the_point_index(monkeypatch):
 def test_extra_class_where_H0_vanishes_still_passes(monkeypatch):
     # the label kernels list one more class, at a locus whose free
     # coordinate is negative, so H^0 = 0 there at every p: the class list no
-    # longer matches the count grid, the sweep falls back to the per-locus
-    # walk at every p, and that walk, like the reference, reads leads only
+    # longer matches the count grid, the sweep falls back to the box-order
+    # scan at every p, and that scan, like the reference, reads labels only
     # where H^0 != 0, so the sweep still passes with the same report
     target = (0, 0, -1)
-    grid = koszul.gr_label_grid
+    label, scan = vfilt.gr_label, koszul._scan
     walks = []
 
-    def extra_grid(lvl, p, box):
+    def extra(lvl, p):
         top = max(p + lvl.model.n, 0)
-        listed = {d: (u0, w) for d, u0, w in grid(lvl, p, box)}
-        listed[target] = (target[0] + top, max(target[1], lvl.b[1]), target[2]), (top, 0, 0)
-        return ((d, *listed[d]) for d in box if d in listed)
+        return (target[0] + top, max(target[1], lvl.b[1]), target[2]), (top, 0, 0)
+
+    def extra_label(lvl, p, d):
+        if tuple(d) != target:
+            return label(lvl, p, d)
+        u0, w = extra(lvl, p)
+        return tuple(x - y for x, y in zip(u0, lvl.b)), w
 
     def extra_leads(lvl, p, box):
-        return _leads_of(extra_grid(lvl, p, box), box)
+        listed = {d: (u0, w) for d, u0, w in gr_label_grid(lvl, p, box)}
+        listed[target] = extra(lvl, p)
+        return _leads_of(((d, *listed[d]) for d in box if d in listed), box)
 
-    def walked(lvl, p, box):
-        walks.append(p + 1)
-        return extra_grid(lvl, p, box)
+    def walked(report, p, *args):
+        walks.append(p)
+        return scan(report, p, *args)
 
-    monkeypatch.setattr(koszul, "gr_label_grid", walked)
+    monkeypatch.setattr(koszul, "_scan", walked)
+    monkeypatch.setattr(koszul, "gr_label", extra_label)
     monkeypatch.setattr(koszul, "gr_label_leads", extra_leads)
     new = verify_thm42_i(PLANT_MODEL, PLANT_ALPHA, PLANT_P, PLANT_BOX)
     assert new["status"] == "PASS"
@@ -802,7 +810,7 @@ def test_extra_class_where_H0_vanishes_still_passes(monkeypatch):
 
 
 def test_passing_sweep_work_per_key_and_class(monkeypatch):
-    # a passing sweep of PLANT_MODEL at radius 6 never lists the loci, asks
+    # a passing sweep of PLANT_MODEL at radius 6 never visits the loci, asks
     # for one expansion per distinct lead key, and per point_grid looks the
     # core up once per translation class (omega - |tlo|, thi - tlo) of the
     # combinations of clamped bounds, leaving out thi = tlo (the quotient is
@@ -812,7 +820,7 @@ def test_passing_sweep_work_per_key_and_class(monkeypatch):
     alphas = jump_candidates(PLANT_MODEL.divisor(), 0, 1)
     keys = {
         alpha: sum(
-            len({koszul._lead_key(u0, w) for _, u0, w in gr_label_grid(Level(PLANT_MODEL, alpha), p - 1, box)})
+            len({vfilt.lead_key(u0, w) for _, u0, w in gr_label_grid(Level(PLANT_MODEL, alpha), p - 1, box)})
             for p in PLANT_P
         )
         for alpha in alphas
@@ -822,11 +830,8 @@ def test_passing_sweep_work_per_key_and_class(monkeypatch):
     )
     orders, dims = [], []
 
-    def walked(lvl, p, box):
-        raise AssertionError("a passing sweep listed the loci")
-
     def counted_orders(model, u0, w, jmax):
-        orders.append(koszul._lead_key(u0, w))
+        orders.append(vfilt.lead_key(u0, w))
         return inner_orders(model, u0, w, jmax)
 
     def counted_dims(self, *args):
@@ -856,7 +861,8 @@ def test_passing_sweep_work_per_key_and_class(monkeypatch):
         assert dims[-1] == (len(classes) if cap >= 0 else 0), (p, dims[-1], len(classes))
         return out
 
-    monkeypatch.setattr(koszul, "gr_label_grid", walked)
+    monkeypatch.setattr(koszul, "_scan", _walked)
+    monkeypatch.setattr(koszul, "gr_label", _walked)
     monkeypatch.setattr(koszul, "_expansion_orders", counted_orders)
     monkeypatch.setattr(koszul.CoreCohomology, "dims", counted_dims)
     monkeypatch.setattr(GradedCbar, "point_grid", checked_grid)
@@ -954,33 +960,41 @@ def _untranslated_dims(core, omega, tlo, thi=None):
     return dims
 
 
-def test_translation_class_key_is_exact(monkeypatch):
-    # every signature point_grid asks for, for the complex and the quotient
-    # of every catalog level in (0, 1] at radius 2 with p in -n..3, has the
-    # cohomology of its own untranslated assembly
-    inner = koszul.CoreCohomology.dims
-    asked = {}
-
-    def recorded(self, *args):
-        asked.setdefault(self.a, set()).add(args)
-        return inner(self, *args)
-
-    monkeypatch.setattr(koszul.CoreCohomology, "dims", recorded)
+def test_translation_class_key_is_exact():
+    # for the complex and the quotient of every catalog level in (0, 1] at
+    # radius 2 with p in -n..3, point_grid's table entry at every combination
+    # of the divisor coordinates is the cohomology of that point's own
+    # untranslated assembly (omega, tlo, thi), not only at the first
+    # combination of each translation class
+    untranslated, classes = {}, set()
     for lvl in _catalog_levels():
-        box = TruncationBox.radius(lvl.model.n, 2)
+        model = lvl.model
+        n, r = model.n, model.r
+        box = TruncationBox.radius(n, 2)
+        axes = [range(box.lo[i], box.hi[i] + 1) for i in range(r)]
         for Gd in (None, lvl.deeper.twist):
-            gc = GradedCbar(lvl.model, lvl.twist, Gd)
-            for p in range(-lvl.model.n, 4):
-                gc.point_grid(p, box)
-    signatures = classes = 0
-    for a, asked_of_a in asked.items():
-        core = koszul.CoreCohomology(a)
-        for sig in asked_of_a:
-            assert inner(core, *sig) == _untranslated_dims(core, *sig), (a, sig)
-        signatures += len(asked_of_a)
-        classes += len(core._cache)
-    assert any(sig[2] is not None for sigs in asked.values() for sig in sigs)
-    assert classes < signatures
+            gc = GradedCbar(model, lvl.twist, Gd)
+            for p in range(-n, 4):
+                table, at, columns, _ = gc.point_grid(p, box)
+                omega = p + n - r
+                cap = omega + r - 1
+
+                def clamp(c, i, x):
+                    return None if c is None else min(max(c[i] - 1 - x, 0), cap + 1)
+
+                for xs in itertools.product(*(enumerate(axis) for axis in axes)):
+                    combination = 0
+                    for ks, (k, _) in zip(columns, xs):
+                        combination = combination * (max(ks) + 1) + ks[k]
+                    tlo = tuple(clamp(gc.c_lo, i, x) for i, (_, x) in enumerate(xs))
+                    thi = None if Gd is None else tuple(clamp(gc.c_hi, i, x) for i, (_, x) in enumerate(xs))
+                    sig = (model.a, omega, tlo, thi)
+                    if sig not in untranslated:
+                        untranslated[sig] = _untranslated_dims(gc.core, omega, tlo, thi)
+                    assert table[at[combination]] == untranslated[sig], (lvl.model, lvl.alpha, p, sig)
+                    classes.add((model.a, omega - sum(tlo), thi and tuple(h - l for l, h in zip(tlo, thi))))
+    assert any(sig[3] is not None for sig in untranslated)
+    assert len(classes) < len(untranslated)
 
 
 def test_one_assembly_per_translation_class(monkeypatch):
