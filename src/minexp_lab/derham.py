@@ -18,12 +18,13 @@ The complexes of one level over one box share their pieces: the term at
 (D, K) is the class at D - deg K, and a matrix entry depends only on its
 source class and the variable k.  So one _LevelComplexes per gr_dr_psi or
 verify_cor51 call holds three memos: the support of Gr^F_p Gr^V per Hodge
-index p (read once from vfilt.grF_grV_support), the class representative per
-(p, d) and the differential coordinate per (p, d, k).  verify_cor51 keeps
-it for every i, as their Hodge indices overlap.  A coordinate is a quotient
-of two integer coefficients; it is kept in integers, as the reduced pair
-(num, den) with den > 0, interned as a small id (0 is the zero
-coordinate), in a row per support point.
+index p with each point's gr_label w (read once from
+vfilt.grF_grV_support), the class representative per (p, vfilt.lead_key),
+all that a representative reads of d, and the differential coordinate per
+(p, d, k).  verify_cor51 keeps it for every i, as their Hodge indices
+overlap.  A coordinate is a quotient of two integer coefficients; it is
+kept in integers, as the reduced pair (num, den) with den > 0, interned as
+a small id (0 is the zero coordinate), in a row per support point.
 
 Most complexes of one level repeat an earlier one.  So a table is built in
 two passes: each term (K, d) is scattered onto its locus D = d + deg K, and
@@ -41,7 +42,7 @@ The comparison target: the multidegree-graded dimensions of
 counted monomially (the window c_alpha <= v, v not >= c_{>alpha} on the
 divisor coordinates, wedge symbols a_i dlog y_i of degree 0 and dy_j of
 degree e_j).  It is evaluated over a whole box at once, from per-coordinate
-tables (_quotient_count_grid).
+byte rows (_quotient_count_grid).
 """
 
 from __future__ import annotations
@@ -225,31 +226,35 @@ def _quotient_count_grid(lvl: Level, syms, q, box: TruncationBox) -> list:
     j > r, so the count at d is the window test on the divisor part of d
     (c_lo >= 1 there, so it also gives v >= 0) times the number of wedges S
     with free(d) - deg S >= 0.  Each test is a conjunction of per-coordinate
-    comparisons, so it is tabulated per coordinate (_all_grid).
+    comparisons, so it is tabulated per coordinate as 0/1 bytes; the window
+    is lo & ~hi on ints, joined with the wedge counts per window byte.
     """
     r = lvl.model.r
     if q < 0 or q > len(syms):
         return [0] * box.volume()
     axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
     above_lo, above_hi = (
-        _all_grid([[x >= c for x in ax] for ax, c in zip(axes, twist)])
+        _all_bytes([[x >= c for x in ax] for ax, c in zip(axes, twist)])
         for twist in (lvl.twist, lvl.deeper.twist)
     )
+    window = int.from_bytes(above_lo, "big") & ~int.from_bytes(above_hi, "big")
     wedges = [0] * math.prod(len(ax) for ax in axes[r:])
     for S in itertools.combinations(syms, q):
         shift = [sum(1 for s in S if s == ("D", j + 1)) for j in range(r, len(axes))]
-        fits = _all_grid([[x >= k for x in ax] for ax, k in zip(axes[r:], shift)])
-        wedges = [count + fit for count, fit in zip(wedges, fits)]
-    window = [lo and not hi for lo, hi in zip(above_lo, above_hi)]
-    return [count if inside else 0 for inside in window for count in wedges]
+        fits = _all_bytes([[x >= k for x in ax] for ax, k in zip(axes[r:], shift)])
+        wedges = list(map(operator.add, wedges, fits))
+    rows = ([0] * len(wedges), wedges)
+    inside = window.to_bytes(len(above_lo), "big")
+    return list(itertools.chain.from_iterable(map(rows.__getitem__, inside)))
 
 
-def _all_grid(tables) -> list:
+def _all_bytes(tables) -> bytes:
     """For one table of booleans per coordinate, whether every coordinate's
-    entry holds, at each point of their product, in box order."""
-    grid = [True]
+    entry holds, at each point of their product, as box-order 0/1 bytes."""
+    grid = b"\x01"
     for table in tables:
-        grid = [g and t for g in grid for t in table]
+        rows = (bytes(len(table)), bytes(table))
+        grid = b"".join(map(rows.__getitem__, grid))
     return grid
 
 
@@ -291,20 +296,25 @@ class _LevelComplexes:
 
     def support(self, p) -> dict:
         """The support of Gr^F_p Gr^V on the scan box, each point d mapped
-        to its row of coordinate ids per k (None until computed).  The
-        points are listed in the order of a set of them: keys() meets the
-        loci in that order, and a memo keyed more coarsely than by the
-        complex (a planted fault in the tests) reuses the complex of the
-        first locus it meets."""
+        to its row: the coordinate ids per k (None until computed), then
+        gr_label's w at d past d_0.  The points are listed in the order of
+        a set of them: keys() meets the loci in that order, and a memo keyed
+        more coarsely than by the complex (a planted fault in the tests)
+        reuses the complex of the first locus it meets."""
         got = self._support.get(p)
         if got is None:
             n = self.lvl.model.n
-            points = set(grF_grV_support(self.lvl, p, self.scan))
-            got = self._support[p] = {d: [None] * n for d in points}
+            points, ws = grF_grV_support(self.lvl, p, self.scan)
+            w = dict(zip(points, ws))
+            got = self._support[p] = {d: [None] * n + [w[d]] for d in set(points)}
         return got
 
     def rep(self, p, d):
-        key = (p, d)
+        """The class representative at d in support(p): one per (p, lead
+        key), built by gr_class_rep at the first point that asks for it."""
+        w = self.support(p)[d][-1]
+        w0 = p + self.lvl.model.n - sum(w)  # gr_label's w_0
+        key = (p, (d[0] + w0) if w0 else 0, w)  # vfilt.lead_key, as u0_0 = d_0 + w_0
         got = self._reps.get(key)
         if got is None:
             got = self._reps[key] = gr_class_rep(self.lvl, p, d)
@@ -382,13 +392,12 @@ class _LevelComplexes:
             for _, bit, deg, wedges in subsets:
                 for d, row in support:
                     D = tuple(map(operator.add, d, deg))
-                    if D in points:
-                        got = loci.get(D)
-                        if got is None:
-                            loci[D] = [bit, [(p, d, row, wedges)]]
-                        else:
-                            got[0] |= bit
-                            got[1].append((p, d, row, wedges))
+                    got = loci.get(D)
+                    if got is not None:
+                        got[0] |= bit
+                        got[1].append((p, d, row, wedges))
+                    elif D in points:
+                        loci[D] = [bit, [(p, d, row, wedges)]]
         coordinate = self.coordinate
         keys = {}
         for D, (mask, terms) in loci.items():
@@ -448,7 +457,7 @@ def verify_cor51(model: MonomialModel, alpha, i_range, box: TruncationBox):
     for i in i_range:
         t = complexes.table(i)
         wants = _quotient_count_grid(lvl, syms, n - 1 - i, box)
-        if not (all(q == -i for _, q in t.dims) and _box_list(t.dims, box) == wants):
+        if not (all(q == -i for _, q in t.dims) and t.box_list(box) == wants):
             return _cor51_failure(report, i, t, box, wants)
         report["checks"].append(
             {
@@ -460,21 +469,6 @@ def verify_cor51(model: MonomialModel, alpha, i_range, box: TruncationBox):
             }
         )
     return report
-
-
-def _box_list(dims, box: TruncationBox) -> list:
-    """The dims {(D, q): dim}, every D in the box, spread by the box's
-    strides into a list in box order, 0 where no entry is."""
-    strides, step = [], 1
-    for lo, hi in zip(reversed(box.lo), reversed(box.hi)):
-        strides.append(step)
-        step *= hi - lo + 1
-    strides.reverse()
-    base = sum(map(operator.mul, box.lo, strides))
-    out = [0] * step
-    for (D, _), dim in dims.items():
-        out[sum(map(operator.mul, D, strides)) - base] = dim
-    return out
 
 
 def _cor51_failure(report, i, t: GradedDimTable, box: TruncationBox, wants):

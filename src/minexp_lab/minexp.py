@@ -8,9 +8,10 @@ A model is declared alpha-tilde = infinity exactly when it is smooth
 since finitely many memberships can never certify infinity by themselves.
 
 cor23_check's colon ideal asks one membership per locus of the box, but a
-membership reads the locus only through vfilt.member_key, so the check
-answers each distinct key once, in a dict that lives for that call, and
-still compares the loci in box order.
+membership reads the locus only through vfilt.member_key, one class per
+coordinate, so the check answers each distinct key once, in a dict that
+lives for that call, and compares box-order bytes with the Gr^F psi grid
+in one == (cor24_check its H^0 list); a mismatch scans the loci.
 
 Also here: the nearby-cycle Hodge dimension tables in the left-module
 convention (Gr^F_p psi sits at right-module index p - n - 1 of
@@ -19,6 +20,7 @@ Gr^F Gr^V B^r), and the vanishing/structure checks around them.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,6 +118,36 @@ def _psi_grid(lvl: Level, p_left, box: TruncationBox):
     return grF_grV_grid(lvl, p_left - lvl.model.n - 1, box)
 
 
+def _colon_columns(deeper: Level, p, box: TruncationBox) -> list:
+    """Per coordinate, the class of each x of the box in cor23_check iii):
+    None off the gate x >= -p a_i, else min(x, b_i) on a divisor coordinate
+    (all member_key reads there) and 0 on a free one (gate x >= 0)."""
+    b, r = deeper.b, deeper.model.r
+    return [
+        [(min(x, b[i]) if i < r else 0) if x >= -p * a else None for x in range(lo, hi + 1)]
+        for i, (lo, hi, a) in enumerate(zip(box.lo, box.hi, deeper.model.a_ext))
+    ]
+
+
+def _colon_grid(deeper: Level, p, box: TruncationBox, expected) -> bytes:
+    """cor23_check iii)'s expected dimensions as box-order 0/1 bytes: 0 off
+    the gate, else expected(d) at the class's first locus in box order (each
+    coordinate's first x of its class), one call per class."""
+    firsts, flat = [], [0]  # flat: the class of each point, in box order
+    for column, lo in zip(_colon_columns(deeper, p, box), box.lo):
+        first = {}
+        for x, value in enumerate(column, lo):
+            first.setdefault(value, x)
+        index = {value: k for k, value in enumerate(first)}
+        flat = [f * len(index) + index[value] for f in flat for value in column]
+        firsts.append(first.items())
+    verdicts = [
+        0 if None in values else expected(d)
+        for values, d in (zip(*combo) for combo in itertools.product(*firsts))
+    ]
+    return bytes(map(verdicts.__getitem__, flat))
+
+
 def minexp_value(model: MonomialModel, p_max=4):
     return minexp_monomial(model, p_max).value
 
@@ -177,24 +209,22 @@ def cor23_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4, val
         deeper = lvl.deeper
         low = tuple(-p * x for x in model.a_ext)
         member = {}
-        ok = True
-        locus = None
-        for d, got in zip(box, _psi_grid(lvl, p + 1, box)):
-            expected = 0
-            if all(map(operator.ge, d, low)):
-                key = member_key(deeper, d)
-                if key is None:
-                    expected = 1
-                else:
-                    held = member.get(key)
-                    if held is None:
-                        held = member[key] = _component_member(deeper, d, {p: 1})
-                    expected = 0 if held else 1
-            if got != expected:
-                ok = False
-                locus = {"degree": list(d), "expected": expected, "got": got}
-                break
-        add("grF-psi-colon-ideal", ok, p=p, alpha=format_rational(alpha), locus=locus)
+
+        def expected(d):
+            key = member_key(deeper, d)
+            held = member.get(key)
+            if held is None:
+                held = member[key] = key is not None and _component_member(deeper, d, {p: 1})
+            return 0 if held else 1
+
+        psi, locus = _psi_grid(lvl, p + 1, box), None
+        if _colon_grid(deeper, p, box, expected) != psi:
+            for d, got in zip(box, psi):
+                want = expected(d) if all(map(operator.ge, d, low)) else 0
+                if got != want:
+                    locus = {"degree": list(d), "expected": want, "got": got}
+                    break
+        add("grF-psi-colon-ideal", locus is None, p=p, alpha=format_rational(alpha), locus=locus)
     else:
         add(
             "grF-psi-jump-detection",
@@ -252,14 +282,12 @@ def cor24_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4, val
 
     # iii) H^0 == omega (x) Gr^F_{p+1} psi, i.e. the psi table shifted by 1s
     lvl = Level(model, alpha)
-    ok = True
-    locus = None
     omega_box = TruncationBox(tuple(x - 1 for x in box.lo), tuple(x - 1 for x in box.hi))
-    for d, want in zip(box, _psi_grid(lvl, p + 1, omega_box)):
-        got = tab.get((d, 0))
-        if got != want:
-            ok = False
-            locus = {"degree": list(d), "H0": got, "omega_twist_psi": want}
-            break
-    add("gr-derham-H0", ok, p=p, alpha=format_rational(alpha), locus=locus)
+    psi, locus = _psi_grid(lvl, p + 1, omega_box), None
+    if off or tab.box_list(box) != list(psi):
+        for d, want in zip(box, psi):
+            if tab.get((d, 0)) != want:
+                locus = {"degree": list(d), "H0": tab.get((d, 0)), "omega_twist_psi": want}
+                break
+    add("gr-derham-H0", locus is None, p=p, alpha=format_rational(alpha), locus=locus)
     return report

@@ -46,8 +46,8 @@ groups with a class at one d_0 are a prefix, so it returns the class bytes
 in box order and the first (u0, w) of each distinct lead_key at about one
 step per key.
 grF_grV_support lists the points of the box where Gr^F_p Gr^V_{-alpha} is
-nonzero, from one table of both levels' weights.  The expansion and grid
-caches hold one model at a time.
+nonzero (and their gr_label w), from one table of both levels' weights.
+The expansion and grid caches hold one model at a time.
 
 Graded dimensions also come in a second closed form (the "theta-eliminated"
 one): Gr^F_p V_{-alpha} has a basis of classes of y^b dy delta . y^v dy^w
@@ -153,6 +153,17 @@ class GradedDimTable:
 
     def __eq__(self, other):
         return isinstance(other, GradedDimTable) and self.dims == other.dims
+
+    def box_list(self, box: TruncationBox) -> list:
+        """The dims {(D, q): dim}, every D in the box, spread by the box's
+        strides into a list in box order, 0 where no entry is."""
+        sizes = [hi - lo + 1 for lo, hi in zip(box.lo, box.hi)]
+        strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
+        base = sum(map(operator.mul, box.lo, strides))
+        out = [0] * math.prod(sizes)
+        for (D, _), dim in self.dims.items():
+            out[sum(map(operator.mul, D, strides)) - base] = dim
+        return out
 
     def shifted(self, offset):
         """Translate every multidegree key by the given vector."""
@@ -445,35 +456,38 @@ def grF_grV_grid(lvl: Level, p, box: TruncationBox) -> bytearray:
     return bytearray((h & ~g).to_bytes(len(here), "big"))
 
 
-def grF_grV_support(lvl: Level, p, box: TruncationBox) -> list:
-    """The d of the box, in box order, where count_grF_grV(lvl, p, d) == 1:
-    gr_count_grid's rule holds for lvl and fails for lvl.deeper.  One table
-    over the coordinates past the first holds both levels' weights; the
-    points it keeps depend on d_0 only through the two limits, and a tuple
-    is built only for a support point.  For p + n < 0 both limits are
-    negative and no weight is, so the support is empty at once."""
+def grF_grV_support(lvl: Level, p, box: TruncationBox):
+    """(points, ws): the d of the box, in box order, where
+    count_grF_grV(lvl, p, d) == 1 (gr_count_grid's rule holds for lvl and
+    fails for lvl.deeper), and at each gr_label's w past d_0 (w_0 = p + n -
+    their sum).  One table over the coordinates past the first holds w and
+    both levels' weights; the points it keeps depend on d_0 only through the
+    two limits.  For p + n < 0 no weight passes, so the support is empty."""
     b, c, n, r = lvl.b, lvl.deeper.b, lvl.model.n, lvl.model.r
     if p + n < 0:
-        return []
+        return [], []
     axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
     fail = max(p + n, 0) + 1
     free = [[0 if x >= 0 else fail for x in axes[j]] for j in range(r, n)]
 
-    def weights(e):
-        tables = [[max(e[i] - x, 0) for x in axes[i]] for i in range(1, r)] + free
-        return map(sum, itertools.product(*tables))
+    def tables(e):
+        return [[max(e[i] - x, 0) for x in axes[i]] for i in range(1, r)] + free
 
-    rest = list(zip(weights(b), weights(c), itertools.product(*axes[1:])))
+    ws = list(itertools.product(*tables(b)))
+    deeper = map(sum, itertools.product(*tables(c)))
+    rest = list(zip(map(sum, ws), deeper, zip(itertools.product(*axes[1:]), ws)))
     top = p + n
-    kept, out = {}, []
+    kept, points, out = {}, [], []
     for x in axes[0]:
         limits = (top + min(x - b[0], 0), top + min(x - c[0], 0))
-        ds = kept.get(limits)
-        if ds is None:
+        got = kept.get(limits)
+        if got is None:
             here, deep = limits
-            ds = kept[limits] = [d for s, t, d in rest if s <= here and t > deep]
-        out += [(x,) + d for d in ds]
-    return out
+            got = [dw for s, t, dw in rest if s <= here and t > deep]
+            got = kept[limits] = tuple(zip(*got)) or ((), ())
+        points += [(x,) + d for d in got[0]]
+        out += got[1]
+    return points, out
 
 
 # -- expansions and triangular elimination ----------------------------------

@@ -28,7 +28,9 @@ from minexp_lab.vfilt import (
     count_grF_grV,
     gr_class_rep,
     gr_coordinate,
+    gr_label,
     grF_grV_support,
+    lead_key,
 )
 from minexp_lab.weyl import MonomialModel
 
@@ -364,7 +366,7 @@ def _fraction_keys(complexes, i):
     loci = {}
     for q, subsets in enumerate(complexes.subsets):
         p = i + q - 2 * n
-        support = set(grF_grV_support(lvl, p, complexes.scan))
+        support = set(grF_grV_support(lvl, p, complexes.scan)[0])
         for _, bit, deg, wedges in subsets:
             for d in support:
                 D = tuple(x + e for x, e in zip(d, deg))
@@ -447,6 +449,59 @@ def test_one_rank_per_distinct_complex(monkeypatch):
     distinct = sum(len({key for i in range(3) for key in m.keys(i).values()}) for m in memos)
     assert counts["rank"] <= 3 * distinct
     assert counts["orders_dy"] == 659  # reading the keys again reads the memo
+
+
+def _representatives_checked(memo=_LevelComplexes):
+    """Hold the memo's representative at every support point of every p the
+    complexes read (i + q - 2n in -2n..-1), on every catalog level's scan
+    box of radius 2, equal to gr_class_rep there, dict for dict; returns the
+    number of points and of distinct (level, p, lead key) by gr_label."""
+    points, keys = 0, set()
+    for m in catalog():
+        n = m.n
+        for alpha in jump_candidates(m.divisor(), 0, 1):
+            lvl = Level(m, alpha)
+            complexes = memo(lvl, TruncationBox.radius(n, 2))
+            for p in range(-2 * n, 0):
+                for d in complexes.support(p):
+                    assert complexes.rep(p, d) == gr_class_rep(lvl, p, d), (m, alpha, p, d)
+                    v, w = gr_label(lvl, p, d)
+                    u0 = tuple(x + y for x, y in zip(lvl.b, v))
+                    keys.add((m, alpha, p, lead_key(u0, w)))
+                    points += 1
+    return points, len(keys)
+
+
+def test_memo_representatives_match_gr_class_rep(monkeypatch):
+    # one gr_class_rep per (p, lead key), at the first point that asks for
+    # the key, serves every support point of the key
+    calls = []
+    inner = derham.gr_class_rep
+
+    def counted(lvl, p, d):
+        calls.append(1)
+        return inner(lvl, p, d)
+
+    monkeypatch.setattr(derham, "gr_class_rep", counted)
+    points, keys = _representatives_checked()
+    assert points == 4956 and len(calls) == keys < points
+
+
+class _WKeyedComplexes(_LevelComplexes):
+    """The representative memo keyed by (p, w) alone, blind to u0_0."""
+
+    def rep(self, p, d):
+        key = (p, self.support(p)[d][-1])
+        if key not in self._reps:
+            self._reps[key] = gr_class_rep(self.lvl, p, d)
+        return self._reps[key]
+
+
+def test_representatives_keyed_by_w_alone_fail():
+    # loci of one w whose u0_0 differ get the representative of another
+    # expansion
+    with pytest.raises(AssertionError, match=r"^\(MonomialModel"):
+        _representatives_checked(_WKeyedComplexes)
 
 
 @pytest.mark.parametrize("target", [((-3, -3), 0, 1), ((1, 2), 1, 0), ((3, 3), 0, 1)])

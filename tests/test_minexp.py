@@ -258,3 +258,74 @@ def test_colon_ideal_asks_each_key_once(monkeypatch):
         assert report["status"] == "PASS"
         assert 0 < len(calls) <= len(keys)
         assert len(calls) == len(set(calls))
+
+
+def _colon_classes_checked(monkeypatch):
+    """cor23_check iii) forced (infinite minimal exponent) on every catalog
+    level with alpha < 1, p in {0, 1}, radius 3: the check equals
+    _colon_ideal_reference, and where it passes, member_key is read at most
+    once per distinct key of the box, so the class table decided it and the
+    locus scan, which reads a key per locus, never ran.  Returns the number
+    of passing checks."""
+    calls = []
+    inner = minexp.member_key
+
+    def counted(lvl, d):
+        calls.append(1)
+        return inner(lvl, d)
+
+    monkeypatch.setattr(minexp, "member_key", counted)
+    passed = 0
+    for model, alpha in _colon_ideal_levels():
+        box = TruncationBox.radius(model.n, 3)
+        deeper = Level(model, alpha).deeper
+        keys = {inner(deeper, d) for d in box} - {None}
+        for p in (0, 1):
+            calls.clear()
+            got = _colon_ideal_check(cor23_check(model, p, alpha, box, value=INF))
+            assert got == _colon_ideal_reference(model, p, alpha, box), (model, alpha, p)
+            if got["status"] == "PASS":
+                assert len(calls) <= len(keys), (model, alpha, p)
+                passed += 1
+    return passed
+
+
+def test_colon_ideal_classes_match_reference(monkeypatch):
+    assert _colon_classes_checked(monkeypatch) == 46
+
+
+def test_colon_classes_without_the_free_gate_fail(monkeypatch):
+    # a class table that lets a negative free coordinate through expects a
+    # class where Gr^F psi has none, so the scan has to decide
+    inner = minexp._colon_columns
+
+    def ungated(deeper, p, box):
+        cols = inner(deeper, p, box)
+        return [col if i < deeper.model.r else [0] * len(col) for i, col in enumerate(cols)]
+
+    monkeypatch.setattr(minexp, "_colon_columns", ungated)
+    with pytest.raises(AssertionError, match=r"assert \d+ <= \d+"):
+        _colon_classes_checked(monkeypatch)
+
+
+def test_planted_h0_above_255_fails(monkeypatch):
+    # an H^0 dimension that does not fit a byte is a FAIL at its locus, not
+    # an error of the grid compare
+    inner = minexp.derham.gr_dr_psi
+
+    def planted(model, alpha, i, box):
+        table = inner(model, alpha, i, box)
+        table.dims[((-4,), 0)] = 300
+        return table
+
+    monkeypatch.setattr(minexp.derham, "gr_dr_psi", planted)
+    checks = cor24_check(Y2, 0, F(1, 2), BOX1)["checks"]
+    assert [c for c in checks if c["status"] == "FAIL"] == [
+        {
+            "name": "gr-derham-H0",
+            "status": "FAIL",
+            "p": 0,
+            "alpha": "1/2",
+            "locus": {"degree": [-4], "H0": 300, "omega_twist_psi": 0},
+        }
+    ]

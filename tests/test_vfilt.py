@@ -296,7 +296,7 @@ def test_count_grids_match_the_per_locus_counts():
 def test_grF_grV_support_lists_the_grid_support():
     # every catalog level in (0, 1] with p in -2n-1..3 (the de Rham terms
     # reach p = -2n) over an off-centre box: the sparse support is the
-    # grid's support, in box order
+    # grid's support, in box order, each point with gr_label's w past d_0
     levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
     assert len(levels) == 172
     cases = 0
@@ -305,7 +305,9 @@ def test_grF_grV_support_lists_the_grid_support():
         box = TruncationBox((-3,) * n, (4,) * n)
         for p in range(-2 * n - 1, 4):
             want = list(itertools.compress(box, grF_grV_grid(lvl, p, box)))
-            assert grF_grV_support(lvl, p, box) == want, (lvl.model, lvl.alpha, p)
+            points, ws = grF_grV_support(lvl, p, box)
+            assert points == want, (lvl.model, lvl.alpha, p)
+            assert ws == [gr_label(lvl, p, d)[1][1:] for d in points], (lvl.model, lvl.alpha, p)
             cases += 1
     assert cases == 1766
 
