@@ -220,8 +220,8 @@ def _thm42_checks(model, alpha, box, pmax, samples):
     return [c for rep in reps for c in rep["checks"]]
 
 
-def _axioms_checks(model, alpha, box, pmax):
-    reps = (check_v_axioms(model, alpha, box, pmax), t_shift_check(model, alpha, box, pmax))
+def _axioms_checks(model, alpha, box):
+    reps = (check_v_axioms(model, alpha, box), t_shift_check(model, alpha, box))
     return [c for rep in reps for c in rep["checks"]]
 
 
@@ -256,7 +256,6 @@ class _Sweep(NamedTuple):
     open_interval: bool    # alphas limited to (0, 1); the checks also get the
                            # minimal exponent as text, computed once per run
     checks: Callable       # (model, alpha, box, *values of keys[, minexp text]) -> checks
-    defaults: dict = {}    # this command's defaults over _DEFAULTS
 
 
 _SWEEPS = {
@@ -264,7 +263,7 @@ _SWEEPS = {
     "verify-cor23": _Sweep((), True, _cor23_checks),
     "verify-cor24": _Sweep(("p",), True, _cor24_checks),
     "verify-cor51": _Sweep((), False, _cor51_checks),
-    "verify-axioms": _Sweep(("pmax",), False, _axioms_checks, {"pmax": 1}),
+    "verify-axioms": _Sweep((), False, _axioms_checks),
 }
 
 
@@ -279,7 +278,7 @@ def _sweep_worker(item):
 
 def _cmd_sweep(command, config, jobs):
     sweep = _SWEEPS[command]
-    got = _parse(config, ("model", "box", "alpha") + sweep.keys, **sweep.defaults)
+    got = _parse(config, ("model", "box", "alpha") + sweep.keys)
     model, radius = got["model"], got["box"]
     if got.get("p") is not None and got["p"] < 0:
         # cor24_check refuses it too, but the alpha filter below may leave

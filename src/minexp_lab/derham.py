@@ -297,24 +297,27 @@ class _LevelComplexes:
     def support(self, p) -> dict:
         """The support of Gr^F_p Gr^V on the scan box, each point d mapped
         to its row: the coordinate ids per k (None until computed), then
-        gr_label's w at d past d_0.  The points are listed in the order of
-        a set of them: keys() meets the loci in that order, and a memo keyed
-        more coarsely than by the complex (a planted fault in the tests)
-        reuses the complex of the first locus it meets."""
+        the key (p, vfilt.lead_key) of its class representative, read off
+        gr_label's w past d_0 (w_0 = p + n - sum(w), u0_0 = d_0 + w_0).
+        The points are listed in the order of a set of them: keys() meets
+        the loci in that order, and a memo keyed more coarsely than by the
+        complex (a planted fault in the tests) reuses the complex of the
+        first locus it meets."""
         got = self._support.get(p)
         if got is None:
             n = self.lvl.model.n
             points, ws = grF_grV_support(self.lvl, p, self.scan)
-            w = dict(zip(points, ws))
-            got = self._support[p] = {d: [None] * n + [w[d]] for d in set(points)}
+            key = {}
+            for d, w in zip(points, ws):
+                w0 = p + n - sum(w)
+                key[d] = (p, (d[0] + w0) if w0 else 0, w)
+            got = self._support[p] = {d: [None] * n + [key[d]] for d in set(points)}
         return got
 
     def rep(self, p, d):
         """The class representative at d in support(p): one per (p, lead
         key), built by gr_class_rep at the first point that asks for it."""
-        w = self.support(p)[d][-1]
-        w0 = p + self.lvl.model.n - sum(w)  # gr_label's w_0
-        key = (p, (d[0] + w0) if w0 else 0, w)  # vfilt.lead_key, as u0_0 = d_0 + w_0
+        key = self.support(p)[d][-1]
         got = self._reps.get(key)
         if got is None:
             got = self._reps[key] = gr_class_rep(self.lvl, p, d)

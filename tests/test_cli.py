@@ -140,7 +140,6 @@ N2_MODEL = {"n": 2, "exponents": [1, 2]}
         ({"command": "psi-dims", "model": N2_MODEL, "pmax": -3}, None),
         ({"command": "verify-cor24", "model": {"n": 2, "exponents": [2, 3]}, "box": 2, "p": -1}, None),
         ({"command": "verify-cor24", "model": {"n": 1, "exponents": [1]}, "box": 2, "p": -1}, None),
-        ({"command": "verify-axioms", "model": Y2_MODEL, "box": 1, "pmax": -1}, None),
     ],
     ids=[
         "box", "exponents", "exponents-not-list", "alpha-inf", "cap-inf",
@@ -150,7 +149,7 @@ N2_MODEL = {"n": 2, "exponents": [1, 2]}
         "exponents-text", "exponents-bool", "pairs-float", "coeffs-float",
         "cor23-alpha-outside", "cor24-alpha-outside",
         "thm42-pmax-negative", "thm42-samples-negative", "psi-dims-pmax-negative",
-        "cor24-p-negative", "cor24-p-negative-no-alpha", "axioms-pmax-negative",
+        "cor24-p-negative", "cor24-p-negative-no-alpha",
     ],
 )
 def test_malformed_values_exit_1(config, env_jobs, monkeypatch, capsys):
@@ -523,7 +522,7 @@ def test_box_radius_note_recorded():
 
 def test_notes_are_not_counted_as_checks():
     # verify-axioms makes the same checks at any radius; only radius 3 is
-    # below p_max + max(a_i) = 1 + 4 and carries a note
+    # below p_max + max(a_i) = 3 + 4 and carries a note
     config = {"command": "verify-axioms", "model": {"n": 1, "exponents": [4]}, "alpha": "1/4"}
     noted, code = run({**config, "box": 3})
     plain, _ = run({**config, "box": 7})
@@ -619,7 +618,7 @@ def test_run_fuzz_never_raises(command, key, junk):
     "command, keys",
     [
         ("verify-thm42", {"model", "alpha", "box", "pmax", "samples"}),
-        ("verify-axioms", {"model", "alpha", "box", "pmax"}),
+        ("verify-axioms", {"model", "alpha", "box"}),
         ("verify-cor51", {"model", "alpha", "box"}),
         ("verify-cor23", {"model", "alpha", "box"}),
         ("verify-cor24", {"model", "alpha", "box", "p"}),
@@ -628,26 +627,6 @@ def test_run_fuzz_never_raises(command, key, junk):
 def test_params_echo_exactly_what_ran(command, keys):
     report, code = run(_fuzz_base(command))
     assert code == 0 and set(report["params"]) == keys
-
-
-@pytest.mark.parametrize("pmax, want", [(None, 1), (0, 0), (2, 2)])
-def test_verify_axioms_reads_pmax(pmax, want, monkeypatch):
-    # pmax is the Hodge cap of both axiom checks, default 1, and echoed
-    caps = []
-    for name in ("check_v_axioms", "t_shift_check"):
-        inner = getattr(minexp_lab.cli, name)
-
-        def recorded(model, alpha, box, p_cap, inner=inner):
-            caps.append(p_cap)
-            return inner(model, alpha, box, p_cap)
-
-        monkeypatch.setattr(minexp_lab.cli, name, recorded)
-    config = {"command": "verify-axioms", "model": {"n": 2, "exponents": [1, 2]}, "box": 2}
-    if pmax is not None:
-        config["pmax"] = pmax
-    report, code = run(config, jobs=1)
-    assert code == 0 and report["params"]["pmax"] == want
-    assert caps == [want] * 2 * len(report["params"]["alpha"])
 
 
 N4_SLICE = ([1, 1, 1, 1], [2, 1, 1, 1], [2, 2, 1, 1], [2, 2, 2, 2])

@@ -491,7 +491,7 @@ class _WKeyedComplexes(_LevelComplexes):
     """The representative memo keyed by (p, w) alone, blind to u0_0."""
 
     def rep(self, p, d):
-        key = (p, self.support(p)[d][-1])
+        key = (p, self.support(p)[d][-1][-1])  # the row's key is (p, u0_0, w)
         if key not in self._reps:
             self._reps[key] = gr_class_rep(self.lvl, p, d)
         return self._reps[key]

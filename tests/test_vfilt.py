@@ -488,6 +488,18 @@ def test_t_shift_examples():
     assert t_shift_check(Y1, F(1), TruncationBox.radius(1, 4))["status"] == "PASS"
 
 
+@pytest.mark.parametrize("alpha, index", [(F(1, 2), 1), (F(1), 2)])
+def test_axioms_at_hodge_cap_2(alpha, index):
+    # both axiom checks over the spanning elements up to F_2 (the CLI runs
+    # them at cap 1), on (2, [1, 2]) at each jump in (0, 1]
+    model, box = MonomialModel(2, [1, 2]), TruncationBox.radius(2, 2)
+    lvl = Level(model, alpha)
+    assert any(len(_spanning_orders(lvl, 2, d)) > len(_spanning_orders(lvl, 1, d)) for d in box)
+    rep = check_v_axioms(model, alpha, box, p_cap=2)
+    assert rep["status"] == "PASS" and rep["nilpotency_index"] == index
+    assert t_shift_check(model, alpha, box, p_cap=2)["status"] == "PASS"
+
+
 def test_nilpotency_sign_resolution():
     # theta + alpha (not theta - alpha) is the nilpotent operator on
     # Gr^V_{-alpha}: the wrong sign already fails on g = y^2, alpha = 1/2
