@@ -18,13 +18,14 @@ The complexes of one level over one box share their pieces: the term at
 (D, K) is the class at D - deg K, and a matrix entry depends only on its
 source class and the variable k.  So one _LevelComplexes per gr_dr_psi or
 verify_cor51 call holds three memos: the support of Gr^F_p Gr^V per Hodge
-index p with each point's gr_label w (read once from
-vfilt.grF_grV_support), the class representative per (p, vfilt.lead_key),
-all that a representative reads of d, and the differential coordinate per
-(p, d, k).  verify_cor51 keeps it for every i, as their Hodge indices
-overlap.  A coordinate is a quotient of two integer coefficients; it is
-kept in integers, as the reduced pair (num, den) with den > 0, interned as
-a small id (0 is the zero coordinate), in a row per support point.
+index p with each point's key (p, vfilt.lead_key) (read once from
+vfilt.grF_grV_support and gr_label's w there), the class representative
+per such key, all that a representative reads of d, and the differential
+coordinate per (p, d, k).  verify_cor51 keeps it for every i, as their
+Hodge indices overlap.  A coordinate is a quotient of two integer
+coefficients; it is kept in integers, as the reduced pair (num, den) with
+den > 0, interned as a small id (0 is the zero coordinate), in a row per
+support point.
 
 Most complexes of one level repeat an earlier one.  So a table is built in
 two passes: each term (K, d) is scattered onto its locus D = d + deg K, and
