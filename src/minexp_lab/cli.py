@@ -9,14 +9,18 @@ malformed value is an input error.  A report's `params` lists exactly the
 values the run used, after defaults and parsing: a key a command does not
 read is neither validated nor echoed.  The five verify commands are one
 sweep over alphas (`_SWEEPS`); each alpha is one work item, and `--jobs`
-workers share them, at most one per item and per CPU.  verify-cor23 and
+workers share them, at most one per item and per CPU.  With k > 1 workers
+the items are dealt round robin into k shares: the calling process runs
+share 0 while k - 1 child processes run the others and send their results
+back over a pipe; the results, or the error of the first failing item, come
+back in item order, as one worker would give them.  verify-cor23 and
 verify-cor24 take alphas in (0, 1): an explicit alpha outside is an input
 error, while the default all-jumps list just leaves out alpha = 1.  Both
 compute the minimal exponent once per run and hand it to every item.  A box
 radius R in n variables is refused when its volume (2R+1)^n exceeds
-MAX_BOX_VOLUME.  A sweep whose radius leaves deep levels little room says
-so in a top-level `notes` list; notes are not checks and are not counted in
-`summary`.
+MAX_BOX_VOLUME, and a pmax above MAX_PMAX is refused.  A sweep whose radius
+leaves deep levels little room says so in a top-level `notes` list; notes
+are not checks and are not counted in `summary`.
 
 Reports are deterministic byte-for-byte: checks are produced in sorted key
 order, JSON is dumped with sorted keys, and scheduling parameters (--jobs,
@@ -36,7 +40,6 @@ import functools
 import io
 import itertools
 import json
-import multiprocessing
 import os
 import sys
 from fractions import Fraction
@@ -53,6 +56,10 @@ DEFAULT_PMAX = 3
 # Largest box volume (2R+1)^n a command accepts.  Work grows with the volume;
 # the acceptance sweeps use 13^3 = 2197, while n = 40 at radius 1 never ends.
 MAX_BOX_VOLUME = 10**6
+# Largest pmax a command accepts.  Work grows steeply with it: verify-thm42 on
+# (3, [1, 2, 2]) at radius 2 takes about 1.5 s at 32, 17 s at 64, and more
+# than 120 s at 100; the catalog sweeps use pmax <= 4.
+MAX_PMAX = 32
 
 
 def catalog():
@@ -86,6 +93,13 @@ def _count(key, value, got):
     x = _int(key, value, got)
     if x < 0:
         raise InputError(f"{key} must be >= 0, got {x}")
+    return x
+
+
+def _pmax(key, value, got):
+    x = _count(key, value, got)
+    if x > MAX_PMAX:
+        raise InputError(f"pmax must be <= {MAX_PMAX}, got {x}")
     return x
 
 
@@ -140,7 +154,7 @@ _PARSERS = {
     "model": lambda key, value, got: MonomialModel.from_json(_json(value, key)),
     "alpha": _alphas,
     "box": _box,
-    "pmax": _count,
+    "pmax": _pmax,
     "p": _int,
     "samples": _count,
     "lo": _rational,
@@ -268,12 +282,63 @@ _SWEEPS = {
 
 
 def _sweep_worker(item):
-    """All checks of one (command, alpha); top level for multiprocessing."""
+    """All checks of one (command, alpha)."""
     command, model_json, alpha_s, radius, extra = item
     model = MonomialModel.from_json(json.loads(model_json))
     box = TruncationBox.radius(model.n, radius)
     checks = _SWEEPS[command].checks(model, Fraction(alpha_s), box, *extra)
     return [{"alpha": alpha_s, **c} for c in checks]
+
+
+def _share(items, k, size):
+    """(results, failure) of items[k::size] run in order: failure is None,
+    or (index, exception) of the first item that raised, where the share
+    stops."""
+    results = []
+    for index in range(k, len(items), size):
+        try:
+            results.append(_sweep_worker(items[index]))
+        except Exception as exc:
+            return results, (index, exc)
+    return results, None
+
+
+def _send_share(conn, items, k, size):
+    """A child's work: one share, sent back to the caller; top level so
+    that every start method can run it."""
+    with conn:
+        conn.send(_share(items, k, size))
+
+
+def _fan_out(items, size):
+    """[_sweep_worker(item) for item in items] in `size` processes: this one
+    runs share 0, a child per other share sends its outcome over a one-way
+    pipe.  Raises the exception of the lowest-index failing item, as the
+    serial loop would; every child is joined before this returns."""
+    import multiprocessing
+
+    children = []
+    try:
+        for k in range(1, size):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(
+                target=_send_share, args=(send, items, k, size), daemon=True
+            )
+            proc.start()
+            send.close()
+            children.append((proc, recv))
+        outcomes = [_share(items, 0, size)] + [recv.recv() for _, recv in children]
+    finally:
+        for proc, recv in children:
+            recv.close()
+            proc.join()
+    failures = [failure for _, failure in outcomes if failure]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * len(items)
+    for k, (share, _) in enumerate(outcomes):
+        results[k::size] = share
+    return results
 
 
 def _cmd_sweep(command, config, jobs):
@@ -305,11 +370,7 @@ def _cmd_sweep(command, config, jobs):
     mj = json.dumps(model.to_json())
     items = [(command, mj, format_rational(a), radius, extra) for a in sorted(alphas)]
     size = min(jobs, len(items), os.cpu_count() or 1)
-    if size > 1:
-        with multiprocessing.Pool(size) as pool:
-            results = pool.map(_sweep_worker, items)
-    else:
-        results = [_sweep_worker(it) for it in items]
+    results = _fan_out(items, size) if size > 1 else [_sweep_worker(it) for it in items]
     return {
         "params": {
             **got,

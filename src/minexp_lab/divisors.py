@@ -15,18 +15,16 @@ rationals j/a_i, which is also where the V-filtration can jump.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .rationals import InputError, int_tuple
+from .rationals import FrozenRecord, InputError, int_tuple
 
 
-@dataclass(frozen=True)
-class SncDivisor:
+class SncDivisor(FrozenRecord):
     """Integer coefficients over the components E_1..E_N."""
 
-    coeffs: tuple
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", int_tuple(coeffs, "divisor coefficients"))
@@ -61,12 +59,11 @@ class SncDivisor:
         return cls(obj["coeffs"])
 
 
-@dataclass(frozen=True)
-class ResolutionNumerics:
+class ResolutionNumerics(FrozenRecord):
     """Pairs (a_i, k_i): multiplicity of E_i in the pulled-back divisor and
     in the relative canonical divisor."""
 
-    pairs: tuple
+    _fields = ("pairs",)
 
     def __init__(self, pairs):
         bad = InputError(

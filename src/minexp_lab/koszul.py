@@ -73,11 +73,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .divisors import SncDivisor
-from .rationals import InputError, exact_rank, format_rational, int_tuple
+from .rationals import InputError, Record, exact_rank, format_rational, int_tuple
 from .vfilt import (
     GradedDimTable,
     Level,
@@ -130,14 +129,14 @@ def annihilator_generators(model: MonomialModel, G) -> dict:
     return gens
 
 
-@dataclass
-class FilteredKoszulComplex:
+class FilteredKoszulComplex(Record):
     """Operator-level C-bar_G; cochains in degree |S|-(n-1) are dicts
     {sorted symbol tuple S: operator}."""
 
-    model: MonomialModel
-    G: tuple
-    generators: dict
+    _fields = ("model", "G", "generators")
+
+    def __init__(self, model, G, generators):
+        self.model, self.G, self.generators = model, G, generators
 
     @property
     def symbols(self):

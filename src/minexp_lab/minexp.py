@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .divisors import jump_candidates, lct_from_resolution
-from .rationals import INF, Infinity, InputError, VerificationError, format_rational
+from .rationals import INF, Infinity, InputError, Record, VerificationError, format_rational
 from .vfilt import (
     GradedDimTable,
     Level,
@@ -40,10 +39,14 @@ from .weyl import MonomialModel
 from . import derham
 
 
-@dataclass
-class MinExpResult:
-    value: object  # Fraction or INF
-    witness: list  # [{"p": int, "alpha": str, "member": bool}], sweep order
+class MinExpResult(Record):
+    """value: a Fraction or INF; witness: [{"p": int, "alpha": str,
+    "member": bool}] in sweep order."""
+
+    _fields = ("value", "witness")
+
+    def __init__(self, value, witness):
+        self.value, self.witness = value, witness
 
     def to_json(self):
         return {"minexp": format_rational(self.value), "witness": self.witness}
@@ -178,12 +181,12 @@ def cor23_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4, val
         if not ok:
             report["status"] = "FAIL"
 
+    lvl = Level(model, alpha)
     if value >= p:
         for i in range(1, p + 1):
-            tab = psi_hodge_dim(i, alpha, box, model)
             add(
                 "grF-psi-vanishing",
-                tab.is_zero(),
+                not any(_psi_grid(lvl, i, box)),
                 i=i,
                 alpha=format_rational(alpha),
             )
@@ -191,21 +194,20 @@ def cor23_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4, val
         add("grF-psi-vanishing", True, vacuous=True, note="minexp < p")
 
     if value >= p + alpha:
-        tab = psi_hodge_dim(p + 1, alpha, box, model)
-        strictly = value > p + alpha
+        psi = _psi_grid(lvl, p + 1, box)
+        vanishes, strictly = not any(psi), value > p + alpha
         add(
             "grF-psi-jump-detection",
-            tab.is_zero() == strictly,
+            vanishes == strictly,
             p=p,
             alpha=format_rational(alpha),
-            vanishes=tab.is_zero(),
+            vanishes=vanishes,
             strict=strictly,
         )
 
         # Gr^F_{p+1} psi ~= O/J, J the V_{<-alpha} colon ideal of dy dt^p delta:
         # h = y^(d + p a) sits at multidegree d, as the dt-order-p term
         # (answered once per member_key of the deeper level, in this call)
-        lvl = Level(model, alpha)
         deeper = lvl.deeper
         low = tuple(-p * x for x in model.a_ext)
         member = {}
@@ -217,7 +219,7 @@ def cor23_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4, val
                 held = member[key] = key is not None and _component_member(deeper, d, {p: 1})
             return 0 if held else 1
 
-        psi, locus = _psi_grid(lvl, p + 1, box), None
+        locus = None
         if _colon_grid(deeper, p, box, expected) != psi:
             for d, got in zip(box, psi):
                 want = expected(d) if all(map(operator.ge, d, low)) else 0
@@ -262,11 +264,8 @@ def cor24_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4, val
             report["status"] = "FAIL"
 
     # i) all terms of the level-<=p de Rham complexes vanish
-    ok = True
-    for j in range(1, p + 1):
-        if not psi_hodge_dim(j, alpha, box, model).is_zero():
-            ok = False
-            break
+    lvl = Level(model, alpha)
+    ok = not any(any(_psi_grid(lvl, j, box)) for j in range(1, p + 1))
     add("gr-derham-vanishing", ok, p=p, alpha=format_rational(alpha))
 
     # ii) concentration in degree 0 at level p+1
@@ -281,7 +280,6 @@ def cor24_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4, val
     )
 
     # iii) H^0 == omega (x) Gr^F_{p+1} psi, i.e. the psi table shifted by 1s
-    lvl = Level(model, alpha)
     omega_box = TruncationBox(tuple(x - 1 for x in box.lo), tuple(x - 1 for x in box.hi))
     psi, locus = _psi_grid(lvl, p + 1, omega_box), None
     if off or tab.box_list(box) != list(psi):

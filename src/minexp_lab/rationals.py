@@ -9,6 +9,10 @@ serialization, nothing else.
 ``exact_rank`` is the package's one exact-rank routine (Koszul core
 cohomology, de Rham complexes, the t-shift injectivity check); it works
 fraction-free on rows scaled to integers by ``integer_row``.
+
+``Record`` and ``FrozenRecord`` are the package's value-class base: the
+field-wise equality, repr and (frozen) hash of a dataclass, without the cost
+of importing ``dataclasses`` on every cold start of the CLI.
 """
 
 from __future__ import annotations
@@ -50,6 +54,40 @@ class Infinity:
 
 
 INF = Infinity()
+
+
+class Record:
+    """A plain value class.  A subclass names its compared fields in
+    `_fields`; an instance equals another of the same class field by field,
+    is unhashable, and reprs as Name(field=value, ...)."""
+
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({inner})"
+
+
+class FrozenRecord(Record):
+    """A Record hashed by its fields that refuses assignment; its __init__
+    sets the fields through object.__setattr__."""
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class InputError(ValueError):

@@ -69,12 +69,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .divisors import jump_candidates, next_candidate
-from .rationals import InputError, exact_rank, format_rational, integer_row
+from .rationals import FrozenRecord, InputError, Record, exact_rank, format_rational, integer_row
 from .weyl import (
     BgElement,
     MonomialModel,
@@ -89,8 +88,7 @@ from .weyl import (
 
 # -- boxes and dimension tables ---------------------------------------------
 
-@dataclass(frozen=True)
-class TruncationBox:
+class TruncationBox(FrozenRecord):
     """Componentwise multidegree window [lo, hi], plus an optional Hodge cap.
 
     All the graded objects here are multigraded with finite-dimensional
@@ -98,13 +96,14 @@ class TruncationBox:
     approximation.
     """
 
-    lo: tuple
-    hi: tuple
-    p_max: int | None = None
+    _fields = ("lo", "hi", "p_max")
 
-    def __post_init__(self):
-        if len(self.lo) != len(self.hi) or any(l > h for l, h in zip(self.lo, self.hi)):
-            raise InputError(f"bad box: lo={self.lo}, hi={self.hi}")
+    def __init__(self, lo, hi, p_max=None):
+        if len(lo) != len(hi) or any(l > h for l, h in zip(lo, hi)):
+            raise InputError(f"bad box: lo={lo}, hi={hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "p_max", p_max)
 
     @classmethod
     def radius(cls, n, radius, p_max=None):
@@ -127,14 +126,16 @@ def _fmt_deg(d):
     return "(" + ",".join(str(x) for x in d) + ")"
 
 
-@dataclass
-class GradedDimTable:
+class GradedDimTable(Record):
     """Nonnegative dimensions keyed by multidegree, optionally refined by a
-    cohomological degree; zero entries are never stored."""
+    cohomological degree; zero entries are never stored.  Two tables are
+    equal when their dims are."""
 
-    p: int | None = None
-    alpha: Fraction | None = None
-    dims: dict = field(default_factory=dict)
+    _fields = ("p", "alpha", "dims")
+
+    def __init__(self, p=None, alpha=None, dims=None):
+        self.p, self.alpha = p, alpha
+        self.dims = {} if dims is None else dims
 
     def get(self, key):
         return self.dims.get(key, 0)
@@ -207,23 +208,22 @@ def b_vector(model: MonomialModel, alpha) -> tuple:
     return tuple(math.ceil(alpha * a) - 1 for a in model.a) + (0,) * (model.n - model.r)
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(FrozenRecord):
     """One level alpha > 0 of one model's V-filtration (see the module
     docstring): b, D_alpha = b + 1 on the divisor coordinates (`twist`), and
     the Level at the next jump candidate (`deeper`), whose twist is
-    D_{>alpha}."""
+    D_{>alpha}.  b follows from (model, alpha), so it is neither compared
+    nor shown."""
 
-    model: MonomialModel
-    alpha: Fraction
-    b: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("model", "alpha")
 
-    def __post_init__(self):
-        alpha = Fraction(self.alpha)
+    def __init__(self, model, alpha):
+        alpha = Fraction(alpha)
         if alpha <= 0:
             raise InputError(f"alpha must be > 0, got {alpha}")
+        object.__setattr__(self, "model", model)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "b", b_vector(self.model, alpha))
+        object.__setattr__(self, "b", b_vector(model, alpha))
 
     @cached_property
     def deeper(self) -> Level:

@@ -41,19 +41,16 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .divisors import SncDivisor
-from .rationals import InputError, int_tuple
+from .rationals import FrozenRecord, InputError, int_tuple
 
 
-@dataclass(frozen=True)
-class MonomialModel:
+class MonomialModel(FrozenRecord):
     """g = y_1^{a_1} ... y_r^{a_r} on affine n-space, 1 <= r <= n, a_i >= 1."""
 
-    n: int
-    a: tuple
+    _fields = ("n", "a")
 
     def __init__(self, n, a):
         (n,) = int_tuple((n,), "model n")

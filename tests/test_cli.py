@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from minexp_lab.cli import (
 )
 import minexp_lab
 from minexp_lab import derham, koszul, minexp, vfilt, weyl
-from minexp_lab.rationals import exact_rank
+from minexp_lab.rationals import VerificationError, exact_rank
 from minexp_lab.weyl import MonomialModel
 
 
@@ -140,6 +141,9 @@ N2_MODEL = {"n": 2, "exponents": [1, 2]}
         ({"command": "psi-dims", "model": N2_MODEL, "pmax": -3}, None),
         ({"command": "verify-cor24", "model": {"n": 2, "exponents": [2, 3]}, "box": 2, "p": -1}, None),
         ({"command": "verify-cor24", "model": {"n": 1, "exponents": [1]}, "box": 2, "p": -1}, None),
+        ({"command": "verify-thm42", "model": Y2_MODEL, "pmax": 33}, None),
+        ({"command": "psi-dims", "model": Y2_MODEL, "pmax": "999"}, None),
+        ({"command": "minexp", "model": Y2_MODEL, "pmax": 10**6}, None),
     ],
     ids=[
         "box", "exponents", "exponents-not-list", "alpha-inf", "cap-inf",
@@ -150,6 +154,7 @@ N2_MODEL = {"n": 2, "exponents": [1, 2]}
         "cor23-alpha-outside", "cor24-alpha-outside",
         "thm42-pmax-negative", "thm42-samples-negative", "psi-dims-pmax-negative",
         "cor24-p-negative", "cor24-p-negative-no-alpha",
+        "pmax-too-large", "psi-dims-pmax-too-large", "minexp-pmax-too-large",
     ],
 )
 def test_malformed_values_exit_1(config, env_jobs, monkeypatch, capsys):
@@ -541,26 +546,99 @@ def test_notes_are_not_counted_as_checks():
     assert noted["summary"] == plain["summary"] == {"pass": 0, "fail": 0}
 
 
+def test_pmax_bound_is_inclusive():
+    from minexp_lab.cli import MAX_PMAX
+
+    for command in ("minexp", "psi-dims", "verify-thm42"):
+        config = {"command": command, "model": Y2_MODEL, "alpha": "1/2", "box": 1}
+        report, code = run(dict(config, pmax=MAX_PMAX))
+        assert code == 0 and report["params"].get("pmax", MAX_PMAX) == MAX_PMAX, command
+        report, code = run(dict(config, pmax=MAX_PMAX + 1))
+        assert code == 1 and "pmax" in report["error"], command
+
+
+def test_cli_import_loads_no_dataclasses_or_multiprocessing():
+    """A cold call pays for neither import: the value classes are plain, and
+    multiprocessing is imported only when a sweep fans out."""
+    src = os.path.dirname(os.path.dirname(minexp_lab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def loaded(code):
+        out = subprocess.run(
+            [sys.executable, "-c", code + "; import sys; print(' '.join(sys.modules))"],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout
+        return set(out.split())
+
+    added = loaded("import minexp_lab.cli") - loaded("pass")
+    assert "minexp_lab.cli" in added
+    assert not added & {"dataclasses", "inspect", "multiprocessing"}
+
+
+def _planted_cor51(failing):
+    """derham.verify_cor51 that raises a VerificationError naming the alpha
+    at the item indices in `failing` (items run in sorted alpha order)."""
+    inner = derham.verify_cor51
+    alphas = [Fraction(k, 4) for k in range(1, 5)]
+
+    def planted(model, alpha, *args, **kwargs):
+        if alphas.index(alpha) in failing:
+            raise VerificationError(f"planted at alpha {alpha}")
+        return inner(model, alpha, *args, **kwargs)
+
+    return planted
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the planted fault reaches the child processes through fork",
+)
+@pytest.mark.parametrize(
+    "failing, first",
+    [({1, 2}, "1/2"), ({2, 3}, "3/4"), ({3}, "1"), ({0, 3}, "1/4")],
+    ids=["child-first", "caller-first", "child-only", "both-shares"],
+)
+def test_fan_out_raises_the_first_failing_item(failing, first, monkeypatch):
+    """Two workers share the four alphas of (1, [4]): the caller runs items
+    0 and 2, a child items 1 and 3.  The report names the lowest-index
+    failing item, as at --jobs 1, and no child is left running."""
+    from minexp_lab import cli
+
+    monkeypatch.setattr(derham, "verify_cor51", _planted_cor51(failing))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    config = {"command": "verify-cor51", "model": {"n": 1, "exponents": [4]}, "box": 2}
+    serial, code = run(dict(config), jobs=1)
+    assert code == 2 and serial["checks"][0]["invariant"] == f"planted at alpha {first}"
+    fanned, code = run(dict(config), jobs=2)
+    assert code == 2 and report_to_json(fanned) == report_to_json(serial)
+    assert multiprocessing.active_children() == []
+
+
+def test_fan_out_keeps_item_order(monkeypatch):
+    from minexp_lab import cli
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    config = {"command": "verify-cor51", "model": {"n": 1, "exponents": [4]}, "box": 2}
+    serial, _ = run(dict(config), jobs=1)
+    for jobs in (2, 3):
+        report, code = run(dict(config), jobs=jobs)
+        assert code == 0 and report_to_json(report) == report_to_json(serial)
+    assert [c["alpha"] for c in serial["checks"]] == ["1/4", "1/2", "3/4", "1"]
+    assert multiprocessing.active_children() == []
+
+
 def test_pool_size_clamped(monkeypatch):
     """Workers: at most --jobs, one per alpha and one per CPU; no process starts."""
     from minexp_lab import cli
 
     sizes = []
 
-    class FakePool:
-        def __init__(self, size):
-            sizes.append(size)
+    def fake_fan_out(items, size):
+        sizes.append(size)
+        return [cli._sweep_worker(it) for it in items]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(it) for it in items]
-
-    monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(cli, "_fan_out", fake_fan_out)
     four_jumps = {"command": "verify-axioms", "model": {"n": 1, "exponents": [4]}, "box": 1}
     two_alphas = dict(four_jumps, alpha=["1/4", "1/2"])
     for config, jobs, cpus, want in [

@@ -1,9 +1,17 @@
-"""The exact-rank routine against a plain Fraction Gaussian elimination."""
+"""The exact-rank routine against a plain Fraction Gaussian elimination,
+and the value classes built on Record."""
 
 import random
 from fractions import Fraction as F
 
-from minexp_lab.rationals import exact_rank
+import pytest
+
+from minexp_lab.divisors import ResolutionNumerics, SncDivisor
+from minexp_lab.koszul import build_cbar
+from minexp_lab.minexp import MinExpResult
+from minexp_lab.rationals import INF, exact_rank
+from minexp_lab.vfilt import GradedDimTable, Level, TruncationBox, b_vector
+from minexp_lab.weyl import MonomialModel
 
 
 def _reference_rank(rows, ncols):
@@ -60,3 +68,66 @@ def test_exact_rank_edge_cases():
     assert exact_rank([{}, {}, {0: 0, 3: F(0)}]) == 0  # zero matrix
     assert exact_rank([{0: F(1, 2), 1: F(1, 3)}, {0: 3, 1: 2}]) == 1
     assert exact_rank([{5: 2, 9: -4}, {9: 1}, {}]) == 2
+
+
+def test_records_compare_hash_and_repr_by_field():
+    m = MonomialModel(2, [1, 2])
+    assert m == MonomialModel(2, (1, 2)) and hash(m) == hash(MonomialModel(2, (1, 2)))
+    assert m != MonomialModel(2, (2, 1)) and m != (2, (1, 2))
+    assert SncDivisor([1, 2]) != m and SncDivisor([1, 2]) == SncDivisor((1, 2))
+    # lru_cache keys on the model: an equal model is a hit
+    b_vector(m, F(1, 3))
+    hits = b_vector.cache_info().hits
+    b_vector(MonomialModel(2, (1, 2)), F(1, 3))
+    assert b_vector.cache_info().hits == hits + 1
+    # Level compares and hashes by (model, alpha) only: b is derived
+    lvl, other = Level(m, F(1, 2)), Level(MonomialModel(2, (1, 2)), "1/2")
+    object.__setattr__(other, "b", (9, 9))
+    assert lvl == other and hash(lvl) == hash(other) and lvl != Level(m, 1)
+    # GradedDimTable compares its dims only
+    assert GradedDimTable(p=1, dims={(0,): 1}) == GradedDimTable(p=2, dims={(0,): 1})
+    assert GradedDimTable() != GradedDimTable(dims={(0,): 1})
+    assert MinExpResult(INF, []) == MinExpResult(INF, []) != MinExpResult(F(1, 2), [])
+    for unhashable in (GradedDimTable(), MinExpResult(INF, []), build_cbar(m, (1, 1))):
+        with pytest.raises(TypeError):
+            hash(unhashable)
+    assert [repr(x) for x in (
+        m,
+        SncDivisor([1, 2]),
+        ResolutionNumerics([[1, 0]]),
+        TruncationBox.radius(2, 1),
+        lvl,
+        GradedDimTable(p=1, alpha=F(1, 2), dims={(0, 0): 1}),
+        MinExpResult(INF, [{"p": 0}]),
+    )] == [
+        "MonomialModel(n=2, a=(1, 2))",
+        "SncDivisor(coeffs=(1, 2))",
+        "ResolutionNumerics(pairs=((1, 0),))",
+        "TruncationBox(lo=(-1, -1), hi=(1, 1), p_max=None)",
+        "Level(model=MonomialModel(n=2, a=(1, 2)), alpha=Fraction(1, 2))",
+        "GradedDimTable(p=1, alpha=Fraction(1, 2), dims={(0, 0): 1})",
+        "MinExpResult(value=INF, witness=[{'p': 0}])",
+    ]
+    assert repr(build_cbar(m, (1, 1))).startswith(
+        "FilteredKoszulComplex(model=MonomialModel(n=2, a=(1, 2)), G=(1, 1), generators={2: "
+    )
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (MonomialModel(2, [1, 2]), "n"),
+        (SncDivisor([1]), "coeffs"),
+        (ResolutionNumerics([[1, 0]]), "pairs"),
+        (TruncationBox((0,), (1,)), "p_max"),
+        (Level(MonomialModel(1, [2]), F(1, 2)), "alpha"),
+    ],
+    ids=["model", "divisor", "numerics", "box", "level"],
+)
+def test_frozen_records_refuse_assignment(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 0
