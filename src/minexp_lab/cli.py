@@ -329,6 +329,8 @@ def _fan_out(items, size):
             children.append((proc, recv))
         outcomes = [_share(items, 0, size)] + [recv.recv() for _, recv in children]
     finally:
+        # closed first, so that a child still sending after an escaped
+        # exception here gets a broken pipe instead of blocking the join
         for proc, recv in children:
             recv.close()
             proc.join()
