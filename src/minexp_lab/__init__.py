@@ -9,10 +9,7 @@ from .divisors import (
     SncDivisor,
     ResolutionNumerics,
     lct_from_resolution,
-    round_up,
-    round_gt,
     jump_candidates,
-    multiplier_ideal_snc,
 )
 from .weyl import MonomialModel, BgElement, WeylOperator, act_right, compose, multidegree
 
@@ -26,10 +23,7 @@ __all__ = [
     "SncDivisor",
     "ResolutionNumerics",
     "lct_from_resolution",
-    "round_up",
-    "round_gt",
     "jump_candidates",
-    "multiplier_ideal_snc",
     "MonomialModel",
     "BgElement",
     "WeylOperator",

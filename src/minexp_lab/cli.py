@@ -18,7 +18,8 @@ verify-cor24 take alphas in (0, 1): an explicit alpha outside is an input
 error, while the default all-jumps list just leaves out alpha = 1.  Both
 compute the minimal exponent once per run and hand it to every item.  A box
 radius R in n variables is refused when its volume (2R+1)^n exceeds
-MAX_BOX_VOLUME, and a pmax above MAX_PMAX is refused.  A sweep whose radius
+MAX_BOX_VOLUME, a verify command refuses a model with n above MAX_N, and a
+pmax above MAX_PMAX is refused.  A sweep whose radius
 leaves deep levels little room says so in a top-level `notes` list; notes
 are not checks and are not counted in `summary`.
 
@@ -60,6 +61,13 @@ MAX_BOX_VOLUME = 10**6
 # (3, [1, 2, 2]) at radius 2 takes about 1.5 s at 32, 17 s at 64, and more
 # than 120 s at 100; the catalog sweeps use pmax <= 4.
 MAX_PMAX = 32
+# Largest n a verify command accepts.  At radius 0 the box volume is 1 for
+# any n, but the work still grows exponentially in n.  Steepest is
+# verify-thm42 with r = n and all a_i = 1: at radius 0 it takes 0.5 s at
+# n = 5, 5.0 s at 6 and more than 40 s at 7; at radius 1, 3.8 s at n = 5 and
+# more than 40 s at 6.  At n = 5 every other verify command takes under 1 s at
+# radius 0 and 1 (one run each, 2 CPUs, Python 3.11).
+MAX_N = 5
 
 
 def catalog():
@@ -347,6 +355,8 @@ def _cmd_sweep(command, config, jobs):
     sweep = _SWEEPS[command]
     got = _parse(config, ("model", "box", "alpha") + sweep.keys)
     model, radius = got["model"], got["box"]
+    if model.n > MAX_N:
+        raise InputError(f"{command} takes n <= {MAX_N}, got n = {model.n}")
     if got.get("p") is not None and got["p"] < 0:
         # cor24_check refuses it too, but the alpha filter below may leave
         # no item to reach it
@@ -523,21 +533,15 @@ def report_to_json(report) -> str:
 
 def report_to_csv(report) -> str:
     buf = io.StringIO()
+    writer = csv.writer(buf)
     if "tables" in report:
-        writer = csv.writer(buf)
+        # psi-dims tables are not refined by a cohomological degree: q is empty
         writer.writerow(["degree", "p", "alpha", "q", "dim"])
         for table in report["tables"]:
-            p = table.get("p", "")
-            alpha = table.get("alpha", "")
-            for deg in sorted(table["dims"]):
-                entry = table["dims"][deg]
-                if isinstance(entry, dict):
-                    for q in sorted(entry, key=int):
-                        writer.writerow([deg, p, alpha, q, entry[q]])
-                else:
-                    writer.writerow([deg, p, alpha, "", entry])
+            p, alpha = table.get("p", ""), table.get("alpha", "")
+            for deg, dim in sorted(table["dims"].items()):
+                writer.writerow([deg, p, alpha, "", dim])
     else:
-        writer = csv.writer(buf)
         writer.writerow(["name", "status", "info"])
         # a note has no status: its row leaves that column empty
         for c in report.get("checks", []) + report.get("notes", []):

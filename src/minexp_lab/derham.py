@@ -1,6 +1,6 @@
-"""Graded de Rham complexes of nearby cycles in the monomial chart, and the
-relative-log-form exact sequences, with the degenerate-resolution comparison
-(the resolution is the identity, so derived pushforwards are literal).
+"""Graded de Rham complexes of nearby cycles in the monomial chart, with the
+degenerate-resolution comparison (the resolution is the identity, so derived
+pushforwards are literal).
 
 The level-(i+1-n) graded de Rham complex of psi_{g,alpha} has terms
 
@@ -58,163 +58,20 @@ from .vfilt import (
     GradedDimTable,
     Level,
     TruncationBox,
-    _fail,
+    _check,
     gr_class_rep,
     grF_grV_support,
 )
 from .weyl import MonomialModel, _orders_dy
 
 
-# -- relative log forms -------------------------------------------------------
-
-def _abs_symbols(model):
-    """dlog y_1..dlog y_r then dy_{r+1}..dy_n, as ("L", i) / ("D", j)."""
-    return tuple(("L", i) for i in range(1, model.r + 1)) + tuple(
-        ("D", j) for j in range(model.r + 1, model.n + 1)
-    )
-
+# -- quotient sheaf dimensions -------------------------------------------------
 
 def _rel_symbols(model):
     """a_i dlog y_i for 2 <= i <= r, then dy_j for j > r."""
     return tuple(("L", i) for i in range(2, model.r + 1)) + tuple(
         ("D", j) for j in range(model.r + 1, model.n + 1)
     )
-
-
-def _wedge_map(images, src_symbols, dst_symbols, q):
-    """Matrix of the induced map on q-wedges given per-symbol images
-    (dict src symbol -> {dst symbol: coeff}); rows are dst wedges."""
-    src = list(itertools.combinations(src_symbols, q))
-    dst = list(itertools.combinations(dst_symbols, q))
-    dst_index = {S: k for k, S in enumerate(dst)}
-    cols = []
-    for S in src:
-        col = {}
-        choices = [list(images[s].items()) for s in S]
-        for pick in itertools.product(*choices):
-            syms = [p[0] for p in pick]
-            if len(set(syms)) < q:
-                continue
-            order = sorted(range(q), key=lambda k: dst_symbols.index(syms[k]))
-            sign = 1
-            seen = []
-            for k in range(q):
-                inversions = sum(1 for kk in seen if kk > order[k])
-                sign *= (-1) ** inversions
-                seen.append(order[k])
-            coeff = Fraction(sign)
-            for _, c in pick:
-                coeff *= c
-            T = tuple(sorted(syms, key=dst_symbols.index))
-            col[dst_index[T]] = col.get(dst_index[T], Fraction(0)) + coeff
-        cols.append({k: v for k, v in col.items() if v})
-    return cols, len(dst)
-
-
-def relative_sequence_check(model: MonomialModel, q):
-    """Exactness of  0 -> Omega^{q-1}_rel -> Omega^q(log E) -> Omega^q_rel -> 0
-    in the chosen bases: the dlog(g)-wedge is injective, the projection is
-    surjective, the composite vanishes, and the ranks add up."""
-    if not 0 <= q <= model.n:
-        raise InputError(f"need 0 <= q <= n, got q={q}")
-    n, r, a = model.n, model.r, model.a
-    abs_syms = _abs_symbols(model)
-    rel_syms = _rel_symbols(model)
-
-    # lift rel -> abs and wedge with dlog(g) = sum a_i dlog y_i
-    lift = {}
-    for s in rel_syms:
-        if s[0] == "L":
-            lift[s] = {("L", s[1]): Fraction(a[s[1] - 1])}
-        else:
-            lift[s] = {("D", s[1]): Fraction(1)}
-    m_lift, _ = _wedge_map(lift, rel_syms, abs_syms, q - 1) if q >= 1 else ([], 0)
-    abs_q = list(itertools.combinations(abs_syms, q))
-    abs_index = {S: k for k, S in enumerate(abs_q)}
-    abs_qm1 = list(itertools.combinations(abs_syms, q - 1)) if q >= 1 else []
-    wedge_cols = []
-    for col in m_lift:
-        out = {}
-        for row_idx, coeff in col.items():
-            S = abs_qm1[row_idx]
-            for i in range(1, r + 1):
-                sym = ("L", i)
-                if sym in S:
-                    continue
-                sign = (-1) ** sum(1 for s in S if abs_syms.index(s) < abs_syms.index(sym))
-                T = tuple(sorted(S + (sym,), key=abs_syms.index))
-                v = out.get(abs_index[T], Fraction(0)) + sign * a[i - 1] * coeff
-                if v:
-                    out[abs_index[T]] = v
-                else:
-                    out.pop(abs_index[T], None)
-        wedge_cols.append(out)
-
-    # projection abs -> rel (kills dlog g)
-    proj = {}
-    for s in abs_syms:
-        if s == ("L", 1):
-            proj[s] = {("L", k): Fraction(-1, a[0]) for k in range(2, r + 1)}
-        elif s[0] == "L":
-            proj[s] = {("L", s[1]): Fraction(1, a[s[1] - 1])}
-        else:
-            proj[s] = {("D", s[1]): Fraction(1)}
-    m_proj, n_rel_q = _wedge_map(proj, abs_syms, rel_syms, q)
-
-    rank_in = exact_rank(wedge_cols)
-    rank_out = exact_rank(m_proj)
-    n_rel_qm1 = len(list(itertools.combinations(rel_syms, q - 1))) if q >= 1 else 0
-    n_abs = len(abs_q)
-
-    # composite rel^{q-1} -> abs^q -> rel^q must vanish
-    composite_zero = True
-    for col in wedge_cols:
-        acc = {}
-        for abs_idx, coeff in col.items():
-            for rel_idx, c2 in m_proj[abs_idx].items():
-                v = acc.get(rel_idx, Fraction(0)) + coeff * c2
-                if v:
-                    acc[rel_idx] = v
-                else:
-                    acc.pop(rel_idx, None)
-        if acc:
-            composite_zero = False
-            break
-
-    ok = (
-        rank_in == n_rel_qm1
-        and rank_out == n_rel_q
-        and composite_zero
-        and rank_in + rank_out == n_abs
-    )
-    return {
-        "status": "PASS" if ok else "FAIL",
-        "checks": [
-            {
-                "name": "relative-sequence",
-                "status": "PASS" if ok else "FAIL",
-                "q": q,
-                "ranks": [n_rel_qm1, n_abs, n_rel_q],
-                "injective": rank_in == n_rel_qm1,
-                "surjective": rank_out == n_rel_q,
-                "composite_zero": composite_zero,
-                "exact_middle": rank_in + rank_out == n_abs,
-            }
-        ],
-    }
-
-
-# -- quotient sheaf dimensions -------------------------------------------------
-
-def quotient_dims(model: MonomialModel, alpha, q, relative, box: TruncationBox) -> GradedDimTable:
-    """Multidegree dimensions of (O(-D_alpha)/O(-D_{>alpha})) (x) Omega^q of
-    the chosen flavor (relative or absolute log forms)."""
-    lvl = Level(model, alpha)
-    syms = _rel_symbols(model) if relative else _abs_symbols(model)
-    table = GradedDimTable(alpha=lvl.alpha)
-    for d, count in zip(box, _quotient_count_grid(lvl, syms, q, box)):
-        table.set(d, count)
-    return table
 
 
 def _quotient_count_grid(lvl: Level, syms, q, box: TruncationBox) -> list:
@@ -327,8 +184,7 @@ class _LevelComplexes:
     def coordinate(self, p, d, k) -> int:
         """The id of the coordinate of rep(p, d) . dy_k in Gr^F_{p+1} Gr^V
         at d - e_k, a nonzero piece: its top dt-order coefficient over the
-        class representative's (as in vfilt.gr_coordinate), reduced in
-        integers.  d lies in support(p); the id is kept in d's row."""
+        class representative's, reduced in integers.  d lies in support(p); the id is kept in d's row."""
         row = self.support(p)[d]
         got = row[k]
         if got is None:
@@ -463,15 +319,7 @@ def verify_cor51(model: MonomialModel, alpha, i_range, box: TruncationBox):
         wants = _quotient_count_grid(lvl, syms, n - 1 - i, box)
         if not (all(q == -i for _, q in t.dims) and t.box_list(box) == wants):
             return _cor51_failure(report, i, t, box, wants)
-        report["checks"].append(
-            {
-                "name": "cor51",
-                "status": "PASS",
-                "i": i,
-                "alpha": format_rational(alpha),
-                "total_dim": sum(t.dims.values()),
-            }
-        )
+        _check(report, "cor51", i=i, alpha=format_rational(alpha), total_dim=t.total())
     return report
 
 
@@ -482,17 +330,20 @@ def _cor51_failure(report, i, t: GradedDimTable, box: TruncationBox, wants):
     at = dict(zip(box, wants))
     for (Dd, q), dim in sorted(t.dims.items()):
         if q != -i:
-            return _fail(report, "cor51-concentration", i=i, degree=list(Dd), cohdeg=q, dim=dim)
+            return _check(
+                report, "cor51-concentration", ok=False, i=i, degree=list(Dd), cohdeg=q, dim=dim
+            )
         if dim != at[Dd]:
-            return _fail(
-                report, "cor51-dims", i=i, degree=list(Dd), deRham=dim, quotient_forms=at[Dd]
+            return _check(
+                report, "cor51-dims", ok=False, i=i, degree=list(Dd), deRham=dim,
+                quotient_forms=at[Dd],
             )
     # the other containment: every quotient-forms locus shows up (a locus
     # where want is 0 holds no entry of t, by the loop above)
     for d, want in zip(box, wants):
         if want and want != t.get((d, -i)):
-            return _fail(
-                report, "cor51-dims", i=i, degree=list(d), deRham=t.get((d, -i)),
+            return _check(
+                report, "cor51-dims", ok=False, i=i, degree=list(d), deRham=t.get((d, -i)),
                 quotient_forms=want,
             )
     raise AssertionError("the list compare failed where the scan finds no failure")

@@ -92,26 +92,6 @@ def lct_from_resolution(res) -> Fraction:
     return min(Fraction(k + 1, a) for a, k in res.pairs)
 
 
-def _check_alpha(alpha):
-    alpha = Fraction(alpha)
-    if alpha < 0:
-        raise InputError(f"alpha must be >= 0, got {alpha}")
-    return alpha
-
-
-def round_up(D: SncDivisor, alpha) -> SncDivisor:
-    """D_alpha = ceil(alpha*D), componentwise."""
-    alpha = _check_alpha(alpha)
-    return SncDivisor(math.ceil(alpha * a) for a in D)
-
-
-def round_gt(D: SncDivisor, alpha) -> SncDivisor:
-    """D_(>alpha) = floor(alpha*D) + E; equals round_up(D, alpha+eps) for
-    all small enough eps > 0."""
-    alpha = _check_alpha(alpha)
-    return SncDivisor(math.floor(alpha * a) + 1 for a in D)
-
-
 def jump_candidates(D: SncDivisor, lo, hi) -> list:
     """All values j/a_i in (lo, hi], deduplicated and ascending."""
     lo, hi = Fraction(lo), Fraction(hi)
@@ -135,11 +115,3 @@ def next_candidate(D: SncDivisor, alpha) -> Fraction:
     """Smallest jump candidate strictly above alpha."""
     alpha = Fraction(alpha)
     return min(Fraction(math.floor(alpha * a) + 1, a) for a in D if a > 0)
-
-
-def multiplier_ideal_snc(D: SncDivisor, lam) -> SncDivisor:
-    """Monomial exponent vector floor(lam*D) of the multiplier ideal when the
-    divisor is itself the SNC monomial divisor (the resolution is the
-    identity); the ideal is trivial iff all entries are 0."""
-    lam = _check_alpha(lam)
-    return SncDivisor(math.floor(lam * a) for a in D)

@@ -15,9 +15,10 @@ in cohomological degrees -(n-1)..0, and the differential
 
 This explicit matrix is implementer-derived (the quotient construction fixes
 it only up to the chosen trivialization); it is pinned down by d^2 = 0, by
-the generators commuting, and by the augmentation-zero check against
+the generators commuting, and by the augmentation-zero check against the
+augmentation on degree-0 cochains
 
-    sigma_alpha(e_full (x) Q) = (a_1...a_r y^b dy delta) . Q ,
+    e_full (x) Q |-> (a_1...a_r y^b dy delta) . Q ,
 
 all verified in tests/test_koszul.py and the CLI harness.
 
@@ -78,11 +79,10 @@ from fractions import Fraction
 from .divisors import SncDivisor
 from .rationals import InputError, Record, exact_rank, format_rational, int_tuple
 from .vfilt import (
-    GradedDimTable,
     Level,
     TruncationBox,
+    _check,
     _expansion_orders,
-    _fail,
     b_vector,
     gr_count_grid,
     gr_label,
@@ -177,14 +177,6 @@ def build_cbar(model: MonomialModel, G) -> FilteredKoszulComplex:
     return FilteredKoszulComplex(model, c, annihilator_generators(model, c))
 
 
-def generators_commute(model: MonomialModel, G) -> bool:
-    gens = list(annihilator_generators(model, G).values())
-    return all(
-        compose(P, Q) == compose(Q, P)
-        for P, Q in itertools.combinations(gens, 2)
-    )
-
-
 def sigma_generator(model: MonomialModel, alpha) -> BgElement:
     """Image of the canonical top-degree generator: a_1...a_r y^b dy delta."""
     b = b_vector(model, alpha)
@@ -194,22 +186,14 @@ def sigma_generator(model: MonomialModel, alpha) -> BgElement:
     return BgElement(model.n, {(b, 0): Fraction(coeff)})
 
 
-def sigma_alpha(model: MonomialModel, alpha, x=None) -> BgElement:
-    """The augmentation on degree-0 cochains: e_full (x) Q |-> base . Q,
-    extended operator-linearly; x may be an operator, a cochain dict, or
-    None for the canonical generator."""
-    base = sigma_generator(model, Level(model, alpha).alpha)
-    return base if x is None else _augment(model, base, x)
-
-
 def _augment(model, base, x):
-    if isinstance(x, WeylOperator):
-        return act_right(base, x, model)
+    """The augmentation of the degree-0 cochain x: e_full (x) Q |-> base . Q,
+    extended operator-linearly."""
     full = tuple(range(2, model.n + 1))
     out = BgElement(model.n)
     for S, Q in x.items():
         if tuple(sorted(S)) != full:
-            raise InputError("sigma_alpha expects a degree-0 cochain")
+            raise InputError("the augmentation expects a degree-0 cochain")
         out = out + act_right(base, Q, model)
     return out
 
@@ -248,17 +232,9 @@ def verify_thm42_iii(model: MonomialModel, alpha, samples=20, seed=0):
     minus_theta = WeylOperator.theta(n).scale(-1)
     report = {"status": "PASS", "checks": []}
     lhs = act_right(base, n_op, model)
-    rhs = act_right(base, minus_theta, model)
-    ok = lhs == rhs
-    report["checks"].append(
-        {
-            "name": "monodromy-generator",
-            "status": "PASS" if ok else "FAIL",
-            "alpha": format_rational(alpha),
-        }
-    )
+    ok = lhs == act_right(base, minus_theta, model)
+    _check(report, "monodromy-generator", ok, alpha=format_rational(alpha))
     if not ok:
-        report["status"] = "FAIL"
         return report
     rng = random.Random(seed)
     for idx in range(samples):
@@ -266,11 +242,8 @@ def verify_thm42_iii(model: MonomialModel, alpha, samples=20, seed=0):
         left = act_right(lhs, Q, model)
         right = act_right(act_right(base, Q, model), minus_theta, model)
         if left != right:
-            return _fail(report, "monodromy-multiple", sample=idx)
-    report["checks"].append(
-        {"name": "monodromy-multiples", "status": "PASS", "samples": samples}
-    )
-    return report
+            return _check(report, "monodromy-multiple", ok=False, sample=idx)
+    return _check(report, "monodromy-multiples", samples=samples)
 
 
 def augmentation_zero_check(model: MonomialModel, alpha, samples=10, seed=0):
@@ -282,10 +255,7 @@ def augmentation_zero_check(model: MonomialModel, alpha, samples=10, seed=0):
     fkc = build_cbar(model, lvl.twist)
     report = {"status": "PASS", "checks": []}
     if n == 1:
-        report["checks"].append(
-            {"name": "augmentation-zero", "status": "PASS", "vacuous": True}
-        )
-        return report
+        return _check(report, "augmentation-zero", vacuous=True)
     syms = fkc.symbols
     rng = random.Random(seed)
     inputs = []
@@ -296,14 +266,11 @@ def augmentation_zero_check(model: MonomialModel, alpha, samples=10, seed=0):
         inputs.append({S: _random_yd_operator(rng, n)})
     for x in inputs:
         if not _augment(model, base, fkc.differential(x)).is_zero():
-            return _fail(
-                report, "augmentation-zero",
+            return _check(
+                report, "augmentation-zero", ok=False,
                 cochain={str(k): repr(v) for k, v in x.items()},
             )
-    report["checks"].append(
-        {"name": "augmentation-zero", "status": "PASS", "inputs": len(inputs)}
-    )
-    return report
+    return _check(report, "augmentation-zero", inputs=len(inputs))
 
 
 # -- graded (symbol-level) cohomology ----------------------------------------
@@ -518,18 +485,6 @@ class GradedCbar:
         return table, at, columns, gates
 
 
-def graded_cohomology(model: MonomialModel, G, p, box: TruncationBox,
-                      G_deeper=None) -> GradedDimTable:
-    """All cohomology dimensions of the graded Koszul complex per multidegree
-    in the box, keyed by (multidegree, cohomological degree)."""
-    gc = GradedCbar(model, G, G_deeper)
-    table = GradedDimTable(p=p)
-    for d, h in zip(box, gc.cohomology_grid(p, box)):
-        for q, dim in h.items():
-            table.dims[(d, q)] = dim
-    return table
-
-
 # -- resolution sweeps --------------------------------------------------------
 #
 # A sweep compares whole box-order bytes: the H^0 bytes against the count
@@ -570,15 +525,15 @@ def _scan(report, p, box, grid, want, ok, names, lead=None):
     off, dims, count, sigma = names
     for d, h, x in zip(box, _spread(*grid, {}), want):
         if not ok(h):
-            return _fail(
-                report, off, p=p, degree=list(d),
+            return _check(
+                report, off, ok=False, p=p, degree=list(d),
                 cohomology={str(q): v for q, v in sorted(h.items())},
             )
         h0 = h.get(0, 0)
         if h0 != x:
-            return _fail(report, dims, p=p, degree=list(d), H0=h0, **{count: x})
+            return _check(report, dims, ok=False, p=p, degree=list(d), H0=h0, **{count: x})
         if lead is not None and h0 and not lead(d):
-            return _fail(report, sigma, p=p, degree=list(d))
+            return _check(report, sigma, ok=False, p=p, degree=list(d))
     return None
 
 
@@ -624,14 +579,9 @@ def verify_thm42_i(model: MonomialModel, alpha, p_range, box: TruncationBox):
         # which it does not read
         if not passed and _scan(report, p, box, grid, want, _acyclic, _THM42I, lead):
             return report
-        report["checks"].append(
-            {
-                "name": "thm42i",
-                "status": "PASS",
-                "p": p,
-                "alpha": format_rational(lvl.alpha),
-                "nonzero_H0_loci": len(h0) - h0.count(0),
-            }
+        _check(
+            report, "thm42i", p=p, alpha=format_rational(lvl.alpha),
+            nonzero_H0_loci=len(h0) - h0.count(0),
         )
     return report
 
@@ -649,13 +599,5 @@ def verify_thm42_ii(model: MonomialModel, alpha, p_range, box: TruncationBox):
         passed = all(map(_concentrated, grid[0])) and h0 == want
         if not passed and _scan(report, p, box, grid, want, _concentrated, _THM42II):
             return report
-        report["checks"].append(
-            {
-                "name": "thm42ii",
-                "status": "PASS",
-                "p": p,
-                "alpha": format_rational(lvl.alpha),
-                "total_H0": sum(h0),
-            }
-        )
+        _check(report, "thm42ii", p=p, alpha=format_rational(lvl.alpha), total_H0=sum(h0))
     return report

@@ -30,6 +30,7 @@ from .vfilt import (
     GradedDimTable,
     Level,
     TruncationBox,
+    _check,
     _component_member,
     gr_dim,
     grF_grV_grid,
@@ -90,19 +91,11 @@ def lct_consistency(model: MonomialModel, p_max=4):
     value = minexp_monomial(model, p_max).value
     lct = lct_from_resolution([(a, 0) for a in model.a])
     capped = Fraction(1) if isinstance(value, Infinity) else min(value, Fraction(1))
-    status = "PASS" if capped == lct else "FAIL"
-    return {
-        "status": status,
-        "checks": [
-            {
-                "name": "lct-consistency",
-                "status": status,
-                "minexp": format_rational(value),
-                "min(minexp,1)": format_rational(capped),
-                "lct": format_rational(lct),
-            }
-        ],
-    }
+    return _check(
+        {"status": "PASS", "checks": []}, "lct-consistency", capped == lct,
+        minexp=format_rational(value), lct=format_rational(lct),
+        **{"min(minexp,1)": format_rational(capped)},
+    )
 
 
 def psi_hodge_dim(p_left, alpha, box: TruncationBox, model: MonomialModel) -> GradedDimTable:
@@ -151,11 +144,11 @@ def _colon_grid(deeper: Level, p, box: TruncationBox, expected) -> bytes:
     return bytes(map(verdicts.__getitem__, flat))
 
 
-def minexp_value(model: MonomialModel, p_max=4):
-    return minexp_monomial(model, p_max).value
+def minexp_value(model: MonomialModel):
+    return minexp_monomial(model).value
 
 
-def cor23_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4, value=None):
+def cor23_check(model: MonomialModel, p, alpha, box: TruncationBox, value=None):
     """Vanishing and structure of Gr^F psi at a non-integral shift:
     i) alpha-tilde >= p forces Gr^F_i psi_alpha = 0 for i <= p;
     ii) under alpha-tilde >= p+alpha, vanishing of Gr^F_{p+1} psi_alpha is
@@ -163,7 +156,7 @@ def cor23_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4, val
     iii) Gr^F_{p+1} psi_alpha is O/J for the monomial ideal
         J = {h : h dy dt^p delta in V_{< -alpha}}, compared basiswise.
     `value` is the model's minimal exponent when the caller already has it
-    (minexp_value(model, p_max)); None computes it.
+    (minexp_value(model)); None computes it.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
@@ -171,38 +164,24 @@ def cor23_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4, val
     if p < 0:
         raise InputError(f"p must be >= 0, got {p}")
     if value is None:
-        value = minexp_value(model, p_max)
+        value = minexp_value(model)
     report = {"status": "PASS", "checks": []}
-
-    def add(name, ok, **info):
-        report["checks"].append(
-            {"name": name, "status": "PASS" if ok else "FAIL", **info}
-        )
-        if not ok:
-            report["status"] = "FAIL"
-
     lvl = Level(model, alpha)
     if value >= p:
         for i in range(1, p + 1):
-            add(
-                "grF-psi-vanishing",
-                not any(_psi_grid(lvl, i, box)),
-                i=i,
-                alpha=format_rational(alpha),
+            _check(
+                report, "grF-psi-vanishing", not any(_psi_grid(lvl, i, box)),
+                i=i, alpha=format_rational(alpha),
             )
     else:
-        add("grF-psi-vanishing", True, vacuous=True, note="minexp < p")
+        _check(report, "grF-psi-vanishing", vacuous=True, note="minexp < p")
 
     if value >= p + alpha:
         psi = _psi_grid(lvl, p + 1, box)
         vanishes, strictly = not any(psi), value > p + alpha
-        add(
-            "grF-psi-jump-detection",
-            vanishes == strictly,
-            p=p,
-            alpha=format_rational(alpha),
-            vanishes=vanishes,
-            strict=strictly,
+        _check(
+            report, "grF-psi-jump-detection", vanishes == strictly,
+            p=p, alpha=format_rational(alpha), vanishes=vanishes, strict=strictly,
         )
 
         # Gr^F_{p+1} psi ~= O/J, J the V_{<-alpha} colon ideal of dy dt^p delta:
@@ -226,18 +205,16 @@ def cor23_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4, val
                 if got != want:
                     locus = {"degree": list(d), "expected": want, "got": got}
                     break
-        add("grF-psi-colon-ideal", locus is None, p=p, alpha=format_rational(alpha), locus=locus)
-    else:
-        add(
-            "grF-psi-jump-detection",
-            True,
-            vacuous=True,
-            note="minexp < p + alpha",
+        _check(
+            report, "grF-psi-colon-ideal", locus is None,
+            p=p, alpha=format_rational(alpha), locus=locus,
         )
+    else:
+        _check(report, "grF-psi-jump-detection", vacuous=True, note="minexp < p + alpha")
     return report
 
 
-def cor24_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4, value=None):
+def cor24_check(model: MonomialModel, p, alpha, box: TruncationBox, value=None):
     """Graded de Rham shape of the nearby cycles when alpha-tilde >= p:
     the complexes at levels <= p vanish, the level-(p+1) complex is
     concentrated in degree 0, and its H^0 is the omega-twist of
@@ -249,33 +226,23 @@ def cor24_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4, val
     if p < 0:
         raise InputError(f"p must be >= 0, got {p}")
     if value is None:
-        value = minexp_value(model, p_max)
+        value = minexp_value(model)
     if not value >= p:
         raise InputError(
             f"cor24_check requires minexp >= p; got {format_rational(value)} < {p}"
         )
     report = {"status": "PASS", "checks": []}
 
-    def add(name, ok, **info):
-        report["checks"].append(
-            {"name": name, "status": "PASS" if ok else "FAIL", **info}
-        )
-        if not ok:
-            report["status"] = "FAIL"
-
     # i) all terms of the level-<=p de Rham complexes vanish
     lvl = Level(model, alpha)
     ok = not any(any(_psi_grid(lvl, j, box)) for j in range(1, p + 1))
-    add("gr-derham-vanishing", ok, p=p, alpha=format_rational(alpha))
+    _check(report, "gr-derham-vanishing", ok, p=p, alpha=format_rational(alpha))
 
     # ii) concentration in degree 0 at level p+1
     tab = derham.gr_dr_psi(model, alpha, p, box)
     off = {k: v for k, v in tab.dims.items() if k[1] != 0}
-    add(
-        "gr-derham-concentration",
-        not off,
-        p=p,
-        alpha=format_rational(alpha),
+    _check(
+        report, "gr-derham-concentration", not off, p=p, alpha=format_rational(alpha),
         offenders={str(k): v for k, v in sorted(off.items())} or None,
     )
 
@@ -287,5 +254,6 @@ def cor24_check(model: MonomialModel, p, alpha, box: TruncationBox, p_max=4, val
             if tab.get((d, 0)) != want:
                 locus = {"degree": list(d), "H0": tab.get((d, 0)), "omega_twist_psi": want}
                 break
-    add("gr-derham-H0", locus is None, p=p, alpha=format_rational(alpha), locus=locus)
-    return report
+    return _check(
+        report, "gr-derham-H0", locus is None, p=p, alpha=format_rational(alpha), locus=locus
+    )

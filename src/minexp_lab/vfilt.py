@@ -34,17 +34,14 @@ distinct limit of d_0, into bytes in box order.  Count grids are cached per
 once: grF_grV_grid is the bytewise h & ~g of its own level's grid and the
 deeper level's, which is the next alpha's.  Each call returns a fresh
 bytearray.
-gr_label_grid, built the same way from gr_label's rule, is the reference
-listing: it yields, in box order, (d, u0, w) for each locus where the class
-of Gr^F_p V_{-alpha} exists, u0 = b + v being the exponent its
-representative starts from.  No sweep calls it; the tests hold it equal to
-gr_label (from which gr_class_rep, the one-point entry, builds the same u0)
-at every locus of every catalog level, and to gr_label_leads.
-gr_label_leads reads the same rule without visiting the loci: the points
-past the first coordinate group by their w, and sorted by weight, the
-groups with a class at one d_0 are a prefix, so it returns the class bytes
-in box order and the first (u0, w) of each distinct lead_key at about one
-step per key.
+gr_label_leads reads gr_label's rule over a whole box without visiting the
+loci: the points past the first coordinate group by their w, and sorted by
+weight, the groups with a class at one d_0 are a prefix, so it returns the
+class bytes in box order and the first (u0, w) of each distinct lead_key at
+about one step per key.  The tests hold it, and gr_label (from which
+gr_class_rep, the one-point entry, builds the same u0 = b + v), equal at
+every locus of every catalog level to a locus-by-locus reference listing
+in tests/oracles.py.
 grF_grV_support lists the points of the box where Gr^F_p Gr^V_{-alpha} is
 nonzero (and their gr_label w), from one table of both levels' weights.
 The expansion and grid caches hold one model at a time.
@@ -52,12 +49,13 @@ The expansion and grid caches hold one model at a time.
 Graded dimensions also come in a second closed form (the "theta-eliminated"
 one): Gr^F_p V_{-alpha} has a basis of classes of y^b dy delta . y^v dy^w
 with |w| = p + n, w_i = 0 for i > r, v_i w_i = 0 for 2 <= i <= r (the first
-coordinate is exempt).  Both counts are computed independently here and
-cross-checked in the tests and the acceptance suite.
+coordinate is exempt).  count_gr counts by it; the tests and the
+acceptance suite cross-check it against the count read off theta_label's
+description above, which tests/oracles.py keeps.
 
 Hodge convention: the element of top dt-order m first appears in F_{m-n}
 (the count display F_{p-n} = (+)_{0<=i<=p} w dt^i delta is the oracle), so
-hodge_level(y^v dy dt^m delta) = m - n.
+y^v dy dt^m delta has Hodge level m - n.
 
 Sign convention for the monodromy operator (resolved computationally, see
 tests/test_vfilt.py): theta - beta is nilpotent on Gr^V_beta B_g^r for
@@ -89,28 +87,27 @@ from .weyl import (
 # -- boxes and dimension tables ---------------------------------------------
 
 class TruncationBox(FrozenRecord):
-    """Componentwise multidegree window [lo, hi], plus an optional Hodge cap.
+    """Componentwise multidegree window [lo, hi].
 
     All the graded objects here are multigraded with finite-dimensional
     pieces at fixed Hodge level, so box truncation is exact, never an
     approximation.
     """
 
-    _fields = ("lo", "hi", "p_max")
+    _fields = ("lo", "hi")
 
-    def __init__(self, lo, hi, p_max=None):
+    def __init__(self, lo, hi):
         if len(lo) != len(hi) or any(l > h for l, h in zip(lo, hi)):
             raise InputError(f"bad box: lo={lo}, hi={hi}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "p_max", p_max)
 
     @classmethod
-    def radius(cls, n, radius, p_max=None):
+    def radius(cls, n, radius):
         radius = int(radius)
         if radius < 0:
             raise InputError("box radius must be >= 0")
-        return cls((-radius,) * n, (radius,) * n, p_max)
+        return cls((-radius,) * n, (radius,) * n)
 
     def __iter__(self):
         return itertools.product(*(range(l, h + 1) for l, h in zip(self.lo, self.hi)))
@@ -194,13 +191,6 @@ class GradedDimTable(Record):
 
 # -- filtration labels ------------------------------------------------------
 
-def hodge_level(u: BgElement) -> int:
-    """Smallest q with u in F_q B^r: (max dt-order) - n."""
-    if u.is_zero():
-        raise InputError("hodge_level of 0 is undefined")
-    return u.max_dt_order() - u.n
-
-
 @lru_cache(maxsize=256)
 def b_vector(model: MonomialModel, alpha) -> tuple:
     """b = ceil(alpha a) - 1 on the divisor coordinates, 0 past r."""
@@ -257,21 +247,6 @@ def theta_label(lvl: Level, d):
             v.append(d[i])
             w.append(0)
     return tuple(v), tuple(w)
-
-
-def dim_F_V(lvl: Level, p, d) -> int:
-    """dim of the multidegree-d piece of F_p V_{-alpha} B_g^r."""
-    lbl = theta_label(lvl, d)
-    if lbl is None:
-        return 0
-    return max(0, p + lvl.model.n - sum(lbl[1]) + 1)
-
-
-def count_gr_theta(lvl: Level, p, d) -> int:
-    lbl = theta_label(lvl, d)
-    if lbl is None:
-        return 0
-    return 1 if sum(lbl[1]) <= p + lvl.model.n else 0
 
 
 def gr_label(lvl: Level, p, d):
@@ -369,38 +344,9 @@ def _count_grid(lvl: Level, p, box: TruncationBox) -> bytes:
     return _rows_by_limit(weights, [p + n + min(x - b[0], 0) for x in axes[0]])
 
 
-def gr_label_grid(lvl: Level, p, box: TruncationBox):
-    """Yield (d, u0, w), in box order, for each d in the box where the class
-    of Gr^F_p V_{-alpha} exists: (v, w) = gr_label(lvl, p, d) and
-    u0 = b + v, the exponent gr_class_rep expands from.  The reference
-    listing of the label kernels, for the tests.
-
-    gr_label's rule, tabulated per coordinate as in gr_count_grid:
-    coordinate i of 1..r-1 gives u0_i = max(d_i, b_i) and
-    w_i = max(b_i - d_i, 0), a free coordinate u0_i = d_i (only d_i >= 0 is
-    listed); coordinate 0 takes the remaining weight w_0 = p + n - s and
-    u0_0 = d_0 + w_0.
-    """
-    b, n, r = lvl.b, lvl.model.n, lvl.model.r
-    axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
-    tables = [[(x, max(x, b[i]), max(b[i] - x, 0)) for x in axes[i]] for i in range(1, r)]
-    tables += [[(x, x, 0) for x in axes[j] if x >= 0] for j in range(r, n)]
-    top = p + n
-    rest = []
-    for cols in itertools.product(*tables):
-        d, u, w = zip(*cols) if cols else ((), (), ())
-        s = sum(w)
-        rest.append((s, d, u, (top - s,) + w))
-    for x in axes[0]:
-        limit = top + min(x - b[0], 0)
-        for s, d, u, w in rest:
-            if s <= limit:
-                yield (x,) + d, (x + w[0],) + u, w
-
-
 def gr_label_leads(lvl: Level, p, box: TruncationBox):
-    """(classes, leads) for the loci gr_label_grid lists, without visiting
-    them: classes is the box-order bytes with 1 where the class exists, and
+    """(classes, leads) for the loci where gr_label(lvl, p, d) exists,
+    without visiting them: classes is the box-order bytes with 1 there, and
     leads maps each distinct lead_key to the (u0, w) of its first locus in
     box order.
 
@@ -543,15 +489,6 @@ def _orders_of_component(comp: BgElement):
     return {m: c for (_, m), c in comp.terms.items()}
 
 
-def _element_from_orders(model, d, orders):
-    a = model.a_ext
-    terms = {}
-    for m, c in orders.items():
-        v = tuple(d[i] + m * a[i] for i in range(model.n))
-        terms[(v, m)] = c
-    return BgElement(model.n, terms)
-
-
 def _spanning_orders(lvl: Level, p, d):
     """Order dicts of the spanning expansions at (p, alpha, multidegree d)."""
     lbl = theta_label(lvl, d)
@@ -564,14 +501,6 @@ def _spanning_orders(lvl: Level, p, d):
         return []
     u0 = tuple(b[i] + v[i] for i in range(model.n))
     return _expansion_orders(model, u0, w, jmax)
-
-
-def spanning_set(p, alpha, d, model: MonomialModel):
-    """The expansions of y^b dy delta . y^v dy^w theta^j spanning the
-    multidegree-d piece of F_p V_{-alpha} (triangular in top dt-order)."""
-    lvl = Level(model, alpha)
-    d = tuple(d)
-    return [_element_from_orders(model, d, o) for o in _spanning_orders(lvl, p, d)]
 
 
 def member_key(lvl: Level, d):
@@ -690,29 +619,15 @@ def gr_class_rep(lvl: Level, p, d):
     return orders
 
 
-def gr_coordinate(orders, lvl: Level, p, d):
-    """Coordinate of a multidegree-d element of F_p V_{-alpha} in the
-    one-dimensional Gr^F_p Gr^V_{-alpha}; the quotient only sees the
-    dt-order-(p+n) coefficient because the deeper piece vanishes whenever
-    the class space is nonzero."""
-    rep = gr_class_rep(lvl, p, d)
-    if rep is None:
-        raise InputError("graded piece is zero here")
-    top = p + lvl.model.n
-    return Fraction(orders.get(top, 0)) / rep[top]
-
-
 # -- axiom checks ------------------------------------------------------------
 
-def _fail(report, name, **info):
-    """Record a failed check; returns the report, which the caller returns."""
-    report["checks"].append({"name": name, "status": "FAIL", **info})
-    report["status"] = "FAIL"
+def _check(report, name, ok=True, **info):
+    """Record one check, PASS or FAIL by `ok`; a FAIL also marks the report
+    FAIL.  Returns the report, which a failing check's caller returns."""
+    report["checks"].append({"name": name, "status": "PASS" if ok else "FAIL", **info})
+    if not ok:
+        report["status"] = "FAIL"
     return report
-
-
-def _ok(report, name, **info):
-    report["checks"].append({"name": name, "status": "PASS", **info})
 
 
 def _shift(d, i, step):
@@ -741,14 +656,14 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
         for u in _spanning_orders(lvl, p_cap, d):
             for i in range(n):
                 if not _component_member(lvl, _shift(d, i, 1), u):
-                    return _fail(report, "stable-y", degree=list(d), i=i + 1)
+                    return _check(report, "stable-y", ok=False, degree=list(d), i=i + 1)
                 du = _orders_dy(u, model, d, i)
                 if not _component_member(lvl, _shift(d, i, -1), du):
-                    return _fail(report, "stable-dy", degree=list(d), i=i + 1)
+                    return _check(report, "stable-dy", ok=False, degree=list(d), i=i + 1)
             if not _component_member(plus1, d_plus_a, _orders_t(u)):
-                return _fail(report, "t-shift", degree=list(d))
+                return _check(report, "t-shift", ok=False, degree=list(d))
             if minus1 and not _component_member(minus1, d_minus_a, _orders_dt(u)):
-                return _fail(report, "dt-shift-direct", degree=list(d))
+                return _check(report, "dt-shift-direct", ok=False, degree=list(d))
             # nilpotency of theta + alpha on the Gr^V class of u
             x = u
             k = 0
@@ -758,14 +673,13 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
                 x = _orders_theta_plus(x, alpha)
                 k += 1
             else:
-                return _fail(report, "nilpotency", degree=list(d))
+                return _check(report, "nilpotency", ok=False, degree=list(d))
             worst_index = max(worst_index, k)
         for u in _spanning_orders(plus1, p_cap, d):
             if not _component_member(lvl, d_minus_a, _orders_dt(u)):
-                return _fail(report, "dt-shift", degree=list(d))
+                return _check(report, "dt-shift", ok=False, degree=list(d))
     report["nilpotency_index"] = worst_index
-    _ok(report, "v-axioms", alpha=format_rational(alpha), nilpotency_index=worst_index)
-    return report
+    return _check(report, "v-axioms", alpha=format_rational(alpha), nilpotency_index=worst_index)
 
 
 def t_shift_check(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
@@ -783,8 +697,7 @@ def t_shift_check(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
         images = [_orders_t(u) for u in elems]
         for im in images:
             if not _component_member(plus1, d_plus_a, im):
-                return _fail(report, "t-image-level", degree=list(d))
+                return _check(report, "t-image-level", ok=False, degree=list(d))
         if exact_rank(images) != len(elems):
-            return _fail(report, "t-injectivity", degree=list(d))
-    _ok(report, "t-shift", alpha=format_rational(lvl.alpha))
-    return report
+            return _check(report, "t-injectivity", ok=False, degree=list(d))
+    return _check(report, "t-shift", alpha=format_rational(lvl.alpha))

@@ -98,8 +98,11 @@ class MonomialModel(FrozenRecord):
         )
 
 
-class BgElement:
-    """A finite rational combination of y^v dy dt^m delta in normal form."""
+class _Combination:
+    """A finite rational combination {key: nonzero Fraction} in n variables:
+    the arithmetic BgElement and WeylOperator share.  A subclass normalizes
+    and checks each key in `_key`; results of arithmetic are built by `_of`,
+    with no key check."""
 
     __slots__ = ("n", "terms")
 
@@ -107,34 +110,30 @@ class BgElement:
         self.n = n
         t = {}
         if terms:
-            for (v, m), c in terms.items() if isinstance(terms, dict) else terms:
+            for key, c in terms.items() if isinstance(terms, dict) else terms:
                 c = Fraction(c)
                 if c == 0:
                     continue
-                v = tuple(int(x) for x in v)
-                if len(v) != n or any(x < 0 for x in v) or m < 0:
-                    raise InputError(f"malformed term (v={v}, m={m})")
-                key = (v, int(m))
-                c = t.get(key, Fraction(0)) + c
-                if c:
-                    t[key] = c
+                key = self._key(key)
+                s = t.get(key, Fraction(0)) + c
+                if s:
+                    t[key] = s
                 else:
                     t.pop(key, None)
         self.terms = t
 
     @classmethod
-    def dy_delta(cls, n):
-        return cls(n, {((0,) * n, 0): Fraction(1)})
-
-    @classmethod
-    def term(cls, n, c, v, m=0):
-        return cls(n, {(tuple(v), m): Fraction(c)})
+    def _of(cls, n, terms):
+        """The combination with these terms, taken as they are."""
+        out = cls.__new__(cls)
+        out.n, out.terms = n, terms
+        return out
 
     def is_zero(self):
         return not self.terms
 
     def __eq__(self, other):
-        return isinstance(other, BgElement) and self.n == other.n and self.terms == other.terms
+        return isinstance(other, type(self)) and self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
@@ -147,9 +146,7 @@ class BgElement:
                 t[k] = s
             else:
                 t.pop(k, None)
-        out = BgElement.__new__(BgElement)
-        out.n, out.terms = self.n, t
-        return out
+        return self._of(self.n, t)
 
     def __neg__(self):
         return self.scale(-1)
@@ -159,10 +156,29 @@ class BgElement:
 
     def scale(self, c):
         c = Fraction(c)
-        out = BgElement.__new__(BgElement)
-        out.n = self.n
-        out.terms = {} if c == 0 else {k: c * v for k, v in self.terms.items()}
-        return out
+        return self._of(self.n, {} if c == 0 else {k: c * v for k, v in self.terms.items()})
+
+
+class BgElement(_Combination):
+    """A finite rational combination of y^v dy dt^m delta in normal form,
+    keyed by (v, m)."""
+
+    __slots__ = ()
+
+    def _key(self, key):
+        v, m = key
+        v = tuple(int(x) for x in v)
+        if len(v) != self.n or any(x < 0 for x in v) or m < 0:
+            raise InputError(f"malformed term (v={v}, m={m})")
+        return v, int(m)
+
+    @classmethod
+    def dy_delta(cls, n):
+        return cls(n, {((0,) * n, 0): Fraction(1)})
+
+    @classmethod
+    def term(cls, n, c, v, m=0):
+        return cls(n, {(tuple(v), m): Fraction(c)})
 
     def max_dt_order(self):
         if not self.terms:
@@ -183,12 +199,7 @@ def multidegree(u: BgElement, model: MonomialModel) -> dict:
     for (v, m), c in u.terms.items():
         d = tuple(v[i] - m * a[i] for i in range(model.n))
         parts.setdefault(d, {})[(v, m)] = c
-    out = {}
-    for d, terms in parts.items():
-        comp = BgElement.__new__(BgElement)
-        comp.n, comp.terms = u.n, terms
-        out[d] = comp
-    return out
+    return {d: BgElement._of(u.n, terms) for d, terms in parts.items()}
 
 
 # -- right action, one multidegree at a time ----------------------------------
@@ -267,30 +278,19 @@ def _orders_theta_plus(orders, alpha):
     return out
 
 
-class WeylOperator:
+class WeylOperator(_Combination):
     """Normal-ordered operator: dict {(ay, st, bdy, et): coeff}."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(self, n, terms=None):
-        self.n = n
-        t = {}
-        if terms:
-            for (ay, st, bdy, et), c in terms.items() if isinstance(terms, dict) else terms:
-                c = Fraction(c)
-                if c == 0:
-                    continue
-                key = (tuple(ay), int(st), tuple(bdy), int(et))
-                if len(key[0]) != n or len(key[2]) != n:
-                    raise InputError("operator term with wrong arity")
-                if any(x < 0 for x in key[0] + key[2]) or key[1] < 0 or key[3] < 0:
-                    raise InputError("operator exponents must be >= 0")
-                s = t.get(key, Fraction(0)) + c
-                if s:
-                    t[key] = s
-                else:
-                    t.pop(key, None)
-        self.terms = t
+    def _key(self, key):
+        ay, st, bdy, et = key
+        key = (tuple(ay), int(st), tuple(bdy), int(et))
+        if len(key[0]) != self.n or len(key[2]) != self.n:
+            raise InputError("operator term with wrong arity")
+        if any(x < 0 for x in key[0] + key[2]) or key[1] < 0 or key[3] < 0:
+            raise InputError("operator exponents must be >= 0")
+        return key
 
     # -- constructors --
 
@@ -335,44 +335,6 @@ class WeylOperator:
         z = (0,) * n
         return cls(n, {(z, 1, z, 1): Fraction(1)})
 
-    # -- arithmetic --
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeylOperator) and self.n == other.n and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            s = t.get(k, Fraction(0)) + c
-            if s:
-                t[k] = s
-            else:
-                t.pop(k, None)
-        out = WeylOperator.__new__(WeylOperator)
-        out.n, out.terms = self.n, t
-        return out
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        out = WeylOperator.__new__(WeylOperator)
-        out.n = self.n
-        out.terms = {} if c == 0 else {k: c * v for k, v in self.terms.items()}
-        return out
-
     def __repr__(self):
         return f"WeylOperator({format_operator(self)!r})"
 
@@ -410,28 +372,7 @@ def compose(P: WeylOperator, Q: WeylOperator) -> WeylOperator:
                         acc[key] = s
                     else:
                         acc.pop(key, None)
-    out = WeylOperator.__new__(WeylOperator)
-    out.n, out.terms = n, acc
-    return out
-
-
-def op_power(P: WeylOperator, k: int) -> WeylOperator:
-    out = WeylOperator.one(P.n)
-    for _ in range(k):
-        out = compose(out, P)
-    return out
-
-
-def op_multidegree(P: WeylOperator, model: MonomialModel):
-    """The common multidegree of all terms, or raise if inhomogeneous."""
-    a = model.a_ext
-    degs = {
-        tuple(ay[i] - bdy[i] + (st - et) * a[i] for i in range(model.n))
-        for (ay, st, bdy, et) in P.terms
-    }
-    if len(degs) != 1:
-        raise InputError("operator is not multihomogeneous")
-    return degs.pop()
+    return WeylOperator._of(n, acc)
 
 
 def act_right(u: BgElement, P: WeylOperator, model: MonomialModel) -> BgElement:
@@ -463,13 +404,10 @@ def act_right(u: BgElement, P: WeylOperator, model: MonomialModel) -> BgElement:
 
 # -- textual syntax ---------------------------------------------------------
 #
-# element term:   "3/2 y^(1,0) dy dt^2 delta"
-# operator term:  "y1^2 d1 dt"  /  "-1/2 t^2 d2"  /  "1"
+# element term (parsed and formatted):  "3/2 y^(1,0) dy dt^2 delta"
+# operator term (formatted):            "y1^2 d1 dt"  /  "-1/2 t^2 d2"  /  "1"
 
 _VEC_RE = re.compile(r"^y\^\(([-0-9,\s]*)\)$")
-_Y_RE = re.compile(r"^y(\d+)(?:\^(\d+))?$")
-_D_RE = re.compile(r"^d(\d+)(?:\^(\d+))?$")
-_T_RE = re.compile(r"^t(?:\^(\d+))?$")
 _DT_RE = re.compile(r"^dt(?:\^(\d+))?$")
 
 
@@ -529,38 +467,6 @@ def format_element(u: BgElement) -> str:
         toks.append("delta")
         bits.append(" ".join(toks))
     return " + ".join(bits)
-
-
-def parse_operator(text, n) -> WeylOperator:
-    acc = WeylOperator.zero(n)
-    for part in _split_terms(text):
-        coeff = Fraction(1)
-        ay = [0] * n
-        st = 0
-        bdy = [0] * n
-        et = 0
-        for tok in part.split():
-            if (mt := _DT_RE.match(tok)) is not None:
-                et += int(mt.group(1) or 1)
-            elif (mt := _T_RE.match(tok)) is not None:
-                st += int(mt.group(1) or 1)
-            elif (mt := _Y_RE.match(tok)) is not None:
-                i = int(mt.group(1)) - 1
-                if not 0 <= i < n:
-                    raise InputError(f"variable index out of range in {tok!r}")
-                ay[i] += int(mt.group(2) or 1)
-            elif (mt := _D_RE.match(tok)) is not None:
-                i = int(mt.group(1)) - 1
-                if not 0 <= i < n:
-                    raise InputError(f"variable index out of range in {tok!r}")
-                bdy[i] += int(mt.group(2) or 1)
-            else:
-                try:
-                    coeff = coeff * Fraction(tok)
-                except ValueError as exc:
-                    raise InputError(f"cannot parse operator token {tok!r}") from exc
-        acc = acc + WeylOperator(n, {(tuple(ay), st, tuple(bdy), et): coeff})
-    return acc
 
 
 def format_operator(P: WeylOperator) -> str:

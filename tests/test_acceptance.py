@@ -28,12 +28,12 @@ from minexp_lab.vfilt import (
     TruncationBox,
     _orders_of_component,
     check_v_axioms,
-    count_gr_theta,
     count_gr,
-    spanning_set,
     t_shift_check,
 )
 from minexp_lab.weyl import BgElement, MonomialModel, WeylOperator, act_right
+
+from oracles import count_gr_theta, spanning_set
 
 BOX_RADIUS = 6
 MODELS = catalog()

@@ -144,6 +144,11 @@ N2_MODEL = {"n": 2, "exponents": [1, 2]}
         ({"command": "verify-thm42", "model": Y2_MODEL, "pmax": 33}, None),
         ({"command": "psi-dims", "model": Y2_MODEL, "pmax": "999"}, None),
         ({"command": "minexp", "model": Y2_MODEL, "pmax": 10**6}, None),
+        ({"command": "verify-thm42", "model": {"n": 6, "exponents": [1]}, "box": 0}, None),
+        ({"command": "verify-cor51", "model": {"n": 6, "exponents": [1]}, "box": 0}, None),
+        ({"command": "verify-axioms", "model": {"n": 6, "exponents": [1]}, "box": 0}, None),
+        ({"command": "verify-cor23", "model": {"n": 6, "exponents": [2]}, "box": 0}, None),
+        ({"command": "verify-cor24", "model": {"n": 6, "exponents": [2]}, "box": 0}, None),
     ],
     ids=[
         "box", "exponents", "exponents-not-list", "alpha-inf", "cap-inf",
@@ -155,6 +160,8 @@ N2_MODEL = {"n": 2, "exponents": [1, 2]}
         "thm42-pmax-negative", "thm42-samples-negative", "psi-dims-pmax-negative",
         "cor24-p-negative", "cor24-p-negative-no-alpha",
         "pmax-too-large", "psi-dims-pmax-too-large", "minexp-pmax-too-large",
+        "thm42-n-above-bound", "cor51-n-above-bound", "axioms-n-above-bound",
+        "cor23-n-above-bound", "cor24-n-above-bound",
     ],
 )
 def test_malformed_values_exit_1(config, env_jobs, monkeypatch, capsys):
@@ -166,6 +173,25 @@ def test_malformed_values_exit_1(config, env_jobs, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "input error:" in err
     assert "Traceback" not in err
+
+
+def test_box_volume_refused_before_the_n_bound():
+    # n = 40 is above MAX_N too, but the volume check comes first
+    config = {"command": "verify-axioms", "model": {"n": 40, "exponents": [1]}, "box": 1}
+    report, code = run(config)
+    assert code == 1
+    assert report["error"] == "box radius 1 in 40 variables exceeds the volume limit 1000000"
+
+
+@pytest.mark.parametrize("command", ["verify-thm42", "verify-cor51", "verify-axioms",
+                                     "verify-cor23", "verify-cor24"])
+def test_n_at_the_bound_runs(command):
+    from minexp_lab.cli import MAX_N
+
+    exponents = [2] if command in ("verify-cor23", "verify-cor24") else [1] * MAX_N
+    config = {"command": command, "model": {"n": MAX_N, "exponents": exponents}, "box": 0}
+    report, code = run(config)
+    assert code == 0 and report["status"] == "PASS", report
 
 
 @pytest.mark.parametrize(
@@ -352,6 +378,71 @@ def test_nearby_cycles_report_bytes_pinned(command):
         assert code == 0, report
         got[n, exponents] = hashlib.sha256(report_to_json(report).encode()).hexdigest()
     assert got == NEARBY_CYCLES_REPORTS[command]
+
+
+# sha256 of report_to_json on the models of NEARBY_CYCLES_REPORTS (verify-axioms
+# and psi-dims at box 4, minexp at its default pmax), recorded before the
+# checks shared one recorder; a refactor must keep these reports byte for byte
+REPORT_BYTES = {
+    "verify-axioms": {
+        (1, (2,)): "40a665d7878abd8eba19038e0fa813c0a90fa55a42f9ecdd940884b19a11a693",
+        (2, (2, 3)): "23b023b0866ec61d3e438b3de0fc557aad16f29318b92ab53e7e3b03b5ea5289",
+        (2, (3, 4)): "e55d5ee03885a16a0f8ae017b97f3ef8b80bd19dd5b1d75a263afcbf5d716c34",
+        (3, (1, 2, 2)): "d07b0ae00af9ef5638a8f9f9ffba827364a2df54c9bb967ad31ae4dd07eca6dc",
+        (3, (2, 3)): "c403565db5dd965c99c8170519a7f0be9232786965069e8b970b0056c5a8f811",
+        (3, (2, 2, 3)): "0912cae0f7cc01f5c563ae20477172b6253c7d2a778e639c5120d464ea353897",
+    },
+    "minexp": {
+        (1, (2,)): "0497038c946707db808462faf022c8514be7e96e8e105ff2a5a16421e1740d7c",
+        (2, (2, 3)): "2fdc512bc83dd08bd7a127ba1e14cbc19811acf4a054ed278d105ab0257d55ed",
+        (2, (3, 4)): "e218353b8084d275da72c5177d83ef9fcfc3bfb4bf02e36f86ecf6d45f0cbc63",
+        (3, (1, 2, 2)): "353c4d7d76b54dac6d24027b367f75fce96f1c439ddc827e0e7921540f33e2ca",
+        (3, (2, 3)): "343e5ef9eef0f401f3577a5da8130d70a34799c4ec7893478819a533b46b442a",
+        (3, (2, 2, 3)): "36fea5b9aa9a41d2e11150e7b996b9f24f59e2e0d1b54ee7a70a027cf434e243",
+    },
+    "psi-dims": {
+        (1, (2,)): "8b5afb2fee3c91cd1539661d5e6ba1b6af15e2f36165eddb2c3996f832a123d0",
+        (2, (2, 3)): "f1c2cd8fc76038f27133e70cf969b0b0322c1daf58ffddea9b3ea4594c8d39ac",
+        (2, (3, 4)): "23dc84de5ee0aaade281e28e6d78a8ed27e7f487cc9f0c182c2bf86ccf6b5415",
+        (3, (1, 2, 2)): "5d1ab58bdd1aac1dce01ba606bd8685d278ff8df9387e3d368ddaf60297ade96",
+        (3, (2, 3)): "6b888c83da224c23346b24385baf74de2b6c15da54b92b0c760cb6cb78e22a7d",
+        (3, (2, 2, 3)): "9ee50c756cff5ec2454646e0458a79573de6e853826cf5101b5fbbbdc99f53dc",
+    },
+}
+
+# sha256 of the psi-dims report_to_csv on the same models, recorded likewise
+PSI_DIMS_CSV = {
+    (1, (2,)): "60e2acb5334d8f96fbac55900dfe75d721809fd0495b67fcab08c5630b03fd23",
+    (2, (2, 3)): "3aba73296ec24050783728567085b8bc2f42dc45edd0d47532f43f85beaf3392",
+    (2, (3, 4)): "3a456a4c8bfd5a0f3ccbafd299b205a8cdf86fa65ec345b6f5545a62b2f9d67d",
+    (3, (1, 2, 2)): "dc1181545dae36bab1fea709879bb42f4fd9496bf4b26fe600b9a94a08cad79b",
+    (3, (2, 3)): "ffc59d343c4f6746a65266e8e32a6790d4e717c9539f1eb87d9d4baa57aa17c9",
+    (3, (2, 2, 3)): "6a3d0e53a97252699d8156a5b34361cf1a54bc3763ea5b6e4e8363fc3d53e86d",
+}
+
+
+def _pinned_config(command, n, exponents):
+    config = {"command": command, "model": {"n": n, "exponents": list(exponents)}}
+    return config if command == "minexp" else {**config, "box": 4}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_BYTES))
+def test_report_bytes_pinned(command):
+    got = {}
+    for n, exponents in REPORT_BYTES[command]:
+        report, code = run(_pinned_config(command, n, exponents))
+        assert code == 0, report
+        got[n, exponents] = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+    assert got == REPORT_BYTES[command]
+
+
+def test_psi_dims_csv_bytes_pinned():
+    got = {}
+    for n, exponents in PSI_DIMS_CSV:
+        report, code = run(_pinned_config("psi-dims", n, exponents))
+        assert code == 0, report
+        got[n, exponents] = hashlib.sha256(report_to_csv(report).encode()).hexdigest()
+    assert got == PSI_DIMS_CSV
 
 
 def test_determinism_across_job_counts():

@@ -11,12 +11,19 @@ from minexp_lab.divisors import (
     SncDivisor,
     jump_candidates,
     lct_from_resolution,
-    multiplier_ideal_snc,
     next_candidate,
-    round_gt,
-    round_up,
 )
 from minexp_lab.rationals import INF, InputError, format_rational, parse_rational
+
+from oracles import _check_alpha, round_gt, round_up
+
+
+def multiplier_ideal_snc(D: SncDivisor, lam) -> SncDivisor:
+    """Monomial exponent vector floor(lam*D) of the multiplier ideal when the
+    divisor is itself the SNC monomial divisor (the resolution is the
+    identity); the ideal is trivial iff all entries are 0."""
+    lam = _check_alpha(lam)
+    return SncDivisor(math.floor(lam * a) for a in D)
 
 
 def test_lct_examples():

@@ -11,7 +11,7 @@ import pytest
 
 from minexp_lab import koszul, vfilt
 from minexp_lab.cli import catalog, report_to_json, run
-from minexp_lab.divisors import jump_candidates, round_gt, round_up
+from minexp_lab.divisors import jump_candidates
 from minexp_lab.koszul import (
     GradedCbar,
     N_operator,
@@ -20,9 +20,6 @@ from minexp_lab.koszul import (
     annihilator_generators,
     augmentation_zero_check,
     build_cbar,
-    generators_commute,
-    graded_cohomology,
-    sigma_alpha,
     sigma_generator,
     verify_thm42_i,
     verify_thm42_ii,
@@ -30,12 +27,11 @@ from minexp_lab.koszul import (
 )
 from minexp_lab.rationals import InputError, exact_rank, format_rational
 from minexp_lab.vfilt import (
+    GradedDimTable,
     Level,
     TruncationBox,
-    _fail,
+    _check,
     count_gr,
-    gr_label_grid,
-    spanning_set,
     v_member,
     v_order,
 )
@@ -46,6 +42,45 @@ from minexp_lab.weyl import (
     act_right,
     compose,
 )
+
+from oracles import gr_label_grid, round_gt, round_up, spanning_set
+
+
+def _fail(report, name, **info):
+    return _check(report, name, ok=False, **info)
+
+
+def generators_commute(model: MonomialModel, G) -> bool:
+    gens = list(annihilator_generators(model, G).values())
+    return all(
+        compose(P, Q) == compose(Q, P)
+        for P, Q in itertools.combinations(gens, 2)
+    )
+
+
+def sigma_alpha(model: MonomialModel, alpha, x=None) -> BgElement:
+    """The augmentation on degree-0 cochains: e_full (x) Q |-> base . Q,
+    extended operator-linearly; x may be an operator, a cochain dict, or
+    None for the canonical generator."""
+    base = sigma_generator(model, Level(model, alpha).alpha)
+    if x is None:
+        return base
+    if isinstance(x, WeylOperator):
+        return act_right(base, x, model)
+    return koszul._augment(model, base, x)
+
+
+def graded_cohomology(model: MonomialModel, G, p, box: TruncationBox,
+                      G_deeper=None) -> GradedDimTable:
+    """All cohomology dimensions of the graded Koszul complex per multidegree
+    in the box, keyed by (multidegree, cohomological degree)."""
+    gc = GradedCbar(model, G, G_deeper)
+    table = GradedDimTable(p=p)
+    for d, h in zip(box, gc.cohomology_grid(p, box)):
+        for q, dim in h.items():
+            table.dims[(d, q)] = dim
+    return table
+
 
 Y2 = MonomialModel(1, [2])
 Y11 = MonomialModel(2, [1, 1])

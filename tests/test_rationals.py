@@ -103,7 +103,7 @@ def test_records_compare_hash_and_repr_by_field():
         "MonomialModel(n=2, a=(1, 2))",
         "SncDivisor(coeffs=(1, 2))",
         "ResolutionNumerics(pairs=((1, 0),))",
-        "TruncationBox(lo=(-1, -1), hi=(1, 1), p_max=None)",
+        "TruncationBox(lo=(-1, -1), hi=(1, 1))",
         "Level(model=MonomialModel(n=2, a=(1, 2)), alpha=Fraction(1, 2))",
         "GradedDimTable(p=1, alpha=Fraction(1, 2), dims={(0, 0): 1})",
         "MinExpResult(value=INF, witness=[{'p': 0}])",
@@ -119,7 +119,7 @@ def test_records_compare_hash_and_repr_by_field():
         (MonomialModel(2, [1, 2]), "n"),
         (SncDivisor([1]), "coeffs"),
         (ResolutionNumerics([[1, 0]]), "pairs"),
-        (TruncationBox((0,), (1,)), "p_max"),
+        (TruncationBox((0,), (1,)), "hi"),
         (Level(MonomialModel(1, [2]), F(1, 2)), "alpha"),
     ],
     ids=["model", "divisor", "numerics", "box", "level"],

@@ -1,0 +1,78 @@
+"""The package's surface: every module-level function and class in
+src/minexp_lab is reached from code of the package outside its own
+definition, or named by the benchmark, so that code only the tests call
+lives in the tests."""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "minexp_lab"
+
+
+def _names(node):
+    """The names `node`'s code reads: names, attributes and imported names
+    (docstrings and other text do not count)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.split(".")[-1])
+    return out
+
+
+def _bench_mentions(module, name):
+    """Whether a benchmark script names module.name, as code or as text,
+    or imports name from the module."""
+    pattern = re.compile(rf"\b{module}\.{re.escape(name)}\b")
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if pattern.search(text):
+            return True
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.module == f"minexp_lab.{module}":
+                if any(alias.name == name for alias in node.names):
+                    return True
+    return False
+
+
+def unreferenced():
+    """[module.name] of the module-level functions and classes that no code
+    of the package reads outside their definition and the benchmark does
+    not name; re-exports in __init__.py do not count."""
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    # (module, top-level statement) -> the names that statement reads
+    reads = [(module, node, _names(node)) for module, tree in trees.items() for node in tree.body]
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            used = any(node.name in names for _, other, names in reads if other is not node)
+            if not used and not _bench_mentions(module, node.name):
+                out.append(f"{module}.{node.name}")
+    return out
+
+
+def test_every_top_level_symbol_is_reached():
+    assert unreferenced() == []
+
+
+def test_a_dead_function_is_listed(tmp_path, monkeypatch):
+    # the scan itself: a copy of the package with one function nothing calls
+    copy = tmp_path / "minexp_lab"
+    copy.mkdir()
+    for path in PACKAGE.glob("*.py"):
+        (copy / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    with open(copy / "divisors.py", "a", encoding="utf-8") as fh:
+        fh.write('\n\ndef _never_called():\n    """_never_called is named here only."""\n')
+    monkeypatch.setitem(globals(), "PACKAGE", copy)
+    assert unreferenced() == ["divisors._never_called"]

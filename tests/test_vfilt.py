@@ -8,7 +8,7 @@ import pytest
 
 from minexp_lab import vfilt
 from minexp_lab.cli import catalog
-from minexp_lab.divisors import jump_candidates, next_candidate, round_gt, round_up
+from minexp_lab.divisors import jump_candidates, next_candidate
 from minexp_lab.rationals import InputError, exact_rank
 from minexp_lab.vfilt import (
     GradedDimTable,
@@ -18,22 +18,17 @@ from minexp_lab.vfilt import (
     _orders_of_component,
     _spanning_orders,
     check_v_axioms,
-    count_gr_theta,
     count_gr,
     count_grF_grV,
-    dim_F_V,
     gr_class_rep,
-    gr_coordinate,
     gr_count_grid,
     gr_dim,
     gr_label,
-    gr_label_grid,
     gr_label_leads,
     grF_grV_grid,
     grF_grV_support,
-    hodge_level,
-    spanning_set,
     t_shift_check,
+    theta_label,
     v_member,
     v_order,
 )
@@ -47,6 +42,31 @@ from minexp_lab.weyl import (
     act_right,
     multidegree,
 )
+
+from oracles import (
+    count_gr_theta,
+    gr_coordinate,
+    gr_label_grid,
+    round_gt,
+    round_up,
+    spanning_set,
+)
+
+
+def hodge_level(u: BgElement) -> int:
+    """Smallest q with u in F_q B^r: (max dt-order) - n."""
+    if u.is_zero():
+        raise InputError("hodge_level of 0 is undefined")
+    return u.max_dt_order() - u.n
+
+
+def dim_F_V(lvl: Level, p, d) -> int:
+    """dim of the multidegree-d piece of F_p V_{-alpha} B_g^r."""
+    lbl = theta_label(lvl, d)
+    if lbl is None:
+        return 0
+    return max(0, p + lvl.model.n - sum(lbl[1]) + 1)
+
 
 Y2 = MonomialModel(1, [2])
 Y1 = MonomialModel(1, [1])

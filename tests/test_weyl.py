@@ -1,6 +1,7 @@
 """Normal forms, the right action on B_g, and the Z^n multigrading."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -11,16 +12,71 @@ from minexp_lab.weyl import (
     BgElement,
     MonomialModel,
     WeylOperator,
+    _DT_RE,
+    _split_terms,
     act_right,
     compose,
     format_element,
     format_operator,
     multidegree,
-    op_multidegree,
-    op_power,
     parse_element,
-    parse_operator,
 )
+
+_Y_RE = re.compile(r"^y(\d+)(?:\^(\d+))?$")
+_D_RE = re.compile(r"^d(\d+)(?:\^(\d+))?$")
+_T_RE = re.compile(r"^t(?:\^(\d+))?$")
+
+
+def op_power(P: WeylOperator, k: int) -> WeylOperator:
+    out = WeylOperator.one(P.n)
+    for _ in range(k):
+        out = compose(out, P)
+    return out
+
+
+def op_multidegree(P: WeylOperator, model: MonomialModel):
+    """The common multidegree of all terms, or raise if inhomogeneous."""
+    a = model.a_ext
+    degs = {
+        tuple(ay[i] - bdy[i] + (st - et) * a[i] for i in range(model.n))
+        for (ay, st, bdy, et) in P.terms
+    }
+    if len(degs) != 1:
+        raise InputError("operator is not multihomogeneous")
+    return degs.pop()
+
+
+def parse_operator(text, n) -> WeylOperator:
+    acc = WeylOperator.zero(n)
+    for part in _split_terms(text):
+        coeff = F(1)
+        ay = [0] * n
+        st = 0
+        bdy = [0] * n
+        et = 0
+        for tok in part.split():
+            if (mt := _DT_RE.match(tok)) is not None:
+                et += int(mt.group(1) or 1)
+            elif (mt := _T_RE.match(tok)) is not None:
+                st += int(mt.group(1) or 1)
+            elif (mt := _Y_RE.match(tok)) is not None:
+                i = int(mt.group(1)) - 1
+                if not 0 <= i < n:
+                    raise InputError(f"variable index out of range in {tok!r}")
+                ay[i] += int(mt.group(2) or 1)
+            elif (mt := _D_RE.match(tok)) is not None:
+                i = int(mt.group(1)) - 1
+                if not 0 <= i < n:
+                    raise InputError(f"variable index out of range in {tok!r}")
+                bdy[i] += int(mt.group(2) or 1)
+            else:
+                try:
+                    coeff = coeff * F(tok)
+                except ValueError as exc:
+                    raise InputError(f"cannot parse operator token {tok!r}") from exc
+        acc = acc + WeylOperator(n, {(tuple(ay), st, tuple(bdy), et): coeff})
+    return acc
+
 
 
 def test_model_validation():
