@@ -149,12 +149,6 @@ class FilteredKoszulComplex(Record):
             return 0
         return math.comb(self.model.n - 1, wedge)
 
-    def filtration_shift(self, cohdeg):
-        """Hodge index used in degree -q: F_{k-n} there is built from
-        F_{k-q-1} of the operator algebra."""
-        q = -cohdeg
-        return -q - 1
-
     def differential(self, x: dict) -> dict:
         out = {}
         for S, Q in x.items():
@@ -419,14 +413,10 @@ class GradedCbar:
             raise InputError("quotient twist must be deeper (componentwise >=)")
         self.core = _core_for(model)
 
-    def cohomology(self, p, d) -> dict:
-        """{cohomological degree: dim} of the multidegree-d piece at Hodge
-        index p; empty dict when everything vanishes."""
-        d = tuple(d)
-        return self.cohomology_grid(p, TruncationBox(d, d))[0]
-
     def cohomology_grid(self, p, box: TruncationBox) -> list:
-        """[self.cohomology(p, d) for d in box]."""
+        """{cohomological degree: dim} of each multidegree piece of the box
+        at Hodge index p, in box order; an empty dict where everything
+        vanishes."""
         return _spread(*self.point_grid(p, box), {})
 
     def point_grid(self, p, box: TruncationBox):
@@ -442,14 +432,15 @@ class GradedCbar:
 
         A point enters only through the clamped truncation bounds
         min(max(c_i - 1 - d_i, 0), cap + 1) of each divisor coordinate i,
-        tlo_i for c the twist and thi_i for c the deeper one.  Each bound
-        takes at most cap + 2 values, so a coordinate's column of
-        (tlo_i, thi_i) has few distinct entries.  Column by column, each
-        combination of distinct entries also gets its translation class
-        (omega - |tlo|, thi - tlo), which is what CoreCohomology.dims takes:
-        the core is looked up once per class.  Classes whose lookups return
-        the same result object (every thi_i - tlo_i = 0, where the quotient
-        is 0) share one table entry.
+        tlo_i for c the twist and thi_i for c the deeper one (None without a
+        quotient).  Each coordinate's column of (tlo_i, thi_i) is zipped
+        from one list of each bound over the axis.  Each bound takes at
+        most cap + 2 values, so the column has few distinct entries.
+        Column by column, each combination of distinct entries also gets its
+        translation class (omega - |tlo|, thi - tlo), which is what
+        CoreCohomology.dims takes: the core is looked up once per class.
+        Classes whose lookups return the same result object (every
+        thi_i - tlo_i = 0, where the quotient is 0) share one table entry.
         """
         n, r = self.model.n, self.model.r
         omega = p + n - r
@@ -459,12 +450,15 @@ class GradedCbar:
         if cap < 0 or not any(gates):
             return [{}], [0], [[0] * len(axes[i]) for i in range(r)], gates
 
-        def bound(c, i, x):
-            return None if c is None else min(max(c[i] - 1 - x, 0), cap + 1)
-
+        c_lo, c_hi = self.c_lo, self.c_hi
         columns, keys = [], [(omega, ())]
         for i in range(r):
-            column = [(bound(self.c_lo, i, x), bound(self.c_hi, i, x)) for x in axes[i]]
+            tlo = [min(max(c_lo[i] - 1 - x, 0), cap + 1) for x in axes[i]]
+            if c_hi is None:
+                thi = [None] * len(tlo)
+            else:
+                thi = [min(max(c_hi[i] - 1 - x, 0), cap + 1) for x in axes[i]]
+            column = list(zip(tlo, thi))
             index = {b: k for k, b in enumerate(dict.fromkeys(column))}
             columns.append([index[b] for b in column])
             shifts = [(lo, None if hi is None else hi - lo) for lo, hi in index]
@@ -474,7 +468,7 @@ class GradedCbar:
         for key in keys:
             if key not in of_class:
                 o, thi = key
-                if self.c_hi is None:
+                if c_hi is None:
                     h = dims(o)
                 else:
                     h = dims(o, thi) if any(thi) else empty

@@ -29,11 +29,12 @@ no rounding or Fraction hashing happens per multidegree.  A sweep over a
 whole TruncationBox uses the box kernels gr_count_grid and grF_grV_grid:
 the same closed forms, tabulated per coordinate (one itertools.product pass
 over the coordinates past the first) and joined, one 0/1 byte row per
-distinct limit of d_0, into bytes in box order.  Count grids are cached per
-(level, p, box), so a sweep over the alphas of one model builds each grid
-once: grF_grV_grid is the bytewise h & ~g of its own level's grid and the
-deeper level's, which is the next alpha's.  Each call returns a fresh
-bytearray.
+distinct limit of d_0, into bytes in box order; each row is one
+bytes.translate of the weights' rank bytes (a comparison per weight past
+256 distinct weights).  Count grids are cached per (level, p, box), so a
+sweep over the alphas of one model builds each grid once: grF_grV_grid is
+the bytewise h & ~g of its own level's grid and the deeper level's, which
+is the next alpha's.  Each call returns a fresh bytearray.
 gr_label_leads reads gr_label's rule over a whole box without visiting the
 loci: the points past the first coordinate group by their w, and sorted by
 weight, the groups with a class at one d_0 are a prefix, so it returns the
@@ -67,6 +68,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -125,7 +127,8 @@ def _fmt_deg(d):
 
 class GradedDimTable(Record):
     """Nonnegative dimensions keyed by multidegree, optionally refined by a
-    cohomological degree; zero entries are never stored.  Two tables are
+    cohomological degree (keys (D, q), read through box_list; to_json takes
+    multidegree keys only); zero entries are never stored.  Two tables are
     equal when their dims are."""
 
     _fields = ("p", "alpha", "dims")
@@ -163,29 +166,13 @@ class GradedDimTable(Record):
             out[sum(map(operator.mul, D, strides)) - base] = dim
         return out
 
-    def shifted(self, offset):
-        """Translate every multidegree key by the given vector."""
-        out = GradedDimTable(self.p, self.alpha)
-        for k, dim in self.dims.items():
-            if isinstance(k[0], tuple):
-                out.dims[(tuple(a + b for a, b in zip(k[0], offset)), k[1])] = dim
-            else:
-                out.dims[tuple(a + b for a, b in zip(k, offset))] = dim
-        return out
-
     def to_json(self):
         obj = {}
         if self.p is not None:
             obj["p"] = self.p
         if self.alpha is not None:
             obj["alpha"] = format_rational(self.alpha)
-        dims = {}
-        for k in sorted(self.dims, key=lambda k: (k[0], k[1]) if isinstance(k[0], tuple) else k):
-            if isinstance(k[0], tuple):
-                dims.setdefault(_fmt_deg(k[0]), {})[str(k[1])] = self.dims[k]
-            else:
-                dims[_fmt_deg(k)] = self.dims[k]
-        obj["dims"] = dims
+        obj["dims"] = {_fmt_deg(d): self.dims[d] for d in sorted(self.dims)}
         return obj
 
 
@@ -318,11 +305,27 @@ def gr_count_grid(lvl: Level, p, box: TruncationBox) -> bytearray:
 def _rows_by_limit(weights, limits) -> bytes:
     """The box-order 0/1 bytes of `weight <= limit`, one row over `weights`
     per entry of `limits` (one per d_0), each distinct limit's row built
-    once."""
+    once.
+
+    With at most 256 distinct weights, each weight is stored once as the
+    byte of its rank among them; a limit passes the c smallest, for
+    c = bisect_right(distinct, limit), so its row is one bytes.translate
+    of the ranks by a table of c ones, then zeros.  More distinct weights
+    (n = 2 at radius >= 256 fits the CLI's box bound) take one comparison
+    per weight."""
+    distinct = sorted(set(weights))
     rows = {}
-    for limit in limits:
-        if limit not in rows:
-            rows[limit] = bytes(map(limit.__ge__, weights))
+    if len(distinct) > 256:
+        for limit in limits:
+            if limit not in rows:
+                rows[limit] = bytes(map(limit.__ge__, weights))
+    else:
+        rank = {w: k for k, w in enumerate(distinct)}
+        ranked = bytes(map(rank.__getitem__, weights))
+        for limit in limits:
+            if limit not in rows:
+                c = bisect_right(distinct, limit)
+                rows[limit] = ranked.translate(b"\x01" * c + bytes(256 - c))
     return b"".join(map(rows.__getitem__, limits))
 
 
@@ -441,9 +444,10 @@ def grF_grV_support(lvl: Level, p, box: TruncationBox):
 # Per multidegree d an element is the vector of its dt-order coefficients
 # (the monomial exponent is pinned by the order).  Expansions are cached by
 # (n, a, expansion_key(u0, w)) and extended in theta lazily: starting
-# exponents that differ only where w_i = 0 share one entry.  The cache holds
-# one model at a time: a miss for another (n, a) empties it first, so it
-# cannot grow past what one model's sweeps use.
+# exponents that differ only where w_i = 0 share one entry, and a new entry
+# is grown from the cached one with its first nonzero w_i cleared.  The
+# cache holds one model at a time: a miss for another (n, a) empties it
+# first, so it cannot grow past what one model's sweeps use.
 
 _EXP_CACHE = {}
 
@@ -467,18 +471,27 @@ def _expansion_orders(model: MonomialModel, u0, w, jmax):
     """Order dicts of y^{u0} dy delta . dy^w theta^j for j = 0..jmax.
 
     The multidegree is u0 - w throughout; top order of the j-th entry is
-    |w| + j.
+    |w| + j.  A miss grows the expansion from the entry with the first
+    nonzero w_i cleared (fetched through this function, so cached too):
+    the d_{y_i} commute and _orders_dy reads only d_i, so w_i more steps at
+    d_i = u0_i, u0_i - 1, ... give the same orders.  By lead_key's rule, the
+    leads of one (level, p) whose w agree past the first coordinate differ
+    only in u0_0, so they all grow from one entry.
     """
     key = (model.n, model.a, *expansion_key(u0, w))
     lst = _EXP_CACHE.get(key)
     if lst is None:
         if _EXP_CACHE and next(iter(_EXP_CACHE))[:2] != key[:2]:
             _EXP_CACHE.clear()
-        orders, d = {0: 1}, list(u0)
+        orders = {0: 1}
         for i, wi in enumerate(w):
-            for _ in range(wi):
-                orders = _orders_dy(orders, model, d, i)
-                d[i] -= 1
+            if wi:
+                orders = _expansion_orders(model, u0, w[:i] + (0,) + w[i + 1 :], 0)[0]
+                d = list(u0)
+                for _ in range(wi):
+                    orders = _orders_dy(orders, model, d, i)
+                    d[i] -= 1
+                break
         lst = _EXP_CACHE[key] = [orders]
     while len(lst) <= jmax:
         lst.append(_theta_orders(lst[-1]))

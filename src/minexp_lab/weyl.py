@@ -80,9 +80,6 @@ class MonomialModel(FrozenRecord):
     def divisor(self) -> SncDivisor:
         return SncDivisor(self.a)
 
-    def reduced(self) -> SncDivisor:
-        return SncDivisor((1,) * self.r)
-
     def to_json(self):
         return {"n": self.n, "exponents": list(self.a)}
 
@@ -173,17 +170,8 @@ class BgElement(_Combination):
         return v, int(m)
 
     @classmethod
-    def dy_delta(cls, n):
-        return cls(n, {((0,) * n, 0): Fraction(1)})
-
-    @classmethod
     def term(cls, n, c, v, m=0):
         return cls(n, {(tuple(v), m): Fraction(c)})
-
-    def max_dt_order(self):
-        if not self.terms:
-            raise InputError("zero element has no dt-order")
-        return max(m for _, m in self.terms)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
@@ -295,10 +283,6 @@ class WeylOperator(_Combination):
     # -- constructors --
 
     @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @classmethod
     def scalar(cls, n, c):
         z = (0,) * n
         return cls(n, {(z, 0, z, 0): Fraction(c)})
@@ -318,16 +302,6 @@ class WeylOperator(_Combination):
         z = (0,) * n
         e = tuple(power if k == i else 0 for k in range(n))
         return cls(n, {(z, 0, e, 0): Fraction(1)})
-
-    @classmethod
-    def t(cls, n, power=1):
-        z = (0,) * n
-        return cls(n, {(z, power, z, 0): Fraction(1)})
-
-    @classmethod
-    def dt(cls, n, power=1):
-        z = (0,) * n
-        return cls(n, {(z, 0, z, power): Fraction(1)})
 
     @classmethod
     def theta(cls, n):

@@ -13,7 +13,26 @@ from fractions import Fraction
 from minexp_lab.divisors import SncDivisor
 from minexp_lab.rationals import InputError
 from minexp_lab.vfilt import Level, TruncationBox, _spanning_orders, gr_class_rep, theta_label
-from minexp_lab.weyl import BgElement, MonomialModel
+from minexp_lab.weyl import BgElement, MonomialModel, WeylOperator
+
+
+# -- elements and operators ------------------------------------------------------
+
+def dy_delta(n) -> BgElement:
+    """dy delta in n variables."""
+    return BgElement(n, {((0,) * n, 0): Fraction(1)})
+
+
+def op_t(n) -> WeylOperator:
+    """The operator t in n variables."""
+    z = (0,) * n
+    return WeylOperator(n, {(z, 1, z, 0): Fraction(1)})
+
+
+def op_dt(n) -> WeylOperator:
+    """The operator d_t in n variables."""
+    z = (0,) * n
+    return WeylOperator(n, {(z, 0, z, 1): Fraction(1)})
 
 
 # -- divisor round-ups -----------------------------------------------------------

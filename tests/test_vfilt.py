@@ -9,6 +9,7 @@ import pytest
 from minexp_lab import vfilt
 from minexp_lab.cli import catalog
 from minexp_lab.divisors import jump_candidates, next_candidate
+from minexp_lab.koszul import verify_thm42_i
 from minexp_lab.rationals import InputError, exact_rank
 from minexp_lab.vfilt import (
     GradedDimTable,
@@ -45,6 +46,7 @@ from minexp_lab.weyl import (
 
 from oracles import (
     count_gr_theta,
+    dy_delta,
     gr_coordinate,
     gr_label_grid,
     round_gt,
@@ -53,11 +55,17 @@ from oracles import (
 )
 
 
+def max_dt_order(u: BgElement) -> int:
+    if not u.terms:
+        raise InputError("zero element has no dt-order")
+    return max(m for _, m in u.terms)
+
+
 def hodge_level(u: BgElement) -> int:
     """Smallest q with u in F_q B^r: (max dt-order) - n."""
     if u.is_zero():
         raise InputError("hodge_level of 0 is undefined")
-    return u.max_dt_order() - u.n
+    return max_dt_order(u) - u.n
 
 
 def dim_F_V(lvl: Level, p, d) -> int:
@@ -78,7 +86,7 @@ def _span_member_oracle(u, alpha, model):
     """Independent membership oracle: per multidegree, compare the rank of
     the spanning family with and without the component adjoined."""
     for d, comp in multidegree(u, model).items():
-        p = comp.max_dt_order() - model.n
+        p = max_dt_order(comp) - model.n
         span = [_orders_of_component(s) for s in spanning_set(p, alpha, d, model)]
         r0 = exact_rank([dict(v) for v in span])
         r1 = exact_rank([dict(v) for v in span] + [_orders_of_component(comp)])
@@ -90,7 +98,7 @@ def _span_member_oracle(u, alpha, model):
 def test_hodge_level_convention():
     # the display F_{p-n} = (+)_{0<=i<=p} w dt^i delta is the oracle:
     # dt-order m first appears at level m - n
-    assert hodge_level(BgElement.dy_delta(1)) == -1
+    assert hodge_level(dy_delta(1)) == -1
     assert hodge_level(BgElement.term(2, 1, (0, 0), 1)) == -1
     assert hodge_level(BgElement.term(1, 1, (0,), 2)) == 1
     for n in (1, 2, 3):
@@ -103,15 +111,15 @@ def test_hodge_level_convention():
 
 def test_spanning_set_examples():
     s = spanning_set(-1, F(1, 2), (0,), Y2)
-    assert s == [BgElement.dy_delta(1)]
+    assert s == [dy_delta(1)]
     s = spanning_set(-1, F(3, 4), (1,), Y2)
     assert s == [BgElement.term(1, 1, (1,), 0)]
     # g = y1 y2, p = 0, alpha = 1, d = (0,0): the span contains the
     # expansions of dy delta . theta and of dy delta . y1 d1
     s = spanning_set(0, F(1), (0, 0), Y11)
-    th = act_right(BgElement.dy_delta(2), WeylOperator.theta(2), Y11)
+    th = act_right(dy_delta(2), WeylOperator.theta(2), Y11)
     euler = act_right(
-        BgElement.dy_delta(2),
+        dy_delta(2),
         WeylOperator(2, {((1, 0), 0, (1, 0), 0): F(1)}),
         Y11,
     )
@@ -125,10 +133,10 @@ def test_spanning_set_examples():
 
 
 def test_v_member_examples():
-    u = BgElement.dy_delta(1)
+    u = dy_delta(1)
     assert v_member(u, F(1, 2), Y2) is True
     assert v_member(u, F(3, 4), Y2) is False
-    assert v_member(BgElement.dy_delta(1), F(1), Y1) is True
+    assert v_member(dy_delta(1), F(1), Y1) is True
     # agreement with the rank-based oracle on the examples
     assert _span_member_oracle(u, F(1, 2), Y2)
     assert not _span_member_oracle(u, F(3, 4), Y2)
@@ -157,17 +165,17 @@ def test_v_member_randomized_against_oracle():
 
 
 def test_v_order_examples():
-    assert v_order(BgElement.dy_delta(1), Y2, F(1)) == F(1, 2)
-    assert v_order(BgElement.dy_delta(1), Y1, F(1)) == F(1)
-    assert v_order(BgElement.dy_delta(2), Y11, F(1)) == F(1)
+    assert v_order(dy_delta(1), Y2, F(1)) == F(1, 2)
+    assert v_order(dy_delta(1), Y1, F(1)) == F(1)
+    assert v_order(dy_delta(2), Y11, F(1)) == F(1)
     # cap inside a jump interval: the sup is the cap itself
-    assert v_order(BgElement.dy_delta(1), Y1, F(3, 4)) == F(3, 4)
+    assert v_order(dy_delta(1), Y1, F(3, 4)) == F(3, 4)
     # an element that is not in any positive level
     assert v_order(BgElement.term(1, 1, (0,), 1), Y2, F(1)) == 0
     with pytest.raises(InputError):
         v_order(BgElement(1), Y2, F(1))
     with pytest.raises(InputError):
-        v_order(BgElement.dy_delta(1), Y2, 0)
+        v_order(dy_delta(1), Y2, 0)
 
 
 def test_left_continuity():
@@ -418,6 +426,94 @@ def test_expansion_cache_keys_only_what_the_expansion_reads():
             assert all(x == 0 for x, k in zip(u0, w) if not k), (model, lvl.alpha, key)
 
 
+def _count_orders_dy(monkeypatch):
+    """Start from an empty expansion cache and record the coordinate i of
+    every vfilt._orders_dy call in the returned list."""
+    calls = []
+    real = vfilt._orders_dy
+
+    def counted(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(vfilt, "_orders_dy", counted)
+    monkeypatch.setattr(vfilt, "_EXP_CACHE", {})
+    return calls
+
+
+def test_expansion_grows_from_the_cleared_entry(monkeypatch):
+    # with the entry of (u0, w) with its first nonzero w_i cleared cached, a
+    # miss for (u0, w) applies _orders_dy exactly w_i times, and a hit none
+    calls = _count_orders_dy(monkeypatch)
+    rng = random.Random(19)
+    misses = 0
+    for model in (MonomialModel(3, [1, 2, 2]), Y23, MonomialModel(4, [2, 1, 3])):
+        n = model.n
+        for _ in range(150):
+            w = tuple(rng.randint(0, 3) for _ in range(n))
+            u0 = tuple(rng.randint(-2, 4) for _ in range(n))
+            if not any(w):
+                continue
+            i = next(k for k, wk in enumerate(w) if wk)
+            _expansion_orders(model, u0, w[:i] + (0,) + w[i + 1 :], 0)
+            hit = (n, model.a, *vfilt.expansion_key(u0, w)) in vfilt._EXP_CACHE
+            calls.clear()
+            got = _expansion_orders(model, u0, w, 2)
+            assert calls == ([] if hit else [i] * w[i]), (model, u0, w)
+            assert got == _uncached_orders(model, u0, w, 2), (model, u0, w)
+            misses += not hit
+    assert misses > 200
+
+
+def test_thm42_sweep_expansion_steps(monkeypatch):
+    # the resolution-sweep model at its benchmark radius: the leads grow from
+    # shared entries (2,528 _orders_dy steps when each expansion was built
+    # from dy delta), and the cache keeps the same 621 entries
+    calls = _count_orders_dy(monkeypatch)
+    model = MonomialModel(3, [1, 2, 2])
+    box = TruncationBox.radius(3, 6)
+    for alpha in jump_candidates(model.divisor(), 0, 1):
+        assert verify_thm42_i(model, alpha, range(-3, 4), box)["status"] == "PASS"
+    assert len(calls) <= 1284
+    assert len(vfilt._EXP_CACHE) == 621
+
+
+def test_rows_by_limit_matches_the_comparisons():
+    # both paths: at most 256 distinct weights (rank bytes and translate) and
+    # more (one comparison per weight), with negative, repeated and unsorted
+    # limits
+    rng = random.Random(7)
+    distinct_counts = set()
+    for size, top in [(1, 0), (9, 3), (80, 20), (256, 255), (257, 256), (400, 60), (600, 2000)]:
+        for _ in range(4):
+            weights = [rng.randint(0, top) for _ in range(size)]
+            if size in (256, 257):
+                weights = list(range(size))
+                rng.shuffle(weights)
+            limits = [rng.randint(-3, top + 3) for _ in range(rng.randint(1, 9))]
+            limits += [limits[0], -1, top, limits[-1]]
+            rng.shuffle(limits)
+            want = b"".join(bytes(limit >= w for w in weights) for limit in limits)
+            assert vfilt._rows_by_limit(weights, limits) == want, (size, top, limits)
+            distinct_counts.add(len(set(weights)))
+    assert 256 in distinct_counts and max(distinct_counts) > 256
+
+
+def test_count_grids_past_256_distinct_weights():
+    # a thin box whose second axis has 301 distinct weights takes the
+    # comparison path; the count grid and the class bytes still match the
+    # per-locus count
+    model = Y11
+    box = TruncationBox((-1, -300), (1, 0))
+    for alpha in jump_candidates(model.divisor(), 0, 1):
+        lvl = Level(model, alpha)
+        assert len({max(lvl.b[1] - x, 0) for x in range(-300, 1)}) > 256
+        for p in range(-3, 4):
+            want = bytes(count_gr(lvl, p, d) for d in box)
+            assert bytes(gr_count_grid(lvl, p, box)) == want, (alpha, p)
+            assert bytes(gr_label_leads(lvl, p, box)[0]) == want, (alpha, p)
+
+
 def test_gr_class_rep_and_coordinate():
     # rep has coordinate 1; scalar multiples scale; deeper elements read 0
     model = Y23
@@ -526,12 +622,23 @@ def test_nilpotency_sign_resolution():
     model = Y2
     alpha = F(1, 2)
     deeper = next_candidate(model.divisor(), alpha)
-    u = BgElement.dy_delta(1)
+    u = dy_delta(1)
     th = WeylOperator.theta(1)
     plus = act_right(u, th + WeylOperator.scalar(1, alpha), model)
     minus = act_right(u, th - WeylOperator.scalar(1, alpha), model)
     assert v_member(plus, deeper, model)
     assert not v_member(minus, deeper, model)
+
+
+def shifted(table: GradedDimTable, offset) -> GradedDimTable:
+    """Translate every multidegree key of the table by the given vector."""
+    out = GradedDimTable(table.p, table.alpha)
+    for k, dim in table.dims.items():
+        if isinstance(k[0], tuple):
+            out.dims[(tuple(a + b for a, b in zip(k[0], offset)), k[1])] = dim
+        else:
+            out.dims[tuple(a + b for a, b in zip(k, offset))] = dim
+    return out
 
 
 def test_box_and_table_plumbing():
@@ -542,5 +649,6 @@ def test_box_and_table_plumbing():
     t = GradedDimTable(p=-1, alpha=F(1, 2), dims={(0,): 1})
     assert t.to_json() == {"p": -1, "alpha": "1/2", "dims": {"(0)": 1}}
     t2 = GradedDimTable(dims={((0, 1), -1): 2})
-    assert t2.to_json()["dims"] == {"(0,1)": {"-1": 2}}
-    assert t.shifted((2,)).dims == {(2,): 1}
+    assert t2.box_list(TruncationBox((0, 0), (0, 1))) == [0, 2]
+    assert shifted(t, (2,)).dims == {(2,): 1}
+    assert shifted(t2, (1, -1)).dims == {((1, 0), -1): 2}

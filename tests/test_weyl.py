@@ -22,6 +22,8 @@ from minexp_lab.weyl import (
     parse_element,
 )
 
+from oracles import dy_delta, op_dt, op_t
+
 _Y_RE = re.compile(r"^y(\d+)(?:\^(\d+))?$")
 _D_RE = re.compile(r"^d(\d+)(?:\^(\d+))?$")
 _T_RE = re.compile(r"^t(?:\^(\d+))?$")
@@ -47,7 +49,7 @@ def op_multidegree(P: WeylOperator, model: MonomialModel):
 
 
 def parse_operator(text, n) -> WeylOperator:
-    acc = WeylOperator.zero(n)
+    acc = WeylOperator(n)
     for part in _split_terms(text):
         coeff = F(1)
         ay = [0] * n
@@ -94,13 +96,13 @@ def test_model_validation():
 def test_act_right_examples():
     # model g = y^2: dy delta . d_y = 2 y dy dt delta
     m = MonomialModel(1, [2])
-    u = BgElement.dy_delta(1)
+    u = dy_delta(1)
     assert act_right(u, WeylOperator.dy(1, 0), m) == BgElement.term(1, 2, (1,), 1)
     # identity operator
     assert act_right(u, WeylOperator.one(1), m) == u
     # model g = y1 y2: dy delta . d_{y1} = y2 dy dt delta
     m2 = MonomialModel(2, [1, 1])
-    got = act_right(BgElement.dy_delta(2), WeylOperator.dy(2, 0), m2)
+    got = act_right(dy_delta(2), WeylOperator.dy(2, 0), m2)
     assert got == BgElement.term(2, 1, (0, 1), 1)
 
 
@@ -141,7 +143,7 @@ def test_act_right_matches_generator_rules():
         n = model.n
         gens = [("y", i, WeylOperator.y(n, i)) for i in range(n)]
         gens += [("dy", i, WeylOperator.dy(n, i)) for i in range(n)]
-        gens += [("t", None, WeylOperator.t(n)), ("dt", None, WeylOperator.dt(n))]
+        gens += [("t", None, op_t(n)), ("dt", None, op_dt(n))]
         for _ in range(25):
             u = _rand_el(rng, n, max_terms=5)
             spread += len(multidegree(u, model)) > 1
@@ -162,7 +164,7 @@ def test_act_right_matches_generator_rules():
 
 def test_compose_examples():
     n = 1
-    dt, t = WeylOperator.dt(n), WeylOperator.t(n)
+    dt, t = op_dt(n), op_t(n)
     assert compose(dt, t) == WeylOperator.theta(n) + WeylOperator.one(n)
     y, dy = WeylOperator.y(n, 0), WeylOperator.dy(n, 0)
     assert compose(dy, y) - compose(y, dy) == WeylOperator.one(n)
@@ -269,8 +271,8 @@ def test_grading_shift():
     ops = [
         WeylOperator.y(2, 0),
         WeylOperator.dy(2, 1),
-        WeylOperator.t(2),
-        WeylOperator.dt(2),
+        op_t(2),
+        op_dt(2),
         WeylOperator.theta(2),
         compose(WeylOperator.y(2, 0), WeylOperator.dy(2, 0)),
     ]
@@ -307,7 +309,7 @@ def test_theta_powers_independent():
 
 def test_multidegree_examples():
     m = MonomialModel(1, [2])
-    assert set(multidegree(BgElement.dy_delta(1), m)) == {(0,)}
+    assert set(multidegree(dy_delta(1), m)) == {(0,)}
     assert set(multidegree(BgElement.term(1, 1, (1,), 1), m)) == {(-1,)}
     m2 = MonomialModel(2, [1, 1])
     assert set(multidegree(BgElement.term(2, 1, (0, 0), 1), m2)) == {(-1, -1)}
