@@ -18,10 +18,10 @@ verify-cor24 take alphas in (0, 1): an explicit alpha outside is an input
 error, while the default all-jumps list just leaves out alpha = 1.  Both
 compute the minimal exponent once per run and hand it to every item.  A box
 radius R in n variables is refused when its volume (2R+1)^n exceeds
-MAX_BOX_VOLUME, a verify command refuses a model with n above MAX_N, and a
-pmax above MAX_PMAX is refused.  A sweep whose radius
-leaves deep levels little room says so in a top-level `notes` list; notes
-are not checks and are not counted in `summary`.
+MAX_BOX_VOLUME, a verify command refuses a model with n above vfilt.MAX_N,
+and a pmax above MAX_PMAX is refused.  A sweep whose radius leaves deep
+levels little room says so in a top-level `notes` list; notes are not
+checks and are not counted in `summary`.
 
 Reports are deterministic byte-for-byte: checks are produced in sorted key
 order, JSON is dumped with sorted keys, and scheduling parameters (--jobs,
@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple
 
 from .divisors import ResolutionNumerics, SncDivisor, jump_candidates, lct_from_resolution
 from .rationals import Infinity, InputError, VerificationError, format_rational, parse_rational
-from .vfilt import TruncationBox, check_v_axioms, t_shift_check, v_member, v_order
+from .vfilt import MAX_N, TruncationBox, check_v_axioms, t_shift_check, v_member, v_order
 from .weyl import MonomialModel, multidegree, parse_element
 from . import derham, koszul, minexp
 
@@ -61,13 +61,6 @@ MAX_BOX_VOLUME = 10**6
 # (3, [1, 2, 2]) at radius 2 takes about 1.5 s at 32, 17 s at 64, and more
 # than 120 s at 100; the catalog sweeps use pmax <= 4.
 MAX_PMAX = 32
-# Largest n a verify command accepts.  At radius 0 the box volume is 1 for
-# any n, but the work still grows exponentially in n.  Steepest is
-# verify-thm42 with r = n and all a_i = 1: at radius 0 it takes 0.5 s at
-# n = 5, 5.0 s at 6 and more than 40 s at 7; at radius 1, 3.8 s at n = 5 and
-# more than 40 s at 6.  At n = 5 every other verify command takes under 1 s at
-# radius 0 and 1 (one run each, 2 CPUs, Python 3.11).
-MAX_N = 5
 
 
 def catalog():

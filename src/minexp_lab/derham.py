@@ -55,6 +55,7 @@ from fractions import Fraction
 
 from .rationals import InputError, exact_rank, format_rational
 from .vfilt import (
+    MAX_N,
     GradedDimTable,
     Level,
     TruncationBox,
@@ -291,14 +292,22 @@ class _LevelComplexes:
         return table
 
 
+def _psi_level(model: MonomialModel, alpha) -> Level:
+    """The Level of psi_{g,alpha}: alpha in (0, 1] and n <= vfilt.MAX_N,
+    checked before a _LevelComplexes lists the 2^n subsets."""
+    alpha = Fraction(alpha)
+    if not 0 < alpha <= 1:
+        raise InputError(f"alpha must be in (0,1], got {alpha}")
+    if model.n > MAX_N:
+        raise InputError(f"the de Rham complexes take n <= {MAX_N}, got n = {model.n}")
+    return Level(model, alpha)
+
+
 def gr_dr_psi(model: MonomialModel, alpha, i, box: TruncationBox) -> GradedDimTable:
     """Cohomology dimensions, per multidegree in the box, of the graded de
     Rham complex with terms Omega^q (x) Gr^F_{i-n+1+q} psi_{g,alpha}; keys
     are (multidegree, cohomological degree in -n..0)."""
-    alpha = Fraction(alpha)
-    if not 0 < alpha <= 1:
-        raise InputError(f"alpha must be in (0,1], got {alpha}")
-    return _LevelComplexes(Level(model, alpha), box).table(i)
+    return _LevelComplexes(_psi_level(model, alpha), box).table(i)
 
 
 def verify_cor51(model: MonomialModel, alpha, i_range, box: TruncationBox):
@@ -306,11 +315,8 @@ def verify_cor51(model: MonomialModel, alpha, i_range, box: TruncationBox):
     of psi_{g,alpha} is concentrated in cohomological degree -i, with
     dimensions equal to the quotient-twisted relative (n-1-i)-forms, per
     multidegree in the box.  The complexes of every i share one memo."""
-    alpha = Fraction(alpha)
-    if not 0 < alpha <= 1:
-        raise InputError(f"alpha must be in (0,1], got {alpha}")
-    lvl = Level(model, alpha)
-    n = model.n
+    lvl = _psi_level(model, alpha)
+    alpha, n = lvl.alpha, model.n
     syms = _rel_symbols(model)
     complexes = _LevelComplexes(lvl, box)
     report = {"status": "PASS", "checks": []}

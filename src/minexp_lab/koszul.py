@@ -63,10 +63,10 @@ it walks the loci in box order with the checks in their per-locus order
 reads gr_label only where H^0 != 0 and shares the per-key memo), and fails
 the first locus that fails, naming the same locus and fields as a per-locus
 loop would; when every locus passes (say, an extra class where H^0 = 0,
-which no check reads), the (level, p) passes.  Only _scan and
-cohomology_grid, which spreads the table into a list of dicts in box order,
-index the table point by point.  tests/test_koszul.py keeps the per-locus
-loop, with every check at every locus, as the reference.
+which no check reads), the (level, p) passes.  Only _scan indexes the
+table point by point (_spread, a list of dicts in box order).
+tests/test_koszul.py keeps the per-locus loop, with every check at every
+locus, as the reference, and spreads whole grids the same way.
 """
 
 from __future__ import annotations
@@ -412,12 +412,6 @@ class GradedCbar:
         ):
             raise InputError("quotient twist must be deeper (componentwise >=)")
         self.core = _core_for(model)
-
-    def cohomology_grid(self, p, box: TruncationBox) -> list:
-        """{cohomological degree: dim} of each multidegree piece of the box
-        at Hodge index p, in box order; an empty dict where everything
-        vanishes."""
-        return _spread(*self.point_grid(p, box), {})
 
     def point_grid(self, p, box: TruncationBox):
         """(table, at, columns, gates): the distinct core results, each

@@ -47,6 +47,18 @@ grF_grV_support lists the points of the box where Gr^F_p Gr^V_{-alpha} is
 nonzero (and their gr_label w), from one table of both levels' weights.
 The expansion and grid caches hold one model at a time.
 
+The axiom checks (check_v_axioms, t_shift_check) ask hundreds of
+thousands of memberships per catalog sweep, most of them repeats: a
+membership reads its multidegree only through member_key, and the spanning
+expansions, which are what it is asked about, depend only on that key too.
+So each check call memoises membership in _Members, one per level it reads:
+an answer per (member key, sorted orders), shared by the levels of the call,
+and a member key per multidegree, per level, off which the spanning orders
+are read.  A miss calls _component_member through the module.  The memos
+live for one call and are dropped with it; none sits at module level, so a
+fault planted between two runs of the same input is always reached.  Every
+locus is still visited in box order, so a FAIL names the same locus.
+
 Graded dimensions also come in a second closed form (the "theta-eliminated"
 one): Gr^F_p V_{-alpha} has a basis of classes of y^b dy delta . y^v dy^w
 with |w| = p + n, w_i = 0 for i > r, v_i w_i = 0 for 2 <= i <= r (the first
@@ -84,6 +96,18 @@ from .weyl import (
     _theta_orders,
     multidegree,
 )
+
+
+# Largest n a verify command accepts, and derham.gr_dr_psi and verify_cor51
+# when called directly.  At radius 0 the box volume is 1 for any n, but the
+# work still grows exponentially in n.  Steepest is verify-thm42 with r = n
+# and all a_i = 1: at radius 0 it takes 0.5 s at n = 5, 5.0 s at 6 and more
+# than 40 s at 7; at radius 1, 3.8 s at n = 5 and more than 40 s at 6.  At
+# n = 5 every other verify command takes under 1 s at radius 0 and 1 (one run
+# each, 2 CPUs, Python 3.11).  The de Rham complexes list all 2^n subsets of
+# the variables up front: at radius 0, verify-cor51 on (n, [1]) ran out of a
+# 3 GiB address space at n = 17.
+MAX_N = 5
 
 
 # -- boxes and dimension tables ---------------------------------------------
@@ -128,8 +152,8 @@ def _fmt_deg(d):
 class GradedDimTable(Record):
     """Nonnegative dimensions keyed by multidegree, optionally refined by a
     cohomological degree (keys (D, q), read through box_list; to_json takes
-    multidegree keys only); zero entries are never stored.  Two tables are
-    equal when their dims are."""
+    multidegree keys only and refuses the others); zero entries are never
+    stored.  Two tables are equal when their dims are."""
 
     _fields = ("p", "alpha", "dims")
 
@@ -167,6 +191,8 @@ class GradedDimTable(Record):
         return out
 
     def to_json(self):
+        if any(not isinstance(x, int) for d in self.dims for x in d):
+            raise InputError("to_json takes multidegree keys; read (D, q) keys through box_list")
         obj = {}
         if self.p is not None:
             obj["p"] = self.p
@@ -502,20 +528,6 @@ def _orders_of_component(comp: BgElement):
     return {m: c for (_, m), c in comp.terms.items()}
 
 
-def _spanning_orders(lvl: Level, p, d):
-    """Order dicts of the spanning expansions at (p, alpha, multidegree d)."""
-    lbl = theta_label(lvl, d)
-    if lbl is None:
-        return []
-    v, w = lbl
-    model, b = lvl.model, lvl.b
-    jmax = p + model.n - sum(w)
-    if jmax < 0:
-        return []
-    u0 = tuple(b[i] + v[i] for i in range(model.n))
-    return _expansion_orders(model, u0, w, jmax)
-
-
 def member_key(lvl: Level, d):
     """All that _component_member(lvl, d, orders) reads of d: the
     expansion_key of theta_label's (b + v, w), or None where there is no
@@ -647,6 +659,57 @@ def _shift(d, i, step):
     return d[:i] + (d[i] + step,) + d[i + 1 :]
 
 
+class _Members:
+    """Membership in V_{-alpha} at one Level, for one axiom-check call.
+
+    _component_member(lvl, d, orders) reads d only through member_key(lvl,
+    d) and lvl only through it and the model, so the levels of one call
+    share one `answers` memo keyed by (member key, sorted orders); empty
+    orders and a None key are answered before it.  Each level keeps its own
+    member key per multidegree, and its spanning orders are read off that
+    key.  A miss calls _component_member through the module.  A call makes
+    its Members and drops them, so no memo outlives the call."""
+
+    def __init__(self, lvl: Level, answers: dict):
+        self.lvl, self.answers, self.keys = lvl, answers, {}
+
+    def key(self, d):
+        """member_key(self.lvl, d), computed once per d."""
+        keys = self.keys
+        if d in keys:
+            return keys[d]
+        key = keys[d] = member_key(self.lvl, d)
+        return key
+
+    def __call__(self, d, orders) -> bool:
+        """_component_member(self.lvl, d, orders), memoised."""
+        if not orders:
+            return True
+        key = self.key(d)
+        if key is None:
+            return False
+        entry = key, tuple(sorted(orders.items()))
+        got = self.answers.get(entry)
+        if got is None:
+            got = self.answers[entry] = _component_member(self.lvl, d, orders)
+        return got
+
+    def spanning(self, p, d):
+        """Order dicts of the spanning expansions of F_p V_{-alpha} at d,
+        read off the cached key: y^{b+v} dy delta . dy^w theta^j for
+        j <= p + n - |w|, whose expansion reads u0 = b + v only where
+        w_i > 0, where the key keeps it."""
+        key = self.key(d)
+        if key is None:
+            return []
+        u0, w = key
+        model = self.lvl.model
+        jmax = p + model.n - sum(w)
+        if jmax < 0:
+            return []
+        return _expansion_orders(model, u0, w, jmax)
+
+
 def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
     """Verify on all spanning elements in the box: stability of V_{-alpha}
     under .y_i and .d_{y_i}, the t-shift V_{-alpha}.t <= V_{-alpha-1}, the
@@ -654,11 +717,13 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
     instance that stays inside the alpha > 0 range; the direct form
     V_{-alpha}.dt <= V_{-alpha+1} is additionally checked when alpha > 1),
     and nilpotency of theta + alpha on Gr^V_{-alpha} with index <= r.
+    Membership goes through one _Members per level, sharing one memo.
     """
     lvl = Level(model, alpha)
     alpha = lvl.alpha
-    plus1, deeper = Level(model, alpha + 1), lvl.deeper
-    minus1 = Level(model, alpha - 1) if alpha > 1 else None
+    answers = {}
+    here, up, deep = (_Members(v, answers) for v in (lvl, Level(model, alpha + 1), lvl.deeper))
+    down = _Members(Level(model, alpha - 1), answers) if alpha > 1 else None
     n = model.n
     a_ext = model.a_ext
     report = {"status": "PASS", "checks": [], "nilpotency_index": 0}
@@ -666,30 +731,30 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
     for d in box:
         d_plus_a = tuple(d[i] + a_ext[i] for i in range(n))
         d_minus_a = tuple(d[i] - a_ext[i] for i in range(n))
-        for u in _spanning_orders(lvl, p_cap, d):
+        for u in here.spanning(p_cap, d):
             for i in range(n):
-                if not _component_member(lvl, _shift(d, i, 1), u):
+                if not here(_shift(d, i, 1), u):
                     return _check(report, "stable-y", ok=False, degree=list(d), i=i + 1)
                 du = _orders_dy(u, model, d, i)
-                if not _component_member(lvl, _shift(d, i, -1), du):
+                if not here(_shift(d, i, -1), du):
                     return _check(report, "stable-dy", ok=False, degree=list(d), i=i + 1)
-            if not _component_member(plus1, d_plus_a, _orders_t(u)):
+            if not up(d_plus_a, _orders_t(u)):
                 return _check(report, "t-shift", ok=False, degree=list(d))
-            if minus1 and not _component_member(minus1, d_minus_a, _orders_dt(u)):
+            if down and not down(d_minus_a, _orders_dt(u)):
                 return _check(report, "dt-shift-direct", ok=False, degree=list(d))
             # nilpotency of theta + alpha on the Gr^V class of u
             x = u
             k = 0
             while k <= model.r:
-                if _component_member(deeper, d, x):
+                if deep(d, x):
                     break
                 x = _orders_theta_plus(x, alpha)
                 k += 1
             else:
                 return _check(report, "nilpotency", ok=False, degree=list(d))
             worst_index = max(worst_index, k)
-        for u in _spanning_orders(plus1, p_cap, d):
-            if not _component_member(lvl, d_minus_a, _orders_dt(u)):
+        for u in up.spanning(p_cap, d):
+            if not here(d_minus_a, _orders_dt(u)):
                 return _check(report, "dt-shift", ok=False, degree=list(d))
     report["nilpotency_index"] = worst_index
     return _check(report, "v-axioms", alpha=format_rational(alpha), nilpotency_index=worst_index)
@@ -697,19 +762,21 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
 
 def t_shift_check(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
     """Multiplication by t maps the spanning set of V_{-alpha} into
-    V_{-alpha-1} and is injective per multidegree."""
+    V_{-alpha-1} and is injective per multidegree.  Membership goes through
+    one _Members per level, as in check_v_axioms."""
     lvl = Level(model, alpha)
-    plus1 = Level(model, lvl.alpha + 1)
+    answers = {}
+    here, up = _Members(lvl, answers), _Members(Level(model, lvl.alpha + 1), answers)
     report = {"status": "PASS", "checks": []}
     a_ext = model.a_ext
     for d in box:
-        elems = _spanning_orders(lvl, p_cap, d)
+        elems = here.spanning(p_cap, d)
         if not elems:
             continue
         d_plus_a = tuple(d[i] + a_ext[i] for i in range(model.n))
         images = [_orders_t(u) for u in elems]
         for im in images:
-            if not _component_member(plus1, d_plus_a, im):
+            if not up(d_plus_a, im):
                 return _check(report, "t-image-level", ok=False, degree=list(d))
         if exact_rank(images) != len(elems):
             return _check(report, "t-injectivity", ok=False, degree=list(d))

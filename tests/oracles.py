@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from minexp_lab.divisors import SncDivisor
 from minexp_lab.rationals import InputError
-from minexp_lab.vfilt import Level, TruncationBox, _spanning_orders, gr_class_rep, theta_label
+from minexp_lab.vfilt import Level, TruncationBox, _expansion_orders, gr_class_rep, theta_label
 from minexp_lab.weyl import BgElement, MonomialModel, WeylOperator
 
 
@@ -106,12 +106,27 @@ def _element_from_orders(model, d, orders):
     return BgElement(model.n, terms)
 
 
+def spanning_orders(lvl: Level, p, d):
+    """Order dicts of the spanning expansions at (p, alpha, multidegree d),
+    from theta_label's (b + v, w) at d."""
+    lbl = theta_label(lvl, d)
+    if lbl is None:
+        return []
+    v, w = lbl
+    model, b = lvl.model, lvl.b
+    jmax = p + model.n - sum(w)
+    if jmax < 0:
+        return []
+    u0 = tuple(b[i] + v[i] for i in range(model.n))
+    return _expansion_orders(model, u0, w, jmax)
+
+
 def spanning_set(p, alpha, d, model: MonomialModel):
     """The expansions of y^b dy delta . y^v dy^w theta^j spanning the
     multidegree-d piece of F_p V_{-alpha} (triangular in top dt-order)."""
     lvl = Level(model, alpha)
     d = tuple(d)
-    return [_element_from_orders(model, d, o) for o in _spanning_orders(lvl, p, d)]
+    return [_element_from_orders(model, d, o) for o in spanning_orders(lvl, p, d)]
 
 
 def gr_coordinate(orders, lvl: Level, p, d):

@@ -186,7 +186,7 @@ def test_box_volume_refused_before_the_n_bound():
 @pytest.mark.parametrize("command", ["verify-thm42", "verify-cor51", "verify-axioms",
                                      "verify-cor23", "verify-cor24"])
 def test_n_at_the_bound_runs(command):
-    from minexp_lab.cli import MAX_N
+    from minexp_lab.vfilt import MAX_N
 
     exponents = [2] if command in ("verify-cor23", "verify-cor24") else [1] * MAX_N
     config = {"command": command, "model": {"n": MAX_N, "exponents": exponents}, "box": 0}

@@ -19,6 +19,7 @@ from minexp_lab.derham import (
 from minexp_lab.divisors import jump_candidates
 from minexp_lab.rationals import InputError, exact_rank
 from minexp_lab.vfilt import (
+    MAX_N,
     GradedDimTable,
     Level,
     TruncationBox,
@@ -689,6 +690,35 @@ def test_cor51_examples():
         assert rep["status"] == "PASS", (alpha, rep)
     with pytest.raises(InputError):
         verify_cor51(Y2, F(2), [0], BOX1)
+
+
+def test_n_above_the_bound_is_refused_before_the_subsets(monkeypatch):
+    # at radius 0 the box is one point, yet _LevelComplexes would list all
+    # 2^n subsets; both entry points refuse n = MAX_N + 1 before building one
+    def built(*args):
+        raise AssertionError("a _LevelComplexes was built above MAX_N")
+
+    box = TruncationBox.radius(MAX_N + 1, 0)
+    model = MonomialModel(MAX_N + 1, [1])
+    monkeypatch.setattr(derham, "_LevelComplexes", built)
+    with pytest.raises(InputError, match=f"n <= {MAX_N}"):
+        gr_dr_psi(model, F(1), 0, box)
+    with pytest.raises(InputError, match=f"n <= {MAX_N}"):
+        verify_cor51(model, F(1), [0], box)
+    monkeypatch.undo()
+    small = MonomialModel(MAX_N, [1])
+    assert verify_cor51(small, F(1), [0], TruncationBox.radius(MAX_N, 0))["status"] == "PASS"
+
+
+def test_a_q_refined_table_has_no_json():
+    # gr_dr_psi keys its table by (multidegree, q); to_json takes
+    # multidegree keys only
+    t = gr_dr_psi(Y2, F(1, 2), 0, BOX1)
+    assert t.dims == {((1,), 0): 1}
+    with pytest.raises(InputError, match="multidegree keys"):
+        t.to_json()
+    with pytest.raises(InputError):
+        GradedDimTable(dims={((0, 1), -1): 2}).to_json()
 
 
 def test_cor51_three_variables():

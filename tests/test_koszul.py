@@ -70,13 +70,19 @@ def sigma_alpha(model: MonomialModel, alpha, x=None) -> BgElement:
     return koszul._augment(model, base, x)
 
 
+def cohomology_grid(gc: GradedCbar, p, box: TruncationBox) -> list:
+    """{cohomological degree: dim} of each multidegree piece of the box at
+    Hodge index p, in box order; an empty dict where everything vanishes."""
+    return koszul._spread(*gc.point_grid(p, box), {})
+
+
 def graded_cohomology(model: MonomialModel, G, p, box: TruncationBox,
                       G_deeper=None) -> GradedDimTable:
     """All cohomology dimensions of the graded Koszul complex per multidegree
     in the box, keyed by (multidegree, cohomological degree)."""
     gc = GradedCbar(model, G, G_deeper)
     table = GradedDimTable(p=p)
-    for d, h in zip(box, gc.cohomology_grid(p, box)):
+    for d, h in zip(box, cohomology_grid(gc, p, box)):
         for q, dim in h.items():
             table.dims[(d, q)] = dim
     return table
@@ -281,7 +287,7 @@ def cohomology(gc: GradedCbar, p, d) -> dict:
     """{cohomological degree: dim} of the multidegree-d piece at Hodge index
     p; empty dict when everything vanishes."""
     d = tuple(d)
-    return gc.cohomology_grid(p, TruncationBox(d, d))[0]
+    return cohomology_grid(gc, p, TruncationBox(d, d))[0]
 
 
 def test_graded_cohomology_matches_naive():
@@ -310,7 +316,7 @@ def test_cohomology_grid_matches_naive():
         box = TruncationBox.radius(model.n, 2)
         for p in range(-model.n - 1, 4):
             for Gd in (None, lvl.deeper.twist):
-                grid = GradedCbar(model, G, Gd).cohomology_grid(p, box)
+                grid = cohomology_grid(GradedCbar(model, G, Gd), p, box)
                 assert grid == [
                     _naive_graded_cohomology(model, G, p, d, Gd) for d in box
                 ], (model, lvl.alpha, p, Gd)
@@ -330,7 +336,7 @@ def _reference_thm42_i(model, alpha, p_range, box):
     report = {"status": "PASS", "checks": []}
     for p in p_range:
         loci = 0
-        grid = zip(box, gc.cohomology_grid(p, box), koszul.gr_count_grid(lvl, p - 1, box))
+        grid = zip(box, cohomology_grid(gc, p, box), koszul.gr_count_grid(lvl, p - 1, box))
         for d, h, want in grid:
             if any(q < 0 and dim for q, dim in h.items()):
                 return _fail(
@@ -366,7 +372,7 @@ def _reference_thm42_ii(model, alpha, p_range, box):
     report = {"status": "PASS", "checks": []}
     for p in p_range:
         total = 0
-        grid = zip(box, gq.cohomology_grid(p, box), koszul.grF_grV_grid(lvl, p - 1, box))
+        grid = zip(box, cohomology_grid(gq, p, box), koszul.grF_grV_grid(lvl, p - 1, box))
         for d, h, want in grid:
             if any(q != 0 and dim for q, dim in h.items()):
                 return _fail(
@@ -802,7 +808,8 @@ def test_passing_thm42i_never_walks_the_loci(monkeypatch):
 def test_passing_sweeps_never_build_the_point_index(monkeypatch):
     # a passing sweep of every alpha of PLANT_MODEL at radius 6 compares
     # box-order bytes joined per combination of the divisor columns; only a
-    # failing sweep (and cohomology_grid) index the table point by point
+    # failing sweep (and cohomology_grid above) index the table point by
+    # point
     def built(at, columns):
         raise AssertionError("a passing sweep built the per-point table index")
 

@@ -17,7 +17,6 @@ from minexp_lab.vfilt import (
     TruncationBox,
     _expansion_orders,
     _orders_of_component,
-    _spanning_orders,
     check_v_axioms,
     count_gr,
     count_grF_grV,
@@ -51,6 +50,7 @@ from oracles import (
     gr_label_grid,
     round_gt,
     round_up,
+    spanning_orders,
     spanning_set,
 )
 
@@ -546,7 +546,7 @@ AXIOMS_BOX = TruncationBox.radius(2, 2)
 
 
 def _first_spanned(alpha):
-    return next(d for d in AXIOMS_BOX if _spanning_orders(Level(Y23, alpha), 1, d))
+    return next(d for d in AXIOMS_BOX if spanning_orders(Level(Y23, alpha), 1, d))
 
 
 def _identity(orders):
@@ -598,6 +598,142 @@ def test_planted_membership_fails_one_axiom(name, step, monkeypatch):
     assert _axioms_fails(alpha) == [{"name": name, "status": "FAIL", "degree": list(first), "i": 1}]
 
 
+# The membership memo of the axiom checks (vfilt._Members): both checks on
+# every catalog level in (0, 1] at radius 2.
+def _memo_levels():
+    levels = [(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
+    assert len(levels) == 172
+    return levels
+
+
+def _both_checks(model, alpha):
+    box = TruncationBox.radius(model.n, 2)
+    return check_v_axioms(model, alpha, box), t_shift_check(model, alpha, box)
+
+
+class _PassThrough(vfilt._Members):
+    """_Members without its memos: every query asks _component_member, and
+    the spanning orders come from theta_label, as before the memo."""
+
+    def __call__(self, d, orders):
+        return vfilt._component_member(self.lvl, d, orders)
+
+    def spanning(self, p, d):
+        return spanning_orders(self.lvl, p, d)
+
+
+class _KeyedByOrders(vfilt._Members):
+    """A memo keyed by the orders alone, blind to the locus: it serves the
+    answer of the first locus that asked about the same orders."""
+
+    def __call__(self, d, orders):
+        if not orders:
+            return True
+        if self.key(d) is None:
+            return False
+        entry = tuple(sorted(orders.items()))
+        if entry not in self.answers:
+            self.answers[entry] = vfilt._component_member(self.lvl, d, orders)
+        return self.answers[entry]
+
+
+class _KeepsU0(vfilt._Members):
+    """A member key that keeps u0 = b + v where w_i = 0."""
+
+    def key(self, d):
+        lbl = theta_label(self.lvl, d)
+        return None if lbl is None else (tuple(map(sum, zip(self.lvl.b, lbl[0]))), lbl[1])
+
+
+def test_memo_spanning_orders_match_theta_label():
+    for model, alpha in _memo_levels():
+        lvl = Level(model, alpha)
+        members = vfilt._Members(lvl, {})
+        for d in TruncationBox.radius(model.n, 2):
+            for p in (-1, 1, 2):
+                assert members.spanning(p, d) == spanning_orders(lvl, p, d), (lvl, p, d)
+
+
+class _Conflict(Exception):
+    """A membership query answered unlike a fresh _component_member."""
+
+
+def _checked_run(members, levels):
+    """Both checks on each level at radius 2 with `members` for
+    vfilt._Members, each membership query checked against a fresh
+    _component_member (a _Conflict if they differ): (reports, queries,
+    worst), where worst is the most _component_member calls one check call
+    made for one (member_key, sorted orders)."""
+    counts, reports, queries = {}, [], [0]
+    fresh = vfilt._component_member
+
+    class Checked(members):
+        def __call__(self, d, orders):
+            got = super().__call__(d, orders)
+            if got != fresh(self.lvl, d, orders):
+                raise _Conflict(self.lvl, d, orders)
+            queries[0] += 1
+            return got
+
+    def counted(lvl, d, orders):
+        key = vfilt.member_key(lvl, d), tuple(sorted(orders.items()))
+        counts[key] = counts.get(key, 0) + 1
+        return fresh(lvl, d, orders)
+
+    worst = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vfilt, "_Members", Checked)
+        mp.setattr(vfilt, "_component_member", counted)
+        for model, alpha in levels:
+            box = TruncationBox.radius(model.n, 2)
+            for check in (check_v_axioms, t_shift_check):
+                counts.clear()
+                reports.append(check(model, alpha, box))
+                worst = max(worst, 0, *counts.values())
+    return reports, queries[0], worst
+
+
+@pytest.fixture(scope="module")
+def memo_run():
+    """_checked_run of the memo on the memo levels."""
+    return _checked_run(vfilt._Members, _memo_levels())
+
+
+def test_memo_keeps_the_reports(memo_run, monkeypatch):
+    assert len(memo_run[0]) == 344 and all(rep["status"] == "PASS" for rep in memo_run[0])
+    monkeypatch.setattr(vfilt, "_Members", _PassThrough)
+    plain = []
+    for model, alpha in _memo_levels():
+        plain += _both_checks(model, alpha)
+    assert memo_run[0] == plain
+
+
+def test_memo_answers_every_query_like_a_fresh_elimination(memo_run):
+    # _checked_run raises at the first conflict; none came in 290,000 queries
+    assert memo_run[1] == 290000
+
+
+def test_a_memo_keyed_by_the_orders_alone_conflicts():
+    # it fails the test above: somewhere on the memo levels it serves the
+    # answer of another locus
+    with pytest.raises(_Conflict):
+        _checked_run(_KeyedByOrders, _memo_levels())
+
+
+def test_one_elimination_per_key_per_call(memo_run):
+    assert memo_run[2] == 1
+
+
+def test_a_key_that_keeps_u0_repeats_eliminations():
+    # on the first memo level where one call repeats an elimination
+    for level in _memo_levels():
+        reports, _, worst = _checked_run(_KeepsU0, [level])
+        assert all(rep["status"] == "PASS" for rep in reports)
+        if worst > 1:
+            return
+    raise AssertionError("a key that keeps u0 never repeats an elimination")
+
+
 def test_t_shift_examples():
     assert t_shift_check(Y2, F(1, 2), TruncationBox.radius(1, 4))["status"] == "PASS"
     assert t_shift_check(Y11, F(1), TruncationBox.radius(2, 3))["status"] == "PASS"
@@ -610,7 +746,7 @@ def test_axioms_at_hodge_cap_2(alpha, index):
     # them at cap 1), on (2, [1, 2]) at each jump in (0, 1]
     model, box = MonomialModel(2, [1, 2]), TruncationBox.radius(2, 2)
     lvl = Level(model, alpha)
-    assert any(len(_spanning_orders(lvl, 2, d)) > len(_spanning_orders(lvl, 1, d)) for d in box)
+    assert any(len(spanning_orders(lvl, 2, d)) > len(spanning_orders(lvl, 1, d)) for d in box)
     rep = check_v_axioms(model, alpha, box, p_cap=2)
     assert rep["status"] == "PASS" and rep["nilpotency_index"] == index
     assert t_shift_check(model, alpha, box, p_cap=2)["status"] == "PASS"
