@@ -54,10 +54,12 @@ expansions, which are what it is asked about, depend only on that key too.
 So each check call memoises membership in _Members, one per level it reads:
 an answer per (member key, sorted orders), shared by the levels of the call,
 and a member key per multidegree, per level, off which the spanning orders
-are read.  A miss calls _component_member through the module.  The memos
-live for one call and are dropped with it; none sits at module level, so a
-fault planted between two runs of the same input is always reached.  Every
-locus is still visited in box order, so a FAIL names the same locus.
+are read; the theta + alpha powers and the t-images (with their rank) of the
+spanning orders are kept per key too.  A miss calls _component_member (or
+the kernel) through the module.  The memos live for one call and are
+dropped with it; none sits at module level, so a fault planted between two
+runs of the same input is always reached.  Every locus is still visited in
+box order, so a FAIL names the same locus.
 
 Graded dimensions also come in a second closed form (the "theta-eliminated"
 one): Gr^F_p V_{-alpha} has a basis of classes of y^b dy delta . y^v dy^w
@@ -660,18 +662,23 @@ def _shift(d, i, step):
 
 
 class _Members:
-    """Membership in V_{-alpha} at one Level, for one axiom-check call.
+    """Membership in V_{-alpha} at one Level, and the spanning orders of
+    F_p V_{-alpha} with what the checks apply to them, for one axiom-check
+    call.
 
     _component_member(lvl, d, orders) reads d only through member_key(lvl,
     d) and lvl only through it and the model, so the levels of one call
     share one `answers` memo keyed by (member key, sorted orders); empty
     orders and a None key are answered before it.  Each level keeps its own
-    member key per multidegree, and its spanning orders are read off that
-    key.  A miss calls _component_member through the module.  A call makes
-    its Members and drops them, so no memo outlives the call."""
+    member key per multidegree.  The key also fixes the spanning orders
+    (read off it), so their theta + alpha powers and t-images are kept per
+    key too.  A miss calls _component_member, _orders_theta_plus, _orders_t
+    and exact_rank through the module.  A call makes its Members and drops
+    them, so no memo outlives the call."""
 
-    def __init__(self, lvl: Level, answers: dict):
-        self.lvl, self.answers, self.keys = lvl, answers, {}
+    def __init__(self, lvl: Level, p, answers: dict):
+        self.lvl, self.p, self.answers = lvl, p, answers
+        self.keys, self.powers, self.images = {}, {}, {}
 
     def key(self, d):
         """member_key(self.lvl, d), computed once per d."""
@@ -694,7 +701,7 @@ class _Members:
             got = self.answers[entry] = _component_member(self.lvl, d, orders)
         return got
 
-    def spanning(self, p, d):
+    def spanning(self, d):
         """Order dicts of the spanning expansions of F_p V_{-alpha} at d,
         read off the cached key: y^{b+v} dy delta . dy^w theta^j for
         j <= p + n - |w|, whose expansion reads u0 = b + v only where
@@ -704,10 +711,30 @@ class _Members:
             return []
         u0, w = key
         model = self.lvl.model
-        jmax = p + model.n - sum(w)
+        jmax = self.p + model.n - sum(w)
         if jmax < 0:
             return []
         return _expansion_orders(model, u0, w, jmax)
+
+    def power(self, d, j, k):
+        """(theta + alpha)^k applied to spanning(d)[j], kept per (member
+        key, j) and built one power at a time."""
+        chain = self.powers.get((self.key(d), j))
+        if chain is None:
+            chain = self.powers[self.key(d), j] = [self.spanning(d)[j]]
+        while len(chain) <= k:
+            chain.append(_orders_theta_plus(chain[-1], self.lvl.alpha))
+        return chain[k]
+
+    def t_images(self, d):
+        """(the t-images of spanning(d), whether they are linearly
+        independent), kept per member key."""
+        key = self.key(d)
+        got = self.images.get(key)
+        if got is None:
+            images = [_orders_t(u) for u in self.spanning(d)]
+            got = self.images[key] = images, exact_rank(images) == len(images)
+        return got
 
 
 def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
@@ -722,8 +749,10 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
     lvl = Level(model, alpha)
     alpha = lvl.alpha
     answers = {}
-    here, up, deep = (_Members(v, answers) for v in (lvl, Level(model, alpha + 1), lvl.deeper))
-    down = _Members(Level(model, alpha - 1), answers) if alpha > 1 else None
+    here, up, deep = (
+        _Members(v, p_cap, answers) for v in (lvl, Level(model, alpha + 1), lvl.deeper)
+    )
+    down = _Members(Level(model, alpha - 1), p_cap, answers) if alpha > 1 else None
     n = model.n
     a_ext = model.a_ext
     report = {"status": "PASS", "checks": [], "nilpotency_index": 0}
@@ -731,7 +760,7 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
     for d in box:
         d_plus_a = tuple(d[i] + a_ext[i] for i in range(n))
         d_minus_a = tuple(d[i] - a_ext[i] for i in range(n))
-        for u in here.spanning(p_cap, d):
+        for j, u in enumerate(here.spanning(d)):
             for i in range(n):
                 if not here(_shift(d, i, 1), u):
                     return _check(report, "stable-y", ok=False, degree=list(d), i=i + 1)
@@ -743,17 +772,15 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
             if down and not down(d_minus_a, _orders_dt(u)):
                 return _check(report, "dt-shift-direct", ok=False, degree=list(d))
             # nilpotency of theta + alpha on the Gr^V class of u
-            x = u
             k = 0
             while k <= model.r:
-                if deep(d, x):
+                if deep(d, here.power(d, j, k)):
                     break
-                x = _orders_theta_plus(x, alpha)
                 k += 1
             else:
                 return _check(report, "nilpotency", ok=False, degree=list(d))
             worst_index = max(worst_index, k)
-        for u in up.spanning(p_cap, d):
+        for u in up.spanning(d):
             if not here(d_minus_a, _orders_dt(u)):
                 return _check(report, "dt-shift", ok=False, degree=list(d))
     report["nilpotency_index"] = worst_index
@@ -766,18 +793,18 @@ def t_shift_check(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
     one _Members per level, as in check_v_axioms."""
     lvl = Level(model, alpha)
     answers = {}
-    here, up = _Members(lvl, answers), _Members(Level(model, lvl.alpha + 1), answers)
+    here = _Members(lvl, p_cap, answers)
+    up = _Members(Level(model, lvl.alpha + 1), p_cap, answers)
     report = {"status": "PASS", "checks": []}
     a_ext = model.a_ext
     for d in box:
-        elems = here.spanning(p_cap, d)
-        if not elems:
+        if not here.spanning(d):
             continue
         d_plus_a = tuple(d[i] + a_ext[i] for i in range(model.n))
-        images = [_orders_t(u) for u in elems]
+        images, injective = here.t_images(d)
         for im in images:
             if not up(d_plus_a, im):
                 return _check(report, "t-image-level", ok=False, degree=list(d))
-        if exact_rank(images) != len(elems):
+        if not injective:
             return _check(report, "t-injectivity", ok=False, degree=list(d))
     return _check(report, "t-shift", alpha=format_rational(lvl.alpha))

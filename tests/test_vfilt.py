@@ -37,6 +37,7 @@ from minexp_lab.weyl import (
     MonomialModel,
     WeylOperator,
     _orders_dy,
+    _orders_t,
     _orders_theta_plus,
     _theta_orders,
     act_right,
@@ -612,14 +613,25 @@ def _both_checks(model, alpha):
 
 
 class _PassThrough(vfilt._Members):
-    """_Members without its memos: every query asks _component_member, and
-    the spanning orders come from theta_label, as before the memo."""
+    """_Members without its memos: every query asks _component_member, the
+    spanning orders come from theta_label, and their powers and t-images
+    are built afresh, as before the memo."""
 
     def __call__(self, d, orders):
         return vfilt._component_member(self.lvl, d, orders)
 
-    def spanning(self, p, d):
-        return spanning_orders(self.lvl, p, d)
+    def spanning(self, d):
+        return spanning_orders(self.lvl, self.p, d)
+
+    def power(self, d, j, k):
+        x = self.spanning(d)[j]
+        for _ in range(k):
+            x = _orders_theta_plus(x, self.lvl.alpha)
+        return x
+
+    def t_images(self, d):
+        images = [_orders_t(u) for u in self.spanning(d)]
+        return images, exact_rank(images) == len(images)
 
 
 class _KeyedByOrders(vfilt._Members):
@@ -648,10 +660,10 @@ class _KeepsU0(vfilt._Members):
 def test_memo_spanning_orders_match_theta_label():
     for model, alpha in _memo_levels():
         lvl = Level(model, alpha)
-        members = vfilt._Members(lvl, {})
-        for d in TruncationBox.radius(model.n, 2):
-            for p in (-1, 1, 2):
-                assert members.spanning(p, d) == spanning_orders(lvl, p, d), (lvl, p, d)
+        for p in (-1, 1, 2):
+            members = vfilt._Members(lvl, p, {})
+            for d in TruncationBox.radius(model.n, 2):
+                assert members.spanning(d) == spanning_orders(lvl, p, d), (lvl, p, d)
 
 
 class _Conflict(Exception):
@@ -738,6 +750,22 @@ def test_t_shift_examples():
     assert t_shift_check(Y2, F(1, 2), TruncationBox.radius(1, 4))["status"] == "PASS"
     assert t_shift_check(Y11, F(1), TruncationBox.radius(2, 3))["status"] == "PASS"
     assert t_shift_check(Y1, F(1), TruncationBox.radius(1, 4))["status"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [("t-image-level", _identity), ("t-injectivity", lambda orders: {})],
+    ids=["t-image-level", "t-injectivity"],
+)
+def test_planted_t_kernel_fails_one_t_shift_check(name, fault, monkeypatch):
+    # t_shift_check keeps the t-images per member key; a planted _orders_t
+    # still fails its check at the first spanned degree
+    alpha = F(1, 2)
+    assert t_shift_check(Y23, alpha, AXIOMS_BOX)["status"] == "PASS"
+    monkeypatch.setattr(vfilt, "_orders_t", fault)
+    rep = t_shift_check(Y23, alpha, AXIOMS_BOX)
+    fails = [c for c in rep["checks"] if c["status"] == "FAIL"]
+    assert fails == [{"name": name, "status": "FAIL", "degree": list(_first_spanned(alpha))}]
 
 
 @pytest.mark.parametrize("alpha, index", [(F(1, 2), 1), (F(1), 2)])
