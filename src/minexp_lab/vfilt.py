@@ -47,8 +47,8 @@ grF_grV_support lists the points of the box where Gr^F_p Gr^V_{-alpha} is
 nonzero (and their gr_label w), from one table of both levels' weights.
 The expansion and grid caches hold one model at a time.
 
-The axiom checks (check_v_axioms, t_shift_check) ask hundreds of
-thousands of memberships per catalog sweep, most of them repeats: a
+The axiom checks (check_v_axioms, t_shift_check) ask about three million
+memberships over the catalog at radius 6, most of them repeats: a
 membership reads its multidegree only through member_key, and the spanning
 expansions, which are what it is asked about, depend only on that key too.
 So each check call memoises membership in _Members, one per level it reads:
