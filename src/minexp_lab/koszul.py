@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -300,7 +301,13 @@ class CoreCohomology:
     for entry: the coefficients lcm/a_k do not read w, and w >= thi becomes
     w - tlo >= thi - tlo.  So dims takes the translation class
     (omega - |tlo|, thi - tlo), which GradedCbar.point_grid builds, and
-    caches by it: each class is assembled at tlo = 0 and ranked once.
+    caches by it: each class is ranked once.
+
+    The differential only raises w, so the labels with w >= thi span a
+    subcomplex, and the quotient's matrices are the untruncated ones with
+    the rows of those sources and the entries of those targets dropped: the
+    untruncated complex of each omega is assembled once (_complexes) and
+    each class of that omega is ranked as its restriction.
     """
 
     def __init__(self, a_core):
@@ -311,36 +318,19 @@ class CoreCohomology:
             lcm = lcm * x // math.gcd(lcm, x)
         self.lcm = lcm
         self._cache = {}
+        self._complexes = {}
 
-    def _basis(self, wedge, omega, thi):
+    def _assemble(self, omega):
+        """(bases, rows) of the untruncated class omega: per wedge W the
+        labels (S, w) with |w| = omega + W, and the integer rows of
+        d: W -> W+1, keyed by target index."""
         r = self.r
-        total = omega + wedge
-        out = []
-        for S in itertools.combinations(range(1, r), wedge):
-            for w in _compositions(total, r):
-                if thi is not None and all(w[i] >= thi[i] for i in range(r)):
-                    continue
-                out.append((S, w))
-        return out
-
-    def dims(self, omega, thi=None):
-        """{cohomological degree: dim} of the translation class
-        (omega, thi), assembled at tlo = 0 (thi is None without a quotient);
-        a signature (omega', tlo, thi') has the class
-        (omega' - |tlo|, thi' - tlo)."""
-        key = (omega, thi)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        r = self.r
-        bases = [self._basis(W, omega, thi) for W in range(r)]
-        index = [{lbl: k for k, lbl in enumerate(b)} for b in bases]
-        ranks = [0] * r  # rank of d: wedge W -> W+1, stored at W
+        bases = [[(S, w) for S in itertools.combinations(range(1, r), W) for w in _compositions(omega + W, r)]
+                 for W in range(r)]
+        rows = []
         for W in range(r - 1):
-            if not bases[W] or not bases[W + 1]:
-                continue
-            rows = []
-            tgt = index[W + 1]
+            tgt = {lbl: k for k, lbl in enumerate(bases[W + 1])}
+            rows.append([])
             for S, w in bases[W]:
                 row = {}
                 for k in range(1, r):
@@ -352,14 +342,35 @@ class CoreCohomology:
                                          (0, -sign * self.lcm // self.a[0])):
                         wk = list(w)
                         wk[coord] += 1
-                        col = tgt.get((T, tuple(wk)))
-                        if col is not None:
-                            row[col] = row.get(col, 0) + coeff
-                rows.append({c: v for c, v in row.items() if v})
-            ranks[W] = exact_rank(rows)
+                        row[tgt[T, tuple(wk)]] = coeff
+                rows[-1].append(row)
+        return bases, rows
+
+    def dims(self, omega, thi=None):
+        """{cohomological degree: dim} of the translation class
+        (omega, thi), at tlo = 0 (thi is None without a quotient); a
+        signature (omega', tlo, thi') has the class
+        (omega' - |tlo|, thi' - tlo)."""
+        key = (omega, thi)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        if omega not in self._complexes:
+            self._complexes[omega] = self._assemble(omega)
+        bases, rows = self._complexes[omega]
+        r = self.r
+        keep = [[thi is None or any(map(operator.lt, w, thi)) for _, w in b] for b in bases]
+        sizes = [sum(k) for k in keep]
+        ranks = [0] * r  # rank of d: wedge W -> W+1, stored at W
+        for W in range(r - 1):
+            if sizes[W] and sizes[W + 1]:
+                tgt = keep[W + 1]
+                ranks[W] = exact_rank(rows[W] if thi is None else [
+                    {c: v for c, v in row.items() if tgt[c]} for row in itertools.compress(rows[W], keep[W])
+                ])
         dims = {}
         for W in range(r):
-            h = len(bases[W]) - ranks[W] - (ranks[W - 1] if W > 0 else 0)
+            h = sizes[W] - ranks[W] - (ranks[W - 1] if W > 0 else 0)
             if h:
                 dims[W - (r - 1)] = h
         self._cache[key] = dims

@@ -241,29 +241,6 @@ class Level(FrozenRecord):
         return tuple(x + 1 for x in self.b[: self.model.r])
 
 
-def theta_label(lvl: Level, d):
-    """The unique (v, w) admissible at multidegree d for the theta-graded
-    description (v_i w_i = 0 for i <= r, w_i = 0 past r), or None."""
-    model, b = lvl.model, lvl.b
-    v = []
-    w = []
-    for i in range(model.n):
-        rel = d[i] - b[i]
-        if i < model.r:
-            if rel >= 0:
-                v.append(rel)
-                w.append(0)
-            else:
-                v.append(0)
-                w.append(-rel)
-        else:
-            if d[i] < 0:
-                return None
-            v.append(d[i])
-            w.append(0)
-    return tuple(v), tuple(w)
-
-
 def gr_label(lvl: Level, p, d):
     """The unique (v, w) with |w| = p+n, w_i = 0 past r, v_i w_i = 0 for
     2 <= i <= r at multidegree d, or None; its class spans
@@ -532,13 +509,15 @@ def _orders_of_component(comp: BgElement):
 
 def member_key(lvl: Level, d):
     """All that _component_member(lvl, d, orders) reads of d: the
-    expansion_key of theta_label's (b + v, w), or None where there is no
-    label (no nonzero vector at d is a member then)."""
-    lbl = theta_label(lvl, d)
-    if lbl is None:
+    expansion_key of the theta-graded label's (b + v, w) at d, in closed
+    form.  w_i = max(b_i - d_i, 0), and v_i = 0 where w_i > 0, so u0 = b
+    there (b and w vanish past r); None where a free coordinate is
+    negative, as there is no label there (no nonzero vector at d is a
+    member)."""
+    if min(d[lvl.model.r:], default=0) < 0:
         return None
-    v, w = lbl
-    return expansion_key(tuple(map(operator.add, lvl.b, v)), w)
+    w = tuple(map(max, map(operator.sub, lvl.b, d), itertools.repeat(0)))
+    return expansion_key(lvl.b, w)
 
 
 def _component_member(lvl: Level, d, orders) -> bool:

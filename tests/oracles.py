@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from minexp_lab.divisors import SncDivisor
 from minexp_lab.rationals import InputError
-from minexp_lab.vfilt import Level, TruncationBox, _expansion_orders, gr_class_rep, theta_label
+from minexp_lab.vfilt import Level, TruncationBox, _expansion_orders, gr_class_rep
 from minexp_lab.weyl import BgElement, MonomialModel, WeylOperator
 
 
@@ -58,6 +58,30 @@ def round_gt(D: SncDivisor, alpha) -> SncDivisor:
 
 
 # -- V-filtration references -----------------------------------------------------
+
+def theta_label(lvl: Level, d):
+    """The unique (v, w) admissible at multidegree d for the theta-graded
+    description (v_i w_i = 0 for i <= r, w_i = 0 past r), or None; the
+    label vfilt.member_key reads in closed form."""
+    model, b = lvl.model, lvl.b
+    v = []
+    w = []
+    for i in range(model.n):
+        rel = d[i] - b[i]
+        if i < model.r:
+            if rel >= 0:
+                v.append(rel)
+                w.append(0)
+            else:
+                v.append(0)
+                w.append(-rel)
+        else:
+            if d[i] < 0:
+                return None
+            v.append(d[i])
+            w.append(0)
+    return tuple(v), tuple(w)
+
 
 def count_gr_theta(lvl: Level, p, d) -> int:
     """dim Gr^F_p V_{-alpha} at d read off theta_label's description, the

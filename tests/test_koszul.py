@@ -1067,6 +1067,104 @@ def test_one_assembly_per_translation_class(monkeypatch):
     assert len(koszul._CORE_CACHE[(3, (2, 2, 3))]._cache) == 140
 
 
+def test_one_untruncated_assembly_per_omega(monkeypatch):
+    # on the sweep above, each untruncated complex is assembled once, one
+    # per distinct omega of the classes, and every class, quotient or not,
+    # is ranked as a restriction of it: still 72 exact_rank calls
+    model = MonomialModel(3, [2, 2, 3])
+    box = TruncationBox.radius(3, 6)
+    inner = koszul.CoreCohomology._assemble
+    assembled, calls = [], []
+
+    def counted_assemble(self, omega):
+        assembled.append(omega)
+        return inner(self, omega)
+
+    def counted(rows):
+        calls.append(len(rows))
+        return exact_rank(rows)
+
+    monkeypatch.setattr(koszul, "_CORE_CACHE", {})
+    monkeypatch.setattr(koszul, "exact_rank", counted)
+    monkeypatch.setattr(koszul.CoreCohomology, "_assemble", counted_assemble)
+    for alpha in jump_candidates(model.divisor(), 0, 1):
+        for sweep in (verify_thm42_i, verify_thm42_ii):
+            assert sweep(model, alpha, range(-3, 4), box)["status"] == "PASS"
+    core = koszul._CORE_CACHE[(3, (2, 2, 3))]
+    assert any(thi is not None for _, thi in core._cache)
+    assert sorted(assembled) == sorted({omega for omega, _ in core._cache}) == sorted(core._complexes)
+    assert len(assembled) == 19 and len(calls) == 72
+
+
+def _plant_untruncated(monkeypatch, target):
+    """The stored untruncated complex of omega = target gets one wrong
+    coefficient: the first entry of the last row of its top differential
+    changes sign."""
+    inner = koszul.CoreCohomology._assemble
+
+    def planted(self, omega):
+        bases, rows = inner(self, omega)
+        if omega == target:
+            row = rows[-1][-1]
+            row[min(row)] *= -1
+        return bases, rows
+
+    monkeypatch.setattr(koszul, "_CORE_CACHE", {})
+    monkeypatch.setattr(koszul.CoreCohomology, "_assemble", planted)
+
+
+def test_planted_untruncated_coefficient_fails_both_sweeps(monkeypatch):
+    # both sweeps read the planted complex, i untruncated and ii through its
+    # restrictions, and each fails at a locus of that omega's class
+    model = MonomialModel(3, [2, 2, 3])
+    box = TruncationBox.radius(3, 6)
+    n, r = model.n, model.r
+    _plant_untruncated(monkeypatch, 0)
+    for sweep, name in ((verify_thm42_i, "thm42i-acyclicity"), (verify_thm42_ii, "thm42ii-concentration")):
+        koszul._CORE_CACHE.clear()
+        fails = []
+        for alpha in jump_candidates(model.divisor(), 0, 1):
+            rep = sweep(model, alpha, range(-3, 4), box)
+            if rep["status"] == "FAIL":
+                fail = rep["checks"][-1]
+                p, d = fail["p"], fail["degree"]
+                cap = p + n - 1
+                tlo = [min(max(c - 1 - x, 0), cap + 1) for c, x in zip(Level(model, alpha).twist, d)]
+                assert fail["name"] == name and p + n - r - sum(tlo) == 0, (alpha, fail)
+                fails.append(alpha)
+        assert fails, sweep
+
+
+def test_references_do_not_reach_the_core(monkeypatch):
+    # _naive_graded_cohomology and _untranslated_dims assemble their own
+    # complexes: with the core's assembly, dims and koszul's rank out of
+    # reach they still give what the core gave
+    model = MonomialModel(3, [2, 2, 3])
+    lvl = Level(model, F(1, 2))
+    box = TruncationBox.radius(3, 2)
+    grids = {
+        (Gd, p): cohomology_grid(GradedCbar(model, lvl.twist, Gd), p, box)
+        for Gd in (None, lvl.deeper.twist) for p in range(-3, 3)
+    }
+    core = koszul.CoreCohomology(model.a)
+    shifts = list(itertools.product(range(2), repeat=3))
+    sigs = {
+        (omega, tlo, thi and tuple(map(sum, zip(tlo, thi)))): core.dims(omega - sum(tlo), thi)
+        for omega in range(-1, 4) for tlo in shifts for thi in [None] + shifts
+    }
+
+    def unreachable(*args):
+        raise AssertionError("a reference reached the core")
+
+    monkeypatch.setattr(koszul.CoreCohomology, "_assemble", unreachable)
+    monkeypatch.setattr(koszul.CoreCohomology, "dims", unreachable)
+    monkeypatch.setattr(koszul, "exact_rank", unreachable)
+    for (Gd, p), grid in grids.items():
+        assert [_naive_graded_cohomology(model, lvl.twist, p, d, Gd) for d in box] == grid, (Gd, p)
+    for (omega, tlo, thi), dims in sigs.items():
+        assert _untranslated_dims(core, omega, tlo, thi) == dims, (omega, tlo, thi)
+
+
 def test_caches_hold_one_model():
     # a sweep of a second model leaves no expansion or core entry of the first
     box = TruncationBox.radius(3, 2)
@@ -1074,11 +1172,15 @@ def test_caches_hold_one_model():
     verify_thm42_i(first, F(1, 2), range(-3, 2), box)
     assert any(k[:2] == (3, (2, 3)) for k in vfilt._EXP_CACHE)
     assert list(koszul._CORE_CACHE) == [(3, (2, 3))]
+    first = koszul._CORE_CACHE[(3, (2, 3))]._complexes
+    assert first
     assert vfilt._GRID_CACHE and all(k[:2] == (3, (2, 3)) for k in vfilt._GRID_CACHE)
     verify_thm42_i(second, F(1, 2), range(-3, 2), box)
     assert vfilt._EXP_CACHE and all(k[:2] == (3, (1, 2)) for k in vfilt._EXP_CACHE)
     assert list(koszul._CORE_CACHE) == [(3, (1, 2))]
     assert koszul._CORE_CACHE[(3, (1, 2))]._cache
+    assert koszul._CORE_CACHE[(3, (1, 2))]._complexes
+    assert all(core._complexes is not first for core in koszul._CORE_CACHE.values())
     assert vfilt._GRID_CACHE and all(k[:2] == (3, (1, 2)) for k in vfilt._GRID_CACHE)
 
 

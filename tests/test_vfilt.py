@@ -28,7 +28,6 @@ from minexp_lab.vfilt import (
     grF_grV_grid,
     grF_grV_support,
     t_shift_check,
-    theta_label,
     v_member,
     v_order,
 )
@@ -53,6 +52,7 @@ from oracles import (
     round_up,
     spanning_orders,
     spanning_set,
+    theta_label,
 )
 
 
@@ -744,6 +744,50 @@ def test_a_key_that_keeps_u0_repeats_eliminations():
         if worst > 1:
             return
     raise AssertionError("a key that keeps u0 never repeats an elimination")
+
+
+def test_member_key_closed_form_matches_theta_label():
+    # member_key reads (u0, w) off b and d directly; the label route is the
+    # expansion_key of theta_label's (b + v, w), None without a label
+    levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 2)]
+    assert len(levels) == 344
+    for lvl in levels:
+        for d in TruncationBox.radius(lvl.model.n, 5):
+            lbl = theta_label(lvl, d)
+            want = lbl and vfilt.expansion_key(tuple(map(sum, zip(lvl.b, lbl[0]))), lbl[1])
+            assert vfilt.member_key(lvl, d) == want, (lvl, d)
+
+
+def test_dy_stability_queries_are_not_functions_of_the_member_key(monkeypatch):
+    # check_v_axioms cannot visit one locus per member key: the stable-dy
+    # queries (target member key, orders) that loci of one key ask differ,
+    # since _orders_dy reads d_i where the key zeroes u0.  Every query listed
+    # here is one the check asks.
+    model = MonomialModel(3, [1, 2, 2])
+    lvl = Level(model, F(1, 2))
+    box = TruncationBox.radius(3, 4)
+    here = vfilt._Members(lvl, 1, {})
+    asked = set()
+
+    class Recorded(vfilt._Members):
+        def __call__(self, d, orders):
+            asked.add((self.lvl, d, tuple(sorted(orders.items()))))
+            return super().__call__(d, orders)
+
+    monkeypatch.setattr(vfilt, "_Members", Recorded)
+    assert check_v_axioms(model, lvl.alpha, box)["status"] == "PASS"
+    by_key = {}
+    for d in box:
+        queries = set()
+        for u in here.spanning(d):
+            for i in range(model.n):
+                target = d[:i] + (d[i] - 1,) + d[i + 1 :]
+                orders = tuple(sorted(_orders_dy(u, model, d, i).items()))
+                assert (lvl, target, orders) in asked, (d, i)
+                queries.add((vfilt.member_key(lvl, target), orders))
+        by_key.setdefault(vfilt.member_key(lvl, d), set()).add(frozenset(queries))
+    split = [key for key, sets in by_key.items() if len(sets) > 1]
+    assert (len(by_key), len(split), max(map(len, by_key.values()))) == (125, 31, 95)
 
 
 def test_t_shift_examples():
