@@ -27,8 +27,9 @@ At the graded (symbol) level the complex splits, per multidegree, into a
 Q_i = y_i z_i / a_i - y_1 z_1 / a_1) tensored with exact one-variable factors
 for j > r; cohomology is computed by exact integer Gaussian elimination on
 the core, cached by the translation class of the truncation signature that a
-multidegree induces (each class is assembled and ranked once), and the j > r
-factors contribute the gate [d_j >= 0].  The normalized grading
+multidegree induces (each class is ranked once, as a restriction of its
+untruncated complex, which is assembled once), and the j > r factors
+contribute the gate [d_j >= 0].  The normalized grading
 used everywhere is the one of B_g^r, i.e. the top wedge generator of the
 G = D_alpha complex sits at multidegree b = ceil(alpha a) - 1.
 
@@ -301,13 +302,12 @@ class CoreCohomology:
     for entry: the coefficients lcm/a_k do not read w, and w >= thi becomes
     w - tlo >= thi - tlo.  So dims takes the translation class
     (omega - |tlo|, thi - tlo), which GradedCbar.point_grid builds, and
-    caches by it: each class is ranked once.
-
-    The differential only raises w, so the labels with w >= thi span a
-    subcomplex, and the quotient's matrices are the untruncated ones with
-    the rows of those sources and the entries of those targets dropped: the
-    untruncated complex of each omega is assembled once (_complexes) and
-    each class of that omega is ranked as its restriction.
+    caches by it: each class is ranked once.  The differential only raises
+    w, so the labels with w >= thi span a subcomplex, and the quotient's
+    matrices are the untruncated ones with the rows of those sources and the
+    entries of those targets dropped: the untruncated complex of each omega
+    is assembled once (_complexes) and each class of that omega is ranked as
+    its restriction.
     """
 
     def __init__(self, a_core):
@@ -321,9 +321,8 @@ class CoreCohomology:
         self._complexes = {}
 
     def _assemble(self, omega):
-        """(bases, rows) of the untruncated class omega: per wedge W the
-        labels (S, w) with |w| = omega + W, and the integer rows of
-        d: W -> W+1, keyed by target index."""
+        """(bases, rows) of the untruncated omega: per wedge W, the labels
+        (S, w) with |w| = omega + W and the integer rows of d: W -> W+1."""
         r = self.r
         bases = [[(S, w) for S in itertools.combinations(range(1, r), W) for w in _compositions(omega + W, r)]
                  for W in range(r)]
