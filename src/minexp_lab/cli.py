@@ -10,18 +10,17 @@ values the run used, after defaults and parsing: a key a command does not
 read is neither validated nor echoed.  The five verify commands are one
 sweep over alphas (`_SWEEPS`); each alpha is one work item, and `--jobs`
 workers share them, at most one per item and per CPU.  With k > 1 workers
-the items are dealt round robin into k shares: the calling process runs
-share 0 while k - 1 child processes run the others and send their results
-back over a pipe; the results, or the error of the first failing item, come
-back in item order, as one worker would give them.  verify-cor23 and
-verify-cor24 take alphas in (0, 1): an explicit alpha outside is an input
-error, while the default all-jumps list just leaves out alpha = 1.  Both
-compute the minimal exponent once per run and hand it to every item.  A box
-radius R in n variables is refused when its volume (2R+1)^n exceeds
-MAX_BOX_VOLUME, a verify command refuses a model with n above vfilt.MAX_N,
-and a pmax above MAX_PMAX is refused.  A sweep whose radius leaves deep
-levels little room says so in a top-level `notes` list; notes are not
-checks and are not counted in `summary`.
+the calling process runs one round-robin share of the items, and k - 1
+forked children run the others and write back over a pipe each (`_fan_out`);
+results and errors come back as one worker would give them.  Without os.fork
+a sweep runs serially.  verify-cor23 and verify-cor24 take alphas in (0, 1):
+an explicit alpha outside is an input error, while the default all-jumps
+list just leaves out alpha = 1.  Both compute the minimal exponent once per
+run and hand it to every item.  A box radius R in n variables is refused
+when its volume (2R+1)^n exceeds MAX_BOX_VOLUME, a verify command refuses a
+model with n above vfilt.MAX_N, and a pmax above MAX_PMAX is refused.  A
+sweep whose radius leaves deep levels little room says so in a top-level
+`notes` list; notes are not checks and are not counted in `summary`.
 
 Reports are deterministic byte-for-byte: checks are produced in sorted key
 order, JSON is dumped with sorted keys, and scheduling parameters (--jobs,
@@ -29,8 +28,8 @@ order, JSON is dumped with sorted keys, and scheduling parameters (--jobs,
 2 verification failure (a VerificationError is one FAIL check).  A config
 path that cannot be read or is not UTF-8, and an --out path that cannot be
 written, are input errors too; --out is checked before any work.  --jobs
-sets the worker count; MINEXP_LAB_JOBS is only the default when --jobs is
-not given.
+sets the worker count, at least 1; MINEXP_LAB_JOBS is only the default when
+--jobs is not given.
 """
 
 from __future__ import annotations
@@ -293,51 +292,51 @@ def _sweep_worker(item):
 
 def _share(items, k, size):
     """(results, failure) of items[k::size] run in order: failure is None,
-    or (index, exception) of the first item that raised, where the share
-    stops."""
+    or (index, pickled exception) of the first item that raised, where the
+    share stops.  Plain data, which marshal carries exactly."""
     results = []
     for index in range(k, len(items), size):
         try:
             results.append(_sweep_worker(items[index]))
         except Exception as exc:
-            return results, (index, exc)
+            import pickle
+            return results, (index, pickle.dumps(exc))
     return results, None
 
 
-def _send_share(conn, items, k, size):
-    """A child's work: one share, sent back to the caller; top level so
-    that every start method can run it."""
-    with conn:
-        conn.send(_share(items, k, size))
-
-
 def _fan_out(items, size):
-    """[_sweep_worker(item) for item in items] in `size` processes: this one
-    runs share 0, a child per other share sends its outcome over a one-way
-    pipe.  Raises the exception of the lowest-index failing item, as the
-    serial loop would; every child is joined before this returns."""
-    import multiprocessing
+    """[_sweep_worker(item) for item in items] in `size` processes: share 0
+    here, each other share in a forked child that marshals its outcome into a
+    pipe and leaves through os._exit.  Raises as the serial loop would, or
+    EOFError if a child died before writing; every child is reaped first."""
+    import marshal
 
     children = []
     try:
         for k in range(1, size):
-            recv, send = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.Process(
-                target=_send_share, args=(send, items, k, size), daemon=True
-            )
-            proc.start()
-            send.close()
-            children.append((proc, recv))
-        outcomes = [_share(items, 0, size)] + [recv.recv() for _, recv in children]
+            recv, send = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    for fd in [recv] + [pipe.fileno() for _, pipe in children]:
+                        os.close(fd)
+                    with open(send, "wb") as pipe:
+                        marshal.dump(_share(items, k, size), pipe)
+                finally:
+                    os._exit(0)
+            os.close(send)
+            children.append((pid, open(recv, "rb")))
+        outcomes = [_share(items, 0, size)] + [marshal.load(pipe) for _, pipe in children]
     finally:
-        # closed first, so that a child still sending after an escaped
-        # exception here gets a broken pipe instead of blocking the join
-        for proc, recv in children:
-            recv.close()
-            proc.join()
+        # closed first, so that a child still writing after an escaped
+        # exception here gets a broken pipe instead of blocking the wait
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
     failures = [failure for _, failure in outcomes if failure]
     if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+        import pickle
+        raise pickle.loads(min(failures)[1])
     results = [None] * len(items)
     for k, (share, _) in enumerate(outcomes):
         results[k::size] = share
@@ -374,7 +373,7 @@ def _cmd_sweep(command, config, jobs):
     extra = tuple(got[k] for k in sweep.keys) + value_text
     mj = json.dumps(model.to_json())
     items = [(command, mj, format_rational(a), radius, extra) for a in sorted(alphas)]
-    size = min(jobs, len(items), os.cpu_count() or 1)
+    size = min(jobs, len(items), os.cpu_count() or 1) if hasattr(os, "fork") else 1
     results = _fan_out(items, size) if size > 1 else [_sweep_worker(it) for it in items]
     return {
         "params": {
@@ -618,7 +617,12 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        jobs = args.jobs or _int("MINEXP_LAB_JOBS", os.environ.get("MINEXP_LAB_JOBS", 1), {})
+        name, jobs = "--jobs", args.jobs
+        if jobs is None:
+            name = "MINEXP_LAB_JOBS"
+            jobs = _int(name, os.environ.get(name, 1), {})
+        if jobs < 1:
+            raise InputError(f"{name} must be >= 1, got {jobs}")
         if args.out:
             _check_out(args.out)
     except InputError as exc:

@@ -2,8 +2,8 @@
 
 import hashlib
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -215,6 +215,42 @@ def test_jobs_flag_wins_over_env(flag, env_jobs, want, monkeypatch, capsys):
         monkeypatch.setenv("MINEXP_LAB_JOBS", env_jobs)
     assert cli.main(["lct", "--pairs", "[[1,0]]"] + flag) == 0
     assert seen == [want]
+
+
+@pytest.mark.parametrize(
+    "flag, env_jobs, named",
+    [
+        (["--jobs", "0"], "4", "--jobs"),
+        (["--jobs", "-3"], None, "--jobs"),
+        ([], "0", "MINEXP_LAB_JOBS"),
+        ([], "-2", "MINEXP_LAB_JOBS"),
+    ],
+    ids=["flag-zero-env-4", "flag-negative", "env-zero", "env-negative"],
+)
+def test_worker_count_below_1_exit_1(flag, env_jobs, named, monkeypatch, capsys):
+    """A worker count below 1 is refused, never clamped: --jobs 0 used to
+    fall through to MINEXP_LAB_JOBS (4 workers here)."""
+    from minexp_lab import cli
+
+    monkeypatch.setattr(cli, "run", lambda config, jobs=1: pytest.fail(f"ran at jobs {jobs}"))
+    if env_jobs is None:
+        monkeypatch.delenv("MINEXP_LAB_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("MINEXP_LAB_JOBS", env_jobs)
+    assert cli.main(["verify-axioms", "--model", '{"n":1,"exponents":[4]}'] + flag) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"input error: {named} must be >= 1" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_run_keeps_its_worker_clamp():
+    """Called from Python, run() still clamps a count below 1 to one worker."""
+    config = {"command": "verify-axioms", "model": {"n": 1, "exponents": [4]}, "box": 1}
+    serial, _ = run(dict(config), jobs=1)
+    for jobs in (0, -3):
+        report, code = run(dict(config), jobs=jobs)
+        assert code == 0 and report_to_json(report) == report_to_json(serial)
 
 
 def _b_shifted(step, b_vector=vfilt.b_vector):
@@ -649,8 +685,9 @@ def test_pmax_bound_is_inclusive():
 
 
 def test_cli_import_loads_no_dataclasses_or_multiprocessing():
-    """A cold call pays for neither import: the value classes are plain, and
-    multiprocessing is imported only when a sweep fans out."""
+    """A cold call pays for none of these imports: the value classes are
+    plain, and a fanned-out sweep forks without multiprocessing and sends
+    its results with marshal; pickle is imported only for a failing item."""
     src = os.path.dirname(os.path.dirname(minexp_lab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -664,7 +701,17 @@ def test_cli_import_loads_no_dataclasses_or_multiprocessing():
 
     added = loaded("import minexp_lab.cli") - loaded("pass")
     assert "minexp_lab.cli" in added
-    assert not added & {"dataclasses", "inspect", "multiprocessing"}
+    assert not added & {"dataclasses", "inspect", "multiprocessing", "pickle"}
+    if hasattr(os, "fork"):
+        fanned = loaded(
+            "import os; from minexp_lab import cli; os.cpu_count = lambda: 2; "
+            "fan_out, sizes = cli._fan_out, []; "
+            "cli._fan_out = lambda items, size: sizes.append(size) or fan_out(items, size); "
+            "report, code = cli.run({'command': 'verify-cor51', "
+            "'model': {'n': 1, 'exponents': [2]}, 'box': 1}, jobs=2); "
+            "assert code == 0 and sizes == [2], (code, sizes)"
+        )
+        assert not fanned & {"multiprocessing", "pickle"}
 
 
 def _planted_cor51(failing):
@@ -681,8 +728,14 @@ def _planted_cor51(failing):
     return planted
 
 
+def _assert_no_child_left():
+    """No child process of this one exists, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
+    not hasattr(os, "fork"),
     reason="the planted fault reaches the child processes through fork",
 )
 @pytest.mark.parametrize(
@@ -703,7 +756,7 @@ def test_fan_out_raises_the_first_failing_item(failing, first, monkeypatch):
     assert code == 2 and serial["checks"][0]["invariant"] == f"planted at alpha {first}"
     fanned, code = run(dict(config), jobs=2)
     assert code == 2 and report_to_json(fanned) == report_to_json(serial)
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 def test_fan_out_keeps_item_order(monkeypatch):
@@ -716,7 +769,76 @@ def test_fan_out_keeps_item_order(monkeypatch):
         report, code = run(dict(config), jobs=jobs)
         assert code == 0 and report_to_json(report) == report_to_json(serial)
     assert [c["alpha"] for c in serial["checks"]] == ["1/4", "1/2", "3/4", "1"]
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fan-out forks")
+def test_fan_out_carries_shares_larger_than_a_pipe_buffer(monkeypatch):
+    """A child's share far above a pipe's buffer (64 KiB on Linux) comes
+    through whole and in item order."""
+    from minexp_lab import cli
+
+    monkeypatch.setattr(cli, "_sweep_worker", lambda item: [{"item": item, "blob": "x" * 10**5}])
+    items = list(range(7))
+    assert cli._fan_out(items, 3) == [cli._sweep_worker(item) for item in items]
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fan-out forks")
+def test_fan_out_child_dying_before_it_writes_raises(monkeypatch):
+    """A child that exits before writing its share makes the call raise
+    (the caller reads an empty pipe) instead of hang, and it is reaped."""
+    from minexp_lab import cli
+
+    share = cli._share
+    monkeypatch.setattr(
+        cli, "_share", lambda items, k, size: os._exit(3) if k else share(items, k, size)
+    )
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+
+    def hung(signum, frame):
+        raise TimeoutError("the fan-out waits on a dead child")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        config = {"command": "verify-cor51", "model": {"n": 1, "exponents": [4]}, "box": 2}
+        with pytest.raises(EOFError):
+            run(dict(config), jobs=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fan-out forks")
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_fanned_out_cli_writes_one_report(to_file, tmp_path):
+    """`python -m minexp_lab.cli` at --jobs 2 on a two-alpha sweep writes
+    exactly one report: the forked child never returns into main.  The
+    module runs through runpy with two CPUs reported, so that the sweep
+    fans out on any machine."""
+    src = os.path.dirname(os.path.dirname(minexp_lab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "report.json"
+    args = ["verify-cor51", "--model", '{"n":1,"exponents":[2]}', "--box", "2", "--jobs", "2"]
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import os, runpy; os.cpu_count = lambda: 2; "
+            "runpy.run_module('minexp_lab.cli', run_name='__main__', alter_sys=True)",
+            *args, *(["--out", str(out)] if to_file else []),
+        ],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    serial, _ = run(
+        {"command": "verify-cor51", "model": {"n": 1, "exponents": [2]}, "box": 2}, jobs=1
+    )
+    assert serial["params"]["alpha"] == ["1/2", "1"]
+    text = out.read_text() if to_file else proc.stdout
+    assert text == report_to_json(serial)
+    assert proc.stdout == ("" if to_file else text)
 
 
 def test_pool_size_clamped(monkeypatch):
@@ -744,6 +866,13 @@ def test_pool_size_clamped(monkeypatch):
         report, code = run(dict(config), jobs=jobs)
         assert code == 0 and report["summary"]["pass"] > 0
         assert sizes == want
+    # where os.fork does not exist, every sweep runs serially
+    monkeypatch.delattr(cli.os, "fork", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    sizes.clear()
+    report, code = run(dict(four_jumps), jobs=500)
+    assert code == 0 and report["summary"]["pass"] > 0
+    assert sizes == []
 
 
 FUZZ_KEYS = (
