@@ -24,12 +24,12 @@ sweep whose radius leaves deep levels little room says so in a top-level
 
 Reports are deterministic byte-for-byte: checks are produced in sorted key
 order, JSON is dumped with sorted keys, and scheduling parameters (--jobs,
---out, --format) are not echoed.  Exit codes: 0 all PASS, 1 input error,
-2 verification failure (a VerificationError is one FAIL check).  A config
-path that cannot be read or is not UTF-8, and an --out path that cannot be
-written, are input errors too; --out is checked before any work.  --jobs
-sets the worker count, at least 1; MINEXP_LAB_JOBS is only the default when
---jobs is not given.
+--out, --format) are not echoed.  Exit codes: 0 all PASS, 1 input error or
+a worker that died before writing (an `error:` line), 2 verification failure
+(a VerificationError is one FAIL check).  A config path that cannot be read
+or is not UTF-8, and an --out path that cannot be written, are input errors
+too; --out is checked before any work.  --jobs sets the worker count, at
+least 1; MINEXP_LAB_JOBS is only the default when --jobs is not given.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Callable, NamedTuple
 
 from .divisors import ResolutionNumerics, SncDivisor, jump_candidates, lct_from_resolution
 from .rationals import Infinity, InputError, VerificationError, format_rational, parse_rational
-from .vfilt import MAX_N, TruncationBox, check_v_axioms, t_shift_check, v_member, v_order
+from .vfilt import MAX_N, TruncationBox, check_v_axioms, v_member, v_order
 from .weyl import MonomialModel, multidegree, parse_element
 from . import derham, koszul, minexp
 
@@ -235,8 +235,7 @@ def _thm42_checks(model, alpha, box, pmax, samples):
 
 
 def _axioms_checks(model, alpha, box):
-    reps = (check_v_axioms(model, alpha, box), t_shift_check(model, alpha, box))
-    return [c for rep in reps for c in rep["checks"]]
+    return check_v_axioms(model, alpha, box)["checks"]
 
 
 def _cor51_checks(model, alpha, box):
@@ -308,7 +307,7 @@ def _fan_out(items, size):
     """[_sweep_worker(item) for item in items] in `size` processes: share 0
     here, each other share in a forked child that marshals its outcome into a
     pipe and leaves through os._exit.  Raises as the serial loop would, or
-    EOFError if a child died before writing; every child is reaped first."""
+    RuntimeError if a child died before writing; every child is reaped first."""
     import marshal
 
     children = []
@@ -326,13 +325,22 @@ def _fan_out(items, size):
                     os._exit(0)
             os.close(send)
             children.append((pid, open(recv, "rb")))
-        outcomes = [_share(items, 0, size)] + [marshal.load(pipe) for _, pipe in children]
+        outcomes = [_share(items, 0, size)]
+        try:
+            for _, pipe in children:
+                outcomes.append(marshal.load(pipe))
+        except EOFError:
+            pass  # a child died before writing: the one of share len(outcomes)
     finally:
         # closed first, so that a child still writing after an escaped
         # exception here gets a broken pipe instead of blocking the wait
+        statuses = []
         for pid, pipe in children:
             pipe.close()
-            os.waitpid(pid, 0)
+            statuses.append(os.waitpid(pid, 0)[1])
+    if len(outcomes) < size:
+        k, code = len(outcomes), os.waitstatus_to_exitcode(statuses[len(outcomes) - 1])
+        raise RuntimeError(f"the worker of share {k} exited with status {code} before writing")
     failures = [failure for _, failure in outcomes if failure]
     if failures:
         import pickle
@@ -625,10 +633,13 @@ def main(argv=None):
             raise InputError(f"{name} must be >= 1, got {jobs}")
         if args.out:
             _check_out(args.out)
+        report, code = run(config, jobs=jobs)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    report, code = run(config, jobs=jobs)
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     text = report_to_csv(report) if args.format == "csv" else report_to_json(report)
     if args.out:
         try:

@@ -47,19 +47,19 @@ grF_grV_support lists the points of the box where Gr^F_p Gr^V_{-alpha} is
 nonzero (and their gr_label w), from one table of both levels' weights.
 The expansion and grid caches hold one model at a time.
 
-The axiom checks (check_v_axioms, t_shift_check) ask about three million
+The axiom check (check_v_axioms, one pass over the box) asks millions of
 memberships over the catalog at radius 6, most of them repeats: a
 membership reads its multidegree only through member_key, and the spanning
 expansions, which are what it is asked about, depend only on that key too.
-So each check call memoises membership in _Members, one per level it reads:
-an answer per (member key, sorted orders), shared by the levels of the call,
-and a member key per multidegree, per level, off which the spanning orders
-are read; the theta + alpha powers and the t-images (with their rank) of the
-spanning orders are kept per key too.  A miss calls _component_member (or
-the kernel) through the module.  The memos live for one call and are
-dropped with it; none sits at module level, so a fault planted between two
-runs of the same input is always reached.  Every locus is still visited in
-box order, so a FAIL names the same locus.
+So a call memoises membership in _Members, one per level it reads: an answer
+per (member key, sorted orders), shared by the levels of the call, and a
+member key per multidegree, per level, off which the spanning orders are
+read; the theta + alpha powers and the t-images (with their rank, which
+decides t-injectivity) of the spanning orders are kept per key too.  A miss
+calls _component_member (or the kernel) through the module.  The memos live
+for one call; none sits at module level, so a fault planted between two runs
+of the same input is always reached.  Every locus is visited in box order,
+so a FAIL names the first failing locus.
 
 Graded dimensions also come in a second closed form (the "theta-eliminated"
 one): Gr^F_p V_{-alpha} has a basis of classes of y^b dy delta . y^v dy^w
@@ -642,8 +642,8 @@ def _shift(d, i, step):
 
 class _Members:
     """Membership in V_{-alpha} at one Level, and the spanning orders of
-    F_p V_{-alpha} with what the checks apply to them, for one axiom-check
-    call.
+    F_p V_{-alpha} with what the checks apply to them, for one
+    check_v_axioms call.
 
     _component_member(lvl, d, orders) reads d only through member_key(lvl,
     d) and lvl only through it and the model, so the levels of one call
@@ -651,9 +651,9 @@ class _Members:
     orders and a None key are answered before it.  Each level keeps its own
     member key per multidegree.  The key also fixes the spanning orders
     (read off it), so their theta + alpha powers and t-images are kept per
-    key too.  A miss calls _component_member, _orders_theta_plus, _orders_t
-    and exact_rank through the module.  A call makes its Members and drops
-    them, so no memo outlives the call."""
+    key too; t-shift and t-injectivity read one t_images entry.  A miss
+    calls _component_member, _orders_theta_plus, _orders_t and exact_rank
+    through the module.  A call makes its Members and drops them."""
 
     def __init__(self, lvl: Level, p, answers: dict):
         self.lvl, self.p, self.answers = lvl, p, answers
@@ -722,8 +722,15 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
     dt-shift (as V_{-alpha-1}.dt <= V_{-alpha}, which is the same axiom
     instance that stays inside the alpha > 0 range; the direct form
     V_{-alpha}.dt <= V_{-alpha+1} is additionally checked when alpha > 1),
-    and nilpotency of theta + alpha on Gr^V_{-alpha} with index <= r.
-    Membership goes through one _Members per level, sharing one memo.
+    nilpotency of theta + alpha on Gr^V_{-alpha} with index <= r, and
+    injectivity of t on the spanning set per multidegree.
+
+    One pass in box order; at each d: per spanning element of V_{-alpha},
+    stable-y and stable-dy per coordinate, t-shift, dt-shift-direct and
+    nilpotency; then dt-shift per spanning element of V_{-alpha-1}; then
+    t-injectivity.  The first failing check ends the call as the report's
+    one record; a PASS records "v-axioms", then "t-shift".  Membership goes
+    through one _Members per level, sharing one memo.
     """
     lvl = Level(model, alpha)
     alpha = lvl.alpha
@@ -739,6 +746,7 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
     for d in box:
         d_plus_a = tuple(d[i] + a_ext[i] for i in range(n))
         d_minus_a = tuple(d[i] - a_ext[i] for i in range(n))
+        images, injective = here.t_images(d)
         for j, u in enumerate(here.spanning(d)):
             for i in range(n):
                 if not here(_shift(d, i, 1), u):
@@ -746,7 +754,7 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
                 du = _orders_dy(u, model, d, i)
                 if not here(_shift(d, i, -1), du):
                     return _check(report, "stable-dy", ok=False, degree=list(d), i=i + 1)
-            if not up(d_plus_a, _orders_t(u)):
+            if not up(d_plus_a, images[j]):
                 return _check(report, "t-shift", ok=False, degree=list(d))
             if down and not down(d_minus_a, _orders_dt(u)):
                 return _check(report, "dt-shift-direct", ok=False, degree=list(d))
@@ -762,28 +770,8 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
         for u in up.spanning(d):
             if not here(d_minus_a, _orders_dt(u)):
                 return _check(report, "dt-shift", ok=False, degree=list(d))
-    report["nilpotency_index"] = worst_index
-    return _check(report, "v-axioms", alpha=format_rational(alpha), nilpotency_index=worst_index)
-
-
-def t_shift_check(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
-    """Multiplication by t maps the spanning set of V_{-alpha} into
-    V_{-alpha-1} and is injective per multidegree.  Membership goes through
-    one _Members per level, as in check_v_axioms."""
-    lvl = Level(model, alpha)
-    answers = {}
-    here = _Members(lvl, p_cap, answers)
-    up = _Members(Level(model, lvl.alpha + 1), p_cap, answers)
-    report = {"status": "PASS", "checks": []}
-    a_ext = model.a_ext
-    for d in box:
-        if not here.spanning(d):
-            continue
-        d_plus_a = tuple(d[i] + a_ext[i] for i in range(model.n))
-        images, injective = here.t_images(d)
-        for im in images:
-            if not up(d_plus_a, im):
-                return _check(report, "t-image-level", ok=False, degree=list(d))
         if not injective:
             return _check(report, "t-injectivity", ok=False, degree=list(d))
-    return _check(report, "t-shift", alpha=format_rational(lvl.alpha))
+    report["nilpotency_index"] = worst_index
+    _check(report, "v-axioms", alpha=format_rational(alpha), nilpotency_index=worst_index)
+    return _check(report, "t-shift", alpha=format_rational(alpha))

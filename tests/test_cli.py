@@ -305,6 +305,27 @@ def test_planted_error_exits_2(config, plant, monkeypatch):
     assert any(c["status"] == "FAIL" for c in report["checks"])
 
 
+@pytest.mark.parametrize(
+    "plant, name",
+    [
+        (lambda mp: mp.setattr(vfilt, "_orders_t", lambda orders: {}), "t-injectivity"),
+        (lambda mp: mp.setattr(vfilt, "_orders_theta_plus", _theta_minus_alpha), "nilpotency"),
+    ],
+    ids=["t-kernel-zero", "theta-minus-alpha"],
+)
+def test_planted_axioms_fault_is_the_alphas_one_check(plant, name, monkeypatch):
+    """verify-axioms checks an alpha in one box pass: a planted fault leaves
+    the first failing check in box order as the alpha's only record."""
+    config = {
+        "command": "verify-axioms", "model": {"n": 2, "exponents": [2, 3]},
+        "alpha": "1/2", "box": 2,
+    }
+    plant(monkeypatch)
+    report, code = run(config, jobs=1)
+    assert code == 2
+    assert report["checks"] == [{"alpha": "1/2", "name": name, "status": "FAIL", "degree": [-2, 0]}]
+
+
 @pytest.mark.parametrize("target", [(-3, -3), (1, -2), (3, 3)])
 def test_planted_locus_error_names_its_degree(target, monkeypatch):
     """The box kernels still compare every locus in box order: one flipped
@@ -786,8 +807,9 @@ def test_fan_out_carries_shares_larger_than_a_pipe_buffer(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the fan-out forks")
 def test_fan_out_child_dying_before_it_writes_raises(monkeypatch):
-    """A child that exits before writing its share makes the call raise
-    (the caller reads an empty pipe) instead of hang, and it is reaped."""
+    """A child that exits before writing its share makes the call raise a
+    RuntimeError naming the share and the child's exit status (the caller
+    reads an empty pipe) instead of hang, and it is reaped."""
     from minexp_lab import cli
 
     share = cli._share
@@ -803,12 +825,36 @@ def test_fan_out_child_dying_before_it_writes_raises(monkeypatch):
     signal.alarm(60)
     try:
         config = {"command": "verify-cor51", "model": {"n": 1, "exponents": [4]}, "box": 2}
-        with pytest.raises(EOFError):
+        with pytest.raises(RuntimeError, match=r"share 1 exited with status 3 "):
             run(dict(config), jobs=2)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fan-out forks")
+def test_main_exits_1_when_a_child_dies_before_it_writes():
+    """cli.main, with a forked worker that exits before writing, prints one
+    `error:` line on stderr and exits 1: no report, no traceback."""
+    src = os.path.dirname(os.path.dirname(minexp_lab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import os, sys; from minexp_lab import cli; os.cpu_count = lambda: 2; "
+            "share = cli._share; "
+            "cli._share = lambda items, k, size: os._exit(3) if k else share(items, k, size); "
+            "sys.exit(cli.main(sys.argv[1:]))",
+            "verify-cor51", "--model", '{"n":1,"exponents":[2]}', "--box", "2", "--jobs", "2",
+        ],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: the worker of share 1 exited with status 3 before writing"
+    ]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the fan-out forks")

@@ -27,7 +27,6 @@ from minexp_lab.vfilt import (
     gr_label_leads,
     grF_grV_grid,
     grF_grV_support,
-    t_shift_check,
     v_member,
     v_order,
 )
@@ -529,15 +528,20 @@ def test_gr_class_rep_and_coordinate():
 
 
 def test_v_axioms_examples():
+    # a PASS records the axioms, then the t-shift with its injectivity
+    def names(rep):
+        assert rep["status"] == "PASS"
+        return [c["name"] for c in rep["checks"]]
+
     rep = check_v_axioms(Y2, F(1, 2), TruncationBox.radius(1, 4))
-    assert rep["status"] == "PASS" and rep["nilpotency_index"] == 1
+    assert names(rep) == ["v-axioms", "t-shift"] and rep["nilpotency_index"] == 1
     rep = check_v_axioms(Y11, F(1), TruncationBox.radius(2, 3))
-    assert rep["status"] == "PASS" and rep["nilpotency_index"] <= 2
+    assert names(rep) == ["v-axioms", "t-shift"] and rep["nilpotency_index"] <= 2
     rep = check_v_axioms(Y1, F(1), TruncationBox.radius(1, 4))
-    assert rep["status"] == "PASS"
+    assert names(rep) == ["v-axioms", "t-shift"]
     # alpha > 1 exercises the direct dt-shift branch
     rep = check_v_axioms(Y23, F(4, 3), TruncationBox.radius(2, 3))
-    assert rep["status"] == "PASS"
+    assert names(rep) == ["v-axioms", "t-shift"]
 
 
 # Planted errors in check_v_axioms: each fault sits where only one check reads
@@ -557,7 +561,7 @@ def _identity(orders):
 def _axioms_fails(alpha):
     rep = check_v_axioms(Y23, alpha, AXIOMS_BOX)
     assert rep["status"] == "FAIL"
-    return [c for c in rep["checks"] if c["status"] == "FAIL"]
+    return rep["checks"]
 
 
 @pytest.mark.parametrize(
@@ -599,7 +603,7 @@ def test_planted_membership_fails_one_axiom(name, step, monkeypatch):
     assert _axioms_fails(alpha) == [{"name": name, "status": "FAIL", "degree": list(first), "i": 1}]
 
 
-# The membership memo of the axiom checks (vfilt._Members): both checks on
+# The membership memo of the axiom check (vfilt._Members): check_v_axioms on
 # every catalog level in (0, 1] at radius 2.
 def _memo_levels():
     levels = [(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
@@ -607,9 +611,8 @@ def _memo_levels():
     return levels
 
 
-def _both_checks(model, alpha):
-    box = TruncationBox.radius(model.n, 2)
-    return check_v_axioms(model, alpha, box), t_shift_check(model, alpha, box)
+def _memo_check(model, alpha):
+    return check_v_axioms(model, alpha, TruncationBox.radius(model.n, 2))
 
 
 class _PassThrough(vfilt._Members):
@@ -671,7 +674,7 @@ class _Conflict(Exception):
 
 
 def _checked_run(members, levels):
-    """Both checks on each level at radius 2 with `members` for
+    """check_v_axioms on each level at radius 2 with `members` for
     vfilt._Members, each membership query checked against a fresh
     _component_member (a _Conflict if they differ): (reports, queries,
     worst), where worst is the most _component_member calls one check call
@@ -697,11 +700,9 @@ def _checked_run(members, levels):
         mp.setattr(vfilt, "_Members", Checked)
         mp.setattr(vfilt, "_component_member", counted)
         for model, alpha in levels:
-            box = TruncationBox.radius(model.n, 2)
-            for check in (check_v_axioms, t_shift_check):
-                counts.clear()
-                reports.append(check(model, alpha, box))
-                worst = max(worst, 0, *counts.values())
+            counts.clear()
+            reports.append(_memo_check(model, alpha))
+            worst = max(worst, 0, *counts.values())
     return reports, queries[0], worst
 
 
@@ -712,17 +713,14 @@ def memo_run():
 
 
 def test_memo_keeps_the_reports(memo_run, monkeypatch):
-    assert len(memo_run[0]) == 344 and all(rep["status"] == "PASS" for rep in memo_run[0])
+    assert len(memo_run[0]) == 172 and all(rep["status"] == "PASS" for rep in memo_run[0])
     monkeypatch.setattr(vfilt, "_Members", _PassThrough)
-    plain = []
-    for model, alpha in _memo_levels():
-        plain += _both_checks(model, alpha)
-    assert memo_run[0] == plain
+    assert memo_run[0] == [_memo_check(model, alpha) for model, alpha in _memo_levels()]
 
 
 def test_memo_answers_every_query_like_a_fresh_elimination(memo_run):
-    # _checked_run raises at the first conflict; none came in 290,000 queries
-    assert memo_run[1] == 290000
+    # _checked_run raises at the first conflict; none came in 261,025 queries
+    assert memo_run[1] == 261025
 
 
 def test_a_memo_keyed_by_the_orders_alone_conflicts():
@@ -790,38 +788,47 @@ def test_dy_stability_queries_are_not_functions_of_the_member_key(monkeypatch):
     assert (len(by_key), len(split), max(map(len, by_key.values()))) == (125, 31, 95)
 
 
-def test_t_shift_examples():
-    assert t_shift_check(Y2, F(1, 2), TruncationBox.radius(1, 4))["status"] == "PASS"
-    assert t_shift_check(Y11, F(1), TruncationBox.radius(2, 3))["status"] == "PASS"
-    assert t_shift_check(Y1, F(1), TruncationBox.radius(1, 4))["status"] == "PASS"
-
-
-@pytest.mark.parametrize(
-    "name, fault",
-    [("t-image-level", _identity), ("t-injectivity", lambda orders: {})],
-    ids=["t-image-level", "t-injectivity"],
-)
-def test_planted_t_kernel_fails_one_t_shift_check(name, fault, monkeypatch):
-    # t_shift_check keeps the t-images per member key; a planted _orders_t
-    # still fails its check at the first spanned degree
+def test_planted_t_kernel_fails_t_injectivity(monkeypatch):
+    # check_v_axioms keeps the t-images per member key; an _orders_t that
+    # kills everything passes every t-shift membership (empty orders are
+    # members) and fails t-injectivity at the first spanned degree, as the
+    # report's one check
     alpha = F(1, 2)
-    assert t_shift_check(Y23, alpha, AXIOMS_BOX)["status"] == "PASS"
-    monkeypatch.setattr(vfilt, "_orders_t", fault)
-    rep = t_shift_check(Y23, alpha, AXIOMS_BOX)
-    fails = [c for c in rep["checks"] if c["status"] == "FAIL"]
-    assert fails == [{"name": name, "status": "FAIL", "degree": list(_first_spanned(alpha))}]
+    assert check_v_axioms(Y23, alpha, AXIOMS_BOX)["status"] == "PASS"
+    monkeypatch.setattr(vfilt, "_orders_t", lambda orders: {})
+    rep = check_v_axioms(Y23, alpha, AXIOMS_BOX)
+    want = {"name": "t-injectivity", "status": "FAIL", "degree": list(_first_spanned(alpha))}
+    assert rep["status"] == "FAIL" and rep["checks"] == [want]
+
+
+def test_t_images_once_per_member_key(monkeypatch):
+    # one check_v_axioms call applies _orders_t once to each spanning order
+    # of each distinct member key of V_{-alpha} in the box, not once per
+    # locus and spanning order
+    model = MonomialModel(3, [1, 2, 2])
+    lvl = Level(model, F(1, 2))
+    box = TruncationBox.radius(3, 3)
+    calls = []
+    monkeypatch.setattr(vfilt, "_orders_t", lambda orders: calls.append(1) or _orders_t(orders))
+    assert check_v_axioms(model, lvl.alpha, box)["status"] == "PASS"
+    first = {}
+    for d in box:
+        first.setdefault(vfilt.member_key(lvl, d), d)
+    per_key = sum(len(spanning_orders(lvl, 1, d)) for d in first.values())
+    per_locus = sum(len(spanning_orders(lvl, 1, d)) for d in box)
+    assert len(calls) == per_key < per_locus
 
 
 @pytest.mark.parametrize("alpha, index", [(F(1, 2), 1), (F(1), 2)])
 def test_axioms_at_hodge_cap_2(alpha, index):
-    # both axiom checks over the spanning elements up to F_2 (the CLI runs
-    # them at cap 1), on (2, [1, 2]) at each jump in (0, 1]
+    # the axiom check over the spanning elements up to F_2 (the CLI runs it
+    # at cap 1), on (2, [1, 2]) at each jump in (0, 1]
     model, box = MonomialModel(2, [1, 2]), TruncationBox.radius(2, 2)
     lvl = Level(model, alpha)
     assert any(len(spanning_orders(lvl, 2, d)) > len(spanning_orders(lvl, 1, d)) for d in box)
     rep = check_v_axioms(model, alpha, box, p_cap=2)
     assert rep["status"] == "PASS" and rep["nilpotency_index"] == index
-    assert t_shift_check(model, alpha, box, p_cap=2)["status"] == "PASS"
+    assert [c["name"] for c in rep["checks"]] == ["v-axioms", "t-shift"]
 
 
 def test_nilpotency_sign_resolution():
