@@ -10,7 +10,7 @@ from minexp_lab import vfilt
 from minexp_lab.cli import catalog
 from minexp_lab.divisors import jump_candidates, next_candidate
 from minexp_lab.koszul import verify_thm42_i
-from minexp_lab.rationals import InputError, exact_rank
+from minexp_lab.rationals import InputError, exact_rank, format_rational
 from minexp_lab.vfilt import (
     GradedDimTable,
     Level,
@@ -786,6 +786,18 @@ def test_dy_stability_queries_are_not_functions_of_the_member_key(monkeypatch):
         by_key.setdefault(vfilt.member_key(lvl, d), set()).add(frozenset(queries))
     split = [key for key, sets in by_key.items() if len(sets) > 1]
     assert (len(by_key), len(split), max(map(len, by_key.values()))) == (125, 31, 95)
+
+
+def test_t_shift_examples():
+    # the t-shift (with t-injectivity) is the last record of a PASS
+    for model, alpha, box in [
+        (Y2, F(1, 2), TruncationBox.radius(1, 4)),
+        (Y11, F(1), TruncationBox.radius(2, 3)),
+        (Y1, F(1), TruncationBox.radius(1, 4)),
+    ]:
+        rep = check_v_axioms(model, alpha, box)
+        want = {"name": "t-shift", "status": "PASS", "alpha": format_rational(alpha)}
+        assert rep["status"] == "PASS" and rep["checks"][-1] == want
 
 
 def test_planted_t_kernel_fails_t_injectivity(monkeypatch):
