@@ -8,15 +8,11 @@ Every config value is validated and coerced in one place, `_parse`; a
 malformed value is an input error.  A report's `params` lists exactly the
 values the run used, after defaults and parsing: a key a command does not
 read is neither validated nor echoed.  The five verify commands are one
-sweep over alphas (`_SWEEPS`); each alpha is one work item, and `--jobs`
-workers share them, at most one per item and per CPU.  With k > 1 workers
-the calling process runs one round-robin share of the items, and k - 1
-forked children run the others and write back over a pipe each (`_fan_out`);
-results and errors come back as one worker would give them.  Without os.fork
-a sweep runs serially.  verify-cor23 and verify-cor24 take alphas in (0, 1):
-an explicit alpha outside is an input error, while the default all-jumps
-list just leaves out alpha = 1.  Both compute the minimal exponent once per
-run and hand it to every item.  A box radius R in n variables is refused
+sweep over alphas (`_SWEEPS`), run in the calling process in sorted-alpha
+order.  verify-cor23 and verify-cor24 take alphas in (0, 1): an explicit
+alpha outside is an input error, while the default all-jumps list just
+leaves out alpha = 1.  Both compute the minimal exponent once per
+run and hand it to every alpha.  A box radius R in n variables is refused
 when its volume (2R+1)^n exceeds MAX_BOX_VOLUME, a verify command refuses a
 model with n above vfilt.MAX_N, and a pmax above MAX_PMAX is refused.  A
 sweep whose radius leaves deep levels little room says so in a top-level
@@ -24,12 +20,14 @@ sweep whose radius leaves deep levels little room says so in a top-level
 
 Reports are deterministic byte-for-byte: checks are produced in sorted key
 order, JSON is dumped with sorted keys, and scheduling parameters (--jobs,
---out, --format) are not echoed.  Exit codes: 0 all PASS, 1 input error or
-a worker that died before writing (an `error:` line), 2 verification failure
-(a VerificationError is one FAIL check).  A config path that cannot be read
-or is not UTF-8, and an --out path that cannot be written, are input errors
-too; --out is checked before any work.  --jobs sets the worker count, at
-least 1; MINEXP_LAB_JOBS is only the default when --jobs is not given.
+--out, --format) are not echoed.  Exit codes: 0 all PASS, 1 input error (an
+`input error:` line), 2 verification failure (a VerificationError is one
+FAIL check).  A config path that cannot be read or is not UTF-8, and an
+--out path that cannot be written, are input errors too; --out is checked
+before any work.  --jobs, or MINEXP_LAB_JOBS when --jobs is not given, is
+accepted and validated (at least 1) for compatibility, and changes nothing:
+on 2 CPUs a sweep split over forked processes ran slower than in one
+process (README).
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ import itertools
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .divisors import ResolutionNumerics, SncDivisor, jump_candidates, lct_from_resolution
@@ -243,8 +240,7 @@ def _cor51_checks(model, alpha, box):
 
 
 def _cor23_checks(model, alpha, box, value):
-    """`value` is the minimal exponent as text, computed once per run."""
-    value = parse_rational(value)
+    """`value` is the minimal exponent, computed once per run."""
     checks = []
     for p in (0, 1):
         reps = [minexp.cor23_check(model, p, alpha, box, value=value)]
@@ -255,8 +251,7 @@ def _cor23_checks(model, alpha, box, value):
 
 
 def _cor24_checks(model, alpha, box, ps, value):
-    """`value` is the minimal exponent as text, computed once per run."""
-    value = parse_rational(value)
+    """`value` is the minimal exponent, computed once per run."""
     return [
         {"p": p, **c}
         for p in ps
@@ -267,8 +262,8 @@ def _cor24_checks(model, alpha, box, ps, value):
 class _Sweep(NamedTuple):
     keys: tuple            # config keys read besides model, alpha and box
     open_interval: bool    # alphas limited to (0, 1); the checks also get the
-                           # minimal exponent as text, computed once per run
-    checks: Callable       # (model, alpha, box, *values of keys[, minexp text]) -> checks
+                           # minimal exponent, computed once per run
+    checks: Callable       # (model, alpha, box, *values of keys[, minexp]) -> checks
 
 
 _SWEEPS = {
@@ -280,78 +275,7 @@ _SWEEPS = {
 }
 
 
-def _sweep_worker(item):
-    """All checks of one (command, alpha)."""
-    command, model_json, alpha_s, radius, extra = item
-    model = MonomialModel.from_json(json.loads(model_json))
-    box = TruncationBox.radius(model.n, radius)
-    checks = _SWEEPS[command].checks(model, Fraction(alpha_s), box, *extra)
-    return [{"alpha": alpha_s, **c} for c in checks]
-
-
-def _share(items, k, size):
-    """(results, failure) of items[k::size] run in order: failure is None,
-    or (index, pickled exception) of the first item that raised, where the
-    share stops.  Plain data, which marshal carries exactly."""
-    results = []
-    for index in range(k, len(items), size):
-        try:
-            results.append(_sweep_worker(items[index]))
-        except Exception as exc:
-            import pickle
-            return results, (index, pickle.dumps(exc))
-    return results, None
-
-
-def _fan_out(items, size):
-    """[_sweep_worker(item) for item in items] in `size` processes: share 0
-    here, each other share in a forked child that marshals its outcome into a
-    pipe and leaves through os._exit.  Raises as the serial loop would, or
-    RuntimeError if a child died before writing; every child is reaped first."""
-    import marshal
-
-    children = []
-    try:
-        for k in range(1, size):
-            recv, send = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    for fd in [recv] + [pipe.fileno() for _, pipe in children]:
-                        os.close(fd)
-                    with open(send, "wb") as pipe:
-                        marshal.dump(_share(items, k, size), pipe)
-                finally:
-                    os._exit(0)
-            os.close(send)
-            children.append((pid, open(recv, "rb")))
-        outcomes = [_share(items, 0, size)]
-        try:
-            for _, pipe in children:
-                outcomes.append(marshal.load(pipe))
-        except EOFError:
-            pass  # a child died before writing: the one of share len(outcomes)
-    finally:
-        # closed first, so that a child still writing after an escaped
-        # exception here gets a broken pipe instead of blocking the wait
-        statuses = []
-        for pid, pipe in children:
-            pipe.close()
-            statuses.append(os.waitpid(pid, 0)[1])
-    if len(outcomes) < size:
-        k, code = len(outcomes), os.waitstatus_to_exitcode(statuses[len(outcomes) - 1])
-        raise RuntimeError(f"the worker of share {k} exited with status {code} before writing")
-    failures = [failure for _, failure in outcomes if failure]
-    if failures:
-        import pickle
-        raise pickle.loads(min(failures)[1])
-    results = [None] * len(items)
-    for k, (share, _) in enumerate(outcomes):
-        results[k::size] = share
-    return results
-
-
-def _cmd_sweep(command, config, jobs):
+def _cmd_sweep(command, config):
     sweep = _SWEEPS[command]
     got = _parse(config, ("model", "box", "alpha") + sweep.keys)
     model, radius = got["model"], got["box"]
@@ -359,9 +283,10 @@ def _cmd_sweep(command, config, jobs):
         raise InputError(f"{command} takes n <= {MAX_N}, got n = {model.n}")
     if got.get("p") is not None and got["p"] < 0:
         # cor24_check refuses it too, but the alpha filter below may leave
-        # no item to reach it
+        # no alpha to reach it
         raise InputError(f"p must be >= 0, got {got['p']}")
     alphas = _or_jumps(got["alpha"], model)
+    extra = ()
     if sweep.open_interval:
         # the default all-jumps list ends at 1; an explicit alpha must fit
         outside = [a for a in alphas if not 0 < a < 1]
@@ -370,33 +295,32 @@ def _cmd_sweep(command, config, jobs):
                 f"{command} takes alphas in (0, 1), got {format_rational(outside[0])}"
             )
         alphas = [a for a in alphas if 0 < a < 1]
-    value_text = ()
-    if sweep.open_interval:
-        # the items reuse the value instead of computing it again; by
+        # every alpha reuses the value instead of computing it again; by
         # default, verify-cor24 runs every p in {0, 1} the value reaches
         value = minexp.minexp_value(model)
-        value_text = (format_rational(value),)
         if "p" in got:
             got["p"] = [p for p in (0, 1) if value >= p] if got["p"] is None else [got["p"]]
-    extra = tuple(got[k] for k in sweep.keys) + value_text
-    mj = json.dumps(model.to_json())
-    items = [(command, mj, format_rational(a), radius, extra) for a in sorted(alphas)]
-    size = min(jobs, len(items), os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    results = _fan_out(items, size) if size > 1 else [_sweep_worker(it) for it in items]
+        extra = (value,)
+    extra = tuple(got[k] for k in sweep.keys) + extra
+    box = TruncationBox.radius(model.n, radius)
     return {
         "params": {
             **got,
             "model": model.to_json(),
             "alpha": [format_rational(a) for a in alphas],
         },
-        "checks": [c for cs in results for c in cs],
+        "checks": [
+            {"alpha": format_rational(alpha), **c}
+            for alpha in sorted(alphas)
+            for c in sweep.checks(model, alpha, box, *extra)
+        ],
         **_box_notes(model, radius, got.get("pmax", DEFAULT_PMAX)),
     }
 
 
 # -- command handlers ----------------------------------------------------------
 
-def _cmd_lct(config, jobs):
+def _cmd_lct(config):
     res = _parse(config, ("pairs",))["pairs"]
     return {
         "lct": format_rational(lct_from_resolution(res)),
@@ -405,7 +329,7 @@ def _cmd_lct(config, jobs):
     }
 
 
-def _cmd_minexp(config, jobs):
+def _cmd_minexp(config):
     got = _parse(config, ("model", "pmax"), pmax=4)
     model, pmax = got["model"], got["pmax"]
     result = minexp.minexp_monomial(model, pmax)
@@ -418,7 +342,7 @@ def _cmd_minexp(config, jobs):
     }
 
 
-def _cmd_jumps(config, jobs):
+def _cmd_jumps(config):
     source = "model" if "model" in config else "coeffs"
     got = _parse(config, (source, "lo", "hi"))
     if source == "model":
@@ -434,7 +358,7 @@ def _cmd_jumps(config, jobs):
     }
 
 
-def _cmd_vfilt(config, jobs):
+def _cmd_vfilt(config):
     got = _parse(config, ("model", "element", "alpha"))
     model, (text, u), alphas = got["model"], got["element"], got["alpha"]
     degs = sorted(multidegree(u, model))
@@ -459,7 +383,7 @@ def _cmd_vfilt(config, jobs):
     return payload
 
 
-def _cmd_psi_dims(config, jobs):
+def _cmd_psi_dims(config):
     got = _parse(config, ("model", "pmax", "box", "alpha", "p"))
     model, pmax, radius = got["model"], got["pmax"], got["box"]
     box = TruncationBox.radius(model.n, radius)
@@ -476,13 +400,14 @@ def _cmd_psi_dims(config, jobs):
             "alpha": [format_rational(a) for a in alphas],
             "p": ps,
             "box": radius,
+            "pmax": pmax,
         },
         "checks": [],
         **_box_notes(model, radius, pmax),
     }
 
 
-def _cmd_catalog(config, jobs):
+def _cmd_catalog(config):
     return {"models": [m.to_json() for m in catalog()], "params": {}, "checks": []}
 
 
@@ -503,8 +428,8 @@ def run(config, jobs=1):
 
     Returns (report, exit_code): 0 all PASS, 1 input error, 2 verification
     failure, a VerificationError included (reported as one FAIL check
-    naming the invariant).  Reports are identical regardless of the job
-    count.
+    naming the invariant).  `jobs` is accepted for compatibility and does
+    not change the report.
     """
     try:
         command = config.get("command")
@@ -512,7 +437,7 @@ def run(config, jobs=1):
             raise InputError(
                 f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}"
             )
-        payload = _HANDLERS[command](config, max(1, int(jobs)))
+        payload = _HANDLERS[command](config)
     except InputError as exc:
         report = {"command": config.get("command"), "error": str(exc)}
         return report, 1
@@ -565,7 +490,7 @@ def _build_parser():
     common.add_argument("--box", type=int, help="multidegree box radius")
     common.add_argument("--p", type=int, help="single Hodge index")
     common.add_argument("--out", help="write the report here instead of stdout")
-    common.add_argument("--jobs", type=int, help="parallel worker count")
+    common.add_argument("--jobs", type=int, help="accepted for compatibility, at least 1")
     common.add_argument("--format", choices=["json", "csv"], default="json")
     for name in COMMANDS:
         p = sub.add_parser(name, parents=[common])
@@ -636,9 +561,6 @@ def main(argv=None):
         report, code = run(config, jobs=jobs)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     text = report_to_csv(report) if args.format == "csv" else report_to_json(report)
     if args.out:

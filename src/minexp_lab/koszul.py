@@ -144,13 +144,6 @@ class FilteredKoszulComplex(Record):
     def symbols(self):
         return tuple(sorted(self.generators))
 
-    def rank(self, cohdeg):
-        """Free rank of the term in the given cohomological degree."""
-        wedge = (self.model.n - 1) + cohdeg
-        if not 0 <= wedge <= self.model.n - 1:
-            return 0
-        return math.comb(self.model.n - 1, wedge)
-
     def differential(self, x: dict) -> dict:
         out = {}
         for S, Q in x.items():

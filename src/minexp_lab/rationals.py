@@ -8,7 +8,8 @@ serialization, nothing else.
 
 ``exact_rank`` is the package's one exact-rank routine (Koszul core
 cohomology, de Rham complexes, the t-shift injectivity check); it works
-fraction-free on rows scaled to integers by ``integer_row``.
+fraction-free on rows scaled to integers by ``integer_row``, by the same
+``eliminate`` step that V-membership reduces with.
 
 ``Record`` and ``FrozenRecord`` are the package's value-class base: the
 field-wise equality, repr and (frozen) hash of a dataclass, without the cost
@@ -139,36 +140,41 @@ def integer_row(row):
     return {k: c // g for k, c in out.items()} if g > 1 else out
 
 
+def eliminate(row, pivot_row, col):
+    """piv*row - row[col]*pivot_row with piv = pivot_row[col], zero entries
+    dropped and divided by the gcd of the rest: the one fraction-free
+    elimination step on integer sparse rows.  It clears `col` and keeps
+    `row` in the span of the two rows, and it is empty exactly when `row`
+    is a multiple of `pivot_row`."""
+    piv, v = pivot_row[col], row[col]
+    out = {c: piv * x for c, x in row.items()}
+    for c, pv in pivot_row.items():
+        s = out.get(c, 0) - v * pv
+        if s:
+            out[c] = s
+        else:
+            out.pop(c, None)
+    g = math.gcd(*out.values())
+    return {c: x // g for c, x in out.items()} if g > 1 else out
+
+
 def exact_rank(rows):
     """Exact rank of a sparse matrix given as row dicts {column: entry} with
     int or Fraction entries and mutually comparable column keys.
 
-    Fraction-free: every row is scaled to coprime integers once; an
-    elimination step replaces a row by piv*row - row[col]*pivot_row, which
-    keeps it in the same row space, and a gcd reduction keeps the entries
-    small.
+    Fraction-free: every row is scaled to coprime integers once, and each
+    pivot clears its column from the other rows by `eliminate`.
     """
     rows = [r for r in map(integer_row, rows) if r]
     rank = 0
     while rows:
         row = rows.pop()
         col = min(row)
-        piv = row[col]
         rank += 1
         nxt = []
         for other in rows:
-            v = other.get(col)
-            if v:
-                other = {c: piv * x for c, x in other.items()}
-                for c, rv in row.items():
-                    s = other.get(c, 0) - v * rv
-                    if s:
-                        other[c] = s
-                    else:
-                        other.pop(c, None)
-                g = math.gcd(*other.values())
-                if g > 1:
-                    other = {c: x // g for c, x in other.items()}
+            if other.get(col):
+                other = eliminate(other, row, col)
             if other:
                 nxt.append(other)
         rows = nxt

@@ -87,7 +87,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .divisors import jump_candidates, next_candidate
-from .rationals import FrozenRecord, InputError, Record, exact_rank, format_rational, integer_row
+from .rationals import (
+    FrozenRecord, InputError, Record, eliminate, exact_rank, format_rational, integer_row,
+)
 from .weyl import (
     BgElement,
     MonomialModel,
@@ -165,12 +167,6 @@ class GradedDimTable(Record):
 
     def get(self, key):
         return self.dims.get(key, 0)
-
-    def set(self, key, value):
-        if value:
-            self.dims[key] = value
-        else:
-            self.dims.pop(key, None)
 
     def is_zero(self):
         return not self.dims
@@ -525,9 +521,9 @@ def _component_member(lvl: Level, d, orders) -> bool:
     at the component's own Hodge level.  The answer reads d only through
     member_key(lvl, d).
 
-    Fraction-free: the vector is scaled to integers once, and each
-    elimination step replaces work by ref[m]*work - work[m]*ref, which
-    preserves vanishing; a gcd reduction keeps the entries small.
+    Fraction-free: the vector is scaled to integers once, and each step
+    clears its top order m against the spanning expansion that leads there
+    (rationals.eliminate), which preserves vanishing.
     """
     if not orders:
         return True
@@ -543,24 +539,12 @@ def _component_member(lvl: Level, d, orders) -> bool:
     exps = _expansion_orders(lvl.model, u0, w, jmax)
     work = integer_row(orders)
     for m in range(top, -1, -1):
-        c = work.get(m)
-        if not c:
+        if not work.get(m):
             continue
         j = m - wsum
         if j < 0:
             return False
-        ref = exps[j]
-        piv = ref[m]
-        work = {mm: piv * cc for mm, cc in work.items()}
-        for mm, rc in ref.items():
-            s = work.get(mm, 0) - c * rc
-            if s:
-                work[mm] = s
-            else:
-                work.pop(mm, None)
-        g = math.gcd(*work.values())
-        if g > 1:
-            work = {mm: cc // g for mm, cc in work.items()}
+        work = eliminate(work, exps[j], m)
     return not work
 
 

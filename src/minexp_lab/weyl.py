@@ -169,10 +169,6 @@ class BgElement(_Combination):
             raise InputError(f"malformed term (v={v}, m={m})")
         return v, int(m)
 
-    @classmethod
-    def term(cls, n, c, v, m=0):
-        return cls(n, {(tuple(v), m): Fraction(c)})
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
 

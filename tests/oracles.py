@@ -23,6 +23,11 @@ def dy_delta(n) -> BgElement:
     return BgElement(n, {((0,) * n, 0): Fraction(1)})
 
 
+def one_term(n, c, v, m=0) -> BgElement:
+    """The one-term element c y^v dy dt^m delta in n variables."""
+    return BgElement(n, {(tuple(v), m): Fraction(c)})
+
+
 def op_t(n) -> WeylOperator:
     """The operator t in n variables."""
     z = (0,) * n

@@ -30,9 +30,9 @@ from minexp_lab.vfilt import (
     check_v_axioms,
     count_gr,
 )
-from minexp_lab.weyl import BgElement, MonomialModel, WeylOperator, act_right
+from minexp_lab.weyl import MonomialModel, WeylOperator, act_right
 
-from oracles import count_gr_theta, spanning_set
+from oracles import count_gr_theta, one_term, spanning_set
 
 BOX_RADIUS = 6
 MODELS = catalog()
@@ -144,7 +144,7 @@ def test_criterion_5_thm42_iii():
     # the hand-checkable instance: g = y^2 at alpha = 1/2
     m = MonomialModel(1, [2])
     base = sigma_generator(m, F(1, 2))
-    both = BgElement.term(1, 2, (2,), 1)
+    both = one_term(1, 2, (2,), 1)
     assert act_right(base, N_operator(m, F(1, 2)), m) == both
     assert act_right(base, WeylOperator.theta(1).scale(-1), m) == both
     combos = 0

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import os
-import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from minexp_lab.cli import (
     COMMANDS,
+    DEFAULT_PMAX,
     catalog,
     main,
     report_to_csv,
@@ -387,7 +387,7 @@ def test_verification_error_is_a_fail(monkeypatch):
 def test_failure_exit_2(monkeypatch):
     from minexp_lab import cli
 
-    def broken(config, jobs):
+    def broken(config):
         return {"checks": [{"name": "x", "status": "FAIL"}], "params": {}}
 
     monkeypatch.setitem(cli._HANDLERS, "lct", broken)
@@ -489,6 +489,9 @@ def test_report_bytes_pinned(command):
     for n, exponents in REPORT_BYTES[command]:
         report, code = run(_pinned_config(command, n, exponents))
         assert code == 0, report
+        if command == "psi-dims":
+            # recorded before psi-dims echoed the pmax it reads, here the default
+            assert report["params"].pop("pmax") == DEFAULT_PMAX
         got[n, exponents] = hashlib.sha256(report_to_json(report).encode()).hexdigest()
     assert got == REPORT_BYTES[command]
 
@@ -707,8 +710,8 @@ def test_pmax_bound_is_inclusive():
 
 def test_cli_import_loads_no_dataclasses_or_multiprocessing():
     """A cold call pays for none of these imports: the value classes are
-    plain, and a fanned-out sweep forks without multiprocessing and sends
-    its results with marshal; pickle is imported only for a failing item."""
+    plain, and a sweep over several alphas at --jobs 2 runs in the calling
+    process, forking nothing and loading neither multiprocessing nor pickle."""
     src = os.path.dirname(os.path.dirname(minexp_lab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -723,16 +726,15 @@ def test_cli_import_loads_no_dataclasses_or_multiprocessing():
     added = loaded("import minexp_lab.cli") - loaded("pass")
     assert "minexp_lab.cli" in added
     assert not added & {"dataclasses", "inspect", "multiprocessing", "pickle"}
-    if hasattr(os, "fork"):
-        fanned = loaded(
-            "import os; from minexp_lab import cli; os.cpu_count = lambda: 2; "
-            "fan_out, sizes = cli._fan_out, []; "
-            "cli._fan_out = lambda items, size: sizes.append(size) or fan_out(items, size); "
-            "report, code = cli.run({'command': 'verify-cor51', "
-            "'model': {'n': 1, 'exponents': [2]}, 'box': 1}, jobs=2); "
-            "assert code == 0 and sizes == [2], (code, sizes)"
-        )
-        assert not fanned & {"multiprocessing", "pickle"}
+    # a fork would end the interpreter with status 3, which check=True fails
+    swept = loaded(
+        "import os; from minexp_lab import cli; os.cpu_count = lambda: 2; "
+        "os.fork = lambda: os._exit(3); "
+        "report, code = cli.run({'command': 'verify-cor51', "
+        "'model': {'n': 1, 'exponents': [2]}, 'box': 1}, jobs=2); "
+        "assert code == 0 and report['params']['alpha'] == ['1/2', '1'], report"
+    )
+    assert not swept & {"multiprocessing", "pickle"}
 
 
 def _planted_cor51(failing):
@@ -794,70 +796,6 @@ def test_fan_out_keeps_item_order(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the fan-out forks")
-def test_fan_out_carries_shares_larger_than_a_pipe_buffer(monkeypatch):
-    """A child's share far above a pipe's buffer (64 KiB on Linux) comes
-    through whole and in item order."""
-    from minexp_lab import cli
-
-    monkeypatch.setattr(cli, "_sweep_worker", lambda item: [{"item": item, "blob": "x" * 10**5}])
-    items = list(range(7))
-    assert cli._fan_out(items, 3) == [cli._sweep_worker(item) for item in items]
-    _assert_no_child_left()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fan-out forks")
-def test_fan_out_child_dying_before_it_writes_raises(monkeypatch):
-    """A child that exits before writing its share makes the call raise a
-    RuntimeError naming the share and the child's exit status (the caller
-    reads an empty pipe) instead of hang, and it is reaped."""
-    from minexp_lab import cli
-
-    share = cli._share
-    monkeypatch.setattr(
-        cli, "_share", lambda items, k, size: os._exit(3) if k else share(items, k, size)
-    )
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-
-    def hung(signum, frame):
-        raise TimeoutError("the fan-out waits on a dead child")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        config = {"command": "verify-cor51", "model": {"n": 1, "exponents": [4]}, "box": 2}
-        with pytest.raises(RuntimeError, match=r"share 1 exited with status 3 "):
-            run(dict(config), jobs=2)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    _assert_no_child_left()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fan-out forks")
-def test_main_exits_1_when_a_child_dies_before_it_writes():
-    """cli.main, with a forked worker that exits before writing, prints one
-    `error:` line on stderr and exits 1: no report, no traceback."""
-    src = os.path.dirname(os.path.dirname(minexp_lab.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [
-            sys.executable, "-c",
-            "import os, sys; from minexp_lab import cli; os.cpu_count = lambda: 2; "
-            "share = cli._share; "
-            "cli._share = lambda items, k, size: os._exit(3) if k else share(items, k, size); "
-            "sys.exit(cli.main(sys.argv[1:]))",
-            "verify-cor51", "--model", '{"n":1,"exponents":[2]}', "--box", "2", "--jobs", "2",
-        ],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
-    )
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines() == [
-        "error: the worker of share 1 exited with status 3 before writing"
-    ]
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fan-out forks")
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 def test_fanned_out_cli_writes_one_report(to_file, tmp_path):
     """`python -m minexp_lab.cli` at --jobs 2 on a two-alpha sweep writes
@@ -887,38 +825,33 @@ def test_fanned_out_cli_writes_one_report(to_file, tmp_path):
     assert proc.stdout == ("" if to_file else text)
 
 
-def test_pool_size_clamped(monkeypatch):
-    """Workers: at most --jobs, one per alpha and one per CPU; no process starts."""
+def test_every_job_count_runs_in_the_calling_process(monkeypatch, capsys):
+    """--jobs 1, 2 and 500, and MINEXP_LAB_JOBS=4, on eight reported CPUs:
+    no sweep forks, and every report is the --jobs 1 report."""
     from minexp_lab import cli
 
-    sizes = []
+    def refuse():
+        raise AssertionError("a sweep forked")
 
-    def fake_fan_out(items, size):
-        sizes.append(size)
-        return [cli._sweep_worker(it) for it in items]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "fork", refuse, raising=False)
+    argv = ["verify-axioms", "--model", '{"n":1,"exponents":[4]}', "--box", "1"]
 
-    monkeypatch.setattr(cli, "_fan_out", fake_fan_out)
-    four_jumps = {"command": "verify-axioms", "model": {"n": 1, "exponents": [4]}, "box": 1}
-    two_alphas = dict(four_jumps, alpha=["1/4", "1/2"])
-    for config, jobs, cpus, want in [
-        (four_jumps, 500, 3, [3]),
-        (four_jumps, 2, 3, [2]),
-        (four_jumps, 1, 3, []),
-        (four_jumps, 500, None, []),
-        (two_alphas, 500, 8, [2]),
-    ]:
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        sizes.clear()
-        report, code = run(dict(config), jobs=jobs)
-        assert code == 0 and report["summary"]["pass"] > 0
-        assert sizes == want
-    # where os.fork does not exist, every sweep runs serially
-    monkeypatch.delattr(cli.os, "fork", raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    sizes.clear()
-    report, code = run(dict(four_jumps), jobs=500)
-    assert code == 0 and report["summary"]["pass"] > 0
-    assert sizes == []
+    def report(flag, env_jobs=None):
+        if env_jobs is None:
+            monkeypatch.delenv("MINEXP_LAB_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("MINEXP_LAB_JOBS", env_jobs)
+        assert cli.main(argv + flag) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return captured.out
+
+    serial = report(["--jobs", "1"])
+    assert json.loads(serial)["params"]["alpha"] == ["1/4", "1/2", "3/4", "1"]
+    for flag in (["--jobs", "2"], ["--jobs", "500"]):
+        assert report(flag) == serial
+    assert report([], "4") == serial
 
 
 FUZZ_KEYS = (
@@ -966,6 +899,12 @@ def test_run_fuzz_never_raises(command, key, junk):
         ("verify-cor51", {"model", "alpha", "box"}),
         ("verify-cor23", {"model", "alpha", "box"}),
         ("verify-cor24", {"model", "alpha", "box", "p"}),
+        ("lct", {"pairs"}),
+        ("minexp", {"model", "pmax"}),
+        ("jumps", {"model", "lo", "hi"}),
+        ("vfilt", {"model", "element", "alpha"}),
+        ("psi-dims", {"model", "alpha", "p", "box", "pmax"}),
+        ("catalog", set()),
     ],
 )
 def test_params_echo_exactly_what_ran(command, keys):

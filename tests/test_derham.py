@@ -173,6 +173,14 @@ def relative_sequence_check(model: MonomialModel, q):
     }
 
 
+def set_dim(table, key, value):
+    """Set one entry of a GradedDimTable, dropping it when value is 0."""
+    if value:
+        table.dims[key] = value
+    else:
+        table.dims.pop(key, None)
+
+
 def quotient_dims(model: MonomialModel, alpha, q, relative, box: TruncationBox) -> GradedDimTable:
     """Multidegree dimensions of (O(-D_alpha)/O(-D_{>alpha})) (x) Omega^q of
     the chosen flavor (relative or absolute log forms)."""
@@ -180,7 +188,7 @@ def quotient_dims(model: MonomialModel, alpha, q, relative, box: TruncationBox) 
     syms = _rel_symbols(model) if relative else _abs_symbols(model)
     table = GradedDimTable(alpha=lvl.alpha)
     for d, count in zip(box, _quotient_count_grid(lvl, syms, q, box)):
-        table.set(d, count)
+        set_dim(table, d, count)
     return table
 
 

@@ -1,7 +1,8 @@
 """The package's surface: every module-level function and class in
 src/minexp_lab is reached from code of the package outside its own
-definition, or named by the benchmark, so that code only the tests call
-lives in the tests."""
+definition, or named by the benchmark, and every method other than a dunder
+is read as an attribute by code of the package outside its own definition,
+so that code only the tests call lives in the tests."""
 
 import ast
 import pathlib
@@ -62,17 +63,56 @@ def unreferenced():
     return out
 
 
+def _attribute_reads(node, name):
+    """How many times `node`'s code reads the attribute `name`."""
+    return sum(isinstance(sub, ast.Attribute) and sub.attr == name for sub in ast.walk(node))
+
+
+def unread_methods():
+    """[module.Class.method] of the non-dunder methods of module-level
+    classes that no code of the package reads as an attribute outside the
+    method's own definition."""
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    out = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                reads = sum(_attribute_reads(other, node.name) for other in trees.values())
+                if reads == _attribute_reads(node, node.name):
+                    out.append(f"{module}.{cls.name}.{node.name}")
+    return out
+
+
 def test_every_top_level_symbol_is_reached():
     assert unreferenced() == []
 
 
+def test_every_method_is_read():
+    assert unread_methods() == []
+
+
 def test_a_dead_function_is_listed(tmp_path, monkeypatch):
-    # the scan itself: a copy of the package with one function nothing calls
+    # the scans themselves: a copy of the package with one function nothing
+    # calls, and a used class with one method only its own body reads
     copy = tmp_path / "minexp_lab"
     copy.mkdir()
     for path in PACKAGE.glob("*.py"):
         (copy / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
     with open(copy / "divisors.py", "a", encoding="utf-8") as fh:
-        fh.write('\n\ndef _never_called():\n    """_never_called is named here only."""\n')
+        fh.write(
+            '\n\ndef _never_called():\n    """_never_called is named here only."""\n'
+            "\n\nclass _Planted:\n    def _never_read(self):\n        return self._never_read\n"
+            "\n\n_PLANTED = _Planted()\n"
+        )
     monkeypatch.setitem(globals(), "PACKAGE", copy)
     assert unreferenced() == ["divisors._never_called"]
+    assert unread_methods() == ["divisors._Planted._never_read"]

@@ -47,6 +47,7 @@ from oracles import (
     dy_delta,
     gr_coordinate,
     gr_label_grid,
+    one_term,
     round_gt,
     round_up,
     spanning_orders,
@@ -99,11 +100,11 @@ def test_hodge_level_convention():
     # the display F_{p-n} = (+)_{0<=i<=p} w dt^i delta is the oracle:
     # dt-order m first appears at level m - n
     assert hodge_level(dy_delta(1)) == -1
-    assert hodge_level(BgElement.term(2, 1, (0, 0), 1)) == -1
-    assert hodge_level(BgElement.term(1, 1, (0,), 2)) == 1
+    assert hodge_level(one_term(2, 1, (0, 0), 1)) == -1
+    assert hodge_level(one_term(1, 1, (0,), 2)) == 1
     for n in (1, 2, 3):
         for m in range(4):
-            u = BgElement.term(n, 1, (0,) * n, m)
+            u = one_term(n, 1, (0,) * n, m)
             assert hodge_level(u) == m - n
     with pytest.raises(InputError):
         hodge_level(BgElement(1))
@@ -113,7 +114,7 @@ def test_spanning_set_examples():
     s = spanning_set(-1, F(1, 2), (0,), Y2)
     assert s == [dy_delta(1)]
     s = spanning_set(-1, F(3, 4), (1,), Y2)
-    assert s == [BgElement.term(1, 1, (1,), 0)]
+    assert s == [one_term(1, 1, (1,), 0)]
     # g = y1 y2, p = 0, alpha = 1, d = (0,0): the span contains the
     # expansions of dy delta . theta and of dy delta . y1 d1
     s = spanning_set(0, F(1), (0, 0), Y11)
@@ -171,7 +172,7 @@ def test_v_order_examples():
     # cap inside a jump interval: the sup is the cap itself
     assert v_order(dy_delta(1), Y1, F(3, 4)) == F(3, 4)
     # an element that is not in any positive level
-    assert v_order(BgElement.term(1, 1, (0,), 1), Y2, F(1)) == 0
+    assert v_order(one_term(1, 1, (0,), 1), Y2, F(1)) == 0
     with pytest.raises(InputError):
         v_order(BgElement(1), Y2, F(1))
     with pytest.raises(InputError):
@@ -257,7 +258,7 @@ def test_exhaustion_fails_at_negative_degrees():
     full = sum(1 for m in range(0, p + 1 + 1) if -2 + 2 * m >= 0)
     assert full == 1
     assert dim_F_V(Level(model, small), p, d) == 0
-    assert not v_member(BgElement.term(1, 1, (0,), 1), small, model)
+    assert not v_member(one_term(1, 1, (0,), 1), small, model)
     # and one level up the defect persists: dim p+1 vs full p+2 - 1
     assert dim_F_V(Level(model, small), 1, d) == 1 < 2
 

@@ -22,7 +22,7 @@ from minexp_lab.weyl import (
     parse_element,
 )
 
-from oracles import dy_delta, op_dt, op_t
+from oracles import dy_delta, one_term, op_dt, op_t
 
 _Y_RE = re.compile(r"^y(\d+)(?:\^(\d+))?$")
 _D_RE = re.compile(r"^d(\d+)(?:\^(\d+))?$")
@@ -97,13 +97,13 @@ def test_act_right_examples():
     # model g = y^2: dy delta . d_y = 2 y dy dt delta
     m = MonomialModel(1, [2])
     u = dy_delta(1)
-    assert act_right(u, WeylOperator.dy(1, 0), m) == BgElement.term(1, 2, (1,), 1)
+    assert act_right(u, WeylOperator.dy(1, 0), m) == one_term(1, 2, (1,), 1)
     # identity operator
     assert act_right(u, WeylOperator.one(1), m) == u
     # model g = y1 y2: dy delta . d_{y1} = y2 dy dt delta
     m2 = MonomialModel(2, [1, 1])
     got = act_right(dy_delta(2), WeylOperator.dy(2, 0), m2)
-    assert got == BgElement.term(2, 1, (0, 1), 1)
+    assert got == one_term(2, 1, (0, 1), 1)
 
 
 def _rule_terms(model, v, m, gen, i):
@@ -256,7 +256,7 @@ def test_volume_form_identity_order_zero():
     # modulo the dt-order-1 term
     model = MonomialModel(1, [3])
     for k in range(0, 5):
-        u = BgElement.term(1, 1, (k,), 0)
+        u = one_term(1, 1, (k,), 0)
         got = act_right(u, WeylOperator.dy(1, 0), model)
         order0 = {key: c for key, c in got.terms.items() if key[1] == 0}
         want = {((k - 1,), 0): F(-k)} if k else {}
@@ -310,9 +310,9 @@ def test_theta_powers_independent():
 def test_multidegree_examples():
     m = MonomialModel(1, [2])
     assert set(multidegree(dy_delta(1), m)) == {(0,)}
-    assert set(multidegree(BgElement.term(1, 1, (1,), 1), m)) == {(-1,)}
+    assert set(multidegree(one_term(1, 1, (1,), 1), m)) == {(-1,)}
     m2 = MonomialModel(2, [1, 1])
-    assert set(multidegree(BgElement.term(2, 1, (0, 0), 1), m2)) == {(-1, -1)}
+    assert set(multidegree(one_term(2, 1, (0, 0), 1), m2)) == {(-1, -1)}
     mixed = BgElement(2, {((0, 0), 0): F(1), ((1, 0), 0): F(2)})
     parts = multidegree(mixed, m2)
     assert set(parts) == {(0, 0), (1, 0)} and all(len(p.terms) == 1 for p in parts.values())
@@ -329,7 +329,7 @@ def test_element_normal_form():
 
 def test_textual_roundtrips():
     e = parse_element("3/2 y^(1,0) dy dt^2 delta", 2)
-    assert e == BgElement.term(2, F(3, 2), (1, 0), 2)
+    assert e == one_term(2, F(3, 2), (1, 0), 2)
     assert parse_element(format_element(e), 2) == e
     e2 = parse_element("dy delta + -2 y^(0,1) dy dt delta", 2)
     assert parse_element(format_element(e2), 2) == e2
@@ -357,7 +357,7 @@ def test_compose_one_variable_commutation(b1, a2, e1, s2):
     P = WeylOperator(n, {((0,), 0, (b1,), e1): F(1)})
     Q = WeylOperator(n, {((a2,), s2, (0,), 0): F(1)})
     model = MonomialModel(1, [1])
-    u = BgElement.term(1, 1, (2,), 1)
+    u = one_term(1, 1, (2,), 1)
     assert act_right(u, compose(P, Q), model) == act_right(
         act_right(u, P, model), Q, model
     )
