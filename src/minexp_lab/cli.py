@@ -1,8 +1,10 @@
 """Command-line verification harness.
 
-Subcommands: lct, minexp, jumps, vfilt, psi-dims, verify-thm42,
-verify-cor23, verify-cor24, verify-cor51, verify-axioms, catalog, run.
-`run` takes a JSON config (path or literal) with the same keys as the flags.
+Commands: lct, minexp, jumps, vfilt, psi-dims, verify-thm42, verify-cor23,
+verify-cor24, verify-cor51, verify-axioms, catalog, run.  `run` takes a
+JSON config (path or literal) with the same keys as the flags.  Every
+command takes every flag, as text: a flag is the config key of its name,
+and a key the command does not read is ignored on both paths.
 
 Every config value is validated and coerced in one place, `_parse`; a
 malformed value is an input error.  A report's `params` lists exactly the
@@ -20,14 +22,15 @@ sweep whose radius leaves deep levels little room says so in a top-level
 
 Reports are deterministic byte-for-byte: checks are produced in sorted key
 order, JSON is dumped with sorted keys, and scheduling parameters (--jobs,
---out, --format) are not echoed.  Exit codes: 0 all PASS, 1 input error (an
-`input error:` line), 2 verification failure (a VerificationError is one
-FAIL check).  A config path that cannot be read or is not UTF-8, and an
---out path that cannot be written, are input errors too; --out is checked
-before any work.  --jobs, or MINEXP_LAB_JOBS when --jobs is not given, is
-accepted and validated (at least 1) for compatibility, and changes nothing:
-on 2 CPUs a sweep split over forked processes ran slower than in one
-process (README).
+--out, --format) are not echoed.  Exit codes: 0 all PASS, 1 input error (one
+`input error:` line on stderr and no report), 2 verification failure (a
+VerificationError is one FAIL check).  A malformed command line (an unknown
+flag, a flag without its value, --format other than json or csv, no
+command), a config path that cannot be read or is not UTF-8, and an --out
+path that cannot be written are input errors too; --out is checked before
+any work.  --jobs is accepted and validated (at least 1) only because the
+benchmark passes it, and changes nothing: on 2 CPUs a sweep split over
+forked processes ran slower than in one process (README).
 """
 
 from __future__ import annotations
@@ -429,7 +432,7 @@ def run(config, jobs=1):
     Returns (report, exit_code): 0 all PASS, 1 input error, 2 verification
     failure, a VerificationError included (reported as one FAIL check
     naming the invariant).  `jobs` is accepted for compatibility and does
-    not change the report.
+    not change the report; the benchmark's reference run passes it.
     """
     try:
         command = config.get("command")
@@ -477,62 +480,53 @@ def report_to_csv(report) -> str:
     return buf.getvalue()
 
 
+def _refuse(message):
+    """argparse's error hook: a malformed command line is an input error."""
+    raise InputError(message)
+
+
 def _build_parser():
+    """One flat parser: every flag is text, read by `_parse` as the config
+    key of its name, and a flag the command does not read is ignored."""
     parser = argparse.ArgumentParser(
         prog="minexp-lab",
-        description="Exact verification harness for V-filtrations of monomial divisors",
+        description="Exact verification harness for V-filtrations of monomial divisors. "
+        "A flag is the config key of its name, as text: --model, --pairs and --coeffs "
+        'take JSON (--model \'{"n":2,"exponents":[1,1]}\'), --alpha a rational or '
+        "all-jumps, --element an element like 'y^(1,0) dy dt delta'.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", help='model JSON, e.g. {"n":2,"exponents":[1,1]}')
-    common.add_argument("--alpha", help='rational like 1/2, or "all-jumps"')
-    common.add_argument("--pmax", type=int, help="Hodge sweep bound")
-    common.add_argument("--box", type=int, help="multidegree box radius")
-    common.add_argument("--p", type=int, help="single Hodge index")
-    common.add_argument("--out", help="write the report here instead of stdout")
-    common.add_argument("--jobs", type=int, help="accepted for compatibility, at least 1")
-    common.add_argument("--format", choices=["json", "csv"], default="json")
-    for name in COMMANDS:
-        p = sub.add_parser(name, parents=[common])
-        if name == "lct":
-            p.add_argument("--pairs", help="JSON [[a_i, k_i], ...]")
-        if name == "jumps":
-            p.add_argument("--coeffs", help="JSON [a_1, ...]")
-            p.add_argument("--lo")
-            p.add_argument("--hi")
-        if name == "vfilt":
-            p.add_argument("--element", help='e.g. "y^(1,0) dy dt delta"')
-            p.add_argument("--cap")
-        if name == "verify-thm42":
-            p.add_argument("--samples", type=int)
-    runp = sub.add_parser("run", parents=[common])
-    runp.add_argument("--config", required=True, help="JSON config path or literal")
+    parser.error = _refuse
+    parser.add_argument("command", help=f"one of {', '.join(COMMANDS)}, or run")
+    for key in _PARSERS:
+        parser.add_argument(f"--{key}")
+    parser.add_argument("--config", help="run: JSON config path or literal")
+    parser.add_argument("--out", help="write the report here instead of stdout")
+    parser.add_argument("--format", choices=["json", "csv"], default="json")
+    parser.add_argument("--jobs", default=1, help="accepted for compatibility, at least 1")
     return parser
 
 
 def _config_from_args(args):
-    if args.command == "run":
-        text = args.config
-        if not text.lstrip().startswith("{"):
-            try:
-                with open(text, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise InputError(f"cannot read config {text}: {exc.strerror or exc}") from exc
-            except UnicodeDecodeError as exc:
-                raise InputError(f"config {text} is not UTF-8: {exc.reason}") from exc
+    if args.command != "run":
+        flags = {k: v for k, v in vars(args).items() if k in _PARSERS and v is not None}
+        return {"command": args.command, **flags}
+    text = args.config
+    if text is None:
+        raise InputError("run requires --config")
+    if not text.lstrip().startswith("{"):
         try:
-            config = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad JSON config: {exc}") from exc
-        if not isinstance(config, dict):
-            raise InputError("config must be a JSON object")
-        return config
-    config = {"command": args.command}
-    for key in _PARSERS:
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
+            with open(text, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise InputError(f"cannot read config {text}: {exc.strerror or exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"config {text} is not UTF-8: {exc.reason}") from exc
+    try:
+        config = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"bad JSON config: {exc}") from exc
+    if not isinstance(config, dict):
+        raise InputError("config must be a JSON object")
     return config
 
 
@@ -547,18 +541,16 @@ def _check_out(path):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
+        if _int("--jobs", args.jobs, {}) < 1:
+            raise InputError(f"--jobs must be >= 1, got {args.jobs}")
         config = _config_from_args(args)
-        name, jobs = "--jobs", args.jobs
-        if jobs is None:
-            name = "MINEXP_LAB_JOBS"
-            jobs = _int(name, os.environ.get(name, 1), {})
-        if jobs < 1:
-            raise InputError(f"{name} must be >= 1, got {jobs}")
         if args.out:
             _check_out(args.out)
-        report, code = run(config, jobs=jobs)
+        report, code = run(config)
+        if code == 1:
+            raise InputError(report["error"])
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
@@ -573,8 +565,6 @@ def main(argv=None):
             return 1
     else:
         sys.stdout.write(text)
-    if code == 1 and "error" in report:
-        print(f"input error: {report['error']}", file=sys.stderr)
     return code
 
 

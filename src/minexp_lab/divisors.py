@@ -46,18 +46,6 @@ class SncDivisor(FrozenRecord):
     def __le__(self, other):
         return all(a <= b for a, b in zip(self.coeffs, other.coeffs))
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def to_json(self):
-        return {"coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json(cls, obj):
-        if not isinstance(obj, dict) or "coeffs" not in obj:
-            raise InputError("divisor JSON must be {\"coeffs\": [...]}")
-        return cls(obj["coeffs"])
-
 
 class ResolutionNumerics(FrozenRecord):
     """Pairs (a_i, k_i): multiplicity of E_i in the pulled-back divisor and

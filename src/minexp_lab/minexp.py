@@ -32,7 +32,6 @@ from .vfilt import (
     TruncationBox,
     _check,
     _component_member,
-    gr_dim,
     grF_grV_grid,
     member_key,
 )
@@ -48,9 +47,6 @@ class MinExpResult(Record):
 
     def __init__(self, value, witness):
         self.value, self.witness = value, witness
-
-    def to_json(self):
-        return {"minexp": format_rational(self.value), "witness": self.witness}
 
 
 def minexp_monomial(model: MonomialModel, p_max=4) -> MinExpResult:
@@ -104,8 +100,11 @@ def psi_hodge_dim(p_left, alpha, box: TruncationBox, model: MonomialModel) -> Gr
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
         raise InputError(f"alpha must be in (0,1], got {alpha}")
-    table = gr_dim(p_left - model.n - 1, alpha, box, model, mode="GrV")
-    table.p = p_left
+    lvl = Level(model, alpha)
+    table = GradedDimTable(p=p_left, alpha=lvl.alpha)
+    for d, c in zip(box, _psi_grid(lvl, p_left, box)):
+        if c:
+            table.dims[d] = c
     return table
 
 

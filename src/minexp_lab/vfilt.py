@@ -168,9 +168,6 @@ class GradedDimTable(Record):
     def get(self, key):
         return self.dims.get(key, 0)
 
-    def is_zero(self):
-        return not self.dims
-
     def total(self):
         return sum(self.dims.values())
 
@@ -574,20 +571,6 @@ def v_order(u: BgElement, model: MonomialModel, cap):
         if c < cap and v_member(u, c, model):
             return c
     return Fraction(0)
-
-
-def gr_dim(p, alpha, box: TruncationBox, model: MonomialModel, mode="V") -> GradedDimTable:
-    """Dimension table of Gr^F_p V_{-alpha} (mode "V") or
-    Gr^F_p Gr^V_{-alpha} (mode "GrV") per multidegree in the box."""
-    lvl = Level(model, alpha)
-    if mode not in ("V", "GrV"):
-        raise InputError(f"mode must be 'V' or 'GrV', got {mode!r}")
-    grid = grF_grV_grid if mode == "GrV" else gr_count_grid
-    table = GradedDimTable(p=p, alpha=lvl.alpha)
-    for d, c in zip(box, grid(lvl, p, box)):
-        if c:
-            table.dims[d] = c
-    return table
 
 
 # -- graded-piece representatives and coordinates ---------------------------

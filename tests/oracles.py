@@ -64,6 +64,11 @@ def round_gt(D: SncDivisor, alpha) -> SncDivisor:
 
 # -- V-filtration references -----------------------------------------------------
 
+def table_is_zero(table) -> bool:
+    """Whether a GradedDimTable stores no entry (zero entries never are)."""
+    return not table.dims
+
+
 def theta_label(lvl: Level, d):
     """The unique (v, w) admissible at multidegree d for the theta-graded
     description (v_i w_i = 0 for i <= r, w_i = 0 past r), or None; the

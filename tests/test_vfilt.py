@@ -22,7 +22,6 @@ from minexp_lab.vfilt import (
     count_grF_grV,
     gr_class_rep,
     gr_count_grid,
-    gr_dim,
     gr_label,
     gr_label_leads,
     grF_grV_grid,
@@ -194,18 +193,12 @@ def test_left_continuity():
             assert v_member(u, alpha, model) == v_member(u, c, model)
 
 
-def test_gr_dim_examples():
-    box1 = TruncationBox.radius(1, 4)
-    t = gr_dim(-1, F(1, 2), box1, Y2, "GrV")
-    assert t.dims == {(0,): 1}
-    t = gr_dim(-1, F(1, 4), box1, Y2, "GrV")
-    assert t.is_zero()
-    t = gr_dim(0, F(1), TruncationBox.radius(2, 3), Y11, "V")
-    assert t.get((0, 0)) == 1
+def test_gr_count_grid_examples():
+    # the Gr^F Gr^V examples are psi_hodge_dim's (test_minexp)
+    box = TruncationBox.radius(2, 3)
+    assert dict(zip(box, gr_count_grid(Level(Y11, F(1)), 0, box)))[0, 0] == 1
     with pytest.raises(InputError):
-        gr_dim(0, 0, box1, Y2)
-    with pytest.raises(InputError):
-        gr_dim(0, 1, box1, Y2, mode="X")
+        gr_count_grid(Level(Y2, 0), 0, TruncationBox.radius(1, 4))
 
 
 def test_theta_vs_top_count_consistency_sweep():
