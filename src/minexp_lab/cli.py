@@ -2,9 +2,11 @@
 
 Commands: lct, minexp, jumps, vfilt, psi-dims, verify-thm42, verify-cor23,
 verify-cor24, verify-cor51, verify-axioms, catalog, run.  `run` takes a
-JSON config (path or literal) with the same keys as the flags.  Every
-command takes every flag, as text: a flag is the config key of its name,
-and a key the command does not read is ignored on both paths.
+JSON config (path or literal) with the same keys as the flags, and
+refuses a config-key flag beside it, which it would otherwise drop.  Every
+other command takes every flag, as text: a flag is the config key of its
+name, and a key the command does not read is ignored on both paths.  An
+alpha list is JSON text as a flag (--alpha '["1/3","1/2"]').
 
 Every config value is validated and coerced in one place, `_parse`; a
 malformed value is an input error.  A report's `params` lists exactly the
@@ -112,9 +114,12 @@ def _rational(key, value, got):
 
 
 def _alphas(key, value, got):
-    """A rational or a nonempty list of them; None for "all-jumps"."""
+    """A rational or a nonempty list of them, the list also as JSON text
+    (as its flag gives it); None for "all-jumps"."""
     if value == "all-jumps":
         return None
+    if isinstance(value, str) and value.lstrip().startswith("["):
+        value = _json(value, key)
     values = value if isinstance(value, list) else [value]
     if not values:
         raise InputError("alpha list is empty")
@@ -492,8 +497,8 @@ def _build_parser():
         prog="minexp-lab",
         description="Exact verification harness for V-filtrations of monomial divisors. "
         "A flag is the config key of its name, as text: --model, --pairs and --coeffs "
-        'take JSON (--model \'{"n":2,"exponents":[1,1]}\'), --alpha a rational or '
-        "all-jumps, --element an element like 'y^(1,0) dy dt delta'.",
+        'take JSON (--model \'{"n":2,"exponents":[1,1]}\'), --alpha a rational, '
+        "a JSON list of them or all-jumps, --element an element like 'y^(1,0) dy dt delta'.",
     )
     parser.error = _refuse
     parser.add_argument("command", help=f"one of {', '.join(COMMANDS)}, or run")
@@ -507,9 +512,12 @@ def _build_parser():
 
 
 def _config_from_args(args):
+    flags = {k: v for k, v in vars(args).items() if k in _PARSERS and v is not None}
     if args.command != "run":
-        flags = {k: v for k, v in vars(args).items() if k in _PARSERS and v is not None}
         return {"command": args.command, **flags}
+    if flags:
+        named = ", ".join(f"--{k}" for k in flags)
+        raise InputError(f"run reads its keys from --config only, not from {named}")
     text = args.config
     if text is None:
         raise InputError("run requires --config")

@@ -10,6 +10,13 @@ round-ups that drive everything downstream are
 and the log canonical threshold from resolution numerics (a_i, k_i) is
 min_i (k_i + 1)/a_i.  The jumping values of alpha |-> D_alpha are the
 rationals j/a_i, which is also where the V-filtration can jump.
+
+The candidates are enumerated integer-exactly: the window ends are taken
+apart once into (numerator, denominator), the first j above a bound is one
+floor division (_above, shared by jump_candidates and next_candidate), and
+each j/a_i is the integer key j * (L // a_i) over the lcm L of the positive
+multiplicities, so deduplication and order are on ints and one Fraction is
+built per distinct output.
 """
 
 from __future__ import annotations
@@ -80,26 +87,43 @@ def lct_from_resolution(res) -> Fraction:
     return min(Fraction(k + 1, a) for a, k in res.pairs)
 
 
+def _ratio(x):
+    """(numerator, denominator > 0) of the rational x: an int, Fraction, float
+    or Decimal is taken apart in place, anything else through Fraction."""
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:
+        return Fraction(x).as_integer_ratio()
+
+
+def _over_lcm(D):
+    """(L, [(a, L // a)]) over the positive multiplicities a of D, with L
+    their lcm: the candidate j/a is the integer key j * (L // a) over L."""
+    pos = [a for a in D if a > 0]
+    L = math.lcm(*pos)
+    return L, [(a, L // a) for a in pos]
+
+
+def _above(num, den, a):
+    """The least j with j/a > num/den."""
+    return num * a // den + 1
+
+
 def jump_candidates(D: SncDivisor, lo, hi) -> list:
     """All values j/a_i in (lo, hi], deduplicated and ascending."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if not 0 <= lo < hi:
-        raise InputError(f"need 0 <= lo < hi, got ({lo}, {hi}]")
-    out = set()
-    for a in D:
-        if a <= 0:
-            continue
-        j = math.floor(lo * a) + 1
-        while Fraction(j, a) <= hi:
-            c = Fraction(j, a)
-            if c > lo:
-                out.add(c)
-            j += 1
-    return sorted(out)
+    (ln, ld), (hn, hd) = _ratio(lo), _ratio(hi)
+    if not 0 <= ln * hd < hn * ld:
+        raise InputError(f"need 0 <= lo < hi, got ({Fraction(ln, ld)}, {Fraction(hn, hd)}]")
+    L, steps = _over_lcm(D)
+    keys = set()
+    for a, s in steps:
+        keys.update(range(_above(ln, ld, a) * s, _above(hn, hd, a) * s, s))
+    return [Fraction(k, L) for k in sorted(keys)]
 
 
 @lru_cache(maxsize=256)
 def next_candidate(D: SncDivisor, alpha) -> Fraction:
     """Smallest jump candidate strictly above alpha."""
-    alpha = Fraction(alpha)
-    return min(Fraction(math.floor(alpha * a) + 1, a) for a in D if a > 0)
+    num, den = _ratio(alpha)
+    L, steps = _over_lcm(D)
+    return Fraction(min(_above(num, den, a) * s for a, s in steps), L)

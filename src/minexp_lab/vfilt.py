@@ -55,11 +55,12 @@ So a call memoises membership in _Members, one per level it reads: an answer
 per (member key, sorted orders), shared by the levels of the call, and a
 member key per multidegree, per level, off which the spanning orders are
 read; the theta + alpha powers and the t-images (with their rank, which
-decides t-injectivity) of the spanning orders are kept per key too.  A miss
-calls _component_member (or the kernel) through the module.  The memos live
-for one call; none sits at module level, so a fault planted between two runs
-of the same input is always reached.  Every locus is visited in box order,
-so a FAIL names the first failing locus.
+decides t-injectivity, and their count, which t-onto compares with the
+spanning family of the level above) of the spanning orders are kept per
+key too.  A miss calls _component_member (or the kernel) through the
+module.  The memos live for one call; none sits at module level, so a fault
+planted between two runs of the same input is always reached.  Every locus
+is visited in box order, so a FAIL names the first failing locus.
 
 Graded dimensions also come in a second closed form (the "theta-eliminated"
 one): Gr^F_p V_{-alpha} has a basis of classes of y^b dy delta . y^v dy^w
@@ -618,7 +619,7 @@ class _Members:
     orders and a None key are answered before it.  Each level keeps its own
     member key per multidegree.  The key also fixes the spanning orders
     (read off it), so their theta + alpha powers and t-images are kept per
-    key too; t-shift and t-injectivity read one t_images entry.  A miss
+    key too; t-shift, t-injectivity and t-onto read one t_images entry.  A miss
     calls _component_member, _orders_theta_plus, _orders_t and exact_rank
     through the module.  A call makes its Members and drops them."""
 
@@ -689,15 +690,18 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
     dt-shift (as V_{-alpha-1}.dt <= V_{-alpha}, which is the same axiom
     instance that stays inside the alpha > 0 range; the direct form
     V_{-alpha}.dt <= V_{-alpha+1} is additionally checked when alpha > 1),
-    nilpotency of theta + alpha on Gr^V_{-alpha} with index <= r, and
-    injectivity of t on the spanning set per multidegree.
+    nilpotency of theta + alpha on Gr^V_{-alpha} with index <= r,
+    injectivity of t on the spanning set per multidegree, and t onto
+    F_p V_{-alpha-1} at d + a (the injective t-images, which t-shift put in
+    the up level, are as many as its spanning family there).
 
     One pass in box order; at each d: per spanning element of V_{-alpha},
     stable-y and stable-dy per coordinate, t-shift, dt-shift-direct and
     nilpotency; then dt-shift per spanning element of V_{-alpha-1}; then
-    t-injectivity.  The first failing check ends the call as the report's
-    one record; a PASS records "v-axioms", then "t-shift".  Membership goes
-    through one _Members per level, sharing one memo.
+    t-injectivity and t-onto.  The first failing check ends the call as the
+    report's one record; a PASS records "v-axioms", then "t-shift", which
+    also stands for t-injectivity and t-onto.  Membership goes through one
+    _Members per level, sharing one memo.
     """
     lvl = Level(model, alpha)
     alpha = lvl.alpha
@@ -739,6 +743,8 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
                 return _check(report, "dt-shift", ok=False, degree=list(d))
         if not injective:
             return _check(report, "t-injectivity", ok=False, degree=list(d))
+        if len(images) != len(up.spanning(d_plus_a)):
+            return _check(report, "t-onto", ok=False, degree=list(d))
     report["nilpotency_index"] = worst_index
     _check(report, "v-axioms", alpha=format_rational(alpha), nilpotency_index=worst_index)
     return _check(report, "t-shift", alpha=format_rational(alpha))

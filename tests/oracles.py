@@ -62,6 +62,32 @@ def round_gt(D: SncDivisor, alpha) -> SncDivisor:
     return SncDivisor(math.floor(alpha * a) + 1 for a in D)
 
 
+def jump_candidates_loop(D: SncDivisor, lo, hi) -> list:
+    """All values j/a_i in (lo, hi], deduplicated and ascending, one Fraction
+    comparison per j: the reference for `divisors.jump_candidates`."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if not 0 <= lo < hi:
+        raise InputError(f"need 0 <= lo < hi, got ({lo}, {hi}]")
+    out = set()
+    for a in D:
+        if a <= 0:
+            continue
+        j = math.floor(lo * a) + 1
+        while Fraction(j, a) <= hi:
+            c = Fraction(j, a)
+            if c > lo:
+                out.add(c)
+            j += 1
+    return sorted(out)
+
+
+def next_candidate_min(D: SncDivisor, alpha) -> Fraction:
+    """Smallest j/a_i strictly above alpha, in Fractions: the reference for
+    `divisors.next_candidate`."""
+    alpha = Fraction(alpha)
+    return min(Fraction(math.floor(alpha * a) + 1, a) for a in D if a > 0)
+
+
 # -- V-filtration references -----------------------------------------------------
 
 def table_is_zero(table) -> bool:

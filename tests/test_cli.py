@@ -111,11 +111,11 @@ N2_MODEL = {"n": 2, "exponents": [1, 2]}
 
 def _flag_text(key, value):
     """The flag text that `_parse` reads as the config value, or None when a
-    flag, which is always text, cannot carry it (a float, a bool, a list of
-    alphas, an element that is not text)."""
+    flag, which is always text, cannot carry it (a float, a bool, an element
+    that is not text)."""
     if isinstance(value, str):
         return value
-    if key in ("model", "pairs", "coeffs"):
+    if key in ("model", "pairs", "coeffs") or key == "alpha" and isinstance(value, list):
         return json.dumps(value)
     if key in ("box", "pmax", "p", "samples") and type(value) is int:
         return str(value)
@@ -203,10 +203,12 @@ def test_malformed_values_exit_1(config, capsys):
         ["run"],
         [],
         ["nope"],
+        ["run", "--config", '{"command":"lct","pairs":[[1,0]]}', "--box", "9"],
     ],
     ids=[
         "box-abc", "jobs-x", "jobs-0", "unknown-flag", "format-xml",
         "flag-without-value", "run-without-config", "no-command", "unknown-command",
+        "run-with-config-key-flag",
     ],
 )
 def test_malformed_command_line_exits_1(argv, capsys):
@@ -216,6 +218,39 @@ def test_malformed_command_line_exits_1(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
+
+AXIOMS_CONFIG = {"command": "verify-axioms", "model": {"n": 1, "exponents": [2]}, "box": 1}
+
+
+def test_run_refuses_a_config_key_flag(capsys):
+    """`run` reads its keys from --config alone: a flag that names a config
+    key would be dropped without a word, so it is an input error naming
+    every such flag; --out, --format and --jobs are not config keys."""
+    argv = ["run", "--config", json.dumps(AXIOMS_CONFIG)]
+    assert main(argv + ["--box", "9", "--alpha", "1"]) == 1
+    assert capsys.readouterr() == (
+        "", "input error: run reads its keys from --config only, not from --alpha, --box\n"
+    )
+    assert main(argv + ["--format", "csv", "--jobs", "2"]) == 0
+    report, _ = run(AXIOMS_CONFIG)
+    assert capsys.readouterr().out == report_to_csv(report)
+
+
+def test_alpha_flag_takes_a_json_list(capsys):
+    """--alpha takes the JSON list a config's alpha takes, and runs the same
+    sweep byte for byte."""
+    config = {"command": "verify-axioms", "model": {"n": 2, "exponents": [2, 3]},
+              "alpha": ["1/3", "1/2"], "box": 3}
+    flags = ["--model", json.dumps(config["model"]), "--alpha", '["1/3","1/2"]', "--box", "3"]
+    assert main(["verify-axioms"] + flags) == 0
+    by_flags = capsys.readouterr().out
+    assert main(["run", "--config", json.dumps(config)]) == 0
+    assert capsys.readouterr().out == by_flags
+    assert json.loads(by_flags)["params"]["alpha"] == ["1/3", "1/2"]
+    assert main(["verify-axioms"] + flags[:3] + ['["1/3"']) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: bad alpha JSON: ")
 
 
 def test_help_exits_0(capsys):

@@ -15,7 +15,7 @@ from minexp_lab.divisors import (
 )
 from minexp_lab.rationals import INF, InputError, format_rational, parse_rational
 
-from oracles import _check_alpha, round_gt, round_up
+from oracles import _check_alpha, jump_candidates_loop, next_candidate_min, round_gt, round_up
 
 
 def multiplier_ideal_snc(D: SncDivisor, lam) -> SncDivisor:
@@ -86,6 +86,66 @@ def test_jump_candidates_examples():
         jump_candidates(D, 1, 1)
     with pytest.raises(InputError):
         jump_candidates(D, F(1, 2), F(1, 3))
+
+
+def _same_as_loop(D, lo, hi):
+    """jump_candidates(D, lo, hi) equals the Fraction loop in value, order
+    and type, and so does next_candidate at each window end."""
+    got = jump_candidates(D, lo, hi)
+    assert got == jump_candidates_loop(D, lo, hi)
+    assert all(type(c) is F for c in got)
+    for alpha in (lo, hi):
+        c = next_candidate(D, alpha)
+        assert type(c) is F and c == next_candidate_min(D, alpha)
+
+
+CATALOG_WINDOWS = [
+    (0, 1), (0, 3), (1, 2), (2, 5), (F(1, 3), F(5, 2)), (F(1, 2), 1), (0, F(1, 7)),
+    (F(3, 4), F(4, 5)), (F(5, 3), F(7, 2)), ("1/4", "9/4"), (0.5, 2.25),
+]
+
+
+def test_jump_candidates_match_the_loop_on_the_catalog():
+    # integer, Fraction, text and float ends, with lo = 0 and lo > 0
+    from minexp_lab.cli import catalog
+
+    for model in catalog():
+        for lo, hi in CATALOG_WINDOWS:
+            _same_as_loop(model.divisor(), lo, hi)
+
+
+@given(
+    st.lists(st.integers(min_value=-4, max_value=12), min_size=1, max_size=5),
+    st.fractions(min_value=0, max_value=5, max_denominator=30),
+    st.fractions(min_value=0, max_value=5, max_denominator=30),
+)
+def test_jump_candidates_match_the_loop_with_zero_and_negative_entries(coeffs, a, b):
+    D = SncDivisor(coeffs)
+    lo, hi = min(a, b), max(a, b)
+    if lo == hi:
+        return
+    if not any(c > 0 for c in coeffs):
+        # no positive multiplicity: no candidate, and no smallest one
+        assert jump_candidates(D, lo, hi) == jump_candidates_loop(D, lo, hi) == []
+        for smallest in (next_candidate, next_candidate_min):
+            with pytest.raises(ValueError):
+                smallest(D, lo)
+        return
+    _same_as_loop(D, lo, hi)
+    _same_as_loop(D, int(lo), int(lo) + 1)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(1, 1), (F(1, 2), F(1, 3)), (-1, 1), (F(-1, 2), 0), ("2/3", "2/3"), (3, 0), (0, 0)],
+)
+def test_jump_candidates_refuse_a_window_like_the_loop(lo, hi):
+    D = SncDivisor([2, 3])
+    with pytest.raises(InputError) as want:
+        jump_candidates_loop(D, lo, hi)
+    with pytest.raises(InputError) as got:
+        jump_candidates(D, lo, hi)
+    assert str(got.value) == str(want.value)
 
 
 def test_multiplier_ideal_examples():

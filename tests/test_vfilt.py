@@ -807,6 +807,27 @@ def test_planted_t_kernel_fails_t_injectivity(monkeypatch):
     assert rep["status"] == "FAIL" and rep["checks"] == [want]
 
 
+@pytest.mark.parametrize(
+    "alpha, degree",
+    [(F(1, 3), (-2, -2)), (F(1, 2), (-2, -1)), (F(1), (-2, 1)), (F(4, 3), (-1, 2))],
+)
+def test_planted_up_level_fails_t_onto(alpha, degree, monkeypatch):
+    # the level alpha + 1 built one Hodge step too high: its spanning family
+    # at d + a has elements that are no t-image, while membership (which
+    # reads no Hodge index) and the dt-shift of the extra elements still
+    # pass; only the count of t-onto sees it.  Without the t-onto check the
+    # call passes on every n <= 2 catalog level in (0, 2] at radius 2.
+    assert check_v_axioms(Y23, alpha, AXIOMS_BOX)["status"] == "PASS"
+    members = vfilt._Members
+
+    class Planted(members):
+        def __init__(self, lvl, p, answers):
+            super().__init__(lvl, p + (lvl.alpha == alpha + 1), answers)
+
+    monkeypatch.setattr(vfilt, "_Members", Planted)
+    assert _axioms_fails(alpha) == [{"name": "t-onto", "status": "FAIL", "degree": list(degree)}]
+
+
 def test_t_images_once_per_member_key(monkeypatch):
     # one check_v_axioms call applies _orders_t once to each spanning order
     # of each distinct member key of V_{-alpha} in the box, not once per
