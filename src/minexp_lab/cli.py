@@ -341,7 +341,7 @@ def _cmd_minexp(config):
     got = _parse(config, ("model", "pmax"), pmax=4)
     model, pmax = got["model"], got["pmax"]
     result = minexp.minexp_monomial(model, pmax)
-    consistency = minexp.lct_consistency(model, pmax)
+    consistency = minexp.lct_consistency(model, result.value)
     return {
         "minexp": format_rational(result.value),
         "witness": result.witness,
@@ -392,6 +392,8 @@ def _cmd_vfilt(config):
 
 
 def _cmd_psi_dims(config):
+    """One table {"p", "alpha", "dims"} per (alpha, p), dims keyed by the
+    text "(d_1,...,d_n)" with zeros left out; report_to_csv reads it."""
     got = _parse(config, ("model", "pmax", "box", "alpha", "p"))
     model, pmax, radius = got["model"], got["pmax"], got["box"]
     box = TruncationBox.radius(model.n, radius)
@@ -400,7 +402,9 @@ def _cmd_psi_dims(config):
     tables = []
     for alpha in alphas:
         for p in ps:
-            tables.append(minexp.psi_hodge_dim(p, alpha, box, model).to_json())
+            dims = minexp.psi_hodge_dim(p, alpha, box, model)
+            text = {"(" + ",".join(map(str, d)) + ")": dim for d, dim in dims.items()}
+            tables.append({"p": p, "alpha": format_rational(alpha), "dims": text})
     return {
         "tables": tables,
         "params": {
@@ -471,9 +475,8 @@ def report_to_csv(report) -> str:
         # psi-dims tables are not refined by a cohomological degree: q is empty
         writer.writerow(["degree", "p", "alpha", "q", "dim"])
         for table in report["tables"]:
-            p, alpha = table.get("p", ""), table.get("alpha", "")
             for deg, dim in sorted(table["dims"].items()):
-                writer.writerow([deg, p, alpha, "", dim])
+                writer.writerow([deg, table["p"], table["alpha"], "", dim])
     else:
         writer.writerow(["name", "status", "info"])
         # a note has no status: its row leaves that column empty

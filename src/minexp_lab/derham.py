@@ -27,14 +27,15 @@ coefficients; it is kept in integers, as the reduced pair (num, den) with
 den > 0, interned as a small id (0 is the zero coordinate), in a row per
 support point.
 
-Most complexes of one level repeat an earlier one.  So a table is built in
-two passes: each term (K, d) is scattered onto its locus D = d + deg K, and
-each locus gets a key, the bits of its terms and the coordinate id of every
-edge dy_K -> dy_{K+k} whose target term is present.  Equal ids are equal
-coordinates, so the key determines the bases and the matrices entry for
-entry (a sign follows from (K, k)); the cohomology is assembled by
-complex_at and ranked once per distinct key and read from a fourth memo
-after that.  Every locus still reads its own coordinates, each computed
+A table is a plain dict {(D, q): dim} of the nonzero cohomology
+dimensions.  Most complexes of one level repeat an earlier one.  So a table
+is built in two passes: each term (K, d) is scattered onto its locus
+D = d + deg K, and each locus gets a key, the bits of its terms and the
+coordinate id of every edge dy_K -> dy_{K+k} whose target term is present.
+Equal ids are equal coordinates, so the key determines the bases and the
+matrices entry for entry (a sign follows from (K, k)); the cohomology is
+assembled by complex_at and ranked once per distinct key and read from a
+fourth memo after that.  Every locus still reads its own coordinates, each computed
 once by _orders_dy, and a Fraction is built only when complex_at assembles
 a complex, on a key miss.
 
@@ -43,7 +44,8 @@ The comparison target: the multidegree-graded dimensions of
 counted monomially (the window c_alpha <= v, v not >= c_{>alpha} on the
 divisor coordinates, wedge symbols a_i dlog y_i of degree 0 and dy_j of
 degree e_j).  It is evaluated over a whole box at once, from per-coordinate
-byte rows (_quotient_count_grid).
+byte rows (_quotient_count_grid), and compared with the table spread over
+the box in box order (box_list), which minexp.cor24_check also reads.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from fractions import Fraction
 from .rationals import InputError, exact_rank, format_rational
 from .vfilt import (
     MAX_N,
-    GradedDimTable,
     Level,
     TruncationBox,
     _check,
@@ -271,14 +272,14 @@ class _LevelComplexes:
             keys[D] = tuple(key)
         return keys
 
-    def table(self, i) -> GradedDimTable:
-        """Cohomology dimensions of the level-(i-n+1) complexes at every
-        multidegree of the box where some term is nonzero.  Loci with equal
-        keys have equal complexes, so only the first locus of a key, over
-        every i of this memo, is assembled and ranked."""
+    def table(self, i) -> dict:
+        """{(D, q): dim}, the nonzero cohomology dimensions of the
+        level-(i-n+1) complexes at every multidegree D of the box where some
+        term is nonzero.  Loci with equal keys have equal complexes, so only
+        the first locus of a key, over every i of this memo, is assembled
+        and ranked."""
         n = self.lvl.model.n
-        table = GradedDimTable(alpha=self.lvl.alpha)
-        dims = table.dims
+        dims = {}
         for D, key in self.keys(i).items():
             cohom = self._cohom.get(key)
             if cohom is None:
@@ -289,7 +290,7 @@ class _LevelComplexes:
                 cohom = self._cohom[key] = [(q - n, dim) for q, dim in enumerate(h) if dim]
             for q, dim in cohom:
                 dims[(D, q)] = dim
-        return table
+        return dims
 
 
 def _psi_level(model: MonomialModel, alpha) -> Level:
@@ -303,11 +304,23 @@ def _psi_level(model: MonomialModel, alpha) -> Level:
     return Level(model, alpha)
 
 
-def gr_dr_psi(model: MonomialModel, alpha, i, box: TruncationBox) -> GradedDimTable:
+def gr_dr_psi(model: MonomialModel, alpha, i, box: TruncationBox) -> dict:
     """Cohomology dimensions, per multidegree in the box, of the graded de
-    Rham complex with terms Omega^q (x) Gr^F_{i-n+1+q} psi_{g,alpha}; keys
-    are (multidegree, cohomological degree in -n..0)."""
+    Rham complex with terms Omega^q (x) Gr^F_{i-n+1+q} psi_{g,alpha}, as
+    {(multidegree, cohomological degree in -n..0): dim}, zeros left out."""
     return _LevelComplexes(_psi_level(model, alpha), box).table(i)
+
+
+def box_list(dims: dict, box: TruncationBox) -> list:
+    """A table {(D, q): dim}, every D in the box, spread by the box's
+    strides into a list in box order, 0 where no entry is."""
+    sizes = [hi - lo + 1 for lo, hi in zip(box.lo, box.hi)]
+    strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
+    base = sum(map(operator.mul, box.lo, strides))
+    out = [0] * math.prod(sizes)
+    for (D, _), dim in dims.items():
+        out[sum(map(operator.mul, D, strides)) - base] = dim
+    return out
 
 
 def verify_cor51(model: MonomialModel, alpha, i_range, box: TruncationBox):
@@ -323,18 +336,18 @@ def verify_cor51(model: MonomialModel, alpha, i_range, box: TruncationBox):
     for i in i_range:
         t = complexes.table(i)
         wants = _quotient_count_grid(lvl, syms, n - 1 - i, box)
-        if not (all(q == -i for _, q in t.dims) and t.box_list(box) == wants):
+        if not (all(q == -i for _, q in t) and box_list(t, box) == wants):
             return _cor51_failure(report, i, t, box, wants)
-        _check(report, "cor51", i=i, alpha=format_rational(alpha), total_dim=t.total())
+        _check(report, "cor51", i=i, alpha=format_rational(alpha), total_dim=sum(t.values()))
     return report
 
 
-def _cor51_failure(report, i, t: GradedDimTable, box: TruncationBox, wants):
+def _cor51_failure(report, i, t: dict, box: TruncationBox, wants):
     """The first failure of one i, scanning locus by locus: the table in
     sorted order against the quotient counts, then every quotient-forms
     locus against the table."""
     at = dict(zip(box, wants))
-    for (Dd, q), dim in sorted(t.dims.items()):
+    for (Dd, q), dim in sorted(t.items()):
         if q != -i:
             return _check(
                 report, "cor51-concentration", ok=False, i=i, degree=list(Dd), cohdeg=q, dim=dim
@@ -347,9 +360,9 @@ def _cor51_failure(report, i, t: GradedDimTable, box: TruncationBox, wants):
     # the other containment: every quotient-forms locus shows up (a locus
     # where want is 0 holds no entry of t, by the loop above)
     for d, want in zip(box, wants):
-        if want and want != t.get((d, -i)):
+        if want and want != t.get((d, -i), 0):
             return _check(
-                report, "cor51-dims", ok=False, i=i, degree=list(d), deRham=t.get((d, -i)),
+                report, "cor51-dims", ok=False, i=i, degree=list(d), deRham=t.get((d, -i), 0),
                 quotient_forms=want,
             )
     raise AssertionError("the list compare failed where the scan finds no failure")

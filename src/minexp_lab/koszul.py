@@ -197,11 +197,13 @@ def N_operator(model: MonomialModel, alpha) -> WeylOperator:
     ).scale(Fraction(1, a1))
 
 
-def _random_yd_operator(rng, n, max_terms=2, max_exp=2):
+def _random_yd_operator(rng, n):
+    """One or two terms c y^a d_y^b with every exponent at most 2 and c a
+    nonzero integer in -4..4."""
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        ay = tuple(rng.randint(0, max_exp) for _ in range(n))
-        bdy = tuple(rng.randint(0, max_exp) for _ in range(n))
+    for _ in range(rng.randint(1, 2)):
+        ay = tuple(rng.randint(0, 2) for _ in range(n))
+        bdy = tuple(rng.randint(0, 2) for _ in range(n))
         c = Fraction(rng.randint(-4, 4))
         if c == 0:
             c = Fraction(1)
@@ -235,9 +237,9 @@ def verify_thm42_iii(model: MonomialModel, alpha, samples=20, seed=0):
     return _check(report, "monodromy-multiples", samples=samples)
 
 
-def augmentation_zero_check(model: MonomialModel, alpha, samples=10, seed=0):
+def augmentation_zero_check(model: MonomialModel, alpha):
     """The composite C-bar^{-1} -> C-bar^0 -> V_{-alpha} B^r vanishes, on all
-    basis cochains and on random operator cochains."""
+    basis cochains and on ten random operator cochains (seed 0)."""
     lvl = Level(model, alpha)
     n = model.n
     base = sigma_generator(model, lvl.alpha)
@@ -246,11 +248,11 @@ def augmentation_zero_check(model: MonomialModel, alpha, samples=10, seed=0):
     if n == 1:
         return _check(report, "augmentation-zero", vacuous=True)
     syms = fkc.symbols
-    rng = random.Random(seed)
+    rng = random.Random(0)
     inputs = []
     for S in itertools.combinations(syms, n - 2):
         inputs.append({S: WeylOperator.one(n)})
-    for _ in range(samples):
+    for _ in range(10):
         S = tuple(sorted(rng.sample(syms, n - 2)))
         inputs.append({S: _random_yd_operator(rng, n)})
     for x in inputs:

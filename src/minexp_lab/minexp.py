@@ -13,9 +13,10 @@ coordinate, so the check answers each distinct key once, in a dict that
 lives for that call, and compares box-order bytes with the Gr^F psi grid
 in one == (cor24_check its H^0 list); a mismatch scans the loci.
 
-Also here: the nearby-cycle Hodge dimension tables in the left-module
-convention (Gr^F_p psi sits at right-module index p - n - 1 of
-Gr^F Gr^V B^r), and the vanishing/structure checks around them.
+Also here: the nearby-cycle Hodge dimension tables, plain dicts {d: dim},
+in the left-module convention (Gr^F_p psi sits at right-module index
+p - n - 1 of Gr^F Gr^V B^r), and the vanishing/structure checks around
+them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from fractions import Fraction
 from .divisors import jump_candidates, lct_from_resolution
 from .rationals import INF, Infinity, InputError, Record, VerificationError, format_rational
 from .vfilt import (
-    GradedDimTable,
     Level,
     TruncationBox,
     _check,
@@ -81,10 +81,10 @@ def minexp_monomial(model: MonomialModel, p_max=4) -> MinExpResult:
     return MinExpResult(best, witness)
 
 
-def lct_consistency(model: MonomialModel, p_max=4):
+def lct_consistency(model: MonomialModel, value):
     """min(alpha-tilde, 1) must equal the lct of the model's own divisor
-    (resolution numerics a_i with k_i = 0)."""
-    value = minexp_monomial(model, p_max).value
+    (resolution numerics a_i with k_i = 0); `value` is the model's minimal
+    exponent, as minexp_monomial found it."""
     lct = lct_from_resolution([(a, 0) for a in model.a])
     capped = Fraction(1) if isinstance(value, Infinity) else min(value, Fraction(1))
     return _check(
@@ -94,18 +94,15 @@ def lct_consistency(model: MonomialModel, p_max=4):
     )
 
 
-def psi_hodge_dim(p_left, alpha, box: TruncationBox, model: MonomialModel) -> GradedDimTable:
-    """Dimensions of Gr^F_{p_left} psi_{g,alpha}(O) per multidegree: the
-    right-module table Gr^F_{p_left-n-1} Gr^V_{-alpha} relabelled."""
+def psi_hodge_dim(p_left, alpha, box: TruncationBox, model: MonomialModel) -> dict:
+    """Dimensions of Gr^F_{p_left} psi_{g,alpha}(O) per multidegree, as
+    {d: dim} in box order, zeros left out: the right-module table
+    Gr^F_{p_left-n-1} Gr^V_{-alpha} relabelled."""
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
         raise InputError(f"alpha must be in (0,1], got {alpha}")
-    lvl = Level(model, alpha)
-    table = GradedDimTable(p=p_left, alpha=lvl.alpha)
-    for d, c in zip(box, _psi_grid(lvl, p_left, box)):
-        if c:
-            table.dims[d] = c
-    return table
+    grid = _psi_grid(Level(model, alpha), p_left, box)
+    return {d: c for d, c in zip(box, grid) if c}
 
 
 def _psi_grid(lvl: Level, p_left, box: TruncationBox):
@@ -239,7 +236,7 @@ def cor24_check(model: MonomialModel, p, alpha, box: TruncationBox, value=None):
 
     # ii) concentration in degree 0 at level p+1
     tab = derham.gr_dr_psi(model, alpha, p, box)
-    off = {k: v for k, v in tab.dims.items() if k[1] != 0}
+    off = {k: v for k, v in tab.items() if k[1] != 0}
     _check(
         report, "gr-derham-concentration", not off, p=p, alpha=format_rational(alpha),
         offenders={str(k): v for k, v in sorted(off.items())} or None,
@@ -248,10 +245,10 @@ def cor24_check(model: MonomialModel, p, alpha, box: TruncationBox, value=None):
     # iii) H^0 == omega (x) Gr^F_{p+1} psi, i.e. the psi table shifted by 1s
     omega_box = TruncationBox(tuple(x - 1 for x in box.lo), tuple(x - 1 for x in box.hi))
     psi, locus = _psi_grid(lvl, p + 1, omega_box), None
-    if off or tab.box_list(box) != list(psi):
+    if off or derham.box_list(tab, box) != list(psi):
         for d, want in zip(box, psi):
-            if tab.get((d, 0)) != want:
-                locus = {"degree": list(d), "H0": tab.get((d, 0)), "omega_twist_psi": want}
+            if tab.get((d, 0), 0) != want:
+                locus = {"degree": list(d), "H0": tab.get((d, 0), 0), "omega_twist_psi": want}
                 break
     return _check(
         report, "gr-derham-H0", locus is None, p=p, alpha=format_rational(alpha), locus=locus

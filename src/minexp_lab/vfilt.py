@@ -56,11 +56,12 @@ per (member key, sorted orders), shared by the levels of the call, and a
 member key per multidegree, per level, off which the spanning orders are
 read; the theta + alpha powers and the t-images (with their rank, which
 decides t-injectivity, and their count, which t-onto compares with the
-spanning family of the level above) of the spanning orders are kept per
-key too.  A miss calls _component_member (or the kernel) through the
-module.  The memos live for one call; none sits at module level, so a fault
-planted between two runs of the same input is always reached.  Every locus
-is visited in box order, so a FAIL names the first failing locus.
+level above's spanning count, read off its member key without building
+the expansions) of the spanning orders are kept per key too.  A miss calls
+_component_member (or the kernel) through the module.  The memos live for
+one call; none sits at module level, so a fault planted between two runs
+of the same input is always reached.  Every locus is visited in box order,
+so a FAIL names the first failing locus.
 
 Graded dimensions also come in a second closed form (the "theta-eliminated"
 one): Gr^F_p V_{-alpha} has a basis of classes of y^b dy delta . y^v dy^w
@@ -89,7 +90,7 @@ from functools import cached_property, lru_cache
 
 from .divisors import jump_candidates, next_candidate
 from .rationals import (
-    FrozenRecord, InputError, Record, eliminate, exact_rank, format_rational, integer_row,
+    FrozenRecord, InputError, eliminate, exact_rank, format_rational, integer_row,
 )
 from .weyl import (
     BgElement,
@@ -115,14 +116,16 @@ from .weyl import (
 MAX_N = 5
 
 
-# -- boxes and dimension tables ---------------------------------------------
+# -- boxes -------------------------------------------------------------------
 
 class TruncationBox(FrozenRecord):
     """Componentwise multidegree window [lo, hi].
 
     All the graded objects here are multigraded with finite-dimensional
     pieces at fixed Hodge level, so box truncation is exact, never an
-    approximation.
+    approximation.  Dimension tables over a box are plain dicts, {D: dim}
+    (minexp.psi_hodge_dim) or {(D, q): dim} (derham, spread over the box
+    by derham.box_list), that never store a zero.
     """
 
     _fields = ("lo", "hi")
@@ -148,54 +151,6 @@ class TruncationBox(FrozenRecord):
         for l, h in zip(self.lo, self.hi):
             out *= h - l + 1
         return out
-
-
-def _fmt_deg(d):
-    return "(" + ",".join(str(x) for x in d) + ")"
-
-
-class GradedDimTable(Record):
-    """Nonnegative dimensions keyed by multidegree, optionally refined by a
-    cohomological degree (keys (D, q), read through box_list; to_json takes
-    multidegree keys only and refuses the others); zero entries are never
-    stored.  Two tables are equal when their dims are."""
-
-    _fields = ("p", "alpha", "dims")
-
-    def __init__(self, p=None, alpha=None, dims=None):
-        self.p, self.alpha = p, alpha
-        self.dims = {} if dims is None else dims
-
-    def get(self, key):
-        return self.dims.get(key, 0)
-
-    def total(self):
-        return sum(self.dims.values())
-
-    def __eq__(self, other):
-        return isinstance(other, GradedDimTable) and self.dims == other.dims
-
-    def box_list(self, box: TruncationBox) -> list:
-        """The dims {(D, q): dim}, every D in the box, spread by the box's
-        strides into a list in box order, 0 where no entry is."""
-        sizes = [hi - lo + 1 for lo, hi in zip(box.lo, box.hi)]
-        strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
-        base = sum(map(operator.mul, box.lo, strides))
-        out = [0] * math.prod(sizes)
-        for (D, _), dim in self.dims.items():
-            out[sum(map(operator.mul, D, strides)) - base] = dim
-        return out
-
-    def to_json(self):
-        if any(not isinstance(x, int) for d in self.dims for x in d):
-            raise InputError("to_json takes multidegree keys; read (D, q) keys through box_list")
-        obj = {}
-        if self.p is not None:
-            obj["p"] = self.p
-        if self.alpha is not None:
-            obj["alpha"] = format_rational(self.alpha)
-        obj["dims"] = {_fmt_deg(d): self.dims[d] for d in sorted(self.dims)}
-        return obj
 
 
 # -- filtration labels ------------------------------------------------------
@@ -619,8 +574,9 @@ class _Members:
     orders and a None key are answered before it.  Each level keeps its own
     member key per multidegree.  The key also fixes the spanning orders
     (read off it), so their theta + alpha powers and t-images are kept per
-    key too; t-shift, t-injectivity and t-onto read one t_images entry.  A miss
-    calls _component_member, _orders_theta_plus, _orders_t and exact_rank
+    key too; t-shift, t-injectivity and t-onto read one t_images entry, and
+    t-onto the up level's span_count, off its key alone.  A miss calls
+    _component_member, _orders_theta_plus, _orders_t and exact_rank
     through the module.  A call makes its Members and drops them."""
 
     def __init__(self, lvl: Level, p, answers: dict):
@@ -648,20 +604,22 @@ class _Members:
             got = self.answers[entry] = _component_member(self.lvl, d, orders)
         return got
 
+    def span_count(self, d) -> int:
+        """len(spanning(d)), read off the cached key: p + n - |w| + 1
+        expansions, none for a None key."""
+        key = self.key(d)
+        return 0 if key is None else max(self.p + self.lvl.model.n - sum(key[1]) + 1, 0)
+
     def spanning(self, d):
         """Order dicts of the spanning expansions of F_p V_{-alpha} at d,
         read off the cached key: y^{b+v} dy delta . dy^w theta^j for
-        j <= p + n - |w|, whose expansion reads u0 = b + v only where
+        j < span_count(d), whose expansion reads u0 = b + v only where
         w_i > 0, where the key keeps it."""
-        key = self.key(d)
-        if key is None:
+        count = self.span_count(d)
+        if not count:
             return []
-        u0, w = key
-        model = self.lvl.model
-        jmax = self.p + model.n - sum(w)
-        if jmax < 0:
-            return []
-        return _expansion_orders(model, u0, w, jmax)
+        u0, w = self.key(d)
+        return _expansion_orders(self.lvl.model, u0, w, count - 1)
 
     def power(self, d, j, k):
         """(theta + alpha)^k applied to spanning(d)[j], kept per (member
@@ -743,7 +701,7 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
                 return _check(report, "dt-shift", ok=False, degree=list(d))
         if not injective:
             return _check(report, "t-injectivity", ok=False, degree=list(d))
-        if len(images) != len(up.spanning(d_plus_a)):
+        if len(images) != up.span_count(d_plus_a):
             return _check(report, "t-onto", ok=False, degree=list(d))
     report["nilpotency_index"] = worst_index
     _check(report, "v-axioms", alpha=format_rational(alpha), nilpotency_index=worst_index)

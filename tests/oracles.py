@@ -91,8 +91,8 @@ def next_candidate_min(D: SncDivisor, alpha) -> Fraction:
 # -- V-filtration references -----------------------------------------------------
 
 def table_is_zero(table) -> bool:
-    """Whether a GradedDimTable stores no entry (zero entries never are)."""
-    return not table.dims
+    """Whether a dimension table stores no entry (zero entries never are)."""
+    return not table
 
 
 def theta_label(lvl: Level, d):

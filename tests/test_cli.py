@@ -424,6 +424,17 @@ def test_minexp_computed_once_per_item(monkeypatch):
     assert len(calls) == 1
 
 
+def test_minexp_command_computes_the_value_once(monkeypatch):
+    # the lct-consistency check reads the value the report shows
+    calls = []
+    inner = minexp.minexp_monomial
+    monkeypatch.setattr(minexp, "minexp_monomial", lambda *args: calls.append(args) or inner(*args))
+    report, code = run({"command": "minexp", "model": {"n": 2, "exponents": [2, 3]}})
+    assert code == 0 and report["minexp"] == "1/3"
+    assert [c["name"] for c in report["checks"]] == ["lct-consistency"]
+    assert len(calls) == 1
+
+
 def test_verification_error_is_a_fail(monkeypatch):
     """A VerificationError raised inside a command is a FAIL check naming
     the invariant, with exit code 2, not a traceback."""

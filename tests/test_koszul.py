@@ -27,7 +27,6 @@ from minexp_lab.koszul import (
 )
 from minexp_lab.rationals import InputError, exact_rank, format_rational
 from minexp_lab.vfilt import (
-    GradedDimTable,
     Level,
     TruncationBox,
     _check,
@@ -77,14 +76,14 @@ def cohomology_grid(gc: GradedCbar, p, box: TruncationBox) -> list:
 
 
 def graded_cohomology(model: MonomialModel, G, p, box: TruncationBox,
-                      G_deeper=None) -> GradedDimTable:
+                      G_deeper=None) -> dict:
     """All cohomology dimensions of the graded Koszul complex per multidegree
     in the box, keyed by (multidegree, cohomological degree)."""
     gc = GradedCbar(model, G, G_deeper)
-    table = GradedDimTable(p=p)
+    table = {}
     for d, h in zip(box, cohomology_grid(gc, p, box)):
         for q, dim in h.items():
-            table.dims[(d, q)] = dim
+            table[(d, q)] = dim
     return table
 
 
@@ -207,15 +206,15 @@ def test_thm42_iii_reports():
 def test_graded_cohomology_examples():
     # g = y1 y2, G = (1,1), p = 0: H^{-1} = 0 everywhere, H^0 at (0,0) is 1
     t = graded_cohomology(Y11, [1, 1], 0, TruncationBox.radius(2, 4))
-    assert all(q == 0 for (_, q) in t.dims)
-    assert t.get(((0, 0), 0)) == 1
+    assert all(q == 0 for (_, q) in t)
+    assert t.get(((0, 0), 0), 0) == 1
     # g = y^2: single-term complex, H^0 = the term, any p
     for p in (-1, 0, 2):
         t = graded_cohomology(Y2, [1], p, TruncationBox.radius(1, 4))
-        assert all(q == 0 for (_, q) in t.dims)
+        assert all(q == 0 for (_, q) in t)
     # n = r = 3 reduced: Koszul acyclicity in negative degrees
     t = graded_cohomology(Y111, [1, 1, 1], 0, TruncationBox.radius(3, 2))
-    assert all(q == 0 for (_, q) in t.dims)
+    assert all(q == 0 for (_, q) in t)
 
 
 def _naive_graded_cohomology(model: MonomialModel, G, p, d, G_deeper=None):
@@ -1293,7 +1292,7 @@ def test_regular_sequence_certificate():
             G = round_up(model.divisor(), alpha)
             for p in range(1 - model.n, 3):
                 t = graded_cohomology(model, G, p, box)
-                assert all(q == 0 for (_, q) in t.dims)
+                assert all(q == 0 for (_, q) in t)
 
 
 def filtration_shift(cohdeg):

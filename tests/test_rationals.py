@@ -10,7 +10,7 @@ from minexp_lab.divisors import ResolutionNumerics, SncDivisor
 from minexp_lab.koszul import build_cbar
 from minexp_lab.minexp import MinExpResult
 from minexp_lab.rationals import INF, exact_rank
-from minexp_lab.vfilt import GradedDimTable, Level, TruncationBox, b_vector
+from minexp_lab.vfilt import Level, TruncationBox, b_vector
 from minexp_lab.weyl import MonomialModel
 
 
@@ -84,11 +84,8 @@ def test_records_compare_hash_and_repr_by_field():
     lvl, other = Level(m, F(1, 2)), Level(MonomialModel(2, (1, 2)), "1/2")
     object.__setattr__(other, "b", (9, 9))
     assert lvl == other and hash(lvl) == hash(other) and lvl != Level(m, 1)
-    # GradedDimTable compares its dims only
-    assert GradedDimTable(p=1, dims={(0,): 1}) == GradedDimTable(p=2, dims={(0,): 1})
-    assert GradedDimTable() != GradedDimTable(dims={(0,): 1})
     assert MinExpResult(INF, []) == MinExpResult(INF, []) != MinExpResult(F(1, 2), [])
-    for unhashable in (GradedDimTable(), MinExpResult(INF, []), build_cbar(m, (1, 1))):
+    for unhashable in (MinExpResult(INF, []), build_cbar(m, (1, 1))):
         with pytest.raises(TypeError):
             hash(unhashable)
     assert [repr(x) for x in (
@@ -97,7 +94,6 @@ def test_records_compare_hash_and_repr_by_field():
         ResolutionNumerics([[1, 0]]),
         TruncationBox.radius(2, 1),
         lvl,
-        GradedDimTable(p=1, alpha=F(1, 2), dims={(0, 0): 1}),
         MinExpResult(INF, [{"p": 0}]),
     )] == [
         "MonomialModel(n=2, a=(1, 2))",
@@ -105,7 +101,6 @@ def test_records_compare_hash_and_repr_by_field():
         "ResolutionNumerics(pairs=((1, 0),))",
         "TruncationBox(lo=(-1, -1), hi=(1, 1))",
         "Level(model=MonomialModel(n=2, a=(1, 2)), alpha=Fraction(1, 2))",
-        "GradedDimTable(p=1, alpha=Fraction(1, 2), dims={(0, 0): 1})",
         "MinExpResult(value=INF, witness=[{'p': 0}])",
     ]
     assert repr(build_cbar(m, (1, 1))).startswith(

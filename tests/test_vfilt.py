@@ -7,12 +7,12 @@ from fractions import Fraction as F
 import pytest
 
 from minexp_lab import vfilt
-from minexp_lab.cli import catalog
+from minexp_lab.cli import catalog, run
+from minexp_lab.derham import box_list
 from minexp_lab.divisors import jump_candidates, next_candidate
 from minexp_lab.koszul import verify_thm42_i
 from minexp_lab.rationals import InputError, exact_rank, format_rational
 from minexp_lab.vfilt import (
-    GradedDimTable,
     Level,
     TruncationBox,
     _expansion_orders,
@@ -661,6 +661,7 @@ def test_memo_spanning_orders_match_theta_label():
             members = vfilt._Members(lvl, p, {})
             for d in TruncationBox.radius(model.n, 2):
                 assert members.spanning(d) == spanning_orders(lvl, p, d), (lvl, p, d)
+                assert members.span_count(d) == len(members.spanning(d)), (lvl, p, d)
 
 
 class _Conflict(Exception):
@@ -828,6 +829,20 @@ def test_planted_up_level_fails_t_onto(alpha, degree, monkeypatch):
     assert _axioms_fails(alpha) == [{"name": "t-onto", "status": "FAIL", "degree": list(degree)}]
 
 
+def test_t_onto_builds_no_up_level_expansion(monkeypatch):
+    # t-onto reads the up level's spanning count off its member key: over
+    # the 172 catalog levels in (0, 1] at radius 1, from an empty expansion
+    # cache, the calls ask _expansion_orders 36,565 times (a t-onto that
+    # builds the up level's expansion list at d + a to count it asks 39,092)
+    calls = []
+    inner = vfilt._expansion_orders
+    monkeypatch.setattr(vfilt, "_EXP_CACHE", {})
+    monkeypatch.setattr(vfilt, "_expansion_orders", lambda *args: calls.append(1) or inner(*args))
+    for model, alpha in _memo_levels():
+        assert check_v_axioms(model, alpha, TruncationBox.radius(model.n, 1))["status"] == "PASS"
+    assert len(calls) == 36565
+
+
 def test_t_images_once_per_member_key(monkeypatch):
     # one check_v_axioms call applies _orders_t once to each spanning order
     # of each distinct member key of V_{-alpha} in the box, not once per
@@ -872,14 +887,14 @@ def test_nilpotency_sign_resolution():
     assert not v_member(minus, deeper, model)
 
 
-def shifted(table: GradedDimTable, offset) -> GradedDimTable:
+def shifted(table: dict, offset) -> dict:
     """Translate every multidegree key of the table by the given vector."""
-    out = GradedDimTable(table.p, table.alpha)
-    for k, dim in table.dims.items():
+    out = {}
+    for k, dim in table.items():
         if isinstance(k[0], tuple):
-            out.dims[(tuple(a + b for a, b in zip(k[0], offset)), k[1])] = dim
+            out[(tuple(a + b for a, b in zip(k[0], offset)), k[1])] = dim
         else:
-            out.dims[tuple(a + b for a, b in zip(k, offset))] = dim
+            out[tuple(a + b for a, b in zip(k, offset))] = dim
     return out
 
 
@@ -888,9 +903,14 @@ def test_box_and_table_plumbing():
     assert box.volume() == 9 and (0, 0) in box and (2, 0) not in box
     with pytest.raises(InputError):
         TruncationBox((0, 0), (-1, 0))
-    t = GradedDimTable(p=-1, alpha=F(1, 2), dims={(0,): 1})
-    assert t.to_json() == {"p": -1, "alpha": "1/2", "dims": {"(0)": 1}}
-    t2 = GradedDimTable(dims={((0, 1), -1): 2})
-    assert t2.box_list(TruncationBox((0, 0), (0, 1))) == [0, 2]
-    assert shifted(t, (2,)).dims == {(2,): 1}
-    assert shifted(t2, (1, -1)).dims == {((1, 0), -1): 2}
+    # the psi-dims report keys a table {(0,): 1} by the text "(0)"
+    config = {"command": "psi-dims", "model": {"n": 1, "exponents": [2]}, "alpha": "1/2",
+              "p": -1, "box": 1}
+    report, code = run(config)
+    assert code == 0 and report["tables"] == [{"p": -1, "alpha": "1/2", "dims": {}}]
+    report, code = run(dict(config, p=1))
+    assert code == 0 and report["tables"] == [{"p": 1, "alpha": "1/2", "dims": {"(0)": 1}}]
+    t, t2 = {(0,): 1}, {((0, 1), -1): 2}
+    assert box_list(t2, TruncationBox((0, 0), (0, 1))) == [0, 2]
+    assert shifted(t, (2,)) == {(2,): 1}
+    assert shifted(t2, (1, -1)) == {((1, 0), -1): 2}
