@@ -472,11 +472,10 @@ def report_to_csv(report) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     if "tables" in report:
-        # psi-dims tables are not refined by a cohomological degree: q is empty
-        writer.writerow(["degree", "p", "alpha", "q", "dim"])
+        writer.writerow(["degree", "p", "alpha", "dim"])
         for table in report["tables"]:
             for deg, dim in sorted(table["dims"].items()):
-                writer.writerow([deg, table["p"], table["alpha"], "", dim])
+                writer.writerow([deg, table["p"], table["alpha"], dim])
     else:
         writer.writerow(["name", "status", "info"])
         # a note has no status: its row leaves that column empty

@@ -26,25 +26,27 @@ D_{>alpha} = floor(alpha D) + E, which is D at the next candidate, so it is
 the deeper Level's b + 1.  The per-multidegree functions (labels, counts,
 membership, class representatives) take the Level, never (model, alpha), so
 no rounding or Fraction hashing happens per multidegree.  A sweep over a
-whole TruncationBox uses the box kernels gr_count_grid and grF_grV_grid:
-the same closed forms, tabulated per coordinate (one itertools.product pass
-over the coordinates past the first) and joined, one 0/1 byte row per
-distinct limit of d_0, into bytes in box order; each row is one
+whole TruncationBox uses the box kernels, which all read one weight table,
+_rest: gr_label's dy-weights w_i = max(b_i - d_i, 0) past the first
+coordinate (an itertools.product of per-coordinate tables; a negative free
+coordinate weighs more than any limit) and, per d_0, the limit
+p + n + min(d_0 - b_0, 0) on their sum.  gr_count_grid joins one 0/1 byte
+row per distinct limit into bytes in box order; each row is one
 bytes.translate of the weights' rank bytes (a comparison per weight past
 256 distinct weights).  Count grids are cached per (level, p, box), so a
 sweep over the alphas of one model builds each grid once: grF_grV_grid is
 the bytewise h & ~g of its own level's grid and the deeper level's, which
 is the next alpha's.  Each call returns a fresh bytearray.
-gr_label_leads reads gr_label's rule over a whole box without visiting the
-loci: the points past the first coordinate group by their w, and sorted by
-weight, the groups with a class at one d_0 are a prefix, so it returns the
-class bytes in box order and the first (u0, w) of each distinct lead_key at
-about one step per key.  The tests hold it, and gr_label (from which
-gr_class_rep, the one-point entry, builds the same u0 = b + v), equal at
-every locus of every catalog level to a locus-by-locus reference listing
-in tests/oracles.py.
-grF_grV_support lists the points of the box where Gr^F_p Gr^V_{-alpha} is
-nonzero (and their gr_label w), from one table of both levels' weights.
+gr_label_leads groups the points past the first coordinate by w; sorted
+by weight, the groups with a class at one d_0 are a prefix, so without
+visiting the loci it returns the class bytes in box order and, per
+distinct lead_key, a (u0, w) with u0 = b past the first coordinate, whose
+expansion is that of the key's first locus.  The tests hold it, and
+gr_label (from which gr_class_rep, the one-point entry, builds
+u0 = b + v), equal at every locus of every catalog level to a
+locus-by-locus reference listing in tests/oracles.py.  grF_grV_support
+lists the points of the box where Gr^F_p Gr^V_{-alpha} is nonzero (and
+their gr_label w), from both levels' tables.
 The expansion and grid caches hold one model at a time.
 
 The axiom check (check_v_axioms, one pass over the box) asks millions of
@@ -90,7 +92,8 @@ from functools import cached_property, lru_cache
 
 from .divisors import jump_candidates, next_candidate
 from .rationals import (
-    FrozenRecord, InputError, eliminate, exact_rank, format_rational, integer_row,
+    FrozenRecord, InputError, eliminate, exact_rank, format_rational, int_tuple,
+    integer_row,
 )
 from .weyl import (
     BgElement,
@@ -131,6 +134,7 @@ class TruncationBox(FrozenRecord):
     _fields = ("lo", "hi")
 
     def __init__(self, lo, hi):
+        lo, hi = int_tuple(lo, "box lo"), int_tuple(hi, "box hi")
         if len(lo) != len(hi) or any(l > h for l, h in zip(lo, hi)):
             raise InputError(f"bad box: lo={lo}, hi={hi}")
         object.__setattr__(self, "lo", lo)
@@ -138,7 +142,7 @@ class TruncationBox(FrozenRecord):
 
     @classmethod
     def radius(cls, n, radius):
-        radius = int(radius)
+        (radius,) = int_tuple((radius,), "box radius")
         if radius < 0:
             raise InputError("box radius must be >= 0")
         return cls((-radius,) * n, (radius,) * n)
@@ -283,72 +287,58 @@ def _rows_by_limit(weights, limits) -> bytes:
     return b"".join(map(rows.__getitem__, limits))
 
 
-def _count_grid(lvl: Level, p, box: TruncationBox) -> bytes:
-    """gr_count_grid, uncached, from per-coordinate tables.
-
-    gr_label exists iff every free coordinate is >= 0 and the dy-weight
-    s = sum of max(b_i - d_i, 0) over 1 <= i < r satisfies
-    s <= p + n + min(d_0 - b_0, 0); s is tabulated once over the
-    coordinates past the first, then compared once per distinct limit.
-    """
+def _rest(lvl: Level, p, box: TruncationBox):
+    """(ws, limits): an iterator of gr_label's w past the first coordinate
+    at every point of the other coordinates, in box order, and for each x
+    of the first coordinate the limit p + n + min(x - b_0, 0); gr_label
+    exists at (x, rest) iff sum(w) <= limit.  ws is the product of one
+    table per coordinate: max(b_i - x, 0) on a divisor coordinate, and on
+    a free one 0 where x >= 0 and, elsewhere, more than any limit."""
     b, n, r = lvl.b, lvl.model.n, lvl.model.r
     axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
-    # any weight above p + n fails, so a negative free coordinate weighs that
     fail = max(p + n, 0) + 1
     tables = [[max(b[i] - x, 0) for x in axes[i]] for i in range(1, r)]
     tables += [[0 if x >= 0 else fail for x in axes[j]] for j in range(r, n)]
-    weights = [sum(c) for c in itertools.product(*tables)]
-    return _rows_by_limit(weights, [p + n + min(x - b[0], 0) for x in axes[0]])
+    return itertools.product(*tables), [p + n + min(x - b[0], 0) for x in axes[0]]
+
+
+def _count_grid(lvl: Level, p, box: TruncationBox) -> bytes:
+    """gr_count_grid, uncached: _rest's weight sums, one row per limit."""
+    ws, limits = _rest(lvl, p, box)
+    return _rows_by_limit(list(map(sum, ws)), limits)
 
 
 def gr_label_leads(lvl: Level, p, box: TruncationBox):
     """(classes, leads) for the loci where gr_label(lvl, p, d) exists,
     without visiting them: classes is the box-order bytes with 1 there, and
-    leads maps each distinct lead_key to the (u0, w) of its first locus in
-    box order.
+    leads maps each distinct lead_key to a (u0, w) whose expansion is that
+    of its first locus in box order.
 
-    The points of the rest coordinates (all but the first) fall into groups
-    of equal w, one per combination of the distinct w_i of each coordinate;
-    the first x of each w_i fixes the group's first point and its u0 there.
-    A negative free coordinate weighs more than p + n, so its groups never
-    pass.  A group of weight s passes at d_0 = x iff
-    s <= p + n + min(x - b_0, 0); sorted by weight, the groups that pass at
-    one x are a prefix, each giving one key, so the keys cost a step per
-    (x, group), not one per locus.  classes marks the points whose group
-    passes, with one byte row per distinct limit.
+    The points past the first coordinate group by their w (_rest), in
+    order of first occurrence.  A group of weight s passes at d_0 = x iff
+    s <= its limit; stable-sorted by weight, the groups that pass at one x
+    are a prefix, each giving one key: a step per (x, group), not per
+    locus.  u0 = b past the first coordinate: gr_label has v_i w_i = 0, so
+    u0_i = b_i wherever w_i > 0, and expansion_key reads u0_i nowhere else.
     """
-    b, n, r = lvl.b, lvl.model.n, lvl.model.r
-    axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
-    top = p + n
-    fail = max(top, 0) + 1
-    cols, flat = [], [0]  # flat: the group of each rest point, in box order
-    for i in range(1, n):
-        ws = [max(b[i] - x, 0) if i < r else 0 if x >= 0 else fail for x in axes[i]]
-        first = {}  # w_i -> u0_i = max(x, b_i) at the first x with that w_i
-        for w, x in zip(ws, axes[i]):
-            first.setdefault(w, max(x, b[i]))
-        index = {w: k for k, w in enumerate(first)}
-        ks, m = [index[w] for w in ws], len(index)
-        flat = [f * m + k for f in flat for k in ks]
-        cols.append(first.items())
-    groups = []  # (weight, w, u0 past the first coordinate), in product order
-    for combo in itertools.product(*cols):
-        w, u = zip(*combo) if combo else ((), ())
-        s = sum(w)
-        groups.append((s, (top - s,) + w, u))
-    weights = [groups[f][0] for f in flat]
-    groups.sort(key=operator.itemgetter(0))
-    limits = [top + min(x - b[0], 0) for x in axes[0]]
+    ws, limits = _rest(lvl, p, box)
+    ws = list(ws)
+    sums = list(map(sum, ws))
+    top, u = p + lvl.model.n, lvl.b[1:]
+    groups = sorted(
+        ((s, (top - s,) + w) for w, s in dict(zip(ws, sums)).items()),
+        key=operator.itemgetter(0),
+    )
     leads = {}
-    for x, limit in zip(axes[0], limits):
-        for s, w, u in groups:
+    for x, limit in zip(range(box.lo[0], box.hi[0] + 1), limits):
+        for s, w in groups:
             if s > limit:
                 break
             u0 = (x + w[0],) + u
             key = lead_key(u0, w)
             if key not in leads:
                 leads[key] = u0, w
-    return _rows_by_limit(weights, limits), leads
+    return _rows_by_limit(sums, limits), leads
 
 
 def grF_grV_grid(lvl: Level, p, box: TruncationBox) -> bytearray:
@@ -363,31 +353,23 @@ def grF_grV_support(lvl: Level, p, box: TruncationBox):
     """(points, ws): the d of the box, in box order, where
     count_grF_grV(lvl, p, d) == 1 (gr_count_grid's rule holds for lvl and
     fails for lvl.deeper), and at each gr_label's w past d_0 (w_0 = p + n -
-    their sum).  One table over the coordinates past the first holds w and
-    both levels' weights; the points it keeps depend on d_0 only through the
-    two limits.  For p + n < 0 no weight passes, so the support is empty."""
-    b, c, n, r = lvl.b, lvl.deeper.b, lvl.model.n, lvl.model.r
-    if p + n < 0:
+    their sum).  Both levels' weights come from _rest; the points it keeps
+    depend on d_0 only through the two limits.  For p + n < 0 no weight
+    passes, so the support is empty."""
+    if p + lvl.model.n < 0:
         return [], []
+    ws, limits = _rest(lvl, p, box)
+    ws = list(ws)
+    deeper, deep_limits = _rest(lvl.deeper, p, box)
     axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
-    fail = max(p + n, 0) + 1
-    free = [[0 if x >= 0 else fail for x in axes[j]] for j in range(r, n)]
-
-    def tables(e):
-        return [[max(e[i] - x, 0) for x in axes[i]] for i in range(1, r)] + free
-
-    ws = list(itertools.product(*tables(b)))
-    deeper = map(sum, itertools.product(*tables(c)))
-    rest = list(zip(map(sum, ws), deeper, zip(itertools.product(*axes[1:]), ws)))
-    top = p + n
+    rest = list(zip(map(sum, ws), map(sum, deeper), zip(itertools.product(*axes[1:]), ws)))
     kept, points, out = {}, [], []
-    for x in axes[0]:
-        limits = (top + min(x - b[0], 0), top + min(x - c[0], 0))
-        got = kept.get(limits)
+    for x, pair in zip(axes[0], zip(limits, deep_limits)):
+        got = kept.get(pair)
         if got is None:
-            here, deep = limits
+            here, deep = pair
             got = [dw for s, t, dw in rest if s <= here and t > deep]
-            got = kept[limits] = tuple(zip(*got)) or ((), ())
+            got = kept[pair] = tuple(zip(*got)) or ((), ())
         points += [(x,) + d for d in got[0]]
         out += got[1]
     return points, out

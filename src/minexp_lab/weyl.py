@@ -164,10 +164,10 @@ class BgElement(_Combination):
 
     def _key(self, key):
         v, m = key
-        v = tuple(int(x) for x in v)
+        v, (m,) = int_tuple(v, "element exponents"), int_tuple((m,), "element dt order")
         if len(v) != self.n or any(x < 0 for x in v) or m < 0:
             raise InputError(f"malformed term (v={v}, m={m})")
-        return v, int(m)
+        return v, m
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
@@ -269,12 +269,13 @@ class WeylOperator(_Combination):
 
     def _key(self, key):
         ay, st, bdy, et = key
-        key = (tuple(ay), int(st), tuple(bdy), int(et))
-        if len(key[0]) != self.n or len(key[2]) != self.n:
+        st, et = int_tuple((st, et), "operator t and dt exponents")
+        ay, bdy = int_tuple(ay, "operator y exponents"), int_tuple(bdy, "operator dy exponents")
+        if len(ay) != self.n or len(bdy) != self.n:
             raise InputError("operator term with wrong arity")
-        if any(x < 0 for x in key[0] + key[2]) or key[1] < 0 or key[3] < 0:
+        if any(x < 0 for x in ay + bdy) or st < 0 or et < 0:
             raise InputError("operator exponents must be >= 0")
-        return key
+        return ay, st, bdy, et
 
     # -- constructors --
 
@@ -402,7 +403,10 @@ def parse_element(text, n) -> BgElement:
                 seen_delta = True
             elif (mt := _VEC_RE.match(tok)) is not None:
                 entries = [s for s in mt.group(1).split(",") if s.strip()]
-                v = tuple(int(s) for s in entries)
+                try:
+                    v = tuple(int(s) for s in entries)
+                except ValueError as exc:  # e.g. a sign with no digits
+                    raise InputError(f"cannot parse element token {tok!r}") from exc
                 if len(v) != n:
                     raise InputError(f"exponent vector {tok} has length {len(v)}, expected {n}")
             elif (mt := _DT_RE.match(tok)) is not None:
@@ -410,7 +414,7 @@ def parse_element(text, n) -> BgElement:
             else:
                 try:
                     coeff = Fraction(tok)
-                except ValueError as exc:
+                except (ValueError, ZeroDivisionError) as exc:
                     raise InputError(f"cannot parse element token {tok!r}") from exc
         if not (seen_dy and seen_delta):
             raise InputError(f"element term {part!r} must contain 'dy' and 'delta'")

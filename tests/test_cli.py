@@ -161,6 +161,8 @@ def _flag_text(key, value):
         {"command": "verify-axioms", "model": {"n": 6, "exponents": [1]}, "box": 0},
         {"command": "verify-cor23", "model": {"n": 6, "exponents": [2]}, "box": 0},
         {"command": "verify-cor24", "model": {"n": 6, "exponents": [2]}, "box": 0},
+        {"command": "vfilt", "model": N2_MODEL, "element": "y^(1,-) dy delta"},
+        {"command": "vfilt", "model": Y2_MODEL, "element": "1/0 dy delta"},
     ],
     ids=[
         "box", "exponents", "exponents-not-list", "alpha-inf", "cap-inf",
@@ -174,6 +176,7 @@ def _flag_text(key, value):
         "pmax-too-large", "psi-dims-pmax-too-large", "minexp-pmax-too-large",
         "thm42-n-above-bound", "cor51-n-above-bound", "axioms-n-above-bound",
         "cor23-n-above-bound", "cor24-n-above-bound",
+        "element-sign-without-digits", "element-zero-denominator",
     ],
 )
 def test_malformed_values_exit_1(config, capsys):
@@ -537,12 +540,12 @@ REPORT_BYTES = {
 
 # sha256 of the psi-dims report_to_csv on the same models, recorded likewise
 PSI_DIMS_CSV = {
-    (1, (2,)): "60e2acb5334d8f96fbac55900dfe75d721809fd0495b67fcab08c5630b03fd23",
-    (2, (2, 3)): "3aba73296ec24050783728567085b8bc2f42dc45edd0d47532f43f85beaf3392",
-    (2, (3, 4)): "3a456a4c8bfd5a0f3ccbafd299b205a8cdf86fa65ec345b6f5545a62b2f9d67d",
-    (3, (1, 2, 2)): "dc1181545dae36bab1fea709879bb42f4fd9496bf4b26fe600b9a94a08cad79b",
-    (3, (2, 3)): "ffc59d343c4f6746a65266e8e32a6790d4e717c9539f1eb87d9d4baa57aa17c9",
-    (3, (2, 2, 3)): "6a3d0e53a97252699d8156a5b34361cf1a54bc3763ea5b6e4e8363fc3d53e86d",
+    (1, (2,)): "461233ca1d935b3c5e63b225ed9807369c8779fe1048aca831315d919debfd1b",
+    (2, (2, 3)): "530aa159c7b16f15554a7be7dd246d459cedcef09ad20407c2e5b2aff71000ca",
+    (2, (3, 4)): "418379e06e74ab0aba4d3ec0f642b4046022788df3040b8e1e7c02e18d3d9339",
+    (3, (1, 2, 2)): "296ef9f0ff753987321d0c7a9bfe699b92ab8e64f59f862ae22e079f500089ef",
+    (3, (2, 3)): "f65c65f3257efa72732c89be2fc13db921b3272c80ea8e429c78217589b8bef8",
+    (3, (2, 2, 3)): "fad0dd267c0b532bea76abaf3574a4906f1ef3cf03c7ccde53ddd2b4f2bd9482",
 }
 
 
@@ -618,8 +621,8 @@ def test_csv_format():
     )
     text = report_to_csv(report)
     lines = text.strip().splitlines()
-    assert lines[0] == "degree,p,alpha,q,dim"
-    assert "(0),1,1/2,,1" in lines
+    assert lines[0] == "degree,p,alpha,dim"
+    assert "(0),1,1/2,1" in lines
     report, _ = run({"command": "verify-thm42", "model": {"n": 1, "exponents": [2]},
                      "alpha": "1/2", "pmax": 1, "box": 3})
     text = report_to_csv(report)

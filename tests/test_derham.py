@@ -717,13 +717,6 @@ def test_n_above_the_bound_is_refused_before_the_subsets(monkeypatch):
     assert verify_cor51(small, F(1), [0], TruncationBox.radius(MAX_N, 0))["status"] == "PASS"
 
 
-def test_a_q_refined_table_has_no_json():
-    # gr_dr_psi keys its plain dict by (multidegree, q); no report prints
-    # it (the psi-dims tables the CLI reports are keyed by multidegree)
-    t = gr_dr_psi(Y2, F(1, 2), 0, BOX1)
-    assert t == {((1,), 0): 1}
-
-
 def test_cor51_three_variables():
     model = MonomialModel(3, [1, 2, 3])
     box = TruncationBox.radius(3, 3)

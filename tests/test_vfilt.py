@@ -360,19 +360,23 @@ def test_label_grid_matches_gr_label():
 
 def test_label_leads_match_the_label_grid():
     # every catalog level in (0, 1] with p in -n-1..3, over the radius-2 box,
-    # an off-centre box and a box whose last coordinate is negative
-    # throughout: the class list marks exactly the loci gr_label_grid lists,
-    # and each lead key (u0_0 if w_0 else 0, w) maps to the (u0, w) of its
-    # first locus in box order
+    # an off-centre box, a box whose last coordinate is negative throughout
+    # and a box where every coordinate past the first starts above b: the
+    # class list marks exactly the loci gr_label_grid lists, and each lead
+    # key (u0_0 if w_0 else 0, w) maps to a (u0, w) with the expansion of
+    # its first locus in box order (on the first three boxes, to that
+    # locus's own (u0, w); on the last, u0 = b past the first coordinate
+    # differs from it where w_i = 0)
     levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
     assert len(levels) == 172
     keys = 0
     for lvl in levels:
-        n = lvl.model.n
+        model, n = lvl.model, lvl.model.n
         boxes = (
             TruncationBox.radius(n, 2),
             TruncationBox(tuple(range(-3, n - 3)), tuple(range(2, n + 2))),
             TruncationBox((-2,) * n, (2,) * (n - 1) + (-1,)),
+            TruncationBox((-2,) + (4,) * (n - 1), (2,) + (6,) * (n - 1)),
         )
         for box in boxes:
             for p in range(-n - 1, 4):
@@ -381,10 +385,20 @@ def test_label_leads_match_the_label_grid():
                     labelled.add(d)
                     firsts.setdefault(((u0[0] if w[0] else 0), w), (u0, w))
                 classes, leads = gr_label_leads(lvl, p, box)
-                assert list(classes) == [int(d in labelled) for d in box], (lvl.model, lvl.alpha, p, box)
-                assert leads == firsts, (lvl.model, lvl.alpha, p, box)
+                where = (model, lvl.alpha, p, box)
+                assert list(classes) == [int(d in labelled) for d in box], where
+                if box is boxes[-1]:
+                    assert leads.keys() == firsts.keys(), where
+                    for key, (u0, w) in leads.items():
+                        first = firsts[key]
+                        assert vfilt.expansion_key(u0, w) == vfilt.expansion_key(*first), where
+                        assert _expansion_orders(model, u0, w, 0) == _uncached_orders(
+                            model, *first, 0
+                        ), where
+                else:
+                    assert leads == firsts, where
                 keys += len(leads)
-    assert keys == 47726
+    assert keys == 52321
 
 
 def _uncached_orders(model, u0, w, jmax):
@@ -896,6 +910,33 @@ def shifted(table: dict, offset) -> dict:
         else:
             out[tuple(a + b for a, b in zip(k, offset))] = dim
     return out
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TruncationBox.radius(2, 2.9),
+        lambda: TruncationBox.radius(2, True),
+        lambda: TruncationBox.radius(2, "1"),
+        lambda: TruncationBox((0.5,), (1,)),
+    ],
+    ids=["radius-float", "radius-bool", "radius-text", "bound-float"],
+)
+def test_box_refuses_non_integers(make):
+    # a float radius is not truncated, a bool or text is not read as 1, and
+    # a float bound is refused when the box is built, not when it is iterated
+    with pytest.raises(InputError):
+        make()
+
+
+def test_box_bounds_become_tuples():
+    # a list is accepted and stored as a tuple, so the box hashes into the
+    # grid cache's key
+    box = TruncationBox([0], [1])
+    assert box == TruncationBox((0,), (1,)) and box.lo == (0,) and box.hi == (1,)
+    assert list(gr_count_grid(Level(Y2, F(1, 2)), 0, box)) == [
+        count_gr(Level(Y2, F(1, 2)), 0, d) for d in box
+    ]
 
 
 def test_box_and_table_plumbing():

@@ -327,6 +327,22 @@ def test_element_normal_form():
         BgElement(2, {((0,), 0): F(1)})
 
 
+def test_element_refuses_non_integer_exponents():
+    # neither y^(1.5) nor dt^0.9 is truncated to an integer exponent
+    with pytest.raises(InputError):
+        BgElement(1, {((1.5,), 0): F(1)})
+    with pytest.raises(InputError):
+        BgElement(1, {((1,), 0.9): F(1)})
+
+
+def test_operator_refuses_non_integer_exponents():
+    # y^1.5 is not kept, so act_right never shifts an element by it
+    with pytest.raises(InputError):
+        WeylOperator(1, {((1.5,), 0, (0,), 0): F(1)})
+    with pytest.raises(InputError):
+        WeylOperator(1, {((0,), 0, (0,), 0.5): F(1)})
+
+
 def test_textual_roundtrips():
     e = parse_element("3/2 y^(1,0) dy dt^2 delta", 2)
     assert e == one_term(2, F(3, 2), (1, 0), 2)
