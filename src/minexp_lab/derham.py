@@ -32,12 +32,17 @@ dimensions.  Most complexes of one level repeat an earlier one.  So a table
 is built in two passes: each term (K, d) is scattered onto its locus
 D = d + deg K, and each locus gets a key, the bits of its terms and the
 coordinate id of every edge dy_K -> dy_{K+k} whose target term is present.
+The scatter works on box positions, not tuples: beside its row, each
+support point keeps its box-order index and two masks over the variables,
+must (d_k = lo_k - 1, so K must hold k) and avoid (d_k = hi_k, so K must
+not), so a term lands in the box by one mask test, at its point's index
+plus a per-K offset, and the tuple D is built once per locus.
 Equal ids are equal coordinates, so the key determines the bases and the
 matrices entry for entry (a sign follows from (K, k)); the cohomology is
 assembled by complex_at and ranked once per distinct key and read from a
-fourth memo after that.  Every locus still reads its own coordinates, each computed
-once by _orders_dy, and a Fraction is built only when complex_at assembles
-a complex, on a key miss.
+fourth memo after that.  Every locus still reads its own coordinates, each
+computed once by _orders_dy, and a Fraction is built only when complex_at
+assembles a complex, on a key miss.
 
 The comparison target: the multidegree-graded dimensions of
 (O(-D_alpha)/O(-D_{>alpha})) (x) Omega^{n-1-i}_{rel}(log E), whose basis is
@@ -128,8 +133,9 @@ class _LevelComplexes:
 
     def __init__(self, lvl: Level, box: TruncationBox):
         self.lvl = lvl
-        self.points = set(box)
+        self.box = box
         self.scan = TruncationBox(tuple(x - 1 for x in box.lo), box.hi)
+        self.strides = _strides(box)
         n = lvl.model.n
         # per form degree q: (K, bit(K), deg K, [(k, K + k, bit(K + k), sign
         # of dy_k ^ dy_K)]), where bit(K) = 1 << (K as a mask over range(n))
@@ -146,7 +152,19 @@ class _LevelComplexes:
                 deg = tuple(1 if t in K else 0 for t in range(n))
                 subsets.append((K, 1 << sum(1 << t for t in K), deg, wedges))
             self.subsets.append(subsets)
+        # per coordinate k, x in lo_k - 1 .. hi_k packed into one int:
+        # (x - lo_k + 1) * stride_k above bit 2n, bit k of must above bit n,
+        # bit k of care (see support); the bits of distinct k are disjoint,
+        # so the sum over the coordinates packs a point's place
+        self._packs = []
+        for k, (lo, hi, stride) in enumerate(zip(box.lo, box.hi, self.strides)):
+            pack = {}
+            for x in range(lo - 1, hi + 1):
+                must, avoid = (x < lo) << k, (x == hi) << k
+                pack[x] = (x - lo + 1) * stride << 2 * n | must << n | must | avoid
+            self._packs.append(pack)
         self._support = {}
+        self._places = {}
         self._reps = {}
         # the coordinates as reduced (num, den) pairs, den > 0, interned as
         # small ids; id 0 is the zero coordinate
@@ -162,7 +180,13 @@ class _LevelComplexes:
         The points are listed in the order of a set of them: keys() meets
         the loci in that order, and a memo keyed more coarsely than by the
         complex (a planted fault in the tests) reuses the complex of the
-        first locus it meets."""
+        first locus it meets.  Beside the rows, in the same order, it
+        keeps each point's place (d, row, at, must, care) for keys(): at
+        is d's box-order index by the box's strides (d may lie one step
+        below the box); must holds the k with d_k = lo_k - 1 (K must hold
+        k) and avoid those with d_k = hi_k (K must not), as masks over
+        range(n), and care = must | avoid.  So d + deg K lies in the box
+        iff K & care == must, at index at + offset K."""
         got = self._support.get(p)
         if got is None:
             n = self.lvl.model.n
@@ -172,6 +196,12 @@ class _LevelComplexes:
                 w0 = p + n - sum(w)
                 key[d] = (p, (d[0] + w0) if w0 else 0, w)
             got = self._support[p] = {d: [None] * n + [key[d]] for d in set(points)}
+            packs, low, shift = self._packs, (1 << n) - 1, sum(self.strides)
+            places = self._places[p] = []
+            for d, row in got.items():
+                place = sum(map(dict.__getitem__, packs, d))
+                at = (place >> 2 * n) - shift
+                places.append((d, row, at, place >> n & low, place & low))
         return got
 
     def rep(self, p, d):
@@ -183,11 +213,12 @@ class _LevelComplexes:
             got = self._reps[key] = gr_class_rep(self.lvl, p, d)
         return got
 
-    def coordinate(self, p, d, k) -> int:
+    def coordinate(self, p, d, row, k) -> int:
         """The id of the coordinate of rep(p, d) . dy_k in Gr^F_{p+1} Gr^V
         at d - e_k, a nonzero piece: its top dt-order coefficient over the
-        class representative's, reduced in integers.  d lies in support(p); the id is kept in d's row."""
-        row = self.support(p)[d]
+        class representative's, reduced in integers.  d lies in support(p)
+        and row is its row there, which the caller holds; the id is kept in
+        the row."""
         got = row[k]
         if got is None:
             img = _orders_dy(self.rep(p, d), self.lvl.model, d, k)
@@ -214,9 +245,10 @@ class _LevelComplexes:
             basis, source = [], []
             for K, _, deg, wedges in subsets:
                 d = tuple(map(operator.sub, D, deg))
-                if d in support:
+                row = support.get(d)
+                if row is not None:
                     basis.append(K)
-                    source.append((d, wedges))
+                    source.append((d, row, wedges))
             bases.append(basis)
             sources.append(source)
         mats = []
@@ -224,12 +256,12 @@ class _LevelComplexes:
             p = i + q - 2 * n
             tgt_index = {K: idx for idx, K in enumerate(bases[q + 1])}
             cols = []
-            for d, wedges in sources[q]:
+            for d, row, wedges in sources[q]:
                 col = {}
                 for k, T, _, sign in wedges:
                     idx = tgt_index.get(T)
                     if idx is not None:
-                        coord = self.coordinate(p, d, k)
+                        coord = self.coordinate(p, d, row, k)
                         if coord:
                             # left d/dy_k is the negated right action here
                             col[idx] = -sign * Fraction(*self._pairs[coord])
@@ -242,33 +274,39 @@ class _LevelComplexes:
         box where some term is nonzero: the bits of its terms, OR-ed, then
         the coordinate id of every edge whose target term is present, in
         complex_at's order.  Each term (K, d) of the supports is scattered
-        onto D = d + deg K first, so the bits are complete when the edges
-        are read; an edge reads its id from the row of d, and computes it
-        only on the first read."""
+        first, by d's place (see support): it lands on the box position
+        at + offset K of its locus D = d + deg K when K & care == must, and
+        the tuple D is built once per locus.  So the bits are complete
+        when the edges are read; an edge reads its id from the row of d,
+        and computes it only on the first read."""
         n = self.lvl.model.n
-        points = self.points
+        strides = self.strides
         loci = {}
         for q, subsets in enumerate(self.subsets):
             p = i + q - 2 * n
-            support = self.support(p).items()
-            for _, bit, deg, wedges in subsets:
-                for d, row in support:
-                    D = tuple(map(operator.add, d, deg))
-                    got = loci.get(D)
-                    if got is not None:
-                        got[0] |= bit
-                        got[1].append((p, d, row, wedges))
-                    elif D in points:
-                        loci[D] = [bit, [(p, d, row, wedges)]]
+            self.support(p)  # fills _places[p]
+            places = self._places[p]
+            for K, bit, deg, wedges in subsets:
+                inside = sum(1 << k for k in K)
+                offset = sum(map(operator.mul, deg, strides))
+                for d, row, at, must, care in places:
+                    if inside & care == must:
+                        got = loci.get(at + offset)
+                        if got is None:
+                            D = tuple(map(operator.add, d, deg))
+                            loci[at + offset] = [D, bit, [(p, d, row, wedges)]]
+                        else:
+                            got[1] |= bit
+                            got[2].append((p, d, row, wedges))
         coordinate = self.coordinate
         keys = {}
-        for D, (mask, terms) in loci.items():
+        for D, mask, terms in loci.values():
             key = [mask]
             for p, d, row, wedges in terms:
                 for k, _, tbit, _ in wedges:
                     if mask & tbit:
                         got = row[k]
-                        key.append(coordinate(p, d, k) if got is None else got)
+                        key.append(coordinate(p, d, row, k) if got is None else got)
             keys[D] = tuple(key)
         return keys
 
@@ -311,13 +349,19 @@ def gr_dr_psi(model: MonomialModel, alpha, i, box: TruncationBox) -> dict:
     return _LevelComplexes(_psi_level(model, alpha), box).table(i)
 
 
+def _strides(box: TruncationBox) -> list:
+    """The box-order strides: D sits at sum(D_k * strides_k) - base, base
+    the same sum at box.lo."""
+    sizes = [hi - lo + 1 for lo, hi in zip(box.lo, box.hi)]
+    return [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
+
+
 def box_list(dims: dict, box: TruncationBox) -> list:
     """A table {(D, q): dim}, every D in the box, spread by the box's
     strides into a list in box order, 0 where no entry is."""
-    sizes = [hi - lo + 1 for lo, hi in zip(box.lo, box.hi)]
-    strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
+    strides = _strides(box)
     base = sum(map(operator.mul, box.lo, strides))
-    out = [0] * math.prod(sizes)
+    out = [0] * box.volume()
     for (D, _), dim in dims.items():
         out[sum(map(operator.mul, D, strides)) - base] = dim
     return out

@@ -142,7 +142,10 @@ class TruncationBox(FrozenRecord):
 
     @classmethod
     def radius(cls, n, radius):
+        (n,) = int_tuple((n,), "box dimension")
         (radius,) = int_tuple((radius,), "box radius")
+        if n < 0:
+            raise InputError("box dimension must be >= 0")
         if radius < 0:
             raise InputError("box radius must be >= 0")
         return cls((-radius,) * n, (radius,) * n)

@@ -163,6 +163,8 @@ class BgElement(_Combination):
     __slots__ = ()
 
     def _key(self, key):
+        if not isinstance(key, tuple) or len(key) != 2:
+            raise InputError(f"malformed term key {key!r}, expected (v, m)")
         v, m = key
         v, (m,) = int_tuple(v, "element exponents"), int_tuple((m,), "element dt order")
         if len(v) != self.n or any(x < 0 for x in v) or m < 0:
@@ -268,6 +270,8 @@ class WeylOperator(_Combination):
     __slots__ = ()
 
     def _key(self, key):
+        if not isinstance(key, tuple) or len(key) != 4:
+            raise InputError(f"malformed term key {key!r}, expected (ay, st, bdy, et)")
         ay, st, bdy, et = key
         st, et = int_tuple((st, et), "operator t and dt exponents")
         ay, bdy = int_tuple(ay, "operator y exponents"), int_tuple(bdy, "operator dy exponents")
@@ -389,34 +393,39 @@ def _split_terms(text):
 
 
 def parse_element(text, n) -> BgElement:
+    """Each term holds dy and delta once, and at most one coefficient, one
+    exponent vector and one dt token; a repeated or malformed token is an
+    InputError, never dropped or overwritten."""
     terms = {}
     for part in _split_terms(text):
-        toks = part.split()
         coeff = Fraction(1)
         v = (0,) * n
         m = 0
-        seen_dy = seen_delta = False
-        for tok in toks:
-            if tok == "dy":
-                seen_dy = True
-            elif tok == "delta":
-                seen_delta = True
+        seen = set()
+        for tok in part.split():
+            if tok in ("dy", "delta"):
+                kind = tok
             elif (mt := _VEC_RE.match(tok)) is not None:
-                entries = [s for s in mt.group(1).split(",") if s.strip()]
-                try:
-                    v = tuple(int(s) for s in entries)
-                except ValueError as exc:  # e.g. a sign with no digits
+                kind = "exponent vector"
+                try:  # a blank entry or a sign with no digits is no int
+                    v = tuple(int(s) for s in mt.group(1).split(","))
+                except ValueError as exc:
                     raise InputError(f"cannot parse element token {tok!r}") from exc
                 if len(v) != n:
                     raise InputError(f"exponent vector {tok} has length {len(v)}, expected {n}")
             elif (mt := _DT_RE.match(tok)) is not None:
+                kind = "dt"
                 m = int(mt.group(1) or 1)
             else:
+                kind = "coefficient"
                 try:
                     coeff = Fraction(tok)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise InputError(f"cannot parse element token {tok!r}") from exc
-        if not (seen_dy and seen_delta):
+            if kind in seen:
+                raise InputError(f"element term {part!r} has a second {kind}")
+            seen.add(kind)
+        if not {"dy", "delta"} <= seen:
             raise InputError(f"element term {part!r} must contain 'dy' and 'delta'")
         key = (v, m)
         terms[key] = terms.get(key, Fraction(0)) + coeff

@@ -163,6 +163,11 @@ def _flag_text(key, value):
         {"command": "verify-cor24", "model": {"n": 6, "exponents": [2]}, "box": 0},
         {"command": "vfilt", "model": N2_MODEL, "element": "y^(1,-) dy delta"},
         {"command": "vfilt", "model": Y2_MODEL, "element": "1/0 dy delta"},
+        {"command": "vfilt", "model": Y2_MODEL, "element": "2 3 dy delta"},
+        {"command": "vfilt", "model": Y2_MODEL, "element": "dy delta dt dt^2"},
+        {"command": "vfilt", "model": N2_MODEL, "element": "y^(1,,0) dy delta"},
+        {"command": "vfilt", "model": Y2_MODEL, "element": "dy delta dy"},
+        {"command": "vfilt", "model": N2_MODEL, "element": "y^(1,0) y^(0,1) dy delta"},
     ],
     ids=[
         "box", "exponents", "exponents-not-list", "alpha-inf", "cap-inf",
@@ -177,6 +182,8 @@ def _flag_text(key, value):
         "thm42-n-above-bound", "cor51-n-above-bound", "axioms-n-above-bound",
         "cor23-n-above-bound", "cor24-n-above-bound",
         "element-sign-without-digits", "element-zero-denominator",
+        "element-second-coefficient", "element-second-dt", "element-blank-entry",
+        "element-second-dy", "element-second-vector",
     ],
 )
 def test_malformed_values_exit_1(config, capsys):

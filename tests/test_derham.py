@@ -17,6 +17,7 @@ from minexp_lab.derham import (
     verify_cor51,
 )
 from minexp_lab.divisors import jump_candidates
+from minexp_lab.minexp import cor24_check
 from minexp_lab.rationals import InputError, exact_rank
 from minexp_lab.vfilt import (
     MAX_N,
@@ -30,7 +31,7 @@ from minexp_lab.vfilt import (
 )
 from minexp_lab.weyl import MonomialModel
 
-from oracles import gr_coordinate, table_is_zero
+from oracles import gr_coordinate, keys_by_tuple, table_is_zero
 
 Y2 = MonomialModel(1, [2])
 Y3 = MonomialModel(1, [3])
@@ -512,6 +513,7 @@ def _fraction_keys(complexes, i):
     points, nothing taken from the memo's coordinates."""
     lvl = complexes.lvl
     n = lvl.model.n
+    points = set(complexes.box)
     loci = {}
     for q, subsets in enumerate(complexes.subsets):
         p = i + q - 2 * n
@@ -519,7 +521,7 @@ def _fraction_keys(complexes, i):
         for _, bit, deg, wedges in subsets:
             for d in support:
                 D = tuple(x + e for x, e in zip(d, deg))
-                if D in complexes.points:
+                if D in points:
                     got = loci.setdefault(D, [0, []])
                     got[0] |= bit
                     got[1].append((p, d, wedges))
@@ -561,6 +563,50 @@ def test_integer_keys_split_loci_like_fraction_keys():
             assert all(key[0] == reference[D][0] for D, key in keys.items())
             merged += len(keys) - len(set(keys.values()))
     assert merged > 0
+
+
+def _skewed_boxes(n):
+    """Two boxes with lo != -hi: one of mixed widths, and one whose first
+    coordinate has width 1 (lo_0 == hi_0)."""
+    return [
+        TruncationBox(tuple(-1 - k % 2 for k in range(n)), tuple(2 + k for k in range(n))),
+        TruncationBox((1,) + (-2,) * (n - 1), (1,) + (3,) * (n - 1)),
+    ]
+
+
+def test_keys_match_tuple_scatter():
+    # every catalog level, every i, on the radius-2 box and two skewed boxes:
+    # the box-position scatter gives the tuple scatter's keys, in its order,
+    # with the same coordinate ids (each memo interns them in scatter order)
+    levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
+    assert len(levels) == 172
+    loci = 0
+    for lvl in levels:
+        n = lvl.model.n
+        for box in [TruncationBox.radius(n, 2)] + _skewed_boxes(n):
+            complexes, reference = _LevelComplexes(lvl, box), _LevelComplexes(lvl, box)
+            for i in range(n):
+                keys = list(complexes.keys(i).items())
+                assert keys == list(keys_by_tuple(reference, i).items()), (lvl, box, i)
+                loci += len(keys)
+    assert loci > 0
+
+
+def test_passing_cor51_and_cor24_never_walk_the_box(monkeypatch):
+    # a PASS reads the box by its bounds and strides alone; only a FAIL
+    # walks it, to name its first failing locus
+    walks = []
+    inner = TruncationBox.__iter__
+
+    def counted(box):
+        walks.append(box)
+        return inner(box)
+
+    monkeypatch.setattr(TruncationBox, "__iter__", counted)
+    model, box = MonomialModel(3, [1, 2, 2]), TruncationBox.radius(3, 4)
+    assert verify_cor51(model, F(1, 2), range(3), box)["status"] == "PASS"
+    assert cor24_check(model, 0, F(1, 2), box)["status"] == "PASS"
+    assert walks == []
 
 
 def test_one_rank_per_distinct_complex(monkeypatch):

@@ -919,14 +919,26 @@ def shifted(table: dict, offset) -> dict:
         lambda: TruncationBox.radius(2, True),
         lambda: TruncationBox.radius(2, "1"),
         lambda: TruncationBox((0.5,), (1,)),
+        lambda: TruncationBox.radius(2.5, 1),
+        lambda: TruncationBox.radius(True, 1),
     ],
-    ids=["radius-float", "radius-bool", "radius-text", "bound-float"],
+    ids=[
+        "radius-float", "radius-bool", "radius-text", "bound-float",
+        "dimension-float", "dimension-bool",
+    ],
 )
 def test_box_refuses_non_integers(make):
-    # a float radius is not truncated, a bool or text is not read as 1, and
-    # a float bound is refused when the box is built, not when it is iterated
+    # a float radius or dimension is not truncated, a bool or text is not
+    # read as 1, and a float bound is refused when the box is built, not
+    # when it is iterated
     with pytest.raises(InputError):
         make()
+
+
+def test_box_refuses_a_negative_dimension():
+    # (-1,) * -1 is (), which would be a 0-dimensional box
+    with pytest.raises(InputError, match="dimension"):
+        TruncationBox.radius(-1, 1)
 
 
 def test_box_bounds_become_tuples():

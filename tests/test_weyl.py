@@ -343,6 +343,17 @@ def test_operator_refuses_non_integer_exponents():
         WeylOperator(1, {((0,), 0, (0,), 0.5): F(1)})
 
 
+def test_element_refuses_a_malformed_key():
+    # a key that is not a (v, m) pair is an input error, not an unpacking error
+    with pytest.raises(InputError, match="malformed term key"):
+        BgElement(1, {((1,),): F(1)})
+
+
+def test_operator_refuses_a_malformed_key():
+    with pytest.raises(InputError, match="malformed term key"):
+        WeylOperator(1, {((1,), 0, (0,)): F(1)})
+
+
 def test_textual_roundtrips():
     e = parse_element("3/2 y^(1,0) dy dt^2 delta", 2)
     assert e == one_term(2, F(3, 2), (1, 0), 2)
