@@ -66,6 +66,7 @@ from .vfilt import (
     Level,
     TruncationBox,
     _check,
+    _check_box,
     gr_class_rep,
     grF_grV_support,
 )
@@ -132,6 +133,7 @@ class _LevelComplexes:
     box.hi, which holds every D - deg K with D in the box."""
 
     def __init__(self, lvl: Level, box: TruncationBox):
+        _check_box(lvl.model, box)
         self.lvl = lvl
         self.box = box
         self.scan = TruncationBox(tuple(x - 1 for x in box.lo), box.hi)

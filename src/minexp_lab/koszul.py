@@ -84,6 +84,7 @@ from .vfilt import (
     Level,
     TruncationBox,
     _check,
+    _check_box,
     _expansion_orders,
     b_vector,
     gr_count_grid,
@@ -538,6 +539,7 @@ def verify_thm42_i(model: MonomialModel, alpha, p_range, box: TruncationBox):
     """Graded acyclicity off degree 0 and the sigma-bar match of H^0 with the
     Gr^F_{p-1} V_{-alpha} count, per multidegree in the box; where H^0 is
     nonzero the class representative must lead with dt-order p - 1 + n."""
+    _check_box(model, box)
     lvl = Level(model, alpha)
     gc = GradedCbar(model, lvl.twist)
     report = {"status": "PASS", "checks": []}
@@ -582,6 +584,7 @@ def verify_thm42_i(model: MonomialModel, alpha, p_range, box: TruncationBox):
 def verify_thm42_ii(model: MonomialModel, alpha, p_range, box: TruncationBox):
     """The quotient complex is concentrated in degree 0 with H^0 matching
     Gr^F_{p-1} Gr^V_{-alpha} per multidegree."""
+    _check_box(model, box)
     lvl = Level(model, alpha)
     gq = GradedCbar(model, lvl.twist, lvl.deeper.twist)
     report = {"status": "PASS", "checks": []}

@@ -31,6 +31,7 @@ from .vfilt import (
     Level,
     TruncationBox,
     _check,
+    _check_box,
     _component_member,
     grF_grV_grid,
     member_key,
@@ -98,6 +99,7 @@ def psi_hodge_dim(p_left, alpha, box: TruncationBox, model: MonomialModel) -> di
     """Dimensions of Gr^F_{p_left} psi_{g,alpha}(O) per multidegree, as
     {d: dim} in box order, zeros left out: the right-module table
     Gr^F_{p_left-n-1} Gr^V_{-alpha} relabelled."""
+    _check_box(model, box)
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
         raise InputError(f"alpha must be in (0,1], got {alpha}")
@@ -154,6 +156,7 @@ def cor23_check(model: MonomialModel, p, alpha, box: TruncationBox, value=None):
     `value` is the model's minimal exponent when the caller already has it
     (minexp_value(model)); None computes it.
     """
+    _check_box(model, box)
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise InputError(f"alpha must be in (0,1), got {alpha}")
@@ -216,6 +219,7 @@ def cor24_check(model: MonomialModel, p, alpha, box: TruncationBox, value=None):
     concentrated in degree 0, and its H^0 is the omega-twist of
     Gr^F_{p+1} psi (a literal table translation by (1,...,1)).  `value` as
     in cor23_check."""
+    _check_box(model, box)
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise InputError(f"alpha must be in (0,1), got {alpha}")

@@ -26,27 +26,30 @@ D_{>alpha} = floor(alpha D) + E, which is D at the next candidate, so it is
 the deeper Level's b + 1.  The per-multidegree functions (labels, counts,
 membership, class representatives) take the Level, never (model, alpha), so
 no rounding or Fraction hashing happens per multidegree.  A sweep over a
-whole TruncationBox uses the box kernels, which all read one weight table,
-_rest: gr_label's dy-weights w_i = max(b_i - d_i, 0) past the first
-coordinate (an itertools.product of per-coordinate tables; a negative free
-coordinate weighs more than any limit) and, per d_0, the limit
-p + n + min(d_0 - b_0, 0) on their sum.  gr_count_grid joins one 0/1 byte
-row per distinct limit into bytes in box order; each row is one
-bytes.translate of the weights' rank bytes (a comparison per weight past
-256 distinct weights).  Count grids are cached per (level, p, box), so a
-sweep over the alphas of one model builds each grid once: grF_grV_grid is
-the bytewise h & ~g of its own level's grid and the deeper level's, which
-is the next alpha's.  Each call returns a fresh bytearray.
-gr_label_leads groups the points past the first coordinate by w; sorted
-by weight, the groups with a class at one d_0 are a prefix, so without
-visiting the loci it returns the class bytes in box order and, per
-distinct lead_key, a (u0, w) with u0 = b past the first coordinate, whose
-expansion is that of the key's first locus.  The tests hold it, and
-gr_label (from which gr_class_rep, the one-point entry, builds
+whole TruncationBox uses the box kernels, which all read one weight table
+per (level, box), _WeightTable, shared by every Hodge index p: gr_label's
+dy-weights w_i = max(b_i - d_i, 0) past the first coordinate (an
+itertools.product of per-coordinate tables), their sums (one sentinel,
+above every limit, where a free coordinate is negative), the sums' rank
+bytes with one 0/1 byte row per distinct limit, built on first use, and the
+distinct (sum, w) groups sorted by sum.  p enters only through the limit
+p + n + min(d_0 - b_0, 0) on the sum, one per d_0, so per p a kernel only
+computes the limits, joins cached rows and, for the leads, walks the
+groups.  gr_count_grid joins one row per d_0 into bytes in box order (each
+row is one bytes.translate of the rank bytes, or a comparison per weight
+past 256 distinct weights); the table keeps the grid of each p, so a sweep
+over the alphas of one model builds each grid once: grF_grV_grid is the
+bytewise h & ~g of its own level's grid and the deeper level's, which is
+the next alpha's.  Each call returns a fresh bytearray.  gr_label_leads
+walks the groups: sorted by sum, the groups with a class at one d_0 are a
+prefix, so without visiting the loci it returns the class bytes in box
+order and, per distinct lead_key, a (u0, w) with u0 = b past the first
+coordinate, whose expansion is that of the key's first locus.  The tests
+hold it, and gr_label (from which gr_class_rep, the one-point entry, builds
 u0 = b + v), equal at every locus of every catalog level to a
 locus-by-locus reference listing in tests/oracles.py.  grF_grV_support
 lists the points of the box where Gr^F_p Gr^V_{-alpha} is nonzero (and
-their gr_label w), from both levels' tables.
+their gr_label w), masking one level's rows by the deeper level's.
 The expansion and grid caches hold one model at a time.
 
 The axiom check (check_v_axioms, one pass over the box) asks millions of
@@ -160,6 +163,13 @@ class TruncationBox(FrozenRecord):
         return out
 
 
+def _check_box(model: MonomialModel, box: TruncationBox):
+    """Refuse a box whose dimension is not the model's n: every entry point
+    that takes a model and a box reads one coordinate of it per variable."""
+    if len(box.lo) != model.n:
+        raise InputError(f"box has dimension {len(box.lo)}, the model has n = {model.n}")
+
+
 # -- filtration labels ------------------------------------------------------
 
 @lru_cache(maxsize=256)
@@ -237,23 +247,121 @@ def count_grF_grV(lvl: Level, p, d) -> int:
     return here - count_gr(lvl.deeper, p, d)
 
 
-# Count grids, keyed by (n, a, b, p, box.lo, box.hi) and stored as bytes.  A
-# grid reads alpha only through b, and the jump candidates of one model have
-# distinct b, so this is one entry per (alpha, p, box).  A resolution sweep
-# asks for the grid of one (level, p) in verify_thm42_i, again in
-# grF_grV_grid, and as the deeper grid of the previous alpha.  The cache holds
+# Weight tables, keyed by (n, a, b, box.lo, box.hi): a table reads alpha only
+# through b, and the jump candidates of one model have distinct b, so this is
+# one entry per (alpha, box), shared by every p.  Each table keeps the count
+# grid of each p it was asked for, so a resolution sweep builds the grid of
+# one (level, p) once, though it asks for it in verify_thm42_i, in
+# grF_grV_grid and as the deeper grid of the previous alpha.  The cache holds
 # one model at a time, like _EXP_CACHE.
 _GRID_CACHE = {}
 
 
-def _count_bytes(lvl: Level, p, box: TruncationBox) -> bytes:
+class _Rows(dict):
+    """{limit: the 0/1 bytes of `weight <= limit`, one per weight}, each
+    row built on first use.
+
+    With at most 256 distinct weights, each weight is stored once as the
+    byte of its rank among them; a limit passes the c smallest, for
+    c = bisect_right(distinct, limit), so its row is one bytes.translate
+    of the ranks by a table of c ones, then zeros.  More distinct weights
+    (n = 2 at radius >= 256 fits the CLI's box bound) take one comparison
+    per weight, limit.__ge__, which needs int weights: an int's __ge__
+    returns NotImplemented for a float."""
+
+    def __init__(self, weights):
+        super().__init__()
+        self.distinct = sorted(set(weights))
+        if len(self.distinct) > 256:
+            self.weights, self.ranked = weights, None
+        else:
+            rank = {w: k for k, w in enumerate(self.distinct)}
+            self.weights, self.ranked = None, bytes(map(rank.__getitem__, weights))
+
+    def __missing__(self, limit):
+        if self.ranked is None:
+            row = bytes(map(limit.__ge__, self.weights))
+        else:
+            c = bisect_right(self.distinct, limit)
+            row = self.ranked.translate(b"\x01" * c + bytes(256 - c))
+        self[limit] = row
+        return row
+
+
+def _rows_by_limit(weights, limits, rows=None) -> bytes:
+    """The box-order 0/1 bytes of `weight <= limit`, one row over `weights`
+    per entry of `limits` (one per d_0), joined: each distinct limit's row
+    is built once, in `rows`, the _Rows of `weights` that a caller keeps to
+    ask again (a fresh one by default)."""
+    if rows is None:
+        rows = _Rows(weights)
+    return b"".join(map(rows.__getitem__, limits))
+
+
+class _WeightTable:
+    """gr_label's rule at one level over one box, for every p at once.
+
+    gr_label exists at d = (x, rest) iff the dy-weights past the first
+    coordinate, w_i = max(b_i - d_i, 0) on a divisor coordinate and 0 on a
+    free one, have sum(w) <= p + n + min(x - b_0, 0), and no free
+    coordinate of rest is negative.  Only that limit reads p.  So the table
+    holds, over the points `rest` of the coordinates past the first, in box
+    order: their w (`ws`, the product of one table per coordinate); their
+    sums, where one sentinel, cap + 1 with cap the largest real sum, stands
+    for a negative free coordinate (`sums`); the _Rows of the sums
+    (`rows`); the distinct (sum, w) of the points without the sentinel,
+    stable-sorted by sum (`groups`); and the count grid of each p asked for
+    (`grids`).  limits(p) clamps each limit into [-1, cap], which keeps
+    every row and group prefix and never reaches the sentinel."""
+
+    def __init__(self, lvl: Level, box: TruncationBox):
+        b, n, r = lvl.b, lvl.model.n, lvl.model.r
+        axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
+        divisor = [[max(b[i] - x, 0) for x in axes[i]] for i in range(1, r)]
+        divisor = list(itertools.product(*divisor))
+        gates = [[x >= 0 for x in axes[j]] for j in range(r, n)]
+        gates = list(map(all, itertools.product(*gates)))
+        sums = list(map(sum, divisor))
+        self.cap = max(sums)
+        free = (0,) * (n - r)
+        self.ws = [w + free for w in divisor for _ in gates]
+        self.sums = [s if g else self.cap + 1 for s in sums for g in gates]
+        self.rows = _Rows(self.sums)
+        groups = dict.fromkeys(sw for sw in zip(self.sums, self.ws) if sw[0] <= self.cap)
+        self.groups = sorted(groups, key=operator.itemgetter(0))
+        self.axes = axes
+        self.offsets = [n + min(x - b[0], 0) for x in axes[0]]
+        self.grids = {}
+
+    @cached_property
+    def rest(self) -> list:
+        """(point, w) past the first coordinate, in box order; built on
+        first use, by grF_grV_support."""
+        return list(zip(itertools.product(*self.axes[1:]), self.ws))
+
+    def limits(self, p) -> list:
+        """For each x of the first coordinate, p + n + min(x - b_0, 0)
+        clamped into [-1, cap]."""
+        cap = self.cap
+        return [min(max(p + k, -1), cap) for k in self.offsets]
+
+
+def _table(lvl: Level, box: TruncationBox) -> _WeightTable:
     model = lvl.model
-    key = (model.n, model.a, lvl.b, p, box.lo, box.hi)
-    grid = _GRID_CACHE.get(key)
-    if grid is None:
+    key = (model.n, model.a, lvl.b, box.lo, box.hi)
+    table = _GRID_CACHE.get(key)
+    if table is None:
         if _GRID_CACHE and next(iter(_GRID_CACHE))[:2] != key[:2]:
             _GRID_CACHE.clear()
-        grid = _GRID_CACHE[key] = _count_grid(lvl, p, box)
+        table = _GRID_CACHE[key] = _WeightTable(lvl, box)
+    return table
+
+
+def _count_bytes(lvl: Level, p, box: TruncationBox) -> bytes:
+    grids = _table(lvl, box).grids
+    grid = grids.get(p)
+    if grid is None:
+        grid = grids[p] = _count_grid(lvl, p, box)
     return grid
 
 
@@ -263,77 +371,31 @@ def gr_count_grid(lvl: Level, p, box: TruncationBox) -> bytearray:
     return bytearray(_count_bytes(lvl, p, box))
 
 
-def _rows_by_limit(weights, limits) -> bytes:
-    """The box-order 0/1 bytes of `weight <= limit`, one row over `weights`
-    per entry of `limits` (one per d_0), each distinct limit's row built
-    once.
-
-    With at most 256 distinct weights, each weight is stored once as the
-    byte of its rank among them; a limit passes the c smallest, for
-    c = bisect_right(distinct, limit), so its row is one bytes.translate
-    of the ranks by a table of c ones, then zeros.  More distinct weights
-    (n = 2 at radius >= 256 fits the CLI's box bound) take one comparison
-    per weight."""
-    distinct = sorted(set(weights))
-    rows = {}
-    if len(distinct) > 256:
-        for limit in limits:
-            if limit not in rows:
-                rows[limit] = bytes(map(limit.__ge__, weights))
-    else:
-        rank = {w: k for k, w in enumerate(distinct)}
-        ranked = bytes(map(rank.__getitem__, weights))
-        for limit in limits:
-            if limit not in rows:
-                c = bisect_right(distinct, limit)
-                rows[limit] = ranked.translate(b"\x01" * c + bytes(256 - c))
-    return b"".join(map(rows.__getitem__, limits))
-
-
-def _rest(lvl: Level, p, box: TruncationBox):
-    """(ws, limits): an iterator of gr_label's w past the first coordinate
-    at every point of the other coordinates, in box order, and for each x
-    of the first coordinate the limit p + n + min(x - b_0, 0); gr_label
-    exists at (x, rest) iff sum(w) <= limit.  ws is the product of one
-    table per coordinate: max(b_i - x, 0) on a divisor coordinate, and on
-    a free one 0 where x >= 0 and, elsewhere, more than any limit."""
-    b, n, r = lvl.b, lvl.model.n, lvl.model.r
-    axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
-    fail = max(p + n, 0) + 1
-    tables = [[max(b[i] - x, 0) for x in axes[i]] for i in range(1, r)]
-    tables += [[0 if x >= 0 else fail for x in axes[j]] for j in range(r, n)]
-    return itertools.product(*tables), [p + n + min(x - b[0], 0) for x in axes[0]]
-
-
 def _count_grid(lvl: Level, p, box: TruncationBox) -> bytes:
-    """gr_count_grid, uncached: _rest's weight sums, one row per limit."""
-    ws, limits = _rest(lvl, p, box)
-    return _rows_by_limit(list(map(sum, ws)), limits)
+    """gr_count_grid, uncached: the weight table's rows, one per limit."""
+    table = _table(lvl, box)
+    return _rows_by_limit(table.sums, table.limits(p), table.rows)
 
 
 def gr_label_leads(lvl: Level, p, box: TruncationBox):
     """(classes, leads) for the loci where gr_label(lvl, p, d) exists,
-    without visiting them: classes is the box-order bytes with 1 there, and
-    leads maps each distinct lead_key to a (u0, w) whose expansion is that
-    of its first locus in box order.
+    without visiting them: classes is the box-order bytes with 1 there (the
+    count grid), and leads maps each distinct lead_key to a (u0, w) whose
+    expansion is that of its first locus in box order.
 
-    The points past the first coordinate group by their w (_rest), in
-    order of first occurrence.  A group of weight s passes at d_0 = x iff
-    s <= its limit; stable-sorted by weight, the groups that pass at one x
-    are a prefix, each giving one key: a step per (x, group), not per
-    locus.  u0 = b past the first coordinate: gr_label has v_i w_i = 0, so
-    u0_i = b_i wherever w_i > 0, and expansion_key reads u0_i nowhere else.
+    The points past the first coordinate group by their w (the weight
+    table's groups, in order of first occurrence, stable-sorted by their
+    sum s).  A group passes at d_0 = x iff s <= its limit, so the groups
+    that pass at one x are a prefix, each giving one key: a step per
+    (x, group), not per locus.  u0 = b past the first coordinate: gr_label
+    has v_i w_i = 0, so u0_i = b_i wherever w_i > 0, and expansion_key
+    reads u0_i nowhere else.
     """
-    ws, limits = _rest(lvl, p, box)
-    ws = list(ws)
-    sums = list(map(sum, ws))
+    table = _table(lvl, box)
     top, u = p + lvl.model.n, lvl.b[1:]
-    groups = sorted(
-        ((s, (top - s,) + w) for w, s in dict(zip(ws, sums)).items()),
-        key=operator.itemgetter(0),
-    )
+    groups = [(s, (top - s,) + w) for s, w in table.groups]
     leads = {}
-    for x, limit in zip(range(box.lo[0], box.hi[0] + 1), limits):
+    for x, limit in zip(table.axes[0], table.limits(p)):
         for s, w in groups:
             if s > limit:
                 break
@@ -341,7 +403,7 @@ def gr_label_leads(lvl: Level, p, box: TruncationBox):
             key = lead_key(u0, w)
             if key not in leads:
                 leads[key] = u0, w
-    return _rows_by_limit(sums, limits), leads
+    return _count_bytes(lvl, p, box), leads
 
 
 def grF_grV_grid(lvl: Level, p, box: TruncationBox) -> bytearray:
@@ -356,23 +418,18 @@ def grF_grV_support(lvl: Level, p, box: TruncationBox):
     """(points, ws): the d of the box, in box order, where
     count_grF_grV(lvl, p, d) == 1 (gr_count_grid's rule holds for lvl and
     fails for lvl.deeper), and at each gr_label's w past d_0 (w_0 = p + n -
-    their sum).  Both levels' weights come from _rest; the points it keeps
-    depend on d_0 only through the two limits.  For p + n < 0 no weight
-    passes, so the support is empty."""
-    if p + lvl.model.n < 0:
-        return [], []
-    ws, limits = _rest(lvl, p, box)
-    ws = list(ws)
-    deeper, deep_limits = _rest(lvl.deeper, p, box)
-    axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
-    rest = list(zip(map(sum, ws), map(sum, deeper), zip(itertools.product(*axes[1:]), ws)))
+    their sum).  At each x of the first coordinate the points past it that
+    are kept are the bytewise h & ~g of the two levels' weight-table rows at
+    their limits, so each distinct pair of limits is masked once."""
+    here, deep = _table(lvl, box), _table(lvl.deeper, box)
+    rest, size = here.rest, len(here.sums)
     kept, points, out = {}, [], []
-    for x, pair in zip(axes[0], zip(limits, deep_limits)):
+    for x, pair in zip(here.axes[0], zip(here.limits(p), deep.limits(p))):
         got = kept.get(pair)
         if got is None:
-            here, deep = pair
-            got = [dw for s, t, dw in rest if s <= here and t > deep]
-            got = kept[pair] = tuple(zip(*got)) or ((), ())
+            h, g = (int.from_bytes(t.rows[k], "big") for t, k in zip((here, deep), pair))
+            mask = (h & ~g).to_bytes(size, "big")
+            got = kept[pair] = tuple(zip(*itertools.compress(rest, mask))) or ((), ())
         points += [(x,) + d for d in got[0]]
         out += got[1]
     return points, out
@@ -646,6 +703,7 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
     also stands for t-injectivity and t-onto.  Membership goes through one
     _Members per level, sharing one memo.
     """
+    _check_box(model, box)
     lvl = Level(model, alpha)
     alpha = lvl.alpha
     answers = {}

@@ -21,7 +21,7 @@ from minexp_lab.cli import (
 )
 import minexp_lab
 from minexp_lab import derham, koszul, minexp, vfilt, weyl
-from minexp_lab.rationals import VerificationError, exact_rank
+from minexp_lab.rationals import InputError, VerificationError, exact_rank
 from minexp_lab.weyl import MonomialModel
 
 
@@ -998,3 +998,28 @@ def test_n4_slice_passes(exponents):
             alphas = [Fraction(alpha) for alpha in report["params"]["alpha"]]
             want = [sum(1 for a in exponents if (alpha * a).denominator == 1) for alpha in alphas]
             assert got == want
+
+
+# every entry point that takes a model and a box, called at alpha = 1/2 on
+# (3, [1, 2, 2]); a box of another dimension used to raise IndexError, or to
+# report PASS or FAIL off coordinates the model does not have
+_BOX_MODEL = MonomialModel(3, [1, 2, 2])
+_BOX_ENTRY_POINTS = {
+    "verify_thm42_i": lambda box: koszul.verify_thm42_i(_BOX_MODEL, Fraction(1, 2), range(0, 2), box),
+    "verify_thm42_ii": lambda box: koszul.verify_thm42_ii(_BOX_MODEL, Fraction(1, 2), range(0, 2), box),
+    "verify_cor51": lambda box: derham.verify_cor51(_BOX_MODEL, Fraction(1, 2), range(0, 3), box),
+    "gr_dr_psi": lambda box: derham.gr_dr_psi(_BOX_MODEL, Fraction(1, 2), 0, box),
+    "cor23_check": lambda box: minexp.cor23_check(_BOX_MODEL, 0, Fraction(1, 2), box),
+    "cor24_check": lambda box: minexp.cor24_check(_BOX_MODEL, 0, Fraction(1, 2), box),
+    "check_v_axioms": lambda box: vfilt.check_v_axioms(_BOX_MODEL, Fraction(1, 2), box),
+    "psi_hodge_dim": lambda box: minexp.psi_hodge_dim(1, Fraction(1, 2), box, _BOX_MODEL),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_BOX_ENTRY_POINTS))
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_box_of_another_dimension_is_an_input_error(entry, n):
+    call = _BOX_ENTRY_POINTS[entry]
+    with pytest.raises(InputError, match="box has dimension"):
+        call(vfilt.TruncationBox.radius(n, 1))
+    call(vfilt.TruncationBox.radius(3, 1))

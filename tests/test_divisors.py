@@ -1,11 +1,13 @@
 """SNC divisor combinatorics: rounding, jumps, lct, multiplier ideals."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
+from minexp_lab.cli import catalog
 from minexp_lab.divisors import (
     ResolutionNumerics,
     SncDivisor,
@@ -245,3 +247,35 @@ def test_infinity_total_order():
     assert sorted(vals) == vals
     assert INF == INF and not INF < INF and INF <= INF
     assert all(v < INF and INF > v for v in vals[:-1])
+
+
+def _blowup_lct_changes(discrepancy):
+    """(cases, changed): over every catalog model and every coordinate
+    stratum S with |S| >= 2 that meets the divisor, the blow-up of S adds
+    the exceptional pair (a_E, discrepancy(S)), a_E = sum of a_i over the
+    divisor coordinates of S, to the identity's numerics; changed lists the
+    (model, S) where that moves lct_from_resolution."""
+    cases, changed = 0, []
+    for model in catalog():
+        identity = [(a, 0) for a in model.a]
+        lct = lct_from_resolution(identity)
+        assert lct == min(F(1, a) for a in model.a)
+        for size in range(2, model.n + 1):
+            for S in itertools.combinations(range(model.n), size):
+                a_E = sum(model.a[i] for i in S if i < model.r)
+                if a_E == 0:
+                    continue
+                cases += 1
+                if lct_from_resolution(identity + [(a_E, discrepancy(S))]) != lct:
+                    changed.append((model, S))
+    return cases, changed
+
+
+def test_blowup_of_a_coordinate_stratum_keeps_the_lct():
+    # the birational side of the lct: blowing up {y_i = 0 : i in S} gives
+    # k_E = |S| - 1, and the lct read off the blown-up numerics is the one
+    # at the identity, for every catalog model and stratum
+    assert _blowup_lct_changes(lambda S: len(S) - 1) == (146, [])
+    # a discrepancy one too small is caught
+    cases, changed = _blowup_lct_changes(lambda S: len(S) - 2)
+    assert cases == 146 and changed

@@ -1223,6 +1223,29 @@ def test_count_grid_built_once_per_level_p_box(monkeypatch):
     assert len(built) == len(set(built))
 
 
+def test_weight_table_built_once_per_level_box(monkeypatch):
+    # one model's sweep of i and ii at p in -3..3 builds one weight table per
+    # (level, box), shared by every p, the deeper level's included
+    box = TruncationBox.radius(3, 3)
+    p_range = range(-3, 4)
+    alphas = jump_candidates(PLANT_MODEL.divisor(), 0, 1)
+    built = []
+
+    class Counted(vfilt._WeightTable):
+        def __init__(self, lvl, box):
+            built.append((lvl.alpha, box))
+            super().__init__(lvl, box)
+
+    monkeypatch.setattr(vfilt, "_GRID_CACHE", {})
+    monkeypatch.setattr(vfilt, "_WeightTable", Counted)
+    for alpha in alphas:
+        assert verify_thm42_i(PLANT_MODEL, alpha, p_range, box)["status"] == "PASS"
+        assert verify_thm42_ii(PLANT_MODEL, alpha, p_range, box)["status"] == "PASS"
+    levels = list(alphas) + [Level(PLANT_MODEL, alphas[-1]).deeper.alpha]
+    assert len(built) == len(set(built)) == len(levels)
+    assert set(built) == {(a, box) for a in levels}
+
+
 def test_thm42_i_examples():
     for model, alpha in [(Y2, F(1, 2)), (Y11, F(1)), (Y23, F(1, 3))]:
         box = TruncationBox.radius(model.n, 5)

@@ -522,6 +522,30 @@ def test_count_grids_past_256_distinct_weights():
             assert bytes(gr_label_leads(lvl, p, box)[0]) == want, (alpha, p)
 
 
+def test_count_grids_past_256_distinct_weights_with_a_negative_free_coordinate():
+    # the comparison path with the sentinel of a negative free coordinate in
+    # the weight sums (an int: a float sentinel would make limit.__ge__
+    # return NotImplemented): every grid and the support still match the
+    # per-locus counts, for p from below -n to past every limit
+    model = MonomialModel(3, [1, 1])
+    box = TruncationBox((-1, -300, -2), (1, 0, 1))
+    for alpha in jump_candidates(model.divisor(), 0, 1):
+        lvl = Level(model, alpha)
+        assert len({max(lvl.b[1] - x, 0) for x in range(-300, 1)}) > 256
+        for p in range(-4, 9):
+            counts = bytes(count_gr(lvl, p, d) for d in box)
+            graded = bytes(count_grF_grV(lvl, p, d) for d in box)
+            assert bytes(gr_count_grid(lvl, p, box)) == counts, (alpha, p)
+            assert bytes(gr_label_leads(lvl, p, box)[0]) == counts, (alpha, p)
+            assert bytes(grF_grV_grid(lvl, p, box)) == graded, (alpha, p)
+            points, ws = grF_grV_support(lvl, p, box)
+            assert points == list(itertools.compress(box, graded)), (alpha, p)
+            assert ws == [gr_label(lvl, p, d)[1][1:] for d in points], (alpha, p)
+        for level in (lvl, lvl.deeper):
+            table = vfilt._table(level, box)
+            assert table.rows.ranked is None and max(table.sums) == table.cap + 1
+
+
 def test_gr_class_rep_and_coordinate():
     # rep has coordinate 1; scalar multiples scale; deeper elements read 0
     model = Y23
