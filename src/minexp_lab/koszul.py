@@ -45,7 +45,9 @@ free coordinates.  The resolution sweeps compare whole box-order bytes and
 read each table entry once: H^0 and the off-degree check (acyclicity in i,
 concentration in ii) are taken per entry, and the H^0 bytes are built by
 C-level gathers and joins, one join per combination of the leading
-columns, to meet the count bytes of vfilt in one bytes ==.  Each H^0 is
+columns, to meet the count bytes of vfilt in one bytes ==; vfilt reads
+those bytes, and the class bytes and lead keys below, off one weight table
+per level and box, which every p shares.  Each H^0 is
 stored as min(H^0, 2), which keeps that == exact because every count grid
 is 0/1; a failing sweep reads the true dims from the table.  The
 sigma-injective check of i covers each locus where H^0 != 0: the class of

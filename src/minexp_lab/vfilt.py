@@ -305,38 +305,47 @@ class _WeightTable:
     coordinate, w_i = max(b_i - d_i, 0) on a divisor coordinate and 0 on a
     free one, have sum(w) <= p + n + min(x - b_0, 0), and no free
     coordinate of rest is negative.  Only that limit reads p.  So the table
-    holds, over the points `rest` of the coordinates past the first, in box
-    order: their w (`ws`, the product of one table per coordinate); their
-    sums, where one sentinel, cap + 1 with cap the largest real sum, stands
-    for a negative free coordinate (`sums`); the _Rows of the sums
-    (`rows`); the distinct (sum, w) of the points without the sentinel,
-    stable-sorted by sum (`groups`); and the count grid of each p asked for
-    (`grids`).  limits(p) clamps each limit into [-1, cap], which keeps
-    every row and group prefix and never reaches the sentinel."""
+    holds, over the points of the coordinates past the first, in box
+    order: their w sums, from one table per divisor coordinate, where one
+    sentinel, cap + 1 with cap the largest real sum, stands for a negative
+    free coordinate (`sums`); the _Rows of the sums (`rows`); the count
+    grid of each p asked for (`grids`); and, built on first use, their w
+    (`ws`, the product of the tables), the (sum, w) lead groups (`groups`)
+    and the (point, w) pairs (`rest`).  limits(p) clamps each limit into [-1, cap], which
+    keeps every row and group prefix and never reaches the sentinel."""
 
     def __init__(self, lvl: Level, box: TruncationBox):
         b, n, r = lvl.b, lvl.model.n, lvl.model.r
-        axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
-        divisor = [[max(b[i] - x, 0) for x in axes[i]] for i in range(1, r)]
-        divisor = list(itertools.product(*divisor))
-        gates = [[x >= 0 for x in axes[j]] for j in range(r, n)]
-        gates = list(map(all, itertools.product(*gates)))
-        sums = list(map(sum, divisor))
+        self.axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
+        self.tables = [[max(b[i] - x, 0) for x in self.axes[i]] for i in range(1, r)]
+        self.free = (0,) * (n - r)
+        gates = [[x >= 0 for x in self.axes[j]] for j in range(r, n)]
+        self.gates = list(map(all, itertools.product(*gates)))
+        sums = [0]
+        for table in self.tables:
+            sums = [s + w for s in sums for w in table]
         self.cap = max(sums)
-        free = (0,) * (n - r)
-        self.ws = [w + free for w in divisor for _ in gates]
-        self.sums = [s if g else self.cap + 1 for s in sums for g in gates]
+        self.sums = [s if g else self.cap + 1 for s in sums for g in self.gates]
         self.rows = _Rows(self.sums)
-        groups = dict.fromkeys(sw for sw in zip(self.sums, self.ws) if sw[0] <= self.cap)
-        self.groups = sorted(groups, key=operator.itemgetter(0))
-        self.axes = axes
-        self.offsets = [n + min(x - b[0], 0) for x in axes[0]]
+        self.offsets = [n + min(x - b[0], 0) for x in self.axes[0]]
         self.grids = {}
 
     @cached_property
+    def ws(self) -> list:
+        """w past the first coordinate at each point of rest, in box order;
+        built on first use, as a count grid does not read it."""
+        return [w + self.free for w in itertools.product(*self.tables) for _ in self.gates]
+
+    @cached_property
+    def groups(self) -> list:
+        """The distinct (sum, w) of the points without the sentinel, in
+        order of first occurrence, stable-sorted by sum."""
+        groups = dict.fromkeys(sw for sw in zip(self.sums, self.ws) if sw[0] <= self.cap)
+        return sorted(groups, key=operator.itemgetter(0))
+
+    @cached_property
     def rest(self) -> list:
-        """(point, w) past the first coordinate, in box order; built on
-        first use, by grF_grV_support."""
+        """(point, w) past the first coordinate, in box order."""
         return list(zip(itertools.product(*self.axes[1:]), self.ws))
 
     def limits(self, p) -> list:
