@@ -27,30 +27,23 @@ the deeper Level's b + 1.  The per-multidegree functions (labels, counts,
 membership, class representatives) take the Level, never (model, alpha), so
 no rounding or Fraction hashing happens per multidegree.  A sweep over a
 whole TruncationBox uses the box kernels, which all read one weight table
-per (level, box), _WeightTable, shared by every Hodge index p: gr_label's
-dy-weights w_i = max(b_i - d_i, 0) past the first coordinate (an
-itertools.product of per-coordinate tables), their sums (one sentinel,
-above every limit, where a free coordinate is negative), the sums' rank
-bytes with one 0/1 byte row per distinct limit, built on first use, and the
-distinct (sum, w) groups sorted by sum.  p enters only through the limit
-p + n + min(d_0 - b_0, 0) on the sum, one per d_0, so per p a kernel only
-computes the limits, joins cached rows and, for the leads, walks the
-groups.  gr_count_grid joins one row per d_0 into bytes in box order (each
-row is one bytes.translate of the rank bytes, or a comparison per weight
-past 256 distinct weights); the table keeps the grid of each p, so a sweep
-over the alphas of one model builds each grid once: grF_grV_grid is the
-bytewise h & ~g of its own level's grid and the deeper level's, which is
-the next alpha's.  Each call returns a fresh bytearray.  gr_label_leads
-walks the groups: sorted by sum, the groups with a class at one d_0 are a
-prefix, so without visiting the loci it returns the class bytes in box
-order and, per distinct lead_key, a (u0, w) with u0 = b past the first
-coordinate, whose expansion is that of the key's first locus.  The tests
-hold it, and gr_label (from which gr_class_rep, the one-point entry, builds
-u0 = b + v), equal at every locus of every catalog level to a
-locus-by-locus reference listing in tests/oracles.py.  grF_grV_support
+per (level, box), _WeightTable, shared by every Hodge index p: p enters
+gr_label's rule only through a limit per d_0 on the sum of the dy-weights
+past the first coordinate, so per p a kernel only computes the limits,
+joins the table's 0/1 byte rows (one per distinct limit, built on first
+use) and, for the leads, walks its (sum, w) groups.  The table keeps the
+count grid of each p, so a sweep over the alphas of one model builds each
+grid once: grF_grV_grid is the bytewise h & ~g of its own level's grid and
+the deeper level's, which is the next alpha's.  Each call returns a fresh
+bytearray.  gr_label_leads returns, without visiting the loci, the class
+bytes in box order and, per distinct lead_key, a (u0, w) with u0 = b past
+the first coordinate, whose expansion is that of the key's first locus.
+The tests hold it, and gr_label (from which gr_class_rep, the one-point
+entry, builds u0 = b + v), equal at every locus of every catalog level to
+a locus-by-locus reference listing in tests/oracles.py.  grF_grV_support
 lists the points of the box where Gr^F_p Gr^V_{-alpha} is nonzero (and
-their gr_label w), masking one level's rows by the deeper level's.
-The expansion and grid caches hold one model at a time.
+their gr_label w), masking one level's rows by the deeper level's.  The
+expansion and grid caches hold one model at a time.
 
 The axiom check (check_v_axioms, one pass over the box) asks millions of
 memberships over the catalog at radius 6, most of them repeats: a
@@ -301,18 +294,17 @@ def _rows_by_limit(weights, limits, rows=None) -> bytes:
 class _WeightTable:
     """gr_label's rule at one level over one box, for every p at once.
 
-    gr_label exists at d = (x, rest) iff the dy-weights past the first
-    coordinate, w_i = max(b_i - d_i, 0) on a divisor coordinate and 0 on a
-    free one, have sum(w) <= p + n + min(x - b_0, 0), and no free
-    coordinate of rest is negative.  Only that limit reads p.  So the table
-    holds, over the points of the coordinates past the first, in box
-    order: their w sums, from one table per divisor coordinate, where one
-    sentinel, cap + 1 with cap the largest real sum, stands for a negative
-    free coordinate (`sums`); the _Rows of the sums (`rows`); the count
-    grid of each p asked for (`grids`); and, built on first use, their w
-    (`ws`, the product of the tables), the (sum, w) lead groups (`groups`)
-    and the (point, w) pairs (`rest`).  limits(p) clamps each limit into [-1, cap], which
-    keeps every row and group prefix and never reaches the sentinel."""
+    gr_label exists at d = (x, rest) iff no free coordinate of rest is
+    negative and the dy-weights past the first coordinate,
+    w_i = max(b_i - d_i, 0) on a divisor coordinate and 0 on a free one,
+    have sum(w) <= p + n + min(x - b_0, 0); only that limit reads p.  Over
+    the points past the first coordinate, in box order, the table holds the
+    sums, with cap + 1 (cap the largest real sum) where a free coordinate is
+    negative (`sums`), their _Rows (`rows`) and the count grid of each p
+    asked for (`grids`); the w (`ws`), the distinct (sum, w) lead groups
+    (`groups`) and the (point, w) pairs (`rest`) are built on first use.
+    limits(p) clamps each limit into [-1, cap], which keeps every row and
+    group prefix and never reaches the sentinel cap + 1."""
 
     def __init__(self, lvl: Level, box: TruncationBox):
         b, n, r = lvl.b, lvl.model.n, lvl.model.r
