@@ -46,8 +46,8 @@ read each table entry once: H^0 and the off-degree check (acyclicity in i,
 concentration in ii) are taken per entry, and the H^0 bytes are built by
 C-level gathers and joins, one join per combination of the leading
 columns, to meet the count bytes of vfilt in one bytes ==; vfilt reads
-those bytes, and the class bytes and lead keys below, off one weight table
-per level and box, which every p shares.  Each H^0 is
+those bytes, and the lead keys below with their point counts, off one
+weight table per level and box, which every p shares.  Each H^0 is
 stored as min(H^0, 2), which keeps that == exact because every count grid
 is 0/1; a failing sweep reads the true dims from the table.  The
 sigma-injective check of i covers each locus where H^0 != 0: the class of
@@ -58,14 +58,15 @@ that key is fixed by vfilt.lead_key, so the lead is checked once per key.
 
 A (level, p) is decided in one of two ways.  The bytes pass it: the H^0
 bytes equal the count grid, every table entry passes the off-degree check,
-and, in i, vfilt.gr_label_leads' class bytes equal the count grid too (so
-the loci with a class are exactly those with H^0 != 0) and the first locus
-of each lead key leads right; no locus is visited.  Otherwise _scan decides:
-it walks the loci in box order with the checks in their per-locus order
-(acyclicity or concentration, then H0-dims, then sigma-injective, which
-reads gr_label only where H^0 != 0 and shares the per-key memo), and fails
-the first locus that fails, naming the same locus and fields as a per-locus
-loop would; when every locus passes (say, an extra class where H^0 = 0,
+and, in i, the point counts of vfilt.gr_label_leads' keys sum to the number
+of loci with H^0 != 0 (read off the H^0 bytes, not the count grid, which
+shares the leads' weight table) and the first locus of each lead key leads
+right; no locus is visited.  Otherwise _scan decides: it walks the loci in
+box order with the checks in their per-locus order (acyclicity or
+concentration, then H0-dims, then sigma-injective, which reads gr_label
+only where H^0 != 0 and shares the per-key memo), and fails the first
+locus that fails, naming the same locus and fields as a per-locus loop
+would; when every locus passes (say, an extra class where H^0 = 0,
 which no check reads), the (level, p) passes.  Only _scan indexes the
 table point by point (_spread, a list of dicts in box order).
 tests/test_koszul.py keeps the per-locus loop, with every check at every
@@ -556,7 +557,7 @@ def verify_thm42_i(model: MonomialModel, alpha, p_range, box: TruncationBox):
             ok = seen.get(key)
             if ok is None:
                 orders = _expansion_orders(model, u0, w, 0)[0]
-                ok = seen[key] = max(orders) == top and bool(orders[top])
+                ok = seen[key] = max(orders, default=None) == top and bool(orders[top])
             return ok
 
         def lead(d):
@@ -566,20 +567,18 @@ def verify_thm42_i(model: MonomialModel, alpha, p_range, box: TruncationBox):
             u0, w = tuple(x + y for x, y in zip(lvl.b, label[0])), label[1]
             return lead_ok(lead_key(u0, w), u0, w)
 
+        nonzero = len(h0) - h0.count(0)
         passed = all(map(_acyclic, grid[0])) and h0 == want
         if passed:
-            classes, firsts = gr_label_leads(lvl, p - 1, box)
-            passed = classes == want and all(
-                lead_ok(key, *first) for key, first in firsts.items()
+            leads = gr_label_leads(lvl, p - 1, box)
+            passed = sum(points for _, _, points in leads.values()) == nonzero and all(
+                lead_ok(key, u0, w) for key, (u0, w, _) in leads.items()
             )
         # the scan can still pass, e.g. with an extra class where H^0 = 0,
         # which it does not read
         if not passed and _scan(report, p, box, grid, want, _acyclic, _THM42I, lead):
             return report
-        _check(
-            report, "thm42i", p=p, alpha=format_rational(lvl.alpha),
-            nonzero_H0_loci=len(h0) - h0.count(0),
-        )
+        _check(report, "thm42i", p=p, alpha=format_rational(lvl.alpha), nonzero_H0_loci=nonzero)
     return report
 
 

@@ -34,16 +34,17 @@ joins the table's 0/1 byte rows (one per distinct limit, built on first
 use) and, for the leads, walks its (sum, w) groups.  The table keeps the
 count grid of each p, so a sweep over the alphas of one model builds each
 grid once: grF_grV_grid is the bytewise h & ~g of its own level's grid and
-the deeper level's, which is the next alpha's.  Each call returns a fresh
-bytearray.  gr_label_leads returns, without visiting the loci, the class
-bytes in box order and, per distinct lead_key, a (u0, w) with u0 = b past
-the first coordinate, whose expansion is that of the key's first locus.
-The tests hold it, and gr_label (from which gr_class_rep, the one-point
-entry, builds u0 = b + v), equal at every locus of every catalog level to
-a locus-by-locus reference listing in tests/oracles.py.  grF_grV_support
-lists the points of the box where Gr^F_p Gr^V_{-alpha} is nonzero (and
-their gr_label w), masking one level's rows by the deeper level's.  The
-expansion and grid caches hold one model at a time.
+the deeper level's, which is the next alpha's.  The grids are immutable
+bytes, and gr_count_grid returns the cached object itself.  gr_label_leads
+returns, without visiting the loci, per distinct lead_key a (u0, w) with
+u0 = b past the first coordinate, whose expansion is that of the key's
+first locus, and the number of the key's loci, summed from the groups'
+point counts.  The tests hold it, and gr_label (from which gr_class_rep,
+the one-point entry, builds u0 = b + v), equal at every locus of every
+catalog level to a locus-by-locus reference listing in tests/oracles.py.
+grF_grV_support lists the points of the box where Gr^F_p Gr^V_{-alpha} is
+nonzero (and their gr_label w), masking one level's rows by the deeper
+level's.  The expansion and grid caches hold one model at a time.
 
 The axiom check (check_v_axioms, one pass over the box) asks millions of
 memberships over the catalog at radius 6, most of them repeats: a
@@ -83,6 +84,7 @@ import itertools
 import math
 import operator
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -281,16 +283,6 @@ class _Rows(dict):
         return row
 
 
-def _rows_by_limit(weights, limits, rows=None) -> bytes:
-    """The box-order 0/1 bytes of `weight <= limit`, one row over `weights`
-    per entry of `limits` (one per d_0), joined: each distinct limit's row
-    is built once, in `rows`, the _Rows of `weights` that a caller keeps to
-    ask again (a fresh one by default)."""
-    if rows is None:
-        rows = _Rows(weights)
-    return b"".join(map(rows.__getitem__, limits))
-
-
 class _WeightTable:
     """gr_label's rule at one level over one box, for every p at once.
 
@@ -302,7 +294,8 @@ class _WeightTable:
     sums, with cap + 1 (cap the largest real sum) where a free coordinate is
     negative (`sums`), their _Rows (`rows`) and the count grid of each p
     asked for (`grids`); the w (`ws`), the distinct (sum, w) lead groups
-    (`groups`) and the (point, w) pairs (`rest`) are built on first use.
+    with their point counts (`groups`) and the (point, w) pairs (`rest`)
+    are built on first use.
     limits(p) clamps each limit into [-1, cap], which keeps every row and
     group prefix and never reaches the sentinel cap + 1."""
 
@@ -330,10 +323,11 @@ class _WeightTable:
 
     @cached_property
     def groups(self) -> list:
-        """The distinct (sum, w) of the points without the sentinel, in
-        order of first occurrence, stable-sorted by sum."""
-        groups = dict.fromkeys(sw for sw in zip(self.sums, self.ws) if sw[0] <= self.cap)
-        return sorted(groups, key=operator.itemgetter(0))
+        """The distinct (sum, w) of the points without the sentinel, each
+        with its number of points, as (sum, w, points), in order of first
+        occurrence, stable-sorted by sum."""
+        groups = Counter(sw for sw in zip(self.sums, self.ws) if sw[0] <= self.cap)
+        return sorted(((s, w, c) for (s, w), c in groups.items()), key=operator.itemgetter(0))
 
     @cached_property
     def rest(self) -> list:
@@ -358,7 +352,10 @@ def _table(lvl: Level, box: TruncationBox) -> _WeightTable:
     return table
 
 
-def _count_bytes(lvl: Level, p, box: TruncationBox) -> bytes:
+def gr_count_grid(lvl: Level, p, box: TruncationBox) -> bytes:
+    """[count_gr(lvl, p, d) for d in box] as bytes, built once per (level,
+    p, box) and kept in the weight table: every call returns the same
+    immutable bytes."""
     grids = _table(lvl, box).grids
     grid = grids.get(p)
     if grid is None:
@@ -366,53 +363,49 @@ def _count_bytes(lvl: Level, p, box: TruncationBox) -> bytes:
     return grid
 
 
-def gr_count_grid(lvl: Level, p, box: TruncationBox) -> bytearray:
-    """[count_gr(lvl, p, d) for d in box] as bytes, built once per (level,
-    p, box); each call returns a fresh bytearray."""
-    return bytearray(_count_bytes(lvl, p, box))
-
-
 def _count_grid(lvl: Level, p, box: TruncationBox) -> bytes:
     """gr_count_grid, uncached: the weight table's rows, one per limit."""
     table = _table(lvl, box)
-    return _rows_by_limit(table.sums, table.limits(p), table.rows)
+    return b"".join(map(table.rows.__getitem__, table.limits(p)))
 
 
-def gr_label_leads(lvl: Level, p, box: TruncationBox):
-    """(classes, leads) for the loci where gr_label(lvl, p, d) exists,
-    without visiting them: classes is the box-order bytes with 1 there (the
-    count grid), and leads maps each distinct lead_key to a (u0, w) whose
-    expansion is that of its first locus in box order.
+def gr_label_leads(lvl: Level, p, box: TruncationBox) -> dict:
+    """{lead_key: [u0, w, points]} over the loci where gr_label(lvl, p, d)
+    exists, without visiting them: (u0, w) has the expansion of the key's
+    first locus in box order, and points counts the key's loci.
 
     The points past the first coordinate group by their w (the weight
     table's groups, in order of first occurrence, stable-sorted by their
-    sum s).  A group passes at d_0 = x iff s <= its limit, so the groups
-    that pass at one x are a prefix, each giving one key: a step per
-    (x, group), not per locus.  u0 = b past the first coordinate: gr_label
-    has v_i w_i = 0, so u0_i = b_i wherever w_i > 0, and expansion_key
-    reads u0_i nowhere else.
+    sum s, each with its number of points).  A group passes at d_0 = x iff
+    s <= its limit, so the groups that pass at one x are a prefix, each
+    giving one key and its points: a step per (x, group), not per locus.
+    u0 = b past the first coordinate: gr_label has v_i w_i = 0, so
+    u0_i = b_i wherever w_i > 0, and expansion_key reads u0_i nowhere else.
     """
     table = _table(lvl, box)
     top, u = p + lvl.model.n, lvl.b[1:]
-    groups = [(s, (top - s,) + w) for s, w in table.groups]
+    groups = [(s, (top - s,) + w, c) for s, w, c in table.groups]
     leads = {}
     for x, limit in zip(table.axes[0], table.limits(p)):
-        for s, w in groups:
+        for s, w, c in groups:
             if s > limit:
                 break
             u0 = (x + w[0],) + u
             key = lead_key(u0, w)
-            if key not in leads:
-                leads[key] = u0, w
-    return _count_bytes(lvl, p, box), leads
+            lead = leads.get(key)
+            if lead is None:
+                leads[key] = [u0, w, c]
+            else:
+                lead[2] += c
+    return leads
 
 
-def grF_grV_grid(lvl: Level, p, box: TruncationBox) -> bytearray:
-    """[count_grF_grV(lvl, p, d) for d in box] as a fresh bytearray: the
-    bytewise h & ~g of the two levels' cached 0/1 count grids."""
-    here, deeper = _count_bytes(lvl, p, box), _count_bytes(lvl.deeper, p, box)
+def grF_grV_grid(lvl: Level, p, box: TruncationBox) -> bytes:
+    """[count_grF_grV(lvl, p, d) for d in box] as bytes: the bytewise
+    h & ~g of the two levels' cached 0/1 count grids."""
+    here, deeper = gr_count_grid(lvl, p, box), gr_count_grid(lvl.deeper, p, box)
     h, g = int.from_bytes(here, "big"), int.from_bytes(deeper, "big")
-    return bytearray((h & ~g).to_bytes(len(here), "big"))
+    return (h & ~g).to_bytes(len(here), "big")
 
 
 def grF_grV_support(lvl: Level, p, box: TruncationBox):

@@ -400,7 +400,7 @@ def test_planted_locus_error_names_its_degree(target, monkeypatch):
     grid = koszul.gr_count_grid
 
     def flipped(lvl, p, box):
-        out = grid(lvl, p, box)
+        out = bytearray(grid(lvl, p, box))
         k = list(box).index(target)
         out[k] = 1 - out[k]
         return out

@@ -478,7 +478,7 @@ def _flip(monkeypatch, name, target, p_at=None):
     inner = getattr(koszul, name)
 
     def flipped(lvl, p, box):
-        out = inner(lvl, p, box)
+        out = bytearray(inner(lvl, p, box))
         if p_at is None or p == p_at:
             k = list(box).index(target)
             out[k] = 1 - out[k]
@@ -487,25 +487,24 @@ def _flip(monkeypatch, name, target, p_at=None):
     monkeypatch.setattr(koszul, name, flipped)
 
 
-def _leads_of(listing, box):
-    """gr_label_leads' (classes, leads), read off a per-locus listing of
-    (d, u0, w) in box order."""
-    labelled, firsts = set(), {}
-    for d, u0, w in listing:
-        labelled.add(d)
-        firsts.setdefault(vfilt.lead_key(u0, w), (u0, w))
-    return bytes(d in labelled for d in box), firsts
+def _leads_of(listing):
+    """gr_label_leads' {lead key: [u0, w, points]}, read off a per-locus
+    listing of (d, u0, w) in box order."""
+    leads = {}
+    for _, u0, w in listing:
+        leads.setdefault(vfilt.lead_key(u0, w), [u0, w, 0])[2] += 1
+    return leads
 
 
 def _drop_label(monkeypatch, target):
     """The Gr^F class at `target` goes missing: from gr_label, which the
-    reference's gr_class_rep and the sweep's scan read, and from the class
-    list and first loci of the keys (gr_label_leads)."""
+    reference's gr_class_rep and the sweep's scan read, and from the lead
+    map (gr_label_leads), whose point counts then fall one short."""
     label = vfilt.gr_label
 
     def dropped_leads(lvl, p, box):
         listing = ((d, u0, w) for d, u0, w in gr_label_grid(lvl, p, box) if d != target)
-        return _leads_of(listing, box)
+        return _leads_of(listing)
 
     def dropped_label(lvl, p, d):
         return None if tuple(d) == target else label(lvl, p, d)
@@ -686,6 +685,52 @@ def test_sigma_checks_the_lead_of_each_class(monkeypatch):
     assert tuple(fail["degree"]) == tuple(x - y for x, y in zip(u0, w))
 
 
+def test_lead_fault_with_an_empty_lead_map_fails_every_level(monkeypatch):
+    # the top order of every expansion with |w| >= 2 moved up one, and no
+    # lead at all from the label tables: the leads' point counts (0) fall
+    # short of the loci with H^0 != 0, so the sweep scans, reads each lead
+    # through gr_label, and fails every catalog level at radius 3
+    inner = koszul._expansion_orders
+
+    def raised(model, u0, w, jmax):
+        out = inner(model, u0, w, jmax)
+        if sum(w) >= 2:
+            top = max(out[0])
+            lead = {m: c for m, c in out[0].items() if m != top}
+            out = [{**lead, top + 1: out[0][top]}] + out[1:]
+        return out
+
+    monkeypatch.setattr(koszul, "_expansion_orders", raised)
+    monkeypatch.setattr(koszul, "gr_label_leads", lambda lvl, p, box: {})
+    for lvl in _catalog_levels():
+        model = lvl.model
+        rep = verify_thm42_i(model, lvl.alpha, range(-3, 4), TruncationBox.radius(model.n, 3))
+        assert rep["status"] == "FAIL", (model, lvl.alpha)
+        assert rep["checks"][-1]["name"] == "thm42i-sigma-injective", (model, lvl.alpha)
+
+
+def test_zero_expansion_is_a_fail(monkeypatch):
+    # an expansion with no term has no lead: verify-thm42 records, per
+    # alpha, one thm42i-sigma-injective FAIL at the first locus in box order
+    # of the first p with H^0 != 0, and exits 2, with no traceback
+    monkeypatch.setattr(koszul, "_expansion_orders", lambda model, u0, w, jmax: [{}])
+    model, box = MonomialModel(2, [2, 3]), TruncationBox.radius(2, 2)
+    config = {"command": "verify-thm42", "model": {"n": 2, "exponents": [2, 3]}, "box": 2}
+    report, code = run(config)
+    assert code == 2
+    fails = [c for c in report["checks"] if c["status"] == "FAIL"]
+    alphas = jump_candidates(model.divisor(), 0, 1)
+    assert [c["alpha"] for c in fails] == [format_rational(a) for a in alphas]
+    for fail, alpha in zip(fails, alphas):
+        gc = GradedCbar(model, Level(model, alpha).twist)
+        first = next(
+            (p, list(d)) for p in range(-model.n, 4)
+            for d, h in zip(box, cohomology_grid(gc, p, box)) if h.get(0)
+        )
+        assert fail["name"] == "thm42i-sigma-injective"
+        assert (fail["p"], fail["degree"]) == first
+
+
 def test_planted_bad_lead_shared_by_loci(monkeypatch):
     # the expansion of one key that several loci share, not the first key
     # the sweep looks up, gets a zero lead: the sweep checks that lead once,
@@ -798,7 +843,7 @@ def _walked(*args):
 
 def test_passing_thm42i_never_walks_the_loci(monkeypatch):
     # every catalog level in (0, 1] at radius 2 with p in -n..3: the sweep
-    # passes from the class list and one lead per key, never scans the loci
+    # passes from the leads' point counts and one lead per key, never scans the loci
     # or reads a per-locus label, and reports what the per-locus reference
     # reports
     monkeypatch.setattr(koszul, "_scan", _walked)
@@ -829,10 +874,11 @@ def test_passing_sweeps_never_build_the_point_index(monkeypatch):
 
 def test_extra_class_where_H0_vanishes_still_passes(monkeypatch):
     # the label kernels list one more class, at a locus whose free
-    # coordinate is negative, so H^0 = 0 there at every p: the class list no
-    # longer matches the count grid, the sweep falls back to the box-order
-    # scan at every p, and that scan, like the reference, reads labels only
-    # where H^0 != 0, so the sweep still passes with the same report
+    # coordinate is negative, so H^0 = 0 there at every p: the leads' point
+    # counts sum to one more than the loci with H^0 != 0, the sweep falls
+    # back to the box-order scan at every p, and that scan, like the
+    # reference, reads labels only where H^0 != 0, so the sweep still passes
+    # with the same report
     target = (0, 0, -1)
     label, scan = vfilt.gr_label, koszul._scan
     walks = []
@@ -850,7 +896,7 @@ def test_extra_class_where_H0_vanishes_still_passes(monkeypatch):
     def extra_leads(lvl, p, box):
         listed = {d: (u0, w) for d, u0, w in gr_label_grid(lvl, p, box)}
         listed[target] = extra(lvl, p)
-        return _leads_of(((d, *listed[d]) for d in box if d in listed), box)
+        return _leads_of((d, *listed[d]) for d in box if d in listed)
 
     def walked(report, p, *args):
         walks.append(p)
@@ -1194,8 +1240,8 @@ def test_caches_hold_one_model():
 def test_count_grid_built_once_per_level_p_box(monkeypatch):
     # one model's sweep in the benchmark's order (per alpha, i then ii)
     # builds each count grid once: the grid of (alpha, p) in i is reused by
-    # ii and as the deeper grid of the alpha before; a caller that mutates a
-    # grid, as _flip does, gets a copy
+    # ii and as the deeper grid of the alpha before; every call returns the
+    # cached grid itself, immutable bytes, so _flip copies before it flips
     box = TruncationBox.radius(3, 3)
     p_range = range(-3, 4)
     alphas = jump_candidates(PLANT_MODEL.divisor(), 0, 1)
@@ -1216,10 +1262,8 @@ def test_count_grid_built_once_per_level_p_box(monkeypatch):
     assert set(built) == {(a, p - 1, box) for a in levels for p in p_range}
     lvl = Level(PLANT_MODEL, alphas[0])
     grid = vfilt.gr_count_grid(lvl, 0, box)
-    kept = list(grid)
-    grid[0] = 1 - grid[0]
-    assert list(vfilt.gr_count_grid(lvl, 0, box)) == kept
-    assert vfilt.gr_count_grid(lvl, 0, box) is not vfilt.gr_count_grid(lvl, 0, box)
+    assert type(grid) is bytes
+    assert vfilt.gr_count_grid(lvl, 0, box) is grid
     assert len(built) == len(set(built))
 
 

@@ -362,11 +362,11 @@ def test_label_leads_match_the_label_grid():
     # every catalog level in (0, 1] with p in -n-1..3, over the radius-2 box,
     # an off-centre box, a box whose last coordinate is negative throughout
     # and a box where every coordinate past the first starts above b: the
-    # class list marks exactly the loci gr_label_grid lists, and each lead
-    # key (u0_0 if w_0 else 0, w) maps to a (u0, w) with the expansion of
-    # its first locus in box order (on the first three boxes, to that
-    # locus's own (u0, w); on the last, u0 = b past the first coordinate
-    # differs from it where w_i = 0)
+    # lead keys (u0_0 if w_0 else 0, w) are those of the loci gr_label_grid
+    # lists, and each maps to the number of those loci with its key and to
+    # a (u0, w) with the expansion of its first locus in box order (on the
+    # first three boxes, that locus's own (u0, w); on the last, u0 = b past
+    # the first coordinate differs from it where w_i = 0)
     levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
     assert len(levels) == 172
     keys = 0
@@ -380,17 +380,16 @@ def test_label_leads_match_the_label_grid():
         )
         for box in boxes:
             for p in range(-n - 1, 4):
-                labelled, firsts = set(), {}
-                for d, u0, w in gr_label_grid(lvl, p, box):
-                    labelled.add(d)
-                    firsts.setdefault(((u0[0] if w[0] else 0), w), (u0, w))
-                classes, leads = gr_label_leads(lvl, p, box)
+                firsts = {}
+                for _, u0, w in gr_label_grid(lvl, p, box):
+                    firsts.setdefault(((u0[0] if w[0] else 0), w), [u0, w, 0])[2] += 1
+                leads = gr_label_leads(lvl, p, box)
                 where = (model, lvl.alpha, p, box)
-                assert list(classes) == [int(d in labelled) for d in box], where
                 if box is boxes[-1]:
                     assert leads.keys() == firsts.keys(), where
-                    for key, (u0, w) in leads.items():
-                        first = firsts[key]
+                    for key, (u0, w, points) in leads.items():
+                        *first, listed = firsts[key]
+                        assert points == listed, where
                         assert vfilt.expansion_key(u0, w) == vfilt.expansion_key(*first), where
                         assert _expansion_orders(model, u0, w, 0) == _uncached_orders(
                             model, *first, 0
@@ -502,15 +501,16 @@ def test_rows_by_limit_matches_the_comparisons():
             limits += [limits[0], -1, top, limits[-1]]
             rng.shuffle(limits)
             want = b"".join(bytes(limit >= w for w in weights) for limit in limits)
-            assert vfilt._rows_by_limit(weights, limits) == want, (size, top, limits)
+            rows = vfilt._Rows(weights)
+            assert b"".join(map(rows.__getitem__, limits)) == want, (size, top, limits)
             distinct_counts.add(len(set(weights)))
     assert 256 in distinct_counts and max(distinct_counts) > 256
 
 
 def test_count_grids_past_256_distinct_weights():
     # a thin box whose second axis has 301 distinct weights takes the
-    # comparison path; the count grid and the class bytes still match the
-    # per-locus count
+    # comparison path; the count grid and the leads' point counts still
+    # match the per-locus count
     model = Y11
     box = TruncationBox((-1, -300), (1, 0))
     for alpha in jump_candidates(model.divisor(), 0, 1):
@@ -519,7 +519,7 @@ def test_count_grids_past_256_distinct_weights():
         for p in range(-3, 4):
             want = bytes(count_gr(lvl, p, d) for d in box)
             assert bytes(gr_count_grid(lvl, p, box)) == want, (alpha, p)
-            assert bytes(gr_label_leads(lvl, p, box)[0]) == want, (alpha, p)
+            assert sum(c for _, _, c in gr_label_leads(lvl, p, box).values()) == sum(want), (alpha, p)
 
 
 def test_count_grids_past_256_distinct_weights_with_a_negative_free_coordinate():
@@ -536,7 +536,7 @@ def test_count_grids_past_256_distinct_weights_with_a_negative_free_coordinate()
             counts = bytes(count_gr(lvl, p, d) for d in box)
             graded = bytes(count_grF_grV(lvl, p, d) for d in box)
             assert bytes(gr_count_grid(lvl, p, box)) == counts, (alpha, p)
-            assert bytes(gr_label_leads(lvl, p, box)[0]) == counts, (alpha, p)
+            assert sum(c for _, _, c in gr_label_leads(lvl, p, box).values()) == sum(counts), (alpha, p)
             assert bytes(grF_grV_grid(lvl, p, box)) == graded, (alpha, p)
             points, ws = grF_grV_support(lvl, p, box)
             assert points == list(itertools.compress(box, graded)), (alpha, p)
