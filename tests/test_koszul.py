@@ -843,9 +843,9 @@ def _walked(*args):
 
 def test_passing_thm42i_never_walks_the_loci(monkeypatch):
     # every catalog level in (0, 1] at radius 2 with p in -n..3: the sweep
-    # passes from the leads' point counts and one lead per key, never scans the loci
-    # or reads a per-locus label, and reports what the per-locus reference
-    # reports
+    # passes from the leads' point counts and one lead per key, never scans
+    # the loci or reads a per-locus label, and reports what the per-locus
+    # reference reports
     monkeypatch.setattr(koszul, "_scan", _walked)
     monkeypatch.setattr(koszul, "gr_label", _walked)
     for lvl in _catalog_levels():
