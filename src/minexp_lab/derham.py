@@ -33,10 +33,10 @@ is built in two passes: each term (K, d) is scattered onto its locus
 D = d + deg K, and each locus gets a key, the bits of its terms and the
 coordinate id of every edge dy_K -> dy_{K+k} whose target term is present.
 The scatter works on box positions, not tuples: beside its row, each
-support point keeps its box-order index and two masks over the variables,
-must (d_k = lo_k - 1, so K must hold k) and avoid (d_k = hi_k, so K must
-not), so a term lands in the box by one mask test, at its point's index
-plus a per-K offset, and the tuple D is built once per locus.
+support point keeps its index in the box one step wider, lo - 1 .. hi + 1,
+which holds every locus, so a term sits at that index plus a per-K offset,
+lands iff a byte mask of the box marks it there, and the tuple D is built
+once per locus.
 Equal ids are equal coordinates, so the key determines the bases and the
 matrices entry for entry (a sign follows from (K, k)); the cohomology is
 assembled by complex_at and ranked once per distinct key and read from a
@@ -60,7 +60,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .rationals import InputError, exact_rank, format_rational
+from .rationals import InputError, VerificationError, exact_rank, format_rational
 from .vfilt import (
     MAX_N,
     Level,
@@ -137,7 +137,6 @@ class _LevelComplexes:
         self.lvl = lvl
         self.box = box
         self.scan = TruncationBox(tuple(x - 1 for x in box.lo), box.hi)
-        self.strides = _strides(box)
         n = lvl.model.n
         # per form degree q: (K, bit(K), deg K, [(k, K + k, bit(K + k), sign
         # of dy_k ^ dy_K)]), where bit(K) = 1 << (K as a mask over range(n))
@@ -154,17 +153,13 @@ class _LevelComplexes:
                 deg = tuple(1 if t in K else 0 for t in range(n))
                 subsets.append((K, 1 << sum(1 << t for t in K), deg, wedges))
             self.subsets.append(subsets)
-        # per coordinate k, x in lo_k - 1 .. hi_k packed into one int:
-        # (x - lo_k + 1) * stride_k above bit 2n, bit k of must above bit n,
-        # bit k of care (see support); the bits of distinct k are disjoint,
-        # so the sum over the coordinates packs a point's place
-        self._packs = []
-        for k, (lo, hi, stride) in enumerate(zip(box.lo, box.hi, self.strides)):
-            pack = {}
-            for x in range(lo - 1, hi + 1):
-                must, avoid = (x < lo) << k, (x == hi) << k
-                pack[x] = (x - lo + 1) * stride << 2 * n | must << n | must | avoid
-            self._packs.append(pack)
+        # every locus d + deg K of a scan box point d lies in the box one step
+        # wider, lo - 1 .. hi + 1: _wide holds its strides, and _inside marks
+        # the points of the box itself, as box-order bytes over the wider box
+        self._wide = _strides(TruncationBox(self.scan.lo, tuple(x + 1 for x in box.hi)))
+        self._inside = _all_bytes(
+            [[lo <= x <= hi for x in range(lo - 1, hi + 2)] for lo, hi in zip(box.lo, box.hi)]
+        )
         self._support = {}
         self._places = {}
         self._reps = {}
@@ -183,12 +178,9 @@ class _LevelComplexes:
         the loci in that order, and a memo keyed more coarsely than by the
         complex (a planted fault in the tests) reuses the complex of the
         first locus it meets.  Beside the rows, in the same order, it
-        keeps each point's place (d, row, at, must, care) for keys(): at
-        is d's box-order index by the box's strides (d may lie one step
-        below the box); must holds the k with d_k = lo_k - 1 (K must hold
-        k) and avoid those with d_k = hi_k (K must not), as masks over
-        range(n), and care = must | avoid.  So d + deg K lies in the box
-        iff K & care == must, at index at + offset K."""
+        keeps each point's place (d, row, at) for keys(): at is d's index
+        in the box one step wider, lo - 1 .. hi + 1, by that box's strides,
+        so d + deg K sits at at + offset K there."""
         got = self._support.get(p)
         if got is None:
             n = self.lvl.model.n
@@ -198,21 +190,26 @@ class _LevelComplexes:
                 w0 = p + n - sum(w)
                 key[d] = (p, (d[0] + w0) if w0 else 0, w)
             got = self._support[p] = {d: [None] * n + [key[d]] for d in set(points)}
-            packs, low, shift = self._packs, (1 << n) - 1, sum(self.strides)
-            places = self._places[p] = []
-            for d, row in got.items():
-                place = sum(map(dict.__getitem__, packs, d))
-                at = (place >> 2 * n) - shift
-                places.append((d, row, at, place >> n & low, place & low))
+            wide = self._wide
+            base = sum(map(operator.mul, self.scan.lo, wide))
+            self._places[p] = [
+                (d, row, sum(map(operator.mul, d, wide)) - base) for d, row in got.items()
+            ]
         return got
 
     def rep(self, p, d):
         """The class representative at d in support(p): one per (p, lead
-        key), built by gr_class_rep at the first point that asks for it."""
+        key), built by gr_class_rep at the first point that asks for it.  A
+        support point without a class is a VerificationError."""
         key = self.support(p)[d][-1]
         got = self._reps.get(key)
         if got is None:
-            got = self._reps[key] = gr_class_rep(self.lvl, p, d)
+            got = gr_class_rep(self.lvl, p, d)
+            if got is None:
+                raise VerificationError(
+                    f"Gr^F_{p} Gr^V lists degree {list(d)} in its support but has no class there"
+                )
+            self._reps[key] = got
         return got
 
     def coordinate(self, p, d, row, k) -> int:
@@ -276,27 +273,27 @@ class _LevelComplexes:
         box where some term is nonzero: the bits of its terms, OR-ed, then
         the coordinate id of every edge whose target term is present, in
         complex_at's order.  Each term (K, d) of the supports is scattered
-        first, by d's place (see support): it lands on the box position
-        at + offset K of its locus D = d + deg K when K & care == must, and
-        the tuple D is built once per locus.  So the bits are complete
-        when the edges are read; an edge reads its id from the row of d,
-        and computes it only on the first read."""
+        first, by d's place (see support): its locus D = d + deg K sits at
+        at + offset K in the one-step-wider box, it lands iff _inside marks
+        that index, and the tuple D is built once per locus.  So the bits
+        are complete when the edges are read; an edge reads its id from the
+        row of d, and computes it only on the first read."""
         n = self.lvl.model.n
-        strides = self.strides
+        wide, inside = self._wide, self._inside
         loci = {}
         for q, subsets in enumerate(self.subsets):
             p = i + q - 2 * n
             self.support(p)  # fills _places[p]
             places = self._places[p]
-            for K, bit, deg, wedges in subsets:
-                inside = sum(1 << k for k in K)
-                offset = sum(map(operator.mul, deg, strides))
-                for d, row, at, must, care in places:
-                    if inside & care == must:
-                        got = loci.get(at + offset)
+            for _, bit, deg, wedges in subsets:
+                offset = sum(map(operator.mul, deg, wide))
+                for d, row, at in places:
+                    at += offset
+                    if inside[at]:
+                        got = loci.get(at)
                         if got is None:
                             D = tuple(map(operator.add, d, deg))
-                            loci[at + offset] = [D, bit, [(p, d, row, wedges)]]
+                            loci[at] = [D, bit, [(p, d, row, wedges)]]
                         else:
                             got[1] |= bit
                             got[2].append((p, d, row, wedges))

@@ -146,6 +146,19 @@ def minexp_value(model: MonomialModel):
     return minexp_monomial(model).value
 
 
+def _gated_inputs(model: MonomialModel, p, alpha, box: TruncationBox, value):
+    """The input gate of cor23_check and cor24_check: the box, alpha in
+    (0, 1) and p >= 0 checked, then (alpha, value), the minimal exponent
+    computed when value is None."""
+    _check_box(model, box)
+    alpha = Fraction(alpha)
+    if not 0 < alpha < 1:
+        raise InputError(f"alpha must be in (0,1), got {alpha}")
+    if p < 0:
+        raise InputError(f"p must be >= 0, got {p}")
+    return alpha, minexp_value(model) if value is None else value
+
+
 def cor23_check(model: MonomialModel, p, alpha, box: TruncationBox, value=None):
     """Vanishing and structure of Gr^F psi at a non-integral shift:
     i) alpha-tilde >= p forces Gr^F_i psi_alpha = 0 for i <= p;
@@ -156,14 +169,7 @@ def cor23_check(model: MonomialModel, p, alpha, box: TruncationBox, value=None):
     `value` is the model's minimal exponent when the caller already has it
     (minexp_value(model)); None computes it.
     """
-    _check_box(model, box)
-    alpha = Fraction(alpha)
-    if not 0 < alpha < 1:
-        raise InputError(f"alpha must be in (0,1), got {alpha}")
-    if p < 0:
-        raise InputError(f"p must be >= 0, got {p}")
-    if value is None:
-        value = minexp_value(model)
+    alpha, value = _gated_inputs(model, p, alpha, box, value)
     report = {"status": "PASS", "checks": []}
     lvl = Level(model, alpha)
     if value >= p:
@@ -219,14 +225,7 @@ def cor24_check(model: MonomialModel, p, alpha, box: TruncationBox, value=None):
     concentrated in degree 0, and its H^0 is the omega-twist of
     Gr^F_{p+1} psi (a literal table translation by (1,...,1)).  `value` as
     in cor23_check."""
-    _check_box(model, box)
-    alpha = Fraction(alpha)
-    if not 0 < alpha < 1:
-        raise InputError(f"alpha must be in (0,1), got {alpha}")
-    if p < 0:
-        raise InputError(f"p must be >= 0, got {p}")
-    if value is None:
-        value = minexp_value(model)
+    alpha, value = _gated_inputs(model, p, alpha, box, value)
     if not value >= p:
         raise InputError(
             f"cor24_check requires minexp >= p; got {format_rational(value)} < {p}"

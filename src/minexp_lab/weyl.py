@@ -293,15 +293,15 @@ class WeylOperator(_Combination):
         return cls.scalar(n, 1)
 
     @classmethod
-    def y(cls, n, i, power=1):
+    def y(cls, n, i):
         z = (0,) * n
-        e = tuple(power if k == i else 0 for k in range(n))
+        e = tuple(1 if k == i else 0 for k in range(n))
         return cls(n, {(e, 0, z, 0): Fraction(1)})
 
     @classmethod
-    def dy(cls, n, i, power=1):
+    def dy(cls, n, i):
         z = (0,) * n
-        e = tuple(power if k == i else 0 for k in range(n))
+        e = tuple(1 if k == i else 0 for k in range(n))
         return cls(n, {(z, 0, e, 0): Fraction(1)})
 
     @classmethod

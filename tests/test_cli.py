@@ -462,6 +462,22 @@ def test_verification_error_is_a_fail(monkeypatch):
     assert report["summary"] == {"pass": 0, "fail": 1}
 
 
+@pytest.mark.parametrize("command", ["verify-cor51", "verify-cor24", "verify-cor23"])
+def test_support_point_without_a_class_is_a_fail(monkeypatch, capsys, command):
+    # supports read one Hodge index up list points where gr_class_rep finds
+    # no class: the de Rham memo reports one FAIL naming the degree
+    inner = vfilt._WeightTable.limits
+    monkeypatch.setattr(vfilt, "_GRID_CACHE", {})
+    monkeypatch.setattr(vfilt._WeightTable, "limits", lambda self, p: inner(self, p + 1))
+    code = main([command, "--model", '{"n":2,"exponents":[2,3]}', "--box", "3"])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == 2 and report["status"] == "FAIL"
+    assert [c["name"] for c in report["checks"]] == ["verification-error"]
+    assert "lists degree [" in report["checks"][0]["invariant"]
+    assert "Traceback" not in err
+
+
 def test_failure_exit_2(monkeypatch):
     from minexp_lab import cli
 

@@ -566,11 +566,14 @@ def test_integer_keys_split_loci_like_fraction_keys():
 
 
 def _skewed_boxes(n):
-    """Two boxes with lo != -hi: one of mixed widths, and one whose first
-    coordinate has width 1 (lo_0 == hi_0)."""
+    """Four boxes with lo != -hi or of one point: one of mixed widths, one
+    whose first coordinate has width 1 (lo_0 == hi_0), the one-point box at
+    the origin and an all-positive box."""
     return [
         TruncationBox(tuple(-1 - k % 2 for k in range(n)), tuple(2 + k for k in range(n))),
         TruncationBox((1,) + (-2,) * (n - 1), (1,) + (3,) * (n - 1)),
+        TruncationBox((0,) * n, (0,) * n),
+        TruncationBox((2,) * n, (4,) * n),
     ]
 
 

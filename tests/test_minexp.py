@@ -131,6 +131,24 @@ def test_cor24_examples():
         cor24_check(Y2, -1, F(1, 2), BOX1)
 
 
+@pytest.mark.parametrize("check", [cor23_check, cor24_check])
+@pytest.mark.parametrize(
+    "alpha, p, message",
+    [
+        (F(0), 0, "alpha must be in (0,1), got 0"),
+        (F(1), 0, "alpha must be in (0,1), got 1"),
+        (F(-1, 2), 0, "alpha must be in (0,1), got -1/2"),
+        (F(3, 2), 0, "alpha must be in (0,1), got 3/2"),
+        (F(1, 2), -1, "p must be >= 0, got -1"),
+    ],
+)
+def test_gated_checks_refuse_alpha_and_p_alike(check, alpha, p, message):
+    # the two gated checks share one input gate, with the same messages
+    with pytest.raises(InputError) as raised:
+        check(Y2, p, alpha, BOX1)
+    assert str(raised.value) == message
+
+
 def test_cor23_nontrivial_colon_ideal_shape():
     # for g = y1^2 y2^3 at alpha = 1/3 the colon ideal is (y2): check a few
     # degrees of the table against the expected monomial pattern
