@@ -18,9 +18,10 @@ alpha outside is an input error, while the default all-jumps list just
 leaves out alpha = 1.  Both compute the minimal exponent once per
 run and hand it to every alpha.  A box radius R in n variables is refused
 when its volume (2R+1)^n exceeds MAX_BOX_VOLUME, a verify command refuses a
-model with n above vfilt.MAX_N, and a pmax above MAX_PMAX is refused.  A
-sweep whose radius leaves deep levels little room says so in a top-level
-`notes` list; notes are not checks and are not counted in `summary`.
+model with n above vfilt.MAX_N, and a pmax above MAX_PMAX or a samples
+count above MAX_SAMPLES is refused.  A sweep whose radius leaves deep
+levels little room says so in a top-level `notes` list; notes are not
+checks and are not counted in `summary`.
 
 Reports are deterministic byte-for-byte: checks are produced in sorted key
 order, JSON is dumped with sorted keys, and scheduling parameters (--jobs,
@@ -62,6 +63,10 @@ MAX_BOX_VOLUME = 10**6
 # (3, [1, 2, 2]) at radius 2 takes about 1.5 s at 32, 17 s at 64, and more
 # than 120 s at 100; the catalog sweeps use pmax <= 4.
 MAX_PMAX = 32
+# Largest sample count verify-thm42 accepts.  Work is linear in it: 1,000
+# samples of the monodromy check took 0.21 s on (1, [1]) and 0.60 s on
+# (3, [2, 3, 4]) at one alpha; the catalog sweeps use the default 20.
+MAX_SAMPLES = 1000
 
 
 def catalog():
@@ -98,11 +103,14 @@ def _count(key, value, got):
     return x
 
 
-def _pmax(key, value, got):
-    x = _count(key, value, got)
-    if x > MAX_PMAX:
-        raise InputError(f"pmax must be <= {MAX_PMAX}, got {x}")
-    return x
+def _at_most(bound):
+    """A _count parser that refuses a value above `bound`."""
+    def parse(key, value, got):
+        x = _count(key, value, got)
+        if x > bound:
+            raise InputError(f"{key} must be <= {bound}, got {x}")
+        return x
+    return parse
 
 
 def _rational(key, value, got):
@@ -159,9 +167,9 @@ _PARSERS = {
     "model": lambda key, value, got: MonomialModel.from_json(_json(value, key)),
     "alpha": _alphas,
     "box": _box,
-    "pmax": _pmax,
+    "pmax": _at_most(MAX_PMAX),
     "p": _int,
-    "samples": _count,
+    "samples": _at_most(MAX_SAMPLES),
     "lo": _rational,
     "hi": _rational,
     "cap": _rational,

@@ -34,18 +34,20 @@ used everywhere is the one of B_g^r, i.e. the top wedge generator of the
 G = D_alpha complex sits at multidegree b = ceil(alpha a) - 1.
 
 GradedCbar.point_grid evaluates a whole box at once and returns
-(table, at, columns, gates), with nothing per point: per-coordinate tables
-of the truncation signature give the combinations of the distinct bounds of
-the divisor coordinates, each with its translation class, built one column
-at a time; the core is looked up once per class, the table holds each
-distinct result once, `at` maps each combination to its table entry,
-columns[i] gives the index of each x of divisor coordinate i among that
-coordinate's distinct bounds, and gates holds the gates d_j >= 0 of the
-free coordinates.  The resolution sweeps compare whole box-order bytes and
-read each table entry once: H^0 and the off-degree check (acyclicity in i,
-concentration in ii) are taken per entry, and the H^0 bytes are built by
-C-level gathers and joins, one join per combination of the leading
-columns, to meet the count bytes of vfilt in one bytes ==; vfilt reads
+(table, at, columns, gates), with nothing per point: the gates and the
+unclamped truncation bounds per divisor coordinate are built once per box,
+and per p clamped bounds give the combinations of the distinct bounds of
+the divisor coordinates, each with its translation class (an int without
+a quotient), built one column at a time; the core is looked up once per
+class, the table holds each distinct result once, `at` maps each
+combination to its table entry, columns[i] gives the index of each x of
+divisor coordinate i among that coordinate's distinct bounds, and gates
+holds the gates d_j >= 0 of the free coordinates.  The resolution sweeps
+compare whole box-order bytes and read each table entry once: H^0 and the
+off-degree check (acyclicity in i, concentration in ii) are taken per
+entry, and the H^0 bytes are built by C-level gathers and joins, one join
+per combination of the leading columns, to meet the count bytes of vfilt
+in one bytes ==; vfilt reads
 those bytes, and the lead keys below with their point counts, off one
 weight table per level and box, which every p shares.  Each H^0 is
 stored as min(H^0, 2), which keeps that == exact because every count grid
@@ -421,6 +423,22 @@ class GradedCbar:
         ):
             raise InputError("quotient twist must be deeper (componentwise >=)")
         self.core = _core_for(model)
+        self._box = None, None  # the last box asked and its _box_columns
+
+    def _box_columns(self, box: TruncationBox):
+        """The part of point_grid that no p reads: the gates d_j >= 0 of
+        the free coordinates in box order, whether any is open, and per
+        divisor coordinate i the unclamped bounds max(c_i - 1 - x, 0) over
+        the box's axis, for the twist and for the deeper one (None without a
+        quotient)."""
+        n, r = self.model.n, self.model.r
+        axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
+        gates = [all(g) for g in itertools.product(*([x >= 0 for x in axes[j]] for j in range(r, n)))]
+
+        def bounds(c):
+            return None if c is None else [[max(c[i] - 1 - x, 0) for x in axes[i]] for i in range(r)]
+
+        return gates, any(gates), bounds(self.c_lo), bounds(self.c_hi)
 
     def point_grid(self, p, box: TruncationBox):
         """(table, at, columns, gates): the distinct core results, each
@@ -435,45 +453,45 @@ class GradedCbar:
 
         A point enters only through the clamped truncation bounds
         min(max(c_i - 1 - d_i, 0), cap + 1) of each divisor coordinate i,
-        tlo_i for c the twist and thi_i for c the deeper one (None without a
-        quotient).  Each coordinate's column of (tlo_i, thi_i) is zipped
-        from one list of each bound over the axis.  Each bound takes at
-        most cap + 2 values, so the column has few distinct entries.
-        Column by column, each combination of distinct entries also gets its
-        translation class (omega - |tlo|, thi - tlo), which is what
-        CoreCohomology.dims takes: the core is looked up once per class.
+        tlo_i for c the twist and thi_i for c the deeper one (no thi
+        without a quotient).  Only the clamp reads p: per p, each unclamped
+        list of _box_columns (kept for the last box asked) is clamped into
+        a column of tlo_i, or of (tlo_i, thi_i).  Each bound takes at most
+        cap + 2 values, so the column has few distinct entries.  Column by
+        column, each combination of distinct entries also gets its
+        translation class, which is what CoreCohomology.dims takes:
+        omega - |tlo|, or (omega - |tlo|, thi - tlo) with a quotient.  The
+        core is looked up once per class.
         Classes whose lookups return the same result object (every
         thi_i - tlo_i = 0, where the quotient is 0) share one table entry.
         """
-        n, r = self.model.n, self.model.r
-        omega = p + n - r
-        cap = omega + r - 1
-        axes = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
-        gates = [all(g) for g in itertools.product(*([x >= 0 for x in axes[j]] for j in range(r, n)))]
-        if cap < 0 or not any(gates):
-            return [{}], [0], [[0] * len(axes[i]) for i in range(r)], gates
+        if self._box[0] != (box.lo, box.hi):
+            self._box = (box.lo, box.hi), self._box_columns(box)
+        gates, any_open, lows, highs = self._box[1]
+        omega = p + self.model.n - self.model.r
+        cap = omega + self.model.r - 1
+        if cap < 0 or not any_open:
+            return [{}], [0], [[0] * len(bounds) for bounds in lows], gates
 
-        c_lo, c_hi = self.c_lo, self.c_hi
-        columns, keys = [], [(omega, ())]
-        for i in range(r):
-            tlo = [min(max(c_lo[i] - 1 - x, 0), cap + 1) for x in axes[i]]
-            if c_hi is None:
-                thi = [None] * len(tlo)
-            else:
-                thi = [min(max(c_hi[i] - 1 - x, 0), cap + 1) for x in axes[i]]
-            column = list(zip(tlo, thi))
+        top = cap + 1
+        columns, keys = [], [omega] if highs is None else [(omega, ())]
+        for i, bounds in enumerate(lows):
+            tlo = [min(t, top) for t in bounds]
+            column = tlo if highs is None else list(zip(tlo, [min(t, top) for t in highs[i]]))
             index = {b: k for k, b in enumerate(dict.fromkeys(column))}
-            columns.append([index[b] for b in column])
-            shifts = [(lo, None if hi is None else hi - lo) for lo, hi in index]
-            keys = [(o - lo, t + (dh,)) for o, t in keys for lo, dh in shifts]
+            columns.append(list(map(index.__getitem__, column)))
+            if highs is None:
+                keys = [o - lo for o in keys for lo in index]
+            else:
+                keys = [(o - lo, t + (hi - lo,)) for o, t in keys for lo, hi in index]
         dims, empty = self.core.dims, {}
         table, slot, of_class = [], {}, {}  # of_class: class -> index in table
         for key in keys:
             if key not in of_class:
-                o, thi = key
-                if c_hi is None:
-                    h = dims(o)
+                if highs is None:
+                    h = dims(key)
                 else:
+                    o, thi = key
                     h = dims(o, thi) if any(thi) else empty
                 k = of_class[key] = slot.setdefault(id(h), len(table))
                 if k == len(table):
@@ -503,7 +521,8 @@ def _h0_bytes(table, at, columns, gates):
     table.  One row over the gates per clamped value, gathered per
     combination, then joined column by column from the last, one join per
     combination of the columns before it."""
-    rows = [bytes(v if g else 0 for g in gates) for v in range(3)]
+    gates = bytes(gates)
+    rows = [gates.translate(bytes((0, v)) + bytes(254)) for v in range(3)]
     rows = [rows[min(h.get(0, 0), 2)] for h in table]
     blocks = list(map(rows.__getitem__, at))
     for ks in reversed(columns):

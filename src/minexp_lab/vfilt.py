@@ -381,20 +381,22 @@ def gr_label_leads(lvl: Level, p, box: TruncationBox) -> dict:
     giving one key and its points: a step per (x, group), not per locus.
     u0 = b past the first coordinate: gr_label has v_i w_i = 0, so
     u0_i = b_i wherever w_i > 0, and expansion_key reads u0_i nowhere else.
+    The key is computed arithmetically, with w_0 = top - s per group: it
+    is (x + w_0 if w_0 else 0, w), which is lead_key(u0, w) for
+    u0_0 = x + w_0, and u0 is built only for a new key.
     """
     table = _table(lvl, box)
     top, u = p + lvl.model.n, lvl.b[1:]
-    groups = [(s, (top - s,) + w, c) for s, w, c in table.groups]
+    groups = [(s, top - s, (top - s,) + w, c) for s, w, c in table.groups]
     leads = {}
     for x, limit in zip(table.axes[0], table.limits(p)):
-        for s, w, c in groups:
+        for s, w0, w, c in groups:
             if s > limit:
                 break
-            u0 = (x + w[0],) + u
-            key = lead_key(u0, w)
+            key = (x + w0) if w0 else 0, w
             lead = leads.get(key)
             if lead is None:
-                leads[key] = [u0, w, c]
+                leads[key] = [(x + w0,) + u, w, c]
             else:
                 lead[2] += c
     return leads

@@ -154,6 +154,7 @@ def _flag_text(key, value):
         {"command": "verify-cor24", "model": {"n": 2, "exponents": [2, 3]}, "box": 2, "p": -1},
         {"command": "verify-cor24", "model": {"n": 1, "exponents": [1]}, "box": 2, "p": -1},
         {"command": "verify-thm42", "model": Y2_MODEL, "pmax": 33},
+        {"command": "verify-thm42", "model": Y2_MODEL, "samples": 1001},
         {"command": "psi-dims", "model": Y2_MODEL, "pmax": "999"},
         {"command": "minexp", "model": Y2_MODEL, "pmax": 10**6},
         {"command": "verify-thm42", "model": {"n": 6, "exponents": [1]}, "box": 0},
@@ -178,7 +179,8 @@ def _flag_text(key, value):
         "cor23-alpha-outside", "cor24-alpha-outside",
         "thm42-pmax-negative", "thm42-samples-negative", "psi-dims-pmax-negative",
         "cor24-p-negative", "cor24-p-negative-no-alpha",
-        "pmax-too-large", "psi-dims-pmax-too-large", "minexp-pmax-too-large",
+        "pmax-too-large", "thm42-samples-too-large",
+        "psi-dims-pmax-too-large", "minexp-pmax-too-large",
         "thm42-n-above-bound", "cor51-n-above-bound", "axioms-n-above-bound",
         "cor23-n-above-bound", "cor24-n-above-bound",
         "element-sign-without-digits", "element-zero-denominator",
@@ -802,6 +804,16 @@ def test_pmax_bound_is_inclusive():
         assert code == 0 and report["params"].get("pmax", MAX_PMAX) == MAX_PMAX, command
         report, code = run(dict(config, pmax=MAX_PMAX + 1))
         assert code == 1 and "pmax" in report["error"], command
+
+
+def test_samples_bound_is_inclusive():
+    from minexp_lab.cli import MAX_SAMPLES
+
+    config = {"command": "verify-thm42", "model": Y2_MODEL, "alpha": "1/2", "box": 1}
+    report, code = run(dict(config, samples=MAX_SAMPLES))
+    assert code == 0 and report["params"]["samples"] == MAX_SAMPLES
+    report, code = run(dict(config, samples=MAX_SAMPLES + 1))
+    assert code == 1 and "samples" in report["error"]
 
 
 def test_cli_import_loads_no_dataclasses_or_multiprocessing():

@@ -911,6 +911,59 @@ def test_extra_class_where_H0_vanishes_still_passes(monkeypatch):
     assert walks == list(PLANT_P)
 
 
+def test_h0_bytes_match_the_spread_table():
+    # the pass path's H^0 bytes and the scan's per-locus table read the same
+    # clamped H^0 at every locus: both GradedCbars of every catalog level in
+    # (0, 1] at radius 2 with p in -n-1..4 (the two lowest have cap < 0), and
+    # of every level of PLANT_MODEL and of (3, [3]) (169 gates per point) at
+    # radius 6; one GradedCbar serves every p, as in a sweep
+    cases = [(lvl, TruncationBox.radius(lvl.model.n, 2)) for lvl in _catalog_levels()]
+    wide = TruncationBox.radius(3, 6)
+    cases += [
+        (Level(model, alpha), wide)
+        for model in (PLANT_MODEL, MonomialModel(3, [3]))
+        for alpha in jump_candidates(model.divisor(), 0, 1)
+    ]
+    for lvl, box in cases:
+        model = lvl.model
+        for Gd in (None, lvl.deeper.twist):
+            gc = GradedCbar(model, lvl.twist, Gd)
+            for p in range(-model.n - 1, 5):
+                grid = gc.point_grid(p, box)
+                spread = bytes(min(h.get(0, 0), 2) for h in koszul._spread(*grid, {}))
+                assert koszul._h0_bytes(*grid) == spread, (model, lvl.alpha, Gd, p)
+
+
+def test_box_columns_built_once_per_box(monkeypatch):
+    # point_grid's per-box part (the gates and the unclamped bounds) is
+    # built once per sweep call over PLANT_P, not once per p, and a
+    # GradedCbar asked for two boxes keeps only the last one's
+    inner = GradedCbar._box_columns
+    built = []
+
+    def counted(self, box):
+        built.append((self.c_hi is not None, box.lo, box.hi))
+        return inner(self, box)
+
+    monkeypatch.setattr(GradedCbar, "_box_columns", counted)
+    here = (PLANT_BOX.lo, PLANT_BOX.hi)
+    assert verify_thm42_i(PLANT_MODEL, PLANT_ALPHA, PLANT_P, PLANT_BOX)["status"] == "PASS"
+    assert built == [(False, *here)]
+    assert verify_thm42_ii(PLANT_MODEL, PLANT_ALPHA, PLANT_P, PLANT_BOX)["status"] == "PASS"
+    assert built == [(False, *here), (True, *here)]
+    lvl = Level(PLANT_MODEL, PLANT_ALPHA)
+    gc = GradedCbar(PLANT_MODEL, lvl.twist, lvl.deeper.twist)
+    other = TruncationBox.radius(3, 3)
+    # gc builds on a new box only (the third ask repeats the second); a
+    # fresh GradedCbar, the reference, always builds
+    for box, builds in ((PLANT_BOX, 2), (other, 2), (other, 1), (PLANT_BOX, 2)):
+        built.clear()
+        grid = gc.point_grid(1, box)
+        assert grid == GradedCbar(PLANT_MODEL, lvl.twist, lvl.deeper.twist).point_grid(1, box)
+        assert len(built) == builds
+        assert gc._box[0] == (box.lo, box.hi)
+
+
 def test_passing_sweep_work_per_key_and_class(monkeypatch):
     # a passing sweep of PLANT_MODEL at radius 6 never visits the loci, asks
     # for one expansion per distinct lead key, and per point_grid looks the
