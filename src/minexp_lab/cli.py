@@ -121,6 +121,15 @@ def _rational(key, value, got):
     return x
 
 
+def _coeffs(key, value, got):
+    """Divisor coefficients, each >= 0: jump_candidates reads only the
+    positive ones, so a negative one would be echoed but not used."""
+    D = SncDivisor(_json(value, key))
+    if any(c < 0 for c in D.coeffs):
+        raise InputError(f"{key} must be >= 0, got {list(D.coeffs)}")
+    return D
+
+
 def _alphas(key, value, got):
     """A rational or a nonempty list of them, the list also as JSON text
     (as its flag gives it); None for "all-jumps"."""
@@ -175,7 +184,7 @@ _PARSERS = {
     "cap": _rational,
     "element": _element,
     "pairs": lambda key, value, got: ResolutionNumerics(_json(value, key)),
-    "coeffs": lambda key, value, got: SncDivisor(_json(value, key)),
+    "coeffs": _coeffs,
 }
 
 # A key without a default is required; "p" defaults to None (per command).

@@ -18,31 +18,30 @@ The complexes of one level over one box share their pieces: the term at
 (D, K) is the class at D - deg K, and a matrix entry depends only on its
 source class and the variable k.  So one _LevelComplexes per gr_dr_psi or
 verify_cor51 call holds three memos: the support of Gr^F_p Gr^V per Hodge
-index p with each point's key (p, vfilt.lead_key) (read once from
-vfilt.grF_grV_support and gr_label's w there), the class representative
-per such key, all that a representative reads of d, and the differential
-coordinate per (p, d, k).  verify_cor51 keeps it for every i, as their
-Hodge indices overlap.  A coordinate is a quotient of two integer
-coefficients; it is kept in integers, as the reduced pair (num, den) with
-den > 0, interned as a small id (0 is the zero coordinate), in a row per
-support point.
+index p, one row per point (read once from vfilt.grF_grV_support and
+gr_label's w there), the class representative per key (p, vfilt.lead_key),
+all that a representative reads of d, and the differential coordinate per
+(p, d, k).  verify_cor51 keeps it for every i, as their Hodge indices
+overlap.  A coordinate is a quotient of two integer coefficients; it is
+kept in integers, as the reduced pair (num, den) with den > 0, interned as
+a small id (0 is the zero coordinate), in the row of its support point.
+The row also holds the point's index in the box one step wider,
+lo - 1 .. hi + 1, which holds every locus, and, last, the key of its class.
 
 A table is a plain dict {(D, q): dim} of the nonzero cohomology
 dimensions.  Most complexes of one level repeat an earlier one.  So a table
-is built in two passes: each term (K, d) is scattered onto its locus
-D = d + deg K, and each locus gets a key, the bits of its terms and the
-coordinate id of every edge dy_K -> dy_{K+k} whose target term is present.
-The scatter works on box positions, not tuples: beside its row, each
-support point keeps its index in the box one step wider, lo - 1 .. hi + 1,
-which holds every locus, so a term sits at that index plus a per-K offset,
-lands iff a byte mask of the box marks it there, and the tuple D is built
-once per locus.
-Equal ids are equal coordinates, so the key determines the bases and the
-matrices entry for entry (a sign follows from (K, k)); the cohomology is
-assembled by complex_at and ranked once per distinct key and read from a
-fourth memo after that.  Every locus still reads its own coordinates, each
-computed once by _orders_dy, and a Fraction is built only when complex_at
-assembles a complex, on a key miss.
+is built in two passes.  First each term (K, d) is scattered onto its locus
+D = d + deg K by box position: it sits at its row's index plus a per-K
+offset, lands iff a byte mask of the box marks it there, and the tuple D is
+built once per locus.  Then each locus gets a key, the bits of its terms
+and the coordinate id of every edge dy_K -> dy_{K+k} whose target term is
+present.  The scatter is the only way to a locus's terms: complex_of builds
+a complex from its key alone, the bases from the bits and the matrix
+entries from the ids (a sign follows from (K, k)), so equal keys give equal
+complexes by construction.  Each distinct key is built and ranked once, and
+read from a fourth memo after that.  Every locus still reads its own
+coordinates, each computed once by _orders_dy, and a Fraction is built
+only when complex_of builds a complex, on a key miss.
 
 The comparison target: the multidegree-graded dimensions of
 (O(-D_alpha)/O(-D_{>alpha})) (x) Omega^{n-1-i}_{rel}(log E), whose basis is
@@ -161,7 +160,6 @@ class _LevelComplexes:
             [[lo <= x <= hi for x in range(lo - 1, hi + 2)] for lo, hi in zip(box.lo, box.hi)]
         )
         self._support = {}
-        self._places = {}
         self._reps = {}
         # the coordinates as reduced (num, den) pairs, den > 0, interned as
         # small ids; id 0 is the zero coordinate
@@ -171,16 +169,15 @@ class _LevelComplexes:
 
     def support(self, p) -> dict:
         """The support of Gr^F_p Gr^V on the scan box, each point d mapped
-        to its row: the coordinate ids per k (None until computed), then
+        to its row: the coordinate ids per k (None until computed), d's
+        index in the box one step wider, lo - 1 .. hi + 1, by that box's
+        strides (so d + deg K sits at that index plus offset K there), then
         the key (p, vfilt.lead_key) of its class representative, read off
         gr_label's w past d_0 (w_0 = p + n - sum(w), u0_0 = d_0 + w_0).
         The points are listed in the order of a set of them: keys() meets
         the loci in that order, and a memo keyed more coarsely than by the
         complex (a planted fault in the tests) reuses the complex of the
-        first locus it meets.  Beside the rows, in the same order, it
-        keeps each point's place (d, row, at) for keys(): at is d's index
-        in the box one step wider, lo - 1 .. hi + 1, by that box's strides,
-        so d + deg K sits at at + offset K there."""
+        first locus it meets."""
         got = self._support.get(p)
         if got is None:
             n = self.lvl.model.n
@@ -189,12 +186,12 @@ class _LevelComplexes:
             for d, w in zip(points, ws):
                 w0 = p + n - sum(w)
                 key[d] = (p, (d[0] + w0) if w0 else 0, w)
-            got = self._support[p] = {d: [None] * n + [key[d]] for d in set(points)}
             wide = self._wide
             base = sum(map(operator.mul, self.scan.lo, wide))
-            self._places[p] = [
-                (d, row, sum(map(operator.mul, d, wide)) - base) for d, row in got.items()
-            ]
+            got = self._support[p] = {
+                d: [None] * n + [sum(map(operator.mul, d, wide)) - base, key[d]]
+                for d in set(points)
+            }
         return got
 
     def rep(self, p, d):
@@ -216,11 +213,12 @@ class _LevelComplexes:
         """The id of the coordinate of rep(p, d) . dy_k in Gr^F_{p+1} Gr^V
         at d - e_k, a nonzero piece: its top dt-order coefficient over the
         class representative's, reduced in integers.  d lies in support(p)
-        and row is its row there, which the caller holds; the id is kept in
-        the row."""
+        and row is its row there, which the caller holds: the source's
+        representative is read by the key at the row's end, and only the
+        target's is looked up by rep; the id is kept in the row."""
         got = row[k]
         if got is None:
-            img = _orders_dy(self.rep(p, d), self.lvl.model, d, k)
+            img = _orders_dy(self._reps.get(row[-1]) or self.rep(p, d), self.lvl.model, d, k)
             top = p + 1 + self.lvl.model.n
             target = d[:k] + (d[k] - 1,) + d[k + 1 :]
             num, den = img.get(top, 0), self.rep(p + 1, target)[top]
@@ -233,62 +231,27 @@ class _LevelComplexes:
             row[k] = got
         return got
 
-    def complex_at(self, i, D):
-        """Terms and differential matrices of the multidegree-D piece of the
-        level-(i-n+1) complex: bases[q] lists the q-subsets K of the term of
-        form degree q, mats[q] the sparse columns of d: term q -> term q+1."""
-        n = self.lvl.model.n
-        bases, sources = [], []
-        for q, subsets in enumerate(self.subsets):
-            support = self.support(i + q - 2 * n)
-            basis, source = [], []
-            for K, _, deg, wedges in subsets:
-                d = tuple(map(operator.sub, D, deg))
-                row = support.get(d)
-                if row is not None:
-                    basis.append(K)
-                    source.append((d, row, wedges))
-            bases.append(basis)
-            sources.append(source)
-        mats = []
-        for q in range(n):
-            p = i + q - 2 * n
-            tgt_index = {K: idx for idx, K in enumerate(bases[q + 1])}
-            cols = []
-            for d, row, wedges in sources[q]:
-                col = {}
-                for k, T, _, sign in wedges:
-                    idx = tgt_index.get(T)
-                    if idx is not None:
-                        coord = self.coordinate(p, d, row, k)
-                        if coord:
-                            # left d/dy_k is the negated right action here
-                            col[idx] = -sign * Fraction(*self._pairs[coord])
-                cols.append(col)
-            mats.append(cols)
-        return bases, mats
-
     def keys(self, i) -> dict:
         """The key of the level-(i-n+1) complex at every multidegree D of the
-        box where some term is nonzero: the bits of its terms, OR-ed, then
-        the coordinate id of every edge whose target term is present, in
-        complex_at's order.  Each term (K, d) of the supports is scattered
-        first, by d's place (see support): its locus D = d + deg K sits at
-        at + offset K in the one-step-wider box, it lands iff _inside marks
-        that index, and the tuple D is built once per locus.  So the bits
-        are complete when the edges are read; an edge reads its id from the
-        row of d, and computes it only on the first read."""
+        box where some term is nonzero: the bits of its terms, OR-ed, then,
+        term by term in form degree and subset order, the coordinate id of
+        every edge dy_K -> dy_{K+k} whose target term is present.  Each term
+        (K, d) of the supports is scattered first, by the index its row
+        holds (see support): its locus D = d + deg K sits at that index plus
+        offset K in the one-step-wider box, it lands iff _inside marks that
+        index, and the tuple D is built once per locus.  So the bits are
+        complete when the edges are read; an edge reads its id from the row
+        of d, and computes it only on the first read."""
         n = self.lvl.model.n
         wide, inside = self._wide, self._inside
         loci = {}
         for q, subsets in enumerate(self.subsets):
             p = i + q - 2 * n
-            self.support(p)  # fills _places[p]
-            places = self._places[p]
+            support = self.support(p).items()
             for _, bit, deg, wedges in subsets:
                 offset = sum(map(operator.mul, deg, wide))
-                for d, row, at in places:
-                    at += offset
+                for d, row in support:
+                    at = row[-2] + offset
                     if inside[at]:
                         got = loci.get(at)
                         if got is None:
@@ -309,18 +272,42 @@ class _LevelComplexes:
             keys[D] = tuple(key)
         return keys
 
+    def complex_of(self, key):
+        """Terms and differential matrices of the complex with this key (see
+        keys): bases[q] lists the q-subsets K whose bit the key holds,
+        mats[q] the sparse columns of d: term q -> term q+1, whose entries
+        are the key's ids, read in the order keys wrote them."""
+        mask, ids = key[0], iter(key[1:])
+        bases = [[K for K, bit, _, _ in subsets if mask & bit] for subsets in self.subsets]
+        mats = []
+        for subsets, targets in zip(self.subsets, bases[1:]):
+            index = {T: idx for idx, T in enumerate(targets)}
+            cols = []
+            for _, bit, _, wedges in subsets:
+                if mask & bit:
+                    col = {}
+                    for _, T, tbit, sign in wedges:
+                        if mask & tbit:
+                            coord = next(ids)
+                            if coord:
+                                # left d/dy_k is the negated right action here
+                                col[index[T]] = -sign * Fraction(*self._pairs[coord])
+                    cols.append(col)
+            mats.append(cols)
+        return bases, mats
+
     def table(self, i) -> dict:
         """{(D, q): dim}, the nonzero cohomology dimensions of the
         level-(i-n+1) complexes at every multidegree D of the box where some
-        term is nonzero.  Loci with equal keys have equal complexes, so only
-        the first locus of a key, over every i of this memo, is assembled
-        and ranked."""
+        term is nonzero.  Loci with equal keys have equal complexes, so each
+        distinct key, over every i of this memo, is built by complex_of and
+        ranked once."""
         n = self.lvl.model.n
         dims = {}
         for D, key in self.keys(i).items():
             cohom = self._cohom.get(key)
             if cohom is None:
-                bases, mats = self.complex_at(i, D)
+                bases, mats = self.complex_of(key)
                 # padded: the maps into and out of term q have ranks[q], ranks[q + 1]
                 ranks = [0] + [exact_rank(cols) for cols in mats] + [0]
                 h = [len(basis) - ranks[q] - ranks[q + 1] for q, basis in enumerate(bases)]

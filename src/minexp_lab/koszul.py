@@ -39,15 +39,15 @@ unclamped truncation bounds per divisor coordinate are built once per box,
 and per p clamped bounds give the combinations of the distinct bounds of
 the divisor coordinates, each with its translation class (an int without
 a quotient), built one column at a time; the core is looked up once per
-class, the table holds each distinct result once, `at` maps each
+class, the table holds each class's result once, `at` maps each
 combination to its table entry, columns[i] gives the index of each x of
 divisor coordinate i among that coordinate's distinct bounds, and gates
 holds the gates d_j >= 0 of the free coordinates.  The resolution sweeps
 compare whole box-order bytes and read each table entry once: H^0 and the
 off-degree check (acyclicity in i, concentration in ii) are taken per
-entry, and the H^0 bytes are built by C-level gathers and joins, one join
-per combination of the leading columns, to meet the count bytes of vfilt
-in one bytes ==; vfilt reads
+entry, and the H^0 bytes are built by C-level gathers and one column join
+(_gather, one join per combination of the leading columns), to meet the
+count bytes of vfilt in one bytes ==; vfilt reads
 those bytes, and the lead keys below with their point counts, off one
 weight table per level and box, which every p shares.  Each H^0 is
 stored as min(H^0, 2), which keeps that == exact because every count grid
@@ -70,7 +70,8 @@ only where H^0 != 0 and shares the per-key memo), and fails the first
 locus that fails, naming the same locus and fields as a per-locus loop
 would; when every locus passes (say, an extra class where H^0 = 0,
 which no check reads), the (level, p) passes.  Only _scan indexes the
-table point by point (_spread, a list of dicts in box order).
+table point by point (_spread, a list of dicts in box order, built by the
+same column join as the H^0 bytes).
 tests/test_koszul.py keeps the per-locus loop, with every check at every
 locus, as the reference, and spreads whole grids the same way.
 """
@@ -391,23 +392,25 @@ def _core_for(model: MonomialModel):
     return core
 
 
-def _point_index(at, columns):
-    """The table index of each point of the divisor coordinates, in box
-    order, from point_grid's map `at` and its index columns (a point's
-    combination is its columns' indices in mixed radix)."""
-    flat = [0]
-    for ks in columns:
+def _gather(blocks, columns, join):
+    """point_grid's per-combination blocks (one per combination, in mixed
+    radix order) joined into box order: column by column from the last,
+    each combination of the columns before it joins its blocks in the
+    order of that column's indices, so one join per such combination."""
+    for ks in reversed(columns):
         m = max(ks) + 1
-        flat = [f * m + k for f in flat for k in ks]
-    return [at[f] for f in flat]
+        blocks = [join(map(blocks[k:k + m].__getitem__, ks)) for k in range(0, len(blocks), m)]
+    return blocks[0]
 
 
 def _spread(table, at, columns, gates, off):
-    """table[f] for the index f of each point, repeated over the
-    free-coordinate gates, off where a gate is closed: a list in box order.
-    Each table entry's row over the gates is built once."""
+    """The table entry of each point, repeated over the free-coordinate
+    gates, off where a gate is closed: a list in box order.  Each table
+    entry's row over the gates is built once, and the rows are gathered
+    per combination and joined as the H^0 bytes are."""
     rows = [[v if g else off for g in gates] for v in table]
-    return list(itertools.chain.from_iterable(map(rows.__getitem__, _point_index(at, columns))))
+    blocks = list(map(rows.__getitem__, at))
+    return _gather(blocks, columns, lambda parts: list(itertools.chain.from_iterable(parts)))
 
 
 class GradedCbar:
@@ -441,15 +444,17 @@ class GradedCbar:
         return gates, any(gates), bounds(self.c_lo), bounds(self.c_hi)
 
     def point_grid(self, p, box: TruncationBox):
-        """(table, at, columns, gates): the distinct core results, each
-        once; for each combination of the distinct bounds of the divisor
-        coordinates, the index of its result in table (`at`); per divisor
-        coordinate i, the index of each x of the box's axis among the
-        distinct bounds of i (`columns[i]`); and the gates d_j >= 0 of the
-        free coordinates, in box order.  A point's combination is its
-        columns' indices in mixed radix, in product order, so the locus
-        (point, gate) has table[at[combination]] where its gate holds and no
-        cohomology elsewhere; nothing here is per point.
+        """(table, at, columns, gates): the core result of each distinct
+        translation class, once; for each combination of the distinct
+        bounds of the divisor coordinates, the index of its result in table
+        (`at`); per divisor coordinate i, the index of each x of the box's
+        axis among the distinct bounds of i (`columns[i]`); and the gates
+        d_j >= 0 of the free coordinates, in box order.  A point's
+        combination is its columns' indices in mixed radix, in product
+        order, so the locus (point, gate) has table[at[combination]] where
+        its gate holds and no cohomology elsewhere; nothing here is per
+        point.  _gather joins per-combination blocks into box order from
+        these columns.
 
         A point enters only through the clamped truncation bounds
         min(max(c_i - 1 - d_i, 0), cap + 1) of each divisor coordinate i,
@@ -461,9 +466,8 @@ class GradedCbar:
         column, each combination of distinct entries also gets its
         translation class, which is what CoreCohomology.dims takes:
         omega - |tlo|, or (omega - |tlo|, thi - tlo) with a quotient.  The
-        core is looked up once per class.
-        Classes whose lookups return the same result object (every
-        thi_i - tlo_i = 0, where the quotient is 0) share one table entry.
+        core is looked up once per class, except a quotient class with
+        every thi_i - tlo_i = 0, whose quotient is 0 and whose entry is {}.
         """
         if self._box[0] != (box.lo, box.hi):
             self._box = (box.lo, box.hi), self._box_columns(box)
@@ -484,20 +488,14 @@ class GradedCbar:
                 keys = [o - lo for o in keys for lo in index]
             else:
                 keys = [(o - lo, t + (hi - lo,)) for o, t in keys for lo, hi in index]
-        dims, empty = self.core.dims, {}
-        table, slot, of_class = [], {}, {}  # of_class: class -> index in table
-        for key in keys:
-            if key not in of_class:
-                if highs is None:
-                    h = dims(key)
-                else:
-                    o, thi = key
-                    h = dims(o, thi) if any(thi) else empty
-                k = of_class[key] = slot.setdefault(id(h), len(table))
-                if k == len(table):
-                    table.append(h)
-        at = [of_class[key] for key in keys]  # combination -> index in table
-        return table, at, columns, gates
+        dims = self.core.dims
+        # class -> index in table, in the order of first appearance
+        of_class = {key: k for k, key in enumerate(dict.fromkeys(keys))}
+        if highs is None:
+            table = list(map(dims, of_class))
+        else:
+            table = [dims(o, thi) if any(thi) else {} for o, thi in of_class]
+        return table, list(map(of_class.__getitem__, keys)), columns, gates
 
 
 # -- resolution sweeps --------------------------------------------------------
@@ -519,16 +517,11 @@ def _h0_bytes(table, at, columns, gates):
     every grid it is compared with is 0/1, so the clamp keeps each
     comparison exact, and a failing sweep reads the true dims from the
     table.  One row over the gates per clamped value, gathered per
-    combination, then joined column by column from the last, one join per
-    combination of the columns before it."""
+    combination and joined by _gather."""
     gates = bytes(gates)
     rows = [gates.translate(bytes((0, v)) + bytes(254)) for v in range(3)]
     rows = [rows[min(h.get(0, 0), 2)] for h in table]
-    blocks = list(map(rows.__getitem__, at))
-    for ks in reversed(columns):
-        m = max(ks) + 1
-        blocks = [b"".join(map(blocks[k:k + m].__getitem__, ks)) for k in range(0, len(blocks), m)]
-    return blocks[0]
+    return _gather(list(map(rows.__getitem__, at)), columns, b"".join)
 
 
 def _scan(report, p, box, grid, want, ok, names, lead=None):

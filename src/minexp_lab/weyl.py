@@ -89,11 +89,6 @@ class MonomialModel(FrozenRecord):
             raise InputError("model JSON must be {\"n\": ..., \"exponents\": [...]}")
         return cls(obj["n"], obj["exponents"])
 
-    def __str__(self):
-        return "g = " + "".join(
-            f"y{i+1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(self.a)
-        )
-
 
 class _Combination:
     """A finite rational combination {key: nonzero Fraction} in n variables:

@@ -169,6 +169,7 @@ def _flag_text(key, value):
         {"command": "vfilt", "model": N2_MODEL, "element": "y^(1,,0) dy delta"},
         {"command": "vfilt", "model": Y2_MODEL, "element": "dy delta dy"},
         {"command": "vfilt", "model": N2_MODEL, "element": "y^(1,0) y^(0,1) dy delta"},
+        {"command": "jumps", "coeffs": [-3, 2]},
     ],
     ids=[
         "box", "exponents", "exponents-not-list", "alpha-inf", "cap-inf",
@@ -185,7 +186,7 @@ def _flag_text(key, value):
         "cor23-n-above-bound", "cor24-n-above-bound",
         "element-sign-without-digits", "element-zero-denominator",
         "element-second-coefficient", "element-second-dt", "element-blank-entry",
-        "element-second-dy", "element-second-vector",
+        "element-second-dy", "element-second-vector", "jumps-coeffs-negative",
     ],
 )
 def test_malformed_values_exit_1(config, capsys):

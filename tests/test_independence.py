@@ -1,0 +1,84 @@
+"""The independence audit: one planted fault per shared kernel, and every
+verify command that must FAIL under it.
+
+A PASS is only as strong as the independence of its two sides.  Each row of
+PLANTS plants one fault in a kernel that several checks read, and names the
+verify commands that must exit 2 on each model of MODELS, at box 3 with the
+default alphas; every other verify command must still pass there.  A plant
+that no command catches is a finding: either the kernel is redundant, or a
+comparison reads the same thing on both sides.  Rows that another test
+already holds are indexed in INDEXED, not copied.
+"""
+
+import importlib
+
+import pytest
+
+from minexp_lab import derham
+from minexp_lab.cli import run
+
+MODELS = [(2, (2, 3)), (3, (1, 2, 2)), (2, (1, 2)), (3, (2, 2, 3)), (3, (3,))]
+COMMANDS = ["verify-cor51", "verify-cor23", "verify-cor24", "verify-thm42", "verify-axioms"]
+
+
+def _clear_twist_locus(monkeypatch):
+    """_LevelComplexes._inside with the byte of D = (twist, 0, ..., 0)
+    cleared: the scatter drops every term there.  That locus carries a
+    class on both sides; a cleared byte at the origin, where both sides
+    are 0, is caught by nothing."""
+    init = derham._LevelComplexes.__init__
+
+    def planted(self, lvl, box):
+        init(self, lvl, box)
+        D = lvl.twist + (0,) * (lvl.model.n - lvl.model.r)
+        at = sum((x - lo + 1) * s for x, lo, s in zip(D, box.lo, self._wide))
+        self._inside = self._inside[:at] + b"\0" + self._inside[at + 1 :]
+
+    monkeypatch.setattr(derham._LevelComplexes, "__init__", planted)
+
+
+def _drop_last_support_point(monkeypatch):
+    """derham's grF_grV_support without its last point."""
+    inner = derham.grF_grV_support
+
+    def planted(lvl, p, box):
+        points, ws = inner(lvl, p, box)
+        return points[:-1], ws[:-1]
+
+    monkeypatch.setattr(derham, "grF_grV_support", planted)
+
+
+_ALL = set(MODELS)
+_NOT_R1 = _ALL - {(3, (3,))}
+
+# kernel -> (plant, {command: the models on which it must exit 2})
+PLANTS = {
+    "derham._LevelComplexes._inside": (
+        _clear_twist_locus,
+        {"verify-cor51": _ALL, "verify-cor23": _NOT_R1, "verify-cor24": _NOT_R1},
+    ),
+    "derham.grF_grV_support": (_drop_last_support_point, {"verify-cor51": _ALL}),
+}
+
+# kernel -> the test that holds its row
+INDEXED = {
+    "vfilt._WeightTable.limits": "test_cli::test_support_point_without_a_class_is_a_fail",
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("kernel", sorted(PLANTS))
+def test_plant_fails_exactly_the_named_commands(kernel, command, monkeypatch):
+    plant, fails = PLANTS[kernel]
+    plant(monkeypatch)
+    codes = {}
+    for n, exponents in MODELS:
+        config = {"command": command, "model": {"n": n, "exponents": list(exponents)}, "box": 3}
+        codes[(n, exponents)] = run(config)[1]
+    assert codes == {model: 2 if model in fails.get(command, ()) else 0 for model in MODELS}
+
+
+def test_indexed_rows_are_held():
+    for kernel, where in INDEXED.items():
+        module, name = where.split("::")
+        assert callable(getattr(importlib.import_module(module), name, None)), kernel

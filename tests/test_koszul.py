@@ -861,11 +861,11 @@ def test_passing_sweeps_never_build_the_point_index(monkeypatch):
     # a passing sweep of every alpha of PLANT_MODEL at radius 6 compares
     # box-order bytes joined per combination of the divisor columns; only a
     # failing sweep (and cohomology_grid above) index the table point by
-    # point
-    def built(at, columns):
-        raise AssertionError("a passing sweep built the per-point table index")
+    # point, through _spread
+    def built(*grid):
+        raise AssertionError("a passing sweep spread the table point by point")
 
-    monkeypatch.setattr(koszul, "_point_index", built)
+    monkeypatch.setattr(koszul, "_spread", built)
     box = TruncationBox.radius(3, 6)
     for alpha in jump_candidates(PLANT_MODEL.divisor(), 0, 1):
         assert verify_thm42_i(PLANT_MODEL, alpha, PLANT_P, box)["status"] == "PASS"
