@@ -19,9 +19,12 @@ leaves out alpha = 1.  Both compute the minimal exponent once per
 run and hand it to every alpha.  A box radius R in n variables is refused
 when its volume (2R+1)^n exceeds MAX_BOX_VOLUME, a verify command refuses a
 model with n above vfilt.MAX_N, and a pmax above MAX_PMAX or a samples
-count above MAX_SAMPLES is refused.  A sweep whose radius leaves deep
-levels little room says so in a top-level `notes` list; notes are not
-checks and are not counted in `summary`.
+count above MAX_SAMPLES is refused.  No command lists more than MAX_JUMPS
+jump candidates: a model or coeffs with sum a_i above it, a jumps range
+(lo, hi] or a vfilt cap whose count bound is above it is refused before
+any candidate is listed.  A sweep whose radius leaves deep levels little
+room says so in a top-level `notes` list; notes are not checks and are not
+counted in `summary`.
 
 Reports are deterministic byte-for-byte: checks are produced in sorted key
 order, JSON is dumped with sorted keys, and scheduling parameters (--jobs,
@@ -38,12 +41,11 @@ forked processes ran slower than in one process (README).
 
 from __future__ import annotations
 
-import argparse
-import csv
 import functools
 import io
 import itertools
 import json
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -67,17 +69,33 @@ MAX_PMAX = 32
 # samples of the monodromy check took 0.21 s on (1, [1]) and 0.60 s on
 # (3, [2, 3, 4]) at one alpha; the catalog sweeps use the default 20.
 MAX_SAMPLES = 1000
+# Largest number of jump candidates a command may list, bounded before any is
+# listed: Σ a_i for a model or coeffs (at most that many lie in (0, 1]),
+# Σ(⌊hi·a_i⌋ − ⌊lo·a_i⌋) for a jumps range and Σ⌊cap·a_i⌋ for a vfilt cap.
+# Work is linear in it: a cold jumps call listing 1,000 took 0.14 s and one
+# listing 400,000 ((2, [2, 3]) up to hi = 10^5) took 1.7 s and 82 MB, and
+# verify-thm42 on (1, [1000]) at box 0 swept its 1,000 default alphas in
+# 4.2 s; catalog models have Σ a_i <= 12.
+MAX_JUMPS = 1000
 
 
 def catalog():
     """Standard test catalog: all models with n <= 3, r <= n, nondecreasing
-    exponents a_i <= 4 (this includes the smooth model)."""
-    models = []
-    for n in range(1, 4):
-        for r in range(1, n + 1):
-            for a in itertools.combinations_with_replacement(range(1, 5), r):
-                models.append(MonomialModel(n, a))
-    return models
+    exponents a_i <= 4 (this includes the smooth model).  A new list each
+    call, of the same immutable models."""
+    return list(_catalog_models())
+
+
+@functools.lru_cache(maxsize=1)
+def _catalog_models():
+    """The catalog's models, built once per process: a benchmark plan asks
+    for the catalog 16 times."""
+    return tuple(
+        MonomialModel(n, a)
+        for n in range(1, 4)
+        for r in range(1, n + 1)
+        for a in itertools.combinations_with_replacement(range(1, 5), r)
+    )
 
 
 # -- config parsing -------------------------------------------------------------
@@ -121,12 +139,33 @@ def _rational(key, value, got):
     return x
 
 
+def _jump_bound(key, D, lo, hi):
+    """Refuse a window (lo, hi] that may hold more than MAX_JUMPS candidates
+    j/a_i: Σ(⌊hi·a_i⌋ − ⌊lo·a_i⌋) over the positive a_i of D bounds them.
+    A candidate is positive, so a negative lo counts from 0 (and
+    jump_candidates refuses it)."""
+    lo = max(lo, 0)
+    bound = sum(math.floor(hi * a) - math.floor(lo * a) for a in D if a > 0)
+    if bound > MAX_JUMPS:
+        raise InputError(
+            f"{key} allows up to {bound} jump candidates in ({format_rational(lo)}, "
+            f"{format_rational(hi)}], above the limit {MAX_JUMPS}"
+        )
+
+
+def _model(key, value, got):
+    model = MonomialModel.from_json(_json(value, key))
+    _jump_bound(key, model.divisor(), 0, 1)
+    return model
+
+
 def _coeffs(key, value, got):
     """Divisor coefficients, each >= 0: jump_candidates reads only the
     positive ones, so a negative one would be echoed but not used."""
     D = SncDivisor(_json(value, key))
     if any(c < 0 for c in D.coeffs):
         raise InputError(f"{key} must be >= 0, got {list(D.coeffs)}")
+    _jump_bound(key, D, 0, 1)
     return D
 
 
@@ -173,7 +212,7 @@ def _element(key, value, got):
 
 
 _PARSERS = {
-    "model": lambda key, value, got: MonomialModel.from_json(_json(value, key)),
+    "model": _model,
     "alpha": _alphas,
     "box": _box,
     "pmax": _at_most(MAX_PMAX),
@@ -374,6 +413,7 @@ def _cmd_jumps(config):
         D, params = got["model"].divisor(), {"model": got["model"].to_json()}
     else:
         D, params = got["coeffs"], {"coeffs": list(got["coeffs"].coeffs)}
+    _jump_bound("jumps range", D, got["lo"], got["hi"])
     vals = jump_candidates(D, got["lo"], got["hi"])
     params.update({"lo": format_rational(got["lo"]), "hi": format_rational(got["hi"])})
     return {
@@ -399,6 +439,7 @@ def _cmd_vfilt(config):
         payload["params"]["alpha"] = format_rational(alphas[0])
     else:
         cap = _parse(config, ("cap",))["cap"]
+        _jump_bound("cap", model.divisor(), 0, cap)
         payload["v_order"] = format_rational(v_order(u, model, cap))
         payload["params"]["cap"] = format_rational(cap)
         payload["members"] = {
@@ -486,6 +527,8 @@ def report_to_json(report) -> str:
 
 
 def report_to_csv(report) -> str:
+    import csv  # only --format csv needs it; importing cli stays without it
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     if "tables" in report:
@@ -512,6 +555,10 @@ def _refuse(message):
 def _build_parser():
     """One flat parser: every flag is text, read by `_parse` as the config
     key of its name, and a flag the command does not read is ignored."""
+    # imported here, not at the top: argparse (with gettext) is only needed
+    # by main(), and a process that imports cli to call run() skips it
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="minexp-lab",
         description="Exact verification harness for V-filtrations of monomial divisors. "

@@ -14,7 +14,7 @@ import importlib
 
 import pytest
 
-from minexp_lab import derham
+from minexp_lab import derham, koszul, vfilt
 from minexp_lab.cli import run
 
 MODELS = [(2, (2, 3)), (3, (1, 2, 2)), (2, (1, 2)), (3, (2, 2, 3)), (3, (3,))]
@@ -48,6 +48,29 @@ def _drop_last_support_point(monkeypatch):
     monkeypatch.setattr(derham, "grF_grV_support", planted)
 
 
+def _raise_last_twist_bound(monkeypatch):
+    """GradedCbar._box_columns with the twist bound of divisor coordinate 0
+    at the box's last x raised by one."""
+    inner = koszul.GradedCbar._box_columns
+
+    def planted(self, box):
+        gates, any_open, lows, highs = inner(self, box)
+        lows[0][-1] += 1
+        return gates, any_open, lows, highs
+
+    monkeypatch.setattr(koszul.GradedCbar, "_box_columns", planted)
+
+
+def _shift_member_key(monkeypatch):
+    """vfilt.member_key reading d_0 + 1 for d_0."""
+    inner = vfilt.member_key
+
+    def planted(lvl, d):
+        return inner(lvl, (d[0] + 1,) + tuple(d[1:]))
+
+    monkeypatch.setattr(vfilt, "member_key", planted)
+
+
 _ALL = set(MODELS)
 _NOT_R1 = _ALL - {(3, (3,))}
 
@@ -58,11 +81,17 @@ PLANTS = {
         {"verify-cor51": _ALL, "verify-cor23": _NOT_R1, "verify-cor24": _NOT_R1},
     ),
     "derham.grF_grV_support": (_drop_last_support_point, {"verify-cor51": _ALL}),
+    "koszul.GradedCbar._box_columns": (_raise_last_twist_bound, {"verify-thm42": _ALL}),
+    "vfilt.member_key": (
+        _shift_member_key,
+        {"verify-axioms": _ALL, "verify-cor23": {(3, (3,))}},
+    ),
 }
 
 # kernel -> the test that holds its row
 INDEXED = {
     "vfilt._WeightTable.limits": "test_cli::test_support_point_without_a_class_is_a_fail",
+    "derham._quotient_count_grid": "test_derham::test_planted_quotient_count_names_its_degree",
 }
 
 
