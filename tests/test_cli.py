@@ -171,7 +171,7 @@ def _flag_text(key, value):
         {"command": "vfilt", "model": N2_MODEL, "element": "y^(1,0) y^(0,1) dy delta"},
         {"command": "jumps", "coeffs": [-3, 2]},
         {"command": "jumps", "model": {"n": 2, "exponents": [2, 3]}, "hi": "100000000"},
-        {"command": "jumps", "coeffs": [100000]},
+        {"command": "jumps", "coeffs": [5000], "hi": "1/4"},
         {"command": "minexp", "model": {"n": 1, "exponents": [100000]}},
         {"command": "verify-thm42", "model": {"n": 2, "exponents": [500, 501]}, "box": 0},
         {"command": "vfilt", "model": Y2_MODEL, "element": "dy delta", "cap": "100000"},
@@ -192,7 +192,7 @@ def _flag_text(key, value):
         "element-sign-without-digits", "element-zero-denominator",
         "element-second-coefficient", "element-second-dt", "element-blank-entry",
         "element-second-dy", "element-second-vector", "jumps-coeffs-negative",
-        "jumps-range-too-many", "jumps-coeffs-too-many", "minexp-model-too-many-jumps",
+        "jumps-range-too-many", "jumps-coeffs-range-too-many", "minexp-model-too-many-jumps",
         "thm42-model-too-many-jumps", "vfilt-cap-too-many-jumps",
     ],
 )
@@ -638,9 +638,6 @@ def test_catalog_contents():
     assert MonomialModel(3, [2, 3]) in models
     assert MonomialModel(1, [1]) in models  # the smooth model
     assert len(models) == 52
-    # the models are built once per process, but each call gets its own list
-    models.clear()
-    assert catalog() is not models and len(catalog()) == 52
     report, code = run({"command": "catalog"})
     assert code == 0 and len(report["models"]) == 52
 
@@ -829,12 +826,15 @@ def test_samples_bound_is_inclusive():
 
 def test_jump_bound_is_inclusive():
     """MAX_JUMPS bounds each count the command would list: sum a_i for a
-    model or coeffs, the range (lo, hi] for jumps, (0, cap] for vfilt."""
+    model, the range (lo, hi] for jumps (of a model or coeffs), (0, cap] for
+    vfilt.  Coeffs are bounded by the range alone."""
     from minexp_lab.cli import MAX_JUMPS
 
     for config, at, above in [
         # a zero coefficient counts nothing; the bound counts 1/1 twice
         ({"command": "jumps"}, {"coeffs": [0, MAX_JUMPS]}, {"coeffs": [1, MAX_JUMPS]}),
+        ({"command": "jumps", "coeffs": [2 * MAX_JUMPS]},
+         {"hi": "1/2"}, {"hi": f"{MAX_JUMPS + 1}/{2 * MAX_JUMPS}"}),
         ({"command": "jumps"}, {"model": {"n": 1, "exponents": [MAX_JUMPS]}},
          {"model": {"n": 1, "exponents": [MAX_JUMPS + 1]}}),
         ({"command": "jumps", "model": {"n": 1, "exponents": [1]}, "lo": "5"},
@@ -849,35 +849,29 @@ def test_jump_bound_is_inclusive():
         assert code == 1 and f"above the limit {MAX_JUMPS}" in report["error"], above
 
 
-def _loaded(code):
-    """The module names a fresh interpreter holds after running `code`, with
-    this package's source first on its path."""
-    src = os.path.dirname(os.path.dirname(minexp_lab.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code + "; import sys; print(' '.join(sys.modules))"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
-    ).stdout
-    return set(out.split())
-
-
-def test_cli_import_loads_no_argparse_or_csv():
-    """Importing cli to call run() loads neither argparse (nor its gettext)
-    nor csv: only main() and --format csv import them."""
-    added = _loaded("import minexp_lab.cli") - _loaded("pass")
-    assert "minexp_lab.cli" in added
-    assert not added & {"argparse", "gettext", "csv"}
-
-
-def test_cli_import_loads_no_dataclasses_or_multiprocessing():
-    """A cold call pays for none of these imports: the value classes are
+def test_cli_import_loads_no_argparse_csv_dataclasses_or_multiprocessing():
+    """A cold call pays for none of these imports: only main() and --format
+    csv import argparse (with its gettext) and csv, the value classes are
     plain, and a sweep over several alphas at --jobs 2 runs in the calling
     process, forking nothing and loading neither multiprocessing nor pickle."""
-    added = _loaded("import minexp_lab.cli") - _loaded("pass")
+    src = os.path.dirname(os.path.dirname(minexp_lab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def loaded(code):
+        out = subprocess.run(
+            [sys.executable, "-c", code + "; import sys; print(' '.join(sys.modules))"],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout
+        return set(out.split())
+
+    added = loaded("import minexp_lab.cli") - loaded("pass")
     assert "minexp_lab.cli" in added
-    assert not added & {"dataclasses", "inspect", "multiprocessing", "pickle"}
+    assert not added & {
+        "argparse", "gettext", "csv", "dataclasses", "inspect", "multiprocessing", "pickle"
+    }
     # a fork would end the interpreter with status 3, which check=True fails
-    swept = _loaded(
+    swept = loaded(
         "import os; from minexp_lab import cli; os.cpu_count = lambda: 2; "
         "os.fork = lambda: os._exit(3); "
         "report, code = cli.run({'command': 'verify-cor51', "
