@@ -38,10 +38,10 @@ and the coordinate id of every edge dy_K -> dy_{K+k} whose target term is
 present.  The scatter is the only way to a locus's terms: complex_of builds
 a complex from its key alone, the bases from the bits and the matrix
 entries from the ids (a sign follows from (K, k)), so equal keys give equal
-complexes by construction.  Each distinct key is built and ranked once, and
-read from a fourth memo after that.  Every locus still reads its own
-coordinates, each computed once by _orders_dy, and a Fraction is built
-only when complex_of builds a complex, on a key miss.
+complexes by construction.  Each distinct key is built once, passed to
+rationals.cohomology once, and read from a fourth memo after that.  Every
+locus still reads its own coordinates, each computed once by _orders_dy, and
+a Fraction is built only when complex_of builds a complex, on a key miss.
 
 The comparison target: the multidegree-graded dimensions of
 (O(-D_alpha)/O(-D_{>alpha})) (x) Omega^{n-1-i}_{rel}(log E), whose basis is
@@ -59,7 +59,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .rationals import InputError, VerificationError, exact_rank, format_rational
+from .rationals import InputError, VerificationError, cohomology, format_rational
 from .vfilt import (
     MAX_N,
     Level,
@@ -301,18 +301,14 @@ class _LevelComplexes:
         level-(i-n+1) complexes at every multidegree D of the box where some
         term is nonzero.  Loci with equal keys have equal complexes, so each
         distinct key, over every i of this memo, is built by complex_of and
-        ranked once."""
-        n = self.lvl.model.n
+        passed to rationals.cohomology once."""
         dims = {}
         for D, key in self.keys(i).items():
             cohom = self._cohom.get(key)
             if cohom is None:
                 bases, mats = self.complex_of(key)
-                # padded: the maps into and out of term q have ranks[q], ranks[q + 1]
-                ranks = [0] + [exact_rank(cols) for cols in mats] + [0]
-                h = [len(basis) - ranks[q] - ranks[q + 1] for q, basis in enumerate(bases)]
-                cohom = self._cohom[key] = [(q - n, dim) for q, dim in enumerate(h) if dim]
-            for q, dim in cohom:
+                cohom = self._cohom[key] = cohomology(list(map(len, bases)), mats)
+            for q, dim in cohom.items():
                 dims[(D, q)] = dim
         return dims
 

@@ -25,13 +25,13 @@ all verified in tests/test_koszul.py and the CLI harness.
 At the graded (symbol) level the complex splits, per multidegree, into a
 "core" on the coupled variables y_1..r, z_1..r (relations
 Q_i = y_i z_i / a_i - y_1 z_1 / a_1) tensored with exact one-variable factors
-for j > r; cohomology is computed by exact integer Gaussian elimination on
-the core, cached by the translation class of the truncation signature that a
-multidegree induces (each class is ranked once, as a restriction of its
-untruncated complex, which is assembled once), and the j > r factors
-contribute the gate [d_j >= 0].  The normalized grading
-used everywhere is the one of B_g^r, i.e. the top wedge generator of the
-G = D_alpha complex sits at multidegree b = ceil(alpha a) - 1.
+for j > r; rationals.cohomology takes the core's cohomology, cached by the
+translation class of the truncation signature that a multidegree induces
+(each class goes to it once, as a restriction of its untruncated complex,
+which is assembled once), and the j > r factors contribute the gate
+[d_j >= 0].  The normalized grading used everywhere is the one of B_g^r,
+i.e. the top wedge generator of the G = D_alpha complex sits at
+multidegree b = ceil(alpha a) - 1.
 
 GradedCbar.point_grid evaluates a whole box at once and returns
 (table, at, columns, gates), with nothing per point: the gates and the
@@ -85,7 +85,7 @@ import random
 from fractions import Fraction
 
 from .divisors import SncDivisor
-from .rationals import InputError, Record, exact_rank, format_rational, int_tuple
+from .rationals import InputError, Record, cohomology, format_rational, int_tuple
 from .vfilt import (
     Level,
     TruncationBox,
@@ -304,21 +304,18 @@ class CoreCohomology:
     for entry: the coefficients lcm/a_k do not read w, and w >= thi becomes
     w - tlo >= thi - tlo.  So dims takes the translation class
     (omega - |tlo|, thi - tlo), which GradedCbar.point_grid builds, and
-    caches by it: each class is ranked once.  The differential only raises
-    w, so the labels with w >= thi span a subcomplex, and the quotient's
-    matrices are the untruncated ones with the rows of those sources and the
-    entries of those targets dropped: the untruncated complex of each omega
-    is assembled once (_complexes) and each class of that omega is ranked as
-    its restriction.
+    caches by it: each class goes to cohomology once.  The differential only
+    raises w, so the labels with w >= thi span a subcomplex, and the
+    quotient's matrices are the untruncated ones with the rows of those
+    sources and the entries of those targets dropped: the untruncated
+    complex of each omega is assembled once (_complexes) and each class of
+    that omega goes as its restriction.
     """
 
     def __init__(self, a_core):
         self.a = tuple(a_core)
         self.r = len(self.a)
-        lcm = 1
-        for x in self.a:
-            lcm = lcm * x // math.gcd(lcm, x)
-        self.lcm = lcm
+        self.lcm = math.lcm(*self.a)
         self._cache = {}
         self._complexes = {}
 
@@ -359,21 +356,14 @@ class CoreCohomology:
         if omega not in self._complexes:
             self._complexes[omega] = self._assemble(omega)
         bases, rows = self._complexes[omega]
-        r = self.r
-        keep = [[thi is None or any(map(operator.lt, w, thi)) for _, w in b] for b in bases]
-        sizes = [sum(k) for k in keep]
-        ranks = [0] * r  # rank of d: wedge W -> W+1, stored at W
-        for W in range(r - 1):
-            if sizes[W] and sizes[W + 1]:
-                tgt = keep[W + 1]
-                ranks[W] = exact_rank(rows[W] if thi is None else [
-                    {c: v for c, v in row.items() if tgt[c]} for row in itertools.compress(rows[W], keep[W])
-                ])
-        dims = {}
-        for W in range(r):
-            h = sizes[W] - ranks[W] - (ranks[W - 1] if W > 0 else 0)
-            if h:
-                dims[W - (r - 1)] = h
+        if thi is None:
+            dims = cohomology(list(map(len, bases)), rows)
+        else:
+            keep = [[any(map(operator.lt, w, thi)) for _, w in b] for b in bases]
+            dims = cohomology(list(map(sum, keep)), [
+                [{c: v for c, v in row.items() if tgt[c]} for row in itertools.compress(src, kept)]
+                for src, kept, tgt in zip(rows, keep, keep[1:])
+            ])
         self._cache[key] = dims
         return dims
 

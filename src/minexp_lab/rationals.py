@@ -6,10 +6,10 @@ compares greater than every finite rational.  ``INF`` only ever shows up as
 the minimal exponent of a smooth model; it supports ordering and
 serialization, nothing else.
 
-``exact_rank`` is the package's one exact-rank routine (Koszul core
-cohomology, de Rham complexes, the t-shift injectivity check); it works
-fraction-free on rows scaled to integers by ``integer_row``, by the same
-``eliminate`` step that V-membership reduces with.
+``exact_rank`` is the package's one exact-rank routine, and ``cohomology``
+on top of it its one cohomology routine; ``exact_rank`` works fraction-free
+on rows scaled to integers by ``integer_row``, by the same ``eliminate``
+step that V-membership reduces with.
 
 ``Record`` and ``FrozenRecord`` are the package's value-class base: the
 field-wise equality, repr and (frozen) hash of a dataclass, without the cost
@@ -179,3 +179,15 @@ def exact_rank(rows):
                 nxt.append(other)
         rows = nxt
     return rank
+
+
+def cohomology(sizes, maps) -> dict:
+    """{degree: dim}, the nonzero cohomology dims of a bounded complex whose
+    term q has sizes[q] basis vectors, in degree q - len(sizes) + 1, and
+    maps[q] the sparse rows of its map to term q + 1; each map between two
+    nonzero terms is ranked once by exact_rank."""
+    ranks = [exact_rank(rows) if sizes[q] and sizes[q + 1] else 0 for q, rows in enumerate(maps)]
+    ranks = [0, *ranks, 0]  # the maps into and out of term q have ranks[q], ranks[q + 1]
+    top = len(sizes) - 1
+    dims = (size - ranks[q] - ranks[q + 1] for q, size in enumerate(sizes))
+    return {q - top: dim for q, dim in enumerate(dims) if dim}

@@ -65,9 +65,9 @@ so a FAIL names the first failing locus.
 Graded dimensions also come in a second closed form (the "theta-eliminated"
 one): Gr^F_p V_{-alpha} has a basis of classes of y^b dy delta . y^v dy^w
 with |w| = p + n, w_i = 0 for i > r, v_i w_i = 0 for 2 <= i <= r (the first
-coordinate is exempt).  count_gr counts by it; the tests and the
-acceptance suite cross-check it against the count read off theta_label's
-description above, which tests/oracles.py keeps.
+coordinate is exempt).  gr_label reads it; the tests and the acceptance
+suite cross-check its count (count_gr in tests/oracles.py) against the
+count read off theta_label's description above, which that file keeps.
 
 Hodge convention: the element of top dt-order m first appears in F_{m-n}
 (the count display F_{p-n} = (+)_{0<=i<=p} w dt^i delta is the oracle), so
@@ -230,18 +230,6 @@ def gr_label(lvl: Level, p, d):
     return tuple(v), tuple(w)
 
 
-def count_gr(lvl: Level, p, d) -> int:
-    return 0 if gr_label(lvl, p, d) is None else 1
-
-
-def count_grF_grV(lvl: Level, p, d) -> int:
-    """dim Gr^F_p Gr^V_{-alpha} at multidegree d (0 or 1)."""
-    here = count_gr(lvl, p, d)
-    if not here:
-        return 0
-    return here - count_gr(lvl.deeper, p, d)
-
-
 # Weight tables, keyed by (n, a, b, box.lo, box.hi): a table reads alpha only
 # through b, and the jump candidates of one model have distinct b, so this is
 # one entry per (alpha, box), shared by every p.  Each table keeps the count
@@ -353,9 +341,10 @@ def _table(lvl: Level, box: TruncationBox) -> _WeightTable:
 
 
 def gr_count_grid(lvl: Level, p, box: TruncationBox) -> bytes:
-    """[count_gr(lvl, p, d) for d in box] as bytes, built once per (level,
-    p, box) and kept in the weight table: every call returns the same
-    immutable bytes."""
+    """1 where gr_label(lvl, p, d) exists, else 0, for d in box, as bytes
+    (tests/oracles.py's count_gr one locus at a time), built once per
+    (level, p, box) and kept in the weight table: every call returns the
+    same immutable bytes."""
     grids = _table(lvl, box).grids
     grid = grids.get(p)
     if grid is None:
@@ -403,8 +392,10 @@ def gr_label_leads(lvl: Level, p, box: TruncationBox) -> dict:
 
 
 def grF_grV_grid(lvl: Level, p, box: TruncationBox) -> bytes:
-    """[count_grF_grV(lvl, p, d) for d in box] as bytes: the bytewise
-    h & ~g of the two levels' cached 0/1 count grids."""
+    """dim Gr^F_p Gr^V_{-alpha} (0 or 1) at each d of the box, as bytes in
+    box order (tests/oracles.py counts it one locus at a time, as
+    count_grF_grV): the bytewise h & ~g of the two levels' cached 0/1 count
+    grids."""
     here, deeper = gr_count_grid(lvl, p, box), gr_count_grid(lvl.deeper, p, box)
     h, g = int.from_bytes(here, "big"), int.from_bytes(deeper, "big")
     return (h & ~g).to_bytes(len(here), "big")
@@ -412,11 +403,12 @@ def grF_grV_grid(lvl: Level, p, box: TruncationBox) -> bytes:
 
 def grF_grV_support(lvl: Level, p, box: TruncationBox):
     """(points, ws): the d of the box, in box order, where
-    count_grF_grV(lvl, p, d) == 1 (gr_count_grid's rule holds for lvl and
-    fails for lvl.deeper), and at each gr_label's w past d_0 (w_0 = p + n -
-    their sum).  At each x of the first coordinate the points past it that
-    are kept are the bytewise h & ~g of the two levels' weight-table rows at
-    their limits, so each distinct pair of limits is masked once."""
+    Gr^F_p Gr^V_{-alpha} is nonzero (gr_count_grid's rule holds for lvl and
+    fails for lvl.deeper; tests/oracles.py's count_grF_grV is 1 there), and
+    at each gr_label's w past d_0 (w_0 = p + n - their sum).  At each x of
+    the first coordinate the points past it that are kept are the bytewise
+    h & ~g of the two levels' weight-table rows at their limits, so each
+    distinct pair of limits is masked once."""
     here, deep = _table(lvl, box), _table(lvl.deeper, box)
     rest, size = here.rest, len(here.sums)
     kept, points, out = {}, [], []
@@ -689,7 +681,8 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
     nilpotency of theta + alpha on Gr^V_{-alpha} with index <= r,
     injectivity of t on the spanning set per multidegree, and t onto
     F_p V_{-alpha-1} at d + a (the injective t-images, which t-shift put in
-    the up level, are as many as its spanning family there).
+    the up level, are as many as its spanning family there, and as its
+    Gr^F_q count grids sum to over q <= p_cap).
 
     One pass in box order; at each d: per spanning element of V_{-alpha},
     stable-y and stable-dy per coordinate, t-shift, dt-shift-direct and
@@ -709,9 +702,15 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
     down = _Members(Level(model, alpha - 1), p_cap, answers) if alpha > 1 else None
     n = model.n
     a_ext = model.a_ext
+    # the up level's spanning counts at d + a, in box order, from the other
+    # side: the Gr^F_q counts at d + a summed over q <= p_cap
+    shifted = TruncationBox(*(tuple(map(operator.add, x, a_ext)) for x in (box.lo, box.hi)))
+    onto = [0] * box.volume()
+    for q in range(-n, p_cap + 1):
+        onto = list(map(operator.add, onto, gr_count_grid(up.lvl, q, shifted)))
     report = {"status": "PASS", "checks": [], "nilpotency_index": 0}
     worst_index = 0
-    for d in box:
+    for d, up_count in zip(box, onto):
         d_plus_a = tuple(d[i] + a_ext[i] for i in range(n))
         d_minus_a = tuple(d[i] - a_ext[i] for i in range(n))
         images, injective = here.t_images(d)
@@ -740,7 +739,7 @@ def check_v_axioms(model: MonomialModel, alpha, box: TruncationBox, p_cap=1):
                 return _check(report, "dt-shift", ok=False, degree=list(d))
         if not injective:
             return _check(report, "t-injectivity", ok=False, degree=list(d))
-        if len(images) != up.span_count(d_plus_a):
+        if not len(images) == up.span_count(d_plus_a) == up_count:
             return _check(report, "t-onto", ok=False, degree=list(d))
     report["nilpotency_index"] = worst_index
     _check(report, "v-axioms", alpha=format_rational(alpha), nilpotency_index=worst_index)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from minexp_lab.divisors import SncDivisor
 from minexp_lab.rationals import InputError
-from minexp_lab.vfilt import Level, TruncationBox, _expansion_orders, gr_class_rep
+from minexp_lab.vfilt import Level, TruncationBox, _expansion_orders, gr_class_rep, gr_label
 from minexp_lab.weyl import BgElement, MonomialModel, WeylOperator
 
 
@@ -121,11 +121,27 @@ def theta_label(lvl: Level, d):
 
 def count_gr_theta(lvl: Level, p, d) -> int:
     """dim Gr^F_p V_{-alpha} at d read off theta_label's description, the
-    count vfilt.count_gr gives in the theta-eliminated form."""
+    count count_gr gives in the theta-eliminated form."""
     lbl = theta_label(lvl, d)
     if lbl is None:
         return 0
     return 1 if sum(lbl[1]) <= p + lvl.model.n else 0
+
+
+def count_gr(lvl: Level, p, d) -> int:
+    """dim Gr^F_p V_{-alpha} at multidegree d (0 or 1) in the
+    theta-eliminated form: whether vfilt.gr_label has a label there; the
+    reference of vfilt.gr_count_grid."""
+    return 0 if gr_label(lvl, p, d) is None else 1
+
+
+def count_grF_grV(lvl: Level, p, d) -> int:
+    """dim Gr^F_p Gr^V_{-alpha} at multidegree d (0 or 1), one locus at a
+    time: the reference of vfilt.grF_grV_grid and grF_grV_support."""
+    here = count_gr(lvl, p, d)
+    if not here:
+        return 0
+    return here - count_gr(lvl.deeper, p, d)
 
 
 def gr_label_grid(lvl: Level, p, box: TruncationBox):

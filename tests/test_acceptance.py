@@ -28,11 +28,10 @@ from minexp_lab.vfilt import (
     TruncationBox,
     _orders_of_component,
     check_v_axioms,
-    count_gr,
 )
 from minexp_lab.weyl import MonomialModel, WeylOperator, act_right
 
-from oracles import count_gr_theta, one_term, spanning_set
+from oracles import count_gr, count_gr_theta, one_term, spanning_set
 
 BOX_RADIUS = 6
 MODELS = catalog()

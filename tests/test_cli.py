@@ -20,7 +20,7 @@ from minexp_lab.cli import (
     run,
 )
 import minexp_lab
-from minexp_lab import derham, koszul, minexp, vfilt, weyl
+from minexp_lab import derham, koszul, minexp, rationals, vfilt, weyl
 from minexp_lab.rationals import InputError, VerificationError, exact_rank
 from minexp_lab.weyl import MonomialModel
 
@@ -353,7 +353,7 @@ def _theta_minus_alpha(orders, alpha):
         ),
         (
             {"command": "verify-cor51", "model": N2_MODEL},
-            lambda mp: mp.setattr(derham, "exact_rank", lambda cols: exact_rank(cols[:-1])),
+            lambda mp: mp.setattr(rationals, "exact_rank", lambda cols: exact_rank(cols[:-1])),
         ),
         (
             {"command": "verify-cor23", "model": Y2_MODEL},

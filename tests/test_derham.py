@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from minexp_lab import derham
+from minexp_lab import derham, rationals
 from minexp_lab.cli import catalog, run
 from minexp_lab.derham import (
     _LevelComplexes,
@@ -23,7 +23,6 @@ from minexp_lab.vfilt import (
     MAX_N,
     Level,
     TruncationBox,
-    count_grF_grV,
     gr_class_rep,
     gr_label,
     grF_grV_support,
@@ -31,7 +30,7 @@ from minexp_lab.vfilt import (
 )
 from minexp_lab.weyl import MonomialModel
 
-from oracles import gr_coordinate, keys_by_tuple, table_is_zero
+from oracles import count_grF_grV, gr_coordinate, keys_by_tuple, table_is_zero
 
 Y2 = MonomialModel(1, [2])
 Y3 = MonomialModel(1, [3])
@@ -639,7 +638,7 @@ def test_one_rank_per_distinct_complex(monkeypatch):
     # _orders_dy once, as when each locus was assembled and ranked, and the
     # complexes are ranked once per distinct key
     counts = {"orders_dy": 0, "rank": 0}
-    orders_dy, rank = derham._orders_dy, derham.exact_rank
+    orders_dy, rank = derham._orders_dy, rationals.exact_rank
 
     def counted_orders_dy(*args):
         counts["orders_dy"] += 1
@@ -657,7 +656,7 @@ def test_one_rank_per_distinct_complex(monkeypatch):
             memos.append(self)
 
     monkeypatch.setattr(derham, "_orders_dy", counted_orders_dy)
-    monkeypatch.setattr(derham, "exact_rank", counted_rank)
+    monkeypatch.setattr(rationals, "exact_rank", counted_rank)
     monkeypatch.setattr(derham, "_LevelComplexes", Recorded)
     model = MonomialModel(3, [1, 2, 2])
     alphas = jump_candidates(model.divisor(), 0, 1)

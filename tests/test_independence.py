@@ -14,7 +14,7 @@ import importlib
 
 import pytest
 
-from minexp_lab import derham, koszul, vfilt
+from minexp_lab import derham, koszul, rationals, vfilt
 from minexp_lab.cli import run
 
 MODELS = [(2, (2, 3)), (3, (1, 2, 2)), (2, (1, 2)), (3, (2, 2, 3)), (3, (3,))]
@@ -71,6 +71,33 @@ def _shift_member_key(monkeypatch):
     monkeypatch.setattr(vfilt, "member_key", planted)
 
 
+def _shorten_span_count(monkeypatch):
+    """vfilt._Members.span_count one short wherever it is above 1.  The
+    spanning family and both counts of the t-onto comparison that read it
+    shrink together; the up level's Gr^F count grids do not."""
+    inner = vfilt._Members.span_count
+
+    def planted(self, d):
+        count = inner(self, d)
+        return count - 1 if count > 1 else count
+
+    monkeypatch.setattr(vfilt._Members, "span_count", planted)
+
+
+def _leave_last_map_unranked(monkeypatch):
+    """rationals.cohomology with the last map of every complex ranked 0,
+    planted under both names it is imported by (derham and koszul); the
+    core cache is emptied first, or a warm one serves unplanted dims."""
+    inner = rationals.cohomology
+
+    def planted(sizes, maps):
+        return inner(sizes, list(maps[:-1]) + [[]] if maps else maps)
+
+    monkeypatch.setattr(koszul, "_CORE_CACHE", {})
+    monkeypatch.setattr(derham, "cohomology", planted)
+    monkeypatch.setattr(koszul, "cohomology", planted)
+
+
 _ALL = set(MODELS)
 _NOT_R1 = _ALL - {(3, (3,))}
 
@@ -82,6 +109,11 @@ PLANTS = {
     ),
     "derham.grF_grV_support": (_drop_last_support_point, {"verify-cor51": _ALL}),
     "koszul.GradedCbar._box_columns": (_raise_last_twist_bound, {"verify-thm42": _ALL}),
+    "rationals.cohomology": (
+        _leave_last_map_unranked,
+        {"verify-cor51": _ALL, "verify-thm42": _NOT_R1},
+    ),
+    "vfilt._Members.span_count": (_shorten_span_count, {"verify-axioms": _ALL}),
     "vfilt.member_key": (
         _shift_member_key,
         {"verify-axioms": _ALL, "verify-cor23": {(3, (3,))}},

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from minexp_lab import koszul, vfilt
+from minexp_lab import koszul, rationals, vfilt
 from minexp_lab.cli import catalog, report_to_json, run
 from minexp_lab.divisors import jump_candidates
 from minexp_lab.koszul import (
@@ -30,7 +30,6 @@ from minexp_lab.vfilt import (
     Level,
     TruncationBox,
     _check,
-    count_gr,
     v_member,
     v_order,
 )
@@ -42,7 +41,7 @@ from minexp_lab.weyl import (
     compose,
 )
 
-from oracles import dy_delta, gr_label_grid, one_term, op_t, round_gt, round_up, spanning_set
+from oracles import count_gr, dy_delta, gr_label_grid, one_term, op_t, round_gt, round_up, spanning_set
 
 
 def _fail(report, name, **info):
@@ -1165,7 +1164,7 @@ def test_one_assembly_per_translation_class(monkeypatch):
         return exact_rank(rows)
 
     monkeypatch.setattr(koszul, "_CORE_CACHE", {})
-    monkeypatch.setattr(koszul, "exact_rank", counted)
+    monkeypatch.setattr(rationals, "exact_rank", counted)
     for alpha in jump_candidates(model.divisor(), 0, 1):
         for sweep in (verify_thm42_i, verify_thm42_ii):
             assert sweep(model, alpha, range(-3, 4), box)["status"] == "PASS"
@@ -1191,7 +1190,7 @@ def test_one_untruncated_assembly_per_omega(monkeypatch):
         return exact_rank(rows)
 
     monkeypatch.setattr(koszul, "_CORE_CACHE", {})
-    monkeypatch.setattr(koszul, "exact_rank", counted)
+    monkeypatch.setattr(rationals, "exact_rank", counted)
     monkeypatch.setattr(koszul.CoreCohomology, "_assemble", counted_assemble)
     for alpha in jump_candidates(model.divisor(), 0, 1):
         for sweep in (verify_thm42_i, verify_thm42_ii):
@@ -1243,7 +1242,7 @@ def test_planted_untruncated_coefficient_fails_both_sweeps(monkeypatch):
 
 def test_references_do_not_reach_the_core(monkeypatch):
     # _naive_graded_cohomology and _untranslated_dims assemble their own
-    # complexes: with the core's assembly, dims and koszul's rank out of
+    # complexes: with the core's assembly, dims and koszul's cohomology out of
     # reach they still give what the core gave
     model = MonomialModel(3, [2, 2, 3])
     lvl = Level(model, F(1, 2))
@@ -1264,7 +1263,7 @@ def test_references_do_not_reach_the_core(monkeypatch):
 
     monkeypatch.setattr(koszul.CoreCohomology, "_assemble", unreachable)
     monkeypatch.setattr(koszul.CoreCohomology, "dims", unreachable)
-    monkeypatch.setattr(koszul, "exact_rank", unreachable)
+    monkeypatch.setattr(koszul, "cohomology", unreachable)
     for (Gd, p), grid in grids.items():
         assert [_naive_graded_cohomology(model, lvl.twist, p, d, Gd) for d in box] == grid, (Gd, p)
     for (omega, tlo, thi), dims in sigs.items():

@@ -1,15 +1,17 @@
 """The exact-rank routine against a plain Fraction Gaussian elimination,
-and the value classes built on Record."""
+the cohomology routine on small complexes, and the value classes built on
+Record."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from minexp_lab import rationals
 from minexp_lab.divisors import ResolutionNumerics, SncDivisor
 from minexp_lab.koszul import build_cbar
 from minexp_lab.minexp import MinExpResult
-from minexp_lab.rationals import INF, exact_rank
+from minexp_lab.rationals import INF, cohomology, exact_rank
 from minexp_lab.vfilt import Level, TruncationBox, b_vector
 from minexp_lab.weyl import MonomialModel
 
@@ -68,6 +70,55 @@ def test_exact_rank_edge_cases():
     assert exact_rank([{}, {}, {0: 0, 3: F(0)}]) == 0  # zero matrix
     assert exact_rank([{0: F(1, 2), 1: F(1, 3)}, {0: 3, 1: 2}]) == 1
     assert exact_rank([{5: 2, 9: -4}, {9: 1}, {}]) == 2
+
+
+def _counted_ranks(monkeypatch):
+    """rationals.exact_rank, counted: returns the list of the row counts
+    of every call cohomology makes."""
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return exact_rank(rows)
+
+    monkeypatch.setattr(rationals, "exact_rank", counted)
+    return calls
+
+
+def test_cohomology_of_an_exact_sequence_is_zero(monkeypatch):
+    # 0 -> Q -> Q^2 -> Q -> 0, v -> (v, v), (x, y) -> x - y
+    calls = _counted_ranks(monkeypatch)
+    assert cohomology([1, 2, 1], [[{0: 1, 1: 1}], [{0: 1}, {0: -1}]]) == {}
+    assert calls == [1, 2]
+
+
+def test_cohomology_with_a_zero_term_in_the_middle(monkeypatch):
+    calls = _counted_ranks(monkeypatch)
+    assert cohomology([2, 0, 3], [[{}, {}], []]) == {-2: 2, 0: 3}
+    assert calls == []
+
+
+def test_cohomology_does_not_rank_a_map_into_a_zero_term(monkeypatch):
+    # the second map has a row per source vector but no target: only the
+    # first map, between two nonzero terms, reaches exact_rank
+    calls = _counted_ranks(monkeypatch)
+    assert cohomology([3, 2, 0], [[{0: 1}, {1: 1}, {0: 1, 1: 1}], [{}, {}]]) == {-2: 1}
+    assert calls == [3]
+
+
+def test_cohomology_degrees_end_at_zero_without_zeros():
+    # Q -0-> Q -2-> Q -0-> Q: H^-3 and H^0 are 1, H^-2 and H^-1 are 0
+    dims = cohomology([1, 1, 1, 1], [[{}], [{0: 2}], [{}]])
+    assert dims == {-3: 1, 0: 1} and 0 not in dims.values()
+    assert cohomology([4], []) == {0: 4}
+    assert cohomology([0, 0], [[]]) == {}
+
+
+def test_cohomology_of_a_fraction_valued_map():
+    # (1/2, 1/3) and (3/2, 1) are proportional: rank 1
+    rows = [{0: F(1, 2), 1: F(1, 3)}, {0: F(3, 2), 1: F(1)}]
+    assert cohomology([2, 2], [rows]) == {-1: 1, 0: 1}
+    assert cohomology([2, 2], [[{0: F(1, 2)}, {1: F(-2, 3)}]]) == {}
 
 
 def test_records_compare_hash_and_repr_by_field():

@@ -18,8 +18,6 @@ from minexp_lab.vfilt import (
     _expansion_orders,
     _orders_of_component,
     check_v_axioms,
-    count_gr,
-    count_grF_grV,
     gr_class_rep,
     gr_count_grid,
     gr_label,
@@ -42,6 +40,8 @@ from minexp_lab.weyl import (
 )
 
 from oracles import (
+    count_gr,
+    count_grF_grV,
     count_gr_theta,
     dy_delta,
     gr_coordinate,
