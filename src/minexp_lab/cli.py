@@ -52,8 +52,8 @@ from typing import Callable, NamedTuple
 
 from .divisors import ResolutionNumerics, SncDivisor, jump_candidates, lct_from_resolution
 from .rationals import Infinity, InputError, VerificationError, format_rational, parse_rational
-from .vfilt import MAX_N, TruncationBox, check_v_axioms, v_member, v_order
-from .weyl import MonomialModel, multidegree, parse_element
+from .vfilt import MAX_N, TruncationBox, v_member, v_order
+from .weyl import MonomialModel, multidegree
 from . import derham, koszul, minexp
 
 DEFAULT_BOX = 6
@@ -197,6 +197,8 @@ def _element(key, value, got):
     """(text, element): the text is echoed, the element is used."""
     if not isinstance(value, str):
         raise InputError(f"element must be text, got {value!r}")
+    from .syntax import parse_element  # only the vfilt command parses an element
+
     u = parse_element(value, got["model"].n)
     if u.is_zero():
         raise InputError("vfilt element must be nonzero")
@@ -275,20 +277,26 @@ def _summarize(checks):
 #
 # The checks functions reach the library at call time (module attributes or
 # this module's imported names), never through references stored at import.
+# cbar and axioms are imported by the one command that runs them, so no
+# other command, and no import of this module, compiles them.
 
 def _thm42_checks(model, alpha, box, pmax, samples):
+    from . import cbar
+
     p_range = range(-model.n, pmax + 1)
     reps = (
         koszul.verify_thm42_i(model, alpha, p_range, box),
         koszul.verify_thm42_ii(model, alpha, p_range, box),
-        koszul.verify_thm42_iii(model, alpha, samples=samples),
-        koszul.augmentation_zero_check(model, alpha),
+        cbar.verify_thm42_iii(model, alpha, samples=samples),
+        cbar.augmentation_zero_check(model, alpha),
     )
     return [c for rep in reps for c in rep["checks"]]
 
 
 def _axioms_checks(model, alpha, box):
-    return check_v_axioms(model, alpha, box)["checks"]
+    from . import axioms
+
+    return axioms.check_v_axioms(model, alpha, box)["checks"]
 
 
 def _cor51_checks(model, alpha, box):

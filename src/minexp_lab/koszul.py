@@ -1,26 +1,9 @@
-"""Twisted relative-log-form Koszul complexes resolving V-filtration pieces.
+"""Twisted relative-log-form Koszul complexes resolving V-filtration pieces:
+their graded cohomology, and the Thm 4.2 (i)/(ii) resolution sweeps.
 
-For an effective divisor G = sum c_i E_i supported on the components of the
-monomial divisor, the complex is the Koszul complex of the left
-multiplications by
-
-    K_i = y_i d_i / a_i - y_1 d_1 / a_1 + c_i/a_i - c_1/a_1   (2 <= i <= r)
-    d_j                                                        (r < j <= n)
-
-on the operator algebra, with terms indexed by wedges of the relative
-log-form symbols u_i = a_i dlog y_i (degree 0) and dy_j (degree e_j), placed
-in cohomological degrees -(n-1)..0, and the differential
-
-    d(e_S (x) Q) = sum_k  sign(k, S) e_{S u k} (x) K_k Q .
-
-This explicit matrix is implementer-derived (the quotient construction fixes
-it only up to the chosen trivialization); it is pinned down by d^2 = 0, by
-the generators commuting, and by the augmentation-zero check against the
-augmentation on degree-0 cochains
-
-    e_full (x) Q |-> (a_1...a_r y^b dy delta) . Q ,
-
-all verified in tests/test_koszul.py and the CLI harness.
+The operator-level complex C-bar_G and its checks are cbar.py; this module
+keeps what both read, the twist check (_check_twist) and the image of the
+canonical generator (sigma_generator).
 
 At the graded (symbol) level the complex splits, per multidegree, into a
 "core" on the coupled variables y_1..r, z_1..r (relations
@@ -81,11 +64,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import random
 from fractions import Fraction
 
 from .divisors import SncDivisor
-from .rationals import InputError, Record, cohomology, format_rational, int_tuple
+from .rationals import InputError, cohomology, format_rational, int_tuple
 from .vfilt import (
     Level,
     TruncationBox,
@@ -99,10 +81,10 @@ from .vfilt import (
     grF_grV_grid,
     lead_key,
 )
-from .weyl import BgElement, MonomialModel, WeylOperator, act_right, compose
+from .weyl import BgElement, MonomialModel
 
 
-# -- operator-level complex ---------------------------------------------------
+# -- twists and the canonical generator ---------------------------------------
 
 def _check_twist(model: MonomialModel, G):
     if isinstance(G, SncDivisor):
@@ -118,61 +100,6 @@ def _check_twist(model: MonomialModel, G):
     return coeffs
 
 
-def annihilator_generators(model: MonomialModel, G) -> dict:
-    """The Koszul generators {symbol id: operator}; ids are the variable
-    indices 2..r (Euler-type) and r+1..n (plain partials), 1-based."""
-    c = _check_twist(model, G)
-    n, r, a = model.n, model.r, model.a
-    gens = {}
-    for i in range(1, r):
-        euler_i = compose(WeylOperator.y(n, i), WeylOperator.dy(n, i)).scale(
-            Fraction(1, a[i])
-        )
-        euler_0 = compose(WeylOperator.y(n, 0), WeylOperator.dy(n, 0)).scale(
-            Fraction(1, a[0])
-        )
-        const = WeylOperator.scalar(n, Fraction(c[i], a[i]) - Fraction(c[0], a[0]))
-        gens[i + 1] = euler_i - euler_0 + const
-    for j in range(r, n):
-        gens[j + 1] = WeylOperator.dy(n, j)
-    return gens
-
-
-class FilteredKoszulComplex(Record):
-    """Operator-level C-bar_G; cochains in degree |S|-(n-1) are dicts
-    {sorted symbol tuple S: operator}."""
-
-    _fields = ("model", "G", "generators")
-
-    def __init__(self, model, G, generators):
-        self.model, self.G, self.generators = model, G, generators
-
-    @property
-    def symbols(self):
-        return tuple(sorted(self.generators))
-
-    def differential(self, x: dict) -> dict:
-        out = {}
-        for S, Q in x.items():
-            S = tuple(sorted(S))
-            for k, gen in self.generators.items():
-                if k in S:
-                    continue
-                sign = (-1) ** sum(1 for s in S if s < k)
-                T = tuple(sorted(S + (k,)))
-                term = compose(gen, Q).scale(sign)
-                if T in out:
-                    out[T] = out[T] + term
-                else:
-                    out[T] = term
-        return {S: Q for S, Q in out.items() if not Q.is_zero()}
-
-
-def build_cbar(model: MonomialModel, G) -> FilteredKoszulComplex:
-    c = _check_twist(model, G)
-    return FilteredKoszulComplex(model, c, annihilator_generators(model, c))
-
-
 def sigma_generator(model: MonomialModel, alpha) -> BgElement:
     """Image of the canonical top-degree generator: a_1...a_r y^b dy delta."""
     b = b_vector(model, alpha)
@@ -180,95 +107,6 @@ def sigma_generator(model: MonomialModel, alpha) -> BgElement:
     for a in model.a:
         coeff *= a
     return BgElement(model.n, {(b, 0): Fraction(coeff)})
-
-
-def _augment(model, base, x):
-    """The augmentation of the degree-0 cochain x: e_full (x) Q |-> base . Q,
-    extended operator-linearly."""
-    full = tuple(range(2, model.n + 1))
-    out = BgElement(model.n)
-    for S, Q in x.items():
-        if tuple(sorted(S)) != full:
-            raise InputError("the augmentation expects a degree-0 cochain")
-        out = out + act_right(base, Q, model)
-    return out
-
-
-def N_operator(model: MonomialModel, alpha) -> WeylOperator:
-    """The operator realizing the monodromy endomorphism on H^0 of
-    C-bar_{D_alpha}: (ceil(alpha a_1) + y_1 d_1)/a_1."""
-    n, a1 = model.n, model.a[0]
-    c1 = Level(model, alpha).twist[0]
-    return (
-        compose(WeylOperator.y(n, 0), WeylOperator.dy(n, 0)) + WeylOperator.scalar(n, c1)
-    ).scale(Fraction(1, a1))
-
-
-def _random_yd_operator(rng, n):
-    """One or two terms c y^a d_y^b with every exponent at most 2 and c a
-    nonzero integer in -4..4."""
-    terms = {}
-    for _ in range(rng.randint(1, 2)):
-        ay = tuple(rng.randint(0, 2) for _ in range(n))
-        bdy = tuple(rng.randint(0, 2) for _ in range(n))
-        c = Fraction(rng.randint(-4, 4))
-        if c == 0:
-            c = Fraction(1)
-        key = (ay, 0, bdy, 0)
-        terms[key] = terms.get(key, Fraction(0)) + c
-    return WeylOperator(n, terms)
-
-
-def verify_thm42_iii(model: MonomialModel, alpha, samples=20, seed=0):
-    """sigma(N(x)) = sigma(x) . (-theta) on the canonical generator and on
-    random operator multiples x = generator . Q with Q in the y-variables
-    Weyl algebra."""
-    alpha = Level(model, alpha).alpha
-    n = model.n
-    base = sigma_generator(model, alpha)
-    n_op = N_operator(model, alpha)
-    minus_theta = WeylOperator.theta(n).scale(-1)
-    report = {"status": "PASS", "checks": []}
-    lhs = act_right(base, n_op, model)
-    ok = lhs == act_right(base, minus_theta, model)
-    _check(report, "monodromy-generator", ok, alpha=format_rational(alpha))
-    if not ok:
-        return report
-    rng = random.Random(seed)
-    for idx in range(samples):
-        Q = _random_yd_operator(rng, n)
-        left = act_right(lhs, Q, model)
-        right = act_right(act_right(base, Q, model), minus_theta, model)
-        if left != right:
-            return _check(report, "monodromy-multiple", ok=False, sample=idx)
-    return _check(report, "monodromy-multiples", samples=samples)
-
-
-def augmentation_zero_check(model: MonomialModel, alpha):
-    """The composite C-bar^{-1} -> C-bar^0 -> V_{-alpha} B^r vanishes, on all
-    basis cochains and on ten random operator cochains (seed 0)."""
-    lvl = Level(model, alpha)
-    n = model.n
-    base = sigma_generator(model, lvl.alpha)
-    fkc = build_cbar(model, lvl.twist)
-    report = {"status": "PASS", "checks": []}
-    if n == 1:
-        return _check(report, "augmentation-zero", vacuous=True)
-    syms = fkc.symbols
-    rng = random.Random(0)
-    inputs = []
-    for S in itertools.combinations(syms, n - 2):
-        inputs.append({S: WeylOperator.one(n)})
-    for _ in range(10):
-        S = tuple(sorted(rng.sample(syms, n - 2)))
-        inputs.append({S: _random_yd_operator(rng, n)})
-    for x in inputs:
-        if not _augment(model, base, fkc.differential(x)).is_zero():
-            return _check(
-                report, "augmentation-zero", ok=False,
-                cochain={str(k): repr(v) for k, v in x.items()},
-            )
-    return _check(report, "augmentation-zero", inputs=len(inputs))
 
 
 # -- graded (symbol-level) cohomology ----------------------------------------

@@ -12,14 +12,9 @@ from fractions import Fraction as F
 
 from minexp_lab.cli import catalog, report_to_json, run
 from minexp_lab.divisors import jump_candidates, lct_from_resolution
-from minexp_lab.koszul import (
-    N_operator,
-    augmentation_zero_check,
-    sigma_generator,
-    verify_thm42_i,
-    verify_thm42_ii,
-    verify_thm42_iii,
-)
+from minexp_lab.axioms import check_v_axioms
+from minexp_lab.cbar import N_operator, augmentation_zero_check, verify_thm42_iii
+from minexp_lab.koszul import sigma_generator, verify_thm42_i, verify_thm42_ii
 from minexp_lab.derham import verify_cor51
 from minexp_lab.minexp import cor23_check, cor24_check, minexp_monomial
 from minexp_lab.rationals import INF, Infinity, exact_rank
@@ -27,7 +22,6 @@ from minexp_lab.vfilt import (
     Level,
     TruncationBox,
     _orders_of_component,
-    check_v_axioms,
 )
 from minexp_lab.weyl import MonomialModel, WeylOperator, act_right
 

@@ -20,7 +20,7 @@ from minexp_lab.cli import (
     run,
 )
 import minexp_lab
-from minexp_lab import derham, koszul, minexp, rationals, vfilt, weyl
+from minexp_lab import axioms, derham, koszul, minexp, rationals, vfilt, weyl
 from minexp_lab.rationals import InputError, VerificationError, exact_rank
 from minexp_lab.weyl import MonomialModel
 
@@ -349,7 +349,7 @@ def _theta_minus_alpha(orders, alpha):
         ),
         (
             {"command": "verify-axioms", "model": Y2_MODEL},
-            lambda mp: mp.setattr(vfilt, "_orders_theta_plus", _theta_minus_alpha),
+            lambda mp: mp.setattr(axioms, "_orders_theta_plus", _theta_minus_alpha),
         ),
         (
             {"command": "verify-cor51", "model": N2_MODEL},
@@ -385,8 +385,8 @@ def test_planted_error_exits_2(config, plant, monkeypatch):
 @pytest.mark.parametrize(
     "plant, name",
     [
-        (lambda mp: mp.setattr(vfilt, "_orders_t", lambda orders: {}), "t-injectivity"),
-        (lambda mp: mp.setattr(vfilt, "_orders_theta_plus", _theta_minus_alpha), "nilpotency"),
+        (lambda mp: mp.setattr(axioms, "_orders_t", lambda orders: {}), "t-injectivity"),
+        (lambda mp: mp.setattr(axioms, "_orders_theta_plus", _theta_minus_alpha), "nilpotency"),
     ],
     ids=["t-kernel-zero", "theta-minus-alpha"],
 )
@@ -881,6 +881,60 @@ def test_cli_import_loads_no_argparse_csv_dataclasses_or_multiprocessing():
     assert not swept & {"multiprocessing", "pickle"}
 
 
+# Loaded after each stage of one fresh interpreter: the import of cli, the
+# sweep entry points (called as the benchmark's run_sweep_item calls them),
+# then run() of verify-axioms, verify-thm42 and vfilt, in that order.
+_COLD_PATH = """
+import json, sys
+from fractions import Fraction
+LAZY = ("minexp_lab.axioms", "minexp_lab.cbar", "minexp_lab.syntax")
+def loaded():
+    return [m.split(".")[1] for m in LAZY if m in sys.modules]
+stages = []
+from minexp_lab import cli
+stages.append(["import", loaded()])
+from minexp_lab import derham, koszul, minexp, vfilt
+from minexp_lab.weyl import MonomialModel
+model, alpha = MonomialModel(2, (2, 3)), Fraction(1, 3)
+box = vfilt.TruncationBox.radius(2, 2)
+reports = [
+    koszul.verify_thm42_i(model, alpha, range(-2, 4), box),
+    koszul.verify_thm42_ii(model, alpha, range(-2, 4), box),
+    derham.verify_cor51(model, alpha, range(0, 2), box),
+]
+assert minexp.minexp_value(model) >= alpha
+reports += [minexp.cor23_check(model, 0, alpha, box), minexp.cor24_check(model, 0, alpha, box)]
+assert all(rep["status"] == "PASS" for rep in reports)
+stages.append(["sweeps", loaded()])
+config = {"model": {"n": 2, "exponents": [2, 3]}, "alpha": "1/3", "box": 1}
+for command, extra in (("verify-axioms", {}), ("verify-thm42", {}), ("vfilt", {"element": "dy delta"})):
+    report, code = cli.run({"command": command, **config, **extra})
+    assert code == 0, report
+    stages.append([command, loaded()])
+print(json.dumps(stages))
+"""
+
+
+def test_cold_path_compiles_no_check_or_syntax_module_it_does_not_run():
+    """A fresh interpreter compiling the package from source compiles the
+    axiom check, the operator-level Thm 4.2 checks and the element syntax
+    only in the call that runs them: importing cli and the sweep entry
+    points load none of them, and each command loads its own."""
+    src = os.path.dirname(os.path.dirname(minexp_lab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run(
+        [sys.executable, "-c", _COLD_PATH], capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert json.loads(out) == [
+        ["import", []],
+        ["sweeps", []],
+        ["verify-axioms", ["axioms"]],
+        ["verify-thm42", ["axioms", "cbar"]],
+        ["vfilt", ["axioms", "cbar", "syntax"]],
+    ]
+
+
 def _planted_cor51(failing):
     """derham.verify_cor51 that raises a VerificationError naming the alpha
     at the item indices in `failing` (items run in sorted alpha order)."""
@@ -1075,7 +1129,7 @@ _BOX_ENTRY_POINTS = {
     "gr_dr_psi": lambda box: derham.gr_dr_psi(_BOX_MODEL, Fraction(1, 2), 0, box),
     "cor23_check": lambda box: minexp.cor23_check(_BOX_MODEL, 0, Fraction(1, 2), box),
     "cor24_check": lambda box: minexp.cor24_check(_BOX_MODEL, 0, Fraction(1, 2), box),
-    "check_v_axioms": lambda box: vfilt.check_v_axioms(_BOX_MODEL, Fraction(1, 2), box),
+    "check_v_axioms": lambda box: axioms.check_v_axioms(_BOX_MODEL, Fraction(1, 2), box),
     "psi_hodge_dim": lambda box: minexp.psi_hodge_dim(1, Fraction(1, 2), box, _BOX_MODEL),
 }
 

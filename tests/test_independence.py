@@ -11,10 +11,12 @@ already holds are indexed in INDEXED, not copied.
 """
 
 import importlib
+import pkgutil
 
 import pytest
 
-from minexp_lab import derham, koszul, rationals, vfilt
+import minexp_lab
+from minexp_lab import axioms, derham, koszul, rationals, vfilt, weyl
 from minexp_lab.cli import run
 
 MODELS = [(2, (2, 3)), (3, (1, 2, 2)), (2, (1, 2)), (3, (2, 2, 3)), (3, (3,))]
@@ -72,16 +74,16 @@ def _shift_member_key(monkeypatch):
 
 
 def _shorten_span_count(monkeypatch):
-    """vfilt._Members.span_count one short wherever it is above 1.  The
+    """axioms._Members.span_count one short wherever it is above 1.  The
     spanning family and both counts of the t-onto comparison that read it
     shrink together; the up level's Gr^F count grids do not."""
-    inner = vfilt._Members.span_count
+    inner = axioms._Members.span_count
 
     def planted(self, d):
         count = inner(self, d)
         return count - 1 if count > 1 else count
 
-    monkeypatch.setattr(vfilt._Members, "span_count", planted)
+    monkeypatch.setattr(axioms._Members, "span_count", planted)
 
 
 def _leave_last_map_unranked(monkeypatch):
@@ -98,11 +100,31 @@ def _leave_last_map_unranked(monkeypatch):
     monkeypatch.setattr(koszul, "cohomology", planted)
 
 
+def _orders_dy_without_lift(orders, model, d, i):
+    """weyl._orders_dy without its dt-raising term: u.d_{y_i} keeps only
+    -v_i y^{v-e_i} dy dt^m delta, with v_i = d_i + m a_i."""
+    ai = model.a[i] if i < model.r else 0
+    return {m: -(d[i] + m * ai) * c for m, c in orders.items() if d[i] + m * ai}
+
+
+def _drop_orders_dy_lift(*modules):
+    """The plant of _orders_dy without its lift under each of these modules'
+    names of it; the expansion cache is emptied first, or a warm one serves
+    unplanted orders."""
+    def plant(monkeypatch):
+        monkeypatch.setattr(vfilt, "_EXP_CACHE", {})
+        for module in modules:
+            monkeypatch.setattr(module, "_orders_dy", _orders_dy_without_lift)
+
+    return plant
+
+
 _ALL = set(MODELS)
 _NOT_R1 = _ALL - {(3, (3,))}
 
 # kernel -> (plant, {command: the models on which it must exit 2})
 PLANTS = {
+    "axioms._Members.span_count": (_shorten_span_count, {"verify-axioms": _ALL}),
     "derham._LevelComplexes._inside": (
         _clear_twist_locus,
         {"verify-cor51": _ALL, "verify-cor23": _NOT_R1, "verify-cor24": _NOT_R1},
@@ -113,10 +135,13 @@ PLANTS = {
         _leave_last_map_unranked,
         {"verify-cor51": _ALL, "verify-thm42": _NOT_R1},
     ),
-    "vfilt._Members.span_count": (_shorten_span_count, {"verify-axioms": _ALL}),
     "vfilt.member_key": (
         _shift_member_key,
         {"verify-axioms": _ALL, "verify-cor23": {(3, (3,))}},
+    ),
+    "weyl._orders_dy": (
+        _drop_orders_dy_lift(weyl, vfilt, derham),
+        {"verify-cor51": _ALL, "verify-thm42": _ALL, "verify-axioms": _ALL},
     ),
 }
 
@@ -127,16 +152,72 @@ INDEXED = {
 }
 
 
+# The weyl._orders_dy row per name: the module whose name of the kernel is
+# planted alone -> {command: the models on which it must exit 2}.  axioms
+# reads vfilt's name, so vfilt's alone fails verify-axioms too.
+ORDERS_DY_BY_NAME = {
+    "derham": {"verify-cor51": _ALL},
+    "vfilt": {"verify-cor51": _ALL, "verify-thm42": _ALL, "verify-axioms": _ALL},
+    "weyl": {"verify-thm42": _ALL},  # act_right, in Thm 4.2 (iii)
+}
+
+
+def _codes(command):
+    """{model: exit code of `command` on it, at box 3}."""
+    codes = {}
+    for n, exponents in MODELS:
+        config = {"command": command, "model": {"n": n, "exponents": list(exponents)}, "box": 3}
+        codes[(n, exponents)] = run(config)[1]
+    return codes
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("kernel", sorted(PLANTS))
 def test_plant_fails_exactly_the_named_commands(kernel, command, monkeypatch):
     plant, fails = PLANTS[kernel]
     plant(monkeypatch)
-    codes = {}
-    for n, exponents in MODELS:
-        config = {"command": command, "model": {"n": n, "exponents": list(exponents)}, "box": 3}
-        codes[(n, exponents)] = run(config)[1]
+    codes = _codes(command)
     assert codes == {model: 2 if model in fails.get(command, ()) else 0 for model in MODELS}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("name", sorted(ORDERS_DY_BY_NAME))
+def test_orders_dy_plant_per_name(name, command, monkeypatch):
+    fails = ORDERS_DY_BY_NAME[name]
+    _drop_orders_dy_lift(importlib.import_module(f"minexp_lab.{name}"))(monkeypatch)
+    codes = _codes(command)
+    assert codes == {model: 2 if model in fails.get(command, ()) else 0 for model in MODELS}
+
+
+def test_orders_dy_row_plants_every_name():
+    # every module of the package that holds a name of the kernel is planted
+    holders = {
+        info.name
+        for info in pkgutil.iter_modules(minexp_lab.__path__)
+        if hasattr(importlib.import_module(f"minexp_lab.{info.name}"), "_orders_dy")
+    }
+    assert holders == set(ORDERS_DY_BY_NAME)
+
+
+def test_class_that_leads_wrong_is_a_fail(monkeypatch):
+    """gr_class_rep checks the lead of each class it builds: with vfilt's
+    _orders_dy planted without its lift, verify-cor51 is one
+    verification-error FAIL naming p, the degree and the dt-order, not a
+    ValueError out of run()."""
+    _drop_orders_dy_lift(vfilt)(monkeypatch)
+    invariants = {}
+    for n, exponents in MODELS:
+        config = {"command": "verify-cor51", "model": {"n": n, "exponents": list(exponents)}, "box": 3}
+        report, code = run(config)
+        assert code == 2 and [c["name"] for c in report["checks"]] == ["verification-error"]
+        invariants[(n, exponents)] = report["checks"][0]["invariant"]
+    assert invariants == {
+        (2, (2, 3)): "the Gr^F_-1 class at degree [1, -1] does not lead with dt-order 1",
+        (3, (1, 2, 2)): "the Gr^F_-2 class at degree [0, 1, -1] does not lead with dt-order 1",
+        (2, (1, 2)): "the Gr^F_-1 class at degree [1, -1] does not lead with dt-order 1",
+        (3, (2, 2, 3)): "the Gr^F_-2 class at degree [1, 1, -1] does not lead with dt-order 1",
+        (3, (3,)): "the Gr^F_-2 class at degree [-1, 2, 1] does not lead with dt-order 1",
+    }
 
 
 def test_indexed_rows_are_held():

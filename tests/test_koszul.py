@@ -9,21 +9,23 @@ from fractions import Fraction as F
 
 import pytest
 
-from minexp_lab import koszul, rationals, vfilt
+from minexp_lab import cbar, koszul, rationals, vfilt
 from minexp_lab.cli import catalog, report_to_json, run
 from minexp_lab.divisors import jump_candidates
-from minexp_lab.koszul import (
-    GradedCbar,
+from minexp_lab.cbar import (
     N_operator,
-    _check_twist,
-    _compositions,
     annihilator_generators,
     augmentation_zero_check,
     build_cbar,
+    verify_thm42_iii,
+)
+from minexp_lab.koszul import (
+    GradedCbar,
+    _check_twist,
+    _compositions,
     sigma_generator,
     verify_thm42_i,
     verify_thm42_ii,
-    verify_thm42_iii,
 )
 from minexp_lab.rationals import InputError, exact_rank, format_rational
 from minexp_lab.vfilt import (
@@ -65,7 +67,7 @@ def sigma_alpha(model: MonomialModel, alpha, x=None) -> BgElement:
         return base
     if isinstance(x, WeylOperator):
         return act_right(base, x, model)
-    return koszul._augment(model, base, x)
+    return cbar._augment(model, base, x)
 
 
 def cohomology_grid(gc: GradedCbar, p, box: TruncationBox) -> list:
@@ -139,7 +141,7 @@ def test_generators_commute():
 
 def test_differential_squares_to_zero():
     rng = random.Random(0)
-    from minexp_lab.koszul import _random_yd_operator
+    from minexp_lab.cbar import _random_yd_operator
 
     for model in [Y123, Y111, MonomialModel(3, [2, 4])]:
         fkc = build_cbar(model, round_up(model.divisor(), F(1, 2)))
@@ -166,7 +168,7 @@ def test_sigma_examples():
 
 def test_sigma_lands_in_V():
     rng = random.Random(5)
-    from minexp_lab.koszul import _random_yd_operator
+    from minexp_lab.cbar import _random_yd_operator
 
     for model in [Y2, Y11, Y23]:
         for alpha in jump_candidates(model.divisor(), 0, 1):

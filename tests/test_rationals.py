@@ -9,7 +9,7 @@ import pytest
 
 from minexp_lab import rationals
 from minexp_lab.divisors import ResolutionNumerics, SncDivisor
-from minexp_lab.koszul import build_cbar
+from minexp_lab.cbar import build_cbar
 from minexp_lab.minexp import MinExpResult
 from minexp_lab.rationals import INF, cohomology, exact_rank
 from minexp_lab.vfilt import Level, TruncationBox, b_vector

@@ -1,12 +1,11 @@
 """The package's surface: every module-level function and class in
 src/minexp_lab is reached from code of the package outside its own
-definition, or named by the benchmark, and every method other than a dunder
+definition, and every method other than a dunder
 is read as an attribute by code of the package outside its own definition,
 so that code only the tests call lives in the tests."""
 
 import ast
 import pathlib
-import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "minexp_lab"
@@ -26,25 +25,10 @@ def _names(node):
     return out
 
 
-def _bench_mentions(module, name):
-    """Whether a benchmark script names module.name, as code or as text,
-    or imports name from the module."""
-    pattern = re.compile(rf"\b{module}\.{re.escape(name)}\b")
-    for path in sorted((ROOT / "bench").glob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        if pattern.search(text):
-            return True
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.ImportFrom) and node.module == f"minexp_lab.{module}":
-                if any(alias.name == name for alias in node.names):
-                    return True
-    return False
-
-
 def unreferenced():
     """[module.name] of the module-level functions and classes that no code
-    of the package reads outside their definition and the benchmark does
-    not name; re-exports in __init__.py do not count."""
+    of the package reads outside their definition; re-exports in
+    __init__.py do not count."""
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(PACKAGE.glob("*.py"))
@@ -58,7 +42,7 @@ def unreferenced():
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             used = any(node.name in names for _, other, names in reads if other is not node)
-            if not used and not _bench_mentions(module, node.name):
+            if not used:
                 out.append(f"{module}.{node.name}")
     return out
 

@@ -6,9 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from minexp_lab import vfilt
+from minexp_lab import axioms, vfilt
 from minexp_lab.cli import catalog, run
 from minexp_lab.derham import box_list
+from minexp_lab.axioms import check_v_axioms
 from minexp_lab.divisors import jump_candidates, next_candidate
 from minexp_lab.koszul import verify_thm42_i
 from minexp_lab.rationals import InputError, exact_rank, format_rational
@@ -17,7 +18,6 @@ from minexp_lab.vfilt import (
     TruncationBox,
     _expansion_orders,
     _orders_of_component,
-    check_v_axioms,
     gr_class_rep,
     gr_count_grid,
     gr_label,
@@ -614,7 +614,7 @@ def test_planted_kernel_fails_one_axiom(name, alpha, spanned, kernel, fault, deg
     # over that of V_{-alpha}
     assert _first_spanned(spanned) == degree
     assert check_v_axioms(Y23, alpha, AXIOMS_BOX)["status"] == "PASS"
-    monkeypatch.setattr(vfilt, kernel, fault)
+    monkeypatch.setattr(axioms, kernel, fault)
     assert _axioms_fails(alpha) == [{"name": name, "status": "FAIL", "degree": list(degree)}]
 
 
@@ -635,7 +635,7 @@ def test_planted_membership_fails_one_axiom(name, step, monkeypatch):
     assert _axioms_fails(alpha) == [{"name": name, "status": "FAIL", "degree": list(first), "i": 1}]
 
 
-# The membership memo of the axiom check (vfilt._Members): check_v_axioms on
+# The membership memo of the axiom check (axioms._Members): check_v_axioms on
 # every catalog level in (0, 1] at radius 2.
 def _memo_levels():
     levels = [(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
@@ -647,7 +647,7 @@ def _memo_check(model, alpha):
     return check_v_axioms(model, alpha, TruncationBox.radius(model.n, 2))
 
 
-class _PassThrough(vfilt._Members):
+class _PassThrough(axioms._Members):
     """_Members without its memos: every query asks _component_member, the
     spanning orders come from theta_label, and their powers and t-images
     are built afresh, as before the memo."""
@@ -669,7 +669,7 @@ class _PassThrough(vfilt._Members):
         return images, exact_rank(images) == len(images)
 
 
-class _KeyedByOrders(vfilt._Members):
+class _KeyedByOrders(axioms._Members):
     """A memo keyed by the orders alone, blind to the locus: it serves the
     answer of the first locus that asked about the same orders."""
 
@@ -684,7 +684,7 @@ class _KeyedByOrders(vfilt._Members):
         return self.answers[entry]
 
 
-class _KeepsU0(vfilt._Members):
+class _KeepsU0(axioms._Members):
     """A member key that keeps u0 = b + v where w_i = 0."""
 
     def key(self, d):
@@ -696,7 +696,7 @@ def test_memo_spanning_orders_match_theta_label():
     for model, alpha in _memo_levels():
         lvl = Level(model, alpha)
         for p in (-1, 1, 2):
-            members = vfilt._Members(lvl, p, {})
+            members = axioms._Members(lvl, p, {})
             for d in TruncationBox.radius(model.n, 2):
                 assert members.spanning(d) == spanning_orders(lvl, p, d), (lvl, p, d)
                 assert members.span_count(d) == len(members.spanning(d)), (lvl, p, d)
@@ -708,7 +708,7 @@ class _Conflict(Exception):
 
 def _checked_run(members, levels):
     """check_v_axioms on each level at radius 2 with `members` for
-    vfilt._Members, each membership query checked against a fresh
+    axioms._Members, each membership query checked against a fresh
     _component_member (a _Conflict if they differ): (reports, queries,
     worst), where worst is the most _component_member calls one check call
     made for one (member_key, sorted orders)."""
@@ -730,7 +730,7 @@ def _checked_run(members, levels):
 
     worst = 0
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vfilt, "_Members", Checked)
+        mp.setattr(axioms, "_Members", Checked)
         mp.setattr(vfilt, "_component_member", counted)
         for model, alpha in levels:
             counts.clear()
@@ -742,12 +742,12 @@ def _checked_run(members, levels):
 @pytest.fixture(scope="module")
 def memo_run():
     """_checked_run of the memo on the memo levels."""
-    return _checked_run(vfilt._Members, _memo_levels())
+    return _checked_run(axioms._Members, _memo_levels())
 
 
 def test_memo_keeps_the_reports(memo_run, monkeypatch):
     assert len(memo_run[0]) == 172 and all(rep["status"] == "PASS" for rep in memo_run[0])
-    monkeypatch.setattr(vfilt, "_Members", _PassThrough)
+    monkeypatch.setattr(axioms, "_Members", _PassThrough)
     assert memo_run[0] == [_memo_check(model, alpha) for model, alpha in _memo_levels()]
 
 
@@ -797,15 +797,15 @@ def test_dy_stability_queries_are_not_functions_of_the_member_key(monkeypatch):
     model = MonomialModel(3, [1, 2, 2])
     lvl = Level(model, F(1, 2))
     box = TruncationBox.radius(3, 4)
-    here = vfilt._Members(lvl, 1, {})
+    here = axioms._Members(lvl, 1, {})
     asked = set()
 
-    class Recorded(vfilt._Members):
+    class Recorded(axioms._Members):
         def __call__(self, d, orders):
             asked.add((self.lvl, d, tuple(sorted(orders.items()))))
             return super().__call__(d, orders)
 
-    monkeypatch.setattr(vfilt, "_Members", Recorded)
+    monkeypatch.setattr(axioms, "_Members", Recorded)
     assert check_v_axioms(model, lvl.alpha, box)["status"] == "PASS"
     by_key = {}
     for d in box:
@@ -840,7 +840,7 @@ def test_planted_t_kernel_fails_t_injectivity(monkeypatch):
     # report's one check
     alpha = F(1, 2)
     assert check_v_axioms(Y23, alpha, AXIOMS_BOX)["status"] == "PASS"
-    monkeypatch.setattr(vfilt, "_orders_t", lambda orders: {})
+    monkeypatch.setattr(axioms, "_orders_t", lambda orders: {})
     rep = check_v_axioms(Y23, alpha, AXIOMS_BOX)
     want = {"name": "t-injectivity", "status": "FAIL", "degree": list(_first_spanned(alpha))}
     assert rep["status"] == "FAIL" and rep["checks"] == [want]
@@ -857,13 +857,13 @@ def test_planted_up_level_fails_t_onto(alpha, degree, monkeypatch):
     # pass; only the count of t-onto sees it.  Without the t-onto check the
     # call passes on every n <= 2 catalog level in (0, 2] at radius 2.
     assert check_v_axioms(Y23, alpha, AXIOMS_BOX)["status"] == "PASS"
-    members = vfilt._Members
+    members = axioms._Members
 
     class Planted(members):
         def __init__(self, lvl, p, answers):
             super().__init__(lvl, p + (lvl.alpha == alpha + 1), answers)
 
-    monkeypatch.setattr(vfilt, "_Members", Planted)
+    monkeypatch.setattr(axioms, "_Members", Planted)
     assert _axioms_fails(alpha) == [{"name": "t-onto", "status": "FAIL", "degree": list(degree)}]
 
 
@@ -889,7 +889,7 @@ def test_t_images_once_per_member_key(monkeypatch):
     lvl = Level(model, F(1, 2))
     box = TruncationBox.radius(3, 3)
     calls = []
-    monkeypatch.setattr(vfilt, "_orders_t", lambda orders: calls.append(1) or _orders_t(orders))
+    monkeypatch.setattr(axioms, "_orders_t", lambda orders: calls.append(1) or _orders_t(orders))
     assert check_v_axioms(model, lvl.alpha, box)["status"] == "PASS"
     first = {}
     for d in box:

@@ -8,18 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minexp_lab.rationals import InputError, exact_rank
+from minexp_lab.syntax import _DT_RE, _split_terms, format_element, format_operator, parse_element
 from minexp_lab.weyl import (
     BgElement,
     MonomialModel,
     WeylOperator,
-    _DT_RE,
-    _split_terms,
     act_right,
     compose,
-    format_element,
-    format_operator,
     multidegree,
-    parse_element,
 )
 
 from oracles import dy_delta, one_term, op_dt, op_t
