@@ -48,8 +48,11 @@ The comparison target: the multidegree-graded dimensions of
 counted monomially (the window c_alpha <= v, v not >= c_{>alpha} on the
 divisor coordinates, wedge symbols a_i dlog y_i of degree 0 and dy_j of
 degree e_j).  It is evaluated over a whole box at once, from per-coordinate
-byte rows (_quotient_count_grid), and compared with the table spread over
-the box in box order (box_list), which minexp.cor24_check also reads.
+byte rows (_quotient_count_grid): the window is one byte per point, and
+where the free coordinates hold one point (always when r = n) one
+bytes.translate turns it into the counts, with no per-point list.  It is
+compared with the table spread over the box in box order (box_list), which
+minexp.cor24_check also reads.
 """
 
 from __future__ import annotations
@@ -92,7 +95,11 @@ def _quotient_count_grid(lvl: Level, syms, q, box: TruncationBox) -> list:
     (c_lo >= 1 there, so it also gives v >= 0) times the number of wedges S
     with free(d) - deg S >= 0.  Each test is a conjunction of per-coordinate
     comparisons, so it is tabulated per coordinate as 0/1 bytes; the window
-    is lo & ~hi on ints, joined with the wedge counts per window byte.
+    is lo & ~hi on ints.  With one point over the free coordinates (always
+    when r = n) the wedge count is one number, and one bytes.translate of
+    the window (0 -> 0, 1 -> the count) fills the box; otherwise each window
+    byte picks a row of wedge counts over the free coordinates, and the
+    rows are chained.
     """
     r = lvl.model.r
     if q < 0 or q > len(syms):
@@ -108,8 +115,10 @@ def _quotient_count_grid(lvl: Level, syms, q, box: TruncationBox) -> list:
         shift = [sum(1 for s in S if s == ("D", j + 1)) for j in range(r, len(axes))]
         fits = _all_bytes([[x >= k for x in ax] for ax, k in zip(axes[r:], shift)])
         wedges = list(map(operator.add, wedges, fits))
-    rows = ([0] * len(wedges), wedges)
     inside = window.to_bytes(len(above_lo), "big")
+    if len(wedges) == 1:
+        return list(inside.translate(bytes((0, wedges[0])) + bytes(254)))
+    rows = ([0] * len(wedges), wedges)
     return list(itertools.chain.from_iterable(map(rows.__getitem__, inside)))
 
 

@@ -221,8 +221,9 @@ def _core_for(model: MonomialModel):
 
 
 def _gather(blocks, columns, join):
-    """point_grid's per-combination blocks (one per combination, in mixed
-    radix order) joined into box order: column by column from the last,
+    """Per-combination blocks (one per combination, in mixed radix order:
+    point_grid's, or the verdicts of minexp._colon_grid) joined into box
+    order by per-coordinate index columns: column by column from the last,
     each combination of the columns before it joins its blocks in the
     order of that column's indices, so one join per such combination."""
     for ks in reversed(columns):

@@ -11,7 +11,11 @@ cor23_check's colon ideal asks one membership per locus of the box, but a
 membership reads the locus only through vfilt.member_key, one class per
 coordinate, so the check answers each distinct key once, in a dict that
 lives for that call, and compares box-order bytes with the Gr^F psi grid
-in one == (cor24_check its H^0 list); a mismatch scans the loci.
+in one == (cor24_check its H^0 list); a mismatch scans the loci, and a
+mismatch where no locus fails is a VerificationError.  Those bytes are
+laid out without a per-point list: one verdict byte per combination of
+per-coordinate classes, joined into box order by koszul._gather, the
+gather of the Thm 4.2 H^0 bytes.
 
 Also here: the nearby-cycle Hodge dimension tables, plain dicts {d: dim},
 in the left-module convention (Gr^F_p psi sits at right-module index
@@ -26,6 +30,7 @@ import operator
 from fractions import Fraction
 
 from .divisors import jump_candidates, lct_from_resolution
+from .koszul import _gather
 from .rationals import INF, Infinity, InputError, Record, VerificationError, format_rational
 from .vfilt import (
     Level,
@@ -126,20 +131,22 @@ def _colon_columns(deeper: Level, p, box: TruncationBox) -> list:
 def _colon_grid(deeper: Level, p, box: TruncationBox, expected) -> bytes:
     """cor23_check iii)'s expected dimensions as box-order 0/1 bytes: 0 off
     the gate, else expected(d) at the class's first locus in box order (each
-    coordinate's first x of its class), one call per class."""
-    firsts, flat = [], [0]  # flat: the class of each point, in box order
+    coordinate's first x of its class), one call per class.  The verdicts,
+    one byte per combination of classes in product order, are laid into box
+    order by koszul._gather over each coordinate's class indices."""
+    firsts, columns = [], []
     for column, lo in zip(_colon_columns(deeper, p, box), box.lo):
         first = {}
         for x, value in enumerate(column, lo):
             first.setdefault(value, x)
         index = {value: k for k, value in enumerate(first)}
-        flat = [f * len(index) + index[value] for f in flat for value in column]
+        columns.append(list(map(index.__getitem__, column)))
         firsts.append(first.items())
     verdicts = [
-        0 if None in values else expected(d)
+        bytes((0 if None in values else expected(d),))
         for values, d in (zip(*combo) for combo in itertools.product(*firsts))
     ]
-    return bytes(map(verdicts.__getitem__, flat))
+    return _gather(verdicts, columns, b"".join)
 
 
 def minexp_value(model: MonomialModel):
@@ -210,6 +217,11 @@ def cor23_check(model: MonomialModel, p, alpha, box: TruncationBox, value=None):
                 if got != want:
                     locus = {"degree": list(d), "expected": want, "got": got}
                     break
+            else:
+                raise VerificationError(
+                    f"the colon-ideal grid at p = {p} differs from Gr^F_{p + 1} psi "
+                    "where no locus of the box does"
+                )
         _check(
             report, "grF-psi-colon-ideal", locus is None,
             p=p, alpha=format_rational(alpha), locus=locus,

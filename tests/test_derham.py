@@ -31,6 +31,7 @@ from minexp_lab.vfilt import (
 from minexp_lab.weyl import MonomialModel
 
 from oracles import count_grF_grV, gr_coordinate, keys_by_tuple, table_is_zero
+from test_cli import N4_SLICE
 
 Y2 = MonomialModel(1, [2])
 Y3 = MonomialModel(1, [3])
@@ -246,19 +247,23 @@ def _direct_quotient_count(lvl, syms, q, d):
 
 
 def test_quotient_count_grid_matches_direct_count():
-    # every catalog level in (0, 1], both symbol flavours and every q, on a
-    # radius-2 box and on the support-scan box of gr_dr_psi
+    # every catalog level in (0, 1] and every level of the n = 4 slice, both
+    # symbol flavours and every q, on a radius-2 box, on the support-scan box
+    # of gr_dr_psi and on the skewed boxes: one translate of the window fills
+    # the box where r = n, rows over the free coordinates where r < n
     levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
     assert len(levels) == 172
+    slice_models = [MonomialModel(4, a) for a in N4_SLICE]
+    levels += [Level(m, a) for m in slice_models for a in jump_candidates(m.divisor(), 0, 1)]
     for lvl in levels:
         box = TruncationBox.radius(lvl.model.n, 2)
         scan = TruncationBox(tuple(x - 1 for x in box.lo), box.hi)
         for syms in (_rel_symbols(lvl.model), _abs_symbols(lvl.model)):
             for q in range(-1, len(syms) + 2):
-                for b in (box, scan):
-                    assert _quotient_count_grid(lvl, syms, q, b) == [
-                        _direct_quotient_count(lvl, syms, q, d) for d in b
-                    ]
+                for b in [box, scan] + _skewed_boxes(lvl.model.n):
+                    got = _quotient_count_grid(lvl, syms, q, b)
+                    assert isinstance(got, list)
+                    assert got == [_direct_quotient_count(lvl, syms, q, d) for d in b]
 
 
 def test_quotient_dims_form_rank_caps():

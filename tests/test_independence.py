@@ -6,8 +6,9 @@ PLANTS plants one fault in a kernel that several checks read, and names the
 verify commands that must exit 2 on each model of MODELS, at box 3 with the
 default alphas; every other verify command must still pass there.  A plant
 that no command catches is a finding: either the kernel is redundant, or a
-comparison reads the same thing on both sides.  Rows that another test
-already holds are indexed in INDEXED, not copied.
+comparison reads the same thing on both sides.  It keeps its row, with no
+command named, so that a change that makes some command catch it shows.
+Rows that another test already holds are indexed in INDEXED, not copied.
 """
 
 import importlib
@@ -16,7 +17,7 @@ import pkgutil
 import pytest
 
 import minexp_lab
-from minexp_lab import axioms, derham, koszul, rationals, vfilt, weyl
+from minexp_lab import axioms, derham, koszul, minexp, rationals, vfilt, weyl
 from minexp_lab.cli import run
 
 MODELS = [(2, (2, 3)), (3, (1, 2, 2)), (2, (1, 2)), (3, (2, 2, 3)), (3, (3,))]
@@ -61,6 +62,66 @@ def _raise_last_twist_bound(monkeypatch):
         return gates, any_open, lows, highs
 
     monkeypatch.setattr(koszul.GradedCbar, "_box_columns", planted)
+
+
+def _raise_last_weight_sum(monkeypatch):
+    """vfilt._WeightTable with the sum of its last point past the first
+    coordinate (every coordinate at hi, sum 0 on these boxes) raised by
+    one, and its rows built from the raised sums; the grid cache is emptied
+    first, or a warm one serves unplanted tables."""
+    init = vfilt._WeightTable.__init__
+
+    def planted(self, lvl, box):
+        init(self, lvl, box)
+        self.sums[-1] += 1
+        self.rows = vfilt._Rows(self.sums)
+
+    monkeypatch.setattr(vfilt, "_GRID_CACHE", {})
+    monkeypatch.setattr(vfilt._WeightTable, "__init__", planted)
+
+
+def _flip_first_byte_of_row_zero(monkeypatch):
+    """vfilt._Rows with the first byte of the row at limit 0 flipped: the
+    first point past the first coordinate (every coordinate at lo) turns
+    on wherever the limit is 0."""
+    missing = vfilt._Rows.__missing__
+
+    def planted(self, limit):
+        row = missing(self, limit)
+        if limit == 0:
+            row = self[limit] = bytes((row[0] ^ 1,)) + row[1:]
+        return row
+
+    monkeypatch.setattr(vfilt, "_GRID_CACHE", {})
+    monkeypatch.setattr(vfilt._Rows, "__missing__", planted)
+
+
+def _lower_first_group_count(monkeypatch):
+    """vfilt._WeightTable.groups with the point count of its first group
+    one lower.  Only gr_label_leads reads the counts, and only Thm 4.2 (i)
+    sums them, to let a (level, p) pass without visiting a locus; a wrong
+    sum sends it to the per-locus scan, which passes."""
+    groups = vfilt._WeightTable.groups.func
+
+    def planted(self):
+        (s, w, points), *rest = groups(self)
+        return [(s, w, points - 1)] + rest
+
+    monkeypatch.setattr(vfilt, "_GRID_CACHE", {})
+    monkeypatch.setattr(vfilt._WeightTable, "groups", property(planted))
+
+
+def _flip_colon_grid_at_origin(monkeypatch):
+    """minexp._colon_grid with its middle byte flipped: the origin of a
+    radius box, a locus inside the gate d >= -p a of every p."""
+    inner = minexp._colon_grid
+
+    def planted(deeper, p, box, expected):
+        grid = inner(deeper, p, box, expected)
+        k = len(grid) // 2
+        return grid[:k] + bytes((grid[k] ^ 1,)) + grid[k + 1 :]
+
+    monkeypatch.setattr(minexp, "_colon_grid", planted)
 
 
 def _shift_member_key(monkeypatch):
@@ -121,6 +182,7 @@ def _drop_orders_dy_lift(*modules):
 
 _ALL = set(MODELS)
 _NOT_R1 = _ALL - {(3, (3,))}
+_A1_ABOVE_1 = {model for model in MODELS if model[1][0] > 1}
 
 # kernel -> (plant, {command: the models on which it must exit 2})
 PLANTS = {
@@ -131,10 +193,28 @@ PLANTS = {
     ),
     "derham.grF_grV_support": (_drop_last_support_point, {"verify-cor51": _ALL}),
     "koszul.GradedCbar._box_columns": (_raise_last_twist_bound, {"verify-thm42": _ALL}),
+    "minexp._colon_grid": (_flip_colon_grid_at_origin, {"verify-cor23": _ALL}),
     "rationals.cohomology": (
         _leave_last_map_unranked,
         {"verify-cor51": _ALL, "verify-thm42": _NOT_R1},
     ),
+    "vfilt._Rows": (
+        _flip_first_byte_of_row_zero,
+        {
+            "verify-cor51": _ALL, "verify-cor23": {(3, (3,))}, "verify-thm42": _ALL,
+            "verify-axioms": _ALL,
+        },
+    ),
+    "vfilt._WeightTable.sums": (
+        _raise_last_weight_sum,
+        {
+            "verify-cor51": _ALL, "verify-cor23": _A1_ABOVE_1, "verify-cor24": _A1_ABOVE_1,
+            "verify-thm42": _ALL, "verify-axioms": _ALL,
+        },
+    ),
+    # a survivor: the group counts decide only whether Thm 4.2 (i) skips its
+    # per-locus scan, and that scan passes
+    "vfilt._WeightTable.groups": (_lower_first_group_count, {}),
     "vfilt.member_key": (
         _shift_member_key,
         {"verify-axioms": _ALL, "verify-cor23": {(3, (3,))}},

@@ -15,11 +15,13 @@ from minexp_lab.minexp import (
     minexp_monomial,
     psi_hodge_dim,
 )
-from minexp_lab.rationals import INF, Infinity, InputError, format_rational
+from minexp_lab.rationals import INF, Infinity, InputError, VerificationError, format_rational
 from minexp_lab.vfilt import Level, TruncationBox, member_key, v_member
 from minexp_lab.weyl import BgElement, MonomialModel
 
 from oracles import table_is_zero
+from test_cli import N4_SLICE
+from test_derham import _skewed_boxes
 
 Y2 = MonomialModel(1, [2])
 Y3 = MonomialModel(1, [3])
@@ -217,22 +219,28 @@ def _colon_ideal_levels():
 
 
 def test_colon_ideal_memo_matches_reference():
-    # every catalog level with alpha < 1, p in {0, 1}, radius 3: with the
+    # every catalog level with alpha < 1 and every such level of the n = 4
+    # slice, p in {0, 1}, on a radius-3 box and the skewed boxes: with the
     # model's minimal exponent (iii runs where minexp >= p + alpha), and with
     # an infinite one, which runs iii at every level and both p
+    slice_models = [MonomialModel(4, a) for a in N4_SLICE]
+    levels = _colon_ideal_levels() + [
+        (m, a) for m in slice_models for a in jump_candidates(m.divisor(), 0, 1) if a < 1
+    ]
     ran = 0
-    for model, alpha in _colon_ideal_levels():
-        box = TruncationBox.radius(model.n, 3)
+    for model, alpha in levels:
         value = minexp_monomial(model).value
-        for p in (0, 1):
-            got = _colon_ideal_check(cor23_check(model, p, alpha, box, value=value))
-            if value >= p + alpha:
-                assert got == _colon_ideal_reference(model, p, alpha, box), (model, alpha, p)
-                ran += 1
-            else:
-                assert got is None
-            forced = _colon_ideal_check(cor23_check(model, p, alpha, box, value=INF))
-            assert forced == _colon_ideal_reference(model, p, alpha, box), (model, alpha, p)
+        for box in [TruncationBox.radius(model.n, 3)] + _skewed_boxes(model.n):
+            for p in (0, 1):
+                got = _colon_ideal_check(cor23_check(model, p, alpha, box, value=value))
+                want = _colon_ideal_reference(model, p, alpha, box)
+                if value >= p + alpha:
+                    assert got == want, (model, alpha, box, p)
+                    ran += 1
+                else:
+                    assert got is None
+                forced = _colon_ideal_check(cor23_check(model, p, alpha, box, value=INF))
+                assert forced == want, (model, alpha, box, p)
     assert ran > 0
 
 
@@ -320,7 +328,8 @@ def test_colon_ideal_classes_match_reference(monkeypatch):
 
 def test_colon_classes_without_the_free_gate_fail(monkeypatch):
     # a class table that lets a negative free coordinate through expects a
-    # class where Gr^F psi has none, so the scan has to decide
+    # class where Gr^F psi has none, so the scan has to decide; it finds no
+    # failing locus, and the byte mismatch alone fails the check
     inner = minexp._colon_columns
 
     def ungated(deeper, p, box):
@@ -328,7 +337,7 @@ def test_colon_classes_without_the_free_gate_fail(monkeypatch):
         return [col if i < deeper.model.r else [0] * len(col) for i, col in enumerate(cols)]
 
     monkeypatch.setattr(minexp, "_colon_columns", ungated)
-    with pytest.raises(AssertionError, match=r"assert \d+ <= \d+"):
+    with pytest.raises(VerificationError, match=r"colon-ideal grid at p = 0 differs .* no locus"):
         _colon_classes_checked(monkeypatch)
 
 
