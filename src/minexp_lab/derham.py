@@ -400,4 +400,7 @@ def _cor51_failure(report, i, t: dict, box: TruncationBox, wants):
                 report, "cor51-dims", ok=False, i=i, degree=list(d), deRham=t.get((d, -i), 0),
                 quotient_forms=want,
             )
-    raise AssertionError("the list compare failed where the scan finds no failure")
+    raise VerificationError(
+        f"the de Rham table at i = {i} differs from the quotient-forms grid in box order "
+        "where no locus of the box does"
+    )

@@ -11,8 +11,8 @@ cor23_check's colon ideal asks one membership per locus of the box, but a
 membership reads the locus only through vfilt.member_key, one class per
 coordinate, so the check answers each distinct key once, in a dict that
 lives for that call, and compares box-order bytes with the Gr^F psi grid
-in one == (cor24_check its H^0 list); a mismatch scans the loci, and a
-mismatch where no locus fails is a VerificationError.  Those bytes are
+in one == (cor24_check its H^0 list); in both a mismatch scans the loci,
+and a mismatch where no locus fails is a VerificationError.  Those bytes are
 laid out without a per-point list: one verdict byte per combination of
 per-coordinate classes, joined into box order by koszul._gather, the
 gather of the Thm 4.2 H^0 bytes.
@@ -265,6 +265,11 @@ def cor24_check(model: MonomialModel, p, alpha, box: TruncationBox, value=None):
             if tab.get((d, 0), 0) != want:
                 locus = {"degree": list(d), "H0": tab.get((d, 0), 0), "omega_twist_psi": want}
                 break
+        if locus is None and not off:
+            raise VerificationError(
+                f"the H^0 list at p = {p} differs from the omega twist of "
+                f"Gr^F_{p + 1} psi where no locus of the box does"
+            )
     return _check(
         report, "gr-derham-H0", locus is None, p=p, alpha=format_rational(alpha), locus=locus
     )

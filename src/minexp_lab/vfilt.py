@@ -405,10 +405,11 @@ def grF_grV_support(lvl: Level, p, box: TruncationBox):
 # Per multidegree d an element is the vector of its dt-order coefficients
 # (the monomial exponent is pinned by the order).  Expansions are cached by
 # (n, a, expansion_key(u0, w)) and extended in theta lazily: starting
-# exponents that differ only where w_i = 0 share one entry, and a new entry
-# is grown from the cached one with its first nonzero w_i cleared.  The
-# cache holds one model at a time: a miss for another (n, a) empties it
-# first, so it cannot grow past what one model's sweeps use.
+# exponents that differ only where w_i = 0 share one entry.  A new entry,
+# w_i its first nonzero weight, is one d_{y_i} step past the cached entry of
+# (u0, w - e_i) when there is one, else w_i steps past the entry with w_i
+# cleared.  The cache holds one model at a time: a miss for another (n, a)
+# empties it first, so it cannot grow past what one model's sweeps use.
 
 _EXP_CACHE = {}
 
@@ -432,14 +433,21 @@ def _expansion_orders(model: MonomialModel, u0, w, jmax):
     """Order dicts of y^{u0} dy delta . dy^w theta^j for j = 0..jmax.
 
     The multidegree is u0 - w throughout; top order of the j-th entry is
-    |w| + j.  A miss grows the expansion from the entry with the first
-    nonzero w_i cleared (fetched through this function, so cached too):
-    the d_{y_i} commute and _orders_dy reads only d_i, so w_i more steps at
-    d_i = u0_i, u0_i - 1, ... give the same orders.  By lead_key's rule, the
-    leads of one (level, p) whose w agree past the first coordinate differ
-    only in u0_0, so they all grow from one entry.
+    |w| + j.  A miss, w_i the first nonzero weight, takes one step at
+    d_i = u0_i - (w_i - 1) past the cached entry of (u0, w - e_i) when
+    there is one.  Otherwise it grows the expansion from the entry with w_i
+    cleared (fetched through this function, so cached too, and at most n
+    calls deep) by w_i steps at d_i = u0_i, u0_i - 1, ...: the d_{y_i}
+    commute and _orders_dy reads only d_i.  Either way, whatever was cached
+    and in whatever order it was asked, the orders are bit-identical to
+    those of one sequence of steps from dy delta: the last nonzero
+    coordinate's first and the first one's last, each at d_k = u0_k,
+    u0_k - 1, ...  By lead_key's rule, the leads of one (level, p) whose w
+    agree past the first coordinate differ only in u0_0, so they all grow
+    from one entry.
     """
-    key = (model.n, model.a, *expansion_key(u0, w))
+    ku0, kw = expansion_key(u0, w)
+    key = (model.n, model.a, ku0, kw)
     lst = _EXP_CACHE.get(key)
     if lst is None:
         if _EXP_CACHE and next(iter(_EXP_CACHE))[:2] != key[:2]:
@@ -447,9 +455,17 @@ def _expansion_orders(model: MonomialModel, u0, w, jmax):
         orders = {0: 1}
         for i, wi in enumerate(w):
             if wi:
-                orders = _expansion_orders(model, u0, w[:i] + (0,) + w[i + 1 :], 0)[0]
                 d = list(u0)
-                for _ in range(wi):
+                # expansion_key(u0, w - e_i), which zeroes u0_i when w_i = 1
+                ku0_before = ku0 if wi > 1 else ku0[:i] + (0,) + ku0[i + 1 :]
+                before = _EXP_CACHE.get((*key[:2], ku0_before, kw[:i] + (wi - 1,) + kw[i + 1 :]))
+                if before is None:
+                    before, steps = _expansion_orders(model, u0, w[:i] + (0,) + w[i + 1 :], 0), wi
+                else:
+                    steps = 1
+                    d[i] -= wi - 1
+                orders = before[0]
+                for _ in range(steps):
                     orders = _orders_dy(orders, model, d, i)
                     d[i] -= 1
                 break

@@ -161,6 +161,40 @@ def _leave_last_map_unranked(monkeypatch):
     monkeypatch.setattr(koszul, "cohomology", planted)
 
 
+def _add_five_at_middle_entry(monkeypatch):
+    """derham.box_list with 5 added at its middle entry, the origin of a
+    radius box.  Only the one-== compares read it (Cor 5.1's table and
+    Cor 2.4's H^0), and their locus scans read the tables themselves: a
+    compare that fails where no locus does is a verification-error."""
+    inner = derham.box_list
+
+    def planted(dims, box):
+        out = inner(dims, box)
+        out[len(out) // 2] += 5
+        return out
+
+    monkeypatch.setattr(derham, "box_list", planted)
+
+
+def _lower_growth_steps(monkeypatch):
+    """vfilt._expansion_orders with each d_{y_i} step taken at d_i one
+    lower, step by step from dy delta, under both names of it (vfilt's and
+    koszul's)."""
+    def planted(model, u0, w, jmax):
+        orders, d = {0: 1}, [x - 1 for x in u0]
+        for i, wi in enumerate(w):
+            for _ in range(wi):
+                orders = weyl._orders_dy(orders, model, d, i)
+                d[i] -= 1
+        out = [orders]
+        while len(out) <= jmax:
+            out.append(weyl._theta_orders(out[-1]))
+        return out
+
+    monkeypatch.setattr(vfilt, "_expansion_orders", planted)
+    monkeypatch.setattr(koszul, "_expansion_orders", planted)
+
+
 def _orders_dy_without_lift(orders, model, d, i):
     """weyl._orders_dy without its dt-raising term: u.d_{y_i} keeps only
     -v_i y^{v-e_i} dy dt^m delta, with v_i = d_i + m a_i."""
@@ -191,6 +225,11 @@ PLANTS = {
         _clear_twist_locus,
         {"verify-cor51": _ALL, "verify-cor23": _NOT_R1, "verify-cor24": _NOT_R1},
     ),
+    # verify-cor23 runs cor24_check at every gated p, so it exits 2 too
+    "derham.box_list": (
+        _add_five_at_middle_entry,
+        {"verify-cor51": _ALL, "verify-cor23": _ALL, "verify-cor24": _ALL},
+    ),
     "derham.grF_grV_support": (_drop_last_support_point, {"verify-cor51": _ALL}),
     "koszul.GradedCbar._box_columns": (_raise_last_twist_bound, {"verify-thm42": _ALL}),
     "minexp._colon_grid": (_flip_colon_grid_at_origin, {"verify-cor23": _ALL}),
@@ -198,6 +237,10 @@ PLANTS = {
         _leave_last_map_unranked,
         {"verify-cor51": _ALL, "verify-thm42": _NOT_R1},
     ),
+    # only the axioms read the lower dt-orders of an expansion: Thm 4.2 and
+    # Cor 5.1, 2.3 and 2.4 read only its lead coefficients, and the lead of a
+    # d_{y_i} step on the divisor, a_i times the old one, does not depend on d
+    "vfilt._expansion_orders": (_lower_growth_steps, {"verify-axioms": _ALL}),
     "vfilt._Rows": (
         _flip_first_byte_of_row_zero,
         {
@@ -298,6 +341,19 @@ def test_class_that_leads_wrong_is_a_fail(monkeypatch):
         (3, (2, 2, 3)): "the Gr^F_-2 class at degree [1, 1, -1] does not lead with dt-order 1",
         (3, (3,)): "the Gr^F_-2 class at degree [-1, 2, 1] does not lead with dt-order 1",
     }
+
+
+@pytest.mark.parametrize("command", ["verify-cor51", "verify-cor24"])
+def test_compare_that_fails_where_no_locus_does_is_a_fail(command, monkeypatch):
+    """With derham.box_list planted, the one-== compare of verify-cor51 and
+    verify-cor24 fails where their locus scans find nothing: each report is
+    one verification-error FAIL, not a traceback out of run() or a PASS."""
+    _add_five_at_middle_entry(monkeypatch)
+    for n, exponents in MODELS:
+        config = {"command": command, "model": {"n": n, "exponents": list(exponents)}, "box": 3}
+        report, code = run(config)
+        assert code == 2 and [c["name"] for c in report["checks"]] == ["verification-error"]
+        assert "where no locus of the box does" in report["checks"][0]["invariant"]
 
 
 def test_indexed_rows_are_held():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -450,10 +451,11 @@ def _count_orders_dy(monkeypatch):
 
 def test_expansion_grows_from_the_cleared_entry(monkeypatch):
     # with the entry of (u0, w) with its first nonzero w_i cleared cached, a
-    # miss for (u0, w) applies _orders_dy exactly w_i times, and a hit none
+    # miss for (u0, w) applies _orders_dy once when the entry of (u0, w - e_i)
+    # is cached too and w_i times otherwise, and a hit none
     calls = _count_orders_dy(monkeypatch)
     rng = random.Random(19)
-    misses = 0
+    misses = {"one step": 0, "from the cleared entry": 0}
     for model in (MonomialModel(3, [1, 2, 2]), Y23, MonomialModel(4, [2, 1, 3])):
         n = model.n
         for _ in range(150):
@@ -463,25 +465,80 @@ def test_expansion_grows_from_the_cleared_entry(monkeypatch):
                 continue
             i = next(k for k, wk in enumerate(w) if wk)
             _expansion_orders(model, u0, w[:i] + (0,) + w[i + 1 :], 0)
+            before = w[:i] + (w[i] - 1,) + w[i + 1 :]
+            if rng.random() < 0.5:
+                _expansion_orders(model, u0, before, 0)
             hit = (n, model.a, *vfilt.expansion_key(u0, w)) in vfilt._EXP_CACHE
+            one_step = (n, model.a, *vfilt.expansion_key(u0, before)) in vfilt._EXP_CACHE
             calls.clear()
             got = _expansion_orders(model, u0, w, 2)
-            assert calls == ([] if hit else [i] * w[i]), (model, u0, w)
+            assert calls == ([] if hit else [i] if one_step else [i] * w[i]), (model, u0, w)
             assert got == _uncached_orders(model, u0, w, 2), (model, u0, w)
-            misses += not hit
-    assert misses > 200
+            if not hit and w[i] > 1:
+                misses["one step" if one_step else "from the cleared entry"] += 1
+    assert min(misses.values()) > 50, misses
+
+
+def _frames():
+    """The number of frames on the caller's stack."""
+    frame, count = sys._getframe(1), 0
+    while frame is not None:
+        frame, count = frame.f_back, count + 1
+    return count
+
+
+def test_expansion_growth_is_order_free_and_chain_flat(monkeypatch):
+    # a few hundred random (u0, w) on three models, asked in two random
+    # orders from an empty cache, and a 1,500-step chain asked cold and
+    # warmed: every expansion is the step-by-step one, under a recursion
+    # limit a few dozen frames above this test's, so no miss recurses
+    # along the chain of its coordinate's steps
+    rng = random.Random(41)
+    queries = []
+    for model in (MonomialModel(3, [1, 2, 2]), Y23, MonomialModel(4, [2, 1, 3])):
+        queries.append([
+            (
+                model,
+                tuple(rng.randint(-2, 4) for _ in range(model.n)),
+                tuple(rng.randint(0, 4) for _ in range(model.n)),
+                rng.randint(0, 2),
+            )
+            for _ in range(120)
+        ])
+    # r = 1: the free coordinates keep one order, so the long chain is cheap
+    chain = MonomialModel(3, [3])
+    u0, w = (2, -1, 1), (0, 1500, 2)
+    wants = {q: _uncached_orders(*q) for group in queries for q in group}
+    want = _uncached_orders(chain, u0, w, 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 40)
+    try:
+        for _ in range(2):
+            monkeypatch.setattr(vfilt, "_EXP_CACHE", {})
+            for group in queries:
+                for q in rng.sample(group, len(group)):
+                    assert _expansion_orders(*q) == wants[q], q
+        monkeypatch.setattr(vfilt, "_EXP_CACHE", {})
+        assert _expansion_orders(chain, u0, w, 1) == want
+        monkeypatch.setattr(vfilt, "_EXP_CACHE", {})
+        for k in range(w[1] + 1):
+            got = _expansion_orders(chain, u0, (0, k, 2), 1)
+        assert got == want
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_thm42_sweep_expansion_steps(monkeypatch):
     # the resolution-sweep model at its benchmark radius: the leads grow from
     # shared entries (2,528 _orders_dy steps when each expansion was built
-    # from dy delta), and the cache keeps the same 621 entries
+    # from dy delta, 1,284 when each miss grew from the entry with its first
+    # nonzero w_i cleared), and the cache keeps the same 621 entries
     calls = _count_orders_dy(monkeypatch)
     model = MonomialModel(3, [1, 2, 2])
     box = TruncationBox.radius(3, 6)
     for alpha in jump_candidates(model.divisor(), 0, 1):
         assert verify_thm42_i(model, alpha, range(-3, 4), box)["status"] == "PASS"
-    assert len(calls) <= 1284
+    assert len(calls) <= 680
     assert len(vfilt._EXP_CACHE) == 621
 
 
@@ -870,15 +927,17 @@ def test_planted_up_level_fails_t_onto(alpha, degree, monkeypatch):
 def test_t_onto_builds_no_up_level_expansion(monkeypatch):
     # t-onto reads the up level's spanning count off its member key: over
     # the 172 catalog levels in (0, 1] at radius 1, from an empty expansion
-    # cache, the calls ask _expansion_orders 36,565 times (a t-onto that
-    # builds the up level's expansion list at d + a to count it asks 39,092)
+    # cache, the calls ask _expansion_orders 34,196 times (36,565 when every
+    # miss fetched the entry with its first nonzero w_i cleared through it,
+    # and then 39,092 for a t-onto that built the up level's expansion list
+    # at d + a to count it)
     calls = []
     inner = vfilt._expansion_orders
     monkeypatch.setattr(vfilt, "_EXP_CACHE", {})
     monkeypatch.setattr(vfilt, "_expansion_orders", lambda *args: calls.append(1) or inner(*args))
     for model, alpha in _memo_levels():
         assert check_v_axioms(model, alpha, TruncationBox.radius(model.n, 1))["status"] == "PASS"
-    assert len(calls) == 36565
+    assert len(calls) == 34196
 
 
 def test_t_images_once_per_member_key(monkeypatch):
