@@ -18,13 +18,13 @@ alpha outside is an input error, while the default all-jumps list just
 leaves out alpha = 1.  Both compute the minimal exponent once per
 run and hand it to every alpha.  A box radius R in n variables is refused
 when its volume (2R+1)^n exceeds MAX_BOX_VOLUME, a verify command refuses a
-model with n above vfilt.MAX_N, and a pmax above MAX_PMAX or a samples
-count above MAX_SAMPLES is refused.  No command lists more than MAX_JUMPS
-jump candidates: a model with sum a_i above it, a jumps range (lo, hi]
-or a vfilt cap whose count bound is above it is refused before any
-candidate is listed.  A sweep whose radius leaves deep levels little
-room says so in a top-level `notes` list; notes are not checks and are not
-counted in `summary`.
+model with n above vfilt.MAX_N, and a pmax above MAX_PMAX, a samples count
+above MAX_SAMPLES or a vfilt element dt order above MAX_DT_ORDER is refused.
+No command lists more than MAX_JUMPS jump candidates: a model with sum a_i
+above it, a jumps range (lo, hi] or a vfilt cap whose count bound is above
+it is refused before any candidate is listed.  A sweep whose radius leaves
+deep levels little room says so in a top-level `notes` list; notes are not
+checks and are not counted in `summary`.
 
 Reports are deterministic byte-for-byte: checks are produced in sorted key
 order, JSON is dumped with sorted keys, and scheduling parameters (--jobs,
@@ -69,6 +69,12 @@ MAX_PMAX = 32
 # samples of the monodromy check took 0.21 s on (1, [1]) and 0.60 s on
 # (3, [2, 3, 4]) at one alpha; the catalog sweeps use the default 20.
 MAX_SAMPLES = 1000
+# Largest dt order of a vfilt element term.  Work grows about as its 3.5th
+# power: y^(2m,3m) dy dt^m delta on (2, [2, 3]) took 0.02 s at m = 100 and
+# 0.42 s at 400 with --alpha 1/2; without --alpha it took 0.05 s at 100 with
+# the default cap 1, and 1.0 s (44 MB) at 100 and 15 s (334 MB) at 200 with
+# cap 200, the largest that MAX_JUMPS admits there (2 CPUs, Python 3.11).
+MAX_DT_ORDER = 100
 # Largest number of jump candidates a command may list, bounded before any is
 # listed: Σ a_i for a model (at most that many lie in (0, 1], where a command
 # takes its default jumps), Σ(⌊hi·a_i⌋ − ⌊lo·a_i⌋) for a jumps range of a
@@ -202,6 +208,8 @@ def _element(key, value, got):
     u = parse_element(value, got["model"].n)
     if u.is_zero():
         raise InputError("vfilt element must be nonzero")
+    if max(m for _, m in u.terms) > MAX_DT_ORDER:
+        raise InputError(f"vfilt element has a dt order above the limit {MAX_DT_ORDER}")
     return value, u
 
 

@@ -51,8 +51,9 @@ degree e_j).  It is evaluated over a whole box at once, from per-coordinate
 byte rows (_quotient_count_grid): the window is one byte per point, and
 where the free coordinates hold one point (always when r = n) one
 bytes.translate turns it into the counts, with no per-point list.  It is
-compared with the table spread over the box in box order (box_list), which
-minexp.cor24_check also reads.
+compared with the table spread over the box in box order (box_list, which
+minexp.cor24_check also reads); on a mismatch _cor51_failures scans the
+loci, and vfilt._first_failure fails the first or, when none fails, raises.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from .vfilt import (
     TruncationBox,
     _check,
     _check_box,
+    _first_failure,
     gr_class_rep,
     grF_grV_support,
 )
@@ -372,35 +374,25 @@ def verify_cor51(model: MonomialModel, alpha, i_range, box: TruncationBox):
         t = complexes.table(i)
         wants = _quotient_count_grid(lvl, syms, n - 1 - i, box)
         if not (all(q == -i for _, q in t) and box_list(t, box) == wants):
-            return _cor51_failure(report, i, t, box, wants)
+            what = f"cor51: the de Rham table at i = {i} differs from the quotient-forms grid"
+            return _first_failure(report, _cor51_failures(i, t, box, wants), what)
         _check(report, "cor51", i=i, alpha=format_rational(alpha), total_dim=sum(t.values()))
     return report
 
 
-def _cor51_failure(report, i, t: dict, box: TruncationBox, wants):
-    """The first failure of one i, scanning locus by locus: the table in
-    sorted order against the quotient counts, then every quotient-forms
-    locus against the table."""
+def _cor51_failures(i, t: dict, box: TruncationBox, wants):
+    """The failures of one i, scanning locus by locus: the table in sorted
+    order against the quotient counts, then every quotient-forms locus
+    against the table."""
     at = dict(zip(box, wants))
     for (Dd, q), dim in sorted(t.items()):
         if q != -i:
-            return _check(
-                report, "cor51-concentration", ok=False, i=i, degree=list(Dd), cohdeg=q, dim=dim
-            )
-        if dim != at[Dd]:
-            return _check(
-                report, "cor51-dims", ok=False, i=i, degree=list(Dd), deRham=dim,
-                quotient_forms=at[Dd],
-            )
+            yield "cor51-concentration", dict(i=i, degree=list(Dd), cohdeg=q, dim=dim)
+        elif dim != at[Dd]:
+            yield "cor51-dims", dict(i=i, degree=list(Dd), deRham=dim, quotient_forms=at[Dd])
     # the other containment: every quotient-forms locus shows up (a locus
     # where want is 0 holds no entry of t, by the loop above)
     for d, want in zip(box, wants):
         if want and want != t.get((d, -i), 0):
-            return _check(
-                report, "cor51-dims", ok=False, i=i, degree=list(d), deRham=t.get((d, -i), 0),
-                quotient_forms=want,
-            )
-    raise VerificationError(
-        f"the de Rham table at i = {i} differs from the quotient-forms grid in box order "
-        "where no locus of the box does"
-    )
+            yield "cor51-dims", dict(
+                i=i, degree=list(d), deRham=t.get((d, -i), 0), quotient_forms=want)

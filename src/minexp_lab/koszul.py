@@ -46,15 +46,15 @@ bytes equal the count grid, every table entry passes the off-degree check,
 and, in i, the point counts of vfilt.gr_label_leads' keys sum to the number
 of loci with H^0 != 0 (read off the H^0 bytes, not the count grid, which
 shares the leads' weight table) and the first locus of each lead key leads
-right; no locus is visited.  Otherwise _scan decides: it walks the loci in
-box order with the checks in their per-locus order (acyclicity or
-concentration, then H0-dims, then sigma-injective, which reads gr_label
-only where H^0 != 0 and shares the per-key memo), and fails the first
-locus that fails, naming the same locus and fields as a per-locus loop
-would; when every locus passes (say, an extra class where H^0 = 0,
-which no check reads), the (level, p) passes.  Only _scan indexes the
-table point by point (_spread, a list of dicts in box order, built by the
-same column join as the H^0 bytes).
+right; no locus is visited.  Otherwise the (level, p) fails, through
+vfilt._first_failure: _scan yields the failing loci in box order with the
+checks in their per-locus order (acyclicity or concentration, then H0-dims,
+then sigma-injective, which reads gr_label only where H^0 != 0 and shares
+the per-key memo), and the first is the FAIL, naming the same locus and
+fields as a per-locus loop would; a scan that yields none (say, an extra
+lead where H^0 = 0, which no locus check reads) is a VerificationError.
+Only _scan indexes the table point by point (_spread, a list of dicts in
+box order, built by the same column join as the H^0 bytes).
 tests/test_koszul.py keeps the per-locus loop, with every check at every
 locus, as the reference, and spreads whole grids the same way.
 """
@@ -74,6 +74,7 @@ from .vfilt import (
     _check,
     _check_box,
     _expansion_orders,
+    _first_failure,
     b_vector,
     gr_count_grid,
     gr_label,
@@ -331,7 +332,7 @@ class GradedCbar:
 #
 # A sweep compares whole box-order bytes: the H^0 bytes against the count
 # grid with one bytes ==, the off-degree check once per distinct core result.
-# When the bytes do not pass a (level, p), the box-order scan (_scan) decides.
+# When the bytes do not pass a (level, p), _scan's first failing locus fails it.
 
 def _acyclic(h):
     return not any(q < 0 and dim for q, dim in h.items())
@@ -353,26 +354,22 @@ def _h0_bytes(table, at, columns, gates):
     return _gather(list(map(rows.__getitem__, at)), columns, b"".join)
 
 
-def _scan(report, p, box, grid, want, ok, names, lead=None):
-    """Fail the report at the first locus in box order that fails, or
-    return None when every locus passes, checking at each locus, in this
-    order: `ok` on its cohomology, its H^0 against `want`, and, given
-    `lead`, that lead(d) holds where H^0 != 0 (the class exists and leads
-    right).  `grid` is point_grid's (table, at, columns, gates); `names` are
-    the check names and the name of the count field."""
+def _scan(p, box, grid, want, ok, names, lead=None):
+    """The failing loci in box order, as (check name, fields), checking at
+    each locus, in this order: `ok` on its cohomology, its H^0 against
+    `want`, and, given `lead`, that lead(d) holds where H^0 != 0 (the class
+    exists and leads right).  `grid` is point_grid's (table, at, columns,
+    gates); `names` are the check names and the name of the count field."""
     off, dims, count, sigma = names
     for d, h, x in zip(box, _spread(*grid, {}), want):
-        if not ok(h):
-            return _check(
-                report, off, ok=False, p=p, degree=list(d),
-                cohomology={str(q): v for q, v in sorted(h.items())},
-            )
         h0 = h.get(0, 0)
-        if h0 != x:
-            return _check(report, dims, ok=False, p=p, degree=list(d), H0=h0, **{count: x})
-        if lead is not None and h0 and not lead(d):
-            return _check(report, sigma, ok=False, p=p, degree=list(d))
-    return None
+        if not ok(h):
+            cohomology = {str(q): v for q, v in sorted(h.items())}
+            yield off, dict(p=p, degree=list(d), cohomology=cohomology)
+        elif h0 != x:
+            yield dims, {"p": p, "degree": list(d), "H0": h0, count: x}
+        elif lead is not None and h0 and not lead(d):
+            yield sigma, dict(p=p, degree=list(d))
 
 
 _THM42I = ("thm42i-acyclicity", "thm42i-H0-dims", "count45", "thm42i-sigma-injective")
@@ -415,10 +412,9 @@ def verify_thm42_i(model: MonomialModel, alpha, p_range, box: TruncationBox):
             passed = sum(points for _, _, points in leads.values()) == nonzero and all(
                 lead_ok(key, u0, w) for key, (u0, w, _) in leads.items()
             )
-        # the scan can still pass, e.g. with an extra class where H^0 = 0,
-        # which it does not read
-        if not passed and _scan(report, p, box, grid, want, _acyclic, _THM42I, lead):
-            return report
+        if not passed:
+            what = f"thm42i: the H^0 bytes at p = {p} differ from the count grid and its leads"
+            return _first_failure(report, _scan(p, box, grid, want, _acyclic, _THM42I, lead), what)
         _check(report, "thm42i", p=p, alpha=format_rational(lvl.alpha), nonzero_H0_loci=nonzero)
     return report
 
@@ -435,7 +431,8 @@ def verify_thm42_ii(model: MonomialModel, alpha, p_range, box: TruncationBox):
         h0 = _h0_bytes(*grid)
         want = grF_grV_grid(lvl, p - 1, box)
         passed = all(map(_concentrated, grid[0])) and h0 == want
-        if not passed and _scan(report, p, box, grid, want, _concentrated, _THM42II):
-            return report
+        if not passed:
+            what = f"thm42ii: the H^0 bytes at p = {p} differ from the Gr^F Gr^V count grid"
+            return _first_failure(report, _scan(p, box, grid, want, _concentrated, _THM42II), what)
         _check(report, "thm42ii", p=p, alpha=format_rational(lvl.alpha), total_H0=sum(h0))
     return report

@@ -11,11 +11,11 @@ cor23_check's colon ideal asks one membership per locus of the box, but a
 membership reads the locus only through vfilt.member_key, one class per
 coordinate, so the check answers each distinct key once, in a dict that
 lives for that call, and compares box-order bytes with the Gr^F psi grid
-in one == (cor24_check its H^0 list); in both a mismatch scans the loci,
-and a mismatch where no locus fails is a VerificationError.  Those bytes are
-laid out without a per-point list: one verdict byte per combination of
-per-coordinate classes, joined into box order by koszul._gather, the
-gather of the Thm 4.2 H^0 bytes.
+in one == (cor24_check its degree-0 H^0 list); in both a mismatch scans the
+loci, and vfilt._first_failure fails the first or, when none fails, raises
+a VerificationError.  Those bytes are laid out without a per-point list: one
+verdict byte per combination of per-coordinate classes, joined into box
+order by koszul._gather, the gather of the Thm 4.2 H^0 bytes.
 
 Also here: the nearby-cycle Hodge dimension tables, plain dicts {d: dim},
 in the left-module convention (Gr^F_p psi sits at right-module index
@@ -38,6 +38,7 @@ from .vfilt import (
     _check,
     _check_box,
     _component_member,
+    _first_failure,
     grF_grV_grid,
     member_key,
 )
@@ -210,22 +211,14 @@ def cor23_check(model: MonomialModel, p, alpha, box: TruncationBox, value=None):
                 held = member[key] = key is not None and _component_member(deeper, d, {p: 1})
             return 0 if held else 1
 
-        locus = None
+        fields = {"p": p, "alpha": format_rational(alpha)}
         if _colon_grid(deeper, p, box, expected) != psi:
-            for d, got in zip(box, psi):
-                want = expected(d) if all(map(operator.ge, d, low)) else 0
-                if got != want:
-                    locus = {"degree": list(d), "expected": want, "got": got}
-                    break
-            else:
-                raise VerificationError(
-                    f"the colon-ideal grid at p = {p} differs from Gr^F_{p + 1} psi "
-                    "where no locus of the box does"
-                )
-        _check(
-            report, "grF-psi-colon-ideal", locus is None,
-            p=p, alpha=format_rational(alpha), locus=locus,
-        )
+            wants = (expected(d) if all(map(operator.ge, d, low)) else 0 for d in box)
+            return _first_failure(report, (
+                ("grF-psi-colon-ideal", dict(fields, locus=dict(degree=list(d), expected=w, got=g)))
+                for d, g, w in zip(box, psi, wants) if g != w
+            ), f"cor23: the colon-ideal grid at p = {p} differs from Gr^F_{p + 1} psi")
+        _check(report, "grF-psi-colon-ideal", **fields, locus=None)
     else:
         _check(report, "grF-psi-jump-detection", vacuous=True, note="minexp < p + alpha")
     return report
@@ -259,17 +252,13 @@ def cor24_check(model: MonomialModel, p, alpha, box: TruncationBox, value=None):
 
     # iii) H^0 == omega (x) Gr^F_{p+1} psi, i.e. the psi table shifted by 1s
     omega_box = TruncationBox(tuple(x - 1 for x in box.lo), tuple(x - 1 for x in box.hi))
-    psi, locus = _psi_grid(lvl, p + 1, omega_box), None
-    if off or derham.box_list(tab, box) != list(psi):
-        for d, want in zip(box, psi):
-            if tab.get((d, 0), 0) != want:
-                locus = {"degree": list(d), "H0": tab.get((d, 0), 0), "omega_twist_psi": want}
-                break
-        if locus is None and not off:
-            raise VerificationError(
-                f"the H^0 list at p = {p} differs from the omega twist of "
-                f"Gr^F_{p + 1} psi where no locus of the box does"
-            )
-    return _check(
-        report, "gr-derham-H0", locus is None, p=p, alpha=format_rational(alpha), locus=locus
-    )
+    psi = _psi_grid(lvl, p + 1, omega_box)
+    h0 = {k: v for k, v in tab.items() if k[1] == 0}
+    fields = {"p": p, "alpha": format_rational(alpha)}
+    if derham.box_list(h0, box) != list(psi):
+        got = (h0.get((d, 0), 0) for d in box)
+        return _first_failure(report, (
+            ("gr-derham-H0", dict(fields, locus=dict(degree=list(d), H0=g, omega_twist_psi=w)))
+            for d, g, w in zip(box, got, psi) if g != w
+        ), f"cor24: the H^0 list at p = {p} differs from the omega twist of Gr^F_{p + 1} psi")
+    return _check(report, "gr-derham-H0", **fields, locus=None)

@@ -584,3 +584,12 @@ def _check(report, name, ok=True, **info):
     if not ok:
         report["status"] = "FAIL"
     return report
+
+
+def _first_failure(report, failures, what):
+    """Settle a fast compare that failed: record the first (name, info)
+    that the per-locus scan `failures` yields as a FAIL, reading no further,
+    or, when it yields none, raise the VerificationError `what` names."""
+    for name, info in failures:
+        return _check(report, name, ok=False, **info)
+    raise VerificationError(f"{what} where no locus of the box does")

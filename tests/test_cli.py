@@ -824,6 +824,22 @@ def test_samples_bound_is_inclusive():
     assert code == 1 and "samples" in report["error"]
 
 
+def test_dt_order_bound_is_inclusive():
+    # a vfilt element is refused by the dt order of its highest term, on the
+    # --alpha path and on the cap path alike
+    from minexp_lab.cli import MAX_DT_ORDER
+
+    def config(m, **alpha):
+        element = f"dy delta + y^({2 * m},{3 * m}) dy dt^{m} delta"
+        return {"command": "vfilt", "model": {"n": 2, "exponents": [2, 3]}, "element": element, **alpha}
+
+    for alpha in ({"alpha": "1/2"}, {}):
+        report, code = run(config(MAX_DT_ORDER, **alpha))
+        assert code == 0 and report["multidegrees"] == [[0, 0]], alpha
+        report, code = run(config(MAX_DT_ORDER + 1, **alpha))
+        assert code == 1 and f"dt order above the limit {MAX_DT_ORDER}" in report["error"], alpha
+
+
 def test_jump_bound_is_inclusive():
     """MAX_JUMPS bounds each count the command would list: sum a_i for a
     model, the range (lo, hi] for jumps (of a model or coeffs), (0, cap] for

@@ -19,6 +19,8 @@ import pytest
 import minexp_lab
 from minexp_lab import axioms, derham, koszul, minexp, rationals, vfilt, weyl
 from minexp_lab.cli import run
+from minexp_lab.rationals import VerificationError
+from minexp_lab.vfilt import _first_failure
 
 MODELS = [(2, (2, 3)), (3, (1, 2, 2)), (2, (1, 2)), (3, (2, 2, 3)), (3, (3,))]
 COMMANDS = ["verify-cor51", "verify-cor23", "verify-cor24", "verify-thm42", "verify-axioms"]
@@ -100,7 +102,7 @@ def _lower_first_group_count(monkeypatch):
     """vfilt._WeightTable.groups with the point count of its first group
     one lower.  Only gr_label_leads reads the counts, and only Thm 4.2 (i)
     sums them, to let a (level, p) pass without visiting a locus; a wrong
-    sum sends it to the per-locus scan, which passes."""
+    sum fails the compare where no locus fails, a verification-error."""
     groups = vfilt._WeightTable.groups.func
 
     def planted(self):
@@ -109,6 +111,46 @@ def _lower_first_group_count(monkeypatch):
 
     monkeypatch.setattr(vfilt, "_GRID_CACHE", {})
     monkeypatch.setattr(vfilt._WeightTable, "groups", property(planted))
+
+
+def _flip_middle_h0_byte(monkeypatch):
+    """koszul._h0_bytes with its middle byte flipped: the origin of a
+    radius box.  The per-locus scan reads the table itself, so the Thm 4.2
+    compare fails where no locus does, a verification-error."""
+    inner = koszul._h0_bytes
+
+    def planted(*grid):
+        out = inner(*grid)
+        k = len(out) // 2
+        return out[:k] + bytes((out[k] ^ 1,)) + out[k + 1 :]
+
+    monkeypatch.setattr(koszul, "_h0_bytes", planted)
+
+
+def _drop_h0_at_omega_zero(monkeypatch):
+    """koszul.CoreCohomology.dims without H^0 at omega = 0; the core cache
+    is emptied first, or a warm one serves unplanted dims."""
+    inner = koszul.CoreCohomology.dims
+
+    def planted(self, omega, thi=None):
+        dims = inner(self, omega, thi)
+        return {q: v for q, v in dims.items() if q} if omega == 0 else dims
+
+    monkeypatch.setattr(koszul, "_CORE_CACHE", {})
+    monkeypatch.setattr(koszul.CoreCohomology, "dims", planted)
+
+
+def _no_class_on_the_divisor_origin(monkeypatch):
+    """derham's gr_class_rep (the only module that reads it) with no class
+    where every divisor coordinate is 0, a Gr^F Gr^V support point on every
+    model (the origin itself is one only when r > 1: at r = 1 the class of
+    its lead key is built at an earlier point)."""
+    inner = derham.gr_class_rep
+
+    def planted(lvl, p, d):
+        return None if not any(d[: lvl.model.r]) else inner(lvl, p, d)
+
+    monkeypatch.setattr(derham, "gr_class_rep", planted)
 
 
 def _flip_colon_grid_at_origin(monkeypatch):
@@ -231,12 +273,17 @@ PLANTS = {
         {"verify-cor51": _ALL, "verify-cor23": _ALL, "verify-cor24": _ALL},
     ),
     "derham.grF_grV_support": (_drop_last_support_point, {"verify-cor51": _ALL}),
+    "koszul.CoreCohomology.dims": (_drop_h0_at_omega_zero, {"verify-thm42": _ALL}),
     "koszul.GradedCbar._box_columns": (_raise_last_twist_bound, {"verify-thm42": _ALL}),
+    "koszul._h0_bytes": (_flip_middle_h0_byte, {"verify-thm42": _ALL}),
     "minexp._colon_grid": (_flip_colon_grid_at_origin, {"verify-cor23": _ALL}),
     "rationals.cohomology": (
         _leave_last_map_unranked,
         {"verify-cor51": _ALL, "verify-thm42": _NOT_R1},
     ),
+    # Cor 5.1 reads only the dims of its complexes, so a class rescaled by a
+    # nonzero factor (a change of basis) would pass; a missing one does not
+    "vfilt.gr_class_rep": (_no_class_on_the_divisor_origin, {"verify-cor51": _ALL}),
     # only the axioms read the lower dt-orders of an expansion: Thm 4.2 and
     # Cor 5.1, 2.3 and 2.4 read only its lead coefficients, and the lead of a
     # d_{y_i} step on the divisor, a_i times the old one, does not depend on d
@@ -255,9 +302,7 @@ PLANTS = {
             "verify-thm42": _ALL, "verify-axioms": _ALL,
         },
     ),
-    # a survivor: the group counts decide only whether Thm 4.2 (i) skips its
-    # per-locus scan, and that scan passes
-    "vfilt._WeightTable.groups": (_lower_first_group_count, {}),
+    "vfilt._WeightTable.groups": (_lower_first_group_count, {"verify-thm42": _ALL}),
     "vfilt.member_key": (
         _shift_member_key,
         {"verify-axioms": _ALL, "verify-cor23": {(3, (3,))}},
@@ -343,17 +388,57 @@ def test_class_that_leads_wrong_is_a_fail(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("command", ["verify-cor51", "verify-cor24"])
-def test_compare_that_fails_where_no_locus_does_is_a_fail(command, monkeypatch):
-    """With derham.box_list planted, the one-== compare of verify-cor51 and
-    verify-cor24 fails where their locus scans find nothing: each report is
-    one verification-error FAIL, not a traceback out of run() or a PASS."""
-    _add_five_at_middle_entry(monkeypatch)
+@pytest.mark.parametrize(
+    "command, plant, check",
+    [
+        pytest.param(command, plant, check, id=command)
+        for command, plant, check in [
+            ("verify-thm42", _flip_middle_h0_byte, "thm42i"),
+            ("verify-cor23", _flip_colon_grid_at_origin, "cor23"),
+            ("verify-cor51", _add_five_at_middle_entry, "cor51"),
+            ("verify-cor24", _add_five_at_middle_entry, "cor24"),
+        ]
+    ],
+)
+def test_compare_that_fails_where_no_locus_does_is_a_fail(command, plant, check, monkeypatch):
+    """With a fast side planted, each sweep's one-== compare fails where its
+    locus scan finds nothing: each report is one verification-error FAIL
+    that names the check, not a traceback out of run() or a PASS."""
+    plant(monkeypatch)
     for n, exponents in MODELS:
         config = {"command": command, "model": {"n": n, "exponents": list(exponents)}, "box": 3}
         report, code = run(config)
         assert code == 2 and [c["name"] for c in report["checks"]] == ["verification-error"]
-        assert "where no locus of the box does" in report["checks"][0]["invariant"]
+        invariant = report["checks"][0]["invariant"]
+        assert invariant.startswith(f"{check}: ") and invariant.endswith(" where no locus of the box does")
+
+
+def test_thm42_ii_compare_that_fails_where_no_locus_does_raises(monkeypatch):
+    """verify-thm42 stops at (i), so (ii) is held here on its own."""
+    _flip_middle_h0_byte(monkeypatch)
+    model, box = weyl.MonomialModel(2, [2, 3]), vfilt.TruncationBox.radius(2, 3)
+    with pytest.raises(VerificationError, match=r"^thm42ii: .* where no locus of the box does$"):
+        koszul.verify_thm42_ii(model, "1/2", range(-2, 4), box)
+
+
+def test_first_failure_records_the_first_and_reads_no_further():
+    """An empty scan raises with the `what` text; otherwise only the first
+    failure is recorded, and the scan is not advanced past it."""
+    with pytest.raises(VerificationError, match=r"^the sides differ where no locus of the box does$"):
+        _first_failure({"status": "PASS", "checks": []}, iter(()), "the sides differ")
+    read = []
+
+    def failures():
+        for k in range(3):
+            read.append(k)
+            yield f"check-{k}", {"k": k}
+
+    report = _first_failure({"status": "PASS", "checks": [{"name": "before"}]}, failures(), "unused")
+    assert report == {
+        "status": "FAIL",
+        "checks": [{"name": "before"}, {"name": "check-0", "status": "FAIL", "k": 0}],
+    }
+    assert read == [0]
 
 
 def test_indexed_rows_are_held():

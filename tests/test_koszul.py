@@ -27,7 +27,7 @@ from minexp_lab.koszul import (
     verify_thm42_i,
     verify_thm42_ii,
 )
-from minexp_lab.rationals import InputError, exact_rank, format_rational
+from minexp_lab.rationals import InputError, VerificationError, exact_rank, format_rational
 from minexp_lab.vfilt import (
     Level,
     TruncationBox,
@@ -689,8 +689,10 @@ def test_sigma_checks_the_lead_of_each_class(monkeypatch):
 def test_lead_fault_with_an_empty_lead_map_fails_every_level(monkeypatch):
     # the top order of every expansion with |w| >= 2 moved up one, and no
     # lead at all from the label tables: the leads' point counts (0) fall
-    # short of the loci with H^0 != 0, so the sweep scans, reads each lead
-    # through gr_label, and fails every catalog level at radius 3
+    # short of the loci with H^0 != 0, so the sweep scans and reads each lead
+    # through gr_label.  Every catalog level at radius 3 fails, at the first p
+    # with H^0 != 0: the leads there have |w| < 2 and lead right, so no locus
+    # fails, and the compare's disagreement with the scan is the failure
     inner = koszul._expansion_orders
 
     def raised(model, u0, w, jmax):
@@ -705,9 +707,10 @@ def test_lead_fault_with_an_empty_lead_map_fails_every_level(monkeypatch):
     monkeypatch.setattr(koszul, "gr_label_leads", lambda lvl, p, box: {})
     for lvl in _catalog_levels():
         model = lvl.model
-        rep = verify_thm42_i(model, lvl.alpha, range(-3, 4), TruncationBox.radius(model.n, 3))
-        assert rep["status"] == "FAIL", (model, lvl.alpha)
-        assert rep["checks"][-1]["name"] == "thm42i-sigma-injective", (model, lvl.alpha)
+        box, gc = TruncationBox.radius(model.n, 3), GradedCbar(model, lvl.twist)
+        first = next(p for p in range(-3, 4) if any(koszul._h0_bytes(*gc.point_grid(p, box))))
+        with pytest.raises(VerificationError, match=rf"^thm42i: .* p = {first} .* no locus"):
+            verify_thm42_i(model, lvl.alpha, range(-3, 4), box)
 
 
 def test_zero_expansion_is_a_fail(monkeypatch):
@@ -873,13 +876,13 @@ def test_passing_sweeps_never_build_the_point_index(monkeypatch):
         assert verify_thm42_ii(PLANT_MODEL, alpha, PLANT_P, box)["status"] == "PASS"
 
 
-def test_extra_class_where_H0_vanishes_still_passes(monkeypatch):
+def test_extra_class_where_H0_vanishes_is_a_verification_error(monkeypatch):
     # the label kernels list one more class, at a locus whose free
     # coordinate is negative, so H^0 = 0 there at every p: the leads' point
-    # counts sum to one more than the loci with H^0 != 0, the sweep falls
-    # back to the box-order scan at every p, and that scan, like the
-    # reference, reads labels only where H^0 != 0, so the sweep still passes
-    # with the same report
+    # counts sum to one more than the loci with H^0 != 0, so the compare
+    # fails at the first p.  The box-order scan, like the reference, reads
+    # labels only where H^0 != 0 and finds no failing locus, so the sweep
+    # raises the disagreement there instead of passing
     target = (0, 0, -1)
     label, scan = vfilt.gr_label, koszul._scan
     walks = []
@@ -899,17 +902,19 @@ def test_extra_class_where_H0_vanishes_still_passes(monkeypatch):
         listed[target] = extra(lvl, p)
         return _leads_of((d, *listed[d]) for d in box if d in listed)
 
-    def walked(report, p, *args):
+    def walked(p, *args):
         walks.append(p)
-        return scan(report, p, *args)
+        return scan(p, *args)
 
+    reference = _reference_thm42_i(PLANT_MODEL, PLANT_ALPHA, PLANT_P, PLANT_BOX)
     monkeypatch.setattr(koszul, "_scan", walked)
     monkeypatch.setattr(koszul, "gr_label", extra_label)
     monkeypatch.setattr(koszul, "gr_label_leads", extra_leads)
-    new = verify_thm42_i(PLANT_MODEL, PLANT_ALPHA, PLANT_P, PLANT_BOX)
-    assert new["status"] == "PASS"
-    assert new == _reference_thm42_i(PLANT_MODEL, PLANT_ALPHA, PLANT_P, PLANT_BOX)
-    assert walks == list(PLANT_P)
+    first = PLANT_P[0]
+    with pytest.raises(VerificationError, match=rf"^thm42i: .* p = {first} .* where no locus of the box does$"):
+        verify_thm42_i(PLANT_MODEL, PLANT_ALPHA, PLANT_P, PLANT_BOX)
+    assert reference["status"] == "PASS"
+    assert walks == [first]
 
 
 def test_h0_bytes_match_the_spread_table():
