@@ -8,15 +8,18 @@ other command takes every flag, as text: a flag is the config key of its
 name, and a key the command does not read is ignored on both paths.  An
 alpha list is JSON text as a flag (--alpha '["1/3","1/2"]').
 
-Every config value is validated and coerced in one place, `_parse`; a
-malformed value is an input error.  A report's `params` lists exactly the
-values the run used, after defaults and parsing: a key a command does not
-read is neither validated nor echoed.  The five verify commands are one
-sweep over alphas (`_SWEEPS`), run in the calling process in sorted-alpha
-order.  verify-cor23 and verify-cor24 take alphas in (0, 1): an explicit
-alpha outside is an input error, while the default all-jumps list just
-leaves out alpha = 1.  Both compute the minimal exponent once per
-run and hand it to every alpha.  A box radius R in n variables is refused
+Each config key is one row of `_KEYS`: the parser that validates, coerces
+and bounds its value (a malformed one is an input error), and its default.
+One function, `_params`, builds every report's `params` from the parsed
+values and the alpha and p lists the command resolved: exactly the values
+the run used; a key a command does not read is neither validated nor
+echoed.  `run` refuses a config that is not a JSON object.  The five verify
+commands are one sweep over alphas (`_SWEEPS`), run in the calling process
+in sorted-alpha order.  verify-cor23 and verify-cor24 take alphas in (0, 1):
+an explicit alpha outside is an input error, while the default all-jumps
+list just leaves out alpha = 1.  Both compute the minimal exponent once per
+run and hand it to every alpha; verify-cor24 refuses an explicit p above
+it, even with no alpha left to run.  A box radius R in n variables is refused
 when its volume (2R+1)^n exceeds MAX_BOX_VOLUME, a verify command refuses a
 model with n above vfilt.MAX_N, and a pmax above MAX_PMAX, a samples count
 above MAX_SAMPLES or a vfilt element dt order above MAX_DT_ORDER is refused.
@@ -48,7 +51,7 @@ import json
 import math
 import os
 import sys
-from typing import Callable, NamedTuple
+from fractions import Fraction
 
 from .divisors import ResolutionNumerics, SncDivisor, jump_candidates, lct_from_resolution
 from .rationals import Infinity, InputError, VerificationError, format_rational, parse_rational
@@ -97,11 +100,12 @@ def catalog():
     return models
 
 
-# -- config parsing -------------------------------------------------------------
+# -- config keys ----------------------------------------------------------------
 #
 # A parser takes (key, value, parsed so far) and returns the coerced value or
-# raises InputError; parsers that need the model read it from the keys parsed
-# before them.
+# raises InputError; a parser that needs another key (the model, or hi's lo
+# and cap's alpha) reads it from the keys parsed before it.  A parser checks
+# its key's bound itself.
 
 def _int(key, value, got):
     if not isinstance(value, bool) and isinstance(value, (int, str)):
@@ -112,22 +116,15 @@ def _int(key, value, got):
     raise InputError(f"{key} must be an integer, got {value!r}")
 
 
-def _count(key, value, got):
-    """A nonnegative integer: a negative bound would run nothing and pass."""
+def _count(key, value, got, bound=None):
+    """A nonnegative integer, at most `bound` if one is given: a negative
+    bound would run nothing and pass."""
     x = _int(key, value, got)
     if x < 0:
         raise InputError(f"{key} must be >= 0, got {x}")
+    if bound is not None and x > bound:
+        raise InputError(f"{key} must be <= {bound}, got {x}")
     return x
-
-
-def _at_most(bound):
-    """A _count parser that refuses a value above `bound`."""
-    def parse(key, value, got):
-        x = _count(key, value, got)
-        if x > bound:
-            raise InputError(f"{key} must be <= {bound}, got {x}")
-        return x
-    return parse
 
 
 def _rational(key, value, got):
@@ -136,6 +133,11 @@ def _rational(key, value, got):
     if isinstance(x, Infinity):
         raise InputError(f"{key} must be a finite rational, got {value!r}")
     return x
+
+
+def _divisor(got):
+    """The divisor of the model, or else the coeffs, parsed so far."""
+    return got["model"].divisor() if "model" in got else got["coeffs"]
 
 
 def _jump_bound(key, D, lo, hi):
@@ -156,6 +158,22 @@ def _model(key, value, got):
     model = MonomialModel.from_json(_json(value, key))
     _jump_bound(key, model.divisor(), 0, 1)
     return model
+
+
+def _hi(key, value, got):
+    """The top of a jumps range (lo, hi] of the model or coeffs."""
+    hi = _rational(key, value, got)
+    _jump_bound("jumps range", _divisor(got), got["lo"], hi)
+    return hi
+
+
+def _cap(key, value, got):
+    """vfilt's cap (0, cap], read only when no alpha is given."""
+    if got["alpha"] is not None:
+        return None
+    cap = _rational(key, value, got)
+    _jump_bound(key, got["model"].divisor(), 0, cap)
+    return cap
 
 
 def _coeffs(key, value, got):
@@ -213,49 +231,67 @@ def _element(key, value, got):
     return value, u
 
 
-_PARSERS = {
-    "model": _model,
-    "alpha": _alphas,
-    "box": _box,
-    "pmax": _at_most(MAX_PMAX),
-    "p": _int,
-    "samples": _at_most(MAX_SAMPLES),
-    "lo": _rational,
-    "hi": _rational,
-    "cap": _rational,
-    "element": _element,
-    "pairs": lambda key, value, got: ResolutionNumerics(_json(value, key)),
-    "coeffs": _coeffs,
-}
+_REQUIRED = object()
 
-# A key without a default is required; "p" defaults to None (per command).
-_DEFAULTS = {
-    "alpha": "all-jumps",
-    "box": DEFAULT_BOX,
-    "pmax": DEFAULT_PMAX,
-    "p": None,
-    "samples": 20,
-    "lo": "0",
-    "hi": "1",
-    "cap": "1",
+# Every config key: (parser, default), each parser checking its key's MAX_*
+# bound.  A _REQUIRED key must be given; "p" defaults to None, which each
+# command that reads it resolves.
+_KEYS = {
+    "model": (_model, _REQUIRED),
+    "alpha": (_alphas, "all-jumps"),
+    "box": (_box, DEFAULT_BOX),
+    "pmax": (functools.partial(_count, bound=MAX_PMAX), DEFAULT_PMAX),
+    "p": (_int, None),
+    "samples": (functools.partial(_count, bound=MAX_SAMPLES), 20),
+    "lo": (_rational, "0"),
+    "hi": (_hi, "1"),
+    "cap": (_cap, "1"),
+    "element": (_element, _REQUIRED),
+    "pairs": (lambda key, value, got: ResolutionNumerics(_json(value, key)), _REQUIRED),
+    "coeffs": (_coeffs, _REQUIRED),
 }
 
 
 def _parse(config, keys, **defaults):
     """{key: parsed value} for `keys`, in order; a missing or null key takes
-    its default.  The only place a config value is read and coerced: handlers
-    check only how values combine (vfilt takes one alpha), the library what
-    its functions require (0 <= lo < hi, cor24's p at most the minexp)."""
-    defaults = {**_DEFAULTS, **defaults}
+    its default (`defaults` overrides the table's).  The only place a config
+    value is read and coerced: handlers check only how values combine
+    (vfilt takes one alpha, cor24's p at most the minexp), the library what
+    its functions require (0 <= lo < hi)."""
     got = {}
     for key in keys:
+        parse, default = _KEYS[key]
         value = config.get(key)
         if value is None:
-            if key not in defaults:
+            value = defaults.get(key, default)
+            if value is _REQUIRED:
                 raise InputError(f"{config.get('command')} requires {key!r}")
-            value = defaults[key]
-        got[key] = None if value is None else _PARSERS[key](key, value, got)
+        got[key] = None if value is None else parse(key, value, got)
     return got
+
+
+def _echo(value):
+    """The JSON form of a parsed value, as a report's `params` lists it."""
+    if isinstance(value, list):
+        return [_echo(v) for v in value]
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, MonomialModel):
+        return value.to_json()
+    if isinstance(value, SncDivisor):
+        return list(value.coeffs)
+    if isinstance(value, ResolutionNumerics):
+        return [list(pair) for pair in value.pairs]
+    if isinstance(value, tuple):  # an element: the text it was parsed from
+        return value[0]
+    return value
+
+
+def _params(got, **resolved):
+    """A report's `params`: every parsed value the run used, with the values
+    a command resolved (its alpha and p lists) in place of the parsed ones;
+    a None (vfilt's cap beside an alpha, its alpha without one) is left out."""
+    return {key: _echo(v) for key, v in {**got, **resolved}.items() if v is not None}
 
 
 def _or_jumps(alphas, model):
@@ -272,13 +308,6 @@ def _box_notes(model, radius, pmax):
         "deep filtration levels have little room in the window"
     )
     return {"notes": [{"name": "box-radius-note", "note": note}]}
-
-
-def _summarize(checks):
-    return {
-        "pass": sum(1 for c in checks if c.get("status") == "PASS"),
-        "fail": sum(1 for c in checks if c.get("status") == "FAIL"),
-    }
 
 
 # -- verification sweeps ----------------------------------------------------------
@@ -331,35 +360,28 @@ def _cor24_checks(model, alpha, box, ps, value):
     ]
 
 
-class _Sweep(NamedTuple):
-    keys: tuple            # config keys read besides model, alpha and box
-    open_interval: bool    # alphas limited to (0, 1); the checks also get the
-                           # minimal exponent, computed once per run
-    checks: Callable       # (model, alpha, box, *values of keys[, minexp]) -> checks
-
-
+# command: (config keys read besides model, alpha and box, whether the alphas
+# are limited to (0, 1), the checks function).  The checks get
+# (model, alpha, box, *values of the keys), and an open-interval sweep also
+# the minimal exponent, computed once per run.
 _SWEEPS = {
-    "verify-thm42": _Sweep(("pmax", "samples"), False, _thm42_checks),
-    "verify-cor23": _Sweep((), True, _cor23_checks),
-    "verify-cor24": _Sweep(("p",), True, _cor24_checks),
-    "verify-cor51": _Sweep((), False, _cor51_checks),
-    "verify-axioms": _Sweep((), False, _axioms_checks),
+    "verify-thm42": (("pmax", "samples"), False, _thm42_checks),
+    "verify-cor23": ((), True, _cor23_checks),
+    "verify-cor24": (("p",), True, _cor24_checks),
+    "verify-cor51": ((), False, _cor51_checks),
+    "verify-axioms": ((), False, _axioms_checks),
 }
 
 
 def _cmd_sweep(command, config):
-    sweep = _SWEEPS[command]
-    got = _parse(config, ("model", "box", "alpha") + sweep.keys)
+    keys, open_interval, checks = _SWEEPS[command]
+    got = _parse(config, ("model", "box", "alpha") + keys)
     model, radius = got["model"], got["box"]
     if model.n > MAX_N:
         raise InputError(f"{command} takes n <= {MAX_N}, got n = {model.n}")
-    if got.get("p") is not None and got["p"] < 0:
-        # cor24_check refuses it too, but the alpha filter below may leave
-        # no alpha to reach it
-        raise InputError(f"p must be >= 0, got {got['p']}")
     alphas = _or_jumps(got["alpha"], model)
     extra = ()
-    if sweep.open_interval:
+    if open_interval:
         # the default all-jumps list ends at 1; an explicit alpha must fit
         outside = [a for a in alphas if not 0 < a < 1]
         if got["alpha"] is not None and outside:
@@ -367,24 +389,28 @@ def _cmd_sweep(command, config):
                 f"{command} takes alphas in (0, 1), got {format_rational(outside[0])}"
             )
         alphas = [a for a in alphas if 0 < a < 1]
-        # every alpha reuses the value instead of computing it again; by
-        # default, verify-cor24 runs every p in {0, 1} the value reaches
+        # every alpha reuses the value instead of computing it again
         value = minexp.minexp_value(model)
         if "p" in got:
+            # by default, every p in {0, 1} the value reaches; an explicit p
+            # that cor24_check would refuse is refused here, since the alpha
+            # filter above may leave no alpha to reach it
             got["p"] = [p for p in (0, 1) if value >= p] if got["p"] is None else [got["p"]]
+            for p in got["p"]:
+                if p < 0:
+                    raise InputError(f"p must be >= 0, got {p}")
+                if not value >= p:
+                    raise InputError(
+                        f"cor24_check requires minexp >= p; got {format_rational(value)} < {p}"
+                    )
         extra = (value,)
-    extra = tuple(got[k] for k in sweep.keys) + extra
     box = TruncationBox.radius(model.n, radius)
     return {
-        "params": {
-            **got,
-            "model": model.to_json(),
-            "alpha": [format_rational(a) for a in alphas],
-        },
+        "params": _params(got, alpha=alphas),
         "checks": [
             {"alpha": format_rational(alpha), **c}
             for alpha in sorted(alphas)
-            for c in sweep.checks(model, alpha, box, *extra)
+            for c in checks(model, alpha, box, *(got[k] for k in keys), *extra)
         ],
         **_box_notes(model, radius, got.get("pmax", DEFAULT_PMAX)),
     }
@@ -393,68 +419,45 @@ def _cmd_sweep(command, config):
 # -- command handlers ----------------------------------------------------------
 
 def _cmd_lct(config):
-    res = _parse(config, ("pairs",))["pairs"]
-    return {
-        "lct": format_rational(lct_from_resolution(res)),
-        "params": {"pairs": [list(pair) for pair in res.pairs]},
-        "checks": [],
-    }
+    got = _parse(config, ("pairs",))
+    lct = format_rational(lct_from_resolution(got["pairs"]))
+    return {"lct": lct, "params": _params(got), "checks": []}
 
 
 def _cmd_minexp(config):
     got = _parse(config, ("model", "pmax"), pmax=4)
-    model, pmax = got["model"], got["pmax"]
-    result = minexp.minexp_monomial(model, pmax)
-    consistency = minexp.lct_consistency(model, result.value)
+    result = minexp.minexp_monomial(got["model"], got["pmax"])
     return {
         "minexp": format_rational(result.value),
         "witness": result.witness,
-        "params": {"model": model.to_json(), "pmax": pmax},
-        "checks": consistency["checks"],
+        "params": _params(got),
+        "checks": minexp.lct_consistency(got["model"], result.value)["checks"],
     }
 
 
 def _cmd_jumps(config):
-    source = "model" if "model" in config else "coeffs"
+    source = "model" if config.get("model") is not None else "coeffs"
     got = _parse(config, (source, "lo", "hi"))
-    if source == "model":
-        D, params = got["model"].divisor(), {"model": got["model"].to_json()}
-    else:
-        D, params = got["coeffs"], {"coeffs": list(got["coeffs"].coeffs)}
-    _jump_bound("jumps range", D, got["lo"], got["hi"])
-    vals = jump_candidates(D, got["lo"], got["hi"])
-    params.update({"lo": format_rational(got["lo"]), "hi": format_rational(got["hi"])})
-    return {
-        "jumps": [format_rational(v) for v in vals],
-        "params": params,
-        "checks": [],
-    }
+    vals = jump_candidates(_divisor(got), got["lo"], got["hi"])
+    return {"jumps": [format_rational(v) for v in vals], "params": _params(got), "checks": []}
 
 
 def _cmd_vfilt(config):
-    got = _parse(config, ("model", "element", "alpha"))
-    model, (text, u), alphas = got["model"], got["element"], got["alpha"]
-    degs = sorted(multidegree(u, model))
-    payload = {
-        "params": {"model": model.to_json(), "element": text},
-        "multidegrees": [list(d) for d in degs],
-        "checks": [],
-    }
-    if alphas is not None:
-        if len(alphas) > 1:
-            raise InputError("vfilt takes a single alpha")
-        payload["member"] = v_member(u, alphas[0], model)
-        payload["params"]["alpha"] = format_rational(alphas[0])
-    else:
-        cap = _parse(config, ("cap",))["cap"]
-        _jump_bound("cap", model.divisor(), 0, cap)
+    got = _parse(config, ("model", "element", "alpha", "cap"))
+    model, (_, u), alpha, cap = got["model"], got["element"], got["alpha"], got["cap"]
+    payload = {"multidegrees": [list(d) for d in sorted(multidegree(u, model))], "checks": []}
+    if alpha is None:
         payload["v_order"] = format_rational(v_order(u, model, cap))
-        payload["params"]["cap"] = format_rational(cap)
         payload["members"] = {
             format_rational(c): v_member(u, c, model)
             for c in jump_candidates(model.divisor(), 0, cap)
         }
-    return payload
+    elif len(alpha) > 1:
+        raise InputError("vfilt takes a single alpha")
+    else:
+        alpha = alpha[0]
+        payload["member"] = v_member(u, alpha, model)
+    return {**payload, "params": _params(got, alpha=alpha)}
 
 
 def _cmd_psi_dims(config):
@@ -473,13 +476,7 @@ def _cmd_psi_dims(config):
             tables.append({"p": p, "alpha": format_rational(alpha), "dims": text})
     return {
         "tables": tables,
-        "params": {
-            "model": model.to_json(),
-            "alpha": [format_rational(a) for a in alphas],
-            "p": ps,
-            "box": radius,
-            "pmax": pmax,
-        },
+        "params": _params(got, alpha=alphas, p=ps),
         "checks": [],
         **_box_notes(model, radius, pmax),
     }
@@ -509,7 +506,10 @@ def run(config, jobs=1):
     naming the invariant).  `jobs` is accepted for compatibility and does
     not change the report; the benchmark's reference run passes it.
     """
+    command = None
     try:
+        if not isinstance(config, dict):
+            raise InputError("config must be a JSON object")
         command = config.get("command")
         if command not in COMMANDS:
             raise InputError(
@@ -517,17 +517,16 @@ def run(config, jobs=1):
             )
         payload = _HANDLERS[command](config)
     except InputError as exc:
-        report = {"command": config.get("command"), "error": str(exc)}
-        return report, 1
+        return {"command": command, "error": str(exc)}, 1
     except VerificationError as exc:
         # an identity the library asserts on its own broke: a FAIL, not a crash
         failed = {"name": "verification-error", "status": "FAIL", "invariant": str(exc)}
         payload = {"checks": [failed]}
-    report = {"command": command, **payload}
-    report["summary"] = _summarize(payload.get("checks", []))
-    report["status"] = "FAIL" if report["summary"]["fail"] else "PASS"
-    code = 2 if report["summary"]["fail"] else 0
-    return report, code
+    status = [c.get("status") for c in payload["checks"]]
+    summary = {"pass": status.count("PASS"), "fail": status.count("FAIL")}
+    report = {"command": command, **payload, "summary": summary}
+    report["status"] = "FAIL" if summary["fail"] else "PASS"
+    return report, 2 if summary["fail"] else 0
 
 
 def report_to_json(report) -> str:
@@ -576,7 +575,7 @@ def _build_parser():
     )
     parser.error = _refuse
     parser.add_argument("command", help=f"one of {', '.join(COMMANDS)}, or run")
-    for key in _PARSERS:
+    for key in _KEYS:
         parser.add_argument(f"--{key}")
     parser.add_argument("--config", help="run: JSON config path or literal")
     parser.add_argument("--out", help="write the report here instead of stdout")
@@ -586,7 +585,7 @@ def _build_parser():
 
 
 def _config_from_args(args):
-    flags = {k: v for k, v in vars(args).items() if k in _PARSERS and v is not None}
+    flags = {k: v for k, v in vars(args).items() if k in _KEYS and v is not None}
     if args.command != "run":
         return {"command": args.command, **flags}
     if flags:
@@ -604,12 +603,9 @@ def _config_from_args(args):
         except UnicodeDecodeError as exc:
             raise InputError(f"config {text} is not UTF-8: {exc.reason}") from exc
     try:
-        config = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"bad JSON config: {exc}") from exc
-    if not isinstance(config, dict):
-        raise InputError("config must be a JSON object")
-    return config
 
 
 def _check_out(path):

@@ -42,6 +42,9 @@ def test_jumps_command():
     assert code == 0 and report["jumps"] == ["1/3", "1/2", "2/3", "1"]
     report, code = run({"command": "jumps", "coeffs": [2], "lo": "0", "hi": "1"})
     assert code == 0 and report["jumps"] == ["1/2", "1"]
+    # a null model is absent, as a null value of any key is: coeffs are read
+    report, code = run({"command": "jumps", "model": None, "coeffs": [2]})
+    assert code == 0 and report["jumps"] == ["1/2", "1"]
 
 
 def test_vfilt_command():
@@ -91,6 +94,11 @@ def test_verify_thm42_command():
     assert code == 0
     assert report["status"] == "PASS"
     assert report["summary"]["fail"] == 0 and report["summary"]["pass"] > 0
+
+
+@pytest.mark.parametrize("config", [[], "x", None, 3], ids=["list", "text", "null", "int"])
+def test_run_refuses_a_config_that_is_not_an_object(config):
+    assert run(config) == ({"command": None, "error": "config must be a JSON object"}, 1)
 
 
 def test_input_errors_exit_1():
@@ -175,6 +183,7 @@ def _flag_text(key, value):
         {"command": "minexp", "model": {"n": 1, "exponents": [100000]}},
         {"command": "verify-thm42", "model": {"n": 2, "exponents": [500, 501]}, "box": 0},
         {"command": "vfilt", "model": Y2_MODEL, "element": "dy delta", "cap": "100000"},
+        {"command": "verify-cor24", "model": {"n": 2, "exponents": [1, 1]}, "p": 2, "box": 1},
     ],
     ids=[
         "box", "exponents", "exponents-not-list", "alpha-inf", "cap-inf",
@@ -194,6 +203,7 @@ def _flag_text(key, value):
         "element-second-dy", "element-second-vector", "jumps-coeffs-negative",
         "jumps-range-too-many", "jumps-coeffs-range-too-many", "minexp-model-too-many-jumps",
         "thm42-model-too-many-jumps", "vfilt-cap-too-many-jumps",
+        "cor24-p-above-minexp-no-alpha",
     ],
 )
 def test_malformed_values_exit_1(config, capsys):
@@ -209,6 +219,14 @@ def test_malformed_values_exit_1(config, capsys):
         argv = [config["command"]] + [x for k, text in flags.items() for x in (f"--{k}", text)]
         assert main(argv) == 1
         assert capsys.readouterr() == ("", err)
+
+
+def test_cor24_p_above_the_minexp_is_refused_with_or_without_an_alpha():
+    """An explicit p above the minimal exponent is refused with cor24_check's
+    own text, also on a model with no alpha in (0, 1) to reach that check."""
+    for model, p, text in [(Y2_MODEL, 1, "1/2 < 1"), ({"n": 2, "exponents": [1, 1]}, 2, "1 < 2")]:
+        report, code = run({"command": "verify-cor24", "model": model, "p": p, "box": 1})
+        assert (code, report["error"]) == (1, f"cor24_check requires minexp >= p; got {text}")
 
 
 @pytest.mark.parametrize(
@@ -1090,25 +1108,52 @@ def test_run_fuzz_never_raises(command, key, junk):
     report_to_json(report)
 
 
+_SWEPT = {"model": Y2_MODEL, "box": 1, "alpha": ["1/2"]}
+
+
 @pytest.mark.parametrize(
-    "command, keys",
+    "config, params",
     [
-        ("verify-thm42", {"model", "alpha", "box", "pmax", "samples"}),
-        ("verify-axioms", {"model", "alpha", "box"}),
-        ("verify-cor51", {"model", "alpha", "box"}),
-        ("verify-cor23", {"model", "alpha", "box"}),
-        ("verify-cor24", {"model", "alpha", "box", "p"}),
-        ("lct", {"pairs"}),
-        ("minexp", {"model", "pmax"}),
-        ("jumps", {"model", "lo", "hi"}),
-        ("vfilt", {"model", "element", "alpha"}),
-        ("psi-dims", {"model", "alpha", "p", "box", "pmax"}),
-        ("catalog", set()),
+        (_fuzz_base("verify-thm42"), {**_SWEPT, "pmax": 3, "samples": 20}),
+        (_fuzz_base("verify-axioms"), _SWEPT),
+        (_fuzz_base("verify-cor51"), _SWEPT),
+        (_fuzz_base("verify-cor23"), _SWEPT),
+        (_fuzz_base("verify-cor24"), {**_SWEPT, "p": [0]}),
+        (_fuzz_base("lct"), {"pairs": [[2, 0]]}),
+        (_fuzz_base("minexp"), {"model": Y2_MODEL, "pmax": 4}),
+        (_fuzz_base("jumps"), {"model": Y2_MODEL, "lo": "0", "hi": "1"}),
+        (_fuzz_base("vfilt"), {"model": Y2_MODEL, "element": "dy delta", "alpha": "1/2"}),
+        (_fuzz_base("psi-dims"), {**_SWEPT, "p": [0, 1, 2, 3, 4], "pmax": 3}),
+        (_fuzz_base("catalog"), {}),
+        # vfilt without an alpha reads cap instead, given or defaulted
+        ({**_fuzz_base("vfilt"), "alpha": None, "cap": "3/2"},
+         {"model": Y2_MODEL, "element": "dy delta", "cap": "3/2"}),
+        ({"command": "vfilt", "model": Y2_MODEL, "element": "dy delta", "alpha": "all-jumps"},
+         {"model": Y2_MODEL, "element": "dy delta", "cap": "1"}),
+        ({"command": "jumps", "coeffs": [2, 3], "lo": "1/2", "hi": "2"},
+         {"coeffs": [2, 3], "lo": "1/2", "hi": "2"}),
+        ({"command": "jumps", "model": N2_MODEL, "hi": "3/2"},
+         {"model": N2_MODEL, "lo": "0", "hi": "3/2"}),
+        # the resolved lists: every p in {0, 1} the minimal exponent reaches
+        # (1 on y1 y2, 1/2 on y^2), every p up to pmax + 1 and every jump in (0, 1]
+        ({"command": "verify-cor24", "model": {"n": 2, "exponents": [1, 1]}, "box": 1,
+          "alpha": "1/2"},
+         {"model": {"n": 2, "exponents": [1, 1]}, "box": 1, "alpha": ["1/2"], "p": [0, 1]}),
+        ({"command": "psi-dims", "model": N2_MODEL, "box": 1, "pmax": 1},
+         {"model": N2_MODEL, "box": 1, "pmax": 1, "alpha": ["1/2", "1"], "p": [0, 1, 2]}),
+    ],
+    ids=[
+        "verify-thm42", "verify-axioms", "verify-cor51", "verify-cor23", "verify-cor24",
+        "lct", "minexp", "jumps", "vfilt", "psi-dims", "catalog",
+        "vfilt-cap", "vfilt-default-cap", "jumps-coeffs", "jumps-model-range",
+        "cor24-resolved-p", "psi-dims-resolved-p-and-alpha",
     ],
 )
-def test_params_echo_exactly_what_ran(command, keys):
-    report, code = run(_fuzz_base(command))
-    assert code == 0 and set(report["params"]) == keys
+def test_params_echo_exactly_what_ran(config, params):
+    """`params` holds the value of each key the command read, after defaults
+    and parsing, and the alpha and p lists it resolved; nothing else."""
+    report, code = run(config)
+    assert code == 0 and report["params"] == params
 
 
 N4_SLICE = ([1, 1, 1, 1], [2, 1, 1, 1], [2, 2, 1, 1], [2, 2, 2, 2])
