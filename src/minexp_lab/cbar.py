@@ -35,7 +35,7 @@ import random
 from fractions import Fraction
 
 from .koszul import _check_twist, sigma_generator
-from .rationals import InputError, Record, format_rational
+from .rationals import InputError, Record, format_rational, wedge
 from .vfilt import Level, _check
 from .weyl import BgElement, MonomialModel, WeylOperator, act_right, compose
 
@@ -80,8 +80,7 @@ class FilteredKoszulComplex(Record):
             for k, gen in self.generators.items():
                 if k in S:
                     continue
-                sign = (-1) ** sum(1 for s in S if s < k)
-                T = tuple(sorted(S + (k,)))
+                T, sign = wedge(S, k)
                 term = compose(gen, Q).scale(sign)
                 if T in out:
                     out[T] = out[T] + term

@@ -13,15 +13,16 @@ and bounds its value (a malformed one is an input error), and its default.
 One function, `_params`, builds every report's `params` from the parsed
 values and the alpha and p lists the command resolved: exactly the values
 the run used; a key a command does not read is neither validated nor
-echoed.  `run` refuses a config that is not a JSON object.  The five verify
-commands are one sweep over alphas (`_SWEEPS`), run in the calling process
-in sorted-alpha order.  verify-cor23 and verify-cor24 take alphas in (0, 1):
-an explicit alpha outside is an input error, while the default all-jumps
-list just leaves out alpha = 1.  Both compute the minimal exponent once per
-run and hand it to every alpha; verify-cor24 refuses an explicit p above
-it, even with no alpha left to run.  A box radius R in n variables is refused
-when its volume (2R+1)^n exceeds MAX_BOX_VOLUME, a verify command refuses a
-model with n above vfilt.MAX_N, and a pmax above MAX_PMAX, a samples count
+echoed (psi-dims reads pmax only without an explicit p).  `run` refuses a
+config that is not a JSON object.  The five verify commands are one sweep
+over alphas (`_SWEEPS`), run in the calling process in sorted-alpha order.
+verify-cor23 and verify-cor24 take alphas in (0, 1): an explicit alpha
+outside is an input error, while the default all-jumps list just leaves out
+alpha = 1.  Both compute the minimal exponent once per run and hand it to
+every alpha; verify-cor24 refuses an explicit p above it, even with no alpha
+left to run.  A box radius R in n variables is refused when its volume
+(2R+1)^n exceeds MAX_BOX_VOLUME, a verify command refuses a model with n
+above vfilt.MAX_N, and a pmax above MAX_PMAX, a samples count
 above MAX_SAMPLES or a vfilt element dt order above MAX_DT_ORDER is refused.
 No command lists more than MAX_JUMPS jump candidates: a model with sum a_i
 above it, a jumps range (lo, hi] or a vfilt cap whose count bound is above
@@ -298,12 +299,13 @@ def _or_jumps(alphas, model):
     return jump_candidates(model.divisor(), 0, 1) if alphas is None else alphas
 
 
-def _box_notes(model, radius, pmax):
-    """A report's top-level notes: {} or {"notes": [the box-radius-note]}."""
+def _box_notes(model, radius, pmax, name="p_max"):
+    """A report's top-level notes: {} or {"notes": [the box-radius-note]},
+    which cites the top p as `name`."""
     if radius >= pmax + max(model.a):
         return {}
     note = (
-        f"box radius {radius} is below p_max + max(a_i) = "
+        f"box radius {radius} is below {name} + max(a_i) = "
         f"{pmax + max(model.a)}; truncation is still exact, but "
         "deep filtration levels have little room in the window"
     )
@@ -462,12 +464,17 @@ def _cmd_vfilt(config):
 
 def _cmd_psi_dims(config):
     """One table {"p", "alpha", "dims"} per (alpha, p), dims keyed by the
-    text "(d_1,...,d_n)" with zeros left out; report_to_csv reads it."""
-    got = _parse(config, ("model", "pmax", "box", "alpha", "p"))
-    model, pmax, radius = got["model"], got["pmax"], got["box"]
+    text "(d_1,...,d_n)" with zeros left out; report_to_csv reads it.
+    An explicit p is the only p, and pmax is then not read."""
+    pmax_key = ("pmax",) if config.get("p") is None else ()
+    got = _parse(config, ("model", *pmax_key, "box", "alpha", "p"))
+    model, radius = got["model"], got["box"]
     box = TruncationBox.radius(model.n, radius)
     alphas = _or_jumps(got["alpha"], model)
-    ps = list(range(0, pmax + 2)) if got["p"] is None else [got["p"]]
+    if got["p"] is None:
+        ps, notes = list(range(0, got["pmax"] + 2)), _box_notes(model, radius, got["pmax"])
+    else:
+        ps, notes = [got["p"]], _box_notes(model, radius, got["p"], "p")
     tables = []
     for alpha in alphas:
         for p in ps:
@@ -478,7 +485,7 @@ def _cmd_psi_dims(config):
         "tables": tables,
         "params": _params(got, alpha=alphas, p=ps),
         "checks": [],
-        **_box_notes(model, radius, pmax),
+        **notes,
     }
 
 

@@ -63,7 +63,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .rationals import InputError, VerificationError, cohomology, format_rational
+from .rationals import InputError, VerificationError, cohomology, format_rational, wedge
 from .vfilt import (
     MAX_N,
     Level,
@@ -157,8 +157,7 @@ class _LevelComplexes:
                 wedges = []
                 for k in range(n):
                     if k not in K:
-                        T = tuple(sorted(K + (k,)))
-                        sign = (-1) ** sum(1 for kk in K if kk < k)
+                        T, sign = wedge(K, k)
                         wedges.append((k, T, 1 << sum(1 << t for t in T), sign))
                 deg = tuple(1 if t in K else 0 for t in range(n))
                 subsets.append((K, 1 << sum(1 << t for t in K), deg, wedges))

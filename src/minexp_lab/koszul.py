@@ -67,7 +67,7 @@ import operator
 from fractions import Fraction
 
 from .divisors import SncDivisor
-from .rationals import InputError, cohomology, format_rational, int_tuple
+from .rationals import InputError, cohomology, format_rational, int_tuple, wedge
 from .vfilt import (
     Level,
     TruncationBox,
@@ -117,10 +117,6 @@ def _compositions(total, k):
     if k == 0:
         if total == 0:
             yield ()
-        return
-    if k == 1:
-        if total >= 0:
-            yield (total,)
         return
     for first in range(total + 1):
         for rest in _compositions(total - first, k - 1):
@@ -173,8 +169,7 @@ class CoreCohomology:
                 for k in range(1, r):
                     if k in S:
                         continue
-                    sign = (-1) ** sum(1 for s in S if s < k)
-                    T = tuple(sorted(S + (k,)))
+                    T, sign = wedge(S, k)
                     for coord, coeff in ((k, sign * self.lcm // self.a[k]),
                                          (0, -sign * self.lcm // self.a[0])):
                         wk = list(w)

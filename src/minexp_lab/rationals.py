@@ -9,7 +9,9 @@ serialization, nothing else.
 ``exact_rank`` is the package's one exact-rank routine, and ``cohomology``
 on top of it its one cohomology routine; ``exact_rank`` works fraction-free
 on rows scaled to integers by ``integer_row``, by the same ``eliminate``
-step that V-membership reduces with.
+step that V-membership reduces with.  ``wedge`` is the one sign rule of the
+wedge complexes those routines rank: the Koszul cores, the de Rham
+complexes and the operator-level Koszul complex.
 
 ``Record`` and ``FrozenRecord`` are the package's value-class base: the
 field-wise equality, repr and (frozen) hash of a dataclass, without the cost
@@ -18,6 +20,7 @@ of importing ``dataclasses`` on every cold start of the CLI.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -191,3 +194,11 @@ def cohomology(sizes, maps) -> dict:
     top = len(sizes) - 1
     dims = (size - ranks[q] - ranks[q + 1] for q, size in enumerate(sizes))
     return {q - top: dim for q, dim in enumerate(dims) if dim}
+
+
+def wedge(S, k):
+    """(T, sign) with e_k ^ e_S = sign e_T: S a sorted tuple without k, T
+    the sorted tuple S with k inserted, and sign (-1)^(the number of
+    members of S below k), the parity of k's position in T."""
+    i = bisect.bisect_left(S, k)
+    return S[:i] + (k,) + S[i:], -1 if i % 2 else 1

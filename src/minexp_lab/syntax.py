@@ -71,7 +71,8 @@ def format_element(u: BgElement) -> str:
     if u.is_zero():
         return "0"
     bits = []
-    for (v, m), c in u.sorted_terms():
+    # by dt-order, then exponents
+    for (v, m), c in sorted(u.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
         toks = []
         if c != 1:
             toks.append(str(c))
@@ -91,7 +92,7 @@ def format_operator(P: WeylOperator) -> str:
     if P.is_zero():
         return "0"
     bits = []
-    for (ay, st, bdy, et), c in P.sorted_terms():
+    for (ay, st, bdy, et), c in sorted(P.terms.items()):
         toks = []
         if c != 1 or not any(ay) and not st and not any(bdy) and not et:
             toks.append(str(c))

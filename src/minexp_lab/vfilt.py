@@ -79,7 +79,9 @@ from .divisors import jump_candidates, next_candidate
 from .rationals import (
     FrozenRecord, InputError, VerificationError, eliminate, int_tuple, integer_row,
 )
-from .weyl import BgElement, MonomialModel, _orders_dy, _theta_orders, multidegree
+from .weyl import (
+    BgElement, MonomialModel, _orders_dy, _orders_of_component, _theta_orders, multidegree,
+)
 
 
 # Largest n a verify command accepts, and derham.gr_dr_psi and verify_cor51
@@ -473,10 +475,6 @@ def _expansion_orders(model: MonomialModel, u0, w, jmax):
     while len(lst) <= jmax:
         lst.append(_theta_orders(lst[-1]))
     return lst[: jmax + 1]
-
-
-def _orders_of_component(comp: BgElement):
-    return {m: c for (_, m), c in comp.terms.items()}
 
 
 def member_key(lvl: Level, d):

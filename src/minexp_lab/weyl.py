@@ -27,14 +27,18 @@ tests/test_weyl.py):
 Multidegrees: deg(y_i) = e_i, deg(t) = sum a_i e_i = -deg(d_t),
 deg(dy delta) = 0, so y^v dy dt^m delta sits in degree v - m*a.  A
 multidegree-d element is therefore just its dict {dt-order m: coefficient},
-and the rules above are implemented once, as the order-dict kernels
-_orders_dy, _orders_t, _orders_dt and _theta_orders; act_right splits an
-element by multidegree and applies them factor by factor, and the
-V-filtration and de Rham code call them directly on integer dicts.  With these
-conventions theta - beta (theta = t d_t, acting on the right) is nilpotent on
-Gr^V_beta B_g^r for beta = -alpha; the sign is confirmed by
-tests/test_vfilt.py, not assumed.  The textual syntax of elements and
-operators is syntax.py.
+and the rules above are implemented once, as the three generator kernels
+_orders_dy, _orders_t and _orders_dt on order dicts (_orders_of_component
+reads one off a component).  theta = t d_t and theta + alpha are
+compositions of them: _theta_orders is _orders_t then _orders_dt, and
+_orders_theta_plus adds alpha times its input, so the operator theta that
+act_right applies and the theta of the expansions and the nilpotency check
+are one computation.  act_right splits an element by multidegree and
+applies the kernels factor by factor, and the V-filtration and de Rham code
+call them directly on integer dicts.  With these conventions theta - beta
+(theta = t d_t, acting on the right) is nilpotent on Gr^V_beta B_g^r for
+beta = -alpha; the sign is confirmed by tests/test_vfilt.py, not assumed.
+The textual syntax of elements and operators is syntax.py.
 """
 
 from __future__ import annotations
@@ -166,9 +170,6 @@ class BgElement(_Combination):
             raise InputError(f"malformed term (v={v}, m={m})")
         return v, m
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-
     def __repr__(self):
         from .syntax import format_element
 
@@ -183,6 +184,11 @@ def multidegree(u: BgElement, model: MonomialModel) -> dict:
         d = tuple(v[i] - m * a[i] for i in range(model.n))
         parts.setdefault(d, {})[(v, m)] = c
     return {d: BgElement._of(u.n, terms) for d, terms in parts.items()}
+
+
+def _orders_of_component(comp: BgElement):
+    """The order dict {m: coefficient} of a one-multidegree element."""
+    return {m: c for (_, m), c in comp.terms.items()}
 
 
 # -- right action, one multidegree at a time ----------------------------------
@@ -237,16 +243,8 @@ def _orders_dt(orders):
 
 
 def _theta_orders(orders):
-    """u.theta (theta = t d_t), same multidegree."""
-    out = {}
-    for m, c in orders.items():
-        out[m + 1] = out.get(m + 1, 0) - c
-        s = out.get(m, 0) + m * c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return {m: c for m, c in out.items() if c}
+    """u.theta (theta = t d_t), same multidegree: .t, then .d_t."""
+    return _orders_dt(_orders_t(orders))
 
 
 def _orders_theta_plus(orders, alpha):
@@ -312,9 +310,6 @@ class WeylOperator(_Combination):
 
         return f"WeylOperator({format_operator(self)!r})"
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
 
 def _comm_1d(b, a):
     """d^b y^a = sum_k k! C(b,k) C(a,k) y^{a-k} d^{b-k}; yields (k, coeff)."""
@@ -358,7 +353,7 @@ def act_right(u: BgElement, P: WeylOperator, model: MonomialModel) -> BgElement:
     n, a = model.n, model.a_ext
     terms = []
     for d0, comp in multidegree(u, model).items():
-        base = {m: c for (_, m), c in comp.terms.items()}
+        base = _orders_of_component(comp)
         for (ay, st, bdy, et), c in P.terms.items():
             d = [d0[i] + ay[i] + st * a[i] for i in range(n)]
             orders = base

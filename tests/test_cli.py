@@ -812,11 +812,13 @@ def test_notes_are_not_counted_as_checks():
     assert noted["summary"] == {"pass": passed, "fail": 0}
     assert all(c["name"] != "box-radius-note" for c in noted["checks"])
     assert report_to_csv(noted).splitlines()[-1].startswith("box-radius-note,,")
-    # psi-dims makes no checks, and its note sits at the top level too
+    # psi-dims makes no checks, and its note sits at the top level too; with
+    # an explicit p it cites p + max(a_i) = 1 + 4, not p_max + max(a_i)
     config = {"command": "psi-dims", "model": {"n": 2, "exponents": [2, 4]}, "p": 1, "alpha": "1/2"}
-    noted, code = run({**config, "box": 2})
-    plain, _ = run({**config, "box": 7})
+    noted, code = run({**config, "box": 4})
+    plain, _ = run({**config, "box": 5})
     assert code == 0 and [c["name"] for c in noted["notes"]] == ["box-radius-note"]
+    assert noted["notes"][0]["note"].startswith("box radius 4 is below p + max(a_i) = 5;")
     assert "notes" not in plain and noted["checks"] == plain["checks"] == []
     assert noted["summary"] == plain["summary"] == {"pass": 0, "fail": 0}
 
@@ -1141,12 +1143,15 @@ _SWEPT = {"model": Y2_MODEL, "box": 1, "alpha": ["1/2"]}
          {"model": {"n": 2, "exponents": [1, 1]}, "box": 1, "alpha": ["1/2"], "p": [0, 1]}),
         ({"command": "psi-dims", "model": N2_MODEL, "box": 1, "pmax": 1},
          {"model": N2_MODEL, "box": 1, "pmax": 1, "alpha": ["1/2", "1"], "p": [0, 1, 2]}),
+        # an explicit p is the only p: pmax, given or not, is not read
+        ({"command": "psi-dims", "model": N2_MODEL, "box": 1, "p": 1, "pmax": 1},
+         {"model": N2_MODEL, "box": 1, "alpha": ["1/2", "1"], "p": [1]}),
     ],
     ids=[
         "verify-thm42", "verify-axioms", "verify-cor51", "verify-cor23", "verify-cor24",
         "lct", "minexp", "jumps", "vfilt", "psi-dims", "catalog",
         "vfilt-cap", "vfilt-default-cap", "jumps-coeffs", "jumps-model-range",
-        "cor24-resolved-p", "psi-dims-resolved-p-and-alpha",
+        "cor24-resolved-p", "psi-dims-resolved-p-and-alpha", "psi-dims-explicit-p",
     ],
 )
 def test_params_echo_exactly_what_ran(config, params):

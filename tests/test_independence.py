@@ -17,7 +17,7 @@ import pkgutil
 import pytest
 
 import minexp_lab
-from minexp_lab import axioms, derham, koszul, minexp, rationals, vfilt, weyl
+from minexp_lab import axioms, cbar, derham, koszul, minexp, rationals, vfilt, weyl
 from minexp_lab.cli import run
 from minexp_lab.rationals import VerificationError
 from minexp_lab.vfilt import _first_failure
@@ -203,6 +203,23 @@ def _leave_last_map_unranked(monkeypatch):
     monkeypatch.setattr(koszul, "cohomology", planted)
 
 
+# every module that holds a name of rationals.wedge
+WEDGE_HOLDERS = (rationals, koszul, derham, cbar)
+
+
+def _commutative_wedge(monkeypatch):
+    """rationals.wedge with every sign +1, planted under every name of it;
+    the core cache is emptied first, or a warm one serves unplanted dims."""
+    inner = rationals.wedge
+
+    def planted(S, k):
+        return inner(S, k)[0], 1
+
+    monkeypatch.setattr(koszul, "_CORE_CACHE", {})
+    for module in WEDGE_HOLDERS:
+        monkeypatch.setattr(module, "wedge", planted)
+
+
 def _add_five_at_middle_entry(monkeypatch):
     """derham.box_list with 5 added at its middle entry, the origin of a
     radius box.  Only the one-== compares read it (Cor 5.1's table and
@@ -281,6 +298,16 @@ PLANTS = {
         _leave_last_map_unranked,
         {"verify-cor51": _ALL, "verify-thm42": _NOT_R1},
     ),
+    # a finding: the Koszul cores of these models (r <= 3) have at most two
+    # generators, where a commutative wedge only negates whole rows of one
+    # map; that keeps every rank, and cohomology reads ranks only (not
+    # d d = 0), so Thm 4.2 passes (at r = 4 it fails, see
+    # test_commutative_wedge_fails_thm42_at_r4); Cor 5.1 fails only on the
+    # n = 3 models with r > 1
+    "rationals.wedge": (
+        _commutative_wedge,
+        {"verify-cor51": {(3, (1, 2, 2)), (3, (2, 2, 3))}},
+    ),
     # Cor 5.1 reads only the dims of its complexes, so a class rescaled by a
     # nonzero factor (a change of basis) would pass; a missing one does not
     "vfilt.gr_class_rep": (_no_class_on_the_divisor_origin, {"verify-cor51": _ALL}),
@@ -357,14 +384,35 @@ def test_orders_dy_plant_per_name(name, command, monkeypatch):
     assert codes == {model: 2 if model in fails.get(command, ()) else 0 for model in MODELS}
 
 
-def test_orders_dy_row_plants_every_name():
-    # every module of the package that holds a name of the kernel is planted
-    holders = {
+def _holders(name):
+    """The modules of the package that hold a name `name`."""
+    return {
         info.name
         for info in pkgutil.iter_modules(minexp_lab.__path__)
-        if hasattr(importlib.import_module(f"minexp_lab.{info.name}"), "_orders_dy")
+        if hasattr(importlib.import_module(f"minexp_lab.{info.name}"), name)
     }
-    assert holders == set(ORDERS_DY_BY_NAME)
+
+
+def test_orders_dy_row_plants_every_name():
+    # every module of the package that holds a name of the kernel is planted
+    assert _holders("_orders_dy") == set(ORDERS_DY_BY_NAME)
+
+
+def test_wedge_row_plants_every_name():
+    assert _holders("wedge") == {module.__name__.rpartition(".")[2] for module in WEDGE_HOLDERS}
+
+
+@pytest.mark.parametrize("exponents", [(1, 1, 1, 1), (2, 2, 2, 2)])
+def test_commutative_wedge_fails_thm42_at_r4(exponents, monkeypatch):
+    """At r = 4 the Koszul core has three generators, and a commutative
+    wedge no longer squares to zero, so ranks change: Thm 4.2 (i) reads
+    negative cohomology dims, and (i) and (ii) fail, where they pass on
+    every audit model."""
+    _commutative_wedge(monkeypatch)
+    config = {"command": "verify-thm42", "model": {"n": 4, "exponents": list(exponents)}, "box": 2}
+    report, code = run(config)
+    failed = {c["name"] for c in report["checks"] if c["status"] == "FAIL"}
+    assert code == 2 and failed == {"thm42i-acyclicity", "thm42ii-concentration"}
 
 
 def test_class_that_leads_wrong_is_a_fail(monkeypatch):

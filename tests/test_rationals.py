@@ -1,7 +1,8 @@
 """The exact-rank routine against a plain Fraction Gaussian elimination,
-the cohomology routine on small complexes, and the value classes built on
-Record."""
+the cohomology routine on small complexes, the wedge sign rule, and the
+value classes built on Record."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -112,6 +113,21 @@ def test_cohomology_degrees_end_at_zero_without_zeros():
     assert dims == {-3: 1, 0: 1} and 0 not in dims.values()
     assert cohomology([4], []) == {0: 4}
     assert cohomology([0, 0], [[]]) == {}
+
+
+def test_wedge_inserts_k_with_the_sign_of_its_position():
+    # e_k ^ e_S = (-1)^#{s in S : s < k} e_T, and two insertions anticommute
+    # (e_j ^ e_k ^ e_S = -e_k ^ e_j ^ e_S), which makes d^2 = 0 on every
+    # wedge complex
+    for S in itertools.chain.from_iterable(itertools.combinations(range(5), q) for q in range(6)):
+        for k in set(range(5)) - set(S):
+            T, sign = rationals.wedge(S, k)
+            assert T == tuple(sorted(S + (k,))) and sign == (-1) ** sum(1 for s in S if s < k)
+            for j in set(range(5)) - set(T):
+                U, jk = rationals.wedge(T, j)  # e_j ^ e_k ^ e_S
+                R, j_sign = rationals.wedge(S, j)
+                V, kj = rationals.wedge(R, k)  # e_k ^ e_j ^ e_S
+                assert U == V and sign * jk == -j_sign * kj
 
 
 def test_cohomology_of_a_fraction_valued_map():

@@ -103,7 +103,7 @@ def test_every_method_is_read():
 
 def test_shared_method_names_are_pinned():
     # a new shared name needs a look: the method scan cannot tell its classes apart
-    assert shared_method_names() == {"_key", "sorted_terms"}
+    assert shared_method_names() == {"_key"}
 
 
 def test_a_dead_function_is_listed(tmp_path, monkeypatch):

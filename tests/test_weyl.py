@@ -7,12 +7,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minexp_lab.cli import catalog
 from minexp_lab.rationals import InputError, exact_rank
 from minexp_lab.syntax import _DT_RE, _split_terms, format_element, format_operator, parse_element
 from minexp_lab.weyl import (
     BgElement,
     MonomialModel,
     WeylOperator,
+    _orders_of_component,
+    _orders_theta_plus,
+    _theta_orders,
     act_right,
     compose,
     multidegree,
@@ -299,8 +303,37 @@ def test_theta_powers_independent():
             for _ in range(4):
                 chain.append(act_right(chain[-1], th, model))
             # all powers stay in one multidegree, so order vectors suffice
-            vecs = [{m: c for (_, m), c in x.terms.items()} for x in chain]
+            vecs = [_orders_of_component(x) for x in chain]
             assert exact_rank(vecs) == 5
+
+
+def test_theta_kernels_are_the_operator_theta():
+    # the expansions and the nilpotency check run _theta_orders and
+    # _orders_theta_plus; the monodromy-sign test runs act_right by the
+    # operators theta and theta + alpha.  Both are the same map, on
+    # one-multidegree elements of every catalog model, several dt-orders
+    # each, and at alphas that cancel a coefficient (alpha = -m)
+    rng = random.Random(44)
+    checked = cancelled = 0
+    for model in catalog():
+        n, a = model.n, model.a_ext
+        th = WeylOperator.theta(n)
+        for _ in range(8):
+            d = [rng.randint(-2, 3) for _ in range(n)]
+            terms = {}
+            for m in range(5):
+                v = tuple(d[i] + m * a[i] for i in range(n))
+                if min(v) >= 0 and rng.random() < 0.6:
+                    terms[(v, m)] = F(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+            u = BgElement(n, terms)
+            orders = _orders_of_component(u)
+            alpha = F(rng.randint(-8, 8), rng.choice([1, 1, 2, 3]))
+            plus = act_right(u, th + WeylOperator.scalar(n, alpha), model)
+            assert _theta_orders(orders) == _orders_of_component(act_right(u, th, model)), (model, u)
+            assert _orders_theta_plus(orders, alpha) == _orders_of_component(plus), (model, u, alpha)
+            checked += bool(orders)
+            cancelled += len(plus.terms) < len(orders)
+    assert checked > 300 and cancelled > 0
 
 
 def test_multidegree_examples():
