@@ -67,7 +67,7 @@ import operator
 from fractions import Fraction
 
 from .divisors import SncDivisor
-from .rationals import InputError, cohomology, format_rational, int_tuple, wedge
+from .rationals import InputError, VerificationError, cohomology, format_rational, int_tuple, wedge
 from .vfilt import (
     Level,
     TruncationBox,
@@ -156,7 +156,9 @@ class CoreCohomology:
 
     def _assemble(self, omega):
         """(bases, rows) of the untruncated omega: per wedge W, the labels
-        (S, w) with |w| = omega + W and the integer rows of d: W -> W+1."""
+        (S, w) with |w| = omega + W and the integer rows of d: W -> W+1.
+        cohomology reads ranks only, so d d = 0 is checked here, once per
+        omega: a nonzero composite is a VerificationError."""
         r = self.r
         bases = [[(S, w) for S in itertools.combinations(range(1, r), W) for w in _compositions(omega + W, r)]
                  for W in range(r)]
@@ -176,6 +178,17 @@ class CoreCohomology:
                         wk[coord] += 1
                         row[tgt[T, tuple(wk)]] = coeff
                 rows[-1].append(row)
+        for W, (first, then) in enumerate(zip(rows, rows[1:])):
+            for label, row in zip(bases[W], first):
+                twice = {}
+                for t, c in row.items():
+                    for u, v in then[t].items():
+                        twice[u] = twice.get(u, 0) + c * v
+                if any(twice.values()):
+                    raise VerificationError(
+                        f"the Koszul core of a = {list(self.a)} has d d != 0 at omega = {omega} "
+                        f"on the wedge-degree {W} label {label}"
+                    )
         return bases, rows
 
     def dims(self, omega, thi=None):

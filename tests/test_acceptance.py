@@ -10,7 +10,8 @@ import random
 import time
 from fractions import Fraction as F
 
-from minexp_lab.cli import catalog, report_to_json, run
+from minexp_lab.cli import catalog, run
+from minexp_lab.commands import report_to_json
 from minexp_lab.divisors import jump_candidates, lct_from_resolution
 from minexp_lab.axioms import check_v_axioms
 from minexp_lab.cbar import N_operator, augmentation_zero_check, verify_thm42_iii

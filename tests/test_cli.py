@@ -10,15 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minexp_lab.cli import (
-    COMMANDS,
-    DEFAULT_PMAX,
-    catalog,
-    main,
-    report_to_csv,
-    report_to_json,
-    run,
-)
+from minexp_lab.cli import DEFAULT_PMAX, catalog, main, run
+from minexp_lab.commands import COMMANDS, report_to_csv, report_to_json
 import minexp_lab
 from minexp_lab import axioms, derham, koszul, minexp, rationals, vfilt, weyl
 from minexp_lab.rationals import InputError, VerificationError, exact_rank
@@ -325,9 +318,9 @@ def test_n_at_the_bound_runs(command):
 def test_worker_count_below_1_exit_1(flag, env_jobs, monkeypatch, capsys):
     """A worker count below 1 is refused, never clamped, whatever
     MINEXP_LAB_JOBS holds (nothing reads it)."""
-    from minexp_lab import cli
+    from minexp_lab import cli, commands
 
-    monkeypatch.setattr(cli, "run", lambda config, jobs=1: pytest.fail(f"ran at jobs {jobs}"))
+    monkeypatch.setattr(commands, "run", lambda config, jobs=1: pytest.fail(f"ran at jobs {jobs}"))
     if env_jobs is None:
         monkeypatch.delenv("MINEXP_LAB_JOBS", raising=False)
     else:
@@ -507,12 +500,12 @@ def test_support_point_without_a_class_is_a_fail(monkeypatch, capsys, command):
 
 
 def test_failure_exit_2(monkeypatch):
-    from minexp_lab import cli
+    from minexp_lab import commands
 
     def broken(config):
         return {"checks": [{"name": "x", "status": "FAIL"}], "params": {}}
 
-    monkeypatch.setitem(cli._HANDLERS, "lct", broken)
+    monkeypatch.setitem(commands._HANDLERS, "lct", broken)
     report, code = run({"command": "lct"})
     assert code == 2 and report["summary"]["fail"] == 1
 
@@ -703,7 +696,7 @@ def test_unreadable_config_or_unwritable_out_exits_1(case, tmp_path, monkeypatch
     # are input errors, never a traceback; a bad --out is refused before
     # the command runs
     ran = []
-    monkeypatch.setattr("minexp_lab.cli.run", lambda config, jobs=1: ran.append(config))
+    monkeypatch.setattr("minexp_lab.commands.run", lambda config, jobs=1: ran.append(config))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "lct", "pairs": [[3, 0]]}))
     out = tmp_path / "o.json"
@@ -784,6 +777,22 @@ def test_module_entry_point_matches_run(tmp_path):
         jobs=1,
     )
     assert report_to_json(report) == proc.stdout
+
+
+def test_module_entry_point_matches_main(capsys):
+    """`python -m minexp_lab.cli` runs cli as __main__, and commands then
+    imports a second copy of cli by name: the call still exits 0 with the
+    stdout that cli.main writes in this process."""
+    src = os.path.dirname(os.path.dirname(minexp_lab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["lct", "--pairs", "[[1,0]]"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "minexp_lab.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_box_radius_note_recorded():
@@ -923,7 +932,7 @@ def test_cli_import_loads_no_argparse_csv_dataclasses_or_multiprocessing():
 _COLD_PATH = """
 import json, sys
 from fractions import Fraction
-LAZY = ("minexp_lab.axioms", "minexp_lab.cbar", "minexp_lab.syntax")
+LAZY = ("minexp_lab.commands", "minexp_lab.axioms", "minexp_lab.cbar", "minexp_lab.syntax")
 def loaded():
     return [m.split(".")[1] for m in LAZY if m in sys.modules]
 stages = []
@@ -953,9 +962,10 @@ print(json.dumps(stages))
 
 def test_cold_path_compiles_no_check_or_syntax_module_it_does_not_run():
     """A fresh interpreter compiling the package from source compiles the
-    axiom check, the operator-level Thm 4.2 checks and the element syntax
-    only in the call that runs them: importing cli and the sweep entry
-    points load none of them, and each command loads its own."""
+    command machinery, the axiom check, the operator-level Thm 4.2 checks
+    and the element syntax only in the call that runs them: importing cli
+    and the sweep entry points load none of them, the first cli.run loads
+    the command machinery, and each command loads its own check."""
     src = os.path.dirname(os.path.dirname(minexp_lab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
@@ -965,9 +975,9 @@ def test_cold_path_compiles_no_check_or_syntax_module_it_does_not_run():
     assert json.loads(out) == [
         ["import", []],
         ["sweeps", []],
-        ["verify-axioms", ["axioms"]],
-        ["verify-thm42", ["axioms", "cbar"]],
-        ["vfilt", ["axioms", "cbar", "syntax"]],
+        ["verify-axioms", ["commands", "axioms"]],
+        ["verify-thm42", ["commands", "axioms", "cbar"]],
+        ["vfilt", ["commands", "axioms", "cbar", "syntax"]],
     ]
 
 
@@ -1047,13 +1057,13 @@ def test_every_job_count_runs_in_the_calling_process(monkeypatch, capsys):
     """--jobs 1, 2 and 500, and MINEXP_LAB_JOBS=0, which nothing reads, on
     eight reported CPUs: no sweep forks, and every report is the --jobs 1
     report."""
-    from minexp_lab import cli
+    from minexp_lab import cli, commands
 
     def refuse():
         raise AssertionError("a sweep forked")
 
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(cli.os, "fork", refuse, raising=False)
+    monkeypatch.setattr(commands.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(commands.os, "fork", refuse, raising=False)
     argv = ["verify-axioms", "--model", '{"n":1,"exponents":[4]}', "--box", "1"]
 
     def report(flag, env_jobs=None):

@@ -298,15 +298,18 @@ PLANTS = {
         _leave_last_map_unranked,
         {"verify-cor51": _ALL, "verify-thm42": _NOT_R1},
     ),
-    # a finding: the Koszul cores of these models (r <= 3) have at most two
-    # generators, where a commutative wedge only negates whole rows of one
-    # map; that keeps every rank, and cohomology reads ranks only (not
-    # d d = 0), so Thm 4.2 passes (at r = 4 it fails, see
-    # test_commutative_wedge_fails_thm42_at_r4); Cor 5.1 fails only on the
-    # n = 3 models with r > 1
+    # the Koszul core of an r = 3 model has two generators, where a
+    # commutative wedge only negates whole rows of one map: that keeps every
+    # rank, which is all cohomology reads, but not d d = 0, which the core
+    # assembly checks, so Thm 4.2 fails there (at r = 2 the core has one
+    # map, and d d = 0 holds); Cor 5.1 fails only on the n = 3 models with
+    # r > 1
     "rationals.wedge": (
         _commutative_wedge,
-        {"verify-cor51": {(3, (1, 2, 2)), (3, (2, 2, 3))}},
+        {
+            "verify-cor51": {(3, (1, 2, 2)), (3, (2, 2, 3))},
+            "verify-thm42": {(3, (1, 2, 2)), (3, (2, 2, 3))},
+        },
     ),
     # Cor 5.1 reads only the dims of its complexes, so a class rescaled by a
     # nonzero factor (a change of basis) would pass; a missing one does not
@@ -405,14 +408,15 @@ def test_wedge_row_plants_every_name():
 @pytest.mark.parametrize("exponents", [(1, 1, 1, 1), (2, 2, 2, 2)])
 def test_commutative_wedge_fails_thm42_at_r4(exponents, monkeypatch):
     """At r = 4 the Koszul core has three generators, and a commutative
-    wedge no longer squares to zero, so ranks change: Thm 4.2 (i) reads
-    negative cohomology dims, and (i) and (ii) fail, where they pass on
-    every audit model."""
+    wedge changes ranks too (Thm 4.2 (i) would read negative cohomology
+    dims), but the core assembly's d d = 0 check fails first: one
+    verification-error naming the core and its omega."""
     _commutative_wedge(monkeypatch)
     config = {"command": "verify-thm42", "model": {"n": 4, "exponents": list(exponents)}, "box": 2}
     report, code = run(config)
-    failed = {c["name"] for c in report["checks"] if c["status"] == "FAIL"}
-    assert code == 2 and failed == {"thm42i-acyclicity", "thm42ii-concentration"}
+    failed = [c for c in report["checks"] if c["status"] == "FAIL"]
+    assert code == 2 and [c["name"] for c in failed] == ["verification-error"]
+    assert f"Koszul core of a = {list(exponents)} has d d != 0" in failed[0]["invariant"]
 
 
 def test_class_that_leads_wrong_is_a_fail(monkeypatch):

@@ -10,7 +10,8 @@ from fractions import Fraction as F
 import pytest
 
 from minexp_lab import cbar, koszul, rationals, vfilt
-from minexp_lab.cli import catalog, report_to_json, run
+from minexp_lab.cli import catalog, run
+from minexp_lab.commands import report_to_json
 from minexp_lab.divisors import jump_candidates
 from minexp_lab.cbar import (
     N_operator,
