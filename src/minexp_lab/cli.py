@@ -1,18 +1,23 @@
 """Command-line verification harness: the front that every process imports.
 
 Importing it imports every layer the sweeps run (vfilt, koszul, derham and
-minexp) and defines the model catalog and the bounds the commands check.
-The command machinery (the config keys, the verify sweeps, the handlers,
-the command line and the report writers) is commands.py, whose docstring
-holds the command contract.  run() and main() import it at call time, so
-a process that only sweeps never compiles it.
+minexp) and defines the model catalog, the bounds the commands check and
+the library functions the commands call.  The command machinery (the config
+keys, the verify sweeps, the handlers, the command line and the report
+writers) is commands.py, whose docstring holds the command contract.  run()
+and main() import it at call time, so a process that only sweeps never
+compiles it.
 """
 
 import itertools
 import sys
 
-from .weyl import MonomialModel
 from . import derham, koszul, minexp, vfilt  # noqa: F401  (every layer a sweep runs)
+# the library functions commands.py calls, which it takes from here
+from .divisors import jump_candidates, lct_from_resolution  # noqa: F401
+from .rationals import format_rational, parse_rational  # noqa: F401
+from .vfilt import v_member, v_order  # noqa: F401
+from .weyl import MonomialModel, multidegree  # noqa: F401
 
 DEFAULT_BOX = 6
 DEFAULT_PMAX = 3
@@ -55,13 +60,29 @@ def catalog():
     return models
 
 
-def run(config, jobs=1):
-    """Dispatch a JSON config to its command handler (commands.run).
+# -- the library calls of the commands --------------------------------------------
+#
+# commands.py takes every library function it calls from this module: the
+# names imported above, and the minexp calls of its report commands below.
+# bench/spans.py traces the cross-module calls it finds in the source of the
+# layer modules, and commands is not one of them, so a call commands made
+# straight into the library would be missing from every trace.
 
-    Returns (report, exit_code): 0 all PASS, 1 input error, 2 verification
-    failure.  `jobs` is accepted for compatibility and does not change the
-    report; the benchmark's reference run passes it.
-    """
+def minexp_report(model, pmax):
+    """(minexp_monomial's result, the checks that its value is at least the
+    lct), for the minexp command."""
+    result = minexp.minexp_monomial(model, pmax)
+    return result, minexp.lct_consistency(model, result.value)["checks"]
+
+
+def psi_dims(model, alphas, ps, box):
+    """[(alpha, p, minexp.psi_hodge_dim(p, alpha, box, model))] for each
+    alpha, then each p, for the psi-dims command."""
+    return [(alpha, p, minexp.psi_hodge_dim(p, alpha, box, model)) for alpha in alphas for p in ps]
+
+
+def run(config, jobs=1):
+    """Dispatch a JSON config to its command handler (commands.run)."""
     from . import commands  # compiled only by a process that runs a command
 
     return commands.run(config, jobs)

@@ -1,7 +1,8 @@
 """The command machinery of the harness: the config keys, the verify
 sweeps, the command handlers, the command line and the report writers.
 cli.run and cli.main import it at call time, so only a process that runs
-a command compiles it; cli holds the catalog and the MAX_* bounds.
+a command compiles it; cli holds the catalog, the MAX_* bounds and the
+library functions the commands call.
 
 Commands: lct, minexp, jumps, vfilt, psi-dims, verify-thm42, verify-cor23,
 verify-cor24, verify-cor51, verify-axioms, catalog, run.  `run` takes a
@@ -56,6 +57,7 @@ import os
 import sys
 from fractions import Fraction
 
+# the library functions come through cli, which says why
 from .cli import (
     DEFAULT_BOX,
     DEFAULT_PMAX,
@@ -65,11 +67,20 @@ from .cli import (
     MAX_PMAX,
     MAX_SAMPLES,
     catalog,
+    format_rational,
+    jump_candidates,
+    lct_from_resolution,
+    minexp_report,
+    multidegree,
+    parse_rational,
+    psi_dims,
+    v_member,
+    v_order,
 )
-from .divisors import ResolutionNumerics, SncDivisor, jump_candidates, lct_from_resolution
-from .rationals import Infinity, InputError, VerificationError, format_rational, parse_rational
-from .vfilt import MAX_N, TruncationBox, v_member, v_order
-from .weyl import MonomialModel, multidegree
+from .divisors import ResolutionNumerics, SncDivisor
+from .rationals import Infinity, InputError, VerificationError
+from .vfilt import MAX_N, TruncationBox
+from .weyl import MonomialModel
 from . import derham, koszul, minexp
 
 
@@ -400,12 +411,12 @@ def _cmd_lct(config):
 
 def _cmd_minexp(config):
     got = _parse(config, ("model", "pmax"), pmax=4)
-    result = minexp.minexp_monomial(got["model"], got["pmax"])
+    result, checks = minexp_report(got["model"], got["pmax"])
     return {
         "minexp": format_rational(result.value),
         "witness": result.witness,
         "params": _params(got),
-        "checks": minexp.lct_consistency(got["model"], result.value)["checks"],
+        "checks": checks,
     }
 
 
@@ -447,12 +458,14 @@ def _cmd_psi_dims(config):
         ps, notes = list(range(0, got["pmax"] + 2)), _box_notes(model, radius, got["pmax"])
     else:
         ps, notes = [got["p"]], _box_notes(model, radius, got["p"], "p")
-    tables = []
-    for alpha in alphas:
-        for p in ps:
-            dims = minexp.psi_hodge_dim(p, alpha, box, model)
-            text = {"(" + ",".join(map(str, d)) + ")": dim for d, dim in dims.items()}
-            tables.append({"p": p, "alpha": format_rational(alpha), "dims": text})
+    tables = [
+        {
+            "p": p,
+            "alpha": format_rational(alpha),
+            "dims": {"(" + ",".join(map(str, d)) + ")": dim for d, dim in dims.items()},
+        }
+        for alpha, p, dims in psi_dims(model, alphas, ps, box)
+    ]
     return {
         "tables": tables,
         "params": _params(got, alpha=alphas, p=ps),

@@ -123,6 +123,22 @@ def _compositions(total, k):
             yield (first,) + rest
 
 
+def _check_d_squared(a, omega, bases, rows):
+    """Raise VerificationError unless d d = 0 on the core of exponents a at
+    omega, given the bases and rows CoreCohomology._assemble built."""
+    for W, (first, then) in enumerate(zip(rows, rows[1:])):
+        for label, row in zip(bases[W], first):
+            twice = {}
+            for t, c in row.items():
+                for u, v in then[t].items():
+                    twice[u] = twice.get(u, 0) + c * v
+            if any(twice.values()):
+                raise VerificationError(
+                    f"the Koszul core of a = {list(a)} has d d != 0 at omega = {omega} "
+                    f"on the wedge-degree {W} label {label}"
+                )
+
+
 class CoreCohomology:
     """Cohomology of the multidegree pieces of the symbol Koszul complex on
     the coupled variables y_1..y_r, z_1..z_r, cached by the translation class
@@ -178,17 +194,7 @@ class CoreCohomology:
                         wk[coord] += 1
                         row[tgt[T, tuple(wk)]] = coeff
                 rows[-1].append(row)
-        for W, (first, then) in enumerate(zip(rows, rows[1:])):
-            for label, row in zip(bases[W], first):
-                twice = {}
-                for t, c in row.items():
-                    for u, v in then[t].items():
-                        twice[u] = twice.get(u, 0) + c * v
-                if any(twice.values()):
-                    raise VerificationError(
-                        f"the Koszul core of a = {list(self.a)} has d d != 0 at omega = {omega} "
-                        f"on the wedge-degree {W} label {label}"
-                    )
+        _check_d_squared(self.a, omega, bases, rows)
         return bases, rows
 
     def dims(self, omega, thi=None):

@@ -408,15 +408,22 @@ def test_wedge_row_plants_every_name():
 @pytest.mark.parametrize("exponents", [(1, 1, 1, 1), (2, 2, 2, 2)])
 def test_commutative_wedge_fails_thm42_at_r4(exponents, monkeypatch):
     """At r = 4 the Koszul core has three generators, and a commutative
-    wedge changes ranks too (Thm 4.2 (i) would read negative cohomology
-    dims), but the core assembly's d d = 0 check fails first: one
-    verification-error naming the core and its omega."""
+    wedge changes ranks too, but the core assembly's d d = 0 check fails
+    first: one verification-error naming the core and its omega.  With that
+    check left out, the rank checks catch it on their own: Thm 4.2 (i)
+    reads negative cohomology dims, and (i) and (ii) fail."""
     _commutative_wedge(monkeypatch)
     config = {"command": "verify-thm42", "model": {"n": 4, "exponents": list(exponents)}, "box": 2}
     report, code = run(config)
     failed = [c for c in report["checks"] if c["status"] == "FAIL"]
     assert code == 2 and [c["name"] for c in failed] == ["verification-error"]
     assert f"Koszul core of a = {list(exponents)} has d d != 0" in failed[0]["invariant"]
+
+    monkeypatch.setattr(koszul, "_CORE_CACHE", {})
+    monkeypatch.setattr(koszul, "_check_d_squared", lambda *args: None)
+    report, code = run(config)
+    failed = {c["name"] for c in report["checks"] if c["status"] == "FAIL"}
+    assert code == 2 and failed == {"thm42i-acyclicity", "thm42ii-concentration"}
 
 
 def test_class_that_leads_wrong_is_a_fail(monkeypatch):
