@@ -42,9 +42,6 @@ class SncDivisor(FrozenRecord):
     def __iter__(self):
         return iter(self.coeffs)
 
-    def __getitem__(self, i):
-        return self.coeffs[i]
-
     def __add__(self, other):
         if len(other) != len(self):
             raise InputError("component count mismatch")

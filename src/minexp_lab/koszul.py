@@ -66,7 +66,6 @@ import math
 import operator
 from fractions import Fraction
 
-from .divisors import SncDivisor
 from .rationals import InputError, VerificationError, cohomology, format_rational, int_tuple, wedge
 from .vfilt import (
     Level,
@@ -88,10 +87,7 @@ from .weyl import BgElement, MonomialModel
 # -- twists and the canonical generator ---------------------------------------
 
 def _check_twist(model: MonomialModel, G):
-    if isinstance(G, SncDivisor):
-        coeffs = G.coeffs
-    else:
-        coeffs = int_tuple(G, "twist")
+    coeffs = int_tuple(G, "twist")
     if len(coeffs) != model.r:
         raise InputError(
             f"twist must be supported on the {model.r} divisor components, got {coeffs}"

@@ -70,7 +70,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -221,32 +220,16 @@ _GRID_CACHE = {}
 
 class _Rows(dict):
     """{limit: the 0/1 bytes of `weight <= limit`, one per weight}, each
-    row built on first use.
-
-    With at most 256 distinct weights, each weight is stored once as the
-    byte of its rank among them; a limit passes the c smallest, for
-    c = bisect_right(distinct, limit), so its row is one bytes.translate
-    of the ranks by a table of c ones, then zeros.  More distinct weights
-    (n = 2 at radius >= 256 fits the CLI's box bound) take one comparison
-    per weight, limit.__ge__, which needs int weights: an int's __ge__
-    returns NotImplemented for a float."""
+    row built on first use by one comparison per weight, limit.__ge__,
+    which needs int weights: an int's __ge__ returns NotImplemented for a
+    float."""
 
     def __init__(self, weights):
         super().__init__()
-        self.distinct = sorted(set(weights))
-        if len(self.distinct) > 256:
-            self.weights, self.ranked = weights, None
-        else:
-            rank = {w: k for k, w in enumerate(self.distinct)}
-            self.weights, self.ranked = None, bytes(map(rank.__getitem__, weights))
+        self.weights = weights
 
     def __missing__(self, limit):
-        if self.ranked is None:
-            row = bytes(map(limit.__ge__, self.weights))
-        else:
-            c = bisect_right(self.distinct, limit)
-            row = self.ranked.translate(b"\x01" * c + bytes(256 - c))
-        self[limit] = row
+        row = self[limit] = bytes(map(limit.__ge__, self.weights))
         return row
 
 

@@ -131,9 +131,6 @@ class _Combination:
     def __eq__(self, other):
         return isinstance(other, type(self)) and self.n == other.n and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
     def __add__(self, other):
         t = dict(self.terms)
         for k, c in other.terms.items():

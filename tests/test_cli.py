@@ -177,6 +177,9 @@ def _flag_text(key, value):
         {"command": "verify-thm42", "model": {"n": 2, "exponents": [500, 501]}, "box": 0},
         {"command": "vfilt", "model": Y2_MODEL, "element": "dy delta", "cap": "100000"},
         {"command": "verify-cor24", "model": {"n": 2, "exponents": [1, 1]}, "p": 2, "box": 1},
+        {"command": "vfilt", "model": Y2_MODEL, "element": "dy delta", "alpha": ["1/2", "1"]},
+        {"command": "vfilt", "model": Y2_MODEL, "element": "0 dy delta"},
+        {"command": "vfilt", "model": N2_MODEL, "element": "y^(1) dy delta"},
     ],
     ids=[
         "box", "exponents", "exponents-not-list", "alpha-inf", "cap-inf",
@@ -197,6 +200,7 @@ def _flag_text(key, value):
         "jumps-range-too-many", "jumps-coeffs-range-too-many", "minexp-model-too-many-jumps",
         "thm42-model-too-many-jumps", "vfilt-cap-too-many-jumps",
         "cor24-p-above-minexp-no-alpha",
+        "vfilt-two-alphas", "vfilt-element-zero", "element-vector-too-short",
     ],
 )
 def test_malformed_values_exit_1(config, capsys):
@@ -235,11 +239,13 @@ def test_cor24_p_above_the_minexp_is_refused_with_or_without_an_alpha():
         [],
         ["nope"],
         ["run", "--config", '{"command":"lct","pairs":[[1,0]]}', "--box", "9"],
+        ["run", "--config", "{bad"],
     ],
     ids=[
         "box-abc", "jobs-x", "jobs-0", "unknown-flag", "format-xml",
         "flag-without-value", "run-without-config", "no-command", "unknown-command",
         "run-with-config-key-flag",
+        "run-config-bad-json",
     ],
 )
 def test_malformed_command_line_exits_1(argv, capsys):
@@ -391,6 +397,27 @@ def test_planted_error_exits_2(config, plant, monkeypatch):
     report, code = run(dict(config), jobs=1)
     assert code == 2
     assert any(c["status"] == "FAIL" for c in report["checks"])
+
+
+@pytest.mark.parametrize("n, exponents, sample", [(2, [2], 5), (3, [1, 2], 0)])
+def test_monodromy_multiple_catches_what_the_generator_misses(n, exponents, sample, monkeypatch):
+    """WeylOperator.theta planted as theta + d_n, the partial on the last
+    (free) coordinate: d_n kills the generator y^b dy delta, as b_n = 0, so
+    monodromy-generator passes, but not every multiple of it, so
+    monodromy-multiple fails at the first random multiple that it moves."""
+    config = {"command": "verify-thm42", "model": {"n": n, "exponents": exponents}, "alpha": "1/2"}
+    assert run(dict(config))[1] == 0
+    theta = weyl.WeylOperator.theta.__func__
+    monkeypatch.setattr(
+        weyl.WeylOperator, "theta", classmethod(lambda cls, n: theta(cls, n) + cls.dy(n, n - 1))
+    )
+    report, code = run(dict(config))
+    monodromy = [c for c in report["checks"] if c["name"].startswith("monodromy")]
+    assert code == 2 and [(c["name"], c["status"]) for c in monodromy] == [
+        ("monodromy-generator", "PASS"), ("monodromy-multiple", "FAIL"),
+    ]
+    assert monodromy[1]["sample"] == sample
+    assert [c for c in report["checks"] if c["status"] == "FAIL"] == monodromy[1:]
 
 
 @pytest.mark.parametrize(

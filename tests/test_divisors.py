@@ -230,6 +230,8 @@ def test_divisor_json_roundtrip():
     assert divisor_from_json(divisor_to_json(D)) == D
     with pytest.raises(InputError):
         divisor_from_json({"c": [1]})
+    with pytest.raises(InputError, match="component count mismatch"):
+        SncDivisor([1]) + SncDivisor([1, 2])
 
 
 def test_rational_serialization():

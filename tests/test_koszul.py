@@ -132,6 +132,8 @@ def test_build_cbar_examples():
     for bad in ([1.9], [True]):
         with pytest.raises(InputError):
             GradedCbar(Y2, bad)
+    with pytest.raises(InputError, match="quotient twist must be deeper"):
+        GradedCbar(Y23, [2, 2], [1, 3])
 
 
 def test_generators_commute():
@@ -186,6 +188,9 @@ def test_augmentation_zero():
     rep = augmentation_zero_check(Y2, F(1, 2))
     assert rep["status"] == "PASS" and rep["checks"][0].get("vacuous")
     assert augmentation_zero_check(Y123, F(1, 3))["status"] == "PASS"
+    # a cochain off degree 0 has no augmentation
+    with pytest.raises(InputError, match="degree-0 cochain"):
+        cbar._augment(Y23, sigma_generator(Y23, F(1, 2)), {(): WeylOperator.one(2)})
 
 
 def test_thm42_iii_hand_instance():

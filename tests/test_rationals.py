@@ -14,7 +14,7 @@ from minexp_lab.cbar import build_cbar
 from minexp_lab.minexp import MinExpResult
 from minexp_lab.rationals import INF, cohomology, exact_rank
 from minexp_lab.vfilt import Level, TruncationBox, b_vector
-from minexp_lab.weyl import MonomialModel
+from minexp_lab.weyl import BgElement, MonomialModel, WeylOperator
 
 
 def _reference_rank(rows, ncols):
@@ -152,7 +152,9 @@ def test_records_compare_hash_and_repr_by_field():
     object.__setattr__(other, "b", (9, 9))
     assert lvl == other and hash(lvl) == hash(other) and lvl != Level(m, 1)
     assert MinExpResult(INF, []) == MinExpResult(INF, []) != MinExpResult(F(1, 2), [])
-    for unhashable in (MinExpResult(INF, []), build_cbar(m, (1, 1))):
+    for unhashable in (
+        MinExpResult(INF, []), build_cbar(m, (1, 1)), BgElement(1), WeylOperator.one(1)
+    ):
         with pytest.raises(TypeError):
             hash(unhashable)
     assert [repr(x) for x in (

@@ -600,7 +600,7 @@ def test_count_grids_past_256_distinct_weights_with_a_negative_free_coordinate()
             assert ws == [gr_label(lvl, p, d)[1][1:] for d in points], (alpha, p)
         for level in (lvl, lvl.deeper):
             table = vfilt._table(level, box)
-            assert table.rows.ranked is None and max(table.sums) == table.cap + 1
+            assert max(table.sums) == table.cap + 1
 
 
 def test_gr_class_rep_and_coordinate():
@@ -1004,10 +1004,12 @@ def shifted(table: dict, offset) -> dict:
         lambda: TruncationBox((0.5,), (1,)),
         lambda: TruncationBox.radius(2.5, 1),
         lambda: TruncationBox.radius(True, 1),
+        lambda: TruncationBox.radius(2, -1),
     ],
     ids=[
         "radius-float", "radius-bool", "radius-text", "bound-float",
         "dimension-float", "dimension-bool",
+        "radius-negative",
     ],
 )
 def test_box_refuses_non_integers(make):

@@ -173,6 +173,10 @@ def test_compose_examples():
     manual = WeylOperator(n, {((0,), 2, (0,), 2): F(1), ((0,), 1, (0,), 1): F(1)})
     assert compose(th, th) == manual
     assert op_power(th, 2) == manual
+    with pytest.raises(InputError, match="arity mismatch"):
+        compose(th, WeylOperator.theta(2))
+    with pytest.raises(InputError, match="dimension mismatch"):
+        act_right(dy_delta(1), WeylOperator.theta(2), MonomialModel(1, [2]))
 
 
 def _rand_op(rng, n, max_terms=3):
@@ -381,6 +385,10 @@ def test_element_refuses_a_malformed_key():
 def test_operator_refuses_a_malformed_key():
     with pytest.raises(InputError, match="malformed term key"):
         WeylOperator(1, {((1,), 0, (0,)): F(1)})
+    with pytest.raises(InputError, match="wrong arity"):
+        WeylOperator(1, {((1, 0), 0, (0,), 0): F(1)})
+    with pytest.raises(InputError, match="exponents must be >= 0"):
+        WeylOperator(1, {((-1,), 0, (0,), 0): F(1)})
 
 
 def test_textual_roundtrips():
