@@ -40,23 +40,26 @@ from .vfilt import Level, _check
 from .weyl import BgElement, MonomialModel, WeylOperator, act_right, compose
 
 
+def _euler(model: MonomialModel, i, c) -> WeylOperator:
+    """The shifted Euler operator (y_i d_i + c)/a_i of coordinate i
+    (0-based here, so a_i is model.a[i])."""
+    n = model.n
+    return (
+        compose(WeylOperator.y(n, i), WeylOperator.dy(n, i)) + WeylOperator.scalar(n, c)
+    ).scale(Fraction(1, model.a[i]))
+
+
 def annihilator_generators(model: MonomialModel, G) -> dict:
     """The Koszul generators {symbol id: operator}; ids are the variable
-    indices 2..r (Euler-type) and r+1..n (plain partials), 1-based."""
+    indices 2..r (Euler-type) and r+1..n (plain partials), 1-based.  The
+    Euler-type K_i of the module docstring is coordinate i's shifted Euler
+    operator (_euler, at c_i) minus the first coordinate's (at c_1), the
+    operator N_operator also builds."""
     c = _check_twist(model, G)
-    n, r, a = model.n, model.r, model.a
-    gens = {}
-    for i in range(1, r):
-        euler_i = compose(WeylOperator.y(n, i), WeylOperator.dy(n, i)).scale(
-            Fraction(1, a[i])
-        )
-        euler_0 = compose(WeylOperator.y(n, 0), WeylOperator.dy(n, 0)).scale(
-            Fraction(1, a[0])
-        )
-        const = WeylOperator.scalar(n, Fraction(c[i], a[i]) - Fraction(c[0], a[0]))
-        gens[i + 1] = euler_i - euler_0 + const
-    for j in range(r, n):
-        gens[j + 1] = WeylOperator.dy(n, j)
+    first = _euler(model, 0, c[0])
+    gens = {i + 1: _euler(model, i, c[i]) - first for i in range(1, model.r)}
+    for j in range(model.r, model.n):
+        gens[j + 1] = WeylOperator.dy(model.n, j)
     return gens
 
 
@@ -108,12 +111,9 @@ def _augment(model, base, x):
 
 def N_operator(model: MonomialModel, alpha) -> WeylOperator:
     """The operator realizing the monodromy endomorphism on H^0 of
-    C-bar_{D_alpha}: (ceil(alpha a_1) + y_1 d_1)/a_1."""
-    n, a1 = model.n, model.a[0]
-    c1 = Level(model, alpha).twist[0]
-    return (
-        compose(WeylOperator.y(n, 0), WeylOperator.dy(n, 0)) + WeylOperator.scalar(n, c1)
-    ).scale(Fraction(1, a1))
+    C-bar_{D_alpha}: the first coordinate's shifted Euler operator _euler,
+    the one K_i subtracts, at c_1 = ceil(alpha a_1): (c_1 + y_1 d_1)/a_1."""
+    return _euler(model, 0, Level(model, alpha).twist[0])
 
 
 def _random_yd_operator(rng, n):

@@ -18,15 +18,17 @@ The complexes of one level over one box share their pieces: the term at
 (D, K) is the class at D - deg K, and a matrix entry depends only on its
 source class and the variable k.  So one _LevelComplexes per gr_dr_psi or
 verify_cor51 call holds three memos: the support of Gr^F_p Gr^V per Hodge
-index p, one row per point (read once from vfilt.grF_grV_support and
-gr_label's w there), the class representative per key (p, vfilt.lead_key),
-all that a representative reads of d, and the differential coordinate per
-(p, d, k).  verify_cor51 keeps it for every i, as their Hodge indices
-overlap.  A coordinate is a quotient of two integer coefficients; it is
-kept in integers, as the reduced pair (num, den) with den > 0, interned as
-a small id (0 is the zero coordinate), in the row of its support point.
-The row also holds the point's index in the box one step wider,
-lo - 1 .. hi + 1, which holds every locus, and, last, the key of its class.
+index p, one row per point, built in one pass over vfilt.grF_grV_support's
+points and gr_label's w there, in box order (so every memo of the call
+meets a support's points in box order), the class representative per key
+(p, vfilt.lead_key), all that a representative reads of d, and the
+differential coordinate per (p, d, k).  verify_cor51 keeps it for every i,
+as their Hodge indices overlap.  A coordinate is a quotient of two integer
+coefficients; it is kept in integers, as the reduced pair (num, den) with
+den > 0, interned as a small id (0 is the zero coordinate), in the row of
+its support point.  The row also holds the point's index in the box one
+step wider, lo - 1 .. hi + 1, which holds every locus, and, last, the key
+of its class.
 
 A table is a plain dict {(D, q): dim} of the nonzero cohomology
 dimensions.  Most complexes of one level repeat an earlier one.  So a table
@@ -184,24 +186,18 @@ class _LevelComplexes:
         strides (so d + deg K sits at that index plus offset K there), then
         the key (p, vfilt.lead_key) of its class representative, read off
         gr_label's w past d_0 (w_0 = p + n - sum(w), u0_0 = d_0 + w_0).
-        The points are listed in the order of a set of them: keys() meets
-        the loci in that order, and a memo keyed more coarsely than by the
-        complex (a planted fault in the tests) reuses the complex of the
-        first locus it meets."""
+        Each row is built in the one pass over grF_grV_support's points,
+        which are distinct and in box order, so keys() meets each
+        support's points in box order."""
         got = self._support.get(p)
         if got is None:
-            n = self.lvl.model.n
-            points, ws = grF_grV_support(self.lvl, p, self.scan)
-            key = {}
-            for d, w in zip(points, ws):
-                w0 = p + n - sum(w)
-                key[d] = (p, (d[0] + w0) if w0 else 0, w)
-            wide = self._wide
+            n, wide = self.lvl.model.n, self._wide
             base = sum(map(operator.mul, self.scan.lo, wide))
-            got = self._support[p] = {
-                d: [None] * n + [sum(map(operator.mul, d, wide)) - base, key[d]]
-                for d in set(points)
-            }
+            got = self._support[p] = {}
+            for d, w in zip(*grF_grV_support(self.lvl, p, self.scan)):
+                w0 = p + n - sum(w)
+                key = (p, (d[0] + w0) if w0 else 0, w)
+                got[d] = [None] * n + [sum(map(operator.mul, d, wide)) - base, key]
         return got
 
     def rep(self, p, d):

@@ -180,6 +180,7 @@ def _flag_text(key, value):
         {"command": "vfilt", "model": Y2_MODEL, "element": "dy delta", "alpha": ["1/2", "1"]},
         {"command": "vfilt", "model": Y2_MODEL, "element": "0 dy delta"},
         {"command": "vfilt", "model": N2_MODEL, "element": "y^(1) dy delta"},
+        {"command": "lct", "pairs": 5},
     ],
     ids=[
         "box", "exponents", "exponents-not-list", "alpha-inf", "cap-inf",
@@ -201,6 +202,7 @@ def _flag_text(key, value):
         "thm42-model-too-many-jumps", "vfilt-cap-too-many-jumps",
         "cor24-p-above-minexp-no-alpha",
         "vfilt-two-alphas", "vfilt-element-zero", "element-vector-too-short",
+        "pairs-not-a-list",
     ],
 )
 def test_malformed_values_exit_1(config, capsys):

@@ -451,6 +451,9 @@ def test_memoised_tables_match_reference():
         for i in range(lvl.model.n):
             assert complexes.table(i) == reference.table(i), (lvl, i)
             tables += 1
+        # every support lists its points in box order, which is sorted order
+        for p, support in complexes._support.items():
+            assert list(support) == sorted(support), (lvl, p)
     assert tables == 453
 
 
@@ -476,8 +479,8 @@ class _SignatureComplexes(_LevelComplexes):
         ([1, 2], ((0, 1), 1), ["cor51-dims"], False),
         ([1, 2], ((2, 1), 1), ["cor51-dims"], True),
         # n = 3: each planted locus's complex, unplanted, repeats an earlier one
-        ([1, 2, 2], ((0, -1, 0), 1), ["cor51-concentration"], True),
-        ([1, 2, 2], ((1, 0, 1), 1), ["cor51-dims", "cor51-concentration"], True),
+        ([1, 2, 2], ((0, -1, 1), 1), ["cor51-concentration"], True),
+        ([1, 2, 2], ((1, 0, 2), 1), ["cor51-dims", "cor51-concentration"], True),
         ([1, 2, 2], ((2, 1, 1), 2), ["cor51-dims"], True),
     ],
 )

@@ -15,7 +15,7 @@ from minexp_lab.divisors import (
     lct_from_resolution,
     next_candidate,
 )
-from minexp_lab.rationals import INF, InputError, format_rational, parse_rational
+from minexp_lab.rationals import INF, Infinity, InputError, format_rational, parse_rational
 
 from oracles import _check_alpha, jump_candidates_loop, next_candidate_min, round_gt, round_up
 
@@ -249,6 +249,8 @@ def test_infinity_total_order():
     assert sorted(vals) == vals
     assert INF == INF and not INF < INF and INF <= INF
     assert all(v < INF and INF > v for v in vals[:-1])
+    # INF is hashable, and Infinity() is INF, so it finds INF's entry
+    assert {INF: 1}[Infinity()] == 1
 
 
 def _blowup_lct_changes(discrepancy):

@@ -439,11 +439,11 @@ def test_class_that_leads_wrong_is_a_fail(monkeypatch):
         assert code == 2 and [c["name"] for c in report["checks"]] == ["verification-error"]
         invariants[(n, exponents)] = report["checks"][0]["invariant"]
     assert invariants == {
-        (2, (2, 3)): "the Gr^F_-1 class at degree [1, -1] does not lead with dt-order 1",
-        (3, (1, 2, 2)): "the Gr^F_-2 class at degree [0, 1, -1] does not lead with dt-order 1",
-        (2, (1, 2)): "the Gr^F_-1 class at degree [1, -1] does not lead with dt-order 1",
-        (3, (2, 2, 3)): "the Gr^F_-2 class at degree [1, 1, -1] does not lead with dt-order 1",
-        (3, (3,)): "the Gr^F_-2 class at degree [-1, 2, 1] does not lead with dt-order 1",
+        (2, (2, 3)): "the Gr^F_-1 class at degree [0, -1] does not lead with dt-order 1",
+        (3, (1, 2, 2)): "the Gr^F_-2 class at degree [0, 0, -1] does not lead with dt-order 1",
+        (2, (1, 2)): "the Gr^F_-1 class at degree [0, -1] does not lead with dt-order 1",
+        (3, (2, 2, 3)): "the Gr^F_-2 class at degree [0, 0, -1] does not lead with dt-order 1",
+        (3, (3,)): "the Gr^F_-2 class at degree [-1, 0, 0] does not lead with dt-order 1",
     }
 
 

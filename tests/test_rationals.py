@@ -164,6 +164,9 @@ def test_records_compare_hash_and_repr_by_field():
         TruncationBox.radius(2, 1),
         lvl,
         MinExpResult(INF, [{"p": 0}]),
+        BgElement(2, {((1, 0), 1): 2}),
+        WeylOperator(1),
+        WeylOperator(1, {((0,), 2, (1,), 0): 1}),
     )] == [
         "MonomialModel(n=2, a=(1, 2))",
         "SncDivisor(coeffs=(1, 2))",
@@ -171,6 +174,9 @@ def test_records_compare_hash_and_repr_by_field():
         "TruncationBox(lo=(-1, -1), hi=(1, 1))",
         "Level(model=MonomialModel(n=2, a=(1, 2)), alpha=Fraction(1, 2))",
         "MinExpResult(value=INF, witness=[{'p': 0}])",
+        "BgElement('2 y^(1,0) dy dt delta')",
+        "WeylOperator('0')",
+        "WeylOperator('t^2 d1')",
     ]
     assert repr(build_cbar(m, (1, 1))).startswith(
         "FilteredKoszulComplex(model=MonomialModel(n=2, a=(1, 2)), G=(1, 1), generators={2: "

@@ -138,6 +138,7 @@ def test_v_member_examples():
     assert v_member(u, F(1, 2), Y2) is True
     assert v_member(u, F(3, 4), Y2) is False
     assert v_member(dy_delta(1), F(1), Y1) is True
+    assert v_member(BgElement(1), F(1, 2), Y2) is True
     # agreement with the rank-based oracle on the examples
     assert _span_member_oracle(u, F(1, 2), Y2)
     assert not _span_member_oracle(u, F(3, 4), Y2)
