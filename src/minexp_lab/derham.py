@@ -23,27 +23,32 @@ points and gr_label's w there, in box order (so every memo of the call
 meets a support's points in box order), the class representative per key
 (p, vfilt.lead_key), all that a representative reads of d, and the
 differential coordinate per (p, d, k).  verify_cor51 keeps it for every i,
-as their Hodge indices overlap.  A coordinate is a quotient of two integer
+as their Hodge indices overlap.  A support's rows are keyed by their
+point's index in the box one step wider, lo - 1 .. hi + 1, which holds
+every locus; a row holds the coordinates per k, the point, that index and,
+last, the key of its class.  So the target of an edge dy_k, at d - e_k one
+Hodge index up, is the row at the index minus stride k, and no point tuple
+is sliced or hashed to find it.  A coordinate is a quotient of two integer
 coefficients; it is kept in integers, as the reduced pair (num, den) with
 den > 0, interned as a small id (0 is the zero coordinate), in the row of
-its support point.  The row also holds the point's index in the box one
-step wider, lo - 1 .. hi + 1, which holds every locus, and, last, the key
-of its class.
+its support point.
 
 A table is a plain dict {(D, q): dim} of the nonzero cohomology
 dimensions.  Most complexes of one level repeat an earlier one.  So a table
 is built in two passes.  First each term (K, d) is scattered onto its locus
-D = d + deg K by box position: it sits at its row's index plus a per-K
-offset, lands iff a byte mask of the box marks it there, and the tuple D is
-built once per locus.  Then each locus gets a key, the bits of its terms
+D = d + deg K: it sits at its row's index plus a per-K offset, lands iff a
+byte mask of the box marks it there, and the tuple D is built once per
+locus.  Then each locus gets a key, the bits of its terms
 and the coordinate id of every edge dy_K -> dy_{K+k} whose target term is
 present.  The scatter is the only way to a locus's terms: complex_of builds
 a complex from its key alone, the bases from the bits and the matrix
 entries from the ids (a sign follows from (K, k)), so equal keys give equal
 complexes by construction.  Each distinct key is built once, passed to
 rationals.cohomology once, and read from a fourth memo after that.  Every
-locus still reads its own coordinates, each computed once by _orders_dy, and
-a Fraction is built only when complex_of builds a complex, on a key miss.
+locus still reads its own coordinates, each computed once by _orders_dy.
+An id's matrix entry is built once, when it is interned: the int num when
+den is 1 (almost every coordinate), else a Fraction, so complex_of builds
+no Fraction and the rank works on ints wherever it can.
 
 The comparison target: the multidegree-graded dimensions of
 (O(-D_alpha)/O(-D_{>alpha})) (x) Omega^{n-1-i}_{rel}(log E), whose basis is
@@ -174,21 +179,23 @@ class _LevelComplexes:
         self._support = {}
         self._reps = {}
         # the coordinates as reduced (num, den) pairs, den > 0, interned as
-        # small ids; id 0 is the zero coordinate
+        # small ids (id 0 is the zero coordinate), and the matrix entry of
+        # each id: the int num when den is 1, else the Fraction
         self._ids = {(0, 1): 0}
-        self._pairs = [(0, 1)]
+        self._values = [0]
         self._cohom = {}
 
     def support(self, p) -> dict:
-        """The support of Gr^F_p Gr^V on the scan box, each point d mapped
-        to its row: the coordinate ids per k (None until computed), d's
-        index in the box one step wider, lo - 1 .. hi + 1, by that box's
-        strides (so d + deg K sits at that index plus offset K there), then
-        the key (p, vfilt.lead_key) of its class representative, read off
-        gr_label's w past d_0 (w_0 = p + n - sum(w), u0_0 = d_0 + w_0).
+        """The support of Gr^F_p Gr^V on the scan box, as rows keyed by
+        their points' index in the box one step wider, lo - 1 .. hi + 1, by
+        that box's strides (so d + deg K sits at that index plus offset K
+        there, and d - e_k at the index minus stride k).  A row holds the
+        coordinate ids per k (None until computed), the point d, its index,
+        then the key (p, vfilt.lead_key) of its class representative, read
+        off gr_label's w past d_0 (w_0 = p + n - sum(w), u0_0 = d_0 + w_0).
         Each row is built in the one pass over grF_grV_support's points,
-        which are distinct and in box order, so keys() meets each
-        support's points in box order."""
+        which are distinct and in box order, so the indices increase and
+        keys() meets each support's rows in box order."""
         got = self._support.get(p)
         if got is None:
             n, wide = self.lvl.model.n, self._wide
@@ -196,17 +203,19 @@ class _LevelComplexes:
             got = self._support[p] = {}
             for d, w in zip(*grF_grV_support(self.lvl, p, self.scan)):
                 w0 = p + n - sum(w)
-                key = (p, (d[0] + w0) if w0 else 0, w)
-                got[d] = [None] * n + [sum(map(operator.mul, d, wide)) - base, key]
+                at = sum(map(operator.mul, d, wide)) - base
+                got[at] = [None] * n + [d, at, (p, (d[0] + w0) if w0 else 0, w)]
         return got
 
-    def rep(self, p, d):
-        """The class representative at d in support(p): one per (p, lead
-        key), built by gr_class_rep at the first point that asks for it.  A
-        support point without a class is a VerificationError."""
-        key = self.support(p)[d][-1]
+    def rep(self, p, row):
+        """The class representative of a row of support(p): one per (p,
+        lead key), the row's key, built by gr_class_rep at the first row
+        that asks for it.  A support point without a class is a
+        VerificationError."""
+        key = row[-1]
         got = self._reps.get(key)
         if got is None:
+            d = row[-3]
             got = gr_class_rep(self.lvl, p, d)
             if got is None:
                 raise VerificationError(
@@ -215,25 +224,27 @@ class _LevelComplexes:
             self._reps[key] = got
         return got
 
-    def coordinate(self, p, d, row, k) -> int:
-        """The id of the coordinate of rep(p, d) . dy_k in Gr^F_{p+1} Gr^V
-        at d - e_k, a nonzero piece: its top dt-order coefficient over the
-        class representative's, reduced in integers.  d lies in support(p)
-        and row is its row there, which the caller holds: the source's
-        representative is read by the key at the row's end, and only the
-        target's is looked up by rep; the id is kept in the row."""
+    def coordinate(self, p, row, k) -> int:
+        """The id of the coordinate of rep(p, row) . dy_k in Gr^F_{p+1} Gr^V
+        at d - e_k (d the row's point), a nonzero piece: its top dt-order
+        coefficient over the class representative's, reduced in integers.
+        row is a row of support(p), which the caller holds; the target's
+        row is support(p + 1) at the row's index minus stride k, and each
+        representative is read by its row's key.  The id is kept in the
+        row."""
         got = row[k]
         if got is None:
-            img = _orders_dy(self._reps.get(row[-1]) or self.rep(p, d), self.lvl.model, d, k)
-            top = p + 1 + self.lvl.model.n
-            target = d[:k] + (d[k] - 1,) + d[k + 1 :]
-            num, den = img.get(top, 0), self.rep(p + 1, target)[top]
+            reps, model = self._reps, self.lvl.model
+            img = _orders_dy(reps.get(row[-1]) or self.rep(p, row), model, row[-3], k)
+            top = p + 1 + model.n
+            target = self.support(p + 1)[row[-2] - self._wide[k]]
+            num, den = img.get(top, 0), (reps.get(target[-1]) or self.rep(p + 1, target))[top]
             g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
             pair = (num // g, den // g)
             got = self._ids.get(pair)
             if got is None:
-                got = self._ids[pair] = len(self._pairs)
-                self._pairs.append(pair)
+                got = self._ids[pair] = len(self._values)
+                self._values.append(pair[0] if pair[1] == 1 else Fraction(*pair))
             row[k] = got
         return got
 
@@ -242,39 +253,39 @@ class _LevelComplexes:
         box where some term is nonzero: the bits of its terms, OR-ed, then,
         term by term in form degree and subset order, the coordinate id of
         every edge dy_K -> dy_{K+k} whose target term is present.  Each term
-        (K, d) of the supports is scattered first, by the index its row
+        (K, row) of the supports is scattered first, by the index its row
         holds (see support): its locus D = d + deg K sits at that index plus
         offset K in the one-step-wider box, it lands iff _inside marks that
         index, and the tuple D is built once per locus.  So the bits are
-        complete when the edges are read; an edge reads its id from the row
-        of d, and computes it only on the first read."""
+        complete when the edges are read; an edge reads its id from its
+        source row, and computes it only on the first read."""
         n = self.lvl.model.n
         wide, inside = self._wide, self._inside
         loci = {}
         for q, subsets in enumerate(self.subsets):
             p = i + q - 2 * n
-            support = self.support(p).items()
+            rows = self.support(p).values()
             for _, bit, deg, wedges in subsets:
                 offset = sum(map(operator.mul, deg, wide))
-                for d, row in support:
+                for row in rows:
                     at = row[-2] + offset
                     if inside[at]:
                         got = loci.get(at)
                         if got is None:
-                            D = tuple(map(operator.add, d, deg))
-                            loci[at] = [D, bit, [(p, d, row, wedges)]]
+                            D = tuple(map(operator.add, row[-3], deg))
+                            loci[at] = [D, bit, [(p, row, wedges)]]
                         else:
                             got[1] |= bit
-                            got[2].append((p, d, row, wedges))
+                            got[2].append((p, row, wedges))
         coordinate = self.coordinate
         keys = {}
         for D, mask, terms in loci.values():
             key = [mask]
-            for p, d, row, wedges in terms:
+            for p, row, wedges in terms:
                 for k, _, tbit, _ in wedges:
                     if mask & tbit:
                         got = row[k]
-                        key.append(coordinate(p, d, row, k) if got is None else got)
+                        key.append(coordinate(p, row, k) if got is None else got)
             keys[D] = tuple(key)
         return keys
 
@@ -282,8 +293,10 @@ class _LevelComplexes:
         """Terms and differential matrices of the complex with this key (see
         keys): bases[q] lists the q-subsets K whose bit the key holds,
         mats[q] the sparse columns of d: term q -> term q+1, whose entries
-        are the key's ids, read in the order keys wrote them."""
-        mask, ids = key[0], iter(key[1:])
+        are the values of the key's ids, read in the order keys wrote them:
+        a plain int where the interned pair's denominator is 1, else a
+        Fraction."""
+        mask, ids, values = key[0], iter(key[1:]), self._values
         bases = [[K for K, bit, _, _ in subsets if mask & bit] for subsets in self.subsets]
         mats = []
         for subsets, targets in zip(self.subsets, bases[1:]):
@@ -297,7 +310,7 @@ class _LevelComplexes:
                             coord = next(ids)
                             if coord:
                                 # left d/dy_k is the negated right action here
-                                col[index[T]] = -sign * Fraction(*self._pairs[coord])
+                                col[index[T]] = -sign * values[coord]
                     cols.append(col)
             mats.append(cols)
         return bases, mats

@@ -56,34 +56,50 @@ class MinExpResult(Record):
         self.value, self.witness = value, witness
 
 
-def minexp_monomial(model: MonomialModel, p_max=4) -> MinExpResult:
-    """sup{p + alpha : dy dt^p delta in V_{-alpha}} over p <= p_max and jump
-    candidates alpha in (0,1]; INF for the smooth model.  dy dt^p delta is
-    the single dt-order-p term of multidegree -p a, so each membership is
-    one _component_member call, as v_member would make it."""
+def _memberships(model: MonomialModel, p_max) -> list:
+    """The membership sweep, as (p, alpha, member) in sweep order: p <=
+    p_max, then the jump candidates alpha in (0,1].  dy dt^p delta is the
+    single dt-order-p term of multidegree -p a, so each membership is one
+    _component_member call, as v_member would make it.  1 is the smooth
+    model's only jump candidate in (0, 1], so there every membership is one
+    p at alpha = 1, and each must hold."""
     if p_max < 1:
         raise InputError(f"p_max must be >= 1, got {p_max}")
     levels = [Level(model, alpha) for alpha in jump_candidates(model.divisor(), 0, 1)]
-    witness = []
-    best = Fraction(0)
+    sweep = []
     for p in range(0, p_max + 1):
         d = tuple(-p * x for x in model.a_ext)
         for lvl in levels:
             member = _component_member(lvl, d, {p: 1})
-            witness.append(
-                {"p": p, "alpha": format_rational(lvl.alpha), "member": member}
-            )
-            if member:
-                best = max(best, p + lvl.alpha)
+            if model.smooth and not member:
+                raise VerificationError(
+                    "smooth model failed a membership that must hold at alpha = 1"
+                )
+            sweep.append((p, lvl.alpha, member))
+    return sweep
+
+
+def _sup(model: MonomialModel, sweep):
+    """INF for the smooth model, else the sup of p + alpha over the
+    memberships of the sweep that hold (0 when none does)."""
     if model.smooth:
-        # 1 is the smooth model's only jump candidate in (0, 1], so every
-        # witness is one p at alpha = 1, and each must hold
-        if not all(w["member"] for w in witness):
-            raise VerificationError(
-                "smooth model failed a membership that must hold at alpha = 1"
-            )
-        return MinExpResult(INF, witness)
-    return MinExpResult(best, witness)
+        return INF
+    best = Fraction(0)
+    for p, alpha, member in sweep:
+        if member:
+            best = max(best, p + alpha)
+    return best
+
+
+def minexp_monomial(model: MonomialModel, p_max=4) -> MinExpResult:
+    """sup{p + alpha : dy dt^p delta in V_{-alpha}} over p <= p_max and jump
+    candidates alpha in (0,1]; INF for the smooth model.  The witness
+    formats every membership of the sweep (_memberships)."""
+    sweep = _memberships(model, p_max)
+    witness = []
+    for p, alpha, member in sweep:
+        witness.append({"p": p, "alpha": format_rational(alpha), "member": member})
+    return MinExpResult(_sup(model, sweep), witness)
 
 
 def lct_consistency(model: MonomialModel, value):
@@ -149,7 +165,9 @@ def _colon_grid(deeper: Level, p, box: TruncationBox, expected) -> bytes:
 
 
 def minexp_value(model: MonomialModel):
-    return minexp_monomial(model).value
+    """minexp_monomial(model).value, from the same membership sweep, with
+    no witness formatted."""
+    return _sup(model, _memberships(model, 4))
 
 
 def _gated_inputs(model: MonomialModel, p, alpha, box: TruncationBox, value):

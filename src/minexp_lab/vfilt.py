@@ -370,11 +370,17 @@ def grF_grV_support(lvl: Level, p, box: TruncationBox):
     at each gr_label's w past d_0 (w_0 = p + n - their sum).  At each x of
     the first coordinate the points past it that are kept are the bytewise
     h & ~g of the two levels' weight-table rows at their limits, so each
-    distinct pair of limits is masked once."""
-    here, deep = _table(lvl, box), _table(lvl.deeper, box)
+    distinct pair of limits is masked once.  Where every limit of lvl's own
+    table is below 0 the support is empty: each is clamped to -1 there, and
+    row -1 is all 0, as every weight and the sentinel are >= 0."""
+    here = _table(lvl, box)
+    limits = here.limits(p)
+    if max(limits) < 0:
+        return [], []
+    deep = _table(lvl.deeper, box)
     rest, size = here.rest, len(here.sums)
     kept, points, out = {}, [], []
-    for x, pair in zip(here.axes[0], zip(here.limits(p), deep.limits(p))):
+    for x, pair in zip(here.axes[0], zip(limits, deep.limits(p))):
         got = kept.get(pair)
         if got is None:
             h, g = (int.from_bytes(t.rows[k], "big") for t, k in zip((here, deep), pair))

@@ -220,31 +220,31 @@ def gr_coordinate(orders, lvl: Level, p, d):
 # -- de Rham complexes -------------------------------------------------------------
 
 def keys_by_tuple(complexes, i) -> dict:
-    """complexes.keys(i), scattered tuple by tuple: each term (K, d) of the
-    supports lands on the tuple D = d + deg K, kept when D is in a set of
-    the box's points; the reference for the box-position scatter of
-    `derham._LevelComplexes.keys`."""
+    """complexes.keys(i), scattered tuple by tuple: each term (K, row) of
+    the supports lands on the tuple D = d + deg K, d the row's point, kept
+    when D is in a set of the box's points; the reference for the
+    index-keyed scatter of `derham._LevelComplexes.keys`."""
     n = complexes.lvl.model.n
     points = set(complexes.box)
     loci = {}
     for q, subsets in enumerate(complexes.subsets):
         p = i + q - 2 * n
-        support = complexes.support(p).items()
+        rows = complexes.support(p).values()
         for _, bit, deg, wedges in subsets:
-            for d, row in support:
-                D = tuple(x + e for x, e in zip(d, deg))
+            for row in rows:
+                D = tuple(x + e for x, e in zip(row[-3], deg))
                 got = loci.get(D)
                 if got is not None:
                     got[0] |= bit
-                    got[1].append((p, d, row, wedges))
+                    got[1].append((p, row, wedges))
                 elif D in points:
-                    loci[D] = [bit, [(p, d, row, wedges)]]
+                    loci[D] = [bit, [(p, row, wedges)]]
     keys = {}
     for D, (mask, terms) in loci.items():
         key = [mask]
-        for p, d, row, wedges in terms:
+        for p, row, wedges in terms:
             for k, _, tbit, _ in wedges:
                 if mask & tbit:
-                    key.append(complexes.coordinate(p, d, row, k))
+                    key.append(complexes.coordinate(p, row, k))
         keys[D] = tuple(key)
     return keys

@@ -465,14 +465,15 @@ def test_planted_locus_error_names_its_degree(target, monkeypatch):
 
 
 def test_minexp_computed_once_per_item(monkeypatch):
+    # the membership sweep that minexp_value shares with minexp_monomial
     calls = []
-    inner = minexp.minexp_monomial
+    inner = minexp._memberships
 
     def counted(*args, **kwargs):
         calls.append(args)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(minexp, "minexp_monomial", counted)
+    monkeypatch.setattr(minexp, "_memberships", counted)
     config = {"command": "verify-cor23", "model": {"n": 1, "exponents": [3]}, "box": 2}
     report, code = run(config, jobs=1)
     assert code == 0 and report["params"]["alpha"] == ["1/3", "2/3"]

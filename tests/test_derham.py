@@ -451,10 +451,49 @@ def test_memoised_tables_match_reference():
         for i in range(lvl.model.n):
             assert complexes.table(i) == reference.table(i), (lvl, i)
             tables += 1
-        # every support lists its points in box order, which is sorted order
+        # every support lists its rows in box order, which is sorted order
+        # of their indices and of their points
         for p, support in complexes._support.items():
             assert list(support) == sorted(support), (lvl, p)
+            points = [row[-3] for row in support.values()]
+            assert points == sorted(points), (lvl, p)
+            assert all(row[-2] == at for at, row in support.items()), (lvl, p)
     assert tables == 453
+
+
+def test_complex_entries_are_ints_where_the_pair_is_integral():
+    # every catalog level, every i, at radius 2 and 3: each complex_of entry
+    # is the plain int num where its interned pair's denominator is 1 and a
+    # Fraction elsewhere, and Fraction entries still occur, so exact_rank's
+    # rational branch stays exercised; the tables equal the per-locus ones
+    # (at radius 3: test_memoised_tables_match_reference holds radius 2)
+    levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
+    assert len(levels) == 172
+    pairs = fractions = entries = 0
+    for lvl in levels:
+        n = lvl.model.n
+        for radius in (2, 3):
+            box = TruncationBox.radius(n, radius)
+            complexes = _LevelComplexes(lvl, box)
+            tables = [complexes.table(i) for i in range(n)]
+            if radius == 3:
+                reference = _ReferenceComplexes(lvl, box)
+                assert tables == [reference.table(i) for i in range(n)], lvl
+            pair_of = {c: pair for pair, c in complexes._ids.items()}
+            for key in complexes._cohom:
+                _, mats = complexes.complex_of(key)
+                got = [c for cols in mats for col in cols for c in col.values()]
+                ids = [c for c in key[1:] if c]
+                assert len(got) == len(ids), (lvl, radius, key)
+                for entry, c in zip(got, ids):
+                    num, den = pair_of[c]
+                    assert type(entry) is (int if den == 1 else F), (lvl, radius, key)
+                    assert abs(entry) == abs(F(num, den)), (lvl, radius, key)
+                    entries += 1
+            pairs += len(pair_of) - 1
+            fractions += sum(den != 1 for _, den in pair_of.values())
+    assert (fractions, pairs) == (21, 367)
+    assert entries > 0
 
 
 class _SignatureComplexes(_LevelComplexes):
@@ -607,8 +646,8 @@ def _skewed_boxes(n):
 
 
 def test_keys_match_tuple_scatter():
-    # every catalog level, every i, on the radius-2 box and two skewed boxes:
-    # the box-position scatter gives the tuple scatter's keys, in its order,
+    # every catalog level, every i, on the radius-2 box and four skewed boxes:
+    # the index-keyed scatter gives the tuple scatter's keys, in its order,
     # with the same coordinate ids (each memo interns them in scatter order)
     levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
     assert len(levels) == 172
@@ -690,8 +729,9 @@ def _representatives_checked(memo=_LevelComplexes):
             lvl = Level(m, alpha)
             complexes = memo(lvl, TruncationBox.radius(n, 2))
             for p in range(-2 * n, 0):
-                for d in complexes.support(p):
-                    assert complexes.rep(p, d) == gr_class_rep(lvl, p, d), (m, alpha, p, d)
+                for row in complexes.support(p).values():
+                    d = row[-3]
+                    assert complexes.rep(p, row) == gr_class_rep(lvl, p, d), (m, alpha, p, d)
                     v, w = gr_label(lvl, p, d)
                     u0 = tuple(x + y for x, y in zip(lvl.b, v))
                     keys.add((m, alpha, p, lead_key(u0, w)))
@@ -717,10 +757,10 @@ def test_memo_representatives_match_gr_class_rep(monkeypatch):
 class _WKeyedComplexes(_LevelComplexes):
     """The representative memo keyed by (p, w) alone, blind to u0_0."""
 
-    def rep(self, p, d):
-        key = (p, self.support(p)[d][-1][-1])  # the row's key is (p, u0_0, w)
+    def rep(self, p, row):
+        key = (p, row[-1][-1])  # the row's key is (p, u0_0, w)
         if key not in self._reps:
-            self._reps[key] = gr_class_rep(self.lvl, p, d)
+            self._reps[key] = gr_class_rep(self.lvl, p, row[-3])
         return self._reps[key]
 
 

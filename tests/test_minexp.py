@@ -13,6 +13,7 @@ from minexp_lab.minexp import (
     cor24_check,
     lct_consistency,
     minexp_monomial,
+    minexp_value,
     psi_hodge_dim,
 )
 from minexp_lab.rationals import INF, Infinity, InputError, VerificationError, format_rational
@@ -32,6 +33,15 @@ BOX2 = TruncationBox.radius(2, 4)
 
 def minexp_json(result: MinExpResult):
     return {"minexp": format_rational(result.value), "witness": result.witness}
+
+
+def test_minexp_value_is_the_monomial_value():
+    # minexp_value reads the same membership sweep as minexp_monomial,
+    # without the witness table, on every catalog model
+    models = catalog()
+    assert len(models) == 52
+    for model in models:
+        assert minexp_value(model) == minexp_monomial(model).value, model
 
 
 def test_minexp_examples():

@@ -336,6 +336,28 @@ def test_grF_grV_support_lists_the_grid_support():
     assert cases == 1766
 
 
+def test_support_is_empty_where_every_limit_is_below_zero():
+    # every catalog level on the de Rham scan boxes of radius 2 and 3 (the
+    # box with lo one lower), p in -2n..-1 (the Hodge indices the complexes
+    # read): where every limit of the level's own table is below 0,
+    # grF_grV_support returns ([], []) and Gr^F_p Gr^V is 0 at every locus
+    levels = [Level(m, a) for m in catalog() for a in jump_candidates(m.divisor(), 0, 1)]
+    assert len(levels) == 172
+    empty = cases = 0
+    for lvl in levels:
+        n = lvl.model.n
+        for radius in (2, 3):
+            box = TruncationBox.radius(n, radius)
+            scan = TruncationBox(tuple(x - 1 for x in box.lo), box.hi)
+            for p in range(-2 * n, 0):
+                cases += 1
+                if max(vfilt._table(lvl, scan).limits(p)) < 0:
+                    assert grF_grV_support(lvl, p, scan) == ([], []), (lvl, radius, p)
+                    assert not any(count_grF_grV(lvl, p, d) for d in scan), (lvl, radius, p)
+                    empty += 1
+    assert 0 < empty < cases
+
+
 def test_label_grid_matches_gr_label():
     # every catalog level in (0, 1] with p in -n-1..3 over an off-centre box:
     # the kernel lists, in box order, exactly the loci where gr_label exists,
