@@ -82,10 +82,10 @@ def psi_dims(model, alphas, ps, box):
 
 
 def run(config, jobs=1):
-    """Dispatch a JSON config to its command handler (commands.run)."""
+    """Dispatch a JSON config to its command handler (commands.run); `jobs` is ignored."""
     from . import commands  # compiled only by a process that runs a command
 
-    return commands.run(config, jobs)
+    return commands.run(config)
 
 
 def main(argv=None):

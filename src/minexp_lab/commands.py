@@ -10,7 +10,8 @@ JSON config (path or literal) with the same keys as the flags, and
 refuses a config-key flag beside it, which it would otherwise drop.  Every
 other command takes every flag, as text: a flag is the config key of its
 name, and a key the command does not read is ignored on both paths.  An
-alpha list is JSON text as a flag (--alpha '["1/3","1/2"]').
+alpha list is JSON text as a flag (--alpha '["1/3","1/2"]'), and one that
+repeats a value ("1/2" and "2/4" are one value) is refused.
 
 Each config key is one row of `_KEYS`: the parser that validates, coerces
 and bounds its value (a malformed one is an input error), and its default.
@@ -34,17 +35,16 @@ it is refused before any candidate is listed.  A sweep whose radius leaves
 deep levels little room says so in a top-level `notes` list; notes are not
 checks and are not counted in `summary`.
 
-Reports are deterministic byte-for-byte: checks are produced in sorted key
-order, JSON is dumped with sorted keys, and scheduling parameters (--jobs,
---out, --format) are not echoed.  Exit codes: 0 all PASS, 1 input error (one
-`input error:` line on stderr and no report), 2 verification failure (a
-VerificationError is one FAIL check).  A malformed command line (an unknown
-flag, a flag without its value, --format other than json or csv, no
-command), a config path that cannot be read or is not UTF-8, and an --out
-path that cannot be written are input errors too; --out is checked before
-any work.  --jobs is accepted and validated (at least 1) only because the
-benchmark passes it, and changes nothing: on 2 CPUs a sweep split over
-forked processes ran slower than in one process (README).
+Reports are deterministic byte-for-byte, whatever PYTHONHASHSEED: checks
+are produced in sorted key order, JSON is dumped with sorted keys, and
+--jobs, --out and --format are not echoed.  Exit codes: 0 all PASS, 1 input
+error (one `input error:` line on stderr and no report), 2 verification
+failure (a VerificationError is one FAIL check).  A malformed command line
+(an unknown flag, a flag without its value, --format other than json or
+csv, no command), a config path that cannot be read or is not UTF-8, and an
+--out path that cannot be written are input errors too; --out is checked
+before any work.  --jobs is validated (at least 1) and otherwise ignored;
+it is kept only because the cli-cold benchmark passes it (README).
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ def _coeffs(key, value, got):
 
 
 def _alphas(key, value, got):
-    """A rational or a nonempty list of them, the list also as JSON text
-    (as its flag gives it); None for "all-jumps"."""
+    """A rational or a nonempty list of distinct ones, the list also as JSON
+    text (as its flag gives it); None for "all-jumps"."""
     if value == "all-jumps":
         return None
     if isinstance(value, str) and value.lstrip().startswith("["):
@@ -179,7 +179,13 @@ def _alphas(key, value, got):
     values = value if isinstance(value, list) else [value]
     if not values:
         raise InputError("alpha list is empty")
-    return [_rational(key, v, got) for v in values]
+    alphas = [_rational(key, v, got) for v in values]
+    seen = set()
+    for alpha in alphas:
+        if alpha in seen:
+            raise InputError(f"alpha list repeats {format_rational(alpha)}")
+        seen.add(alpha)
+    return alphas
 
 
 def _json(value, key):
@@ -490,13 +496,12 @@ _HANDLERS = {
 COMMANDS = tuple(_HANDLERS)
 
 
-def run(config, jobs=1):
+def run(config):
     """Dispatch a JSON config to its command handler.
 
     Returns (report, exit_code): 0 all PASS, 1 input error, 2 verification
     failure, a VerificationError included (reported as one FAIL check
-    naming the invariant).  `jobs` is accepted for compatibility and does
-    not change the report; the benchmark's reference run passes it.
+    naming the invariant).
     """
     command = None
     try:
@@ -572,7 +577,7 @@ def _build_parser():
     parser.add_argument("--config", help="run: JSON config path or literal")
     parser.add_argument("--out", help="write the report here instead of stdout")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument("--jobs", default=1, help="accepted for compatibility, at least 1")
+    parser.add_argument("--jobs", default=1, help="ignored; at least 1")
     return parser
 
 

@@ -5,13 +5,17 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 
-from minexp_lab.cli import catalog, run
-from minexp_lab.commands import report_to_json
+import minexp_lab
+from minexp_lab.cli import catalog
 from minexp_lab.divisors import jump_candidates, lct_from_resolution
 from minexp_lab.axioms import check_v_axioms
 from minexp_lab.cbar import N_operator, augmentation_zero_check, verify_thm42_iii
@@ -259,6 +263,19 @@ def test_criterion_9_formula_cross_validation():
     )
 
 
+# Runs each config of the JSON list on stdin and writes the reports'
+# report_to_json bytes, concatenated, to stdout.
+_RUN_SUITE = """
+import json, sys
+from minexp_lab.cli import run
+from minexp_lab.commands import report_to_json
+for config in json.load(sys.stdin):
+    report, code = run(config)
+    assert code == 0, (config, report)
+    sys.stdout.write(report_to_json(report))
+"""
+
+
 def test_criterion_10_determinism():
     t0 = time.time()
     suite = [
@@ -290,18 +307,25 @@ def test_criterion_10_determinism():
             "box": 4,
         },
     ]
+    # each interpreter imports the same minexp_lab as this process, installed or not
+    src = os.path.dirname(os.path.dirname(minexp_lab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     blobs = []
-    for jobs in (1, 3):
-        chunks = []
-        for config in suite:
-            report, code = run(dict(config), jobs=jobs)
-            assert code == 0, (config, report)
-            chunks.append(report_to_json(report))
-        blobs.append("".join(chunks))
-    assert blobs[0] == blobs[1]
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_SUITE],
+            input=json.dumps(suite),
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        blobs.append(proc.stdout)
+    assert blobs[0] and blobs[0] == blobs[1]
     _report(
         10,
         "determinism",
-        f"{len(suite)} commands byte-identical across job counts 1 and 3",
+        f"{len(suite)} commands byte-identical across PYTHONHASHSEED 0 and 1",
         time.time() - t0,
     )

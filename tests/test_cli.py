@@ -181,6 +181,8 @@ def _flag_text(key, value):
         {"command": "vfilt", "model": Y2_MODEL, "element": "0 dy delta"},
         {"command": "vfilt", "model": N2_MODEL, "element": "y^(1) dy delta"},
         {"command": "lct", "pairs": 5},
+        {"command": "verify-axioms", "model": Y2_MODEL, "alpha": ["1/2", "1/2"], "box": 1},
+        {"command": "verify-axioms", "model": Y2_MODEL, "alpha": ["1/2", "2/4"], "box": 1},
     ],
     ids=[
         "box", "exponents", "exponents-not-list", "alpha-inf", "cap-inf",
@@ -202,7 +204,7 @@ def _flag_text(key, value):
         "thm42-model-too-many-jumps", "vfilt-cap-too-many-jumps",
         "cor24-p-above-minexp-no-alpha",
         "vfilt-two-alphas", "vfilt-element-zero", "element-vector-too-short",
-        "pairs-not-a-list",
+        "pairs-not-a-list", "alpha-repeated", "alpha-repeated-unreduced",
     ],
 )
 def test_malformed_values_exit_1(config, capsys):
@@ -218,6 +220,13 @@ def test_malformed_values_exit_1(config, capsys):
         argv = [config["command"]] + [x for k, text in flags.items() for x in (f"--{k}", text)]
         assert main(argv) == 1
         assert capsys.readouterr() == ("", err)
+
+
+def test_repeated_alpha_is_refused_by_its_value():
+    """An alpha list that repeats a value after parsing names that value."""
+    for alpha in (["1/3", "1/2", "1/2"], ["1/2", "1/3", "2/4"]):
+        report, code = run({"command": "verify-axioms", "model": Y2_MODEL, "alpha": alpha})
+        assert (code, report["error"]) == (1, "alpha list repeats 1/2")
 
 
 def test_cor24_p_above_the_minexp_is_refused_with_or_without_an_alpha():
@@ -341,12 +350,30 @@ def test_worker_count_below_1_exit_1(flag, env_jobs, monkeypatch, capsys):
 
 
 def test_run_keeps_its_worker_clamp():
-    """Called from Python, run() still clamps a count below 1 to one worker."""
+    """Called from Python, run() accepts and ignores a count below 1."""
     config = {"command": "verify-axioms", "model": {"n": 1, "exponents": [4]}, "box": 1}
     serial, _ = run(dict(config), jobs=1)
     for jobs in (0, -3):
         report, code = run(dict(config), jobs=jobs)
         assert code == 0 and report_to_json(report) == report_to_json(serial)
+
+
+def test_run_forwards_the_config_alone(monkeypatch):
+    """cli.run hands commands.run the config and nothing else, whatever
+    `jobs` it was given."""
+    from minexp_lab import cli, commands
+
+    got = []
+
+    def one_argument(config):
+        got.append(config)
+        return {}, 0
+
+    monkeypatch.setattr(commands, "run", one_argument)
+    config = {"command": "catalog"}
+    for jobs in (1, 2, 0):
+        assert cli.run(config, jobs=jobs) == ({}, 0)
+    assert len(got) == 3 and all(c is config for c in got)
 
 
 def _b_shifted(step, b_vector=vfilt.b_vector):
