@@ -9,7 +9,8 @@ verify-cor24, verify-cor51, verify-axioms, catalog, run.  `run` takes a
 JSON config (path or literal) with the same keys as the flags, and
 refuses a config-key flag beside it, which it would otherwise drop.  Every
 other command takes every flag, as text: a flag is the config key of its
-name, and a key the command does not read is ignored on both paths.  An
+name, and a key the command does not read changes nothing on either path
+but is named in the report's unread-keys note.  An
 alpha list is JSON text as a flag (--alpha '["1/3","1/2"]'), and one that
 repeats a value ("1/2" and "2/4" are one value) is refused.
 
@@ -31,9 +32,15 @@ above vfilt.MAX_N, and a pmax above MAX_PMAX, a samples count
 above MAX_SAMPLES or a vfilt element dt order above MAX_DT_ORDER is refused.
 No command lists more than MAX_JUMPS jump candidates: a model with sum a_i
 above it, a jumps range (lo, hi] or a vfilt cap whose count bound is above
-it is refused before any candidate is listed.  A sweep whose radius leaves
-deep levels little room says so in a top-level `notes` list; notes are not
-checks and are not counted in `summary`.
+it is refused before any candidate is listed.
+
+A report's top-level `notes` are built by one function, `_notes`, called
+once in `run` from the config, the report's `params` and its checks alone,
+so a note cites only what ran: a box-radius-note when the radius is below
+the top p read (p_max, or else the largest p) plus max(a_i), an
+unread-keys note naming every given key not in `params`, and a
+nothing-checked note on a verify sweep that made no check.  A note is not
+a check: it is not counted in `summary` and changes no exit code.
 
 Reports are deterministic byte-for-byte, whatever PYTHONHASHSEED: checks
 are produced in sorted key order, JSON is dumped with sorted keys, and
@@ -288,19 +295,6 @@ def _or_jumps(alphas, model):
     return jump_candidates(model.divisor(), 0, 1) if alphas is None else alphas
 
 
-def _box_notes(model, radius, pmax, name="p_max"):
-    """A report's top-level notes: {} or {"notes": [the box-radius-note]},
-    which cites the top p as `name`."""
-    if radius >= pmax + max(model.a):
-        return {}
-    note = (
-        f"box radius {radius} is below {name} + max(a_i) = "
-        f"{pmax + max(model.a)}; truncation is still exact, but "
-        "deep filtration levels have little room in the window"
-    )
-    return {"notes": [{"name": "box-radius-note", "note": note}]}
-
-
 # -- verification sweeps ----------------------------------------------------------
 #
 # The checks functions reach the library at call time (module attributes or
@@ -403,7 +397,6 @@ def _cmd_sweep(command, config):
             for alpha in sorted(alphas)
             for c in checks(model, alpha, box, *(got[k] for k in keys), *extra)
         ],
-        **_box_notes(model, radius, got.get("pmax", DEFAULT_PMAX)),
     }
 
 
@@ -460,10 +453,7 @@ def _cmd_psi_dims(config):
     model, radius = got["model"], got["box"]
     box = TruncationBox.radius(model.n, radius)
     alphas = _or_jumps(got["alpha"], model)
-    if got["p"] is None:
-        ps, notes = list(range(0, got["pmax"] + 2)), _box_notes(model, radius, got["pmax"])
-    else:
-        ps, notes = [got["p"]], _box_notes(model, radius, got["p"], "p")
+    ps = list(range(0, got["pmax"] + 2)) if got["p"] is None else [got["p"]]
     tables = [
         {
             "p": p,
@@ -476,7 +466,6 @@ def _cmd_psi_dims(config):
         "tables": tables,
         "params": _params(got, alpha=alphas, p=ps),
         "checks": [],
-        **notes,
     }
 
 
@@ -496,6 +485,28 @@ _HANDLERS = {
 COMMANDS = tuple(_HANDLERS)
 
 
+def _notes(config, params, checks):
+    """A report's top-level notes, read off what ran: the config, the
+    report's `params` and its checks alone, so a note cites nothing the run
+    did not use.  A note is not a check and is not counted in `summary`."""
+    notes = []
+    if "box" in params and ("pmax" in params or "p" in params):
+        # the top p the run read: p_max, or else the largest explicit or resolved p
+        name, top = ("p_max", params["pmax"]) if "pmax" in params else ("p", max(params["p"]))
+        deep = top + max(params["model"]["exponents"])
+        if params["box"] < deep:
+            notes.append(("box-radius-note", (
+                f"box radius {params['box']} is below {name} + max(a_i) = {deep}; "
+                "truncation is still exact, but deep filtration levels have little "
+                "room in the window")))
+    unread = sorted(k for k in config.keys() - {"command", *params} if config[k] is not None)
+    if unread:
+        notes.append(("unread-keys", f"keys not read, so not used: {', '.join(unread)}"))
+    if config["command"] in _SWEEPS and not checks:
+        notes.append(("nothing-checked", "no check was made, so PASS certifies nothing"))
+    return [{"name": name, "note": note} for name, note in notes]
+
+
 def run(config):
     """Dispatch a JSON config to its command handler.
 
@@ -513,6 +524,9 @@ def run(config):
                 f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}"
             )
         payload = _HANDLERS[command](config)
+        notes = _notes(config, payload["params"], payload["checks"])
+        if notes:
+            payload["notes"] = notes
     except InputError as exc:
         return {"command": command, "error": str(exc)}, 1
     except VerificationError as exc:
@@ -558,7 +572,8 @@ def _refuse(message):
 
 def _build_parser():
     """One flat parser: every flag is text, read by `_parse` as the config
-    key of its name, and a flag the command does not read is ignored."""
+    key of its name, and a flag the command does not read is named in the
+    report's unread-keys note."""
     # imported here, not at the top: argparse (with gettext) is only needed
     # by main(), and a process that only calls run() skips it
     import argparse

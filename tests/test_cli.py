@@ -598,6 +598,19 @@ NEARBY_CYCLES_REPORTS = {
 }
 
 
+def _with_unread_pmax_note(report):
+    """The report as it was recorded, when every sweep cited the default
+    p_max whether or not it read one: a sweep that reads no p now has no
+    note, and the p_max note it used to carry is put back."""
+    assert "notes" not in report and "pmax" not in report["params"]
+    deep = DEFAULT_PMAX + max(report["params"]["model"]["exponents"])
+    note = (
+        f"box radius 4 is below p_max + max(a_i) = {deep}; truncation is still exact, "
+        "but deep filtration levels have little room in the window"
+    )
+    return {**report, "notes": [{"name": "box-radius-note", "note": note}]}
+
+
 @pytest.mark.parametrize("command", sorted(NEARBY_CYCLES_REPORTS))
 def test_nearby_cycles_report_bytes_pinned(command):
     got = {}
@@ -605,6 +618,7 @@ def test_nearby_cycles_report_bytes_pinned(command):
         config = {"command": command, "model": {"n": n, "exponents": list(exponents)}, "box": 4}
         report, code = run(config)
         assert code == 0, report
+        report = _with_unread_pmax_note(report)
         got[n, exponents] = hashlib.sha256(report_to_json(report).encode()).hexdigest()
     assert got == NEARBY_CYCLES_REPORTS[command]
 
@@ -664,6 +678,8 @@ def test_report_bytes_pinned(command):
         if command == "psi-dims":
             # recorded before psi-dims echoed the pmax it reads, here the default
             assert report["params"].pop("pmax") == DEFAULT_PMAX
+        if command == "verify-axioms":
+            report = _with_unread_pmax_note(report)
         got[n, exponents] = hashlib.sha256(report_to_json(report).encode()).hexdigest()
     assert got == REPORT_BYTES[command]
 
@@ -852,26 +868,34 @@ def test_module_entry_point_matches_main(capsys):
     assert proc.stdout == capsys.readouterr().out
 
 
+def _note_names(report):
+    return [c["name"] for c in report.get("notes", [])]
+
+
 def test_box_radius_note_recorded():
-    report, code = run(
-        {
-            "command": "verify-axioms",
-            "model": {"n": 1, "exponents": [4]},
-            "alpha": "1/4",
-            "box": 3,
-            "pmax": 3,
-        }
-    )
+    config = {
+        "command": "verify-thm42",
+        "model": {"n": 1, "exponents": [4]},
+        "alpha": "1/4",
+        "box": 3,
+        "pmax": 3,
+    }
+    report, code = run(config)
     assert code == 0
     assert any(c["name"] == "box-radius-note" for c in report["notes"])
+    # verify-axioms reads no p, so no p_max is cited, though one is given
+    report, code = run({**config, "command": "verify-axioms"})
+    assert code == 0 and "box-radius-note" not in _note_names(report)
 
 
 def test_notes_are_not_counted_as_checks():
-    # verify-axioms makes the same checks at any radius; only radius 3 is
+    # verify-thm42 makes the same checks at any radius here; only radius 3 is
     # below p_max + max(a_i) = 3 + 4 and carries a note
-    config = {"command": "verify-axioms", "model": {"n": 1, "exponents": [4]}, "alpha": "1/4"}
+    config = {"command": "verify-thm42", "model": {"n": 1, "exponents": [4]}, "alpha": "1/4"}
     noted, code = run({**config, "box": 3})
     plain, _ = run({**config, "box": 7})
+    axioms_run, _ = run({**config, "command": "verify-axioms", "box": 3})
+    assert "box-radius-note" not in _note_names(axioms_run)
     assert code == 0 and noted["notes"] and "notes" not in plain
     assert noted["summary"] == plain["summary"]
     passed = sum(1 for c in noted["checks"] if c["status"] == "PASS")
@@ -887,6 +911,103 @@ def test_notes_are_not_counted_as_checks():
     assert noted["notes"][0]["note"].startswith("box radius 4 is below p + max(a_i) = 5;")
     assert "notes" not in plain and noted["checks"] == plain["checks"] == []
     assert noted["summary"] == plain["summary"] == {"pass": 0, "fail": 0}
+
+
+def test_misspelt_key_is_noted_not_read():
+    config = {"command": "verify-cor51", "model": Y2_MODEL, "box": 2, "alhpa": "1/2"}
+    report, code = run(config)
+    assert code == 0 and report["params"]["alpha"] == ["1/2", "1"]
+    assert {c["alpha"] for c in report["checks"]} == {"1/2", "1"}
+    assert _note_names(report) == ["unread-keys"] and "alhpa" in report["notes"][0]["note"]
+    assert "alhpa" not in report["params"]
+
+
+def test_unread_flag_is_noted_as_its_config_key(capsys):
+    # flags are config keys: the flag path notes exactly what the config path does
+    argv = ["verify-cor51", "--model", json.dumps(Y2_MODEL), "--box", "1", "--pmax", "9"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert _note_names(report) == ["unread-keys"]
+    assert report["notes"][0]["note"].endswith(": pmax") and "pmax" not in report["params"]
+    config = {"command": "verify-cor51", "model": Y2_MODEL, "box": "1", "pmax": "9"}
+    assert report == run(config)[0]
+
+
+def test_unread_keys_are_sorted_and_name_only_what_did_not_run():
+    report, code = run(
+        {"command": "vfilt", "model": Y2_MODEL, "element": "dy delta", "alpha": "1/2", "cap": "2"}
+    )
+    assert code == 0 and "cap" not in report["params"]
+    assert report["notes"] == [
+        {"name": "unread-keys", "note": "keys not read, so not used: cap"}
+    ]
+    report, code = run({"command": "jumps", "model": Y2_MODEL, "coeffs": [3], "box": 9})
+    assert code == 0 and report["jumps"] == ["1/2", "1"]
+    assert report["notes"][0]["note"].endswith(": box, coeffs")
+    # a null key is absent, and a key the command read is never named
+    report, code = run({"command": "jumps", "model": Y2_MODEL, "coeffs": None, "lo": "0"})
+    assert code == 0 and "notes" not in report
+
+
+def test_nothing_checked_exactly_on_a_sweep_without_checks():
+    reduced = [m for m in catalog() if max(m.a) == 1]
+    assert len(reduced) == 6
+    for model in catalog():
+        for command in ("verify-cor23", "verify-cor24"):
+            report, code = run({"command": command, "model": model.to_json(), "box": 1})
+            assert code == 0, report
+            noted = "nothing-checked" in _note_names(report)
+            assert noted == (model in reduced) == (report["checks"] == []), (command, model)
+    # a command that is not a verify sweep makes no check and has no such note
+    report, code = run({"command": "jumps", "model": Y2_MODEL})
+    assert code == 0 and report["checks"] == [] and "notes" not in report
+
+
+def test_notes_come_in_one_order():
+    # cor24 on the smooth model resolves p to [0, 1]: box 0 < 1 + max(a_i)
+    config = {"command": "verify-cor24", "model": {"n": 1, "exponents": [1]}, "box": 0}
+    report, code = run({**config, "pmax": 2})
+    assert code == 0 and report["params"]["p"] == [0, 1]
+    assert _note_names(report) == ["box-radius-note", "unread-keys", "nothing-checked"]
+    assert report["summary"] == {"pass": 0, "fail": 0}
+
+
+def test_box_radius_note_cites_the_resolved_p():
+    # minexp(1, [4]) = 1/4, so cor24 resolves p to [0]: 3 < 0 + 4
+    config = {"command": "verify-cor24", "model": {"n": 1, "exponents": [4]}, "box": 3}
+    report, code = run(config)
+    assert code == 0 and report["params"]["p"] == [0] and report["checks"]
+    assert _note_names(report) == ["box-radius-note"]
+    assert report["notes"][0]["note"].startswith("box radius 3 is below p + max(a_i) = 4;")
+    report, code = run({**config, "box": 4})
+    assert code == 0 and "notes" not in report
+
+
+# (n, exponents, box radius): n <= 4, a_i <= 7 and a radius of 1 to 3 whose
+# box volume (2R+1)^n is at most 5^4, so n = 4 stops at radius 2: the axioms
+# sweep walks every locus, and one n = 4 model at radius 3 takes seconds
+_drawn = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(1, 7), min_size=1, max_size=n),
+        st.integers(1, 3).filter(lambda radius: (2 * radius + 1) ** n <= 5**4),
+    )
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(_drawn)
+def test_drawn_models_beyond_the_catalog_pass(drawn):
+    n, exponents, radius = drawn
+    config = {"model": {"n": n, "exponents": exponents}, "box": radius}
+    for command in ("verify-thm42", "verify-cor23", "verify-cor24", "verify-cor51", "verify-axioms"):
+        report, code = run({**config, "command": command})
+        assert code == 0 and report["status"] == "PASS", (command, report)
+        if command in ("verify-cor23", "verify-cor24"):
+            assert ("nothing-checked" in _note_names(report)) == (max(exponents) == 1)
+    report, code = run({**config, "command": "minexp"})
+    assert code == 0 and report["status"] == "PASS", report
+    assert report["minexp"] == ("inf" if exponents == [1] else str(Fraction(1, max(exponents))))
 
 
 def test_pmax_bound_is_inclusive():
